@@ -3,7 +3,7 @@
 //! order of magnitude smaller than the database).
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
-use mp_closure::{ConcurrentUnionFind, PairSet, UnionFind};
+use mp_closure::{PairSet, UnionFind};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -43,19 +43,6 @@ fn bench_closure(c: &mut Criterion) {
                         uf.union(x, y);
                     }
                     black_box(uf.classes().len())
-                });
-            },
-        );
-        g.bench_with_input(
-            BenchmarkId::new("concurrent_union_find", n),
-            &pairs,
-            |b, pairs| {
-                b.iter(|| {
-                    let uf = ConcurrentUnionFind::new(n);
-                    for &(x, y) in pairs {
-                        uf.union(x, y);
-                    }
-                    black_box(uf.set_count())
                 });
             },
         );

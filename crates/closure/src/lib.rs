@@ -12,22 +12,16 @@
 //! multiprocessor closure algorithms; a union-find forest gives the same
 //! result in near-linear time.
 //!
-//! * [`UnionFind`] — the sequential forest with path halving and union by
-//!   rank.
+//! * [`UnionFind`] — the forest with path halving and union by rank.
 //! * [`PairSet`] — a deduplicating accumulator of undirected pairs.
-//! * [`concurrent::ConcurrentUnionFind`] — a lock-striped variant that lets
-//!   the parallel engines merge pairs from many worker threads without a
-//!   global lock.
 //! * [`provenance::ProvenanceLog`] — the spanning-forest edge log keeping
 //!   the evidence (rule, pass, batch, trace) behind every merge, plus
 //!   [`provenance::ClusterSizes`] cluster-size telemetry.
 
-pub mod concurrent;
 pub mod pairs;
 pub mod provenance;
 pub mod unionfind;
 
-pub use concurrent::ConcurrentUnionFind;
 pub use pairs::PairSet;
 pub use provenance::{ClusterSizes, MergeEdge, ProvenanceLog};
 pub use unionfind::UnionFind;

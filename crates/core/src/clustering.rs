@@ -2,14 +2,12 @@
 //! run the sorted-neighborhood method inside each cluster.
 
 use crate::key::{KeyArena, KeySpec};
-use crate::snm::{PassResult, PassStats};
-use crate::window::{window_scan_hooked, window_scan_pruned_hooked};
-use mp_closure::{PairSet, UnionFind};
+use crate::snm::{scan_segments, PassResult, PassRun};
+use mp_closure::UnionFind;
 use mp_cluster::{KeyHistogram, RangePartition};
-use mp_metrics::{span, span_labeled, Counter, NoopObserver, Phase, PipelineObserver, ScanHooks};
+use mp_metrics::{NoopObserver, PipelineObserver};
 use mp_record::Record;
 use mp_rules::EquationalTheory;
-use std::time::Instant;
 
 /// Configuration of the clustering method.
 #[derive(Debug, Clone)]
@@ -79,16 +77,6 @@ impl ClusteringMethod {
         ClusteringMethod { key, config }
     }
 
-    /// The key specification.
-    pub fn key(&self) -> &KeySpec {
-        &self.key
-    }
-
-    /// The configuration.
-    pub fn config(&self) -> &ClusteringConfig {
-        &self.config
-    }
-
     /// Runs cluster-data + per-cluster sorted-neighborhood serially.
     ///
     /// The `create_keys` stat covers key extraction and histogram/partition
@@ -106,126 +94,57 @@ impl ClusteringMethod {
         theory: &dyn EquationalTheory,
         observer: &dyn PipelineObserver,
     ) -> PassResult {
-        self.run_inner(records, theory, None, observer)
+        self.run_pruned_observed(records, theory, None, observer)
     }
 
-    /// Like [`ClusteringMethod::run_observed`], with closure-aware pruning:
-    /// per-cluster window pairs already connected in `uf` skip rule
-    /// evaluation, and every match found is unioned into `uf`.
+    /// Like [`ClusteringMethod::run_observed`], with closure-aware pruning
+    /// when a union-find is given: per-cluster window pairs already
+    /// connected in `uf` skip rule evaluation, and every match found is
+    /// unioned into `uf`.
     pub fn run_pruned_observed(
         &self,
         records: &[Record],
         theory: &dyn EquationalTheory,
-        uf: &mut UnionFind,
+        uf: Option<&mut UnionFind>,
         observer: &dyn PipelineObserver,
     ) -> PassResult {
-        self.run_inner(records, theory, Some(uf), observer)
-    }
-
-    fn run_inner(
-        &self,
-        records: &[Record],
-        theory: &dyn EquationalTheory,
-        mut uf: Option<&mut UnionFind>,
-        observer: &dyn PipelineObserver,
-    ) -> PassResult {
-        let mut stats = PassStats::default();
-        let _pass_span = span_labeled(observer, "pass", || {
-            format!("{} w={} clustered", self.key.name(), self.config.window)
+        let config = &self.config;
+        let mut pass = PassRun::begin(observer, &self.key, config.window, " clustered");
+        let (keys, mut clusters) = pass.keys(records.len(), || {
+            let mut keys = KeyArena::extract(&self.key, records);
+            keys.truncate_keys(config.cluster_key_len);
+            let clusters = partition_clusters(&keys, config.histogram_prefix, config.clusters);
+            (keys, clusters)
         });
-        let hooks = ScanHooks::from_observer(observer);
-
-        // Phase 1: extract keys, build histogram, partition, assign.
-        let t0 = Instant::now();
-        let _key_span = span(observer, "key_build");
-        let keys = KeyArena::extract(&self.key, records);
-        let truncated: Vec<&str> = keys
-            .iter()
-            .map(|k| truncate(k, self.config.cluster_key_len))
-            .collect();
-        let histogram =
-            KeyHistogram::from_keys(truncated.iter().copied(), self.config.histogram_prefix);
-        let partition = RangePartition::build(&histogram, self.config.clusters);
-        let mut clusters: Vec<Vec<u32>> = vec![Vec::new(); self.config.clusters];
-        for (i, t) in truncated.iter().enumerate() {
-            clusters[partition.cluster_of(t)].push(i as u32);
-        }
-        drop(_key_span);
-        stats.create_keys = t0.elapsed();
-        observer.add(Counter::RecordsKeyed, records.len() as u64);
-        observer.phase_ns(Phase::CreateKeys, stats.create_keys.as_nanos() as u64);
-
-        // Phase 2: per-cluster sort on the fixed-size key. The sorts are
-        // independent of the scans, so they run together under one span.
-        let t1 = Instant::now();
-        {
-            let _s = span(observer, "sort");
-            for cluster in &mut clusters {
-                cluster.sort_by(|&a, &b| truncated[a as usize].cmp(truncated[b as usize]));
-            }
-        }
-        stats.sort = t1.elapsed();
-
-        // Phase 3: per-cluster window scans (in cluster order, so pruning
-        // sees matches from earlier clusters).
-        let mut pairs = PairSet::new();
-        let t2 = Instant::now();
-        let _scan_span = span(observer, "window_scan");
-        for cluster in &clusters {
-            match uf.as_deref_mut() {
-                Some(uf) => {
-                    let counts = window_scan_pruned_hooked(
-                        records,
-                        cluster,
-                        self.config.window,
-                        theory,
-                        uf,
-                        &mut pairs,
-                        &hooks,
-                    );
-                    stats.comparisons += counts.comparisons;
-                    stats.rule_evaluations += counts.rule_evaluations;
-                    stats.pairs_pruned += counts.pairs_pruned;
-                }
-                None => {
-                    let c = window_scan_hooked(
-                        records,
-                        cluster,
-                        self.config.window,
-                        theory,
-                        &mut pairs,
-                        &hooks,
-                    );
-                    stats.comparisons += c;
-                    stats.rule_evaluations += c;
-                }
-            }
-        }
-        drop(_scan_span);
-        stats.window_scan = t2.elapsed();
-        stats.matches = pairs.len();
-        observer.phase_ns(Phase::Sort, stats.sort.as_nanos() as u64);
-        observer.phase_ns(Phase::WindowScan, stats.window_scan.as_nanos() as u64);
-        observer.add(Counter::Comparisons, stats.comparisons);
-        observer.add(Counter::RuleInvocations, stats.rule_evaluations);
-        observer.add(Counter::PairsPruned, stats.pairs_pruned);
-        observer.add(Counter::Matches, stats.matches as u64);
-
-        PassResult {
-            key_name: self.key.name().to_string(),
-            window: self.config.window,
-            pairs,
-            stats,
-            worker_comparisons: vec![stats.comparisons],
-        }
+        // The sorts are independent of the scans, so they run together
+        // under one span; records equal on the fixed-size key keep input
+        // order.
+        pass.sort(|| clusters.iter_mut().for_each(|c| keys.sort_indices(c)));
+        // Clusters are scanned in cluster order, so pruning sees matches
+        // from earlier clusters.
+        pass.scan(theory, |scan| {
+            let segments = clusters.iter().map(Vec::as_slice);
+            scan_segments(scan, records, segments, uf, observer)
+        })
     }
 }
 
-fn truncate(s: &str, n: usize) -> &str {
-    match s.char_indices().nth(n) {
-        Some((i, _)) => &s[..i],
-        None => s,
+/// Histogram-partitions the (already truncated) `keys` into at most
+/// `clusters` balanced ranges — never more than the histogram has bins —
+/// and assigns every record index to its range, in input order. Shared
+/// with the parallel clustering engine.
+pub fn partition_clusters(
+    keys: &KeyArena,
+    histogram_prefix: usize,
+    clusters: usize,
+) -> Vec<Vec<u32>> {
+    let histogram = KeyHistogram::from_keys(keys.iter(), histogram_prefix);
+    let partition = RangePartition::build(&histogram, clusters.min(histogram.bins()));
+    let mut out: Vec<Vec<u32>> = vec![Vec::new(); partition.clusters()];
+    for (i, k) in keys.iter().enumerate() {
+        out[partition.cluster_of(k)].push(i as u32);
     }
+    out
 }
 
 #[cfg(test)]
@@ -273,7 +192,7 @@ mod tests {
         assert!(cm_true > 0);
     }
 
-    fn count_true(pairs: &PairSet, db: &mp_datagen::GeneratedDatabase) -> usize {
+    fn count_true(pairs: &mp_closure::PairSet, db: &mp_datagen::GeneratedDatabase) -> usize {
         pairs
             .iter()
             .filter(|&(a, b)| {

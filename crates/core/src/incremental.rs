@@ -34,9 +34,10 @@
 //! closure classes as an uninterrupted run (tests enforce this too).
 
 use crate::key::KeySpec;
-use crate::radix::chunked_str_cmp;
+use crate::radix::{chunked_str_cmp, merge_sorted};
+use crate::window::{Found, FoundList, ScanCounts, WindowScan};
 use mp_closure::{ClusterSizes, MergeEdge, PairSet, ProvenanceLog, UnionFind};
-use mp_metrics::{span, span_labeled, Counter, PipelineObserver};
+use mp_metrics::{span, span_labeled, Counter, NoopObserver, PipelineObserver};
 use mp_record::{Record, RecordId};
 use mp_rules::EquationalTheory;
 use mp_store::{MatchStore, PassSnapshot, Snapshot, StoreError};
@@ -268,24 +269,8 @@ impl IncrementalMergePurge {
     /// # Panics
     ///
     /// Panics when no passes are configured.
-    pub fn add_batch(&mut self, mut batch: Vec<Record>, theory: &dyn EquationalTheory) {
-        assert!(
-            !self.passes.is_empty(),
-            "configure passes before adding batches"
-        );
-        let old_len = self.records.len() as u32;
-        for (i, r) in batch.iter_mut().enumerate() {
-            r.id = RecordId(old_len + i as u32);
-        }
-        self.records.append(&mut batch);
-        self.closure.grow(self.records.len());
-        self.cluster_sizes.grow(self.records.len());
-        self.batches_applied += 1;
-        self.last_batch_largest_merge = None;
-
-        for p in 0..self.passes.len() {
-            self.scan_pass(p, old_len, theory);
-        }
+    pub fn add_batch(&mut self, batch: Vec<Record>, theory: &dyn EquationalTheory) {
+        self.add_batch_sharded(batch, theory, 1, &NoopObserver);
     }
 
     /// Like [`add_batch`](Self::add_batch), but splits every pass's window
@@ -304,9 +289,17 @@ impl IncrementalMergePurge {
     /// same `pairs_found` attribution, same closure. Tests enforce this
     /// for arbitrary shard counts.
     ///
-    /// `shards == 1` degenerates to the serial scan without spawning.
-    /// Opens a `shard_scan` span per band and a `closure_reconcile` span
-    /// around the fold (worker spans land on their thread's track).
+    /// Every band scans into a [`FoundList`] that skips old-old pairs
+    /// (decided in earlier cycles) and evaluates every other candidate —
+    /// unpruned, because the committed pair set is defined as every window
+    /// match. With provenance off the cheaper boolean theory entry point
+    /// is used and every rule id is 0.
+    ///
+    /// `shards == 1` is the serial scan: no threads, no spans. Otherwise
+    /// opens a `shard_scan` span per band and a `closure_reconcile` span
+    /// around the fold (worker spans land on their thread's track). Either
+    /// way `observer` receives the batch's `RecordsKeyed`, scan counters
+    /// and `Matches`, so ingest, replay and `--stats` are fed identically.
     ///
     /// # Panics
     ///
@@ -327,6 +320,7 @@ impl IncrementalMergePurge {
         for (i, r) in batch.iter_mut().enumerate() {
             r.id = RecordId(old_len + i as u32);
         }
+        let keyed = batch.len() as u64;
         self.records.append(&mut batch);
         self.closure.grow(self.records.len());
         self.cluster_sizes.grow(self.records.len());
@@ -335,22 +329,17 @@ impl IncrementalMergePurge {
 
         for p in 0..self.passes.len() {
             let merged = self.merge_pass(p, old_len);
-            let w = self.passes[p].window;
-            let records = &self.records;
-            let attribute = self.record_provenance;
-            let results: Vec<BandScan> = if shards == 1 {
-                vec![scan_band(
-                    records,
-                    &merged,
-                    w,
-                    old_len,
-                    1,
-                    merged.len(),
-                    theory,
-                    attribute,
-                )]
+            let window = WindowScan::new(self.passes[p].window, theory, observer);
+            let (records, attribute) = (&self.records, self.record_provenance);
+            let scan = |from: usize, to: usize| {
+                let mut sink = FoundList::new(old_len, attribute);
+                let counts = window.band(records, &merged, from..to, &mut sink);
+                (counts, sink.found)
+            };
+            let results: Vec<(ScanCounts, Vec<Found>)> = if shards == 1 {
+                vec![scan(1, merged.len())]
             } else {
-                let merged = &merged;
+                let scan = &scan;
                 std::thread::scope(|s| {
                     let handles: Vec<_> = band_ranges(merged.len(), shards)
                         .into_iter()
@@ -364,9 +353,7 @@ impl IncrementalMergePurge {
                                     let _scan = span_labeled(observer, "shard_scan", || {
                                         format!("shard={k}")
                                     });
-                                    scan_band(
-                                        records, merged, w, old_len, from, to, theory, attribute,
-                                    )
+                                    scan(from, to)
                                 })
                                 .expect("spawn band scan thread")
                         })
@@ -374,29 +361,17 @@ impl IncrementalMergePurge {
                     handles.into_iter().map(|h| h.join().unwrap()).collect()
                 })
             };
-            let _reconcile = span(observer, "closure_reconcile");
-            for (comparisons, found) in &results {
-                self.fold_scan(p, *comparisons, found);
+            let _reconcile = (shards > 1)
+                .then(|| span(observer, "closure_reconcile"))
+                .flatten();
+            observer.add(Counter::RecordsKeyed, keyed);
+            for (counts, found) in &results {
+                counts.report(observer);
+                observer.add(Counter::Matches, found.len() as u64);
+                self.fold_scan(p, counts.comparisons, found);
             }
             self.passes[p].order = merged;
         }
-    }
-
-    fn scan_pass(&mut self, p: usize, old_len: u32, theory: &dyn EquationalTheory) {
-        let merged = self.merge_pass(p, old_len);
-        let w = self.passes[p].window;
-        let (comparisons, found) = scan_band(
-            &self.records,
-            &merged,
-            w,
-            old_len,
-            1,
-            merged.len(),
-            theory,
-            self.record_provenance,
-        );
-        self.fold_scan(p, comparisons, &found);
-        self.passes[p].order = merged;
     }
 
     /// Extracts keys for the new records `old_len..` and merges the sorted
@@ -416,26 +391,12 @@ impl IncrementalMergePurge {
         batch_order
             .sort_by(|&a, &b| chunked_str_cmp(&pass.keys[a as usize], &pass.keys[b as usize]));
 
-        // Merge old order and batch order (both sorted; stable by id when
-        // keys tie, matching a from-scratch stable sort).
+        // Old record ids are always smaller, so ties keep old first —
+        // matching a from-scratch stable sort.
         let keys = &pass.keys;
-        let mut merged: Vec<u32> = Vec::with_capacity(pass.order.len() + batch_order.len());
-        let (mut i, mut j) = (0usize, 0usize);
-        while i < pass.order.len() && j < batch_order.len() {
-            let a = pass.order[i];
-            let b = batch_order[j];
-            // Old record ids are always smaller, so ties keep old first.
-            if chunked_str_cmp(&keys[a as usize], &keys[b as usize]).is_le() {
-                merged.push(a);
-                i += 1;
-            } else {
-                merged.push(b);
-                j += 1;
-            }
-        }
-        merged.extend_from_slice(&pass.order[i..]);
-        merged.extend_from_slice(&batch_order[j..]);
-        merged
+        merge_sorted(&pass.order, &batch_order, |a, b| {
+            chunked_str_cmp(&keys[a as usize], &keys[b as usize]).is_le()
+        })
     }
 
     /// Folds one band's scan result into pass `p`'s counters, the global
@@ -443,7 +404,7 @@ impl IncrementalMergePurge {
     /// discovery order. An edge is recorded only for a *successful* union
     /// (the spanning forest), so the log stays O(N); rule firings count
     /// every match in discovery order so replay regenerates them exactly.
-    fn fold_scan(&mut self, p: usize, comparisons: u64, found: &[(u32, u32, u32)]) {
+    fn fold_scan(&mut self, p: usize, comparisons: u64, found: &[Found]) {
         self.comparisons += comparisons;
         let pass = &mut self.passes[p];
         for &(prev, new_id, rule_id) in found {
@@ -585,57 +546,9 @@ pub struct Evidence {
     pub trace_id: Option<String>,
 }
 
-/// One band's scan result: the comparison count and the matching
-/// `(prev, new, rule_id)` triples in exact scan order.
-type BandScan = (u64, Vec<(u32, u32, u32)>);
-
-/// Scans window positions `from..to` of `merged` read-only: position `i`
-/// compares `records[merged[i]]` against its up-to-`w-1` predecessors,
-/// skipping old-old pairs (both ids `< old_len`, decided in earlier
-/// cycles). Returns the comparison count and the matching `(prev, new,
-/// rule_id)` triples in exact scan order, so a coordinator can fold
-/// several bands' results in band order and reproduce the serial scan's
-/// discovery sequence exactly — including first-found rule attribution,
-/// which is therefore identical across serial, parallel, and sharded
-/// engines. With `attribute` off the rule id is always 0 and the cheaper
-/// boolean theory entry point is used.
-#[allow(clippy::too_many_arguments)] // one coherent scan descriptor
-fn scan_band(
-    records: &[Record],
-    merged: &[u32],
-    w: usize,
-    old_len: u32,
-    from: usize,
-    to: usize,
-    theory: &dyn EquationalTheory,
-    attribute: bool,
-) -> BandScan {
-    let mut comparisons = 0u64;
-    let mut found = Vec::new();
-    for i in from.max(1)..to {
-        let lo = i.saturating_sub(w - 1);
-        let new_id = merged[i];
-        for &prev in &merged[lo..i] {
-            if new_id < old_len && prev < old_len {
-                continue; // both old: already compared when closer
-            }
-            comparisons += 1;
-            let (r1, r2) = (&records[prev as usize], &records[new_id as usize]);
-            if attribute {
-                if let Some(rule) = theory.matching_rule_id(r1, r2) {
-                    found.push((prev, new_id, rule as u32));
-                }
-            } else if theory.matches(r1, r2) {
-                found.push((prev, new_id, 0));
-            }
-        }
-    }
-    (comparisons, found)
-}
-
 /// Splits scan positions `1..n` into `shards` contiguous bands (earlier
 /// bands take the remainder). A band owns the window pairs whose *later*
-/// element falls inside it; `scan_band`'s backward window reaches across
+/// element falls inside it; [`WindowScan::band`]'s backward window reaches across
 /// the left boundary — the band-replication seam — so every boundary pair
 /// is still evaluated exactly once. Bands may be empty when `shards`
 /// exceeds the position count.
@@ -772,7 +685,7 @@ impl DurableIncremental {
             engine = engine.restore(snap).map_err(StoreError::Corrupt)?;
         }
         for b in loaded.replayable {
-            apply_observed(&mut engine, b.records, theory, observer);
+            engine.add_batch_sharded(b.records, theory, 1, observer);
             // Re-attach the ingest trace the journal frame carried, so
             // explain chains survive replay byte-identically.
             if let Some(t) = &b.trace {
@@ -812,7 +725,7 @@ impl DurableIncremental {
     ) -> Result<u64, StoreError> {
         let _ingest = span(observer, "ingest");
         let seq = self.store.append_batch(&batch, trace)?;
-        apply_observed(&mut self.engine, batch, theory, observer);
+        self.engine.add_batch_sharded(batch, theory, 1, observer);
         if let Some(t) = trace {
             self.engine.note_batch_trace(t);
         }
@@ -894,60 +807,6 @@ impl DurableIncremental {
     pub fn batches_since_checkpoint(&self) -> u64 {
         self.batches_since_checkpoint
     }
-}
-
-/// Applies a batch and reports the comparison/match deltas to `observer`,
-/// so durable ingest and journal replay feed `--stats` identically.
-fn apply_observed(
-    engine: &mut IncrementalMergePurge,
-    batch: Vec<Record>,
-    theory: &dyn EquationalTheory,
-    observer: &dyn PipelineObserver,
-) {
-    let (comparisons0, found0, keyed0) = observed_totals(engine);
-    engine.add_batch(batch, theory);
-    report_deltas(engine, observer, comparisons0, found0, keyed0);
-}
-
-/// Sharded twin of `apply_observed`: same counter deltas, with the
-/// window scans banded across `shards` via
-/// [`IncrementalMergePurge::add_batch_sharded`]. Sharded daemon ingest and
-/// sharded journal replay both route through this so observability is
-/// identical on either path.
-pub fn apply_observed_sharded(
-    engine: &mut IncrementalMergePurge,
-    batch: Vec<Record>,
-    theory: &dyn EquationalTheory,
-    observer: &dyn PipelineObserver,
-    shards: usize,
-) {
-    let (comparisons0, found0, keyed0) = observed_totals(engine);
-    engine.add_batch_sharded(batch, theory, shards, observer);
-    report_deltas(engine, observer, comparisons0, found0, keyed0);
-}
-
-fn observed_totals(engine: &IncrementalMergePurge) -> (u64, u64, u64) {
-    (
-        engine.comparisons,
-        engine.passes.iter().map(|p| p.pairs_found).sum(),
-        engine.passes.iter().map(|p| p.keys.len() as u64).sum(),
-    )
-}
-
-fn report_deltas(
-    engine: &IncrementalMergePurge,
-    observer: &dyn PipelineObserver,
-    comparisons0: u64,
-    found0: u64,
-    keyed0: u64,
-) {
-    let d_cmp = engine.comparisons - comparisons0;
-    let (_, found1, keyed1) = observed_totals(engine);
-    observer.add(Counter::RecordsKeyed, keyed1 - keyed0);
-    observer.add(Counter::Comparisons, d_cmp);
-    // Incremental scans invoke the theory on every comparison (no pruning).
-    observer.add(Counter::RuleInvocations, d_cmp);
-    observer.add(Counter::Matches, found1 - found0);
 }
 
 #[cfg(test)]
@@ -1062,32 +921,6 @@ mod tests {
             last = classes.len();
         }
         assert!(last > 0);
-    }
-
-    #[test]
-    fn sharded_scan_is_bit_identical_to_serial() {
-        let theory = NativeEmployeeTheory::new();
-        let obs = NoopObserver;
-        let parts = batches(9009, 600, 4);
-        let mut serial = two_pass(IncrementalMergePurge::new());
-        for b in &parts {
-            serial.add_batch(b.clone(), &theory);
-        }
-        for shards in [1usize, 2, 3, 5, 8] {
-            let mut sharded = two_pass(IncrementalMergePurge::new());
-            for b in &parts {
-                sharded.add_batch_sharded(b.clone(), &theory, shards, &obs);
-            }
-            assert_eq!(
-                fingerprint(&sharded),
-                fingerprint(&serial),
-                "shards={shards}"
-            );
-            assert_eq!(sharded.classes(), serial.classes(), "shards={shards}");
-            for (sp, pp) in sharded.passes.iter().zip(serial.passes.iter()) {
-                assert_eq!(sp.order, pp.order, "pass order diverged at shards={shards}");
-            }
-        }
     }
 
     #[test]

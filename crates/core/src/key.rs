@@ -268,6 +268,21 @@ impl KeyArena {
         &self.buf[start as usize..(start + len) as usize]
     }
 
+    /// Cuts every key to its first `chars` characters, in place — the
+    /// clustering method's fixed-size key (§3.4).
+    pub fn truncate_keys(&mut self, chars: usize) {
+        for i in 0..self.spans.len() {
+            let len = truncate_chars(self.get(i), chars).len();
+            self.spans[i].1 = len as u32;
+        }
+    }
+
+    /// Sorts record indices by their key (stable: equal keys keep their
+    /// relative order).
+    pub fn sort_indices(&self, indices: &mut [u32]) {
+        indices.sort_by(|&a, &b| self.get(a as usize).cmp(self.get(b as usize)));
+    }
+
     /// Number of keys stored.
     pub fn len(&self) -> usize {
         self.spans.len()
@@ -301,6 +316,14 @@ impl KeyArena {
                 .iter()
                 .map(|&(start, len)| (start + base as u32, len)),
         );
+    }
+}
+
+/// The first `chars` characters of `s`.
+pub fn truncate_chars(s: &str, chars: usize) -> &str {
+    match s.char_indices().nth(chars) {
+        Some((i, _)) => &s[..i],
+        None => s,
     }
 }
 

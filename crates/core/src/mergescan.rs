@@ -17,12 +17,11 @@
 //! equal window size — at the cost of extra comparisons per level.
 
 use crate::key::{KeyArena, KeySpec};
-use crate::snm::{PassResult, PassStats};
-use mp_closure::PairSet;
-use mp_metrics::{span, span_labeled, Counter, NoopObserver, Phase, PipelineObserver, ScanHooks};
+use crate::radix::merge_sorted;
+use crate::snm::{PassResult, PassRun, Scanned};
+use mp_metrics::{span, NoopObserver, PipelineObserver};
 use mp_record::Record;
 use mp_rules::EquationalTheory;
-use std::time::Instant;
 
 /// Sorted-neighborhood with window scanning fused into every merge level.
 ///
@@ -77,7 +76,7 @@ impl MergeScanSnm {
     }
 
     /// Like [`MergeScanSnm::run`], reporting counters and phase timings to
-    /// `observer`. The fused sort+scan reports as [`Phase::WindowScan`]
+    /// `observer`. The fused sort+scan reports as [`mp_metrics::Phase::WindowScan`]
     /// (its sorting work is inseparable from its scanning).
     pub fn run_observed(
         &self,
@@ -85,103 +84,51 @@ impl MergeScanSnm {
         theory: &dyn EquationalTheory,
         observer: &dyn PipelineObserver,
     ) -> PassResult {
-        let mut stats = PassStats::default();
-        let _pass_span = span_labeled(observer, "pass", || {
-            format!("{} w={} merge-fused", self.key.name(), self.window)
-        });
-        let hooks = ScanHooks::from_observer(observer);
+        let mut pass = PassRun::begin(observer, &self.key, self.window, " merge-fused");
+        let keys = pass.keys(records.len(), || KeyArena::extract(&self.key, records));
 
-        // Phase 1: keys.
-        let t0 = Instant::now();
-        let keys = {
-            let _s = span(observer, "key_build");
-            KeyArena::extract(&self.key, records)
-        };
-        stats.create_keys = t0.elapsed();
-        observer.add(Counter::RecordsKeyed, records.len() as u64);
-        observer.phase_ns(Phase::CreateKeys, stats.create_keys.as_nanos() as u64);
-
-        // Phase 2+3 fused: bottom-up merge sort; every merge level scans
-        // its output with the window.
-        let t1 = Instant::now();
-        let _scan_span = span(observer, "window_scan");
-        let mut pairs = PairSet::new();
-        let n = records.len();
-        let mut runs: Vec<Vec<u32>> = (0..n)
-            .step_by(self.run_length)
-            .map(|start| {
-                let end = (start + self.run_length).min(n);
-                let mut run: Vec<u32> = (start as u32..end as u32).collect();
-                run.sort_by(|&a, &b| keys.get(a as usize).cmp(keys.get(b as usize)));
-                // Scan the initial run too (it is the first "merge output").
-                stats.comparisons += scan(records, &run, self.window, theory, &mut pairs, &hooks);
-                run
-            })
-            .collect();
-
-        while runs.len() > 1 {
-            let mut next = Vec::with_capacity(runs.len().div_ceil(2));
-            let mut iter = runs.into_iter();
-            while let Some(a) = iter.next() {
-                match iter.next() {
-                    Some(b) => {
-                        let merged = merge(&keys, &a, &b);
-                        stats.comparisons +=
-                            scan(records, &merged, self.window, theory, &mut pairs, &hooks);
-                        next.push(merged);
+        // Sort and scan fused: a bottom-up merge sort in which the initial
+        // runs and every merge level's output are window-scanned.
+        pass.scan(theory, |window| {
+            let _s = span(observer, "window_scan");
+            let mut out = Scanned::default();
+            let mut scan = |run: &[u32]| {
+                out.counts += window.band(records, run, 0..run.len(), &mut out.pairs);
+            };
+            let n = records.len();
+            let mut runs: Vec<Vec<u32>> = (0..n)
+                .step_by(self.run_length)
+                .map(|start| {
+                    let end = (start + self.run_length).min(n);
+                    let mut run: Vec<u32> = (start as u32..end as u32).collect();
+                    keys.sort_indices(&mut run);
+                    scan(&run);
+                    run
+                })
+                .collect();
+            while runs.len() > 1 {
+                let mut next = Vec::with_capacity(runs.len().div_ceil(2));
+                let mut iter = runs.into_iter();
+                while let Some(a) = iter.next() {
+                    match iter.next() {
+                        Some(b) => {
+                            // Runs are formed left to right, so `a`'s ids
+                            // precede `b`'s and ties prefer `a`: stable.
+                            let merged = merge_sorted(&a, &b, |x, y| {
+                                keys.get(x as usize) <= keys.get(y as usize)
+                            });
+                            scan(&merged);
+                            next.push(merged);
+                        }
+                        None => next.push(a),
                     }
-                    None => next.push(a),
                 }
+                runs = next;
             }
-            runs = next;
-        }
-        drop(_scan_span);
-        stats.window_scan = t1.elapsed();
-        stats.rule_evaluations = stats.comparisons;
-        stats.matches = pairs.len();
-        observer.phase_ns(Phase::WindowScan, stats.window_scan.as_nanos() as u64);
-        observer.add(Counter::Comparisons, stats.comparisons);
-        observer.add(Counter::RuleInvocations, stats.rule_evaluations);
-        observer.add(Counter::Matches, stats.matches as u64);
-
-        PassResult {
-            key_name: self.key.name().to_string(),
-            window: self.window,
-            pairs,
-            stats,
-            worker_comparisons: vec![stats.comparisons],
-        }
+            out.worker_comparisons = vec![out.counts.comparisons];
+            out
+        })
     }
-}
-
-fn merge(keys: &KeyArena, a: &[u32], b: &[u32]) -> Vec<u32> {
-    let mut out = Vec::with_capacity(a.len() + b.len());
-    let (mut i, mut j) = (0, 0);
-    while i < a.len() && j < b.len() {
-        // Stable: runs are formed left-to-right, so `a`'s ids precede
-        // `b`'s; ties prefer `a`.
-        if keys.get(a[i] as usize) <= keys.get(b[j] as usize) {
-            out.push(a[i]);
-            i += 1;
-        } else {
-            out.push(b[j]);
-            j += 1;
-        }
-    }
-    out.extend_from_slice(&a[i..]);
-    out.extend_from_slice(&b[j..]);
-    out
-}
-
-fn scan(
-    records: &[Record],
-    order: &[u32],
-    window: usize,
-    theory: &dyn EquationalTheory,
-    pairs: &mut PairSet,
-    hooks: &ScanHooks<'_>,
-) -> u64 {
-    crate::window::window_scan_hooked(records, order, window, theory, pairs, hooks)
 }
 
 #[cfg(test)]

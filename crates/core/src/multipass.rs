@@ -42,22 +42,11 @@ impl PassConfig {
         uf: Option<&mut UnionFind>,
         observer: &dyn PipelineObserver,
     ) -> PassResult {
-        match (self, uf) {
-            (PassConfig::Sorted { key, window }, None) => {
-                SortedNeighborhood::new(key.clone(), *window)
-                    .with_strategy(strategy)
-                    .run_observed(records, theory, observer)
-            }
-            (PassConfig::Sorted { key, window }, Some(uf)) => {
-                SortedNeighborhood::new(key.clone(), *window)
-                    .with_strategy(strategy)
-                    .run_pruned_observed(records, theory, uf, observer)
-            }
-            (PassConfig::Clustered { key, config }, None) => {
-                ClusteringMethod::new(key.clone(), config.clone())
-                    .run_observed(records, theory, observer)
-            }
-            (PassConfig::Clustered { key, config }, Some(uf)) => {
+        match self {
+            PassConfig::Sorted { key, window } => SortedNeighborhood::new(key.clone(), *window)
+                .with_strategy(strategy)
+                .run_pruned_observed(records, theory, uf, observer),
+            PassConfig::Clustered { key, config } => {
                 ClusteringMethod::new(key.clone(), config.clone())
                     .run_pruned_observed(records, theory, uf, observer)
             }
@@ -82,15 +71,6 @@ pub struct MultiPassResult {
 }
 
 impl MultiPassResult {
-    /// Total wall-clock across passes plus closure.
-    pub fn total_time(&self) -> Duration {
-        self.passes
-            .iter()
-            .map(|p| p.stats.total())
-            .sum::<Duration>()
-            + self.closure_time
-    }
-
     /// Runs the purge phase over this result's classes: each duplicate
     /// group collapses to one survivor under `purger`, everything else
     /// passes through, ids renumbered.
@@ -157,11 +137,6 @@ impl MultiPass {
         self
     }
 
-    /// Whether closure-aware pruning is enabled.
-    pub fn pruning(&self) -> bool {
-        self.prune
-    }
-
     /// Selects the key-ordering algorithm for every sorted pass (default
     /// [`SortStrategy::Comparison`]; clustering passes are unaffected).
     /// Strategies are permutation-identical, so the closed result is
@@ -197,11 +172,6 @@ impl MultiPass {
             mp = mp.sorted(key, window);
         }
         mp
-    }
-
-    /// Number of configured passes `r`.
-    pub fn pass_count(&self) -> usize {
-        self.passes.len()
     }
 
     /// Runs every pass serially, then computes the transitive closure.

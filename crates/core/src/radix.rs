@@ -94,6 +94,25 @@ pub fn chunked_str_cmp(a: &str, b: &str) -> Ordering {
     }
 }
 
+/// Stable two-way merge of index runs that are each sorted under `le`
+/// ("not after"): ties take from `a` first.
+pub(crate) fn merge_sorted(a: &[u32], b: &[u32], le: impl Fn(u32, u32) -> bool) -> Vec<u32> {
+    let mut out = Vec::with_capacity(a.len() + b.len());
+    let (mut i, mut j) = (0, 0);
+    while i < a.len() && j < b.len() {
+        if le(a[i], b[j]) {
+            out.push(a[i]);
+            i += 1;
+        } else {
+            out.push(b[j]);
+            j += 1;
+        }
+    }
+    out.extend_from_slice(&a[i..]);
+    out.extend_from_slice(&b[j..]);
+    out
+}
+
 /// Outcome of one radix-ordered sort.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RadixOrder {

@@ -1,10 +1,11 @@
-//! The sorted-neighborhood method (§2.2): create keys → sort → window scan.
+//! The sorted-neighborhood method (§2.2): create keys → sort → window scan
+//! — and the pass scaffold ([`PassRun`]) every in-memory engine runs on.
 
 use crate::key::{KeyArena, KeySpec};
 use crate::radix::{sorted_order_radix, SortStrategy};
-use crate::window::{window_scan_hooked, window_scan_pruned_hooked};
+use crate::window::{PrunedSink, ScanCounts, WindowScan};
 use mp_closure::{PairSet, UnionFind};
-use mp_metrics::{span, span_labeled, Counter, NoopObserver, Phase, PipelineObserver, ScanHooks};
+use mp_metrics::{span, span_labeled, Counter, NoopObserver, Phase, PipelineObserver, SpanGuard};
 use mp_record::Record;
 use mp_rules::EquationalTheory;
 use std::time::{Duration, Instant};
@@ -57,6 +58,141 @@ pub struct PassResult {
     pub worker_comparisons: Vec<u64>,
 }
 
+/// What an engine's scan phase hands back to [`PassRun::scan`].
+#[derive(Debug, Default)]
+pub struct Scanned {
+    /// Deduplicated matching pairs.
+    pub pairs: PairSet,
+    /// The scan's work, summed over every segment and worker.
+    pub counts: ScanCounts,
+    /// Comparisons per worker (one entry for serial engines).
+    pub worker_comparisons: Vec<u64>,
+}
+
+/// The scaffold of one pass: the `pass` span, per-phase spans and
+/// [`PassStats`] timing, and the observer reports. An engine is the three
+/// closures it hands to [`keys`](Self::keys), [`sort`](Self::sort) and
+/// [`scan`](Self::scan) — how it produces ordered segments, and on how
+/// many threads.
+pub struct PassRun<'o> {
+    observer: &'o dyn PipelineObserver,
+    key_name: String,
+    window: usize,
+    stats: PassStats,
+    _pass_span: Option<SpanGuard>,
+}
+
+impl<'o> PassRun<'o> {
+    /// Opens the `pass` span, labelled `"<key> w=<window><variant>"`.
+    pub fn begin(
+        observer: &'o dyn PipelineObserver,
+        key: &KeySpec,
+        window: usize,
+        variant: &str,
+    ) -> Self {
+        PassRun {
+            observer,
+            key_name: key.name().to_string(),
+            window,
+            stats: PassStats::default(),
+            _pass_span: span_labeled(observer, "pass", || {
+                format!("{} w={window}{variant}", key.name())
+            }),
+        }
+    }
+
+    /// Runs `work` under a `span_name` span and charges its time to `phase`.
+    fn timed<T>(
+        &self,
+        phase: Phase,
+        span_name: &'static str,
+        work: impl FnOnce() -> T,
+    ) -> (T, Duration) {
+        let t = Instant::now();
+        let done = {
+            let _s = span(self.observer, span_name);
+            work()
+        };
+        let took = t.elapsed();
+        self.observer.phase_ns(phase, took.as_nanos() as u64);
+        (done, took)
+    }
+
+    /// Phase 1: runs `build` (key extraction plus whatever partitioning
+    /// the engine derives from the keys) for `records` records.
+    pub fn keys<T>(&mut self, records: usize, build: impl FnOnce() -> T) -> T {
+        let (built, took) = self.timed(Phase::CreateKeys, "key_build", build);
+        self.stats.create_keys = took;
+        self.observer.add(Counter::RecordsKeyed, records as u64);
+        built
+    }
+
+    /// Phase 2: runs `sort`. Engines that sort inside their scan phase
+    /// (merge-fused, parallel clustering) skip this call.
+    pub fn sort<T>(&mut self, sort: impl FnOnce() -> T) -> T {
+        let (sorted, took) = self.timed(Phase::Sort, "sort", sort);
+        self.stats.sort = took;
+        sorted
+    }
+
+    /// Phase 3: runs `scan` with the pass's [`WindowScan`] under `theory`,
+    /// then reports the counters and closes the pass.
+    pub fn scan(
+        mut self,
+        theory: &dyn EquationalTheory,
+        scan: impl FnOnce(&WindowScan<'_>) -> Scanned,
+    ) -> PassResult {
+        let t = Instant::now();
+        let scanned = scan(&WindowScan::new(self.window, theory, self.observer));
+        self.stats.window_scan = t.elapsed();
+        self.stats.comparisons = scanned.counts.comparisons;
+        self.stats.rule_evaluations = scanned.counts.rule_evaluations;
+        self.stats.pairs_pruned = scanned.counts.pairs_pruned;
+        self.stats.matches = scanned.pairs.len();
+        scanned.counts.report(self.observer);
+        self.observer
+            .add(Counter::Matches, self.stats.matches as u64);
+        self.observer
+            .phase_ns(Phase::WindowScan, self.stats.window_scan.as_nanos() as u64);
+        PassResult {
+            key_name: self.key_name,
+            window: self.window,
+            pairs: scanned.pairs,
+            stats: self.stats,
+            worker_comparisons: scanned.worker_comparisons,
+        }
+    }
+}
+
+/// Scans `segments` (each an ordered run of record indices) serially under
+/// one `window_scan` span — pruned through one [`PrunedSink`] for the whole
+/// pass when a union-find is given, into a plain [`PairSet`] otherwise.
+pub(crate) fn scan_segments<'s>(
+    scan: &WindowScan<'_>,
+    records: &[Record],
+    segments: impl IntoIterator<Item = &'s [u32]>,
+    uf: Option<&mut UnionFind>,
+    observer: &dyn PipelineObserver,
+) -> Scanned {
+    let _s = span(observer, "window_scan");
+    let mut out = Scanned::default();
+    match uf {
+        Some(uf) => {
+            let mut sink = PrunedSink::new(uf, &mut out.pairs);
+            for seg in segments {
+                out.counts += scan.band(records, seg, 0..seg.len(), &mut sink);
+            }
+        }
+        None => {
+            for seg in segments {
+                out.counts += scan.band(records, seg, 0..seg.len(), &mut out.pairs);
+            }
+        }
+    }
+    out.worker_comparisons = vec![out.counts.comparisons];
+    out
+}
+
 /// One configured sorted-neighborhood pass.
 ///
 /// ```
@@ -101,16 +237,6 @@ impl SortedNeighborhood {
         self
     }
 
-    /// The key specification.
-    pub fn key(&self) -> &KeySpec {
-        &self.key
-    }
-
-    /// The window size.
-    pub fn window(&self) -> usize {
-        self.window
-    }
-
     /// Runs the three phases over `records` and returns the matched pairs.
     pub fn run(&self, records: &[Record], theory: &dyn EquationalTheory) -> PassResult {
         self.run_observed(records, theory, &NoopObserver)
@@ -125,12 +251,13 @@ impl SortedNeighborhood {
         theory: &dyn EquationalTheory,
         observer: &dyn PipelineObserver,
     ) -> PassResult {
-        self.run_inner(records, theory, None, observer)
+        self.run_pruned_observed(records, theory, None, observer)
     }
 
     /// Like [`SortedNeighborhood::run_observed`], with closure-aware
-    /// pruning: window pairs whose records are already connected in `uf`
-    /// skip rule evaluation, and every match found is unioned into `uf`.
+    /// pruning when a union-find is given: window pairs whose records are
+    /// already connected in `uf` skip rule evaluation, and every match
+    /// found is unioned into `uf`.
     ///
     /// Passing the same union-find across successive passes (as
     /// [`crate::MultiPass`] does when pruning is enabled) also prunes
@@ -142,40 +269,14 @@ impl SortedNeighborhood {
         &self,
         records: &[Record],
         theory: &dyn EquationalTheory,
-        uf: &mut UnionFind,
-        observer: &dyn PipelineObserver,
-    ) -> PassResult {
-        self.run_inner(records, theory, Some(uf), observer)
-    }
-
-    fn run_inner(
-        &self,
-        records: &[Record],
-        theory: &dyn EquationalTheory,
         uf: Option<&mut UnionFind>,
         observer: &dyn PipelineObserver,
     ) -> PassResult {
-        let mut stats = PassStats::default();
-        let _pass_span = span_labeled(observer, "pass", || {
-            format!("{} w={}", self.key.name(), self.window)
-        });
-        let hooks = ScanHooks::from_observer(observer);
-
-        // Phase 1: create keys.
-        let t0 = Instant::now();
-        let keys = {
-            let _s = span(observer, "key_build");
-            KeyArena::extract(&self.key, records)
-        };
-        stats.create_keys = t0.elapsed();
-        observer.add(Counter::RecordsKeyed, records.len() as u64);
-        observer.phase_ns(Phase::CreateKeys, stats.create_keys.as_nanos() as u64);
-
-        // Phase 2: sort (indices by key; stable so equal keys keep input
-        // order, making runs deterministic).
-        let t1 = Instant::now();
-        let order = {
-            let _s = span(observer, "sort");
+        let mut pass = PassRun::begin(observer, &self.key, self.window, "");
+        let keys = pass.keys(records.len(), || KeyArena::extract(&self.key, records));
+        // Indices by key; stable, so equal keys keep input order and runs
+        // are deterministic.
+        let order = pass.sort(|| {
             let _strategy = span_labeled(observer, "sort_strategy", || {
                 self.strategy.name().to_string()
             });
@@ -183,59 +284,17 @@ impl SortedNeighborhood {
                 SortStrategy::Comparison => sorted_order(&keys),
                 SortStrategy::Radix => sorted_order_radix(&keys, observer),
             }
-        };
-        stats.sort = t1.elapsed();
-        observer.phase_ns(Phase::Sort, stats.sort.as_nanos() as u64);
-
-        // Phase 3: merge via window scan, pruned when a union-find was
-        // provided.
-        let t2 = Instant::now();
-        let _scan_span = span(observer, "window_scan");
-        let mut pairs = PairSet::new();
-        match uf {
-            Some(uf) => {
-                let counts = window_scan_pruned_hooked(
-                    records,
-                    &order,
-                    self.window,
-                    theory,
-                    uf,
-                    &mut pairs,
-                    &hooks,
-                );
-                stats.comparisons = counts.comparisons;
-                stats.rule_evaluations = counts.rule_evaluations;
-                stats.pairs_pruned = counts.pairs_pruned;
-            }
-            None => {
-                stats.comparisons =
-                    window_scan_hooked(records, &order, self.window, theory, &mut pairs, &hooks);
-                stats.rule_evaluations = stats.comparisons;
-            }
-        }
-        drop(_scan_span);
-        stats.window_scan = t2.elapsed();
-        stats.matches = pairs.len();
-        observer.add(Counter::Comparisons, stats.comparisons);
-        observer.add(Counter::RuleInvocations, stats.rule_evaluations);
-        observer.add(Counter::PairsPruned, stats.pairs_pruned);
-        observer.add(Counter::Matches, stats.matches as u64);
-        observer.phase_ns(Phase::WindowScan, stats.window_scan.as_nanos() as u64);
-
-        PassResult {
-            key_name: self.key.name().to_string(),
-            window: self.window,
-            pairs,
-            stats,
-            worker_comparisons: vec![stats.comparisons],
-        }
+        });
+        pass.scan(theory, |scan| {
+            scan_segments(scan, records, [&order[..]], uf, observer)
+        })
     }
 }
 
 /// Returns record indices sorted by their key (stable).
 pub(crate) fn sorted_order(keys: &KeyArena) -> Vec<u32> {
     let mut order: Vec<u32> = (0..keys.len() as u32).collect();
-    order.sort_by(|&a, &b| keys.get(a as usize).cmp(keys.get(b as usize)));
+    keys.sort_indices(&mut order);
     order
 }
 
@@ -324,7 +383,7 @@ mod tests {
         let plain = snm.run(&db.records, &theory);
 
         let mut uf = UnionFind::new(db.records.len());
-        let pruned = snm.run_pruned_observed(&db.records, &theory, &mut uf, &NoopObserver);
+        let pruned = snm.run_pruned_observed(&db.records, &theory, Some(&mut uf), &NoopObserver);
 
         // Candidate comparisons identical; evaluations strictly fewer once
         // any window holds three mutually matching records.

@@ -1,34 +1,28 @@
-//! The merge phase: fixed-size window scanning over a sorted record order.
+//! The merge phase: the one window-scan kernel every engine feeds.
+//!
+//! "If the size of the window is w records, then every new record entering
+//! the window is compared with the previous w − 1 records to find
+//! 'matching' records" (§2.2). That sentence is the private kernel of
+//! [`WindowScan`]; it is the only place in engine code where an equational
+//! theory is applied to a window pair. Two *drivers* decide which positions
+//! it visits — [`WindowScan::band`] over a borrowed permutation (the serial
+//! scan, every cluster, every parallel fragment, every incremental band)
+//! and [`WindowScan::stream`] over an owned record stream (the external
+//! engines) — and a [`ScanSink`] decides what happens around each
+//! evaluation: plain accumulation ([`PairSet`]), closure-aware pruning
+//! ([`PrunedSink`]), or an ordered found-list a coordinator folds later
+//! ([`FoundList`]). Everything is monomorphised over the sink; the theory
+//! is the only dynamic call in the loop.
 
 use mp_closure::{PairSet, UnionFind};
-use mp_metrics::{ScanHooks, LATENCY_SAMPLE_MASK};
+use mp_metrics::{Counter, NoopObserver, PipelineObserver, ScanHooks, LATENCY_SAMPLE_MASK};
 use mp_record::Record;
 use mp_rules::EquationalTheory;
+use std::collections::VecDeque;
+use std::ops::{AddAssign, Range};
 use std::time::Instant;
 
-/// Evaluates the theory on one candidate pair, timing every
-/// [`LATENCY_SAMPLE_MASK`]`+1`-th evaluation into the latency histogram
-/// when one is hooked. `n` is the pre-increment evaluation ordinal.
-#[inline]
-fn eval_pair(
-    theory: &dyn EquationalTheory,
-    old: &Record,
-    new: &Record,
-    hooks: &ScanHooks<'_>,
-    n: u64,
-) -> bool {
-    if let Some(h) = hooks.latency {
-        if n & LATENCY_SAMPLE_MASK == 0 {
-            let t = Instant::now();
-            let matched = theory.matches(old, new);
-            h.record(t.elapsed().as_nanos() as u64);
-            return matched;
-        }
-    }
-    theory.matches(old, new)
-}
-
-/// Work accounting of one pruned window scan.
+/// Work accounting of one window scan.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ScanCounts {
     /// Candidate pairs the window produced (the §3.5 `(w−1)(N − w/2)`
@@ -41,18 +35,342 @@ pub struct ScanCounts {
     pub pairs_pruned: u64,
 }
 
-/// Slides a `window`-record window over `order` (indices into `records`,
-/// already sorted by key) and applies `theory` to every pair inside the
-/// window, accumulating matches into `pairs`.
+impl ScanCounts {
+    /// Reports the scan's work to `observer` — the single site where
+    /// [`Counter::Comparisons`], [`Counter::RuleInvocations`] and
+    /// [`Counter::PairsPruned`] are fed, so the three can never disagree
+    /// about which scan they describe.
+    pub fn report(&self, observer: &dyn PipelineObserver) {
+        observer.add(Counter::Comparisons, self.comparisons);
+        observer.add(Counter::RuleInvocations, self.rule_evaluations);
+        observer.add(Counter::PairsPruned, self.pairs_pruned);
+    }
+}
+
+impl AddAssign for ScanCounts {
+    fn add_assign(&mut self, other: Self) {
+        self.comparisons += other.comparisons;
+        self.rule_evaluations += other.rule_evaluations;
+        self.pairs_pruned += other.pairs_pruned;
+    }
+}
+
+/// One window candidate as a sink sees it. `prev_at` / `new_at` are the
+/// driver's names for the two records — indices into `records` for
+/// [`WindowScan::band`], record ids for [`WindowScan::stream`] — and cost
+/// nothing to read; the records cost a cache miss until the theory has
+/// touched them.
+pub struct Candidate<'a> {
+    /// Name of the earlier record.
+    pub prev_at: u32,
+    /// Name of the record entering the window.
+    pub new_at: u32,
+    /// The earlier record.
+    pub old: &'a Record,
+    /// The record entering the window.
+    pub new: &'a Record,
+}
+
+/// What happens around each evaluation of a window scan. Before the theory
+/// runs a sink may rule a pair out twice over: as *not a candidate* (never
+/// counted), then as *implied* (counted as a comparison and as pruned).
+pub trait ScanSink {
+    /// The lowest name a candidate of `new_at` can bear: predecessors named
+    /// below it are not window candidates at all, and are passed over
+    /// before either record is touched.
+    #[inline]
+    fn candidates_from(&self, _new_at: u32) -> u32 {
+        0
+    }
+
+    /// Whether the closure already implies the candidate's answer, so that
+    /// evaluating it could add nothing.
+    #[inline]
+    fn is_implied(&mut self, _pair: &Candidate<'_>) -> bool {
+        false
+    }
+
+    /// Whether matches need the id of the rule that fired (the theory's
+    /// dearer entry point); otherwise `rule` is always 0.
+    #[inline]
+    fn attribute(&self) -> bool {
+        false
+    }
+
+    /// Receives a matching candidate.
+    fn matched(&mut self, pair: &Candidate<'_>, rule: u32);
+}
+
+/// The plain sink: every candidate is evaluated, matches accumulate.
+impl ScanSink for PairSet {
+    #[inline]
+    fn matched(&mut self, pair: &Candidate<'_>, _rule: u32) {
+        self.insert(pair.old.id.0, pair.new.id.0);
+    }
+}
+
+/// Closure-aware pruning (§3.3 applied *inside* the scan): pairs whose
+/// records are already connected in `uf` skip rule evaluation, and every
+/// match is unioned into `uf` as it is found. Once `a≡b` and `b≡c` are
+/// known the window pair `(a, c)` contributes nothing new to the closure;
+/// Kejriwal & Miranker ("On the Complexity of Sorted Neighborhood") show
+/// such redundant re-checks dominate the comparison budget as windows grow.
 ///
-/// "If the size of the window is w records, then every new record entering
-/// the window is compared with the previous w − 1 records to find 'matching'
-/// records" (§2.2). Returns the number of pair comparisons performed —
-/// `(N − w/2 ish) · (w − 1)` — which the cost model and benches consume.
+/// Build one per pass and feed it every segment of the pass: construction
+/// walks the whole union-find once.
+#[derive(Debug)]
+pub struct PrunedSink<'a> {
+    uf: &'a mut UnionFind,
+    /// `connected` can only hold between records that have each been
+    /// merged at least once, so the union-find walk sits behind one byte
+    /// load per endpoint — with sparse duplicates almost every candidate
+    /// short-circuits here.
+    linked: Vec<bool>,
+    pairs: &'a mut PairSet,
+}
+
+impl<'a> PrunedSink<'a> {
+    /// A pruning sink over `uf`, which must span every record id that can
+    /// appear; matches are inserted into `pairs`.
+    pub fn new(uf: &'a mut UnionFind, pairs: &'a mut PairSet) -> Self {
+        let linked = (0..uf.len() as u32).map(|x| !uf.is_singleton(x)).collect();
+        PrunedSink { uf, linked, pairs }
+    }
+}
+
+impl ScanSink for PrunedSink<'_> {
+    #[inline]
+    fn is_implied(&mut self, pair: &Candidate<'_>) -> bool {
+        let (a, b) = (pair.old.id.0, pair.new.id.0);
+        self.linked[a as usize] && self.linked[b as usize] && self.uf.connected(a, b)
+    }
+
+    #[inline]
+    fn matched(&mut self, pair: &Candidate<'_>, _rule: u32) {
+        let (a, b) = (pair.old.id.0, pair.new.id.0);
+        self.pairs.insert(a, b);
+        self.uf.union(a, b);
+        self.linked[a as usize] = true;
+        self.linked[b as usize] = true;
+    }
+}
+
+/// One match as a found-list carries it: `(prev_at, new_at, rule id)`, the
+/// records under the names their driver gave them.
+pub type Found = (u32, u32, u32);
+
+/// The sink of every concurrent scan: matches are appended in exact scan
+/// order and touched by nothing else, so a coordinator can fold several
+/// bands' lists in band order and reproduce the serial scan's discovery
+/// sequence — first-found rule attribution included — bit for bit.
+#[derive(Debug)]
+pub struct FoundList {
+    old_len: u32,
+    attribute: bool,
+    /// The matches, in scan order.
+    pub found: Vec<Found>,
+}
+
+impl FoundList {
+    /// A found-list that treats pairs with both positions below `old_len`
+    /// as non-candidates (pass 0 to take every pair) and records rule ids
+    /// when `attribute` is set.
+    pub fn new(old_len: u32, attribute: bool) -> Self {
+        FoundList {
+            old_len,
+            attribute,
+            found: Vec::new(),
+        }
+    }
+}
+
+impl ScanSink for FoundList {
+    #[inline]
+    fn candidates_from(&self, new_at: u32) -> u32 {
+        // Old against old was compared when closer, in an earlier cycle.
+        if new_at < self.old_len {
+            self.old_len
+        } else {
+            0
+        }
+    }
+
+    #[inline]
+    fn attribute(&self) -> bool {
+        self.attribute
+    }
+
+    #[inline]
+    fn matched(&mut self, pair: &Candidate<'_>, rule: u32) {
+        self.found.push((pair.prev_at, pair.new_at, rule));
+    }
+}
+
+/// What stays fixed across every segment of a pass: the window size, the
+/// theory, and the observer's per-comparison hooks (sampled rule latency,
+/// progress heartbeat). The two methods are the position drivers.
+#[derive(Clone, Copy)]
+pub struct WindowScan<'a> {
+    window: usize,
+    theory: &'a dyn EquationalTheory,
+    hooks: ScanHooks<'a>,
+}
+
+impl<'a> WindowScan<'a> {
+    /// A scan of `window`-record windows under `theory`, instrumented with
+    /// whatever hooks `observer` exposes.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `window < 2` (a window of one record can compare
+    /// nothing).
+    pub fn new(
+        window: usize,
+        theory: &'a dyn EquationalTheory,
+        observer: &'a dyn PipelineObserver,
+    ) -> Self {
+        assert!(window >= 2, "window must hold at least two records");
+        WindowScan {
+            window,
+            theory,
+            hooks: ScanHooks::from_observer(observer),
+        }
+    }
+
+    /// Applies the theory to one candidate, timing every
+    /// [`LATENCY_SAMPLE_MASK`]`+1`-th evaluation into the latency histogram
+    /// when one is hooked. `n` is the pre-increment evaluation ordinal.
+    /// Returns the rule that fired (0 unless `attribute`).
+    #[inline]
+    fn eval_pair(&self, old: &Record, new: &Record, attribute: bool, n: u64) -> Option<u32> {
+        let eval = || {
+            if attribute {
+                self.theory
+                    .matching_rule_id(old, new)
+                    .map(|rule| rule as u32)
+            } else {
+                self.theory.matches(old, new).then_some(0)
+            }
+        };
+        if let Some(h) = self.hooks.latency {
+            if n & LATENCY_SAMPLE_MASK == 0 {
+                let t = Instant::now();
+                let matched = eval();
+                h.record(t.elapsed().as_nanos() as u64);
+                return matched;
+            }
+        }
+        eval()
+    }
+
+    /// The kernel: one record entering the window meets its predecessors,
+    /// farthest first. A predecessor arrives as its name and a way to reach
+    /// its record, so one named below `from` (the sink's
+    /// [`candidates_from`](ScanSink::candidates_from)) is passed over on
+    /// the name alone.
+    #[inline]
+    fn position<'r, S: ScanSink, R: FnOnce() -> &'r Record>(
+        &self,
+        new_at: u32,
+        new: &Record,
+        from: u32,
+        predecessors: impl Iterator<Item = (u32, R)>,
+        sink: &mut S,
+        counts: &mut ScanCounts,
+    ) {
+        let attribute = sink.attribute();
+        let before = counts.comparisons;
+        for (prev_at, old) in predecessors.filter(|&(prev_at, _)| prev_at >= from) {
+            let (old, n) = (old(), counts.rule_evaluations);
+            let pair = Candidate {
+                prev_at,
+                new_at,
+                old,
+                new,
+            };
+            counts.comparisons += 1;
+            if sink.is_implied(&pair) {
+                counts.pairs_pruned += 1;
+                continue;
+            }
+            if let Some(rule) = self.eval_pair(old, new, attribute, n) {
+                sink.matched(&pair, rule);
+            }
+            counts.rule_evaluations += 1;
+        }
+        if let Some(p) = self.hooks.progress {
+            p.tick(counts.comparisons - before);
+        }
+    }
+
+    /// Band driver: scans window positions `band` of `order` (indices into
+    /// `records`, already sorted by key). Position `i` meets the up-to-`w−1`
+    /// entries before it, reaching left of `band.start` when it must — the
+    /// §4.1 band replication that makes a fragment boundary invisible — so
+    /// contiguous bands covering `1..order.len()` evaluate every window
+    /// pair exactly once between them.
+    pub fn band<S: ScanSink>(
+        &self,
+        records: &[Record],
+        order: &[u32],
+        band: Range<usize>,
+        sink: &mut S,
+    ) -> ScanCounts {
+        let mut counts = ScanCounts::default();
+        for i in band.start.max(1)..band.end {
+            let lo = i.saturating_sub(self.window - 1);
+            // A whole window of non-candidates (an old record among old
+            // ones, on an incremental batch) is passed over on names alone.
+            let from = sink.candidates_from(order[i]);
+            if order[lo..i].iter().all(|&p| p < from) {
+                continue;
+            }
+            let new = &records[order[i] as usize];
+            let predecessors = order[lo..i]
+                .iter()
+                .map(|&p| (p, move || &records[p as usize]));
+            self.position(order[i], new, from, predecessors, sink, &mut counts);
+        }
+        counts
+    }
+
+    /// Stream driver: scans records arriving in key order from `next`,
+    /// holding only the last `w−1` of them (moved in, never cloned). Visits
+    /// the exact comparison sequence of [`band`](Self::band) over the same
+    /// order.
+    ///
+    /// # Errors
+    ///
+    /// The first error `next` returns; matches found so far stay in `sink`.
+    pub fn stream<S: ScanSink, E>(
+        &self,
+        mut next: impl FnMut() -> Result<Option<Record>, E>,
+        sink: &mut S,
+    ) -> Result<ScanCounts, E> {
+        let mut counts = ScanCounts::default();
+        let mut held: VecDeque<Record> = VecDeque::with_capacity(self.window);
+        while let Some(new) = next()? {
+            let from = sink.candidates_from(new.id.0);
+            let predecessors = held.iter().map(|r| (r.id.0, move || r));
+            self.position(new.id.0, &new, from, predecessors, sink, &mut counts);
+            if held.len() == self.window - 1 {
+                held.pop_front();
+            }
+            held.push_back(new);
+        }
+        Ok(counts)
+    }
+}
+
+/// Slides a `window`-record window over `order` and applies `theory` to
+/// every pair inside it, accumulating matches into `pairs`. Returns the
+/// number of pair comparisons performed — `(N − w/2 ish) · (w − 1)` —
+/// which the cost model and benches consume. This is the unpruned
+/// reference the pruned scan is tested against.
 ///
 /// # Panics
 ///
-/// Panics when `window < 2` (a window of one record can compare nothing).
+/// Panics when `window < 2`.
 pub fn window_scan(
     records: &[Record],
     order: &[u32],
@@ -60,61 +378,15 @@ pub fn window_scan(
     theory: &dyn EquationalTheory,
     pairs: &mut PairSet,
 ) -> u64 {
-    window_scan_hooked(records, order, window, theory, pairs, &ScanHooks::none())
+    WindowScan::new(window, theory, &NoopObserver)
+        .band(records, order, 0..order.len(), pairs)
+        .comparisons
 }
 
-/// [`window_scan`] with optional per-comparison instrumentation: sampled
-/// rule-evaluation latencies and progress heartbeats. With empty `hooks`
-/// the inner loop is identical to [`window_scan`]'s (two `None` branches
-/// per window position).
-///
-/// # Panics
-///
-/// Panics when `window < 2`.
-pub fn window_scan_hooked(
-    records: &[Record],
-    order: &[u32],
-    window: usize,
-    theory: &dyn EquationalTheory,
-    pairs: &mut PairSet,
-    hooks: &ScanHooks<'_>,
-) -> u64 {
-    assert!(window >= 2, "window must hold at least two records");
-    let mut comparisons = 0u64;
-    for i in 1..order.len() {
-        let lo = i.saturating_sub(window - 1);
-        let new = &records[order[i] as usize];
-        for &prev in &order[lo..i] {
-            let old = &records[prev as usize];
-            if eval_pair(theory, old, new, hooks, comparisons) {
-                pairs.insert(old.id.0, new.id.0);
-            }
-            comparisons += 1;
-        }
-        if let Some(p) = hooks.progress {
-            p.tick((i - lo) as u64);
-        }
-    }
-    comparisons
-}
-
-/// Like [`window_scan`], but skips rule evaluation for pairs whose records
-/// are already connected in `uf`, and unions every match into `uf` as it is
-/// found.
-///
-/// This applies the paper's §3.3 transitive-closure insight *inside* the
-/// scan rather than only after it: once `a≡b` and `b≡c` are known, the
-/// window pair `(a, c)` needs no rule evaluation — connectivity already
-/// implies it contributes nothing new to the closure. Kejriwal & Miranker
-/// ("On the Complexity of Sorted Neighborhood") show such redundant
-/// re-checks dominate the comparison budget as windows grow; pruning them
-/// changes no closed pair (the closure over emitted matches is identical —
-/// tested) while skipping the expensive equational theory for them.
-///
-/// `uf` must span every record id that can appear (ids are used as
-/// union-find elements). Passing a union-find carried over from previous
-/// passes prunes cross-pass duplicates too — the multi-pass engine does
-/// exactly that.
+/// Like [`window_scan`] through a [`PrunedSink`]. Passing a union-find
+/// carried over from previous passes prunes cross-pass duplicates too —
+/// the multi-pass engine does exactly that. Pruning changes no closed pair
+/// (tested).
 ///
 /// # Panics
 ///
@@ -127,64 +399,8 @@ pub fn window_scan_pruned(
     uf: &mut UnionFind,
     pairs: &mut PairSet,
 ) -> ScanCounts {
-    window_scan_pruned_hooked(
-        records,
-        order,
-        window,
-        theory,
-        uf,
-        pairs,
-        &ScanHooks::none(),
-    )
-}
-
-/// [`window_scan_pruned`] with optional per-comparison instrumentation
-/// (see [`window_scan_hooked`]).
-///
-/// # Panics
-///
-/// Panics when `window < 2`.
-#[allow(clippy::too_many_arguments)] // the hooked variant of an established signature
-pub fn window_scan_pruned_hooked(
-    records: &[Record],
-    order: &[u32],
-    window: usize,
-    theory: &dyn EquationalTheory,
-    uf: &mut UnionFind,
-    pairs: &mut PairSet,
-    hooks: &ScanHooks<'_>,
-) -> ScanCounts {
-    assert!(window >= 2, "window must hold at least two records");
-    let mut counts = ScanCounts::default();
-    // `connected` can only hold between records that have each been merged
-    // at least once, so gate the union-find walk behind one byte load per
-    // endpoint — with sparse duplicates almost every candidate pair
-    // short-circuits here.
-    let mut linked: Vec<bool> = (0..uf.len() as u32).map(|x| !uf.is_singleton(x)).collect();
-    for i in 1..order.len() {
-        let lo = i.saturating_sub(window - 1);
-        let new = &records[order[i] as usize];
-        for &prev in &order[lo..i] {
-            counts.comparisons += 1;
-            let old = &records[prev as usize];
-            let (a, b) = (old.id.0, new.id.0);
-            if linked[a as usize] && linked[b as usize] && uf.connected(a, b) {
-                counts.pairs_pruned += 1;
-                continue;
-            }
-            if eval_pair(theory, old, new, hooks, counts.rule_evaluations) {
-                pairs.insert(a, b);
-                uf.union(a, b);
-                linked[a as usize] = true;
-                linked[b as usize] = true;
-            }
-            counts.rule_evaluations += 1;
-        }
-        if let Some(p) = hooks.progress {
-            p.tick((i - lo) as u64);
-        }
-    }
-    counts
+    let mut sink = PrunedSink::new(uf, pairs);
+    WindowScan::new(window, theory, &NoopObserver).band(records, order, 0..order.len(), &mut sink)
 }
 
 #[cfg(test)]

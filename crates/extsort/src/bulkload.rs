@@ -22,8 +22,8 @@
 //!   external sort's (key, id) order equals the engine's stable
 //!   key sort;
 //! * the streaming scan visits window positions in ascending order and
-//!   each window farthest-predecessor-first, the exact comparison
-//!   sequence of the engine's `scan_band` over positions `1..n`;
+//!   each window farthest-predecessor-first — `WindowScan::stream` here
+//!   and the engine's `WindowScan::band` are two drivers of one kernel;
 //! * passes fold into the global pair set and closure sequentially, in
 //!   configuration order, as `add_batch` does.
 //!
@@ -39,12 +39,11 @@
 use crate::runfile::RunReader;
 use crate::sorter::ExternalSorter;
 use crate::{ExternalConfig, IoStats};
+use merge_purge::window::{Candidate, ScanSink, WindowScan};
 use merge_purge::KeySpec;
 use mp_closure::{PairSet, UnionFind};
 use mp_metrics::{span, span_labeled, Counter, NoopObserver, Phase, PipelineObserver};
-use mp_record::Record;
 use mp_rules::EquationalTheory;
-use std::collections::VecDeque;
 use std::io;
 use std::path::Path;
 use std::time::Instant;
@@ -238,43 +237,33 @@ impl BulkLoader {
             };
             observer.add(Counter::RecordsKeyed, sorted.records as u64);
 
-            // Streaming window scan over the sorted run: position i
-            // compares against its up-to-w-1 predecessors farthest first —
-            // the serial engine's exact comparison sequence.
+            // Streaming window scan over the sorted run, rebuilding the
+            // pass's key list and order as the records go by.
             let t_scan = Instant::now();
             let _scan_span = span(observer, "window_scan");
             let mut reader = RunReader::open(&sorted.path)?;
-            let mut prev: VecDeque<Record> = VecDeque::with_capacity(*window);
-            let mut comparisons = 0u64;
             let mut io_read = 0u64;
-            while let Some((run_key, record)) = reader.next_entry()? {
-                io_read += 1;
-                let id = record.id.0;
-                pass.keys[id as usize] = run_key;
-                pass.order.push(id);
-                for p in &prev {
-                    comparisons += 1;
-                    if theory.matches(p, &record) {
-                        pass.pairs_found += 1;
-                        if out.pairs.insert(p.id.0, id) {
-                            pass.pairs_first_found += 1;
-                            out.closure.union(p.id.0, id);
-                        }
-                    }
-                }
-                if prev.len() == window - 1 {
-                    prev.pop_front();
-                }
-                prev.push_back(record);
-            }
+            let next = || {
+                let entry = reader.next_entry()?;
+                io::Result::Ok(entry.map(|(run_key, record)| {
+                    io_read += 1;
+                    pass.keys[record.id.0 as usize] = run_key;
+                    pass.order.push(record.id.0);
+                    record
+                }))
+            };
+            let mut sink = BulkSink {
+                pairs: &mut out.pairs,
+                closure: &mut out.closure,
+                pairs_found: &mut pass.pairs_found,
+                pairs_first_found: &mut pass.pairs_first_found,
+            };
+            let counts = WindowScan::new(*window, theory, observer).stream(next, &mut sink)?;
             observer.phase_ns(Phase::WindowScan, t_scan.elapsed().as_nanos() as u64);
-            observer.add(Counter::Comparisons, comparisons);
-            // The streamed scan, like incremental ingest, invokes the
-            // theory on every comparison (no closure pruning).
-            observer.add(Counter::RuleInvocations, comparisons);
+            counts.report(observer);
             observer.add(Counter::Matches, pass.pairs_found);
 
-            out.comparisons += comparisons;
+            out.comparisons += counts.comparisons;
             out.stats.io.records_read += sorted.io.records_read + io_read;
             out.stats.io.records_written += sorted.io.records_written;
             out.stats.io.sweeps += sorted.io.data_passes() + 1; // + the scan sweep
@@ -289,12 +278,35 @@ impl BulkLoader {
     }
 }
 
+/// The bulk sink: every window match counts for its pass, and the ones
+/// new to the global pair set extend the closure — what the incremental
+/// engine's fold does to a found-list, applied as the matches arrive.
+/// Unpruned, like incremental ingest: the committed pair set is defined
+/// as every window match.
+struct BulkSink<'a> {
+    pairs: &'a mut PairSet,
+    closure: &'a mut UnionFind,
+    pairs_found: &'a mut u64,
+    pairs_first_found: &'a mut u64,
+}
+
+impl ScanSink for BulkSink<'_> {
+    #[inline]
+    fn matched(&mut self, pair: &Candidate<'_>, _rule: u32) {
+        *self.pairs_found += 1;
+        if self.pairs.insert(pair.prev_at, pair.new_at) {
+            *self.pairs_first_found += 1;
+            self.closure.union(pair.prev_at, pair.new_at);
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use merge_purge::IncrementalMergePurge;
     use mp_datagen::{DatabaseGenerator, GeneratorConfig};
-    use mp_record::io as rio;
+    use mp_record::{io as rio, Record};
     use mp_rules::NativeEmployeeTheory;
     use std::path::PathBuf;
 

@@ -3,6 +3,7 @@
 
 use crate::runfile::{RunReader, RunWriter};
 use crate::{ExternalConfig, ExternalOutcome, IoStats};
+use merge_purge::key::truncate_chars as truncate;
 use merge_purge::{window_scan, KeySpec};
 use mp_closure::PairSet;
 use mp_cluster::{KeyHistogram, RangePartition};
@@ -160,13 +161,6 @@ impl ExternalClustering {
             KeyHistogram::from_keys(sampled.iter().map(String::as_str), self.histogram_prefix);
         let clusters = self.clusters.min(histogram.bins());
         Ok(RangePartition::build(&histogram, clusters))
-    }
-}
-
-fn truncate(s: &str, n: usize) -> &str {
-    match s.char_indices().nth(n) {
-        Some((i, _)) => &s[..i],
-        None => s,
     }
 }
 

@@ -1,13 +1,14 @@
 //! The parallel clustering method (§4.2).
 
-use crate::parallel_extract_keys;
-use merge_purge::{ClusteringConfig, KeySpec, PassResult, PassStats};
-use mp_closure::PairSet;
-use mp_cluster::{lpt_assign, KeyHistogram, RangePartition};
-use mp_metrics::{span, span_labeled, Counter, NoopObserver, Phase, PipelineObserver};
+use crate::{parallel_extract_keys, scan_fragments};
+use merge_purge::clustering::partition_clusters;
+use merge_purge::snm::PassRun;
+use merge_purge::window::{FoundList, ScanCounts};
+use merge_purge::{ClusteringConfig, KeySpec, PassResult};
+use mp_cluster::lpt_assign;
+use mp_metrics::{span, NoopObserver, PipelineObserver};
 use mp_record::Record;
 use mp_rules::EquationalTheory;
-use std::time::Instant;
 
 /// Parallel clustering pass: the coordinator histograms the key space into
 /// `C·P` subranges, distributes records to clusters, LPT-balances clusters
@@ -58,16 +59,6 @@ impl ParallelClustering {
         }
     }
 
-    /// Number of worker threads.
-    pub fn processors(&self) -> usize {
-        self.processors
-    }
-
-    /// Total clusters formed (`C · P`).
-    pub fn total_clusters(&self) -> usize {
-        self.config.clusters * self.processors
-    }
-
     /// Runs the parallel clustering method.
     pub fn run(&self, records: &[Record], theory: &dyn EquationalTheory) -> PassResult {
         self.run_observed(records, theory, &NoopObserver)
@@ -83,121 +74,42 @@ impl ParallelClustering {
         theory: &dyn EquationalTheory,
         observer: &dyn PipelineObserver,
     ) -> PassResult {
-        let mut stats = PassStats::default();
-        let p = self.processors;
-        let total_clusters = self.total_clusters();
-        let _pass_span = span_labeled(observer, "pass", || {
-            format!(
-                "{} w={} clustered P={}",
-                self.key.name(),
-                self.config.window,
-                p
-            )
+        let (p, config) = (self.processors, &self.config);
+        let variant = format!(" clustered P={p}");
+        let mut pass = PassRun::begin(observer, &self.key, config.window, &variant);
+        // Coordinator: keys, histogram, partition, cluster assignment, and
+        // static load balancing — LPT on cluster sizes (§4.2).
+        let (keys, clusters, assignment) = pass.keys(records.len(), || {
+            let mut keys = parallel_extract_keys(&self.key, records, p);
+            keys.truncate_keys(config.cluster_key_len);
+            // `C · P` clusters in all.
+            let clusters = partition_clusters(&keys, config.histogram_prefix, config.clusters * p);
+            let sizes: Vec<u64> = clusters.iter().map(|c| c.len() as u64).collect();
+            let assignment = lpt_assign(&sizes, p);
+            (keys, clusters, assignment)
         });
-
-        // Coordinator: keys, histogram, partition, cluster assignment.
-        let t0 = Instant::now();
-        let _key_span = span(observer, "key_build");
-        let keys = parallel_extract_keys(&self.key, records, p);
-        let truncated: Vec<&str> = keys
-            .iter()
-            .map(|k| truncate(k, self.config.cluster_key_len))
-            .collect();
-        let histogram =
-            KeyHistogram::from_keys(truncated.iter().copied(), self.config.histogram_prefix);
-        let bins = histogram.bins();
-        let partition = RangePartition::build(&histogram, total_clusters.min(bins));
-        let mut clusters: Vec<Vec<u32>> = vec![Vec::new(); partition.clusters()];
-        for (i, t) in truncated.iter().enumerate() {
-            clusters[partition.cluster_of(t)].push(i as u32);
-        }
-        // Static load balancing: LPT on cluster sizes (§4.2).
-        let sizes: Vec<u64> = clusters.iter().map(|c| c.len() as u64).collect();
-        let assignment = lpt_assign(&sizes, p);
-        drop(_key_span);
-        stats.create_keys = t0.elapsed();
-        observer.add(Counter::RecordsKeyed, records.len() as u64);
-        observer.phase_ns(Phase::CreateKeys, stats.create_keys.as_nanos() as u64);
-
         // Workers: sort + scan their clusters.
-        let t1 = Instant::now();
-        let w = self.config.window;
-        let mut partials: Vec<(PairSet, u64)> = Vec::with_capacity(p);
-        std::thread::scope(|s| {
-            let handles: Vec<_> = (0..p)
-                .map(|proc| {
-                    let my_clusters: Vec<Vec<u32>> = assignment
-                        .jobs_of(proc)
-                        .into_iter()
-                        .map(|j| clusters[j].clone())
-                        .collect();
-                    let truncated = &truncated;
-                    s.spawn(move || {
-                        let _frag_span = span_labeled(observer, "fragment", || format!("j={proc}"));
-                        let mut local = PairSet::new();
-                        let mut comparisons = 0u64;
-                        let _scan_span = span(observer, "scan");
-                        for mut cluster in my_clusters {
-                            cluster
-                                .sort_by(|&a, &b| truncated[a as usize].cmp(truncated[b as usize]));
-                            for i in 1..cluster.len() {
-                                let lo = i.saturating_sub(w - 1);
-                                let new = &records[cluster[i] as usize];
-                                for &prev in &cluster[lo..i] {
-                                    comparisons += 1;
-                                    let old = &records[prev as usize];
-                                    if theory.matches(old, new) {
-                                        local.insert(old.id.0, new.id.0);
-                                    }
-                                }
-                                if let Some(pm) = observer.progress() {
-                                    pm.tick((i - lo) as u64);
-                                }
-                            }
-                        }
-                        drop(_scan_span);
-                        (local, comparisons)
-                    })
-                })
-                .collect();
-            for h in handles {
-                partials.push(h.join().expect("cluster worker panicked"));
-            }
-        });
-        observer.add(Counter::WorkerFragments, partials.len() as u64);
-        let t_merge = Instant::now();
-        let mut pairs = PairSet::new();
-        let mut worker_comparisons = Vec::with_capacity(p);
-        {
-            let _s = span(observer, "coordinator_merge");
-            for (local, comparisons) in partials {
-                pairs.merge(&local);
-                stats.comparisons += comparisons;
-                worker_comparisons.push(comparisons);
-            }
-        }
-        observer.phase_ns(Phase::CoordinatorMerge, t_merge.elapsed().as_nanos() as u64);
-        stats.window_scan = t1.elapsed();
-        stats.matches = pairs.len();
-        observer.phase_ns(Phase::WindowScan, stats.window_scan.as_nanos() as u64);
-        observer.add(Counter::Comparisons, stats.comparisons);
-        observer.add(Counter::RuleInvocations, stats.comparisons);
-        observer.add(Counter::Matches, stats.matches as u64);
-
-        PassResult {
-            key_name: self.key.name().to_string(),
-            window: w,
-            pairs,
-            stats,
-            worker_comparisons,
-        }
-    }
-}
-
-fn truncate(s: &str, n: usize) -> &str {
-    match s.char_indices().nth(n) {
-        Some((i, _)) => &s[..i],
-        None => s,
+        pass.scan(theory, |window| {
+            let keys = &keys;
+            let workers = (0..p).map(|proc| {
+                let my_clusters: Vec<Vec<u32>> = assignment
+                    .jobs_of(proc)
+                    .into_iter()
+                    .map(|j| clusters[j].clone())
+                    .collect();
+                move || {
+                    let _scan_span = span(observer, "scan");
+                    let mut sink = FoundList::new(0, false);
+                    let mut counts = ScanCounts::default();
+                    for mut cluster in my_clusters {
+                        keys.sort_indices(&mut cluster);
+                        counts += window.band(records, &cluster, 0..cluster.len(), &mut sink);
+                    }
+                    (counts, sink.found)
+                }
+            });
+            scan_fragments(records, workers.collect(), observer)
+        })
     }
 }
 

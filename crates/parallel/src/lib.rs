@@ -27,14 +27,16 @@ pub mod psort;
 pub mod snm;
 
 pub use clustering::ParallelClustering;
-pub use multipass::{
-    parallel_multipass, parallel_multipass_observed, parallel_multipass_streaming, ParallelPass,
-};
+pub use multipass::{parallel_multipass, parallel_multipass_observed, ParallelPass};
 pub use psort::parallel_sorted_order;
 pub use snm::ParallelSnm;
 
+use merge_purge::snm::Scanned;
+use merge_purge::window::{Found, ScanCounts};
 use merge_purge::{KeyArena, KeySpec};
+use mp_metrics::{span, span_labeled, Counter, Phase, PipelineObserver};
 use mp_record::Record;
+use std::time::Instant;
 
 /// Extracts `key` for every record across `procs` worker threads.
 ///
@@ -59,6 +61,53 @@ pub(crate) fn parallel_extract_keys(key: &KeySpec, records: &[Record], procs: us
         }
     });
     keys
+}
+
+/// Runs every worker on its own scoped thread under a `fragment` span,
+/// then folds the found-lists they return into one pair set in fragment
+/// order — the scheme of `IncrementalMergePurge::add_batch_sharded`: only
+/// tuple-id pairs flow back to the coordinator, and nothing is shared
+/// while the scans run.
+pub(crate) fn scan_fragments<W>(
+    records: &[Record],
+    workers: Vec<W>,
+    observer: &dyn PipelineObserver,
+) -> Scanned
+where
+    W: FnOnce() -> (ScanCounts, Vec<Found>) + Send,
+{
+    let partials: Vec<(ScanCounts, Vec<Found>)> = std::thread::scope(|s| {
+        let handles: Vec<_> = workers
+            .into_iter()
+            .enumerate()
+            .map(|(j, work)| {
+                s.spawn(move || {
+                    let _frag_span = span_labeled(observer, "fragment", || format!("j={j}"));
+                    work()
+                })
+            })
+            .collect();
+        handles
+            .into_iter()
+            .map(|h| h.join().expect("scan worker panicked"))
+            .collect()
+    });
+    observer.add(Counter::WorkerFragments, partials.len() as u64);
+    let t_merge = Instant::now();
+    let mut out = Scanned::default();
+    {
+        let _s = span(observer, "coordinator_merge");
+        for (counts, found) in partials {
+            // Found-lists name records by their index in `records`.
+            let id = |at: u32| records[at as usize].id.0;
+            out.pairs
+                .extend(found.into_iter().map(|(a, b, _)| (id(a), id(b))));
+            out.counts += counts;
+            out.worker_comparisons.push(counts.comparisons);
+        }
+    }
+    observer.phase_ns(Phase::CoordinatorMerge, t_merge.elapsed().as_nanos() as u64);
+    out
 }
 
 #[cfg(test)]

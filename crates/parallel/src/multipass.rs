@@ -7,7 +7,6 @@
 //! measure.
 
 use merge_purge::{MultiPass, MultiPassResult, PassResult};
-use mp_closure::ConcurrentUnionFind;
 use mp_metrics::{span, NoopObserver, PipelineObserver};
 use mp_record::Record;
 use mp_rules::EquationalTheory;
@@ -81,39 +80,6 @@ pub fn parallel_multipass_observed(
     result
 }
 
-/// Runs all passes concurrently, streaming every discovered pair straight
-/// into a shared concurrent union-find instead of collecting per-pass pair
-/// lists first — the §3.3 "fast solutions to compute transitive closure
-/// [on multiprocessors] exist" route. Returns the equivalence classes.
-///
-/// Compared to [`parallel_multipass`], this trades the per-pass pair sets
-/// (lost — only the closure survives) for lower peak memory and no
-/// pair-merging barrier. The classes are identical (tested).
-///
-/// # Panics
-///
-/// Panics when `passes` is empty.
-pub fn parallel_multipass_streaming(
-    passes: &[ParallelPass],
-    records: &[Record],
-    theory: &dyn EquationalTheory,
-) -> Vec<Vec<u32>> {
-    assert!(!passes.is_empty(), "need at least one pass");
-    let uf = ConcurrentUnionFind::new(records.len());
-    std::thread::scope(|s| {
-        for p in passes {
-            let uf = &uf;
-            s.spawn(move || {
-                let result = p.run(records, theory, &NoopObserver);
-                for (a, b) in result.pairs.iter() {
-                    uf.union(a, b);
-                }
-            });
-        }
-    });
-    uf.into_sequential().classes()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -157,20 +123,6 @@ mod tests {
         let result = parallel_multipass(&passes, &db.records, &theory);
         assert_eq!(result.passes.len(), 2);
         assert!(result.closed_pairs.len() >= result.passes[0].pairs.len());
-    }
-
-    #[test]
-    fn streaming_closure_matches_pair_set_closure() {
-        let db = DatabaseGenerator::new(GeneratorConfig::new(500).duplicate_fraction(0.5).seed(97))
-            .generate();
-        let theory = NativeEmployeeTheory::new();
-        let passes: Vec<ParallelPass> = KeySpec::standard_three()
-            .into_iter()
-            .map(|k| ParallelPass::Snm(ParallelSnm::new(k, 7, 2)))
-            .collect();
-        let batched = parallel_multipass(&passes, &db.records, &theory);
-        let streamed = parallel_multipass_streaming(&passes, &db.records, &theory);
-        assert_eq!(streamed, batched.classes);
     }
 
     #[test]

@@ -1,20 +1,21 @@
 //! The parallel sorted-neighborhood method (§4.1).
 
-use crate::{parallel_extract_keys, psort::parallel_sorted_order};
-use merge_purge::{KeySpec, PassResult, PassStats};
-use mp_closure::PairSet;
-use mp_metrics::{span, span_labeled, Counter, NoopObserver, Phase, PipelineObserver};
+use crate::{parallel_extract_keys, psort::parallel_sorted_order, scan_fragments};
+use merge_purge::snm::PassRun;
+use merge_purge::window::FoundList;
+use merge_purge::{KeySpec, PassResult};
+use mp_metrics::{span, Counter, NoopObserver, PipelineObserver};
 use mp_record::Record;
 use mp_rules::EquationalTheory;
-use std::time::Instant;
 
 /// Parallel sorted-neighborhood pass over `P` worker threads.
 ///
 /// The sorted list is fragmented into `P` contiguous pieces; "the fragment
 /// assigned to processor i should replicate the last w−1 records from the
 /// fragment assigned to site i−1" so no cross-boundary pair is missed. Each
-/// worker window-scans its fragment into a private pair set; the
-/// coordinator unions the sets.
+/// worker window-scans its fragment into a private found-list; the
+/// coordinator folds the lists in fragment order. Fragments do not prune:
+/// a worker cannot see the matches of the fragments before it.
 ///
 /// ```
 /// use mp_parallel::ParallelSnm;
@@ -50,11 +51,6 @@ impl ParallelSnm {
         }
     }
 
-    /// Number of worker threads.
-    pub fn processors(&self) -> usize {
-        self.processors
-    }
-
     /// Runs create-keys, parallel sort, and band-replicated parallel window
     /// scan. The result is bit-identical to the serial
     /// [`merge_purge::SortedNeighborhood`] with the same key and window.
@@ -73,123 +69,43 @@ impl ParallelSnm {
         theory: &dyn EquationalTheory,
         observer: &dyn PipelineObserver,
     ) -> PassResult {
-        let mut stats = PassStats::default();
-        let p = self.processors;
-        let _pass_span = span_labeled(observer, "pass", || {
-            format!("{} w={} P={}", self.key.name(), self.window, p)
-        });
-
-        let t0 = Instant::now();
-        let keys = {
-            let _s = span(observer, "key_build");
+        let (p, w) = (self.processors, self.window);
+        let mut pass = PassRun::begin(observer, &self.key, w, &format!(" P={p}"));
+        let keys = pass.keys(records.len(), || {
             parallel_extract_keys(&self.key, records, p)
-        };
-        stats.create_keys = t0.elapsed();
-        observer.add(Counter::RecordsKeyed, records.len() as u64);
-        observer.phase_ns(Phase::CreateKeys, stats.create_keys.as_nanos() as u64);
-
-        let t1 = Instant::now();
-        let order = {
-            let _s = span(observer, "sort");
-            parallel_sorted_order(&keys, p)
-        };
-        stats.sort = t1.elapsed();
-        observer.phase_ns(Phase::Sort, stats.sort.as_nanos() as u64);
-
-        let t2 = Instant::now();
+        });
+        let order = pass.sort(|| parallel_sorted_order(&keys, p));
         let n = order.len();
-        let w = self.window;
-        let mut pairs = PairSet::new();
-        let mut worker_comparisons = Vec::with_capacity(p);
-        let mut band_comparisons = 0u64;
-        if n > 0 {
-            let chunk = n.div_ceil(p);
-            let mut partials: Vec<(PairSet, u64, u64)> = Vec::with_capacity(p);
-            std::thread::scope(|s| {
-                let handles: Vec<_> = (0..n)
-                    .step_by(chunk)
-                    .map(|start| {
-                        let order = &order;
-                        s.spawn(move || {
-                            let _frag_span = span_labeled(observer, "fragment", || {
-                                format!("j={}", start / chunk)
-                            });
-                            // Band: each fragment sees the previous w-1
-                            // entries so records entering the window at the
-                            // fragment head still meet their predecessors.
-                            let band_start = start.saturating_sub(w - 1);
-                            let end = (start + chunk).min(n);
-                            let mut local = PairSet::new();
-                            let mut comparisons = 0u64;
-                            let mut band = 0u64;
-                            let mut scan_range = |from: usize, to: usize| {
-                                for i in from..to {
-                                    let lo = i.saturating_sub(w - 1).max(band_start);
-                                    if lo < start {
-                                        band += (start - lo) as u64;
-                                    }
-                                    let new = &records[order[i] as usize];
-                                    for &prev in &order[lo..i] {
-                                        comparisons += 1;
-                                        let old = &records[prev as usize];
-                                        if theory.matches(old, new) {
-                                            local.insert(old.id.0, new.id.0);
-                                        }
-                                    }
-                                    if let Some(pm) = observer.progress() {
-                                        pm.tick((i - lo) as u64);
-                                    }
-                                }
-                            };
-                            // The fragment head (first w-1 slots) is where
-                            // band-replicated records are consulted; it gets
-                            // its own child span. Fragment 0 has no band but
-                            // keeps the same span shape (truncated windows).
-                            let head_end = (start + w - 1).clamp(start.max(1), end);
-                            {
-                                let _s = span(observer, "band_overlap");
-                                scan_range(start.max(1), head_end);
-                            }
-                            {
-                                let _s = span(observer, "scan");
-                                scan_range(head_end, end);
-                            }
-                            (local, comparisons, band)
-                        })
-                    })
-                    .collect();
-                for h in handles {
-                    partials.push(h.join().expect("scan worker panicked"));
+        let chunk = n.div_ceil(p).max(1);
+        // Comparisons against records replicated from the previous
+        // fragment's band: position `i` reaches `start - lo` entries left
+        // of its fragment's `start`.
+        let band_comparisons: usize = (0..n)
+            .map(|i| (i / chunk * chunk).saturating_sub(i.saturating_sub(w - 1)))
+            .sum();
+        observer.add(Counter::BandOverlapComparisons, band_comparisons as u64);
+        pass.scan(theory, |window| {
+            let order = &order;
+            let workers = (0..n).step_by(chunk).map(|start| {
+                move || {
+                    let end = (start + chunk).min(n);
+                    // The fragment head (first w-1 slots) is where
+                    // band-replicated records are consulted; it gets its
+                    // own child span. Fragment 0 has no band but keeps the
+                    // same span shape (truncated windows).
+                    let head_end = (start + w - 1).clamp(start.max(1), end);
+                    let mut sink = FoundList::new(0, false);
+                    let mut scan = |name, band| {
+                        let _s = span(observer, name);
+                        window.band(records, order, band, &mut sink)
+                    };
+                    let mut counts = scan("band_overlap", start..head_end);
+                    counts += scan("scan", head_end..end);
+                    (counts, sink.found)
                 }
             });
-            observer.add(Counter::WorkerFragments, partials.len() as u64);
-            let t_merge = Instant::now();
-            {
-                let _s = span(observer, "coordinator_merge");
-                for (local, comparisons, band) in partials {
-                    pairs.merge(&local);
-                    stats.comparisons += comparisons;
-                    band_comparisons += band;
-                    worker_comparisons.push(comparisons);
-                }
-            }
-            observer.phase_ns(Phase::CoordinatorMerge, t_merge.elapsed().as_nanos() as u64);
-        }
-        stats.window_scan = t2.elapsed();
-        stats.matches = pairs.len();
-        observer.phase_ns(Phase::WindowScan, stats.window_scan.as_nanos() as u64);
-        observer.add(Counter::Comparisons, stats.comparisons);
-        observer.add(Counter::RuleInvocations, stats.comparisons);
-        observer.add(Counter::Matches, stats.matches as u64);
-        observer.add(Counter::BandOverlapComparisons, band_comparisons);
-
-        PassResult {
-            key_name: self.key.name().to_string(),
-            window: self.window,
-            pairs,
-            stats,
-            worker_comparisons,
-        }
+            scan_fragments(records, workers.collect(), observer)
+        })
     }
 }
 
@@ -199,26 +115,6 @@ mod tests {
     use merge_purge::SortedNeighborhood;
     use mp_datagen::{DatabaseGenerator, GeneratorConfig};
     use mp_rules::NativeEmployeeTheory;
-
-    #[test]
-    fn identical_to_serial_for_any_processor_count() {
-        let db = DatabaseGenerator::new(GeneratorConfig::new(500).duplicate_fraction(0.5).seed(81))
-            .generate();
-        let theory = NativeEmployeeTheory::new();
-        let w = 7;
-        let serial = SortedNeighborhood::new(KeySpec::last_name_key(), w).run(&db.records, &theory);
-        for procs in [1, 2, 3, 5, 8] {
-            let parallel =
-                ParallelSnm::new(KeySpec::last_name_key(), w, procs).run(&db.records, &theory);
-            assert_eq!(
-                parallel.pairs.sorted(),
-                serial.pairs.sorted(),
-                "procs = {procs}"
-            );
-            // Same comparisons: bands replicate records, not comparisons.
-            assert_eq!(parallel.stats.comparisons, serial.stats.comparisons);
-        }
-    }
 
     #[test]
     fn window_larger_than_fragment_still_correct() {

@@ -28,7 +28,7 @@
 //! bit-identical to the single-worker engine on the same input — the
 //! property the shard-equivalence tests pin down.
 
-use merge_purge::incremental::{apply_observed_sharded, IncrementalMergePurge};
+use merge_purge::incremental::IncrementalMergePurge;
 use merge_purge::KeySpec;
 use mp_cluster::RangePartition;
 use mp_metrics::{span, span_labeled, Counter, MetricsRecorder, PipelineObserver};
@@ -225,7 +225,7 @@ pub fn open_sharded(
     }
     let batches_replayed = loaded.replayable.len() as u64;
     for b in loaded.replayable {
-        apply_observed_sharded(&mut engine, b.records, theory, observer, shards);
+        engine.add_batch_sharded(b.records, theory, shards, observer);
         if let Some(t) = &b.trace {
             engine.note_batch_trace(t);
         }
@@ -389,7 +389,8 @@ impl ShardedDurable {
         }
 
         self.next_seq += 1;
-        apply_observed_sharded(&mut self.engine, batch, theory, recorder, shards);
+        self.engine
+            .add_batch_sharded(batch, theory, shards, recorder);
         self.engine.note_batch_trace(trace_id);
         recorder.add(Counter::BatchesIngested, 1);
         self.batches_since_checkpoint += 1;

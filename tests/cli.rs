@@ -7,15 +7,17 @@ fn bin() -> Command {
     Command::new(env!("CARGO_BIN_EXE_mergepurge"))
 }
 
-fn work_dir() -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("mp-cli-test-{}", std::process::id()));
+/// A directory of the calling test's own: tests run on parallel threads
+/// and each removes its directory when it ends.
+fn work_dir(tag: &str) -> PathBuf {
+    let dir = std::env::temp_dir().join(format!("mp-cli-test-{}-{tag}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
     dir
 }
 
 #[test]
 fn generate_dedupe_purge_pipeline() {
-    let dir = work_dir();
+    let dir = work_dir("pipeline");
     let db = dir.join("db.mp");
     let clean = dir.join("clean.mp");
     let groups = dir.join("groups.txt");
@@ -74,7 +76,7 @@ fn generate_dedupe_purge_pipeline() {
 
 #[test]
 fn dedupe_with_custom_rules_and_explain() {
-    let dir = work_dir();
+    let dir = work_dir("rules");
     let db = dir.join("db2.mp");
     let rules = dir.join("rules.mpr");
     std::fs::write(
@@ -158,7 +160,7 @@ fn helpful_errors() {
     assert!(!out.status.success());
 
     // Bad rules file.
-    let dir = work_dir();
+    let dir = work_dir("errors");
     let bad = dir.join("bad.mpr");
     std::fs::write(&bad, "rule r { when r1.salary == 1 then match }").unwrap();
     let db = dir.join("tiny.mp");

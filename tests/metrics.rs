@@ -182,8 +182,10 @@ fn bin() -> Command {
     Command::new(env!("CARGO_BIN_EXE_mergepurge"))
 }
 
-fn work_dir() -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("mp-metrics-test-{}", std::process::id()));
+/// A directory of the calling test's own: tests run on parallel threads
+/// and each removes its directory when it ends.
+fn work_dir(tag: &str) -> PathBuf {
+    let dir = std::env::temp_dir().join(format!("mp-metrics-test-{}-{tag}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
     dir
 }
@@ -196,7 +198,7 @@ fn counters_section(json: &str) -> String {
 
 #[test]
 fn stats_counters_byte_identical_across_cli_runs() {
-    let dir = work_dir();
+    let dir = work_dir("identical");
     let db = dir.join("db10k.mp");
     let out = bin()
         .args(["generate", "--out", db.to_str().unwrap()])
@@ -254,8 +256,7 @@ fn counter_value(json: &str, name: &str) -> u64 {
 
 #[test]
 fn pruned_cli_run_skips_rule_work_but_matches_unpruned_pairs() {
-    let dir = std::env::temp_dir().join(format!("mp-prune-test-{}", std::process::id()));
-    std::fs::create_dir_all(&dir).unwrap();
+    let dir = work_dir("prune");
     let db = dir.join("db10k.mp");
     let out = bin()
         .args(["generate", "--out", db.to_str().unwrap()])

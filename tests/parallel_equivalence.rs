@@ -2,35 +2,10 @@
 //! engines' results exactly, for every processor count, at the full
 //! multi-pass level.
 
-use merge_purge::{ClusteringConfig, KeySpec, MultiPass};
+use merge_purge::{ClusteringConfig, KeySpec};
 use mp_datagen::{DatabaseGenerator, GeneratorConfig};
-use mp_parallel::{parallel_multipass, ParallelClustering, ParallelPass, ParallelSnm};
+use mp_parallel::{ParallelClustering, ParallelSnm};
 use mp_rules::NativeEmployeeTheory;
-
-#[test]
-fn parallel_multipass_equals_serial_for_many_processor_counts() {
-    let mut db = DatabaseGenerator::new(
-        GeneratorConfig::new(1_200)
-            .duplicate_fraction(0.5)
-            .seed(4001),
-    )
-    .generate();
-    mp_record::normalize::condition_all(&mut db.records, &mp_record::NicknameTable::standard());
-    let theory = NativeEmployeeTheory::new();
-    let serial = MultiPass::standard_three(9).run(&db.records, &theory);
-    for procs in [1usize, 2, 4, 7] {
-        let passes: Vec<ParallelPass> = KeySpec::standard_three()
-            .into_iter()
-            .map(|k| ParallelPass::Snm(ParallelSnm::new(k, 9, procs)))
-            .collect();
-        let parallel = parallel_multipass(&passes, &db.records, &theory);
-        assert_eq!(
-            parallel.closed_pairs.sorted(),
-            serial.closed_pairs.sorted(),
-            "procs = {procs}"
-        );
-    }
-}
 
 #[test]
 fn parallel_clustering_invariant_under_processor_count_with_fixed_total_clusters() {
