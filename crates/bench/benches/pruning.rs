@@ -1,18 +1,15 @@
-//! Multi-pass hot path: allocating baseline vs scratch buffers vs pruning.
+//! Multi-pass hot path: with and without closure-aware pruning.
 //!
-//! `baseline_alloc_w6` runs the frozen pre-optimization theory whose
-//! kernels allocate per call (the pre-scratch hot path); `unpruned_w6`
-//! reuses per-thread buffers; `pruned_w6` adds
-//! closure-aware pruning, skipping rule evaluation for window pairs already
-//! connected in the shared union-find. Closed pairs are identical in all
-//! three. See also the `pruning` binary, which measures the same
-//! configurations at 10k records and records the speedup in
-//! `BENCH_pruning.json`.
+//! `unpruned_w6` runs the native theory over every window pair;
+//! `pruned_w6` adds closure-aware pruning, skipping rule evaluation for
+//! window pairs already connected in the shared union-find. Closed pairs
+//! are identical in both. See also the `pruning` binary, which measures the
+//! same configurations at 10k records (`BENCH_pruning.json`).
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use merge_purge::MultiPass;
 use mp_datagen::{DatabaseGenerator, GeneratorConfig};
-use mp_rules::{AllocatingEmployeeTheory, NativeEmployeeTheory};
+use mp_rules::NativeEmployeeTheory;
 
 fn bench_pruning(c: &mut Criterion) {
     let mut db = DatabaseGenerator::new(
@@ -24,15 +21,8 @@ fn bench_pruning(c: &mut Criterion) {
     .generate();
     mp_record::normalize::condition_all(&mut db.records, &mp_record::NicknameTable::standard());
     let theory = NativeEmployeeTheory::new();
-    let alloc_theory = AllocatingEmployeeTheory::new();
 
     let mut g = c.benchmark_group("multipass_pruning");
-    g.bench_function("baseline_alloc_w6", |b| {
-        b.iter(|| {
-            let r = MultiPass::standard_three(6).run(black_box(&db.records), &alloc_theory);
-            black_box(r.closed_pairs.len())
-        });
-    });
     g.bench_function("unpruned_w6", |b| {
         b.iter(|| {
             let r = MultiPass::standard_three(6).run(black_box(&db.records), &theory);

@@ -17,6 +17,11 @@
 //! `differ_slightly`) is computed at most once per record pair; see
 //! [`assign_memo`].
 //!
+//! Under a [`Plan`], lowering also builds the **guard cascade**: top-level
+//! conjuncts that are cheap tests of raw fields ([`crate::plan::guard_of`])
+//! leave their blocks for a program-wide [`Atom`] table the VM consults
+//! before it runs any bytecode; see [`collect_atoms`].
+//!
 //! Lowering never changes semantics: each opcode calls the same shared
 //! implementation the interpreter's builtins call (or a scratch-buffer
 //! method tested bit-identical to it), so compiled decisions are
@@ -27,10 +32,12 @@
 
 use crate::ast::{CmpOp, Expr, Program, RecordRef};
 use crate::builtins::CostClass;
-use crate::plan::{conjuncts, Plan};
+use crate::plan::{conjuncts, guard_of, p_true, GuardKind, Plan};
+use crate::token::Pos;
 use crate::value::Type;
 use mp_record::Field;
 use std::collections::HashMap;
+use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Source of a string operand.
@@ -211,6 +218,40 @@ pub(crate) struct Block {
     pub(crate) start: usize,
 }
 
+/// Blocks the guard cascade can gate: one bit each in an [`Atom`]'s masks.
+/// Blocks at planned positions past this keep all their conjuncts and
+/// always run.
+pub(crate) const GATED_BLOCKS: usize = u64::BITS as usize;
+
+/// One entry of the guard cascade: a cheap test of raw operands, and the
+/// blocks (bit = planned position) that cannot fire unless it comes out
+/// true, respectively false. Operands are never [`StrSrc::Tmp`].
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub(crate) struct Atom {
+    pub(crate) kind: GuardKind,
+    pub(crate) a: StrSrc,
+    /// Equal to `a` for the one-operand [`GuardKind::IsEmpty`].
+    pub(crate) b: StrSrc,
+    pub(crate) need_true: u64,
+    pub(crate) need_false: u64,
+}
+
+/// A rule program exceeds what the bytecode format can address (256
+/// registers per bank from expression nesting, 65,536 constants per pool).
+#[derive(Debug, Clone, PartialEq)]
+pub struct CapacityError {
+    msg: String,
+    pos: Pos,
+}
+
+impl fmt::Display for CapacityError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "{} at {}", self.msg, self.pos)
+    }
+}
+
+impl std::error::Error for CapacityError {}
+
 static NEXT_PROGRAM_ID: AtomicU64 = AtomicU64::new(1);
 
 /// A fully lowered rule program: flat code, constant pools, and the
@@ -221,15 +262,20 @@ pub(crate) struct CompiledProgram {
     pub(crate) code: Vec<Op>,
     /// One entry per rule, in planned (emission) order.
     pub(crate) blocks: Vec<Block>,
+    /// The guard cascade, in evaluation order (empty without a plan).
+    pub(crate) atoms: Vec<Atom>,
+    /// The blocks live before any atom is evaluated: one bit per block, up
+    /// to [`GATED_BLOCKS`].
+    pub(crate) gated: u64,
     /// Deduplicated string literals.
     pub(crate) str_consts: Vec<String>,
     /// Deduplicated numeric literals (dedup by bit pattern).
     pub(crate) num_consts: Vec<f64>,
-    /// Boolean registers needed (max over blocks).
+    /// Boolean registers needed (deepest expression nesting of any block).
     pub(crate) bool_regs: usize,
-    /// Numeric registers needed (max over blocks).
+    /// Numeric registers needed (likewise).
     pub(crate) num_regs: usize,
-    /// Temporary string slots needed (max over blocks).
+    /// Temporary string slots needed (likewise).
     pub(crate) tmp_slots: usize,
     /// Per-pair memo slots (0 when CSE is disabled).
     pub(crate) memo_slots: usize,
@@ -239,16 +285,24 @@ pub(crate) struct CompiledProgram {
 }
 
 /// Lowers a checked program. With a [`Plan`], rules and conjuncts are
-/// emitted in planned order and shared kernels get memo slots; without one,
-/// source order is kept and no memoization happens.
-pub(crate) fn compile_program(program: &Program, plan: Option<&Plan>) -> CompiledProgram {
+/// emitted in planned order, guard atoms are hoisted into the cascade, and
+/// shared kernels get memo slots; without one, source order is kept, every
+/// conjunct stays in its block, and no memoization happens.
+pub(crate) fn compile_program(
+    program: &Program,
+    plan: Option<&Plan>,
+) -> Result<CompiledProgram, CapacityError> {
     let mut c = Compiler::default();
     let n = program.rules.len();
     let rule_order: Vec<usize> = match plan {
         Some(p) => p.rule_order().to_vec(),
         None => (0..n).collect(),
     };
-    for &orig in &rule_order {
+    let atoms = match plan {
+        Some(_) => collect_atoms(program, &rule_order, &mut c)?,
+        None => Vec::new(),
+    };
+    for (pos, &orig) in rule_order.iter().enumerate() {
         let rule = &program.rules[orig];
         c.block_begin(orig);
         let parts = conjuncts(&rule.condition);
@@ -256,10 +310,16 @@ pub(crate) fn compile_program(program: &Program, plan: Option<&Plan>) -> Compile
             Some(p) => p.conjunct_order(orig).to_vec(),
             None => (0..parts.len()).collect(),
         };
+        let hoisted = plan.is_some() && pos < GATED_BLOCKS;
+        // A conjunct's value is dead once its jump has tested it, so every
+        // conjunct of the block lands in the same register.
+        let dst = c.alloc_bool(rule.pos)?;
         let mut fail_jumps = Vec::new();
         for &ci in &order {
-            let dst = c.alloc_bool();
-            c.compile_bool_into(parts[ci], dst);
+            if hoisted && guard_of(parts[ci]).is_some() {
+                continue;
+            }
+            c.compile_bool_into(parts[ci], dst)?;
             fail_jumps.push(c.code.len());
             c.code.push(Op::JumpIfFalse(dst, usize::MAX));
         }
@@ -271,16 +331,21 @@ pub(crate) fn compile_program(program: &Program, plan: Option<&Plan>) -> Compile
                 *target = fail_pc;
             }
         }
-        c.block_end();
     }
     let memo_slots = if plan.is_some_and(|p| p.cse) {
         assign_memo(&mut c.code)
     } else {
         0
     };
-    CompiledProgram {
+    let gated = match n.min(GATED_BLOCKS) {
+        GATED_BLOCKS => u64::MAX,
+        k => (1 << k) - 1,
+    };
+    Ok(CompiledProgram {
         code: c.code,
         blocks: c.blocks,
+        atoms,
+        gated,
         str_consts: c.str_consts,
         num_consts: c.num_consts,
         bool_regs: c.max_bool,
@@ -288,7 +353,96 @@ pub(crate) fn compile_program(program: &Program, plan: Option<&Plan>) -> Compile
         tmp_slots: c.max_tmp,
         memo_slots,
         id: NEXT_PROGRAM_ID.fetch_add(1, Ordering::Relaxed),
+    })
+}
+
+/// Builds the guard cascade: every guard-form top-level conjunct
+/// ([`guard_of`]) of every gated block, deduplicated program-wide, each
+/// atom recording which blocks need it true and which need it false.
+/// Hoisting is sound because builtins are pure and a rule is a
+/// conjunction — a block an atom vetoes is a block that would have failed.
+///
+/// Atoms come out in the fixed order the VM walks them: most expected
+/// vetoes first — the sum, over the blocks an atom gates, of the prior
+/// probability that it rejects the block (so one `street_number ==`
+/// shared by fifteen rules leads, and a `not is_empty` that almost always
+/// holds trails the equality it accompanies and is usually skipped, its
+/// blocks already dead) — with the Cheap kernels, which scan their
+/// operands, after every compare-or-measure test; ties in source order.
+fn collect_atoms(
+    program: &Program,
+    rule_order: &[usize],
+    c: &mut Compiler,
+) -> Result<Vec<Atom>, CapacityError> {
+    let mut position = vec![0; rule_order.len()];
+    for (pos, &orig) in rule_order.iter().enumerate() {
+        position[orig] = pos;
     }
+    let mut atoms: Vec<(Atom, f64)> = Vec::new();
+    for (orig, rule) in program.rules.iter().enumerate() {
+        if position[orig] >= GATED_BLOCKS {
+            continue;
+        }
+        let bit = 1u64 << position[orig];
+        for part in conjuncts(&rule.condition) {
+            let Some(guard) = guard_of(part) else {
+                continue;
+            };
+            let a = c.compile_str(guard.a)?;
+            let b = match guard.b {
+                Some(b) => c.compile_str(b)?,
+                None => a,
+            };
+            let i = match atoms
+                .iter()
+                .position(|(t, _)| (t.kind, t.a, t.b) == (guard.kind, a, b))
+            {
+                Some(i) => i,
+                None => {
+                    let fresh = Atom {
+                        kind: guard.kind,
+                        a,
+                        b,
+                        need_true: 0,
+                        need_false: 0,
+                    };
+                    atoms.push((fresh, 0.0));
+                    atoms.len() - 1
+                }
+            };
+            let (atom, vetoes) = &mut atoms[i];
+            if guard.want {
+                atom.need_true |= bit;
+            } else {
+                atom.need_false |= bit;
+            }
+            *vetoes += 1.0 - p_true(part);
+        }
+    }
+    // Stable: equal keys keep first-occurrence (source) order.
+    atoms.sort_by(|(x, vx), (y, vy)| {
+        (x.kind.is_kernel().cmp(&y.kind.is_kernel())).then(vy.total_cmp(vx))
+    });
+    Ok(atoms.into_iter().map(|(atom, _)| atom).collect())
+}
+
+/// Takes the next register of a bank, or reports the bank (256 registers,
+/// reached only through expression nesting) exhausted at `pos`.
+fn alloc(next: &mut usize, max: &mut usize, bank: &str, pos: Pos) -> Result<u8, CapacityError> {
+    let r = u8::try_from(*next).map_err(|_| CapacityError {
+        msg: format!("expression nests more than 256 {bank} registers deep"),
+        pos,
+    })?;
+    *next += 1;
+    *max = (*max).max(*next);
+    Ok(r)
+}
+
+fn pool_index(i: usize, pool: &str, pos: Pos) -> Result<u16, CapacityError> {
+    u16::try_from(i).map_err(|_| CapacityError {
+        msg: format!("more than 65536 distinct {pool} constants"),
+        pos,
+    })
 }
 
 #[derive(Default)]
@@ -311,38 +465,25 @@ impl Compiler {
             orig,
             start: self.code.len(),
         });
-        // Registers are per-pair scratch; each block starts from r0 so the
-        // banks are sized by the widest rule, not the whole program.
+        // Registers are per-pair scratch; each block starts from r0.
         self.next_bool = 0;
         self.next_num = 0;
         self.next_tmp = 0;
     }
 
-    fn block_end(&mut self) {
-        self.max_bool = self.max_bool.max(self.next_bool);
-        self.max_num = self.max_num.max(self.next_num);
-        self.max_tmp = self.max_tmp.max(self.next_tmp);
+    fn alloc_bool(&mut self, pos: Pos) -> Result<u8, CapacityError> {
+        alloc(&mut self.next_bool, &mut self.max_bool, "boolean", pos)
     }
 
-    fn alloc_bool(&mut self) -> u8 {
-        let r = self.next_bool;
-        self.next_bool += 1;
-        u8::try_from(r).expect("more than 255 boolean registers in one rule")
+    fn alloc_num(&mut self, pos: Pos) -> Result<u8, CapacityError> {
+        alloc(&mut self.next_num, &mut self.max_num, "numeric", pos)
     }
 
-    fn alloc_num(&mut self) -> u8 {
-        let r = self.next_num;
-        self.next_num += 1;
-        u8::try_from(r).expect("more than 255 numeric registers in one rule")
+    fn alloc_tmp(&mut self, pos: Pos) -> Result<u8, CapacityError> {
+        alloc(&mut self.next_tmp, &mut self.max_tmp, "temp-string", pos)
     }
 
-    fn alloc_tmp(&mut self) -> u8 {
-        let r = self.next_tmp;
-        self.next_tmp += 1;
-        u8::try_from(r).expect("more than 255 temp strings in one rule")
-    }
-
-    fn num_const(&mut self, v: f64) -> u16 {
+    fn num_const(&mut self, v: f64, pos: Pos) -> Result<u16, CapacityError> {
         let i = match self
             .num_consts
             .iter()
@@ -354,10 +495,10 @@ impl Compiler {
                 self.num_consts.len() - 1
             }
         };
-        u16::try_from(i).expect("more than 65535 numeric constants")
+        pool_index(i, "numeric", pos)
     }
 
-    fn str_const(&mut self, s: &str) -> u16 {
+    fn str_const(&mut self, s: &str, pos: Pos) -> Result<u16, CapacityError> {
         let i = match self.str_consts.iter().position(|c| c == s) {
             Some(i) => i,
             None => {
@@ -365,22 +506,31 @@ impl Compiler {
                 self.str_consts.len() - 1
             }
         };
-        u16::try_from(i).expect("more than 65535 string constants")
+        pool_index(i, "string", pos)
     }
 
-    /// Compiles a boolean expression so its value lands in `dst`.
-    fn compile_bool_into(&mut self, e: &Expr, dst: u8) {
+    /// Compiles a boolean expression so its value lands in `dst`. Every
+    /// register taken on the way is dead once it has, and is released: the
+    /// banks are sized by expression nesting, not by rule length.
+    fn compile_bool_into(&mut self, e: &Expr, dst: u8) -> Result<(), CapacityError> {
+        let mark = (self.next_bool, self.next_num, self.next_tmp);
+        self.lower_bool(e, dst)?;
+        (self.next_bool, self.next_num, self.next_tmp) = mark;
+        Ok(())
+    }
+
+    fn lower_bool(&mut self, e: &Expr, dst: u8) -> Result<(), CapacityError> {
         match e {
             Expr::Bool(v, _) => self.code.push(Op::LoadBool { val: *v, dst }),
             Expr::Not(inner, _) => {
-                self.compile_bool_into(inner, dst);
+                self.compile_bool_into(inner, dst)?;
                 self.code.push(Op::NotBool { src: dst, dst });
             }
             Expr::And(parts, _) | Expr::Or(parts, _) => {
                 let is_and = matches!(e, Expr::And(..));
                 let mut exit_jumps = Vec::new();
                 for (i, part) in parts.iter().enumerate() {
-                    self.compile_bool_into(part, dst);
+                    self.compile_bool_into(part, dst)?;
                     if i + 1 < parts.len() {
                         exit_jumps.push(self.code.len());
                         self.code.push(if is_and {
@@ -398,25 +548,25 @@ impl Compiler {
                     }
                 }
             }
-            Expr::Cmp(op, lhs, rhs, _) => {
+            Expr::Cmp(op, lhs, rhs, pos) => {
                 let ty = crate::semantic::infer(lhs).expect("checked by semantic pass");
                 match ty {
                     Type::Str => {
-                        let a = self.compile_str(lhs);
-                        let b = self.compile_str(rhs);
+                        let a = self.compile_str(lhs)?;
+                        let b = self.compile_str(rhs)?;
                         let ne = matches!(op, CmpOp::Ne);
                         self.code.push(Op::StrEq { a, b, ne, dst });
                     }
                     Type::Num => {
-                        let a = self.compile_num(lhs);
-                        let b = self.compile_num(rhs);
+                        let a = self.compile_num(lhs)?;
+                        let b = self.compile_num(rhs)?;
                         self.code.push(Op::NumCmp { op: *op, a, b, dst });
                     }
                     Type::Bool => {
-                        let ra = self.alloc_bool();
-                        self.compile_bool_into(lhs, ra);
-                        let rb = self.alloc_bool();
-                        self.compile_bool_into(rhs, rb);
+                        let ra = self.alloc_bool(*pos)?;
+                        self.compile_bool_into(lhs, ra)?;
+                        let rb = self.alloc_bool(*pos)?;
+                        self.compile_bool_into(rhs, rb)?;
                         let ne = matches!(op, CmpOp::Ne);
                         self.code.push(Op::BoolCmp {
                             a: ra,
@@ -427,33 +577,39 @@ impl Compiler {
                     }
                 }
             }
-            Expr::Call(name, args, _) => self.compile_bool_call(name, args, dst),
+            Expr::Call(name, args, pos) => self.compile_bool_call(name, args, *pos, dst)?,
             Expr::FieldRef(..) | Expr::Num(..) | Expr::Str(..) => {
                 unreachable!("non-bool expression rejected by type checker")
             }
         }
+        Ok(())
     }
 
-    fn compile_bool_call(&mut self, name: &str, args: &[Expr], dst: u8) {
-        let kernel = |k: BoolKernel| k;
+    fn compile_bool_call(
+        &mut self,
+        name: &str,
+        args: &[Expr],
+        pos: Pos,
+        dst: u8,
+    ) -> Result<(), CapacityError> {
         match name {
             "is_empty" => {
-                let s = self.compile_str(&args[0]);
+                let s = self.compile_str(&args[0])?;
                 self.code.push(Op::IsEmpty { s, dst });
             }
             "contains" => {
-                let a = self.compile_str(&args[0]);
-                let b = self.compile_str(&args[1]);
+                let a = self.compile_str(&args[0])?;
+                let b = self.compile_str(&args[1])?;
                 self.code.push(Op::Contains { a, b, dst });
             }
             "starts_with" => {
-                let a = self.compile_str(&args[0]);
-                let b = self.compile_str(&args[1]);
+                let a = self.compile_str(&args[0])?;
+                let b = self.compile_str(&args[1])?;
                 self.code.push(Op::StartsWith { a, b, dst });
             }
             "differ_slightly" => {
-                let a = self.compile_str(&args[0]);
-                let b = self.compile_str(&args[1]);
+                let a = self.compile_str(&args[0])?;
+                let b = self.compile_str(&args[1])?;
                 if let Expr::Num(t, _) = args[2] {
                     // differ_slightly(a, b, t) ⇔ edit_sim(a, b) >= 1.0 - t,
                     // with 1.0 - t folded here using the exact f64
@@ -461,7 +617,7 @@ impl Compiler {
                     // similarity lands in a register keyed only by (a, b),
                     // so rules with *different* thresholds over the same
                     // field pair share one memoized Levenshtein.
-                    let r = self.alloc_num();
+                    let r = self.alloc_num(pos)?;
                     self.code.push(Op::NumKernel {
                         k: NumKernel::NormLev,
                         a,
@@ -470,7 +626,7 @@ impl Compiler {
                         memo: None,
                         dst: r,
                     });
-                    let cutoff = self.num_const(1.0 - t);
+                    let cutoff = self.num_const(1.0 - t, pos)?;
                     self.code.push(Op::NumCmp {
                         op: CmpOp::Ge,
                         a: NumSrc::Reg(r),
@@ -478,7 +634,7 @@ impl Compiler {
                         dst,
                     });
                 } else {
-                    let n = self.compile_num(&args[2]);
+                    let n = self.compile_num(&args[2])?;
                     self.code.push(Op::BoolKernel {
                         k: BoolKernel::DifferSlightly,
                         a,
@@ -491,15 +647,15 @@ impl Compiler {
             }
             _ => {
                 let k = match name {
-                    "soundex_eq" => kernel(BoolKernel::SoundexEq),
-                    "nysiis_eq" => kernel(BoolKernel::NysiisEq),
-                    "nickname_eq" => kernel(BoolKernel::NicknameEq),
-                    "initials_match" => kernel(BoolKernel::InitialsMatch),
-                    "digits_transposed" => kernel(BoolKernel::DigitsTransposed),
+                    "soundex_eq" => BoolKernel::SoundexEq,
+                    "nysiis_eq" => BoolKernel::NysiisEq,
+                    "nickname_eq" => BoolKernel::NicknameEq,
+                    "initials_match" => BoolKernel::InitialsMatch,
+                    "digits_transposed" => BoolKernel::DigitsTransposed,
                     other => unreachable!("unknown bool builtin {other:?}"),
                 };
-                let a = self.compile_str(&args[0]);
-                let b = self.compile_str(&args[1]);
+                let a = self.compile_str(&args[0])?;
+                let b = self.compile_str(&args[1])?;
                 self.code.push(Op::BoolKernel {
                     k,
                     a,
@@ -510,17 +666,18 @@ impl Compiler {
                 });
             }
         }
+        Ok(())
     }
 
-    fn compile_num(&mut self, e: &Expr) -> NumSrc {
+    fn compile_num(&mut self, e: &Expr) -> Result<NumSrc, CapacityError> {
         match e {
-            Expr::Num(v, _) => NumSrc::Const(self.num_const(*v)),
-            Expr::Call(name, args, _) => match name.as_str() {
+            Expr::Num(v, pos) => Ok(NumSrc::Const(self.num_const(*v, *pos)?)),
+            Expr::Call(name, args, pos) => match name.as_str() {
                 "len" => {
-                    let s = self.compile_str(&args[0]);
-                    let dst = self.alloc_num();
+                    let s = self.compile_str(&args[0])?;
+                    let dst = self.alloc_num(*pos)?;
                     self.code.push(Op::StrLen { s, dst });
-                    NumSrc::Reg(dst)
+                    Ok(NumSrc::Reg(dst))
                 }
                 _ => {
                     let k = match name.as_str() {
@@ -535,10 +692,13 @@ impl Compiler {
                         "lcs_sim" => NumKernel::Lcs,
                         other => unreachable!("unknown numeric builtin {other:?}"),
                     };
-                    let a = self.compile_str(&args[0]);
-                    let b = self.compile_str(&args[1]);
-                    let n = (k == NumKernel::Ngram).then(|| self.compile_num(&args[2]));
-                    let dst = self.alloc_num();
+                    let a = self.compile_str(&args[0])?;
+                    let b = self.compile_str(&args[1])?;
+                    let n = match k {
+                        NumKernel::Ngram => Some(self.compile_num(&args[2])?),
+                        _ => None,
+                    };
+                    let dst = self.alloc_num(*pos)?;
                     self.code.push(Op::NumKernel {
                         k,
                         a,
@@ -547,29 +707,29 @@ impl Compiler {
                         memo: None,
                         dst,
                     });
-                    NumSrc::Reg(dst)
+                    Ok(NumSrc::Reg(dst))
                 }
             },
             _ => unreachable!("non-numeric expression rejected by type checker"),
         }
     }
 
-    fn compile_str(&mut self, e: &Expr) -> StrSrc {
+    fn compile_str(&mut self, e: &Expr) -> Result<StrSrc, CapacityError> {
         match e {
-            Expr::FieldRef(RecordRef::R1, f, _) => StrSrc::R1(*f),
-            Expr::FieldRef(RecordRef::R2, f, _) => StrSrc::R2(*f),
-            Expr::Str(s, _) => StrSrc::Const(self.str_const(s)),
-            Expr::Call(name, args, _) => {
+            Expr::FieldRef(RecordRef::R1, f, _) => Ok(StrSrc::R1(*f)),
+            Expr::FieldRef(RecordRef::R2, f, _) => Ok(StrSrc::R2(*f)),
+            Expr::Str(s, pos) => Ok(StrSrc::Const(self.str_const(s, *pos)?)),
+            Expr::Call(name, args, pos) => {
                 let suffix = match name.as_str() {
                     "prefix" => false,
                     "suffix" => true,
                     other => unreachable!("unknown string builtin {other:?}"),
                 };
-                let s = self.compile_str(&args[0]);
-                let n = self.compile_num(&args[1]);
-                let dst = self.alloc_tmp();
+                let s = self.compile_str(&args[0])?;
+                let n = self.compile_num(&args[1])?;
+                let dst = self.alloc_tmp(*pos)?;
                 self.code.push(Op::StrSlice { suffix, s, n, dst });
-                StrSrc::Tmp(dst)
+                Ok(StrSrc::Tmp(dst))
             }
             _ => unreachable!("non-string expression rejected by type checker"),
         }
@@ -625,7 +785,10 @@ fn assign_memo(code: &mut [Op]) -> usize {
     let mut slots: HashMap<MemoKey, u16> = HashMap::new();
     for key in first_seen {
         if counts[&key] >= 2 {
-            let slot = u16::try_from(slots.len()).expect("more than 65535 memo slots");
+            // Past 65,536 slots a shared kernel is simply recomputed.
+            let Ok(slot) = u16::try_from(slots.len()) else {
+                break;
+            };
             slots.insert(key, slot);
         }
     }
@@ -642,16 +805,19 @@ fn assign_memo(code: &mut [Op]) -> usize {
 
 impl CompiledProgram {
     /// Human-readable listing of the whole program: header, constant pools,
-    /// then each block with its planned position, original rule index and
-    /// name, and numbered instructions. Stable for a fixed program + plan
+    /// the guard cascade in evaluation order (each atom with the blocks that
+    /// need it true / false), then each block with its planned position,
+    /// original rule index and name, the guards that gate it (`!g` = needed
+    /// false), and numbered instructions. Stable for a fixed program + plan
     /// (golden-tested).
     pub(crate) fn disassemble(&self, rule_names: &[String]) -> String {
         use std::fmt::Write;
         let mut out = String::new();
         let _ = writeln!(
             out,
-            "; {} rules, {} ops, {} bool regs, {} num regs, {} tmp slots, {} memo slots",
+            "; {} rules, {} guards, {} ops, {} bool regs, {} num regs, {} tmp slots, {} memo slots",
             self.blocks.len(),
+            self.atoms.len(),
             self.code.len(),
             self.bool_regs,
             self.num_regs,
@@ -664,13 +830,55 @@ impl CompiledProgram {
         for (i, s) in self.str_consts.iter().enumerate() {
             let _ = writeln!(out, "; str[{i}] = {s:?}");
         }
+        if !self.atoms.is_empty() {
+            let _ = writeln!(out, "\nguards:");
+        }
+        let blocks_of = |mask: u64| {
+            let set: Vec<String> = (0..GATED_BLOCKS)
+                .filter(|pos| mask >> pos & 1 == 1)
+                .map(|pos| pos.to_string())
+                .collect();
+            if set.is_empty() {
+                "-".to_string()
+            } else {
+                set.join(",")
+            }
+        };
+        for (i, atom) in self.atoms.iter().enumerate() {
+            let test = match atom.kind {
+                GuardKind::StrEq => "str_eq",
+                GuardKind::IsEmpty => "is_empty",
+                GuardKind::InitialsMatch => "initials_match",
+                GuardKind::DigitsTransposed => "digits_transposed",
+            };
+            let operands = match atom.kind {
+                GuardKind::IsEmpty => self.fmt_str(atom.a),
+                _ => format!("{}, {}", self.fmt_str(atom.a), self.fmt_str(atom.b)),
+            };
+            let _ = writeln!(
+                out,
+                "  g{i}  {test} {operands}  ; true for blocks {}; false for blocks {}",
+                blocks_of(atom.need_true),
+                blocks_of(atom.need_false),
+            );
+        }
         for (pos, block) in self.blocks.iter().enumerate() {
             let end = self
                 .blocks
                 .get(pos + 1)
                 .map_or(self.code.len(), |b| b.start);
             let name = rule_names.get(block.orig).map_or("?", |s| s.as_str());
-            let _ = writeln!(out, "\nblock {pos} (rule {} {name:?}):", block.orig);
+            let _ = write!(out, "\nblock {pos} (rule {} {name:?})", block.orig);
+            let bit = 1u64.checked_shl(pos as u32).unwrap_or(0);
+            for (i, atom) in self.atoms.iter().enumerate() {
+                if atom.need_true & bit != 0 {
+                    let _ = write!(out, " g{i}");
+                }
+                if atom.need_false & bit != 0 {
+                    let _ = write!(out, " !g{i}");
+                }
+            }
+            let _ = writeln!(out, ":");
             for pc in block.start..end {
                 let _ = writeln!(out, "  {pc:04}  {}", self.fmt_op(&self.code[pc]));
             }
@@ -787,7 +995,7 @@ mod tests {
         let program = parse(src).unwrap();
         crate::semantic::check(&program).unwrap();
         let plan = planned.then(|| Plan::of(&program));
-        (compile_program(&program, plan.as_ref()), program)
+        (compile_program(&program, plan.as_ref()).unwrap(), program)
     }
 
     #[test]
@@ -908,5 +1116,111 @@ mod tests {
         assert!(text.contains("; memo[0]"), "{text}");
         assert!(text.contains("block 0 (rule 0 \"a\")"), "{text}");
         assert!(text.contains("fire"), "{text}");
+    }
+
+    #[test]
+    fn guards_leave_their_blocks_for_one_shared_atom_table() {
+        let (p, _) = compile_src(
+            r#"
+            rule a { when r1.ssn == r2.ssn and not is_empty(r1.ssn)
+                      and edit_sim(r1.city, r2.city) >= 0.8 then match }
+            rule b { when r1.ssn != r2.ssn and r1.zip == "78701" then match }
+            rule c { when (r1.ssn == r2.ssn or is_empty(r1.zip))
+                      and prefix(r1.zip, 3) == prefix(r2.zip, 3) then match }
+            "#,
+            true,
+        );
+        // ssn== (both polarities, one atom), is_empty(ssn), zip=="78701".
+        assert_eq!(p.atoms.len(), 3);
+        assert_eq!(p.gated, 0b111);
+        let ssn_eq = p
+            .atoms
+            .iter()
+            .find(|t| t.kind == GuardKind::StrEq && t.b == StrSrc::R2(Field::Ssn))
+            .unwrap();
+        assert_eq!((ssn_eq.need_true, ssn_eq.need_false), (0b001, 0b010));
+        assert_eq!(p.atoms[0], *ssn_eq, "gates two blocks, so it leads");
+        let empty = p.atoms.iter().find(|t| t.kind == GuardKind::IsEmpty);
+        assert_eq!(empty.map(|t| (t.need_true, t.need_false)), Some((0, 0b001)));
+        // Rule b is all guards: its block is `fire; fail`. Rule c has none
+        // at top level (`or` group, temp operands): nothing hoisted.
+        let len =
+            |i: usize| p.blocks.get(i + 1).map_or(p.code.len(), |b| b.start) - p.blocks[i].start;
+        assert_eq!(len(1), 2);
+        assert!(p
+            .atoms
+            .iter()
+            .all(|t| (t.need_true | t.need_false) & 0b100 == 0));
+        assert_eq!(
+            p.code
+                .iter()
+                .filter(|op| matches!(op, Op::StrEq { .. }))
+                .count(),
+            2,
+            "only rule c's two string comparisons stay in bytecode"
+        );
+    }
+
+    #[test]
+    fn without_a_plan_the_cascade_is_empty() {
+        let (p, _) = compile_src(
+            "rule a { when r1.ssn == r2.ssn and not is_empty(r1.ssn) then match }",
+            false,
+        );
+        assert!(p.atoms.is_empty());
+        assert_eq!(p.gated, 0b1);
+        // StrEq, Jump, IsEmpty, Not, Jump, Fire, Fail: lowered as written.
+        assert_eq!(p.code.len(), 7);
+    }
+
+    #[test]
+    fn blocks_past_the_mask_width_keep_their_guards() {
+        let src: String = (0..GATED_BLOCKS + 3)
+            .map(|i| {
+                format!("rule g{i} {{ when r1.ssn == r2.ssn and r1.zip == \"{i}\" then match }}\n")
+            })
+            .collect();
+        let (p, _) = compile_src(&src, true);
+        assert_eq!(p.gated, u64::MAX);
+        assert_eq!(p.atoms.len(), 1 + GATED_BLOCKS);
+        assert_eq!(p.atoms[0].need_true, u64::MAX);
+        for (pos, blk) in p.blocks.iter().enumerate() {
+            let end = p.blocks.get(pos + 1).map_or(p.code.len(), |b| b.start);
+            let want = if pos < GATED_BLOCKS { 2 } else { 6 };
+            assert_eq!(end - blk.start, want, "block {pos}");
+        }
+    }
+
+    #[test]
+    fn register_banks_are_sized_by_nesting_not_rule_length() {
+        let long = (0..300)
+            .map(|_| "edit_sim(r1.city, r2.city) >= 0.5")
+            .collect::<Vec<_>>()
+            .join(" and ");
+        let (p, _) = compile_src(&format!("rule long {{ when {long} then match }}"), false);
+        assert_eq!((p.bool_regs, p.num_regs), (1, 1));
+        let (p, _) = compile_src(
+            "rule r { when (is_empty(r1.city) == (len(r1.zip) > len(r2.zip)))
+                       and edit_sim(prefix(r1.ssn, 3), suffix(r2.ssn, 3)) > 0.5 then match }",
+            false,
+        );
+        assert_eq!((p.bool_regs, p.num_regs, p.tmp_slots), (3, 2, 2));
+    }
+
+    #[test]
+    fn exhausted_capacity_is_a_positioned_error() {
+        let mut operand = "r1.ssn".to_string();
+        for _ in 0..257 {
+            operand = format!("prefix({operand}, 9)");
+        }
+        let src = format!("rule deep {{\n when is_empty({operand}) then match }}");
+        let program = parse(&src).unwrap();
+        crate::semantic::check(&program).unwrap();
+        let text = match compile_program(&program, None) {
+            Err(e) => e.to_string(),
+            Ok(p) => panic!("compiled with {} tmp slots", p.tmp_slots),
+        };
+        assert!(text.contains("256 temp-string registers"), "{text}");
+        assert!(text.contains(" at 2:"), "{text}");
     }
 }

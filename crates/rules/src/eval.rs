@@ -49,6 +49,10 @@ impl RuleProgram {
     pub fn compile_with(src: &str, nicknames: NicknameTable) -> Result<Self, CompileError> {
         let program = crate::parser::parse(src)?;
         check(&program)?;
+        // Every theory built from this program (`CompiledTheory::from_program`
+        // is infallible) lowers at most what the straight lowering does, so
+        // a program that is too large for the bytecode is rejected here.
+        crate::compile::compile_program(&program, None)?;
         let resolved = program
             .rules
             .iter()

@@ -11,10 +11,12 @@
 //!   evaluator — for experimentation ([`RuleProgram`]);
 //! * a compiler from the same checked AST to a planned, register-based
 //!   bytecode VM ([`CompiledTheory`]): field names resolve to slots at
-//!   compile time, predicates are reordered cheapest-and-most-selective
-//!   first ([`Plan`]), and shared kernel calls are memoized per record
-//!   pair — same decisions as the interpreter, most of the native theory's
-//!   speed (see `docs/RULE_COMPILER.md`);
+//!   compile time, the rules' cheap field tests become a guard cascade
+//!   that rejects most pairs before any bytecode runs, the remaining
+//!   predicates are reordered cheapest-and-most-selective first
+//!   ([`Plan`]), and shared kernel calls are memoized per record pair —
+//!   same decisions as the interpreter, most of the native theory's speed
+//!   (see `docs/RULE_COMPILER.md`);
 //! * a hand-coded native Rust implementation of the identical theory for
 //!   production throughput ([`native::NativeEmployeeTheory`]);
 //! * the [`EquationalTheory`] trait all three implement, which the
@@ -80,7 +82,6 @@
 //! ```
 
 pub mod ast;
-pub mod baseline;
 pub mod builtins;
 pub(crate) mod compile;
 pub mod display;
@@ -97,8 +98,8 @@ pub mod value;
 pub mod vm;
 
 pub use ast::{Expr, Program, PurgeSpec, Rule, Survivorship};
-pub use baseline::AllocatingEmployeeTheory;
 pub use builtins::CostClass;
+pub use compile::CapacityError;
 pub use display::{print_program, programs_equivalent};
 pub use employee::{employee_program, EMPLOYEE_RULES_SRC};
 pub use eval::RuleProgram;
@@ -165,6 +166,8 @@ pub enum CompileError {
     Parse(ParseError),
     /// The program parsed but is ill-typed.
     Type(TypeError),
+    /// The program is well-typed but too large for the bytecode format.
+    Capacity(CapacityError),
 }
 
 impl std::fmt::Display for CompileError {
@@ -172,6 +175,7 @@ impl std::fmt::Display for CompileError {
         match self {
             CompileError::Parse(e) => write!(f, "parse error: {e}"),
             CompileError::Type(e) => write!(f, "type error: {e}"),
+            CompileError::Capacity(e) => write!(f, "capacity error: {e}"),
         }
     }
 }
@@ -187,5 +191,11 @@ impl From<ParseError> for CompileError {
 impl From<TypeError> for CompileError {
     fn from(e: TypeError) -> Self {
         CompileError::Type(e)
+    }
+}
+
+impl From<CapacityError> for CompileError {
+    fn from(e: CapacityError) -> Self {
+        CompileError::Capacity(e)
     }
 }

@@ -1,7 +1,7 @@
 //! Predicate planning for compiled rule programs.
 //!
 //! The compiler (`crate::compile`) lowers rules exactly as written; this
-//! module decides *what order* to evaluate them in. A [`Plan`] carries three
+//! module decides *what order* to evaluate them in. A [`Plan`] carries four
 //! independent decisions the VM applies without changing any decision the
 //! theory makes:
 //!
@@ -22,6 +22,17 @@
 //!    r2.last_name)` shared by four rules, say) — are given per-pair memo
 //!    slots, so each distinct kernel/field-pair combination is computed at
 //!    most once per record pair.
+//! 4. **The guard cascade** — top-level conjuncts that are cheap,
+//!    scratch-free tests of raw fields (`guard_of`: string (in)equality,
+//!    `is_empty`, `initials_match`, `digits_transposed`, and `not` of
+//!    these) are hoisted out of their blocks into one program-wide atom
+//!    table. The VM evaluates each atom at most once per pair and lets it
+//!    veto every rule that needs the other answer, so a typical non-match
+//!    is decided without running any bytecode. A rule is a conjunction of
+//!    pure predicates: a vetoed block is a block that would have failed.
+//!    Conjunct ordering (decision 1) therefore only matters for the
+//!    *residual* conjuncts — the kernels, `or` groups and `prefix`/`suffix`
+//!    tests that stay in the block.
 //!
 //! Cost comes from each builtin's static [`CostClass`]; selectivity comes
 //! from static per-predicate priors, optionally replaced by measured rates
@@ -190,6 +201,70 @@ pub(crate) fn conjuncts(condition: &Expr) -> Vec<&Expr> {
     }
 }
 
+/// The test a guard atom performs on its raw operands.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum GuardKind {
+    /// `a == b` over strings (`!=` is the same atom, wanted false).
+    StrEq,
+    /// `is_empty(a)`.
+    IsEmpty,
+    /// `initials_match(a, b)` — a [`CostClass::Cheap`] kernel.
+    InitialsMatch,
+    /// `digits_transposed(a, b)` — a [`CostClass::Cheap`] kernel.
+    DigitsTransposed,
+}
+
+impl GuardKind {
+    /// The Cheap kernels scan their operands; the cascade tries them after
+    /// the tests that only compare or measure.
+    pub(crate) fn is_kernel(self) -> bool {
+        matches!(self, GuardKind::InitialsMatch | GuardKind::DigitsTransposed)
+    }
+}
+
+/// A top-level conjunct in guard form: the rule needs `kind(a[, b])` to
+/// come out as `want`.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Guard<'e> {
+    pub(crate) kind: GuardKind,
+    pub(crate) a: &'e Expr,
+    /// `None` for the one-operand `is_empty`.
+    pub(crate) b: Option<&'e Expr>,
+    pub(crate) want: bool,
+}
+
+/// Classifies a top-level conjunct as a guard atom, if it is one: a pure,
+/// scratch-free, at most Cheap-class predicate whose operands are raw
+/// fields or string literals. Anything under an `or`, any `prefix`/`suffix`
+/// operand (a temp string), and every Moderate/Expensive kernel is not.
+pub(crate) fn guard_of(e: &Expr) -> Option<Guard<'_>> {
+    let raw = |e: &Expr| matches!(e, Expr::FieldRef(..) | Expr::Str(..));
+    match e {
+        Expr::Not(inner, _) => guard_of(inner).map(|g| Guard { want: !g.want, ..g }),
+        Expr::Cmp(op @ (CmpOp::Eq | CmpOp::Ne), l, r, _) if raw(l) && raw(r) => Some(Guard {
+            kind: GuardKind::StrEq,
+            a: l,
+            b: Some(r),
+            want: *op == CmpOp::Eq,
+        }),
+        Expr::Call(name, args, _) if args.iter().all(raw) => {
+            let kind = match name.as_str() {
+                "is_empty" => GuardKind::IsEmpty,
+                "initials_match" => GuardKind::InitialsMatch,
+                "digits_transposed" => GuardKind::DigitsTransposed,
+                _ => return None,
+            };
+            Some(Guard {
+                kind,
+                a: &args[0],
+                b: args.get(1),
+                want: true,
+            })
+        }
+        _ => None,
+    }
+}
+
 /// Abstract evaluation cost of an expression, in [`CostClass::weight`]
 /// units. Comparisons cost a little; field references and literals are
 /// free; calls cost their builtin's class.
@@ -209,7 +284,7 @@ fn expr_cost(e: &Expr) -> f64 {
 /// Prior probability that a predicate holds on a random near-neighbor pair.
 /// These only matter relative to each other; calibration replaces them with
 /// measured rates.
-fn p_true(e: &Expr) -> f64 {
+pub(crate) fn p_true(e: &Expr) -> f64 {
     match e {
         Expr::Bool(b, _) => {
             if *b {
@@ -277,8 +352,10 @@ mod tests {
 
     #[test]
     fn cheap_equality_ordered_before_expensive_kernels() {
-        // The paper's worked example: `last_name ==` (free) must evaluate
-        // before `differ_slightly` / `edit_sim` (expensive DP kernels).
+        // The paper's worked example. Its equalities and its `not is_empty`
+        // are guards — decided by the cascade before the block runs — and
+        // the conjunct order ranks what stays in the block, the two DP
+        // kernels, by `cost / (1 − p)`.
         let rules = employee_program();
         let plan = Plan::of(rules.ast());
         let idx = rules
@@ -287,12 +364,63 @@ mod tests {
             .iter()
             .position(|r| r.name == "same_last_close_first_same_address")
             .unwrap();
-        let order = plan.conjunct_order(idx);
-        // Source conjunct 0 is `r1.last_name == r2.last_name`; source
-        // conjunct 2 is the differ_slightly kernel.
-        let pos = |c: usize| order.iter().position(|&o| o == c).unwrap();
-        assert!(pos(0) < pos(2), "order = {order:?}");
-        assert!(pos(3) < pos(2), "street_number == before kernel: {order:?}");
+        let parts = conjuncts(&rules.ast().rules[idx].condition);
+        let guards: Vec<usize> = (0..parts.len())
+            .filter(|&c| guard_of(parts[c]).is_some())
+            .collect();
+        // Source conjuncts: last_name ==, not is_empty(last_name),
+        // differ_slightly(first_name), street_number ==, edit_sim(street).
+        assert_eq!(guards, vec![0, 1, 3]);
+        assert!(
+            !guard_of(parts[1]).unwrap().want,
+            "`not is_empty` wants false"
+        );
+        let residual: Vec<usize> = plan
+            .conjunct_order(idx)
+            .iter()
+            .copied()
+            .filter(|c| !guards.contains(c))
+            .collect();
+        let rank = |c: usize| expr_cost(parts[c]) / (1.0 - p_true(parts[c]));
+        // differ_slightly costs 64, edit_sim(..) >= t costs 64 + 2.
+        assert_eq!(residual, vec![2, 4]);
+        assert!(rank(2) < rank(4));
+    }
+
+    #[test]
+    fn guards_are_cheap_tests_of_raw_operands_only() {
+        let cond = |src: &str| {
+            let program = crate::parser::parse(&format!("rule r {{ when {src} then match }}"));
+            program.unwrap().rules.remove(0).condition
+        };
+        let kind = |src: &str| guard_of(&cond(src)).map(|g| (g.kind, g.want));
+        assert_eq!(
+            kind("r1.first_name == r2.middle_initial"),
+            Some((GuardKind::StrEq, true))
+        );
+        assert_eq!(
+            kind("r1.city != \"AUSTIN\""),
+            Some((GuardKind::StrEq, false))
+        );
+        assert_eq!(
+            kind("not not is_empty(r2.zip)"),
+            Some((GuardKind::IsEmpty, true))
+        );
+        assert_eq!(
+            kind("not digits_transposed(r1.ssn, r2.ssn)"),
+            Some((GuardKind::DigitsTransposed, false))
+        );
+        assert_eq!(
+            kind("initials_match(r1.first_name, r2.first_name)"),
+            Some((GuardKind::InitialsMatch, true))
+        );
+        // Temp-string operands, costlier kernels, and anything under `or`.
+        assert_eq!(kind("prefix(r1.ssn, 3) == prefix(r2.ssn, 3)"), None);
+        assert_eq!(kind("is_empty(suffix(r1.ssn, 3))"), None);
+        assert_eq!(kind("soundex_eq(r1.city, r2.city)"), None);
+        assert_eq!(kind("len(r1.city) == len(r2.city)"), None);
+        assert_eq!(kind("is_empty(r1.city) == is_empty(r2.city)"), None);
+        assert_eq!(kind("r1.city == r2.city or is_empty(r1.city)"), None);
     }
 
     #[test]

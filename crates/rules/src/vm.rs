@@ -1,6 +1,13 @@
 //! The rule bytecode VM and [`CompiledTheory`], the planned, compiled
 //! counterpart of [`crate::RuleProgram`].
 //!
+//! Every pair first meets the **guard cascade** (`CompiledTheory::survivors`):
+//! the program's cheap raw-field tests, hoisted out of the rules and
+//! evaluated at most once each, veto every block that needs the other
+//! answer. Most window pairs lose all their blocks there and are decided
+//! without touching the scratch state or the interpreter loop; only the
+//! surviving blocks run.
+//!
 //! Execution is allocation-free on the hot path: each thread keeps one
 //! `VmScratch` (register banks, temp strings, kernel scratch buffers, and
 //! the per-pair memo) in a thread-local, re-sized only when a different
@@ -19,9 +26,11 @@
 
 use crate::ast::{CmpOp, Program, PurgeSpec};
 use crate::builtins::{shared, Ctx};
-use crate::compile::{compile_program, BoolKernel, CompiledProgram, NumKernel, NumSrc, Op, StrSrc};
+use crate::compile::{
+    compile_program, Atom, BoolKernel, CompiledProgram, NumKernel, NumSrc, Op, StrSrc, GATED_BLOCKS,
+};
 use crate::eval::RuleProgram;
-use crate::plan::Plan;
+use crate::plan::{GuardKind, Plan};
 use crate::{CompileError, EquationalTheory};
 use mp_record::{NicknameTable, Record};
 use mp_strsim::{self as ss, ScratchBuffers};
@@ -49,8 +58,9 @@ thread_local! {
 /// A rule program lowered to planned bytecode, usable anywhere an
 /// [`EquationalTheory`] is (the engine, the daemon, the CLI).
 ///
-/// Same decisions as [`RuleProgram`], typically an order of magnitude
-/// faster; `BENCH_rules.json` quantifies it.
+/// Same decisions as [`RuleProgram`] at about 1.3× the hand-written
+/// native theory's wall time on the standard three-pass run (the
+/// interpreter takes about 36×); `BENCH_rules.json` has the measurement.
 ///
 /// ```
 /// use mp_rules::{CompiledTheory, EquationalTheory};
@@ -91,9 +101,11 @@ impl CompiledTheory {
         Ok(Self::from_program(&rules, Some(&plan)))
     }
 
-    /// Compiles without a plan: blocks and conjuncts keep source order and
-    /// nothing is memoized. The `--no-plan` escape hatch, and the
-    /// "compiled" (versus "compiled+planned") benchmark leg.
+    /// Compiles without a plan: blocks and conjuncts keep source order,
+    /// nothing is memoized, and the guard cascade is empty (every block
+    /// runs as written). The `--no-plan` escape hatch, the straight-lowering
+    /// reference the planned VM is tested against, and the "compiled"
+    /// (versus "compiled+planned") benchmark leg.
     pub fn compile_unplanned(src: &str) -> Result<Self, CompileError> {
         let rules = RuleProgram::compile(src)?;
         Ok(Self::from_program(&rules, None))
@@ -104,7 +116,8 @@ impl CompiledTheory {
     /// ([`Plan::calibrated`](crate::Plan::calibrated)).
     pub fn from_program(rules: &RuleProgram, plan: Option<&Plan>) -> Self {
         let program = rules.ast().clone();
-        let prog = compile_program(&program, plan);
+        let prog = compile_program(&program, plan)
+            .expect("RuleProgram::compile checked the program fits the bytecode format");
         let rule_names = program.rules.iter().map(|r| r.name.clone()).collect();
         CompiledTheory {
             prog,
@@ -196,24 +209,54 @@ impl CompiledTheory {
     }
 }
 
-impl EquationalTheory for CompiledTheory {
-    fn matches(&self, a: &Record, b: &Record) -> bool {
-        self.with_pair_scratch(|s, epoch, hits| {
-            self.prog
-                .blocks
-                .iter()
-                .any(|blk| exec_block(&self.prog, blk.start, a, b, &self.ctx, s, epoch, hits))
-        })
+impl CompiledTheory {
+    /// Step 0 of every evaluation, the guard cascade: starts with every
+    /// gated block live, walks the atoms in their fixed order — skipping
+    /// one no live block depends on — and clears the blocks each result
+    /// vetoes. Returns the surviving blocks (bit = planned position); zero
+    /// the moment nothing is live. Touches nothing but the two records.
+    #[inline]
+    fn survivors(&self, a: &Record, b: &Record) -> u64 {
+        let mut live = self.prog.gated;
+        for atom in &self.prog.atoms {
+            if live & (atom.need_true | atom.need_false) == 0 {
+                continue;
+            }
+            live &= !if atom_holds(atom, &self.prog, a, b) {
+                atom.need_false
+            } else {
+                atom.need_true
+            };
+            if live == 0 {
+                break;
+            }
+        }
+        live
     }
 
-    fn name(&self) -> &str {
-        &self.name
-    }
-
-    fn matching_rule_id(&self, a: &Record, b: &Record) -> Option<usize> {
+    /// The one evaluation path: cascade, then the surviving blocks in
+    /// planned order. With `exact`, returns the source-order first firing
+    /// rule; without, any firing rule.
+    #[inline]
+    fn decide(&self, a: &Record, b: &Record, exact: bool) -> Option<usize> {
+        let mut live = self.survivors(a, b);
+        let (gated, ungated) = self
+            .prog
+            .blocks
+            .split_at(self.prog.blocks.len().min(GATED_BLOCKS));
+        if live == 0 && ungated.is_empty() {
+            return None;
+        }
+        let surviving = std::iter::from_fn(|| {
+            (live != 0).then(|| {
+                let pos = live.trailing_zeros();
+                live &= live - 1;
+                &gated[pos as usize]
+            })
+        });
         self.with_pair_scratch(|s, epoch, hits| {
             let mut best: Option<usize> = None;
-            for blk in &self.prog.blocks {
+            for blk in surviving.chain(ungated) {
                 // Rules are pure: the source-order first match is the
                 // minimum original index among firing rules, so a block
                 // that cannot improve on the current best is skipped.
@@ -222,14 +265,45 @@ impl EquationalTheory for CompiledTheory {
                 }
                 if exec_block(&self.prog, blk.start, a, b, &self.ctx, s, epoch, hits) {
                     best = Some(blk.orig);
+                    if !exact {
+                        break;
+                    }
                 }
             }
             best
         })
     }
+}
+
+impl EquationalTheory for CompiledTheory {
+    fn matches(&self, a: &Record, b: &Record) -> bool {
+        self.decide(a, b, false).is_some()
+    }
+
+    fn name(&self) -> &str {
+        &self.name
+    }
+
+    fn matching_rule_id(&self, a: &Record, b: &Record) -> Option<usize> {
+        self.decide(a, b, true)
+    }
 
     fn rule_names(&self) -> Vec<String> {
         self.rule_names.clone()
+    }
+}
+
+/// Evaluates one guard atom. Its operands are raw fields or constants, so
+/// no temp strings (and no scratch of any kind) are involved.
+#[inline]
+fn atom_holds(atom: &Atom, prog: &CompiledProgram, r1: &Record, r2: &Record) -> bool {
+    let a = str_of(atom.a, r1, r2, &prog.str_consts, &[]);
+    let b = || str_of(atom.b, r1, r2, &prog.str_consts, &[]);
+    match atom.kind {
+        GuardKind::StrEq => a == b(),
+        GuardKind::IsEmpty => a.is_empty(),
+        GuardKind::InitialsMatch => shared::initials_match(a, b()),
+        GuardKind::DigitsTransposed => shared::digits_transposed(a, b()),
     }
 }
 
@@ -503,6 +577,11 @@ mod tests {
             planned.matching_rule_id(a, b),
             "attribution: {src}"
         );
+        assert_eq!(
+            interp.matching_rule_id(a, b),
+            unplanned.matching_rule_id(a, b),
+            "unplanned attribution: {src}"
+        );
     }
 
     #[test]
@@ -624,6 +703,72 @@ mod tests {
     }
 
     #[test]
+    fn a_pair_the_cascade_vetoes_never_reaches_the_scratch_state() {
+        // Both rules are gated by `first_name ==`; rule b would hit the
+        // memo if its block ran.
+        let src = r#"
+            rule a { when r1.first_name == r2.first_name
+                      and edit_sim(r1.last_name, r2.last_name) >= 0.95 then match }
+            rule b { when r1.first_name == r2.first_name
+                      and edit_sim(r1.last_name, r2.last_name) >= 0.1 then match }
+        "#;
+        let t = CompiledTheory::compile(src).unwrap();
+        let epoch = || SCRATCH.with(|s| (s.borrow().program_id, s.borrow().epoch));
+        let a = rec("JO", "SMITH", "1");
+        let vetoed = rec("AL", "SMITHE", "2");
+        let before = epoch();
+        assert_ne!(
+            before.0, t.prog.id,
+            "this thread has not run the program yet"
+        );
+        assert_eq!(t.matching_rule_id(&a, &vetoed), None);
+        assert!(!t.matches(&a, &vetoed));
+        assert_eq!(epoch(), before, "scratch untouched: not even re-keyed");
+        assert_eq!(t.subexpr_hits(), 0);
+
+        // A surviving pair runs both blocks: one epoch, one memo hit.
+        let survivor = rec("JO", "SMITHE", "2");
+        assert_eq!(t.matching_rule_id(&a, &survivor), Some(1));
+        assert_eq!(epoch(), (t.prog.id, 1));
+        assert_eq!(t.subexpr_hits(), 1);
+        assert_eq!(t.matching_rule_id(&a, &vetoed), None);
+        assert_eq!(epoch(), (t.prog.id, 1));
+        assert_eq!(t.subexpr_hits(), 1);
+
+        // The unplanned lowering has no cascade: every pair takes an epoch.
+        let u = CompiledTheory::compile_unplanned(src).unwrap();
+        assert_eq!(u.matching_rule_id(&a, &vetoed), None);
+        assert_eq!(epoch(), (u.prog.id, 1));
+    }
+
+    #[test]
+    fn rules_past_the_mask_width_still_decide_and_attribute() {
+        // 70 rules; only rule 67 (ungated) or rule 3 (gated) can fire.
+        let src: String = (0..70)
+            .map(|i| {
+                format!("rule g{i} {{ when r1.ssn == \"{i}\" and r1.last_name == r2.last_name then match }}\n")
+            })
+            .collect();
+        let a = rec("X", "SMITH", "67");
+        let b = rec("Y", "SMITH", "0");
+        let t = CompiledTheory::compile(&src).unwrap();
+        assert_eq!(t.matching_rule_id(&a, &b), Some(67));
+        assert!(t.matches(&a, &b));
+        agree(&src, &a, &b);
+        agree(&src, &rec("X", "SMITH", "3"), &b);
+        agree(&src, &rec("X", "JONES", "67"), &b);
+        agree(&src, &rec("X", "SMITH", "70"), &b);
+        // Reversed plan: source rules 69..6 are gated, 5..0 are not.
+        let rules = RuleProgram::compile(&src).unwrap();
+        let mut plan = Plan::of(rules.ast());
+        plan.rule_order.reverse();
+        let r = CompiledTheory::from_program(&rules, Some(&plan));
+        assert_eq!(r.matching_rule_id(&a, &b), Some(67));
+        assert_eq!(r.matching_rule_id(&rec("X", "SMITH", "3"), &b), Some(3));
+        assert_eq!(r.matching_rule_id(&rec("X", "JONES", "3"), &b), None);
+    }
+
+    #[test]
     fn unplanned_theory_reports_zero_hits() {
         let src = r#"
             rule a { when edit_sim(r1.last_name, r2.last_name) >= 0.95 then match }
@@ -646,6 +791,6 @@ mod tests {
         assert!(t.is_planned());
         assert_eq!(t.rule_names(), vec!["r".to_string()]);
         assert!(t.purge_spec().is_none());
-        assert!(t.disassemble().contains("str_eq r1.ssn, r2.ssn"));
+        assert!(t.disassemble().contains("g0  str_eq r1.ssn, r2.ssn"));
     }
 }

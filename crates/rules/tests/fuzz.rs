@@ -1,8 +1,10 @@
 //! Robustness properties of the rule-language front end: the lexer,
 //! parser, and type checker must reject garbage with an error — never
-//! panic — and accepted programs must evaluate without panicking.
+//! panic — and accepted programs must evaluate without panicking. The
+//! back end likewise: a rule of any length or nesting lowers to bytecode or
+//! is refused with a positioned capacity error.
 
-use mp_rules::{EquationalTheory, RuleProgram};
+use mp_rules::{CompileError, CompiledTheory, EquationalTheory, RuleProgram};
 use proptest::prelude::*;
 
 proptest! {
@@ -73,5 +75,44 @@ proptest! {
         *r2.field_mut(field.parse().unwrap()) = b;
         // Must not panic, and must be symmetric for symmetric predicates.
         prop_assert_eq!(program.matches(&r1, &r2), program.matches(&r2, &r1));
+    }
+
+    /// Rules of any length and operand nesting either lower to bytecode
+    /// (both lowerings, same verdict as the interpreter) or are refused with
+    /// a capacity error — register banks are sized by nesting, so length
+    /// alone never exhausts them.
+    #[test]
+    fn long_and_deep_rules_compile_or_fail_cleanly(
+        conjuncts in 1usize..400,
+        depth in 0usize..300,
+        kernel in prop_oneof![Just("r1.ssn == r2.ssn"), Just("edit_sim(r1.city, r2.city) >= 0.5")],
+    ) {
+        let mut operand = "r1.ssn".to_string();
+        for _ in 0..depth {
+            operand = format!("prefix({operand}, 9)");
+        }
+        let mut parts = vec![kernel; conjuncts];
+        let deep = format!("not is_empty({operand})");
+        parts.push(&deep);
+        let src = format!("rule long {{ when {} then match }}", parts.join(" and "));
+        match RuleProgram::compile(&src) {
+            Ok(interp) => {
+                prop_assert!(depth <= 256);
+                let mut a = mp_record::Record::empty(mp_record::RecordId(0));
+                a.ssn = "123456789".into();
+                a.city = "AUSTIN".into();
+                let b = a.clone();
+                let planned = CompiledTheory::compile(&src).expect("the interpreter accepted it");
+                let unplanned = CompiledTheory::compile_unplanned(&src).expect("likewise");
+                prop_assert!(interp.matches(&a, &b));
+                prop_assert!(planned.matches(&a, &b));
+                prop_assert!(unplanned.matches(&a, &b));
+            }
+            Err(CompileError::Capacity(e)) => {
+                prop_assert!(depth > 256, "refused at depth {}: {}", depth, e);
+                prop_assert!(CompiledTheory::compile(&src).is_err());
+            }
+            Err(other) => prop_assert!(false, "unexpected error: {}", other),
+        }
     }
 }
