@@ -26,8 +26,9 @@
 //! crash recovery trivial to reason about — [`DurableIncremental`] pairs
 //! the engine with an [`mp_store::MatchStore`] so that every batch is
 //! journaled (fsync'd) *before* it is applied, and a checkpoint
-//! ([`DurableIncremental::checkpoint`]) converts the engine state into a
-//! [`mp_store::Snapshot`] written atomically. On restart the snapshot is
+//! ([`DurableIncremental::checkpoint`]) streams the engine state — borrowed
+//! through [`IncrementalMergePurge::view`], never copied — into a snapshot
+//! file replaced atomically. On restart the snapshot is
 //! restored and the journal's unabsorbed batches are replayed through the
 //! exact same [`IncrementalMergePurge::add_batch`] code path, so a
 //! kill/restart sequence reaches byte-identical pairs, comparisons, and
@@ -40,21 +41,23 @@ use mp_closure::{ClusterSizes, MergeEdge, PairSet, ProvenanceLog, UnionFind};
 use mp_metrics::{span, span_labeled, Counter, NoopObserver, PipelineObserver};
 use mp_record::{Record, RecordId};
 use mp_rules::EquationalTheory;
-use mp_store::{MatchStore, PassSnapshot, Snapshot, StoreError};
+use mp_store::{borrowed, MatchStore, Snapshot, SnapshotView, StoreError};
+use std::borrow::Cow;
 use std::path::Path;
 
-/// State of one pass: the key list, the sorted order over all records
-/// seen so far, and cumulative match attribution.
+/// One pass's persisted state. Re-exported so crates that build engine
+/// state without the engine (the bulk loader in `mp-extsort`) produce the
+/// store's own type and need no dependency on `mp-store`.
+pub use mp_store::PassSnapshot;
+
+/// State of one pass: the key function, plus everything a snapshot
+/// persists for the pass (key list, sorted order over all records seen so
+/// far, cumulative match attribution) held as the store's own
+/// [`PassSnapshot`], so a checkpoint borrows it as it stands.
 #[derive(Debug)]
 struct PassState {
     key: KeySpec,
-    window: usize,
-    keys: Vec<String>,
-    order: Vec<u32>,
-    /// Matching comparisons this pass produced (counts re-finds).
-    pairs_found: u64,
-    /// Matching comparisons that were *new* to the global pair set.
-    pairs_first_found: u64,
+    snap: PassSnapshot,
 }
 
 /// Per-pass attribution counters, in pass order.
@@ -161,12 +164,15 @@ impl IncrementalMergePurge {
             "passes must be configured before the first batch"
         );
         self.passes.push(PassState {
+            snap: PassSnapshot {
+                key_name: key.name().to_string(),
+                window: window as u32,
+                pairs_found: 0,
+                pairs_first_found: 0,
+                keys: Vec::new(),
+                order: Vec::new(),
+            },
             key,
-            window,
-            keys: Vec::new(),
-            order: Vec::new(),
-            pairs_found: 0,
-            pairs_first_found: 0,
         });
         self
     }
@@ -196,10 +202,10 @@ impl IncrementalMergePurge {
         self.passes
             .iter()
             .map(|p| PassCounters {
-                key_name: p.key.name().to_string(),
-                window: p.window,
-                pairs_found: p.pairs_found,
-                pairs_first_found: p.pairs_first_found,
+                key_name: p.snap.key_name.clone(),
+                window: p.snap.window as usize,
+                pairs_found: p.snap.pairs_found,
+                pairs_first_found: p.snap.pairs_first_found,
             })
             .collect()
     }
@@ -329,7 +335,7 @@ impl IncrementalMergePurge {
 
         for p in 0..self.passes.len() {
             let merged = self.merge_pass(p, old_len);
-            let window = WindowScan::new(self.passes[p].window, theory, observer);
+            let window = WindowScan::new(self.passes[p].snap.window as usize, theory, observer);
             let (records, attribute) = (&self.records, self.record_provenance);
             let scan = |from: usize, to: usize| {
                 let mut sink = FoundList::new(old_len, attribute);
@@ -370,7 +376,7 @@ impl IncrementalMergePurge {
                 observer.add(Counter::Matches, found.len() as u64);
                 self.fold_scan(p, counts.comparisons, found);
             }
-            self.passes[p].order = merged;
+            self.passes[p].snap.order = merged;
         }
     }
 
@@ -378,13 +384,13 @@ impl IncrementalMergePurge {
     /// batch into pass `p`'s existing order. Returns the merged order
     /// without installing it (the caller installs after scanning).
     fn merge_pass(&mut self, p: usize, old_len: u32) -> Vec<u32> {
-        let pass = &mut self.passes[p];
+        let PassState { key, snap: pass } = &mut self.passes[p];
         let records = &self.records;
 
         // Extract keys for the new records and sort the batch.
         let mut buf = String::new();
         for r in &records[old_len as usize..] {
-            pass.key.extract_into(r, &mut buf);
+            key.extract_into(r, &mut buf);
             pass.keys.push(buf.clone());
         }
         let mut batch_order: Vec<u32> = (old_len..records.len() as u32).collect();
@@ -406,7 +412,7 @@ impl IncrementalMergePurge {
     /// every match in discovery order so replay regenerates them exactly.
     fn fold_scan(&mut self, p: usize, comparisons: u64, found: &[Found]) {
         self.comparisons += comparisons;
-        let pass = &mut self.passes[p];
+        let pass = &mut self.passes[p].snap;
         for &(prev, new_id, rule_id) in found {
             pass.pairs_found += 1;
             if self.record_provenance {
@@ -446,28 +452,38 @@ impl IncrementalMergePurge {
         self.closure.clone().classes()
     }
 
-    /// Converts the full engine state into a storable [`Snapshot`].
-    pub fn to_snapshot(&self) -> Snapshot {
-        Snapshot {
-            records: self.records.clone(),
-            passes: self
-                .passes
-                .iter()
-                .map(|p| PassSnapshot {
-                    key_name: p.key.name().to_string(),
-                    window: p.window as u32,
-                    pairs_found: p.pairs_found,
-                    pairs_first_found: p.pairs_first_found,
-                    keys: p.keys.clone(),
-                    order: p.order.clone(),
-                })
-                .collect(),
-            pairs: self.pairs.sorted(),
-            closure: self.closure.clone(),
-            provenance: self.provenance.clone(),
+    /// Number of duplicate groups (closure classes with at least two
+    /// members) and of duplicate records (members beyond each group's
+    /// first), read off the incrementally maintained [`ClusterSizes`] —
+    /// what `classes()` would count, without building a class.
+    pub fn duplicate_counts(&self) -> (u64, u64) {
+        let groups = self.cluster_sizes.cluster_count();
+        let singletons = self.cluster_sizes.histogram()[0];
+        (groups, self.records.len() as u64 - singletons - groups)
+    }
+
+    /// Borrows the full engine state as the view the store's snapshot
+    /// encoder takes. Nothing is copied except the pair set, which is
+    /// sorted into a fresh list (the engine keeps it hashed); hand the
+    /// encoder the records with [`mp_store::borrowed`].
+    pub fn view(&self) -> SnapshotView<'_> {
+        SnapshotView {
+            n_records: self.records.len() as u64,
+            passes: self.passes.iter().map(|p| &p.snap).collect(),
+            pairs: Cow::Owned(self.pairs.sorted()),
+            closure: &self.closure,
+            provenance: &self.provenance,
             comparisons: self.comparisons,
             batches_applied: self.batches_applied,
         }
+    }
+
+    /// Copies the full engine state into an owned [`Snapshot`]
+    /// ([`IncrementalMergePurge::view`], made owned). No durable path
+    /// needs the copy — checkpoints encode straight from the view — so
+    /// this is for tests and measurement.
+    pub fn to_snapshot(&self) -> Snapshot {
+        self.view().into_snapshot(self.records.clone())
     }
 
     /// Restores engine state from a snapshot into a configured-but-empty
@@ -493,23 +509,19 @@ impl IncrementalMergePurge {
             ));
         }
         for (i, (p, s)) in self.passes.iter_mut().zip(snap.passes).enumerate() {
-            if p.key.name() != s.key_name {
+            if p.snap.key_name != s.key_name {
                 return Err(format!(
                     "pass {i}: configured key {:?} but snapshot has {:?}",
-                    p.key.name(),
-                    s.key_name
+                    p.snap.key_name, s.key_name
                 ));
             }
-            if p.window as u32 != s.window {
+            if p.snap.window != s.window {
                 return Err(format!(
                     "pass {i}: configured window {} but snapshot has {}",
-                    p.window, s.window
+                    p.snap.window, s.window
                 ));
             }
-            p.keys = s.keys;
-            p.order = s.order;
-            p.pairs_found = s.pairs_found;
-            p.pairs_first_found = s.pairs_first_found;
+            p.snap = s;
         }
         self.records = snap.records;
         let mut pairs = PairSet::with_capacity(snap.pairs.len());
@@ -734,9 +746,10 @@ impl DurableIncremental {
         Ok(seq)
     }
 
-    /// Writes an atomic snapshot of the current engine state and resets
-    /// the journal. Returns the snapshot size in bytes (also added to
-    /// `Counter::SnapshotBytes`); runs under a `snapshot` span.
+    /// Writes an atomic snapshot of the current engine state — encoded
+    /// straight from the borrowed engine, no intermediate copy — and
+    /// resets the journal. Returns the snapshot size in bytes (also added
+    /// to `Counter::SnapshotBytes`); runs under a `snapshot` span.
     ///
     /// # Errors
     ///
@@ -744,7 +757,9 @@ impl DurableIncremental {
     /// previous snapshot + journal.
     pub fn checkpoint(&mut self, observer: &dyn PipelineObserver) -> Result<u64, StoreError> {
         let _snap = span(observer, "snapshot");
-        let bytes = self.store.write_snapshot(&self.engine.to_snapshot())?;
+        let bytes = self
+            .store
+            .commit_snapshot(&self.engine.view(), borrowed(self.engine.records()))?;
         observer.add(Counter::SnapshotBytes, bytes);
         self.batches_since_checkpoint = 0;
         Ok(bytes)
@@ -921,6 +936,35 @@ mod tests {
             last = classes.len();
         }
         assert!(last > 0);
+    }
+
+    proptest::proptest! {
+        /// `stats` reports duplicates from [`ClusterSizes`]; the numbers
+        /// must be the ones `classes()` would count, after every batch and
+        /// after a restore (which rebuilds the sizes from the closure).
+        #[test]
+        fn duplicate_counts_match_classes_after_batches_and_restore(
+            seed in 0u64..500,
+            originals in 1usize..120,
+            parts in 1usize..5,
+        ) {
+            let theory = NativeEmployeeTheory::new();
+            let counted = |e: &IncrementalMergePurge| {
+                let classes = e.classes();
+                let extra: usize = classes.iter().map(|c| c.len() - 1).sum();
+                (classes.len() as u64, extra as u64)
+            };
+            let mut inc = two_pass(IncrementalMergePurge::new());
+            proptest::prop_assert_eq!(inc.duplicate_counts(), (0, 0));
+            for batch in batches(seed, originals, parts) {
+                inc.add_batch(batch, &theory);
+                proptest::prop_assert_eq!(inc.duplicate_counts(), counted(&inc));
+            }
+            let restored = two_pass(IncrementalMergePurge::new())
+                .restore(inc.to_snapshot())
+                .unwrap();
+            proptest::prop_assert_eq!(restored.duplicate_counts(), counted(&inc));
+        }
     }
 
     #[test]

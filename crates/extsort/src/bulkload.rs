@@ -39,6 +39,7 @@
 use crate::runfile::RunReader;
 use crate::sorter::ExternalSorter;
 use crate::{ExternalConfig, IoStats};
+use merge_purge::incremental::PassSnapshot;
 use merge_purge::window::{Candidate, ScanSink, WindowScan};
 use merge_purge::KeySpec;
 use mp_closure::{PairSet, UnionFind};
@@ -47,25 +48,6 @@ use mp_rules::EquationalTheory;
 use std::io;
 use std::path::Path;
 use std::time::Instant;
-
-/// One pass's reconstructed state, field-for-field what the durable
-/// snapshot stores per pass (`keys` indexed by record id, `order` the
-/// sorted permutation).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct BulkPass {
-    /// The pass key's name (`KeySpec::name`).
-    pub key_name: String,
-    /// Window size.
-    pub window: u32,
-    /// Matching comparisons this pass produced (counts re-finds).
-    pub pairs_found: u64,
-    /// Matching comparisons that were new to the global pair set.
-    pub pairs_first_found: u64,
-    /// Extracted key per record, indexed by record id.
-    pub keys: Vec<String>,
-    /// Record ids in (key, id) order.
-    pub order: Vec<u32>,
-}
 
 /// Aggregate accounting for one bulk load.
 #[derive(Debug, Clone, Copy, Default)]
@@ -90,8 +72,10 @@ pub struct BulkLoadStats {
 pub struct BulkOutcome {
     /// Number of records loaded (ids are `0..records`).
     pub records: usize,
-    /// Per-pass state in configuration order.
-    pub passes: Vec<BulkPass>,
+    /// Per-pass state in configuration order — the durable snapshot's own
+    /// per-pass type (`keys` indexed by record id, `order` the sorted
+    /// permutation), so committing it converts nothing.
+    pub passes: Vec<PassSnapshot>,
     /// Global deduplicated pair set.
     pub pairs: PairSet,
     /// Transitive closure over the pairs.
@@ -227,7 +211,7 @@ impl BulkLoader {
                 ));
             }
 
-            let mut pass = BulkPass {
+            let mut pass = PassSnapshot {
                 key_name: key.name().to_string(),
                 window: *window as u32,
                 pairs_found: 0,

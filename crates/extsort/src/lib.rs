@@ -111,7 +111,7 @@ pub mod runfile;
 pub mod snm;
 pub mod sorter;
 
-pub use bulkload::{BulkLoadStats, BulkLoader, BulkOutcome, BulkPass};
+pub use bulkload::{BulkLoadStats, BulkLoader, BulkOutcome};
 pub use clustering::ExternalClustering;
 pub use snm::ExternalSnm;
 pub use sorter::ExternalSorter;

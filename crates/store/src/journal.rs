@@ -34,7 +34,7 @@
 //! and the journal is immediately appendable again.
 
 use crate::codec::{self, Reader};
-use crate::{fsync_dir, StoreError};
+use crate::{replace_file, StoreError};
 use mp_record::Record;
 use std::fs::{File, OpenOptions};
 use std::io::{Read, Write};
@@ -258,21 +258,15 @@ impl Journal {
     }
 
     /// Atomically replaces the journal with a fresh, empty one whose next
-    /// sequence number is `next_seq` (write-temp + fsync + rename + dir
-    /// fsync). Called after a snapshot has made the journaled batches
-    /// redundant.
+    /// sequence number is `next_seq` (the crate's one write-temp + fsync +
+    /// rename + dir-fsync routine). Called after a snapshot has made the
+    /// journaled batches redundant.
     pub fn reset(&mut self, next_seq: u64) -> Result<(), StoreError> {
-        let tmp = self.path.with_extension("mpj.tmp");
-        {
-            let mut f = File::create(&tmp)?;
-            f.write_all(JOURNAL_MAGIC)?;
-            f.write_all(&JOURNAL_VERSION.to_le_bytes())?;
-            f.sync_all()?;
-        }
-        std::fs::rename(&tmp, &self.path)?;
-        if let Some(dir) = self.path.parent() {
-            fsync_dir(dir)?;
-        }
+        replace_file(&self.path, |file| {
+            file.write_all(JOURNAL_MAGIC)?;
+            file.write_all(&JOURNAL_VERSION.to_le_bytes())?;
+            Ok(())
+        })?;
         self.file = OpenOptions::new().append(true).open(&self.path)?;
         self.next_seq = next_seq;
         Ok(())

@@ -19,12 +19,18 @@
 //! # Crash safety
 //!
 //! Batches are `fsync`ed to the journal before they are acknowledged or
-//! applied. Snapshots are written to a temporary file, `fsync`ed, and
-//! atomically renamed into place (then the directory is `fsync`ed), so a
-//! reader sees either the old snapshot or the new one — never a torn
-//! write. A corrupt or torn journal tail is detected (CRC / framing),
-//! truncated, and surfaced in [`LoadedState::recovery`]; a corrupt
-//! snapshot is a hard [`StoreError::Corrupt`], never silently loaded.
+//! applied. Every file that is *replaced* rather than appended to — the
+//! snapshot, a shard's snapshot slice, the sharded manifest, a journal
+//! being reset — goes through one private routine, `replace_file`: write
+//! a temporary sibling, `fsync` it, atomically rename it into place, then
+//! `fsync` the directory (and remove the temporary on any error). A
+//! reader therefore sees either the old file or the new one, never a torn
+//! write, and that ordering rule lives in exactly one function. Snapshot
+//! bytes likewise come from exactly one encoder ([`SnapshotView`]),
+//! which borrows the producer's state instead of copying it. A corrupt or
+//! torn journal tail is detected (CRC / framing), truncated, and surfaced
+//! in [`LoadedState::recovery`]; a corrupt snapshot is a hard
+//! [`StoreError::Corrupt`], never silently loaded.
 //!
 //! ```
 //! use mp_store::{MatchStore, Snapshot};
@@ -66,17 +72,16 @@ pub mod snapshot;
 
 pub use journal::{Journal, JournalBatch, JournalRecovery, JOURNAL_VERSION};
 pub use sharded::{
-    merge_shard_snapshots, split_snapshot, write_shard_snapshot, ShardSnapshot, ShardedLoaded,
-    ShardedStore, MANIFEST_FILE,
+    merge_shard_snapshots, write_shard_snapshot, ShardSnapshot, ShardedLoaded, ShardedStore,
+    MANIFEST_FILE,
 };
-pub use snapshot::{
-    write_streamed, PassSnapshot, Snapshot, SnapshotStream, SnapshotWriter, SNAPSHOT_VERSION,
-};
+pub use snapshot::{borrowed, PassSnapshot, Snapshot, SnapshotView, SNAPSHOT_VERSION};
 
 use mp_record::Record;
+use std::borrow::Cow;
 use std::fmt;
 use std::fs::File;
-use std::io::{self, Read, Write};
+use std::io::{self, Read};
 use std::path::{Path, PathBuf};
 
 /// File name of the snapshot inside a store directory.
@@ -118,9 +123,44 @@ impl From<io::Error> for StoreError {
     }
 }
 
-/// `fsync` on a directory, making a just-renamed file durable.
-pub(crate) fn fsync_dir(dir: &Path) -> io::Result<()> {
-    File::open(dir)?.sync_all()
+/// Atomically replaces the file at `path` with what `write` produces —
+/// the one place the store's crash-ordering rule lives:
+///
+/// 1. create `<path>.tmp` and let `write` fill it;
+/// 2. `fsync` the temporary (its bytes are durable before they are
+///    visible);
+/// 3. `rename` it over `path` — the commit point: a crash before it
+///    leaves the old file, a crash after it the new one, never a mix;
+/// 4. `fsync` the directory so the rename itself survives a crash.
+///
+/// On any error before the rename the temporary is removed, so a failed
+/// commit leaves nothing behind (a *crash* can still leave one; the
+/// `open` paths sweep `*.tmp`). Returns what `write` returned.
+pub(crate) fn replace_file<T>(
+    path: &Path,
+    write: impl FnOnce(&mut File) -> Result<T, StoreError>,
+) -> Result<T, StoreError> {
+    let mut tmp = path.as_os_str().to_owned();
+    tmp.push(".tmp");
+    let tmp = PathBuf::from(tmp);
+    let committed: Result<T, StoreError> = (|| {
+        let mut file = File::create(&tmp)?;
+        let out = write(&mut file)?;
+        file.sync_all()?;
+        drop(file);
+        std::fs::rename(&tmp, path)?;
+        Ok(out)
+    })();
+    if committed.is_err() {
+        let _ = std::fs::remove_file(&tmp);
+    }
+    let out = committed?;
+    let dir = match path.parent() {
+        Some(dir) if !dir.as_os_str().is_empty() => dir,
+        _ => Path::new("."),
+    };
+    File::open(dir)?.sync_all()?;
+    Ok(out)
 }
 
 /// Everything [`MatchStore::open`] found on disk.
@@ -231,63 +271,40 @@ impl MatchStore {
         self.journal.append(records, trace)
     }
 
-    /// Atomically replaces the snapshot with `snap` (write-temp + fsync +
-    /// rename + directory fsync) and resets the journal, whose batches the
-    /// snapshot now covers. Returns the snapshot size in bytes.
+    /// Atomically replaces the snapshot with the state `view` borrows and
+    /// resets the journal, whose batches the snapshot now covers. The
+    /// snapshot streams to disk through the one encoder
+    /// ([`SnapshotView`]) with the records pulled one at a time from
+    /// `records` — [`borrowed`] for resident state, a file stream for a
+    /// bulk load — so nothing is copied or buffered whole. Returns the
+    /// snapshot size in bytes.
     ///
     /// Crash-ordering: the snapshot rename is the commit point. A crash
     /// before it keeps the old snapshot + full journal; a crash after it
     /// but before the journal reset leaves old frames whose sequence
     /// numbers the next [`MatchStore::open`] filters out.
-    pub fn write_snapshot(&mut self, snap: &Snapshot) -> Result<u64, StoreError> {
-        let bytes = snap.encode();
-        let path = self.dir.join(SNAPSHOT_FILE);
-        let tmp = self.dir.join(format!("{SNAPSHOT_FILE}.tmp"));
-        {
-            let mut f = File::create(&tmp)?;
-            f.write_all(&bytes)?;
-            f.sync_all()?;
-        }
-        std::fs::rename(&tmp, &path)?;
-        fsync_dir(&self.dir)?;
-        self.journal.reset(snap.batches_applied + 1)?;
-        Ok(bytes.len() as u64)
-    }
-
-    /// [`MatchStore::write_snapshot`] for state too large to materialize:
-    /// the snapshot streams to disk via [`SnapshotWriter`] (records pulled
-    /// one at a time from `records`), with the same commit choreography —
-    /// temp file, `fsync`, atomic rename, directory `fsync`, journal reset
-    /// to `batches_applied + 1`. The bytes on disk are identical to what
-    /// [`MatchStore::write_snapshot`] would have written for the
-    /// equivalent in-memory [`Snapshot`]. Returns the snapshot size.
     ///
     /// # Errors
     ///
     /// I/O failures, a record-iterator error, or a record-count mismatch
-    /// against [`SnapshotStream::n_records`]; the old snapshot (if any)
-    /// stays in place on every error path.
-    pub fn write_snapshot_streamed(
+    /// against [`SnapshotView::n_records`]; on every error path the old
+    /// snapshot (if any) and the journal stay in place and no temporary
+    /// file is left behind.
+    pub fn commit_snapshot<'r>(
         &mut self,
-        state: &SnapshotStream<'_>,
-        records: impl Iterator<Item = io::Result<Record>>,
+        view: &SnapshotView<'_>,
+        records: impl Iterator<Item = io::Result<Cow<'r, Record>>>,
     ) -> Result<u64, StoreError> {
-        let path = self.dir.join(SNAPSHOT_FILE);
-        let tmp = self.dir.join(format!("{SNAPSHOT_FILE}.tmp"));
-        let total = {
-            let f = File::create(&tmp)?;
-            let mut w = io::BufWriter::new(f);
-            let total = snapshot::write_streamed(&mut w, state, records)?;
-            w.flush()?;
-            w.into_inner()
-                .map_err(|e| StoreError::Io(io::Error::other(e.to_string())))?
-                .sync_all()?;
-            total
-        };
-        std::fs::rename(&tmp, &path)?;
-        fsync_dir(&self.dir)?;
-        self.journal.reset(state.batches_applied + 1)?;
-        Ok(total)
+        let bytes = replace_file(&self.dir.join(SNAPSHOT_FILE), |file| {
+            view.write_to(file, records)
+        })?;
+        self.journal.reset(view.batches_applied + 1)?;
+        Ok(bytes)
+    }
+
+    /// [`MatchStore::commit_snapshot`] of an owned [`Snapshot`].
+    pub fn write_snapshot(&mut self, snap: &Snapshot) -> Result<u64, StoreError> {
+        self.commit_snapshot(&snap.view(), borrowed(&snap.records))
     }
 }
 
@@ -296,6 +313,7 @@ mod tests {
     use super::*;
     use mp_closure::UnionFind;
     use mp_record::RecordId;
+    use std::io::Write;
 
     fn tmp_dir(name: &str) -> PathBuf {
         let dir = std::env::temp_dir().join(format!("mp-store-{}-{name}", std::process::id()));
@@ -379,45 +397,64 @@ mod tests {
     }
 
     #[test]
-    fn streamed_commit_matches_buffered_commit() {
-        let dir_a = tmp_dir("streamed-a");
-        let dir_b = tmp_dir("streamed-b");
-        let records = batch(1, 5);
-        let snap = snap_of(records.clone(), 1);
+    fn failed_commit_leaves_no_temp_file_and_the_old_state_recovers() {
+        let dir = tmp_dir("failed-commit");
+        let (mut store, _) = MatchStore::open(&dir).unwrap();
+        store.append_batch(&batch(1, 3), None).unwrap();
+        store.write_snapshot(&snap_of(batch(1, 3), 1)).unwrap();
+        store.append_batch(&batch(2, 2), None).unwrap();
+        let good_snapshot = std::fs::read(dir.join(SNAPSHOT_FILE)).unwrap();
+        let good_journal = std::fs::read(dir.join(JOURNAL_FILE)).unwrap();
 
-        let (mut a, _) = MatchStore::open(&dir_a).unwrap();
-        a.append_batch(&records, None).unwrap();
-        let bytes_a = a.write_snapshot(&snap).unwrap();
+        let mut all = batch(1, 3);
+        all.extend(batch(2, 2));
+        let next = snap_of(all.clone(), 2);
+        // A record source that dies half way, then one that comes up short.
+        let dying = borrowed(&all)
+            .take(2)
+            .chain(std::iter::once(Err(io::Error::other("input vanished"))));
+        let err = store.commit_snapshot(&next.view(), dying).unwrap_err();
+        assert!(err.to_string().contains("input vanished"), "{err}");
+        let err = store
+            .commit_snapshot(&next.view(), borrowed(&all[..4]))
+            .unwrap_err();
+        assert!(err.to_string().contains("yielded 4"), "{err}");
 
-        let (mut b, _) = MatchStore::open(&dir_b).unwrap();
-        b.append_batch(&records, None).unwrap();
-        let state = SnapshotStream {
-            n_records: records.len() as u64,
-            passes: &snap.passes,
-            pairs: &snap.pairs,
-            closure: &snap.closure,
-            provenance: &snap.provenance,
-            comparisons: snap.comparisons,
-            batches_applied: snap.batches_applied,
-        };
-        let bytes_b = b
-            .write_snapshot_streamed(&state, records.iter().cloned().map(Ok))
-            .unwrap();
-
-        assert_eq!(bytes_a, bytes_b);
+        let names: Vec<String> = std::fs::read_dir(&dir)
+            .unwrap()
+            .map(|e| e.unwrap().file_name().to_string_lossy().into_owned())
+            .collect();
+        assert!(!names.iter().any(|n| n.ends_with(".tmp")), "{names:?}");
         assert_eq!(
-            std::fs::read(dir_a.join(SNAPSHOT_FILE)).unwrap(),
-            std::fs::read(dir_b.join(SNAPSHOT_FILE)).unwrap(),
-            "streamed and buffered snapshot files must be byte-identical"
+            std::fs::read(dir.join(SNAPSHOT_FILE)).unwrap(),
+            good_snapshot
         );
-        assert_eq!(a.next_seq(), b.next_seq(), "journal watermark preserved");
-        drop(b);
-        let (_, loaded) = MatchStore::open(&dir_b).unwrap();
+        assert_eq!(std::fs::read(dir.join(JOURNAL_FILE)).unwrap(), good_journal);
+        drop(store);
+        let (mut store, loaded) = MatchStore::open(&dir).unwrap();
         assert_eq!(loaded.snapshot.unwrap().batches_applied, 1);
-        assert!(loaded.replayable.is_empty(), "journal reset at commit");
-        for dir in [dir_a, dir_b] {
-            std::fs::remove_dir_all(&dir).unwrap();
-        }
+        assert_eq!(loaded.replayable.len(), 1, "journal still replays batch 2");
+        // And the store is still writable: the real commit goes through.
+        store.write_snapshot(&next).unwrap();
+        assert_eq!(store.next_seq(), 3);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn replace_file_removes_its_temp_when_the_writer_fails() {
+        let dir = tmp_dir("replace");
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("target.bin");
+        replace_file(&path, |f| Ok(f.write_all(b"old")?)).unwrap();
+        let err = replace_file(&path, |f| {
+            f.write_all(b"half of the new")?;
+            Err::<(), _>(StoreError::Corrupt("writer gave up".into()))
+        })
+        .unwrap_err();
+        assert!(err.to_string().contains("gave up"), "{err}");
+        assert_eq!(std::fs::read(&path).unwrap(), b"old");
+        assert!(!dir.join("target.bin.tmp").exists());
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]

@@ -37,9 +37,10 @@
 //!
 //! # Checkpoint protocol (two-phase)
 //!
-//! 1. The coordinator splits the engine snapshot with [`split_snapshot`]
-//!    and every shard writes its `snapshot-<E>.mps` for the *new* epoch E
-//!    (write-temp + fsync + rename, via [`write_shard_snapshot`]).
+//! 1. The coordinator builds each shard's slice of the engine state with
+//!    [`SnapshotView::shard_slice`] and every shard writes its
+//!    `snapshot-<E>.mps` for the *new* epoch E (atomic replace, via
+//!    [`write_shard_snapshot`]).
 //! 2. The coordinator atomically rewrites the manifest pointing at E
 //!    ([`ShardedStore::commit_epoch`]) — the commit point — then every
 //!    shard resets its journal.
@@ -51,12 +52,12 @@
 
 use crate::codec::{self, Reader};
 use crate::journal::{Journal, JournalBatch, JournalRecovery};
-use crate::snapshot::{PassSnapshot, Snapshot};
-use crate::{fsync_dir, StoreError, JOURNAL_FILE};
+use crate::snapshot::{PassSnapshot, Snapshot, SnapshotView};
+use crate::{replace_file, StoreError, JOURNAL_FILE};
 use mp_closure::{MergeEdge, ProvenanceLog, UnionFind};
 use mp_record::Record;
-use std::fs::File;
-use std::io::Write;
+use std::borrow::Cow;
+use std::io::{self, Write};
 use std::path::{Path, PathBuf};
 
 /// File name of the manifest inside a sharded store directory.
@@ -361,16 +362,9 @@ impl ShardedStore {
             shards: self.shards as u32,
             epoch,
         });
-        let path = self.dir.join(MANIFEST_FILE);
-        let tmp = self.dir.join(format!("{MANIFEST_FILE}.tmp"));
-        {
-            let mut f = File::create(&tmp)?;
-            f.write_all(&bytes)?;
-            f.sync_all()?;
-        }
-        std::fs::rename(&tmp, &path)?;
-        fsync_dir(&self.dir)?;
-        Ok(())
+        replace_file(&self.dir.join(MANIFEST_FILE), |file| {
+            Ok(file.write_all(&bytes)?)
+        })
     }
 
     /// Commits checkpoint epoch `epoch`: atomically rewrites the manifest
@@ -415,7 +409,7 @@ impl ShardedStore {
 }
 
 /// Durably writes one shard's snapshot slice for `epoch` into
-/// `shard_dir` (write-temp + fsync + rename + dir fsync). Phase one of
+/// `shard_dir` (atomic replace: temp + fsync + rename + dir fsync). Phase one of
 /// the checkpoint 2PC; the file is invisible to recovery until
 /// [`ShardedStore::commit_epoch`] flips the manifest. Returns the byte
 /// count written.
@@ -424,16 +418,10 @@ impl ShardedStore {
 ///
 /// I/O failure; the store still recovers from the committed epoch.
 pub fn write_shard_snapshot(shard_dir: &Path, epoch: u64, bytes: &[u8]) -> Result<u64, StoreError> {
-    let path = shard_dir.join(snapshot_file_name(epoch));
-    let tmp = shard_dir.join(format!("{}.tmp", snapshot_file_name(epoch)));
-    {
-        let mut f = File::create(&tmp)?;
-        f.write_all(bytes)?;
-        f.sync_all()?;
-    }
-    std::fs::rename(&tmp, &path)?;
-    fsync_dir(shard_dir)?;
-    Ok(bytes.len() as u64)
+    replace_file(&shard_dir.join(snapshot_file_name(epoch)), |file| {
+        file.write_all(bytes)?;
+        Ok(bytes.len() as u64)
+    })
 }
 
 /// One pass's slice of a shard snapshot: the global attribution meta
@@ -692,71 +680,91 @@ impl ShardSnapshot {
     }
 }
 
-/// Splits a global [`Snapshot`] into per-shard slices by `shard_of`
-/// (which must return a value `< shards` for every record). A pair is
-/// owned by the shard of its larger-id record. The inverse of
-/// [`merge_shard_snapshots`].
-///
-/// # Panics
-///
-/// Panics when `shards` is 0 or `shard_of` returns an out-of-range
-/// shard.
-pub fn split_snapshot(
-    snap: &Snapshot,
-    shards: usize,
-    shard_of: impl Fn(&Record) -> usize,
-) -> Vec<ShardSnapshot> {
-    assert!(shards >= 1, "need at least one shard");
-    let owner: Vec<usize> = snap
-        .records
-        .iter()
-        .map(|r| {
-            let k = shard_of(r);
-            assert!(k < shards, "shard_of returned {k} for {shards} shards");
-            k
-        })
-        .collect();
+impl SnapshotView<'_> {
+    /// Builds shard `shard`'s slice of the state this view borrows — the
+    /// one slice builder, called one shard at a time by the daemon's
+    /// checkpoint and by the sharded cold load, so at most one shard's
+    /// records are ever copied at once. `owner[id]` is the shard of record
+    /// `id` (the caller's routing decision); a pair or provenance edge is
+    /// owned by the shard of its larger id. `records` yields every record
+    /// in id order (see [`crate::borrowed`]); only the owned ones are
+    /// kept. The inverse is [`merge_shard_snapshots`].
+    ///
+    /// # Errors
+    ///
+    /// An error from the record iterator, or [`StoreError::Corrupt`] when
+    /// it yields a different number of records than the view declares.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `owner` does not cover exactly the view's records or
+    /// names a shard `>= shards`.
+    pub fn shard_slice<'r>(
+        &self,
+        shard: usize,
+        shards: usize,
+        owner: &[u8],
+        records: impl Iterator<Item = io::Result<Cow<'r, Record>>>,
+    ) -> Result<ShardSnapshot, StoreError> {
+        assert!(shard < shards, "shard {shard} of {shards}");
+        assert_eq!(owner.len() as u64, self.n_records, "one owner per record");
+        assert!(
+            owner.iter().all(|&k| (k as usize) < shards),
+            "owner names a shard outside 0..{shards}"
+        );
+        let owns = |id: u32| owner[id as usize] as usize == shard;
 
-    let mut out: Vec<ShardSnapshot> = (0..shards)
-        .map(|k| ShardSnapshot {
-            shard: k as u32,
-            shards: shards as u32,
-            comparisons: snap.comparisons,
-            batches_applied: snap.batches_applied,
-            total_records: snap.records.len() as u64,
-            passes: snap
-                .passes
-                .iter()
-                .map(|p| ShardPassSlice {
-                    key_name: p.key_name.clone(),
-                    window: p.window,
-                    pairs_found: p.pairs_found,
-                    pairs_first_found: p.pairs_first_found,
-                    keys: Vec::new(),
-                })
-                .collect(),
-            records: Vec::new(),
-            pairs: Vec::new(),
-            edges: Vec::new(),
-            batch_traces: snap.provenance.batch_traces.clone(),
-            rule_firings: snap.provenance.rule_firings.clone(),
-        })
-        .collect();
-
-    for (i, rec) in snap.records.iter().enumerate() {
-        let k = owner[i];
-        out[k].records.push(rec.clone());
-        for (p, pass) in snap.passes.iter().enumerate() {
-            out[k].passes[p].keys.push(pass.keys[i].clone());
+        let mut owned = Vec::new();
+        let mut yielded = 0u64;
+        for record in records {
+            let record = record?;
+            if yielded < self.n_records && owns(yielded as u32) {
+                owned.push(record.into_owned());
+            }
+            yielded += 1;
         }
+        if yielded != self.n_records {
+            return Err(StoreError::Corrupt(format!(
+                "shard slice: declared {} records but the source yielded {yielded}",
+                self.n_records
+            )));
+        }
+        let passes = self
+            .passes
+            .iter()
+            .map(|p| ShardPassSlice {
+                key_name: p.key_name.clone(),
+                window: p.window,
+                pairs_found: p.pairs_found,
+                pairs_first_found: p.pairs_first_found,
+                keys: owned
+                    .iter()
+                    .map(|r| p.keys[r.id.0 as usize].clone())
+                    .collect(),
+            })
+            .collect();
+        Ok(ShardSnapshot {
+            shard: shard as u32,
+            shards: shards as u32,
+            comparisons: self.comparisons,
+            batches_applied: self.batches_applied,
+            total_records: self.n_records,
+            passes,
+            records: owned,
+            pairs: self
+                .pairs
+                .iter()
+                .copied()
+                .filter(|&(_, b)| owns(b))
+                .collect(),
+            edges: (0u64..)
+                .zip(self.provenance.edges.iter().copied())
+                .filter(|(_, e)| owns(e.a.max(e.b)))
+                .collect(),
+            batch_traces: self.provenance.batch_traces.clone(),
+            rule_firings: self.provenance.rule_firings.clone(),
+        })
     }
-    for &(a, b) in &snap.pairs {
-        out[owner[b as usize]].pairs.push((a, b));
-    }
-    for (i, e) in snap.provenance.edges.iter().enumerate() {
-        out[owner[e.a.max(e.b) as usize]].edges.push((i as u64, *e));
-    }
-    out
 }
 
 /// Recombines per-shard slices into the global [`Snapshot`], validating
@@ -906,6 +914,22 @@ mod tests {
         let mut r = Record::empty(RecordId(id));
         r.last_name = last.into();
         r
+    }
+
+    /// Every shard's slice of `snap`, routed by `shard_of`.
+    fn split_snapshot(
+        snap: &Snapshot,
+        shards: usize,
+        shard_of: impl Fn(&Record) -> usize,
+    ) -> Vec<ShardSnapshot> {
+        let owner: Vec<u8> = snap.records.iter().map(|r| shard_of(r) as u8).collect();
+        let view = snap.view();
+        (0..shards)
+            .map(|k| {
+                view.shard_slice(k, shards, &owner, crate::borrowed(&snap.records))
+                    .unwrap()
+            })
+            .collect()
     }
 
     /// A structurally consistent global snapshot whose order really is

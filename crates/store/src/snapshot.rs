@@ -23,6 +23,13 @@
 //! trace ids, and per-rule firing counts — so the evidence behind every
 //! merge survives checkpoints.
 //!
+//! There is one encoder, [`SnapshotView::encode`]'s streaming core: every
+//! producer (a checkpoint borrowing the live engine, a bulk load streaming
+//! records back off its input file, an owned [`Snapshot`]) hands it a
+//! borrowed [`SnapshotView`] plus a record iterator, and it emits the six
+//! sections in the order above through an incremental CRC — no section,
+//! let alone the file, is ever built in memory first.
+//!
 //! Section CRCs are verified on load; any mismatch, unknown version, or
 //! structural inconsistency (e.g. a pass index referencing a record that
 //! does not exist) is a [`StoreError::Corrupt`] — a damaged snapshot is
@@ -33,6 +40,7 @@ use crate::codec::{self, Crc32, Reader};
 use crate::StoreError;
 use mp_closure::{ProvenanceLog, UnionFind};
 use mp_record::Record;
+use std::borrow::Cow;
 use std::io::{self, Seek, SeekFrom, Write};
 
 const SNAPSHOT_MAGIC: &[u8; 8] = b"MPSTORE\0";
@@ -84,67 +92,26 @@ pub struct Snapshot {
 }
 
 impl Snapshot {
-    /// Serializes the snapshot into its on-disk byte representation.
+    /// Borrows this snapshot as the view the encoder takes (records are
+    /// handed to the encoder separately; see [`borrowed`]).
+    pub fn view(&self) -> SnapshotView<'_> {
+        SnapshotView {
+            n_records: self.records.len() as u64,
+            passes: self.passes.iter().collect(),
+            pairs: Cow::Borrowed(&self.pairs),
+            closure: &self.closure,
+            provenance: &self.provenance,
+            comparisons: self.comparisons,
+            batches_applied: self.batches_applied,
+        }
+    }
+
+    /// Serializes the snapshot into its on-disk byte representation:
+    /// [`SnapshotView::encode`] over [`Snapshot::view`].
     pub fn encode(&self) -> Vec<u8> {
-        let mut meta = Vec::new();
-        codec::put_u64(&mut meta, self.comparisons);
-        codec::put_u64(&mut meta, self.batches_applied);
-        codec::put_u64(&mut meta, self.records.len() as u64);
-        codec::put_u64(&mut meta, self.pairs.len() as u64);
-
-        let mut recs = Vec::new();
-        codec::put_records(&mut recs, &self.records);
-
-        let mut pass = Vec::new();
-        codec::put_u32(&mut pass, self.passes.len() as u32);
-        for p in &self.passes {
-            codec::put_str(&mut pass, &p.key_name);
-            codec::put_u32(&mut pass, p.window);
-            codec::put_u64(&mut pass, p.pairs_found);
-            codec::put_u64(&mut pass, p.pairs_first_found);
-            codec::put_u32(&mut pass, p.keys.len() as u32);
-            for k in &p.keys {
-                codec::put_str(&mut pass, k);
-            }
-            codec::put_u32(&mut pass, p.order.len() as u32);
-            for &o in &p.order {
-                codec::put_u32(&mut pass, o);
-            }
-        }
-
-        let mut pair = Vec::new();
-        codec::put_u64(&mut pair, self.pairs.len() as u64);
-        for &(a, b) in &self.pairs {
-            codec::put_u32(&mut pair, a);
-            codec::put_u32(&mut pair, b);
-        }
-
-        let mut clos = Vec::new();
-        self.closure.encode_into(&mut clos);
-
-        let mut prov = Vec::new();
-        self.provenance.encode_into(&mut prov);
-
-        let sections: [(&[u8; 4], Vec<u8>); 6] = [
-            (b"META", meta),
-            (b"RECS", recs),
-            (b"PASS", pass),
-            (b"PAIR", pair),
-            (b"CLOS", clos),
-            (b"PROV", prov),
-        ];
-        let total: usize = sections.iter().map(|(_, p)| p.len() + 16).sum();
-        let mut out = Vec::with_capacity(16 + total);
-        out.extend_from_slice(SNAPSHOT_MAGIC);
-        out.extend_from_slice(&SNAPSHOT_VERSION.to_le_bytes());
-        out.extend_from_slice(&(sections.len() as u32).to_le_bytes());
-        for (tag, payload) in sections {
-            out.extend_from_slice(tag);
-            out.extend_from_slice(&(payload.len() as u64).to_le_bytes());
-            out.extend_from_slice(&codec::crc32(&payload).to_le_bytes());
-            out.extend_from_slice(&payload);
-        }
-        out
+        self.view()
+            .encode(borrowed(&self.records))
+            .expect("encoding a counted slice into memory cannot fail")
     }
 
     /// Parses and validates a snapshot produced by [`Snapshot::encode`].
@@ -336,260 +303,225 @@ impl Snapshot {
     }
 }
 
-/// Streaming writer producing byte-identical output to
-/// [`Snapshot::encode`] without buffering whole sections.
-///
-/// [`Snapshot::encode`] builds every section in memory — fine for
-/// checkpoints of a running daemon (the records are resident anyway), but
-/// wrong for the bulk-load path, where the whole point is never holding
-/// 10M records at once. The writer streams instead: each section's header
-/// is written with a 12-byte length/CRC placeholder, the payload streams
-/// through an incremental [`Crc32`], and on section close the writer seeks
-/// back and patches the real length and digest in. Readers cannot tell the
-/// difference (a test enforces bit-identity with `encode`).
-///
-/// Sections must be written in the same order `encode` emits them
-/// (`META`, `RECS`, `PASS`, `PAIR`, `CLOS`, `PROV`) for the outputs to be
-/// identical; the writer itself only enforces the declared section count.
-pub struct SnapshotWriter<W: Write + Seek> {
-    out: W,
-    declared: u32,
-    written: u32,
-    current: Option<OpenSection>,
-}
-
-struct OpenSection {
-    /// Stream offset of the 12-byte len+crc placeholder.
-    patch_at: u64,
-    len: u64,
-    crc: Crc32,
-}
-
-impl<W: Write + Seek> SnapshotWriter<W> {
-    /// Writes the snapshot header and prepares for `sections` sections.
-    ///
-    /// # Errors
-    ///
-    /// Underlying I/O failure.
-    pub fn new(mut out: W, sections: u32) -> io::Result<Self> {
-        out.write_all(SNAPSHOT_MAGIC)?;
-        out.write_all(&SNAPSHOT_VERSION.to_le_bytes())?;
-        out.write_all(&sections.to_le_bytes())?;
-        Ok(SnapshotWriter {
-            out,
-            declared: sections,
-            written: 0,
-            current: None,
-        })
-    }
-
-    /// Opens a section: writes the tag and reserves the length/CRC slots.
-    ///
-    /// # Errors
-    ///
-    /// Underlying I/O failure.
-    ///
-    /// # Panics
-    ///
-    /// Panics when a section is already open or all declared sections have
-    /// been written.
-    pub fn begin_section(&mut self, tag: &[u8; 4]) -> io::Result<()> {
-        assert!(self.current.is_none(), "close the previous section first");
-        assert!(
-            self.written < self.declared,
-            "all {} declared sections already written",
-            self.declared
-        );
-        self.out.write_all(tag)?;
-        let patch_at = self.out.stream_position()?;
-        self.out.write_all(&[0u8; 12])?; // len u64 + crc u32, patched later
-        self.current = Some(OpenSection {
-            patch_at,
-            len: 0,
-            crc: Crc32::new(),
-        });
-        Ok(())
-    }
-
-    /// Appends payload bytes to the open section.
-    ///
-    /// # Errors
-    ///
-    /// Underlying I/O failure.
-    ///
-    /// # Panics
-    ///
-    /// Panics when no section is open.
-    pub fn write(&mut self, bytes: &[u8]) -> io::Result<()> {
-        let sec = self.current.as_mut().expect("no open section");
-        sec.crc.update(bytes);
-        sec.len += bytes.len() as u64;
-        self.out.write_all(bytes)
-    }
-
-    /// Closes the open section, seeking back to patch its length and CRC.
-    ///
-    /// # Errors
-    ///
-    /// Underlying I/O failure.
-    ///
-    /// # Panics
-    ///
-    /// Panics when no section is open.
-    pub fn end_section(&mut self) -> io::Result<()> {
-        let sec = self.current.take().expect("no open section");
-        let end = self.out.stream_position()?;
-        self.out.seek(SeekFrom::Start(sec.patch_at))?;
-        self.out.write_all(&sec.len.to_le_bytes())?;
-        self.out.write_all(&sec.crc.finalize().to_le_bytes())?;
-        self.out.seek(SeekFrom::Start(end))?;
-        self.written += 1;
-        Ok(())
-    }
-
-    /// Flushes and returns the underlying writer and total bytes written.
-    ///
-    /// # Errors
-    ///
-    /// Underlying I/O failure.
-    ///
-    /// # Panics
-    ///
-    /// Panics when a section is still open or fewer sections than declared
-    /// were written.
-    pub fn finish(mut self) -> io::Result<(W, u64)> {
-        assert!(self.current.is_none(), "close the open section first");
-        assert_eq!(
-            self.written, self.declared,
-            "declared {} sections but wrote {}",
-            self.declared, self.written
-        );
-        self.out.flush()?;
-        let total = self.out.stream_position()?;
-        Ok((self.out, total))
-    }
-}
-
 /// Borrowed view of everything a snapshot stores *except* the records,
-/// which [`write_streamed`] pulls from an iterator so a bulk load never
-/// materializes them.
-#[derive(Debug, Clone, Copy)]
-pub struct SnapshotStream<'a> {
+/// which the encoder pulls from an iterator — a slice of resident
+/// records ([`borrowed`]) for a checkpoint, the input file streamed back
+/// for a bulk load that never materializes them.
+///
+/// Every producer of durable state (the incremental engine, the bulk
+/// loader, an owned [`Snapshot`]) hands the store one of these, so a
+/// commit copies nothing it does not have to: the only owned part is the
+/// sorted pair list, which no producer keeps in sorted form.
+#[derive(Debug, Clone)]
+pub struct SnapshotView<'a> {
     /// Number of records the iterator will yield (ids `0..n_records`).
     pub n_records: u64,
     /// Per-pass state, in pass order.
-    pub passes: &'a [PassSnapshot],
+    pub passes: Vec<&'a PassSnapshot>,
     /// Distinct matched pairs, sorted ascending.
-    pub pairs: &'a [(u32, u32)],
+    pub pairs: Cow<'a, [(u32, u32)]>,
     /// Union-find closure over `0..n_records`.
     pub closure: &'a UnionFind,
+    /// Merge provenance log (empty for bulk loads, whose closure is
+    /// rebuilt from pairs without per-merge evidence).
+    pub provenance: &'a ProvenanceLog,
     /// Pair comparisons performed.
     pub comparisons: u64,
     /// Batches the snapshot absorbs (1 for a cold bulk load).
     pub batches_applied: u64,
-    /// Merge provenance log (empty for bulk loads, whose closure is
-    /// rebuilt from pairs without per-merge evidence).
-    pub provenance: &'a ProvenanceLog,
 }
 
-/// Streams a complete snapshot to `out`, byte-identical to
-/// [`Snapshot::encode`] on the equivalent in-memory state.
-///
-/// `records` must yield exactly [`SnapshotStream::n_records`] records with
-/// positional ids; each is encoded and dropped, so peak memory is one
-/// record regardless of database size.
-///
-/// # Errors
-///
-/// Underlying I/O failure, an error from the record iterator, or
-/// [`StoreError::Corrupt`] when the iterator yields a different number of
-/// records than declared (the snapshot would fail its own validation on
-/// load, so it is never written silently).
-pub fn write_streamed<W: Write + Seek>(
-    out: W,
-    state: &SnapshotStream<'_>,
-    records: impl Iterator<Item = io::Result<Record>>,
-) -> Result<u64, StoreError> {
-    let mut w = SnapshotWriter::new(out, 6)?;
-    let mut buf = Vec::new();
+/// The record source of a state whose records are resident: each one
+/// borrowed, none cloned.
+pub fn borrowed(records: &[Record]) -> impl Iterator<Item = io::Result<Cow<'_, Record>>> {
+    records.iter().map(|r| Ok(Cow::Borrowed(r)))
+}
 
-    w.begin_section(b"META")?;
-    codec::put_u64(&mut buf, state.comparisons);
-    codec::put_u64(&mut buf, state.batches_applied);
-    codec::put_u64(&mut buf, state.n_records);
-    codec::put_u64(&mut buf, state.pairs.len() as u64);
-    w.write(&buf)?;
-    w.end_section()?;
+/// Payload bytes buffered before they are checksummed and written out.
+const SECTION_CHUNK: usize = 64 << 10;
 
-    w.begin_section(b"RECS")?;
-    buf.clear();
-    codec::put_u32(&mut buf, state.n_records as u32);
-    w.write(&buf)?;
-    let mut yielded = 0u64;
-    for record in records {
-        buf.clear();
-        codec::put_record(&mut buf, &record?);
-        w.write(&buf)?;
-        yielded += 1;
+/// One open snapshot section: payload accumulates in `buf` and leaves
+/// through [`Section::spill`] in chunks, each folded into the running
+/// length and CRC on its way out, so no section is ever held whole.
+struct Section<'w, W: Write> {
+    out: &'w mut W,
+    buf: Vec<u8>,
+    len: u64,
+    crc: Crc32,
+}
+
+impl<W: Write> Section<'_, W> {
+    fn flush(&mut self) -> io::Result<()> {
+        self.crc.update(&self.buf);
+        self.len += self.buf.len() as u64;
+        self.out.write_all(&self.buf)?;
+        self.buf.clear();
+        Ok(())
     }
-    if yielded != state.n_records {
-        return Err(StoreError::Corrupt(format!(
-            "streamed snapshot: declared {} records but the source yielded {yielded}",
-            state.n_records
-        )));
-    }
-    w.end_section()?;
 
-    w.begin_section(b"PASS")?;
-    buf.clear();
-    codec::put_u32(&mut buf, state.passes.len() as u32);
-    w.write(&buf)?;
-    for p in state.passes {
-        buf.clear();
-        codec::put_str(&mut buf, &p.key_name);
-        codec::put_u32(&mut buf, p.window);
-        codec::put_u64(&mut buf, p.pairs_found);
-        codec::put_u64(&mut buf, p.pairs_first_found);
-        codec::put_u32(&mut buf, p.keys.len() as u32);
-        w.write(&buf)?;
-        for k in &p.keys {
-            buf.clear();
-            codec::put_str(&mut buf, k);
-            w.write(&buf)?;
+    /// Writes the buffered payload out once it is a chunk long; call
+    /// between items.
+    fn spill(&mut self) -> io::Result<()> {
+        if self.buf.len() >= SECTION_CHUNK {
+            self.flush()?;
         }
-        buf.clear();
-        codec::put_u32(&mut buf, p.order.len() as u32);
-        for &o in &p.order {
-            codec::put_u32(&mut buf, o);
+        Ok(())
+    }
+}
+
+/// Writes one section: the tag, a 12-byte length/CRC placeholder, the
+/// payload `body` produces, then seeks back and patches the real length
+/// and digest in.
+fn write_section<W: Write + Seek>(
+    out: &mut W,
+    tag: &[u8; 4],
+    body: impl FnOnce(&mut Section<'_, W>) -> Result<(), StoreError>,
+) -> Result<(), StoreError> {
+    out.write_all(tag)?;
+    let patch_at = out.stream_position()?;
+    out.write_all(&[0u8; 12])?;
+    let mut section = Section {
+        out: &mut *out,
+        buf: Vec::new(),
+        len: 0,
+        crc: Crc32::new(),
+    };
+    body(&mut section)?;
+    section.flush()?;
+    let (len, crc) = (section.len, section.crc.finalize());
+    let end = out.stream_position()?;
+    out.seek(SeekFrom::Start(patch_at))?;
+    out.write_all(&len.to_le_bytes())?;
+    out.write_all(&crc.to_le_bytes())?;
+    out.seek(SeekFrom::Start(end))?;
+    Ok(())
+}
+
+impl SnapshotView<'_> {
+    /// The one snapshot encoder: streams the header and the six sections
+    /// (`META`, `RECS`, `PASS`, `PAIR`, `CLOS`, `PROV`) to `out` and
+    /// returns the byte count. Every snapshot byte this crate writes —
+    /// checkpoint, bulk-load commit, [`Snapshot::encode`] — comes from
+    /// here.
+    ///
+    /// `records` must yield exactly [`SnapshotView::n_records`] records
+    /// with positional ids; each is encoded and dropped, so peak memory is
+    /// one chunk regardless of database size.
+    ///
+    /// # Errors
+    ///
+    /// Underlying I/O failure, an error from the record iterator, or
+    /// [`StoreError::Corrupt`] when the iterator yields a different number
+    /// of records than declared (the snapshot would fail its own
+    /// validation on load, so it is never written silently).
+    pub(crate) fn write_to<'r, W: Write + Seek>(
+        &self,
+        out: &mut W,
+        records: impl Iterator<Item = io::Result<Cow<'r, Record>>>,
+    ) -> Result<u64, StoreError> {
+        out.write_all(SNAPSHOT_MAGIC)?;
+        out.write_all(&SNAPSHOT_VERSION.to_le_bytes())?;
+        out.write_all(&6u32.to_le_bytes())?;
+
+        write_section(out, b"META", |s| {
+            codec::put_u64(&mut s.buf, self.comparisons);
+            codec::put_u64(&mut s.buf, self.batches_applied);
+            codec::put_u64(&mut s.buf, self.n_records);
+            codec::put_u64(&mut s.buf, self.pairs.len() as u64);
+            Ok(())
+        })?;
+
+        write_section(out, b"RECS", |s| {
+            codec::put_u32(&mut s.buf, self.n_records as u32);
+            let mut yielded = 0u64;
+            for record in records {
+                codec::put_record(&mut s.buf, record?.as_ref());
+                s.spill()?;
+                yielded += 1;
+            }
+            if yielded != self.n_records {
+                return Err(StoreError::Corrupt(format!(
+                    "snapshot: declared {} records but the source yielded {yielded}",
+                    self.n_records
+                )));
+            }
+            Ok(())
+        })?;
+
+        write_section(out, b"PASS", |s| {
+            codec::put_u32(&mut s.buf, self.passes.len() as u32);
+            for p in &self.passes {
+                codec::put_str(&mut s.buf, &p.key_name);
+                codec::put_u32(&mut s.buf, p.window);
+                codec::put_u64(&mut s.buf, p.pairs_found);
+                codec::put_u64(&mut s.buf, p.pairs_first_found);
+                codec::put_u32(&mut s.buf, p.keys.len() as u32);
+                for k in &p.keys {
+                    codec::put_str(&mut s.buf, k);
+                    s.spill()?;
+                }
+                codec::put_u32(&mut s.buf, p.order.len() as u32);
+                for &o in &p.order {
+                    codec::put_u32(&mut s.buf, o);
+                    s.spill()?;
+                }
+            }
+            Ok(())
+        })?;
+
+        write_section(out, b"PAIR", |s| {
+            codec::put_u64(&mut s.buf, self.pairs.len() as u64);
+            for &(a, b) in self.pairs.iter() {
+                codec::put_u32(&mut s.buf, a);
+                codec::put_u32(&mut s.buf, b);
+                s.spill()?;
+            }
+            Ok(())
+        })?;
+
+        write_section(out, b"CLOS", |s| {
+            self.closure.encode_into(&mut s.buf);
+            Ok(())
+        })?;
+
+        write_section(out, b"PROV", |s| {
+            self.provenance.encode_into(&mut s.buf);
+            Ok(())
+        })?;
+
+        out.flush()?;
+        Ok(out.stream_position()?)
+    }
+
+    /// The snapshot's on-disk bytes, in memory (what a commit of this
+    /// view and these records writes to `snapshot.mps`).
+    ///
+    /// # Errors
+    ///
+    /// An error from the record iterator, or a record-count mismatch
+    /// against [`SnapshotView::n_records`].
+    pub fn encode<'r>(
+        &self,
+        records: impl Iterator<Item = io::Result<Cow<'r, Record>>>,
+    ) -> Result<Vec<u8>, StoreError> {
+        let mut out = io::Cursor::new(Vec::new());
+        self.write_to(&mut out, records)?;
+        Ok(out.into_inner())
+    }
+
+    /// Copies what the view borrows (and takes `records`) into an owned
+    /// [`Snapshot`].
+    pub fn into_snapshot(self, records: Vec<Record>) -> Snapshot {
+        Snapshot {
+            records,
+            passes: self.passes.iter().map(|&p| p.clone()).collect(),
+            pairs: self.pairs.into_owned(),
+            closure: self.closure.clone(),
+            provenance: self.provenance.clone(),
+            comparisons: self.comparisons,
+            batches_applied: self.batches_applied,
         }
-        w.write(&buf)?;
     }
-    w.end_section()?;
-
-    w.begin_section(b"PAIR")?;
-    buf.clear();
-    codec::put_u64(&mut buf, state.pairs.len() as u64);
-    for &(a, b) in state.pairs {
-        codec::put_u32(&mut buf, a);
-        codec::put_u32(&mut buf, b);
-    }
-    w.write(&buf)?;
-    w.end_section()?;
-
-    w.begin_section(b"CLOS")?;
-    buf.clear();
-    state.closure.encode_into(&mut buf);
-    w.write(&buf)?;
-    w.end_section()?;
-
-    w.begin_section(b"PROV")?;
-    buf.clear();
-    state.provenance.encode_into(&mut buf);
-    w.write(&buf)?;
-    w.end_section()?;
-
-    let (_, total) = w.finish()?;
-    Ok(total)
 }
 
 #[cfg(test)]
@@ -688,46 +620,49 @@ mod tests {
     }
 
     #[test]
-    fn streamed_write_is_byte_identical_to_encode() {
-        let snap = sample();
-        let want = snap.encode();
-        let state = SnapshotStream {
-            n_records: snap.records.len() as u64,
-            passes: &snap.passes,
-            pairs: &snap.pairs,
-            closure: &snap.closure,
-            comparisons: snap.comparisons,
-            batches_applied: snap.batches_applied,
-            provenance: &snap.provenance,
-        };
-        let mut cursor = io::Cursor::new(Vec::new());
-        let total =
-            write_streamed(&mut cursor, &state, snap.records.iter().cloned().map(Ok)).unwrap();
-        let got = cursor.into_inner();
-        assert_eq!(total as usize, got.len());
-        assert_eq!(got, want, "streamed bytes diverge from encode()");
-        // And it round-trips through the validating decoder.
-        let back = Snapshot::decode(&got).unwrap();
+    fn sections_longer_than_a_chunk_keep_their_crc() {
+        // Enough records that RECS and PASS spill several chunks: the
+        // patched length and CRC must cover all of them.
+        let mut snap = sample();
+        snap.records = (0..3000)
+            .map(|i| {
+                let mut r = Record::empty(RecordId(i));
+                r.last_name = format!("LASTNAME-{i:06}");
+                r
+            })
+            .collect();
+        let n = snap.records.len();
+        snap.passes[0].keys = snap.records.iter().map(|r| r.last_name.clone()).collect();
+        snap.passes[0].order = (0..n as u32).collect();
+        snap.closure.grow(n);
+        let bytes = snap.encode();
+        assert!(bytes.len() > 4 * SECTION_CHUNK);
+        let back = Snapshot::decode(&bytes).unwrap();
         assert_eq!(back.records, snap.records);
         assert_eq!(back.passes, snap.passes);
+        assert_eq!(back.encode(), bytes);
     }
 
     #[test]
-    fn streamed_write_rejects_record_count_mismatch() {
+    fn encoder_rejects_record_count_mismatch_and_source_errors() {
         let snap = sample();
-        let state = SnapshotStream {
-            n_records: snap.records.len() as u64 + 1, // lie
-            passes: &snap.passes,
-            pairs: &snap.pairs,
-            closure: &snap.closure,
-            comparisons: snap.comparisons,
-            batches_applied: snap.batches_applied,
-            provenance: &snap.provenance,
-        };
-        let mut cursor = io::Cursor::new(Vec::new());
-        let err =
-            write_streamed(&mut cursor, &state, snap.records.iter().cloned().map(Ok)).unwrap_err();
+        let mut view = snap.view();
+        view.n_records += 1; // lie
+        let err = view.encode(borrowed(&snap.records)).unwrap_err();
         assert!(err.to_string().contains("yielded"), "{err}");
+
+        let failing = borrowed(&snap.records)
+            .take(2)
+            .chain(std::iter::once(Err(io::Error::other("source went away"))));
+        let err = snap.view().encode(failing).unwrap_err();
+        assert!(err.to_string().contains("source went away"), "{err}");
+    }
+
+    #[test]
+    fn view_into_snapshot_is_the_identity() {
+        let snap = sample();
+        let back = snap.view().into_snapshot(snap.records.clone());
+        assert_eq!(back.encode(), snap.encode());
     }
 
     #[test]

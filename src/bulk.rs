@@ -6,18 +6,21 @@
 //! build, under a bounded memory budget) and `mp-store`'s two on-disk
 //! layouts:
 //!
-//! * **single-worker** (`--shards 1`): the per-pass state is committed
-//!   through the *streaming* snapshot writer
-//!   ([`MatchStore::write_snapshot_streamed`]) with the records iterated
-//!   back off the input file — the full database is never materialized in
+//! Both commit the same borrowed [`SnapshotView`] of the loader's outcome
+//! through the store's one encoder and one slice builder — the calls a
+//! daemon checkpoint makes — with the records iterated back off the input
+//! file instead of borrowed from memory:
+//!
+//! * **single-worker** (`--shards 1`): [`MatchStore::commit_snapshot`]
+//!   streams the snapshot — the full database is never materialized in
 //!   this process; peak record residency is the sort's `memory_records`
 //!   budget plus one scan window.
-//! * **sharded** (`--shards N`): each shard's snapshot slice is built and
-//!   written in turn, so peak record residency is one shard's owned
-//!   records (the slice encoder needs them in one buffer). The scatter
-//!   routes with the same [`ShardRouter`] the daemon uses, so a
-//!   bulk-loaded sharded store is indistinguishable from one the daemon
-//!   checkpointed.
+//! * **sharded** (`--shards N`): each shard's slice
+//!   ([`SnapshotView::shard_slice`]) is built and written in turn, so
+//!   peak record residency is one shard's owned records (the slice
+//!   encoder needs them in one buffer). The scatter routes with the same
+//!   [`ShardRouter`] the daemon uses, so a bulk-loaded sharded store is
+//!   indistinguishable from one the daemon checkpointed.
 //!
 //! Either way the committed snapshot carries `batches_applied = 1` — a
 //! restarted daemon sees a store that ingested the whole file as its
@@ -37,10 +40,8 @@ use mp_metrics::{span, PipelineObserver};
 use mp_record::io as rio;
 use mp_record::Record;
 use mp_rules::EquationalTheory;
-use mp_store::sharded::ShardPassSlice;
-use mp_store::{
-    write_shard_snapshot, MatchStore, PassSnapshot, ShardSnapshot, ShardedStore, SnapshotStream,
-};
+use mp_store::{write_shard_snapshot, MatchStore, ShardedStore, SnapshotView};
+use std::borrow::Cow;
 use std::fs::File;
 use std::io::{self, BufReader};
 use std::path::Path;
@@ -77,9 +78,13 @@ pub struct BulkStoreReport {
     pub io: IoStats,
 }
 
-fn record_stream(input: &Path) -> Result<impl Iterator<Item = io::Result<Record>> + '_, String> {
+/// The store's record source for a load: the input file, streamed.
+fn record_stream(
+    input: &Path,
+) -> Result<impl Iterator<Item = io::Result<Cow<'static, Record>>>, String> {
     let file = File::open(input).map_err(|e| format!("open {}: {e}", input.display()))?;
-    Ok(rio::RecordStream::new(BufReader::new(file)).map(|r| r.map_err(io::Error::other)))
+    Ok(rio::RecordStream::new(BufReader::new(file))
+        .map(|r| r.map(Cow::Owned).map_err(io::Error::other)))
 }
 
 fn run_loader(
@@ -100,21 +105,24 @@ fn run_loader(
         .map_err(|e| format!("bulk load {}: {e}", input.display()))
 }
 
-/// Converts the loader's per-pass state into the snapshot's pass layout
-/// (field-for-field identical).
-fn to_pass_snapshots(outcome: &BulkOutcome) -> Vec<PassSnapshot> {
-    outcome
-        .passes
-        .iter()
-        .map(|p| PassSnapshot {
-            key_name: p.key_name.clone(),
-            window: p.window,
-            pairs_found: p.pairs_found,
-            pairs_first_found: p.pairs_first_found,
-            keys: p.keys.clone(),
-            order: p.order.clone(),
-        })
-        .collect()
+/// The loader's outcome as the store's snapshot view: one cold batch.
+/// Bulk loads carry no merge lineage — the external pipeline finds pairs
+/// out of scan order, so there is no well-defined edge log, and explain
+/// against a bulk-loaded base reports connectivity only — hence the
+/// caller-supplied empty `provenance`.
+fn outcome_view<'a>(
+    outcome: &'a BulkOutcome,
+    provenance: &'a mp_closure::ProvenanceLog,
+) -> SnapshotView<'a> {
+    SnapshotView {
+        n_records: outcome.records as u64,
+        passes: outcome.passes.iter().collect(),
+        pairs: Cow::Owned(outcome.pairs.sorted()),
+        closure: &outcome.closure,
+        provenance,
+        comparisons: outcome.comparisons,
+        batches_applied: 1,
+    }
 }
 
 /// Cold-loads the flat record file at `input` into the durable store at
@@ -171,26 +179,12 @@ fn bulk_load_single(
     }
 
     let outcome = run_loader(input, work_dir, cfg, theory, observer)?;
-    let passes = to_pass_snapshots(&outcome);
-    let pairs = outcome.pairs.sorted();
-    // Bulk loads carry no merge lineage: the external pipeline finds
-    // pairs out of scan order, so there is no well-defined edge log.
-    // Explain against a bulk-loaded base reports connectivity only.
-    let provenance = mp_closure::ProvenanceLog::new();
-    let state = SnapshotStream {
-        n_records: outcome.records as u64,
-        passes: &passes,
-        pairs: &pairs,
-        closure: &outcome.closure,
-        provenance: &provenance,
-        comparisons: outcome.comparisons,
-        batches_applied: 1,
-    };
     // Commit: stream the records back off the input file through the
-    // incremental-CRC snapshot writer — the one moment the whole
-    // database flows through this process, and it flows, never resides.
+    // snapshot encoder — the one moment the whole database flows through
+    // this process, and it flows, never resides.
+    let provenance = mp_closure::ProvenanceLog::new();
     let snapshot_bytes = store
-        .write_snapshot_streamed(&state, record_stream(input)?)
+        .commit_snapshot(&outcome_view(&outcome, &provenance), record_stream(input)?)
         .map_err(|e| format!("commit snapshot: {e}"))?;
 
     Ok(Some(BulkStoreReport {
@@ -240,53 +234,15 @@ fn bulk_load_sharded(
             owner.len()
         ));
     }
-    // A pair is owned by the shard of its larger id, exactly as the
-    // daemon's checkpoint splits.
-    let pairs = outcome.pairs.sorted();
-    let mut shard_pairs: Vec<Vec<(u32, u32)>> = vec![Vec::new(); cfg.shards];
-    for &(a, b) in &pairs {
-        shard_pairs[owner[b as usize] as usize].push((a, b));
-    }
-
     // Build and write one shard slice at a time: peak record residency
     // is a single shard's owned records, not the whole database.
+    let provenance = mp_closure::ProvenanceLog::new();
+    let view = outcome_view(&outcome, &provenance);
     let mut snapshot_bytes = 0u64;
-    for (k, owned_pairs) in shard_pairs.iter_mut().enumerate() {
-        let mut records = Vec::new();
-        for (id, rec) in record_stream(input)?.enumerate() {
-            let rec = rec.map_err(|e| format!("read {}: {e}", input.display()))?;
-            if owner[id] as usize == k {
-                records.push(rec);
-            }
-        }
-        let passes = outcome
-            .passes
-            .iter()
-            .map(|p| ShardPassSlice {
-                key_name: p.key_name.clone(),
-                window: p.window,
-                pairs_found: p.pairs_found,
-                pairs_first_found: p.pairs_first_found,
-                keys: records
-                    .iter()
-                    .map(|r| p.keys[r.id.0 as usize].clone())
-                    .collect(),
-            })
-            .collect();
-        let slice = ShardSnapshot {
-            shard: k as u32,
-            shards: cfg.shards as u32,
-            comparisons: outcome.comparisons,
-            batches_applied: 1,
-            total_records: outcome.records as u64,
-            passes,
-            records,
-            pairs: std::mem::take(owned_pairs),
-            // No merge lineage for bulk loads (see `bulk_load_single`).
-            edges: Vec::new(),
-            batch_traces: Vec::new(),
-            rule_firings: Vec::new(),
-        };
+    for k in 0..cfg.shards {
+        let slice = view
+            .shard_slice(k, cfg.shards, &owner, record_stream(input)?)
+            .map_err(|e| format!("build shard {k} slice from {}: {e}", input.display()))?;
         snapshot_bytes += write_shard_snapshot(&store.shard_dir(k), 1, &slice.encode())
             .map_err(|e| format!("write shard {k} snapshot: {e}"))?;
     }

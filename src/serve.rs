@@ -80,7 +80,7 @@
 //! and logged as `slow_batch` events with a per-phase critical-path
 //! breakdown ([`obs::PhaseBreakdown`]). See `docs/TRACING.md`.
 
-use merge_purge::incremental::{DurableIncremental, IncrementalMergePurge};
+use merge_purge::incremental::{DurableIncremental, IncrementalMergePurge, RecoveryReport};
 use merge_purge::KeySpec;
 use mp_metrics::{span, span_labeled, Counter, FlightRecorder, MetricsRecorder, PipelineObserver};
 use mp_record::{io as rio, Record};
@@ -377,18 +377,7 @@ fn bulk_ingest(
     let n_pairs = pairs.len() as u64;
     let snap = mp_store::Snapshot {
         records,
-        passes: outcome
-            .passes
-            .into_iter()
-            .map(|p| mp_store::PassSnapshot {
-                key_name: p.key_name,
-                window: p.window,
-                pairs_found: p.pairs_found,
-                pairs_first_found: p.pairs_first_found,
-                keys: p.keys,
-                order: p.order,
-            })
-            .collect(),
+        passes: outcome.passes,
         pairs,
         closure: outcome.closure,
         // Bulk loads carry no merge lineage (see `crate::bulk`).
@@ -399,6 +388,74 @@ fn bulk_ingest(
     let bytes = backend.bulk_restore(snap, recorder, obs)?;
     recorder.add(Counter::BatchesIngested, 1);
     Ok((n_records, n_pairs, bytes))
+}
+
+/// Reports what opening the store recovered, identically for both
+/// backends: the stderr status line (naming the shard count when
+/// sharded), the `journal_replayed` event — whose middle field is the
+/// one thing the backends report differently (`batches_in_snapshot` vs
+/// `shards`) — and, when a journal lost bytes, `corrupt_tail_truncated`.
+fn report_recovery(
+    obs: &ObsState,
+    quiet: bool,
+    engine: &IncrementalMergePurge,
+    shards: Option<usize>,
+    recovery: &RecoveryReport,
+) {
+    if !quiet {
+        eprintln!(
+            "mergepurge serve: {} records{}, {} batches applied ({} replayed from journal{})",
+            engine.records().len(),
+            shards.map_or_else(String::new, |n| format!(" across {n} shards")),
+            engine.batches_applied(),
+            recovery.batches_replayed,
+            if recovery.truncated_bytes > 0 {
+                ", corrupt tail truncated"
+            } else {
+                ""
+            },
+        );
+    }
+    let (middle, value) = match shards {
+        Some(n) => ("shards", n as u64),
+        None => ("batches_in_snapshot", recovery.batches_in_snapshot),
+    };
+    obs.event(
+        Level::Info,
+        "journal_replayed",
+        vec![
+            (
+                "snapshot_loaded".into(),
+                Json::Bool(recovery.snapshot_loaded),
+            ),
+            (middle.into(), Json::Num(value as f64)),
+            (
+                "batches_replayed".into(),
+                Json::Num(recovery.batches_replayed as f64),
+            ),
+        ],
+    );
+    if recovery.truncated_bytes > 0 || recovery.truncation_reason.is_some() {
+        obs.event(
+            Level::Warn,
+            "corrupt_tail_truncated",
+            vec![
+                (
+                    "truncated_bytes".into(),
+                    Json::Num(recovery.truncated_bytes as f64),
+                ),
+                (
+                    "reason".into(),
+                    Json::Str(
+                        recovery
+                            .truncation_reason
+                            .clone()
+                            .unwrap_or_else(|| "unknown".into()),
+                    ),
+                ),
+            ],
+        );
+    }
 }
 
 /// Runs the daemon until `shutdown` (command or signal). Blocks.
@@ -570,58 +627,7 @@ pub fn serve(
                 let (durable, recovery) =
                     DurableIncremental::open(&config.store_dir, configure, theory, recorder)
                         .map_err(|e| format!("open store {}: {e}", config.store_dir.display()))?;
-                if !config.quiet {
-                    eprintln!(
-                        "mergepurge serve: {} records, {} batches applied ({} replayed from journal{})",
-                        durable.engine().records().len(),
-                        durable.engine().batches_applied(),
-                        recovery.batches_replayed,
-                        if recovery.truncated_bytes > 0 {
-                            ", corrupt tail truncated"
-                        } else {
-                            ""
-                        },
-                    );
-                }
-                obs.event(
-                    Level::Info,
-                    "journal_replayed",
-                    vec![
-                        (
-                            "snapshot_loaded".into(),
-                            Json::Bool(recovery.snapshot_loaded),
-                        ),
-                        (
-                            "batches_in_snapshot".into(),
-                            Json::Num(recovery.batches_in_snapshot as f64),
-                        ),
-                        (
-                            "batches_replayed".into(),
-                            Json::Num(recovery.batches_replayed as f64),
-                        ),
-                    ],
-                );
-                if recovery.truncated_bytes > 0 || recovery.truncation_reason.is_some() {
-                    obs.event(
-                        Level::Warn,
-                        "corrupt_tail_truncated",
-                        vec![
-                            (
-                                "truncated_bytes".into(),
-                                Json::Num(recovery.truncated_bytes as f64),
-                            ),
-                            (
-                                "reason".into(),
-                                Json::Str(
-                                    recovery
-                                        .truncation_reason
-                                        .clone()
-                                        .unwrap_or_else(|| "unknown".into()),
-                                ),
-                            ),
-                        ],
-                    );
-                }
+                report_recovery(obs, config.quiet, durable.engine(), None, &recovery);
                 Backend::Single(durable)
             } else {
                 let first_key = config
@@ -637,48 +643,24 @@ pub fn serve(
                     recorder,
                 )
                 .map_err(|e| format!("open store {}: {e}", config.store_dir.display()))?;
-                if !config.quiet {
-                    eprintln!(
-                        "mergepurge serve: {} records across {} shards, {} batches applied ({} replayed from journal{})",
-                        prep.engine.records().len(),
-                        config.shards,
-                        prep.engine.batches_applied(),
-                        prep.batches_replayed,
-                        if prep.truncated_bytes > 0 {
-                            ", corrupt tail truncated"
-                        } else {
-                            ""
-                        },
-                    );
-                }
-                obs.event(
-                    Level::Info,
-                    "journal_replayed",
-                    vec![
-                        ("snapshot_loaded".into(), Json::Bool(prep.snapshot_loaded)),
-                        ("shards".into(), Json::Num(config.shards as f64)),
-                        (
-                            "batches_replayed".into(),
-                            Json::Num(prep.batches_replayed as f64),
-                        ),
-                    ],
+                // A shard journal that lost bytes always says why, so
+                // "some reason" and "some bytes" coincide as they do for
+                // the single store.
+                let recovery = RecoveryReport {
+                    snapshot_loaded: prep.snapshot_loaded,
+                    batches_in_snapshot: prep.engine.batches_applied() - prep.batches_replayed,
+                    batches_replayed: prep.batches_replayed,
+                    truncated_bytes: prep.truncated_bytes,
+                    truncation_reason: (!prep.truncation_reasons.is_empty())
+                        .then(|| prep.truncation_reasons.join("; ")),
+                };
+                report_recovery(
+                    obs,
+                    config.quiet,
+                    &prep.engine,
+                    Some(config.shards),
+                    &recovery,
                 );
-                if !prep.truncation_reasons.is_empty() {
-                    obs.event(
-                        Level::Warn,
-                        "corrupt_tail_truncated",
-                        vec![
-                            (
-                                "truncated_bytes".into(),
-                                Json::Num(prep.truncated_bytes as f64),
-                            ),
-                            (
-                                "reason".into(),
-                                Json::Str(prep.truncation_reasons.join("; ")),
-                            ),
-                        ],
-                    );
-                }
                 // Hand each shard its journal and mark it replayed; the
                 // readiness probe stays 503 until every shard flips.
                 let journals = std::mem::take(&mut prep.journals);
@@ -1657,8 +1639,7 @@ fn stats_json(
     rule_names: &[String],
 ) -> String {
     let engine = backend.engine();
-    let classes = engine.classes();
-    let duplicates: usize = classes.iter().map(|c| c.len() - 1).sum();
+    let (duplicate_groups, duplicate_records) = engine.duplicate_counts();
     let passes = engine
         .pass_counters()
         .into_iter()
@@ -1685,8 +1666,14 @@ fn stats_json(
             "distinct_pairs".into(),
             Json::Num(engine.pairs().len() as f64),
         ),
-        ("duplicate_groups".into(), Json::Num(classes.len() as f64)),
-        ("duplicate_records".into(), Json::Num(duplicates as f64)),
+        (
+            "duplicate_groups".into(),
+            Json::Num(duplicate_groups as f64),
+        ),
+        (
+            "duplicate_records".into(),
+            Json::Num(duplicate_records as f64),
+        ),
         ("passes".into(), Json::Arr(passes)),
     ]);
     let report = recorder.report();

@@ -34,7 +34,7 @@ use mp_cluster::RangePartition;
 use mp_metrics::{span, span_labeled, Counter, MetricsRecorder, PipelineObserver};
 use mp_record::{Record, RecordId};
 use mp_rules::EquationalTheory;
-use mp_store::{split_snapshot, write_shard_snapshot, Journal, ShardedStore};
+use mp_store::{borrowed, write_shard_snapshot, Journal, ShardedStore};
 use std::path::{Path, PathBuf};
 use std::sync::mpsc::{self, Receiver, SyncSender};
 
@@ -451,7 +451,8 @@ impl ShardedDurable {
     }
 
     /// Checkpoints via two-phase commit: every shard durably writes its
-    /// snapshot slice for the next epoch (phase one, in parallel), the
+    /// snapshot slice for the next epoch (phase one, in parallel — each
+    /// slice built from the borrowed engine, one shard's copy at a time), the
     /// coordinator flips the manifest ([`ShardedStore::commit_epoch`] —
     /// the commit point), then the shard journals reset. Returns total
     /// snapshot bytes (added to `Counter::SnapshotBytes`).
@@ -469,18 +470,27 @@ impl ShardedDurable {
     ) -> Result<u64, String> {
         let _snap = span(recorder, "snapshot");
         let shards = self.senders.len();
-        let snap = self.engine.to_snapshot();
-        let router = &self.router;
-        let parts = split_snapshot(&snap, shards, |r| router.shard_of(r));
+        let records = self.engine.records();
+        let view = self.engine.view();
+        let owner: Vec<u8> = records
+            .iter()
+            .map(|r| self.router.shard_of(r) as u8)
+            .collect();
         let epoch = self.store.epoch() + 1;
 
+        // One slice at a time: shard k's worker writes its bytes while
+        // the coordinator builds shard k+1's, and each slice struct is
+        // dropped as soon as it is encoded.
         let mut acks = Vec::with_capacity(shards);
-        for (k, (tx, part)) in self.senders.iter().zip(&parts).enumerate() {
+        for (k, tx) in self.senders.iter().enumerate() {
+            let slice = view
+                .shard_slice(k, shards, &owner, borrowed(records))
+                .map_err(|e| format!("shard {k} slice: {e}"))?;
             let (done, ack) = mpsc::channel();
             obs.shard_job_enqueued(k);
             let msg = ShardMsg::Snapshot {
                 epoch,
-                bytes: part.encode(),
+                bytes: slice.encode(),
                 done,
             };
             if tx.send(msg).is_err() {
