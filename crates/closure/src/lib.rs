@@ -17,13 +17,17 @@
 //! * [`provenance::ProvenanceLog`] — the spanning-forest edge log keeping
 //!   the evidence (rule, pass, batch, trace) behind every merge, plus
 //!   [`provenance::ClusterSizes`] cluster-size telemetry.
+//! * [`ClassRing`] — a circular member list per class, so one class can be
+//!   listed in O(class) without sweeping the forest.
 
 pub mod pairs;
 pub mod provenance;
+pub mod ring;
 pub mod unionfind;
 
 pub use pairs::PairSet;
 pub use provenance::{ClusterSizes, MergeEdge, ProvenanceLog};
+pub use ring::ClassRing;
 pub use unionfind::UnionFind;
 
 /// Computes the transitive closure of `pairs` over the id space `0..n` and

@@ -19,7 +19,7 @@
 //! non-singleton cluster count) so the serving layer can export
 //! match-quality telemetry without an O(N) sweep per batch.
 
-use crate::UnionFind;
+use crate::{ClassRing, UnionFind};
 
 /// One successful `union(a, b)` with the evidence that caused it.
 ///
@@ -292,7 +292,8 @@ pub const SIZE_BUCKETS: usize = 33;
 /// id space extends, [`Self::merge`] on every successful union (with the
 /// two *pre-union* roots and the post-union root). Not persisted —
 /// [`Self::rebuild`] recomputes the whole distribution from a restored
-/// forest in O(N).
+/// forest in O(N), together with the other piece of derived state that
+/// shares this lifecycle, the [`ClassRing`].
 #[derive(Debug, Clone)]
 pub struct ClusterSizes {
     /// Cluster size, valid at the current root of each cluster.
@@ -355,10 +356,11 @@ impl ClusterSizes {
         s
     }
 
-    /// Recomputes the full distribution from a forest (used after
+    /// Recomputes the closure's derived state from a forest (used after
     /// restoring a snapshot; the forest is cloned so `find`'s path
-    /// compression does not disturb the caller's copy).
-    pub fn rebuild(uf: &UnionFind) -> Self {
+    /// compression does not disturb the caller's copy): the full size
+    /// distribution and the class-member ring, from one `find` sweep.
+    pub fn rebuild(uf: &UnionFind) -> (Self, ClassRing) {
         let mut uf = uf.clone();
         let n = uf.len();
         let mut cs = ClusterSizes {
@@ -367,9 +369,15 @@ impl ClusterSizes {
             largest: 0,
             clusters: 0,
         };
+        let mut ring = ClassRing::new(n);
         for x in 0..n as u32 {
             let r = uf.find(x);
             cs.size[r as usize] += 1;
+            if r != x {
+                // `x` is visited once and is nobody's root, so it is
+                // still a ring of one here: two different rings.
+                ring.splice(r, x);
+            }
         }
         for x in 0..n as u32 {
             if uf.find(x) == x {
@@ -381,7 +389,7 @@ impl ClusterSizes {
                 }
             }
         }
-        cs
+        (cs, ring)
     }
 
     /// The log2 histogram (bucket `k` = sizes in `[2^k, 2^{k+1})`).
@@ -528,7 +536,7 @@ mod tests {
 
         // The incremental state matches a from-scratch rebuild.
         uf.grow(8);
-        let rebuilt = ClusterSizes::rebuild(&uf);
+        let (rebuilt, _) = ClusterSizes::rebuild(&uf);
         assert_eq!(rebuilt.histogram(), cs.histogram());
         assert_eq!(rebuilt.largest(), cs.largest());
         assert_eq!(rebuilt.cluster_count(), cs.cluster_count());
@@ -539,7 +547,8 @@ mod tests {
         let cs = ClusterSizes::new(0);
         assert_eq!(cs.largest(), 0);
         assert_eq!(cs.histogram().iter().sum::<u64>(), 0);
-        let rebuilt = ClusterSizes::rebuild(&UnionFind::new(0));
+        let (rebuilt, ring) = ClusterSizes::rebuild(&UnionFind::new(0));
         assert_eq!(rebuilt.largest(), 0);
+        assert!(ring.is_empty());
     }
 }

@@ -37,7 +37,7 @@
 use crate::key::KeySpec;
 use crate::radix::{chunked_str_cmp, merge_sorted};
 use crate::window::{Found, FoundList, ScanCounts, WindowScan};
-use mp_closure::{ClusterSizes, MergeEdge, PairSet, ProvenanceLog, UnionFind};
+use mp_closure::{ClassRing, ClusterSizes, MergeEdge, PairSet, ProvenanceLog, UnionFind};
 use mp_metrics::{span, span_labeled, Counter, NoopObserver, PipelineObserver};
 use mp_record::{Record, RecordId};
 use mp_rules::EquationalTheory;
@@ -105,6 +105,10 @@ pub struct IncrementalMergePurge {
     /// Cluster-size accounting (log2 histogram, largest, count), updated
     /// on every union. Not persisted — rebuilt from the closure on restore.
     cluster_sizes: ClusterSizes,
+    /// Circular member list per closure class, spliced on every successful
+    /// union, so one record's class is listed in O(class). Derived state
+    /// with `cluster_sizes`' lifecycle: not persisted, rebuilt on restore.
+    ring: ClassRing,
     /// When false, scans skip rule attribution and no edges are recorded
     /// (the overhead-bench baseline). Defaults to true.
     record_provenance: bool,
@@ -134,6 +138,7 @@ impl IncrementalMergePurge {
             closure: UnionFind::new(0),
             provenance: ProvenanceLog::new(),
             cluster_sizes: ClusterSizes::new(0),
+            ring: ClassRing::new(0),
             record_provenance: true,
             last_batch_largest_merge: None,
             comparisons: 0,
@@ -220,6 +225,14 @@ impl IncrementalMergePurge {
     /// multi-record clusters), current as of the last batch.
     pub fn cluster_sizes(&self) -> &ClusterSizes {
         &self.cluster_sizes
+    }
+
+    /// The class-member ring, current as of the last batch. Cloning it
+    /// gives a self-contained, immutable answer to every
+    /// [`class_of`](Self::class_of) query as of that batch — what the
+    /// daemon publishes to its connection threads.
+    pub fn class_ring(&self) -> &ClassRing {
+        &self.ring
     }
 
     /// Largest merged cluster of the most recent batch, as `(a, b,
@@ -330,6 +343,7 @@ impl IncrementalMergePurge {
         self.records.append(&mut batch);
         self.closure.grow(self.records.len());
         self.cluster_sizes.grow(self.records.len());
+        self.ring.grow(self.records.len());
         self.batches_applied += 1;
         self.last_batch_largest_merge = None;
 
@@ -436,6 +450,7 @@ impl IncrementalMergePurge {
                     }
                     let root = self.closure.find(prev);
                     let combined = self.cluster_sizes.merge(ra, rb, root);
+                    self.ring.splice(ra, rb);
                     if self
                         .last_batch_largest_merge
                         .is_none_or(|(_, _, s)| combined > s)
@@ -447,9 +462,27 @@ impl IncrementalMergePurge {
         }
     }
 
-    /// Transitive closure over everything found so far.
+    /// Transitive closure over everything found so far: every class with
+    /// at least two members, members ascending, classes by smallest member.
+    ///
+    /// This is the O(store) oracle — it clones the forest and sweeps every
+    /// id — kept for tests and measurement. Serving paths ask
+    /// [`class_of`](Self::class_of) for one class or
+    /// [`duplicate_counts`](Self::duplicate_counts) for the totals.
     pub fn classes(&self) -> Vec<Vec<u32>> {
         self.closure.clone().classes()
+    }
+
+    /// The duplicate class of record `id`, itself included, ascending —
+    /// `[id]` when it never merged. O(class): a walk of the member ring,
+    /// no `find`, no sweep. Agrees with [`classes`](Self::classes) for
+    /// every id (tests enforce this).
+    ///
+    /// # Panics
+    ///
+    /// Panics when `id` is not a record of this engine.
+    pub fn class_of(&self, id: u32) -> Vec<u32> {
+        self.ring.class_of(id)
     }
 
     /// Number of duplicate groups (closure classes with at least two
@@ -531,9 +564,10 @@ impl IncrementalMergePurge {
         self.pairs = pairs;
         self.closure = snap.closure;
         self.provenance = snap.provenance;
-        // Sizes are a pure function of the closure; recomputing keeps the
-        // snapshot format free of derived state.
-        self.cluster_sizes = ClusterSizes::rebuild(&self.closure);
+        // Sizes and ring are pure functions of the (validated) closure;
+        // recomputing both in one sweep keeps the snapshot format free of
+        // derived state.
+        (self.cluster_sizes, self.ring) = ClusterSizes::rebuild(&self.closure);
         self.comparisons = snap.comparisons;
         self.batches_applied = snap.batches_applied;
         Ok(self)
@@ -939,11 +973,12 @@ mod tests {
     }
 
     proptest::proptest! {
-        /// `stats` reports duplicates from [`ClusterSizes`]; the numbers
-        /// must be the ones `classes()` would count, after every batch and
-        /// after a restore (which rebuilds the sizes from the closure).
+        /// `stats` reports duplicates from [`ClusterSizes`] and
+        /// `query-matches` lists a class off the [`ClassRing`]; both must
+        /// say what `classes()` would, after every batch and after a
+        /// restore (which rebuilds sizes and ring from the closure).
         #[test]
-        fn duplicate_counts_match_classes_after_batches_and_restore(
+        fn derived_state_matches_classes_after_batches_and_restore(
             seed in 0u64..500,
             originals in 1usize..120,
             parts in 1usize..5,
@@ -954,16 +989,31 @@ mod tests {
                 let extra: usize = classes.iter().map(|c| c.len() - 1).sum();
                 (classes.len() as u64, extra as u64)
             };
+            let listed = |e: &IncrementalMergePurge| -> Vec<Vec<u32>> {
+                (0..e.records().len() as u32).map(|id| e.class_of(id)).collect()
+            };
+            let oracle = |e: &IncrementalMergePurge| {
+                let mut want: Vec<Vec<u32>> =
+                    (0..e.records().len() as u32).map(|id| vec![id]).collect();
+                for class in e.classes() {
+                    for &id in &class {
+                        want[id as usize] = class.clone();
+                    }
+                }
+                want
+            };
             let mut inc = two_pass(IncrementalMergePurge::new());
             proptest::prop_assert_eq!(inc.duplicate_counts(), (0, 0));
             for batch in batches(seed, originals, parts) {
                 inc.add_batch(batch, &theory);
                 proptest::prop_assert_eq!(inc.duplicate_counts(), counted(&inc));
+                proptest::prop_assert_eq!(listed(&inc), oracle(&inc));
             }
             let restored = two_pass(IncrementalMergePurge::new())
                 .restore(inc.to_snapshot())
                 .unwrap();
             proptest::prop_assert_eq!(restored.duplicate_counts(), counted(&inc));
+            proptest::prop_assert_eq!(listed(&restored), oracle(&inc));
         }
     }
 

@@ -78,7 +78,7 @@ fn main() {
         snapshot_bytes = durable.checkpoint(&obs).expect("checkpoint");
         let checkpoint_time = t2.elapsed();
 
-        let groups = durable.engine().classes().len();
+        let (groups, _) = durable.engine().duplicate_counts();
         total_comparisons = durable.engine().comparisons();
         drop(durable); // the monthly process exits
 

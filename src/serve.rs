@@ -28,7 +28,10 @@
 //!   503 throughout), use `serve --bulk-load` or `mergepurge load`
 //!   instead — see `docs/SCALING.md`.
 //! * `query-matches` — `{"cmd":"query-matches","id":N}` replies with the
-//!   record's duplicate class (including itself).
+//!   record's duplicate class (including itself). Answered on the
+//!   connection's own thread from the read view the engine worker
+//!   publishes before acknowledging each batch: O(class), never queued
+//!   behind a write, consistent as of the reply's `seq`.
 //! * `explain` — `{"cmd":"explain","a":N,"b":N}` walks the provenance
 //!   spanning forest and replies with the ordered evidence chain that
 //!   connects the two records: each hop names the record pair, the
@@ -91,6 +94,7 @@ use std::os::unix::net::{UnixListener, UnixStream};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::{self, SyncSender, TrySendError};
+use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
 pub mod eventlog;
@@ -224,16 +228,63 @@ fn install_signal_handlers() {
 }
 
 /// One queued unit of work for the single engine-owning worker thread.
-/// FIFO order is the serialization point: replies are sent only after the
-/// worker has durably processed the job.
-enum Job {
-    Ingest(Vec<Record>, mpsc::Sender<String>),
-    BulkLoad(PathBuf, mpsc::Sender<String>),
-    Query(u32, mpsc::Sender<String>),
-    Explain(u32, u32, mpsc::Sender<String>),
-    Stats(mpsc::Sender<String>),
-    Snapshot(mpsc::Sender<String>),
-    Shutdown(mpsc::Sender<String>),
+/// FIFO order is the serialization point: `reply` is sent only after the
+/// worker has durably processed `work`.
+struct Job {
+    work: Work,
+    reply: mpsc::Sender<String>,
+}
+
+/// What the engine worker is asked to do. `query-matches` is not here:
+/// connection threads answer it from the published [`ReadView`].
+enum Work {
+    Ingest(Vec<Record>),
+    BulkLoad(PathBuf),
+    Explain(u32, u32),
+    Stats,
+    Snapshot,
+    Shutdown,
+}
+
+/// What `query-matches` is answered from: the class-member ring as of
+/// acknowledged batch `seq`. Immutable once published, so a reply is
+/// snapshot-consistent — class and `seq` come from the same state.
+struct ReadView {
+    ring: mp_closure::ClassRing,
+    seq: u64,
+}
+
+/// The slot through which the engine worker hands connection threads the
+/// current [`ReadView`]. The worker publishes ([`publish_state`]) after
+/// every state change and *before* it acknowledges the change, so a
+/// client that has seen an ack reads that batch; readers only clone the `Arc`, so a read never
+/// waits for a write (the lock is held for a pointer swap, not a copy).
+struct ReadSlot(Mutex<Arc<ReadView>>);
+
+impl ReadSlot {
+    /// A slot holding the view of an empty store, until the first publish.
+    fn new() -> Self {
+        ReadSlot(Mutex::new(Arc::new(ReadView {
+            ring: mp_closure::ClassRing::new(0),
+            seq: 0,
+        })))
+    }
+
+    fn publish(&self, backend: &Backend) {
+        let view = Arc::new(ReadView {
+            ring: backend.engine().class_ring().clone(),
+            seq: last_seq(backend),
+        });
+        // Bound so the superseded view is freed after the lock is released.
+        let _superseded = std::mem::replace(
+            &mut *self.0.lock().expect("no panic while holding the view lock"),
+            view,
+        );
+    }
+
+    fn load(&self) -> Arc<ReadView> {
+        Arc::clone(&self.0.lock().expect("no panic while holding the view lock"))
+    }
 }
 
 fn err_json(msg: &str) -> String {
@@ -497,6 +548,7 @@ pub fn serve(
         None => None,
     };
     let obs = ObsState::new(config.queue_depth, log);
+    let reads = ReadSlot::new();
     if config.shards > 1 {
         // Allocated before the store opens so `readyz` can report
         // per-shard replay progress (503 until *every* shard finishes).
@@ -540,7 +592,7 @@ pub fn serve(
     };
 
     let result = std::thread::scope(|scope| {
-        let obs = &obs;
+        let (obs, reads) = (&obs, &reads);
         if let Some(l) = metrics_listener {
             scope.spawn(move || http::serve_http(l, obs, recorder, flight, &SHUTDOWN));
         }
@@ -698,7 +750,9 @@ pub fn serve(
             // daemon's lifetime, and `explain` replies and the quality
             // stats name rules by id.
             let rule_names = theory.rule_names();
-            publish_gauges(&backend, obs, &rule_names);
+            // Before any listener binds: the first connection already
+            // reads the recovered state.
+            publish_state(&backend, obs, &rule_names, reads);
             obs.set_replay_complete();
             // Sweep the startup spans (load + journal replay) into their
             // own flight entry so the first batch's entry holds only its
@@ -788,8 +842,9 @@ pub fn serve(
                         };
                         obs.job_dequeued();
                         obs.beat();
-                        match job {
-                            Job::Ingest(batch, reply) => {
+                        let Job { work, reply } = job;
+                        let msg = match work {
+                            Work::Ingest(batch) => {
                                 let n = batch.len();
                                 let trace_id = mint_trace_id();
                                 let started = std::time::Instant::now();
@@ -991,10 +1046,10 @@ pub fn serve(
                                     );
                                 }
                                 last_trace_id = Some(trace_id);
-                                publish_gauges(&backend, obs, &rule_names);
-                                let _ = reply.send(msg);
+                                publish_state(&backend, obs, &rule_names, reads);
+                                msg
                             }
-                            Job::BulkLoad(path, reply) => {
+                            Work::BulkLoad(path) => {
                                 let trace_id = mint_trace_id();
                                 let started = std::time::Instant::now();
                                 let msg = {
@@ -1085,46 +1140,10 @@ pub fn serve(
                                     recorder.drain_spans(),
                                 );
                                 last_trace_id = Some(trace_id);
-                                publish_gauges(&backend, obs, &rule_names);
-                                let _ = reply.send(msg);
+                                publish_state(&backend, obs, &rule_names, reads);
+                                msg
                             }
-                            Job::Query(id, reply) => {
-                                obs.event(
-                                    Level::Debug,
-                                    "query_matches",
-                                    vec![("id".into(), Json::Num(id as f64))],
-                                );
-                                let msg = if (id as usize) < backend.engine().records().len() {
-                                    let class = backend
-                                        .engine()
-                                        .classes()
-                                        .into_iter()
-                                        .find(|c| c.contains(&id))
-                                        .unwrap_or_else(|| vec![id]);
-                                    Json::Obj(vec![
-                                        ("ok".into(), Json::Bool(true)),
-                                        ("id".into(), Json::Num(id as f64)),
-                                        (
-                                            "class".into(),
-                                            Json::Arr(
-                                                class
-                                                    .iter()
-                                                    .map(|&r| Json::Num(r as f64))
-                                                    .collect(),
-                                            ),
-                                        ),
-                                        ("seq".into(), Json::Num(last_seq(&backend) as f64)),
-                                    ])
-                                    .to_string()
-                                } else {
-                                    err_json(&format!(
-                                        "record id {id} out of range ({} records)",
-                                        backend.engine().records().len()
-                                    ))
-                                };
-                                let _ = reply.send(msg);
-                            }
-                            Job::Explain(a, b, reply) => {
+                            Work::Explain(a, b) => {
                                 obs.event(
                                     Level::Debug,
                                     "explain",
@@ -1134,7 +1153,7 @@ pub fn serve(
                                     ],
                                 );
                                 let n = backend.engine().records().len();
-                                let msg = if (a as usize) >= n || (b as usize) >= n {
+                                if (a as usize) >= n || (b as usize) >= n {
                                     err_json(&format!(
                                         "record id out of range ({n} records): a={a} b={b}"
                                     ))
@@ -1181,21 +1200,20 @@ pub fn serve(
                                         ("seq".into(), Json::Num(last_seq(&backend) as f64)),
                                     ])
                                     .to_string()
-                                };
-                                let _ = reply.send(msg);
+                                }
                             }
-                            Job::Stats(reply) => {
+                            Work::Stats => {
                                 obs.event(Level::Debug, "stats", vec![]);
-                                let _ = reply.send(stats_json(
+                                stats_json(
                                     &backend,
                                     recorder,
                                     obs,
                                     flight,
                                     last_trace_id.as_deref(),
                                     &rule_names,
-                                ));
+                                )
                             }
-                            Job::Snapshot(reply) => {
+                            Work::Snapshot => {
                                 let trace_id = mint_trace_id();
                                 let msg = {
                                     let _snap_span = span_labeled(recorder, "batch", || {
@@ -1237,10 +1255,10 @@ pub fn serve(
                                     recorder.drain_spans(),
                                 );
                                 last_trace_id = Some(trace_id);
-                                publish_gauges(&backend, obs, &rule_names);
-                                let _ = reply.send(msg);
+                                publish_state(&backend, obs, &rule_names, reads);
+                                msg
                             }
-                            Job::Shutdown(reply) => {
+                            Work::Shutdown => {
                                 SHUTDOWN.store(true, Ordering::SeqCst);
                                 obs.set_accepting(false);
                                 obs.event(Level::Info, "shutdown_begun", vec![]);
@@ -1248,16 +1266,7 @@ pub fn serve(
                                 // behind it in the queue; refuse them.
                                 while let Ok(late) = rx.try_recv() {
                                     obs.job_dequeued();
-                                    let sender = match late {
-                                        Job::Ingest(_, s)
-                                        | Job::BulkLoad(_, s)
-                                        | Job::Query(_, s)
-                                        | Job::Explain(_, _, s)
-                                        | Job::Stats(s)
-                                        | Job::Snapshot(s)
-                                        | Job::Shutdown(s) => s,
-                                    };
-                                    let _ = sender.send(err_json("shutting-down"));
+                                    let _ = late.reply.send(err_json("shutting-down"));
                                 }
                                 let msg = match backend.checkpoint(recorder, obs) {
                                     Ok(bytes) => {
@@ -1284,11 +1293,14 @@ pub fn serve(
                                         err_json(&format!("final snapshot failed: {e}"))
                                     }
                                 };
-                                publish_gauges(&backend, obs, &rule_names);
-                                let _ = reply.send(msg);
+                                publish_state(&backend, obs, &rule_names, reads);
                                 clean = true;
-                                break;
+                                msg
                             }
+                        };
+                        let _ = reply.send(msg);
+                        if clean {
+                            break;
                         }
                     }
                     if !clean {
@@ -1335,8 +1347,9 @@ pub fn serve(
                             Ok((stream, _)) => {
                                 let _ = stream.set_read_timeout(Some(POLL));
                                 let tx = tcp_tx.clone();
-                                scope
-                                    .spawn(move || handle_conn(stream, &tx, obs, recorder, flight));
+                                scope.spawn(move || {
+                                    handle_conn(stream, &tx, reads, obs, recorder, flight)
+                                });
                             }
                             Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
                                 std::thread::sleep(Duration::from_millis(25));
@@ -1356,7 +1369,7 @@ pub fn serve(
                     Ok((stream, _)) => {
                         let _ = stream.set_read_timeout(Some(POLL));
                         let tx = tx.clone();
-                        scope.spawn(move || handle_conn(stream, &tx, obs, recorder, flight));
+                        scope.spawn(move || handle_conn(stream, &tx, reads, obs, recorder, flight));
                     }
                     Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
                         std::thread::sleep(Duration::from_millis(25));
@@ -1374,7 +1387,11 @@ pub fn serve(
             // time out.
             let (ack_tx, ack_rx) = mpsc::channel();
             obs.job_enqueued();
-            if tx.send(Job::Shutdown(ack_tx)).is_ok() {
+            let drain = Job {
+                work: Work::Shutdown,
+                reply: ack_tx,
+            };
+            if tx.send(drain).is_ok() {
                 let _ = ack_rx.recv_timeout(Duration::from_secs(30));
             } else {
                 obs.job_dequeued();
@@ -1405,9 +1422,11 @@ fn last_seq(backend: &Backend) -> u64 {
     backend.next_seq().saturating_sub(1)
 }
 
-/// Copies the engine-owned gauges and the match-quality view into the
-/// shared observability state.
-fn publish_gauges(backend: &Backend, obs: &ObsState, rule_names: &[String]) {
+/// Publishes what other threads may know of the engine, after every job
+/// that can change it and before that job is acknowledged: the
+/// engine-owned gauges and the match-quality view into the shared
+/// observability state, and the [`ReadView`] `query-matches` answers from.
+fn publish_state(backend: &Backend, obs: &ObsState, rule_names: &[String], reads: &ReadSlot) {
     obs.publish_engine(
         backend.engine().records().len() as u64,
         last_seq(backend),
@@ -1439,6 +1458,7 @@ fn publish_gauges(backend: &Backend, obs: &ObsState, rule_names: &[String]) {
             })
             .collect(),
     });
+    reads.publish(backend);
 }
 
 /// Prints the `--progress` heartbeat line (at most every 10 s; called
@@ -1467,6 +1487,7 @@ fn heartbeat_line(obs: &ObsState, last: &mut u64) {
 fn handle_conn(
     mut stream: impl Read + Write,
     tx: &SyncSender<Job>,
+    reads: &ReadSlot,
     obs: &ObsState,
     recorder: &MetricsRecorder,
     flight: &FlightRecorder,
@@ -1477,19 +1498,21 @@ fn handle_conn(
             Ok(None) => return, // clean EOF or shutdown
             Err(_) => return,
         };
-        let response = dispatch(&frame, tx, obs, recorder, flight);
+        let response = dispatch(&frame, tx, reads, obs, recorder, flight);
         if write_frame(&mut stream, &response).is_err() {
             return;
         }
     }
 }
 
-/// Parses one request frame and routes it: probe/scrape commands answer
-/// from shared state immediately; everything else goes through the job
-/// queue to the engine worker.
+/// Parses one request frame and routes it: probe/scrape commands and
+/// `query-matches` answer from shared state immediately, on this
+/// connection's thread; everything else goes through the job queue to the
+/// engine worker.
 fn dispatch(
     frame: &str,
     tx: &SyncSender<Job>,
+    reads: &ReadSlot,
     obs: &ObsState,
     recorder: &MetricsRecorder,
     flight: &FlightRecorder,
@@ -1527,7 +1550,11 @@ fn dispatch(
             // until the engine drains a slot — never an unbounded
             // buffer, never a dropped batch.
             obs.job_enqueued();
-            match tx.try_send(Job::Ingest(batch, reply_tx)) {
+            let job = Job {
+                work: Work::Ingest(batch),
+                reply: reply_tx,
+            };
+            match tx.try_send(job) {
                 Ok(()) => {}
                 Err(TrySendError::Full(job)) => {
                     obs.backpressure_waited();
@@ -1552,7 +1579,16 @@ fn dispatch(
             if id > u64::from(u32::MAX) {
                 return err_json("id out of range");
             }
-            enqueue_and_wait(tx, obs, |reply| Job::Query(id as u32, reply))
+            // The drained queue refuses late jobs with this same reply.
+            if SHUTDOWN.load(Ordering::SeqCst) {
+                return err_json("shutting-down");
+            }
+            obs.event(
+                Level::Debug,
+                "query_matches",
+                vec![("id".into(), Json::Num(id as f64))],
+            );
+            query_matches_json(&reads.load(), id as u32)
         }
         "explain" => {
             let (Some(a), Some(b)) = (
@@ -1564,16 +1600,16 @@ fn dispatch(
             if a > u64::from(u32::MAX) || b > u64::from(u32::MAX) {
                 return err_json("id out of range");
             }
-            enqueue_and_wait(tx, obs, |reply| Job::Explain(a as u32, b as u32, reply))
+            enqueue_and_wait(tx, obs, Work::Explain(a as u32, b as u32))
         }
         "bulk-load" => {
             let Some(path) = req.get("path").and_then(Json::as_str) else {
                 return err_json("bulk-load needs a \"path\" string (daemon-local file)");
             };
-            enqueue_and_wait(tx, obs, |reply| Job::BulkLoad(PathBuf::from(path), reply))
+            enqueue_and_wait(tx, obs, Work::BulkLoad(PathBuf::from(path)))
         }
-        "stats" => enqueue_and_wait(tx, obs, Job::Stats),
-        "snapshot" => enqueue_and_wait(tx, obs, Job::Snapshot),
+        "stats" => enqueue_and_wait(tx, obs, Work::Stats),
+        "snapshot" => enqueue_and_wait(tx, obs, Work::Snapshot),
         // Probes and scrapes never touch the worker queue: they must
         // answer even when the engine is busy or backed up.
         "metrics" => Json::Obj(vec![
@@ -1594,22 +1630,41 @@ fn dispatch(
         "readyz" => obs.readyz_json(),
         "shutdown" => {
             SHUTDOWN.store(true, Ordering::SeqCst);
-            enqueue_and_wait(tx, obs, Job::Shutdown)
+            enqueue_and_wait(tx, obs, Work::Shutdown)
         }
         other => err_json(&format!("unknown cmd {other:?}")),
     }
 }
 
+/// The `query-matches` reply for `id` as of `view`: a range check, a walk
+/// of the record's own class, the encode. O(class), whatever the store
+/// holds, and no other thread is involved.
+fn query_matches_json(view: &ReadView, id: u32) -> String {
+    if (id as usize) >= view.ring.len() {
+        return err_json(&format!(
+            "record id {id} out of range ({} records)",
+            view.ring.len()
+        ));
+    }
+    let class = view.ring.class_of(id);
+    Json::Obj(vec![
+        ("ok".into(), Json::Bool(true)),
+        ("id".into(), Json::Num(id as f64)),
+        (
+            "class".into(),
+            Json::Arr(class.iter().map(|&r| Json::Num(r as f64)).collect()),
+        ),
+        ("seq".into(), Json::Num(view.seq as f64)),
+    ])
+    .to_string()
+}
+
 /// Sends a (non-ingest) job, blocking for queue space, and awaits the
 /// worker's reply. These serialize behind any queued ingests.
-fn enqueue_and_wait(
-    tx: &SyncSender<Job>,
-    obs: &ObsState,
-    job: impl FnOnce(mpsc::Sender<String>) -> Job,
-) -> String {
-    let (reply_tx, reply_rx) = mpsc::channel();
+fn enqueue_and_wait(tx: &SyncSender<Job>, obs: &ObsState, work: Work) -> String {
+    let (reply, reply_rx) = mpsc::channel();
     obs.job_enqueued();
-    if tx.send(job(reply_tx)).is_err() {
+    if tx.send(Job { work, reply }).is_err() {
         obs.job_dequeued();
         return err_json("shutting-down");
     }
@@ -1814,39 +1869,74 @@ pub fn read_frame(stream: &mut impl Read) -> io::Result<Option<String>> {
         .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e))
 }
 
-/// Like [`read_frame`], but treats read timeouts as "check the shutdown
-/// flag and keep waiting" so idle connections drain promptly on shutdown.
-/// Works over any transport whose reads time out (Unix or TCP sockets
-/// with a read timeout armed).
+/// Like [`read_frame`], but resumable across read timeouts: the serving
+/// sockets arm a [`POLL`] read timeout as their shutdown poll, and a
+/// timeout means "check the shutdown flag and keep waiting" wherever in
+/// the frame it lands — a slow peer's partial prefix or payload is kept,
+/// never discarded. `Ok(None)` on clean EOF before a length prefix, or
+/// once shutdown is flagged. Works over any transport whose reads time
+/// out (Unix or TCP sockets with a read timeout armed).
 fn read_frame_with_shutdown(stream: &mut impl Read) -> io::Result<Option<String>> {
-    loop {
-        let mut len_buf = [0u8; 4];
-        match stream.read_exact(&mut len_buf) {
-            Ok(()) => {
-                let len = u32::from_le_bytes(len_buf);
-                if len > MAX_FRAME {
-                    return Err(io::Error::new(
-                        io::ErrorKind::InvalidData,
-                        "oversized frame",
-                    ));
-                }
-                let mut payload = vec![0u8; len as usize];
-                stream.read_exact(&mut payload)?;
-                return String::from_utf8(payload)
-                    .map(Some)
-                    .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e));
+    let mut len_buf = [0u8; 4];
+    if !fill_with_shutdown(stream, &mut len_buf, true)? {
+        return Ok(None);
+    }
+    let len = u32::from_le_bytes(len_buf);
+    if len > MAX_FRAME {
+        return Err(io::Error::new(
+            io::ErrorKind::InvalidData,
+            "oversized frame",
+        ));
+    }
+    let mut payload = vec![0u8; len as usize];
+    if !fill_with_shutdown(stream, &mut payload, false)? {
+        return Ok(None);
+    }
+    String::from_utf8(payload)
+        .map(Some)
+        .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e))
+}
+
+/// Fills `buf`, keeping what has arrived across read timeouts and
+/// checking the shutdown flag at each one. `Ok(false)` means stop serving
+/// this connection cleanly: shutdown was flagged, or — only when
+/// `frame_start` — the peer closed before sending a byte.
+///
+/// # Errors
+///
+/// Socket failures, and `UnexpectedEof` when the peer closes inside a
+/// frame (a torn frame is not a clean close).
+fn fill_with_shutdown(
+    stream: &mut impl Read,
+    buf: &mut [u8],
+    frame_start: bool,
+) -> io::Result<bool> {
+    let mut filled = 0;
+    while filled < buf.len() {
+        match stream.read(&mut buf[filled..]) {
+            Ok(0) if frame_start && filled == 0 => return Ok(false),
+            Ok(0) => {
+                return Err(io::Error::new(
+                    io::ErrorKind::UnexpectedEof,
+                    "peer closed inside a frame",
+                ))
             }
-            Err(e) if e.kind() == io::ErrorKind::UnexpectedEof => return Ok(None),
+            Ok(n) => filled += n,
             Err(e)
-                if e.kind() == io::ErrorKind::WouldBlock || e.kind() == io::ErrorKind::TimedOut =>
+                if matches!(
+                    e.kind(),
+                    io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut
+                ) =>
             {
                 if SHUTDOWN.load(Ordering::SeqCst) {
-                    return Ok(None);
+                    return Ok(false);
                 }
             }
+            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
             Err(e) => return Err(e),
         }
     }
+    Ok(true)
 }
 
 // ---- client helpers --------------------------------------------------
@@ -1924,6 +2014,72 @@ mod tests {
         buf.extend_from_slice(&(MAX_FRAME + 1).to_le_bytes());
         let mut cursor = &buf[..];
         assert!(read_frame(&mut cursor).is_err());
+    }
+
+    /// A peer that stalls longer than the socket's read timeout — inside
+    /// the length prefix, or inside the payload — loses nothing: the
+    /// partial bytes are kept, the frame parses, and so does the next one
+    /// on the same connection.
+    #[test]
+    fn slow_peer_frames_survive_read_timeouts() {
+        let stall = POLL * 5 / 2;
+        let (mut peer, mut conn) = UnixStream::pair().unwrap();
+        conn.set_read_timeout(Some(POLL)).unwrap();
+        let frame = |payload: &str| {
+            let mut bytes = Vec::new();
+            write_frame(&mut bytes, payload).unwrap();
+            bytes
+        };
+        let (first, second, third) = (
+            frame("{\"cmd\":\"healthz\"}"),
+            frame("{\"cmd\":\"query-matches\",\"id\":17}"),
+            frame("{\"cmd\":\"readyz\"}"),
+        );
+        let writer = std::thread::spawn(move || {
+            // Two prefix bytes, a stall, the rest.
+            peer.write_all(&first[..2]).unwrap();
+            std::thread::sleep(stall);
+            peer.write_all(&first[2..]).unwrap();
+            // Prefix and half the payload, a stall, the rest.
+            let half = 4 + (second.len() - 4) / 2;
+            peer.write_all(&second[..half]).unwrap();
+            std::thread::sleep(stall);
+            peer.write_all(&second[half..]).unwrap();
+            // The stream is still in step.
+            peer.write_all(&third).unwrap();
+            // Closing inside a frame is a torn frame, not a clean close.
+            peer.write_all(&third[..6]).unwrap();
+        });
+        for want in ["healthz", "query-matches", "readyz"] {
+            let got = read_frame_with_shutdown(&mut conn).unwrap().unwrap();
+            assert!(got.contains(want), "{got} should be the {want} frame");
+        }
+        writer.join().unwrap();
+        let torn = read_frame_with_shutdown(&mut conn).unwrap_err();
+        assert_eq!(torn.kind(), io::ErrorKind::UnexpectedEof);
+        // And with nothing in flight, a close is clean.
+        let (peer, mut conn) = UnixStream::pair().unwrap();
+        drop(peer);
+        assert_eq!(read_frame_with_shutdown(&mut conn).unwrap(), None);
+    }
+
+    #[test]
+    fn query_reply_lists_the_class_as_of_the_view() {
+        let mut ring = mp_closure::ClassRing::new(4);
+        ring.splice(3, 1);
+        let view = ReadView { ring, seq: 9 };
+        assert_eq!(
+            query_matches_json(&view, 3),
+            "{\"ok\":true,\"id\":3,\"class\":[1,3],\"seq\":9}"
+        );
+        assert_eq!(
+            query_matches_json(&view, 0),
+            "{\"ok\":true,\"id\":0,\"class\":[0],\"seq\":9}"
+        );
+        assert_eq!(
+            query_matches_json(&view, 4),
+            err_json("record id 4 out of range (4 records)")
+        );
     }
 
     #[test]
