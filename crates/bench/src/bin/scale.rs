@@ -1,20 +1,17 @@
 //! Scale benchmark: records/second for the full multi-pass merge/purge
-//! at 100k / 1M / 10M records, across execution engines and sort
-//! strategies.
+//! at 100k / 1M / 10M records, across execution engines.
 //!
 //! Legs per size:
 //!
-//! * `serial/comparison`   — in-memory [`MultiPass`], stable comparison sort
-//! * `serial/radix`        — same, LSD radix sort over key prefixes
-//! * `parallel/comparison` — banded [`mp_parallel`] passes (all cores)
-//! * `extsort/comparison`  — disk-spilling [`BulkLoader`] under a memory
-//!   budget (the `mergepurge load` pipeline)
-//! * `extsort/radix`       — same, radix run formation
+//! * `serial`   — in-memory [`MultiPass`]
+//! * `parallel` — banded [`mp_parallel`] passes (all cores)
+//! * `extsort`  — disk-spilling [`BulkLoader`] under a memory budget (the
+//!   `mergepurge load` pipeline)
 //!
 //! Every leg must close the *identical* pair set at every size it runs —
-//! the benchmark asserts this, so a run doubles as an equivalence check
-//! (the property docs/SCALING.md leans on when it says strategy choice
-//! is a pure performance knob).
+//! the benchmark asserts this, so a run doubles as an equivalence check.
+//! Rows carry `"strategy": "radix"` (the one key sort) so they share a
+//! schema with the committed rows from when the sort was selectable.
 //!
 //! Usage:
 //!   cargo run --release -p mp-bench --bin scale -- \
@@ -30,7 +27,7 @@
 //! truth (the paper's Fig. 2 metrics) and adds the accuracy fields to
 //! every entry, so a scale run reports accuracy alongside throughput.
 
-use merge_purge::{Evaluation, KeySpec, MultiPass, SortStrategy};
+use merge_purge::{Evaluation, KeySpec, MultiPass};
 use mp_bench::Args;
 use mp_closure::PairSet;
 use mp_datagen::{DatabaseGenerator, GeneratorConfig};
@@ -44,10 +41,7 @@ fn keys() -> Vec<KeySpec> {
     vec![KeySpec::last_name_key(), KeySpec::first_name_key()]
 }
 
-struct Leg {
-    engine: &'static str,
-    strategy: SortStrategy,
-}
+const ENGINES: [&str; 3] = ["serial", "parallel", "extsort"];
 
 struct Outcome {
     wall_secs: f64,
@@ -57,7 +51,7 @@ struct Outcome {
 }
 
 fn run_leg(
-    leg: &Leg,
+    engine: &str,
     records: &[mp_record::Record],
     input: &Path,
     work: &Path,
@@ -66,9 +60,9 @@ fn run_leg(
     theory: &NativeEmployeeTheory,
 ) -> Outcome {
     let t0 = Instant::now();
-    match leg.engine {
+    match engine {
         "serial" => {
-            let mut mp = MultiPass::new().with_strategy(leg.strategy);
+            let mut mp = MultiPass::new();
             for key in keys() {
                 mp = mp.sorted(key, window);
             }
@@ -97,7 +91,6 @@ fn run_leg(
         "extsort" => {
             let config = ExternalConfig {
                 memory_records: budget,
-                strategy: leg.strategy,
                 ..ExternalConfig::default()
             };
             let mut loader = BulkLoader::new(config);
@@ -133,7 +126,7 @@ fn run_leg(
 /// by all legs of a size: the pairs are asserted identical).
 fn entry_json(
     total: usize,
-    leg: &Leg,
+    engine: &str,
     o: &Outcome,
     window: usize,
     budget: usize,
@@ -149,12 +142,10 @@ fn entry_json(
         )
     });
     format!(
-        "  {{\"records\": {total}, \"engine\": \"{}\", \"strategy\": \"{}\", \
+        "  {{\"records\": {total}, \"engine\": \"{engine}\", \"strategy\": \"radix\", \
          \"window\": {window}, \"memory_budget\": {budget}, \
          \"wall_secs\": {:.3}, \"records_per_sec\": {:.0}, \
          \"closed_pairs\": {}, \"comparisons\": {}, \"data_passes\": {}{accuracy}}}",
-        leg.engine,
-        leg.strategy.name(),
         o.wall_secs,
         total as f64 / o.wall_secs.max(1e-9),
         o.pairs.len(),
@@ -202,28 +193,6 @@ fn main() {
     let append = args.has("append");
     let score_truth = args.has("truth");
 
-    let legs = [
-        Leg {
-            engine: "serial",
-            strategy: SortStrategy::Comparison,
-        },
-        Leg {
-            engine: "serial",
-            strategy: SortStrategy::Radix,
-        },
-        Leg {
-            engine: "parallel",
-            strategy: SortStrategy::Comparison,
-        },
-        Leg {
-            engine: "extsort",
-            strategy: SortStrategy::Comparison,
-        },
-        Leg {
-            engine: "extsort",
-            strategy: SortStrategy::Radix,
-        },
-    ];
     let theory = NativeEmployeeTheory::new();
     let work_root = std::env::temp_dir().join(format!("mp-scale-{}", std::process::id()));
     std::fs::create_dir_all(&work_root).expect("create work root");
@@ -258,18 +227,13 @@ fn main() {
 
         let mut reference: Option<Vec<(u32, u32)>> = None;
         let mut eval: Option<Evaluation> = None;
-        for leg in &legs {
-            let work = work_root.join(format!(
-                "work-{total}-{}-{}",
-                leg.engine,
-                leg.strategy.name()
-            ));
+        for engine in ENGINES {
+            let work = work_root.join(format!("work-{total}-{engine}"));
             std::fs::create_dir_all(&work).expect("create leg work dir");
-            let o = run_leg(leg, &db.records, &input, &work, window, budget, &theory);
+            let o = run_leg(engine, &db.records, &input, &work, window, budget, &theory);
             let _ = std::fs::remove_dir_all(&work);
             println!(
-                "{:<22} {:>11.2}s {:>14.0} {:>14} {:>12}",
-                format!("{}/{}", leg.engine, leg.strategy.name()),
+                "{engine:<22} {:>11.2}s {:>14.0} {:>14} {:>12}",
                 o.wall_secs,
                 n as f64 / o.wall_secs.max(1e-9),
                 o.comparisons,
@@ -287,16 +251,13 @@ fn main() {
                     reference = Some(o.pairs.clone());
                 }
                 Some(want) => assert_eq!(
-                    want,
-                    &o.pairs,
-                    "{}/{} closed different pairs at {n} records",
-                    leg.engine,
-                    leg.strategy.name()
+                    want, &o.pairs,
+                    "{engine} closed different pairs at {n} records"
                 ),
             }
-            entries.push(entry_json(n, leg, &o, window, budget, eval.as_ref()));
+            entries.push(entry_json(n, engine, &o, window, budget, eval.as_ref()));
         }
-        println!("closed pairs identical across all {} legs", legs.len());
+        println!("closed pairs identical across all {} legs", ENGINES.len());
         if let Some(e) = &eval {
             println!(
                 "accuracy: detected {:.1}%   false-positive {:.3}%   precision {:.1}%   \

@@ -60,6 +60,6 @@ pub use mergescan::MergeScanSnm;
 pub use multipass::{MultiPass, MultiPassResult, PassConfig};
 pub use pipeline::{MergePurge, MergePurgeResult};
 pub use purge::Purger;
-pub use radix::{chunked_str_cmp, radix_order_by, sorted_order_radix, SortStrategy};
+pub use radix::{chunked_str_cmp, radix_order_by, sorted_order_radix};
 pub use snm::{PassResult, PassStats, SortedNeighborhood};
 pub use window::window_scan;

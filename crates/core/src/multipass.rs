@@ -3,7 +3,6 @@
 
 use crate::clustering::{ClusteringConfig, ClusteringMethod};
 use crate::key::KeySpec;
-use crate::radix::SortStrategy;
 use crate::snm::{PassResult, SortedNeighborhood};
 use mp_closure::{PairSet, UnionFind};
 use mp_metrics::{
@@ -38,13 +37,11 @@ impl PassConfig {
         &self,
         records: &[Record],
         theory: &dyn EquationalTheory,
-        strategy: SortStrategy,
         uf: Option<&mut UnionFind>,
         observer: &dyn PipelineObserver,
     ) -> PassResult {
         match self {
             PassConfig::Sorted { key, window } => SortedNeighborhood::new(key.clone(), *window)
-                .with_strategy(strategy)
                 .run_pruned_observed(records, theory, uf, observer),
             PassConfig::Clustered { key, config } => {
                 ClusteringMethod::new(key.clone(), config.clone())
@@ -109,7 +106,6 @@ impl MultiPassResult {
 pub struct MultiPass {
     passes: Vec<PassConfig>,
     prune: bool,
-    strategy: SortStrategy,
 }
 
 impl MultiPass {
@@ -134,16 +130,6 @@ impl MultiPass {
     /// Off by default; the [`crate::MergePurge`] pipeline turns it on.
     pub fn with_pruning(mut self) -> Self {
         self.prune = true;
-        self
-    }
-
-    /// Selects the key-ordering algorithm for every sorted pass (default
-    /// [`SortStrategy::Comparison`]; clustering passes are unaffected).
-    /// Strategies are permutation-identical, so the closed result is
-    /// bit-for-bit the same either way.
-    #[must_use]
-    pub fn with_strategy(mut self, strategy: SortStrategy) -> Self {
-        self.strategy = strategy;
         self
     }
 
@@ -203,7 +189,7 @@ impl MultiPass {
         let passes: Vec<PassResult> = self
             .passes
             .iter()
-            .map(|p| p.run(records, theory, self.strategy, uf.as_mut(), observer))
+            .map(|p| p.run(records, theory, uf.as_mut(), observer))
             .collect();
         let result = Self::close_observed(records.len(), passes, observer);
         observer.run_complete();

@@ -85,16 +85,6 @@ impl<'t> MergePurge<'t> {
         self
     }
 
-    /// Selects the key-ordering algorithm for every sorted pass (default
-    /// [`crate::SortStrategy::Comparison`]); see
-    /// [`MultiPass::with_strategy`]. Results are bit-identical across
-    /// strategies.
-    #[must_use]
-    pub fn sort_strategy(mut self, strategy: crate::SortStrategy) -> Self {
-        self.passes = self.passes.with_strategy(strategy);
-        self
-    }
-
     /// Replaces the nickname table used during conditioning.
     pub fn nicknames(mut self, table: NicknameTable) -> Self {
         self.nicknames = table;

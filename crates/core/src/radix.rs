@@ -1,22 +1,25 @@
-//! LSD radix sort over fixed-width key prefixes, plus the chunked key
-//! comparator shared by the sort fallbacks and merge paths.
+//! LSD radix sort over fixed-width key prefixes — the one way a whole key
+//! range is ordered — plus the chunked key comparator shared by the sort
+//! fallback and the merge paths.
 //!
 //! "On the Complexity of Sorted Neighborhood" observes that the sort
-//! dominates SNM cost asymptotically, so this module attacks it directly:
-//! conditioned sort keys are uppercase ASCII alphanumerics (see
-//! `KeyPart::append`), which makes bytewise order identical to `str::cmp`
-//! order and makes a zero byte sort *before* every legal key byte. Both
-//! facts together let us radix-sort the first [`RADIX_PREFIX_WIDTH`] bytes
-//! of every key — zero-padded, so a short key sorts exactly where
-//! lexicographic order puts it — and fall back to a comparison sort only
-//! inside runs whose prefixes tie *and* contain a key longer than the
-//! prefix.
+//! dominates SNM cost asymptotically, so this module attacks it directly.
+//! Bytewise order of UTF-8 is `str::cmp` order, and a zero byte sorts
+//! before every other byte, so radix-sorting the first
+//! [`RADIX_PREFIX_WIDTH`] bytes of every key — zero-padded — puts a short
+//! key exactly where lexicographic order puts it. Two keys can tie on the
+//! padded prefix and still differ in only two ways: one extends past the
+//! prefix, or one ends in NUL bytes the padding imitates (`"LEE\0"` vs
+//! `"LEE"`; `KeyPart::FirstNonBlank` copies any non-blank char, NUL
+//! included). Either way their lengths differ or exceed the prefix, and
+//! only such tied runs fall back to a comparison sort.
 //!
 //! The sort is stable (LSD counting sort is stable per digit and the
 //! fallback breaks ties by input index), so it produces the *exact*
-//! permutation of the stable comparison sort it replaces — verified by a
-//! property test below and relied on for the bit-identical closed-pair
-//! guarantee across sort strategies.
+//! permutation of a stable comparison sort over `str::cmp` — verified by a
+//! property test below against the comparison oracle, and relied on by the
+//! incremental engine, which merges batches with [`chunked_str_cmp`] and
+//! must land on the order a batch run would.
 //!
 //! A histogram pre-pass computes all per-digit histograms in one sweep and
 //! skips scatter passes for constant-byte columns (common when every key in
@@ -32,40 +35,6 @@ use std::cmp::Ordering;
 /// (`OBRIENM123456`-shaped) are 13–22 bytes, so 16 covers most keys
 /// entirely and leaves only genuine near-duplicates to the fallback.
 pub const RADIX_PREFIX_WIDTH: usize = 16;
-
-/// Which algorithm orders the extracted keys of a pass.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum SortStrategy {
-    /// Stable comparison sort (`slice::sort_by` over `str::cmp`), the
-    /// original engine behavior.
-    #[default]
-    Comparison,
-    /// LSD radix sort over zero-padded [`RADIX_PREFIX_WIDTH`]-byte
-    /// prefixes with comparison fallback on prefix ties. Produces the
-    /// identical permutation.
-    Radix,
-}
-
-impl SortStrategy {
-    /// Stable lowercase name used in span labels and reports.
-    pub fn name(self) -> &'static str {
-        match self {
-            SortStrategy::Comparison => "comparison",
-            SortStrategy::Radix => "radix",
-        }
-    }
-
-    /// Parses `"comparison"` or `"radix"` (CLI flag values).
-    pub fn parse(s: &str) -> Result<Self, String> {
-        match s {
-            "comparison" => Ok(SortStrategy::Comparison),
-            "radix" => Ok(SortStrategy::Radix),
-            other => Err(format!(
-                "unknown sort strategy {other:?} (expected \"comparison\" or \"radix\")"
-            )),
-        }
-    }
-}
 
 /// Compares two keys bytewise in 8-byte big-endian chunks.
 ///
@@ -128,8 +97,9 @@ pub struct RadixOrder {
 /// exact permutation of a stable comparison sort over `str::cmp`.
 ///
 /// `key_of(i)` must be pure (same `&str` every call). Keys may be any
-/// length; only runs that tie on the whole [`RADIX_PREFIX_WIDTH`]-byte
-/// prefix *and* contain a key longer than the prefix are comparison-sorted.
+/// length and hold any bytes; only runs that tie on the whole zero-padded
+/// [`RADIX_PREFIX_WIDTH`]-byte prefix *and* whose keys are not all one
+/// length within the prefix are comparison-sorted.
 pub fn radix_order_by<'a>(n: usize, key_of: impl Fn(usize) -> &'a str) -> RadixOrder {
     const W: usize = RADIX_PREFIX_WIDTH;
     if n <= 1 {
@@ -146,11 +116,13 @@ pub fn radix_order_by<'a>(n: usize, key_of: impl Fn(usize) -> &'a str) -> RadixO
     let mut prefixes = vec![0u8; n * W];
     let mut histograms = vec![[0u32; 256]; W];
     let mut any_long = false;
+    let mut padding = 0usize;
     for i in 0..n {
         let key = key_of(i).as_bytes();
         let take = key.len().min(W);
         prefixes[i * W..i * W + take].copy_from_slice(&key[..take]);
         any_long |= key.len() > W;
+        padding += W - take;
         let row = &prefixes[i * W..(i + 1) * W];
         for (d, &b) in row.iter().enumerate() {
             histograms[d][b as usize] += 1;
@@ -185,10 +157,12 @@ pub fn radix_order_by<'a>(n: usize, key_of: impl Fn(usize) -> &'a str) -> RadixO
     }
 
     // Fallback: comparison-sort runs whose prefixes tie, but only when some
-    // key extends past the prefix (otherwise tied prefixes are tied keys
-    // and stability already ordered them by index).
+    // key extends past the prefix or holds a NUL the padding could imitate
+    // (more zero bytes than were padded); otherwise tied prefixes are tied
+    // keys and stability already ordered them by index.
+    let zero_bytes: usize = histograms.iter().map(|h| h[0] as usize).sum();
     let mut fallback_runs = 0u64;
-    if any_long {
+    if any_long || zero_bytes != padding {
         let mut start = 0;
         while start < n {
             let mut end = start + 1;
@@ -197,10 +171,13 @@ pub fn radix_order_by<'a>(n: usize, key_of: impl Fn(usize) -> &'a str) -> RadixO
             {
                 end += 1;
             }
+            // Tied keys of one length within the prefix are equal keys.
+            let len = key_of(order[start] as usize).len();
             if end - start > 1
-                && order[start..end]
-                    .iter()
-                    .any(|&i| key_of(i as usize).len() > W)
+                && (len > W
+                    || order[start + 1..end]
+                        .iter()
+                        .any(|&i| key_of(i as usize).len() != len))
             {
                 // Stable sort keeps equal full keys in index order, exactly
                 // like the global stable comparison sort.
@@ -219,8 +196,8 @@ pub fn radix_order_by<'a>(n: usize, key_of: impl Fn(usize) -> &'a str) -> RadixO
     }
 }
 
-/// Returns record indices sorted by their key: the radix counterpart of
-/// the comparison `sorted_order`, reporting [`Counter::RadixPasses`].
+/// Returns record indices in stable sorted key order, reporting
+/// [`Counter::RadixPasses`].
 pub fn sorted_order_radix(keys: &KeyArena, observer: &dyn PipelineObserver) -> Vec<u32> {
     let out = radix_order_by(keys.len(), |i| keys.get(i));
     observer.add(Counter::RadixPasses, out.passes as u64);
@@ -271,7 +248,7 @@ mod tests {
             assert_eq!(
                 sorted_order_radix(&keys, &NoopObserver),
                 sorted_order(&keys),
-                "strategy divergence on key {}",
+                "radix diverges from the comparison oracle on key {}",
                 key.name()
             );
         }
@@ -305,6 +282,16 @@ mod tests {
     }
 
     #[test]
+    fn trailing_nul_sorts_after_its_own_prefix() {
+        // Zero padding makes "LEE\0" and "LEE" tie on the prefix; `str::cmp`
+        // (and the incremental engine's merge) puts the shorter key first.
+        let arena = arena_of(&["LEE\0", "LEE"]);
+        let out = radix_order_by(arena.len(), |i| arena.get(i));
+        assert_eq!(out.order, vec![1, 0]);
+        assert_eq!(out.fallback_runs, 1);
+    }
+
+    #[test]
     fn constant_columns_are_skipped() {
         // Keys of length 2: columns 2..16 are all zero padding and column 0
         // is constant, so at most one scatter pass runs.
@@ -314,22 +301,16 @@ mod tests {
         assert_eq!(out.passes, 1);
     }
 
-    #[test]
-    fn strategy_names_round_trip() {
-        for s in [SortStrategy::Comparison, SortStrategy::Radix] {
-            assert_eq!(SortStrategy::parse(s.name()), Ok(s));
-        }
-        assert!(SortStrategy::parse("quantum").is_err());
-    }
-
     proptest! {
-        /// The tentpole guarantee: radix order is the *exact permutation*
-        /// of the stable comparison sort, ties included, for arbitrary
-        /// key-shaped strings (including empties, shared prefixes longer
-        /// than the radix width, and duplicates).
+        /// The guarantee everything downstream leans on: radix order is
+        /// the *exact permutation* of the stable comparison sort, ties
+        /// included, for arbitrary strings — empties, shared prefixes
+        /// longer than the radix width, duplicates, NUL bytes the padding
+        /// imitates, and multi-byte chars straddling the prefix boundary.
+        /// The alphabet is small so tied prefixes are common.
         #[test]
         fn radix_is_exact_permutation_of_comparison(
-            keys in proptest::collection::vec("[A-Z0-9]{0,24}", 0..200)
+            keys in proptest::collection::vec("[AB0ab\0.,é]{0,24}", 0..200)
         ) {
             let mut arena = KeyArena::new();
             for k in &keys {
@@ -343,8 +324,8 @@ mod tests {
 
         #[test]
         fn chunked_cmp_agrees_with_str_cmp(
-            a in "[A-Z0-9]{0,40}",
-            b in "[A-Z0-9]{0,40}",
+            a in "[AB0ab\0.,é]{0,40}",
+            b in "[AB0ab\0.,é]{0,40}",
         ) {
             prop_assert_eq!(chunked_str_cmp(&a, &b), a.cmp(&b));
         }

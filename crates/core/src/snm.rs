@@ -2,7 +2,7 @@
 //! — and the pass scaffold ([`PassRun`]) every in-memory engine runs on.
 
 use crate::key::{KeyArena, KeySpec};
-use crate::radix::{sorted_order_radix, SortStrategy};
+use crate::radix::sorted_order_radix;
 use crate::window::{PrunedSink, ScanCounts, WindowScan};
 use mp_closure::{PairSet, UnionFind};
 use mp_metrics::{span, span_labeled, Counter, NoopObserver, Phase, PipelineObserver, SpanGuard};
@@ -209,7 +209,6 @@ pub(crate) fn scan_segments<'s>(
 pub struct SortedNeighborhood {
     key: KeySpec,
     window: usize,
-    strategy: SortStrategy,
 }
 
 impl SortedNeighborhood {
@@ -220,21 +219,7 @@ impl SortedNeighborhood {
     /// Panics when `window < 2`.
     pub fn new(key: KeySpec, window: usize) -> Self {
         assert!(window >= 2, "window must hold at least two records");
-        SortedNeighborhood {
-            key,
-            window,
-            strategy: SortStrategy::default(),
-        }
-    }
-
-    /// Selects the key-ordering algorithm (default
-    /// [`SortStrategy::Comparison`]). Both strategies produce the exact
-    /// same permutation — and therefore bit-identical pairs — so this
-    /// only changes how fast the sort phase runs.
-    #[must_use]
-    pub fn with_strategy(mut self, strategy: SortStrategy) -> Self {
-        self.strategy = strategy;
-        self
+        SortedNeighborhood { key, window }
     }
 
     /// Runs the three phases over `records` and returns the matched pairs.
@@ -276,22 +261,16 @@ impl SortedNeighborhood {
         let keys = pass.keys(records.len(), || KeyArena::extract(&self.key, records));
         // Indices by key; stable, so equal keys keep input order and runs
         // are deterministic.
-        let order = pass.sort(|| {
-            let _strategy = span_labeled(observer, "sort_strategy", || {
-                self.strategy.name().to_string()
-            });
-            match self.strategy {
-                SortStrategy::Comparison => sorted_order(&keys),
-                SortStrategy::Radix => sorted_order_radix(&keys, observer),
-            }
-        });
+        let order = pass.sort(|| sorted_order_radix(&keys, observer));
         pass.scan(theory, |scan| {
             scan_segments(scan, records, [&order[..]], uf, observer)
         })
     }
 }
 
-/// Returns record indices sorted by their key (stable).
+/// Stable comparison sort of record indices by key: the oracle the radix
+/// property tests compare against.
+#[cfg(test)]
 pub(crate) fn sorted_order(keys: &KeyArena) -> Vec<u32> {
     let mut order: Vec<u32> = (0..keys.len() as u32).collect();
     keys.sort_indices(&mut order);

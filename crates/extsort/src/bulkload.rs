@@ -311,7 +311,7 @@ mod tests {
 
     /// The equivalence the whole design hangs on: a spilled bulk load is
     /// fingerprint-identical to one in-memory `add_batch` of the same
-    /// file, for every sort strategy and thread count.
+    /// file, for every thread count.
     #[test]
     fn bulk_load_matches_add_batch_fingerprint() {
         let theory = NativeEmployeeTheory::new();
@@ -324,35 +324,29 @@ mod tests {
         engine.add_batch(records, &theory);
         let snap = engine.to_snapshot();
 
-        for strategy in [
-            merge_purge::SortStrategy::Comparison,
-            merge_purge::SortStrategy::Radix,
-        ] {
-            for threads in [1usize, 3] {
-                let outcome = BulkLoader::new(ExternalConfig {
-                    memory_records: 97, // forces several spilled runs
-                    fan_in: 3,
-                    threads,
-                    strategy,
-                })
-                .pass(KeySpec::last_name_key(), 10)
-                .pass(KeySpec::first_name_key(), 8)
-                .load(&input, &dir, &theory)
-                .unwrap();
+        for threads in [1usize, 3] {
+            let outcome = BulkLoader::new(ExternalConfig {
+                memory_records: 97, // forces several spilled runs
+                fan_in: 3,
+                threads,
+            })
+            .pass(KeySpec::last_name_key(), 10)
+            .pass(KeySpec::first_name_key(), 8)
+            .load(&input, &dir, &theory)
+            .unwrap();
 
-                let tag = format!("strategy={} threads={threads}", strategy.name());
-                assert_eq!(outcome.records, snap.records.len(), "{tag}");
-                assert_eq!(outcome.comparisons, engine.comparisons(), "{tag}");
-                assert_eq!(outcome.pairs.sorted(), snap.pairs, "{tag}");
-                assert_eq!(outcome.closure.clone().classes(), engine.classes(), "{tag}");
-                for (b, s) in outcome.passes.iter().zip(&snap.passes) {
-                    assert_eq!(b.key_name, s.key_name, "{tag}");
-                    assert_eq!(b.window, s.window, "{tag}");
-                    assert_eq!(b.pairs_found, s.pairs_found, "{tag}");
-                    assert_eq!(b.pairs_first_found, s.pairs_first_found, "{tag}");
-                    assert_eq!(b.keys, s.keys, "{tag}");
-                    assert_eq!(b.order, s.order, "{tag}");
-                }
+            let tag = format!("threads={threads}");
+            assert_eq!(outcome.records, snap.records.len(), "{tag}");
+            assert_eq!(outcome.comparisons, engine.comparisons(), "{tag}");
+            assert_eq!(outcome.pairs.sorted(), snap.pairs, "{tag}");
+            assert_eq!(outcome.closure.clone().classes(), engine.classes(), "{tag}");
+            for (b, s) in outcome.passes.iter().zip(&snap.passes) {
+                assert_eq!(b.key_name, s.key_name, "{tag}");
+                assert_eq!(b.window, s.window, "{tag}");
+                assert_eq!(b.pairs_found, s.pairs_found, "{tag}");
+                assert_eq!(b.pairs_first_found, s.pairs_first_found, "{tag}");
+                assert_eq!(b.keys, s.keys, "{tag}");
+                assert_eq!(b.order, s.order, "{tag}");
             }
         }
         let _ = std::fs::remove_dir_all(&dir);

@@ -42,8 +42,8 @@
 //!
 //! The global order produced by the sorter is **(key, record id)**,
 //! bytewise on the key. Three facts make every configuration — any memory
-//! budget, any fan-in, any thread count, either sort strategy — produce
-//! the *identical* final run:
+//! budget, any fan-in, any thread count — produce the *identical* final
+//! run:
 //!
 //! 1. record ids ascend in input order, so the records of a chunk (and of
 //!    any contiguous sub-chunk a worker thread sorts) already ascend by id;
@@ -57,13 +57,9 @@
 //! [`ExternalSnm`] is bit-identical to the in-memory engines and why run
 //! formation can fan out across threads freely.
 //!
-//! # Sort strategies
-//!
-//! Runs are sorted either by a stable comparison sort or by an LSD radix
-//! sort over fixed-width key prefixes (`merge_purge::SortStrategy`); the
-//! two are permutation-identical by construction (property-tested in the
-//! core crate), so the choice affects throughput only — see
-//! `docs/SCALING.md` for the decision table.
+//! Each run's keys are ordered by the same stable LSD radix sort the
+//! in-memory engines use (`merge_purge::sorted_order_radix`; see "Key
+//! sort" in `docs/SCALING.md`).
 //!
 //! # Example
 //!
@@ -138,8 +134,6 @@ pub struct ExternalConfig {
     /// threads mean more, smaller initial runs — the merge invariants make
     /// the final order identical regardless.
     pub threads: usize,
-    /// How each run's keys are ordered; permutation-identical either way.
-    pub strategy: merge_purge::SortStrategy,
 }
 
 impl Default for ExternalConfig {
@@ -148,7 +142,6 @@ impl Default for ExternalConfig {
             memory_records: 100_000,
             fan_in: 16,
             threads: 1,
-            strategy: merge_purge::SortStrategy::Comparison,
         }
     }
 }

@@ -9,7 +9,7 @@
 
 use crate::runfile::{RunReader, RunWriter};
 use crate::{ExternalConfig, IoStats};
-use merge_purge::{band_ranges, chunked_str_cmp, radix_order_by, KeySpec, SortStrategy};
+use merge_purge::{band_ranges, chunked_str_cmp, sorted_order_radix, KeyArena, KeySpec};
 use mp_metrics::{span, span_labeled, Counter, NoopObserver, Phase, PipelineObserver};
 use mp_record::{io as rio, Record};
 use std::cmp::Ordering;
@@ -60,7 +60,6 @@ struct FormedRun {
     path: PathBuf,
     records_written: u64,
     bytes: u64,
-    radix_passes: u64,
 }
 
 impl ExternalSorter {
@@ -93,9 +92,8 @@ impl ExternalSorter {
     /// from full memory-budget chunks ([`Counter::SpillRuns`]), bytes
     /// written to run and merge files ([`Counter::BytesSpilled`]), total
     /// runs fed into merge steps ([`Counter::MergeFanIn`]), radix scatter
-    /// passes when the radix strategy is selected
-    /// ([`Counter::RadixPasses`]), and run-formation / run-merge phase
-    /// times.
+    /// passes over all runs ([`Counter::RadixPasses`]), and run-formation /
+    /// run-merge phase times.
     pub fn sort_observed(
         &self,
         input: &Path,
@@ -105,13 +103,6 @@ impl ExternalSorter {
     ) -> io::Result<SortedRun> {
         std::fs::create_dir_all(work_dir)?;
         let _ext_span = span(observer, "extsort");
-        let _strategy_span = span_labeled(observer, "sort_strategy", || {
-            format!(
-                "{} threads={}",
-                self.config.strategy.name(),
-                self.config.threads
-            )
-        });
         let mut io_stats = IoStats::default();
         let mut temp_files = Vec::new();
 
@@ -124,7 +115,6 @@ impl ExternalSorter {
 
         let t_runs = Instant::now();
         let mut bytes_spilled = 0u64;
-        let mut radix_passes = 0u64;
         let mut spill_runs = 0u64;
         let mut total = 0usize;
         let mut runs: Vec<PathBuf> = Vec::new();
@@ -161,16 +151,12 @@ impl ExternalSorter {
             for run in formed {
                 io_stats.records_written += run.records_written;
                 bytes_spilled += run.bytes;
-                radix_passes += run.radix_passes;
                 spill_runs += u64::from(budget_full);
                 runs.push(run.path);
             }
         }
         observer.add(Counter::SortRuns, runs.len() as u64);
         observer.add(Counter::SpillRuns, spill_runs);
-        if self.config.strategy == SortStrategy::Radix {
-            observer.add(Counter::RadixPasses, radix_passes);
-        }
         observer.phase_ns(Phase::RunFormation, t_runs.elapsed().as_nanos() as u64);
 
         // Merge levels: F runs at a time until one remains.
@@ -239,36 +225,15 @@ impl ExternalSorter {
             if let Some(table) = nicknames {
                 mp_record::normalize::condition_all(slice, table);
             }
-            let mut buf = String::new();
-            let keyed: Vec<(String, usize)> = slice
-                .iter()
-                .enumerate()
-                .map(|(i, r)| {
-                    self.key.extract_into(r, &mut buf);
-                    (buf.clone(), i)
-                })
-                .collect();
-            let (order, passes) = match self.config.strategy {
-                SortStrategy::Comparison => {
-                    let mut order: Vec<u32> = (0..keyed.len() as u32).collect();
-                    order.sort_by(|&a, &b| {
-                        chunked_str_cmp(&keyed[a as usize].0, &keyed[b as usize].0)
-                    });
-                    (order, 0u64)
-                }
-                SortStrategy::Radix => {
-                    let out = radix_order_by(keyed.len(), |i| keyed[i].0.as_str());
-                    (out.order, out.passes as u64)
-                }
-            };
+            let keys = KeyArena::extract(&self.key, slice);
+            let order = sorted_order_radix(&keys, observer);
             drop(gen_span);
 
             let _spill_span = span_labeled(observer, "spill", || format!("run {run_idx}"));
             let path = work_dir.join(format!("run-{run_idx}-{}.tmp", std::process::id()));
             let mut w = RunWriter::create(&path)?;
             for &i in &order {
-                let (key, local) = &keyed[i as usize];
-                w.write(key, &slice[*local])?;
+                w.write(keys.get(i as usize), &slice[i as usize])?;
             }
             let records_written = w.finish()?;
             let bytes = std::fs::metadata(&path)?.len();
@@ -276,7 +241,6 @@ impl ExternalSorter {
                 path,
                 records_written,
                 bytes,
-                radix_passes: passes,
             })
         };
 
@@ -432,7 +396,7 @@ mod tests {
     }
 
     #[test]
-    fn every_strategy_and_thread_count_produces_the_identical_run() {
+    fn every_thread_count_and_budget_produces_the_identical_run() {
         let dir = work_dir("matrix");
         let (input, db) = write_db(700, 5005, &dir);
         let key = KeySpec::last_name_key();
@@ -446,27 +410,23 @@ mod tests {
         };
         assert_eq!(reference.len(), db.records.len());
 
-        for strategy in [SortStrategy::Comparison, SortStrategy::Radix] {
-            for threads in [1usize, 2, 3] {
-                for memory in [48usize, 701] {
-                    let sorter = ExternalSorter::new(
-                        key.clone(),
-                        ExternalConfig {
-                            memory_records: memory,
-                            fan_in: 4,
-                            threads,
-                            strategy,
-                        },
-                    );
-                    let sorted = sorter.sort(&input, &dir, false).unwrap();
-                    assert_eq!(
-                        read_ids(&sorted.path),
-                        reference,
-                        "strategy={} threads={threads} memory={memory}",
-                        strategy.name()
-                    );
-                    sorted.cleanup();
-                }
+        for threads in [1usize, 2, 3] {
+            for memory in [48usize, 701] {
+                let sorter = ExternalSorter::new(
+                    key.clone(),
+                    ExternalConfig {
+                        memory_records: memory,
+                        fan_in: 4,
+                        threads,
+                    },
+                );
+                let sorted = sorter.sort(&input, &dir, false).unwrap();
+                assert_eq!(
+                    read_ids(&sorted.path),
+                    reference,
+                    "threads={threads} memory={memory}"
+                );
+                sorted.cleanup();
             }
         }
         let _ = std::fs::remove_dir_all(&dir);
@@ -538,17 +498,11 @@ mod tests {
     }
 
     #[test]
-    fn radix_strategy_reports_scatter_passes() {
+    fn run_formation_reports_radix_scatter_passes() {
         use mp_metrics::MetricsRecorder;
         let dir = work_dir("radixcnt");
         let (input, _) = write_db(200, 5004, &dir);
-        let sorter = ExternalSorter::new(
-            KeySpec::last_name_key(),
-            ExternalConfig {
-                strategy: SortStrategy::Radix,
-                ..ExternalConfig::default()
-            },
-        );
+        let sorter = ExternalSorter::new(KeySpec::last_name_key(), ExternalConfig::default());
         let recorder = MetricsRecorder::new();
         let sorted = sorter
             .sort_observed(&input, &dir, false, &recorder)

@@ -7,18 +7,24 @@
 //! contiguous chunks rather than round-robin — equivalent work, better
 //! locality on shared memory.
 
-use merge_purge::KeyArena;
-use std::cmp::Ordering;
+use merge_purge::{radix_order_by, KeyArena};
+use mp_metrics::{Counter, PipelineObserver};
+use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
 /// Returns record indices sorted by key, sorting `procs` fragments in
-/// parallel and merging them with a P-way heap merge. Stable: equal keys
-/// keep ascending index order.
+/// parallel (each with the serial engine's radix sort, reporting its
+/// [`Counter::RadixPasses`]) and merging them with a P-way heap merge.
+/// Stable: equal keys keep ascending index order.
 ///
 /// # Panics
 ///
 /// Panics when `procs` is zero.
-pub fn parallel_sorted_order(keys: &KeyArena, procs: usize) -> Vec<u32> {
+pub fn parallel_sorted_order(
+    keys: &KeyArena,
+    procs: usize,
+    observer: &dyn PipelineObserver,
+) -> Vec<u32> {
     assert!(procs >= 1, "need at least one processor");
     let n = keys.len();
     if n == 0 {
@@ -34,11 +40,11 @@ pub fn parallel_sorted_order(keys: &KeyArena, procs: usize) -> Vec<u32> {
             .map(|start| {
                 let end = (start + chunk).min(n);
                 s.spawn(move || {
-                    let mut run: Vec<u32> = (start as u32..end as u32).collect();
                     // Stable within the run; cross-run stability comes from
                     // the merge preferring the lower fragment on ties.
-                    run.sort_by(|&a, &b| keys.get(a as usize).cmp(keys.get(b as usize)));
-                    run
+                    let sorted = radix_order_by(end - start, |i| keys.get(start + i));
+                    observer.add(Counter::RadixPasses, u64::from(sorted.passes));
+                    sorted.order.into_iter().map(|i| i + start as u32).collect()
                 })
             })
             .collect();
@@ -50,61 +56,21 @@ pub fn parallel_sorted_order(keys: &KeyArena, procs: usize) -> Vec<u32> {
     merge_runs(keys, runs)
 }
 
-struct HeapEntry<'a> {
-    key: &'a str,
-    index: u32,
-    run: usize,
-    pos: usize,
-}
-
-impl PartialEq for HeapEntry<'_> {
-    fn eq(&self, other: &Self) -> bool {
-        self.cmp(other) == Ordering::Equal
-    }
-}
-impl Eq for HeapEntry<'_> {}
-impl PartialOrd for HeapEntry<'_> {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl Ord for HeapEntry<'_> {
-    fn cmp(&self, other: &Self) -> Ordering {
-        // BinaryHeap is a max-heap; reverse for ascending order. Ties break
-        // toward the smaller index for stability.
-        other
-            .key
-            .cmp(self.key)
-            .then_with(|| other.index.cmp(&self.index))
-    }
-}
-
 /// The coordinator's P-way merge ("16-way merge algorithm" in the paper's
 /// footnote; the fan-in here is exactly the number of runs).
 fn merge_runs(keys: &KeyArena, runs: Vec<Vec<u32>>) -> Vec<u32> {
-    let total: usize = runs.iter().map(Vec::len).sum();
-    let mut heap: BinaryHeap<HeapEntry> = BinaryHeap::with_capacity(runs.len());
-    for (r, run) in runs.iter().enumerate() {
-        if let Some(&idx) = run.first() {
-            heap.push(HeapEntry {
-                key: keys.get(idx as usize),
-                index: idx,
-                run: r,
-                pos: 0,
-            });
-        }
-    }
-    let mut out = Vec::with_capacity(total);
-    while let Some(top) = heap.pop() {
-        out.push(top.index);
-        let next_pos = top.pos + 1;
-        if let Some(&idx) = runs[top.run].get(next_pos) {
-            heap.push(HeapEntry {
-                key: keys.get(idx as usize),
-                index: idx,
-                run: top.run,
-                pos: next_pos,
-            });
+    // Min-heap of (key, index, run, position in run): ascending key order,
+    // ties toward the smaller index for stability.
+    let entry = |run: usize, pos: usize| {
+        let index = *runs[run].get(pos)?;
+        Some(Reverse((keys.get(index as usize), index, run, pos)))
+    };
+    let mut heap: BinaryHeap<_> = (0..runs.len()).filter_map(|r| entry(r, 0)).collect();
+    let mut out = Vec::with_capacity(keys.len());
+    while let Some(Reverse((_, index, run, pos))) = heap.pop() {
+        out.push(index);
+        if let Some(next) = entry(run, pos + 1) {
+            heap.push(next);
         }
     }
     out
@@ -113,6 +79,7 @@ fn merge_runs(keys: &KeyArena, runs: Vec<Vec<u32>>) -> Vec<u32> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use mp_metrics::NoopObserver;
     use proptest::prelude::*;
 
     fn arena(keys: &[&str]) -> KeyArena {
@@ -133,38 +100,44 @@ mod tests {
     fn matches_serial_sort() {
         let keys = arena(&["PEAR", "APPLE", "MANGO", "APPLE", "FIG", "DATE"]);
         for procs in [1, 2, 3, 4, 6, 9] {
-            assert_eq!(parallel_sorted_order(&keys, procs), serial_order(&keys));
+            assert_eq!(
+                parallel_sorted_order(&keys, procs, &NoopObserver),
+                serial_order(&keys)
+            );
         }
     }
 
     #[test]
     fn stability_on_equal_keys() {
         let keys = arena(&["X"; 50]);
-        let order = parallel_sorted_order(&keys, 4);
+        let order = parallel_sorted_order(&keys, 4, &NoopObserver);
         assert_eq!(order, (0..50).collect::<Vec<u32>>());
     }
 
     #[test]
     fn empty_and_singleton() {
-        assert!(parallel_sorted_order(&KeyArena::new(), 4).is_empty());
-        assert_eq!(parallel_sorted_order(&arena(&["A"]), 4), vec![0]);
+        assert!(parallel_sorted_order(&KeyArena::new(), 4, &NoopObserver).is_empty());
+        assert_eq!(
+            parallel_sorted_order(&arena(&["A"]), 4, &NoopObserver),
+            vec![0]
+        );
     }
 
     #[test]
     #[should_panic(expected = "at least one processor")]
     fn zero_procs_rejected() {
-        parallel_sorted_order(&KeyArena::new(), 0);
+        parallel_sorted_order(&KeyArena::new(), 0, &NoopObserver);
     }
 
     proptest! {
         #[test]
         fn agrees_with_serial_for_random_inputs(
-            keys in proptest::collection::vec("[A-D]{0,4}", 0..200),
+            keys in proptest::collection::vec("[A-D\0]{0,4}", 0..200),
             procs in 1usize..8,
         ) {
             let keys = arena(&keys.iter().map(String::as_str).collect::<Vec<_>>());
             prop_assert_eq!(
-                parallel_sorted_order(&keys, procs),
+                parallel_sorted_order(&keys, procs, &NoopObserver),
                 serial_order(&keys)
             );
         }

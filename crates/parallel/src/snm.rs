@@ -74,7 +74,7 @@ impl ParallelSnm {
         let keys = pass.keys(records.len(), || {
             parallel_extract_keys(&self.key, records, p)
         });
-        let order = pass.sort(|| parallel_sorted_order(&keys, p));
+        let order = pass.sort(|| parallel_sorted_order(&keys, p, observer));
         let n = order.len();
         let chunk = n.div_ceil(p).max(1);
         // Comparisons against records replicated from the previous

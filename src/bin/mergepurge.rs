@@ -78,13 +78,12 @@ commands:
   load      --input FILE --store DIR [--window W] [--keys a,b,c]
             [--rules FILE] [--theory T] [--shards N] [--work-dir DIR]
             [--memory-budget N] [--fan-in N] [--sort-threads N]
-            [--sort-strategy comparison|radix]
   serve     --socket PATH --store DIR [--window W] [--keys a,b,c]
             [--rules FILE] [--theory T] [--shards N] [--listen HOST:PORT]
             [--queue-depth N] [--snapshot-every N] [--slow-batch-ms T]
             [--large-cluster-threshold N]
             [--bulk-load FILE] [--memory-budget N] [--fan-in N]
-            [--sort-threads N] [--sort-strategy comparison|radix]
+            [--sort-threads N]
             [--stats FILE] [--trace FILE] [--metrics-addr HOST:PORT]
             [--log FILE] [--log-level error|warn|info|debug]
             [--log-max-bytes N] [--log-keep N] [--progress] [--quiet]
@@ -149,9 +148,7 @@ load cold-loads a record file into an empty durable store through the
 external-sort bulk pipeline (mp-extsort): the full database is never
 materialized, so a 10M-record file loads under the --memory-budget
 record cap (default 100000 records in memory; spill runs go to
---work-dir, default STORE/bulk-tmp). --sort-strategy radix switches run
-formation to the LSD radix sort over fixed-width key prefixes; the
-committed store is bit-identical either way. A non-empty store is left
+--work-dir, default STORE/bulk-tmp). A non-empty store is left
 untouched (exit failure). See docs/SCALING.md for the tuning model.
 
 serve --bulk-load FILE runs the same cold load before the store opens
@@ -289,7 +286,7 @@ fn parse_keys(flags: &Flags) -> Result<Vec<KeySpec>, String> {
 /// Parses the external-sort resource flags shared by `load` and
 /// `serve --bulk-load`: `--memory-budget` (records resident in the sort),
 /// `--fan-in` (runs merged at once), `--sort-threads` (run-formation
-/// threads), `--sort-strategy` (comparison | radix).
+/// threads).
 fn parse_external(flags: &Flags) -> Result<mp_extsort::ExternalConfig, String> {
     let mut ext = mp_extsort::ExternalConfig::default();
     ext.memory_records = flags.get_parsed("memory-budget", ext.memory_records)?;
@@ -303,9 +300,6 @@ fn parse_external(flags: &Flags) -> Result<mp_extsort::ExternalConfig, String> {
     ext.threads = flags.get_parsed("sort-threads", ext.threads)?;
     if ext.threads == 0 {
         return Err("--sort-threads must be at least 1".into());
-    }
-    if let Some(s) = flags.get("sort-strategy") {
-        ext.strategy = merge_purge::SortStrategy::parse(s)?;
     }
     Ok(ext)
 }

@@ -58,8 +58,8 @@ pub struct BulkStoreConfig {
     /// Store layout: 1 = single-worker, N = sharded (fixed at store
     /// creation, like `serve --shards`).
     pub shards: usize,
-    /// External-sort limits: memory budget, fan-in, run-formation
-    /// threads, and sort strategy.
+    /// External-sort limits: memory budget, fan-in and run-formation
+    /// threads.
     pub external: ExternalConfig,
 }
 

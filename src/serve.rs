@@ -168,9 +168,8 @@ pub struct ServeConfig {
     /// is empty — a restart over a committed load skips it — and holds
     /// `readyz` at 503 until the load and the subsequent open finish.
     pub bulk_load: Option<PathBuf>,
-    /// External-sort limits (memory budget, fan-in, threads, sort
-    /// strategy) for the bulk-load paths: `--bulk-load` and the
-    /// `bulk-load` wire command.
+    /// External-sort limits (memory budget, fan-in, threads) for the
+    /// bulk-load paths: `--bulk-load` and the `bulk-load` wire command.
     pub bulk: mp_extsort::ExternalConfig,
 }
 

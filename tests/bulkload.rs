@@ -1,13 +1,13 @@
 //! Bulk cold-load equivalence: the extsort-backed pipeline
 //! (`mergepurge load`, `serve --bulk-load`, and the `bulk-load` wire
 //! command) must commit a store byte-identical to one `add_batch` of the
-//! whole file — across store layouts (single / sharded) and sort
-//! strategies (comparison / radix) — and a SIGKILL mid-load must leave a
+//! whole file — across store layouts (single / sharded), memory budgets
+//! and run-formation thread counts — and a SIGKILL mid-load must leave a
 //! store that reruns to the same bytes.
 
 #![cfg(unix)]
 
-use merge_purge::{IncrementalMergePurge, KeySpec, SortStrategy};
+use merge_purge::{IncrementalMergePurge, KeySpec};
 use merge_purge_repro::bulk::{bulk_load_store, BulkStoreConfig};
 use merge_purge_repro::serve::{ingest_request, json::Json, request};
 use mp_datagen::{DatabaseGenerator, GeneratorConfig};
@@ -159,22 +159,21 @@ fn sharded_bulk_load_merges_to_the_same_state_and_watermark() {
 }
 
 #[test]
-fn radix_and_comparison_strategies_commit_identical_bytes() {
-    let dir = tmp_dir("strategies");
+fn memory_budget_and_thread_count_commit_identical_bytes() {
+    let dir = tmp_dir("budgets");
     let records = generate(9003, 2_500);
     let input = write_file(&dir, "db.mp", &records);
 
     let mut snapshots = Vec::new();
-    for (name, strategy, budget, threads) in [
-        ("cmp-spill", SortStrategy::Comparison, 301, 1),
-        ("radix-spill", SortStrategy::Radix, 301, 1),
-        ("radix-ram", SortStrategy::Radix, 1_000_000, 2),
+    for (name, budget, threads) in [
+        ("spill", 301, 1),
+        ("spill-2t", 301, 2),
+        ("ram-2t", 1_000_000, 2),
     ] {
         let store = dir.join(format!("store-{name}"));
         let external = ExternalConfig {
             memory_records: budget,
             threads,
-            strategy,
             ..ExternalConfig::default()
         };
         load(
@@ -187,11 +186,8 @@ fn radix_and_comparison_strategies_commit_identical_bytes() {
         let (_s, loaded) = MatchStore::open(&store).unwrap();
         snapshots.push(loaded.snapshot.unwrap().encode());
     }
-    assert_eq!(
-        snapshots[0], snapshots[1],
-        "radix must not change the bytes"
-    );
-    assert_eq!(snapshots[0], snapshots[2], "budget/threads must not either");
+    assert_eq!(snapshots[0], snapshots[1], "threads must not change bytes");
+    assert_eq!(snapshots[0], snapshots[2], "nor must the memory budget");
     let _ = std::fs::remove_dir_all(&dir);
 }
 

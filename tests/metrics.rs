@@ -236,6 +236,10 @@ fn stats_counters_byte_identical_across_cli_runs() {
     // Sanity: real work was counted.
     assert!(sections[0].contains("\"records_keyed\""));
     assert!(!sections[0].contains("\"comparisons\": 0,"));
+    assert!(
+        counter_value(&sections[0], "radix_passes") > 0,
+        "dedupe orders its keys with the radix sort"
+    );
 
     let _ = std::fs::remove_dir_all(&dir);
 }

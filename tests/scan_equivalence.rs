@@ -6,7 +6,7 @@
 //! `comparisons == rule_invocations + pairs_pruned`.
 
 use merge_purge::incremental::IncrementalMergePurge;
-use merge_purge::{KeySpec, MultiPass, SortStrategy, SortedNeighborhood};
+use merge_purge::{KeySpec, MultiPass, SortedNeighborhood};
 use mp_closure::UnionFind;
 use mp_datagen::{DatabaseGenerator, GeneratorConfig};
 use mp_extsort::{BulkLoader, ExternalConfig, ExternalSnm};
@@ -163,9 +163,9 @@ fn observed_comparisons(recorder: &MetricsRecorder, what: &str) -> u64 {
 // ---------------------------------------------------------------------------
 
 proptest! {
-    /// In-memory passes: serial {pruned, unpruned} × {comparison, radix},
-    /// and `ParallelSnm` on 1..=8 processors — fragments are often shorter
-    /// than the window here — alone and under `parallel_multipass`.
+    /// In-memory passes: serial {pruned, unpruned}, and `ParallelSnm` on
+    /// 1..=8 processors — fragments are often shorter than the window
+    /// here — alone and under `parallel_multipass`.
     #[test]
     fn in_memory_engines_agree_with_the_oracle(
         seed in 0u64..1_000,
@@ -179,24 +179,22 @@ proptest! {
         let want = oracle(&[&records], &keys, w, &theory);
         let want_closed = closed_pairs(n, want.pairs.iter().copied());
 
-        for strategy in [SortStrategy::Comparison, SortStrategy::Radix] {
-            for prune in [false, true] {
-                let what = format!("serial strategy={} prune={prune}", strategy.name());
-                let recorder = MetricsRecorder::new();
-                let mut run = MultiPass::standard_three(w).with_strategy(strategy);
-                if prune {
-                    run = run.with_pruning();
-                }
-                let got = run.run_observed(&records, &theory, &recorder);
-                prop_assert_eq!(got.closed_pairs.sorted(), want_closed.clone(), "{}", what);
-                prop_assert_eq!(observed_comparisons(&recorder, &what), want.comparisons, "{}", what);
-                for (p, pass) in got.passes.iter().enumerate() {
-                    prop_assert_eq!(pass.stats.comparisons, want.pass_comparisons[p], "{}", what);
-                }
-                if !prune {
-                    let found: BTreeSet<_> = got.passes.iter().flat_map(|p| p.pairs.iter()).collect();
-                    prop_assert_eq!(&found, &want.pairs, "{}", what);
-                }
+        for prune in [false, true] {
+            let what = format!("serial prune={prune}");
+            let recorder = MetricsRecorder::new();
+            let mut run = MultiPass::standard_three(w);
+            if prune {
+                run = run.with_pruning();
+            }
+            let got = run.run_observed(&records, &theory, &recorder);
+            prop_assert_eq!(got.closed_pairs.sorted(), want_closed.clone(), "{}", what);
+            prop_assert_eq!(observed_comparisons(&recorder, &what), want.comparisons, "{}", what);
+            for (p, pass) in got.passes.iter().enumerate() {
+                prop_assert_eq!(pass.stats.comparisons, want.pass_comparisons[p], "{}", what);
+            }
+            if !prune {
+                let found: BTreeSet<_> = got.passes.iter().flat_map(|p| p.pairs.iter()).collect();
+                prop_assert_eq!(&found, &want.pairs, "{}", what);
             }
         }
 
@@ -268,7 +266,7 @@ proptest! {
 
         for memory_records in [n / 5 + 1, n + 1] {
             let what = format!("budget={memory_records} threads={threads}");
-            let config = ExternalConfig { memory_records, fan_in: 3, threads, ..ExternalConfig::default() };
+            let config = ExternalConfig { memory_records, fan_in: 3, threads };
 
             let recorder = MetricsRecorder::new();
             let got = ExternalSnm::new(keys[0].clone(), w, config)
