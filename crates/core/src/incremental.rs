@@ -7,9 +7,12 @@
 //! comparisons on old-vs-old pairs that previous cycles already decided.
 //!
 //! [`IncrementalMergePurge`] keeps, per pass, the sorted key order of the
-//! records seen so far. A new batch is key-extracted, sorted, and *merged*
-//! into each pass's order (O(N + B log B) instead of a full resort), and
-//! the window scan evaluates only pairs with at least one new member.
+//! records seen so far. A new batch of B records is key-extracted, sorted,
+//! and *inserted* into each pass's order of N by search — O(B log B +
+//! B log N) key comparisons, no walk over the old keys — and the window
+//! scan visits only the at most B·w positions where a pair can have a new
+//! member. What an ingest still does once per stored record is move `u32`s
+//! (the order shifting to make room), at memcpy speed.
 //!
 //! **Soundness relative to from-scratch runs**: inserting records can only
 //! *increase* the distance between two old records in a pass's sorted
@@ -35,7 +38,7 @@
 //! closure classes as an uninterrupted run (tests enforce this too).
 
 use crate::key::KeySpec;
-use crate::radix::{chunked_str_cmp, merge_sorted};
+use crate::radix::{chunked_str_cmp, insert_sorted};
 use crate::window::{Found, FoundList, ScanCounts, WindowScan};
 use mp_closure::{ClassRing, ClusterSizes, MergeEdge, PairSet, ProvenanceLog, UnionFind};
 use mp_metrics::{span, span_labeled, Counter, NoopObserver, PipelineObserver};
@@ -43,6 +46,7 @@ use mp_record::{Record, RecordId};
 use mp_rules::EquationalTheory;
 use mp_store::{borrowed, MatchStore, Snapshot, SnapshotView, StoreError};
 use std::borrow::Cow;
+use std::ops::Range;
 use std::path::Path;
 
 /// One pass's persisted state. Re-exported so crates that build engine
@@ -282,7 +286,7 @@ impl IncrementalMergePurge {
         )
     }
 
-    /// Ingests a batch: renumbers its records to follow the base, merges
+    /// Ingests a batch: renumbers its records to follow the base, inserts
     /// it into every pass's order, and scans only new-involving pairs.
     ///
     /// # Panics
@@ -292,10 +296,16 @@ impl IncrementalMergePurge {
         self.add_batch_sharded(batch, theory, 1, &NoopObserver);
     }
 
-    /// Like [`add_batch`](Self::add_batch), but splits every pass's window
-    /// scan across `shards` contiguous key bands evaluated on scoped
-    /// threads, then folds the banded results back in band order — the
-    /// cross-shard reconciliation step.
+    /// Like [`add_batch`](Self::add_batch), but deals every pass's window
+    /// scan out to `shards` scoped threads in contiguous shares of the
+    /// visited positions, then folds the banded results back in band order
+    /// — the cross-shard reconciliation step.
+    ///
+    /// **What is visited**: a window pair has a new member only when the
+    /// later position lies at most `w − 1` past a new record's, so the scan
+    /// covers those positions (`touched_ranges`: at most `B·w` of them,
+    /// ascending) and no others. A first batch into an empty engine touches
+    /// every position.
     ///
     /// **Equivalence**: a window pair `(prev, i)` is owned by the band that
     /// contains the *later* position `i`; the scan's backward window
@@ -314,11 +324,13 @@ impl IncrementalMergePurge {
     /// match. With provenance off the cheaper boolean theory entry point
     /// is used and every rule id is 0.
     ///
-    /// `shards == 1` is the serial scan: no threads, no spans. Otherwise
-    /// opens a `shard_scan` span per band and a `closure_reconcile` span
-    /// around the fold (worker spans land on their thread's track). Either
-    /// way `observer` receives the batch's `RecordsKeyed`, scan counters
-    /// and `Matches`, so ingest, replay and `--stats` are fed identically.
+    /// Per pass, opens a `key_merge` span around key extraction and the
+    /// insertion and a `shard_scan` span per band. `shards == 1` is the
+    /// serial scan — band 0, on the calling thread; otherwise the bands run
+    /// on threads of their own (their spans land on their thread's track)
+    /// and a `closure_reconcile` span covers the fold. Either way
+    /// `observer` receives the batch's `RecordsKeyed`, scan counters and
+    /// `Matches`, so ingest, replay and `--stats` are fed identically.
     ///
     /// # Panics
     ///
@@ -348,33 +360,42 @@ impl IncrementalMergePurge {
         self.last_batch_largest_merge = None;
 
         for p in 0..self.passes.len() {
-            let merged = self.merge_pass(p, old_len);
-            let window = WindowScan::new(self.passes[p].snap.window as usize, theory, observer);
+            let landed = {
+                let _merge = span(observer, "key_merge");
+                self.merge_pass(p, old_len)
+            };
+            let pass = &self.passes[p].snap;
+            let window = WindowScan::new(pass.window as usize, theory, observer);
+            let touched = touched_ranges(&landed, pass.window as usize, pass.order.len());
             let (records, attribute) = (&self.records, self.record_provenance);
-            let scan = |from: usize, to: usize| {
+            let scan = |k: usize, ranges: &[Range<usize>]| {
+                let _scan = span_labeled(observer, "shard_scan", || format!("shard={k}"));
                 let mut sink = FoundList::new(old_len, attribute);
-                let counts = window.band(records, &merged, from..to, &mut sink);
+                let mut counts = ScanCounts::default();
+                for range in ranges {
+                    let visited = window.band(records, &pass.order, range.clone(), &mut sink);
+                    debug_assert!(
+                        visited.comparisons >= range.len() as u64,
+                        "a touched position has a new record in its window"
+                    );
+                    counts += visited;
+                }
                 (counts, sink.found)
             };
             let results: Vec<(ScanCounts, Vec<Found>)> = if shards == 1 {
-                vec![scan(1, merged.len())]
+                vec![scan(0, &touched)]
             } else {
                 let scan = &scan;
                 std::thread::scope(|s| {
-                    let handles: Vec<_> = band_ranges(merged.len(), shards)
+                    let handles: Vec<_> = deal(&touched, shards)
                         .into_iter()
                         .enumerate()
-                        .map(|(k, (from, to))| {
+                        .map(|(k, share)| {
                             // Named so repeated batches land on one
                             // flight-recorder lane per band.
                             std::thread::Builder::new()
                                 .name(format!("band-{k}"))
-                                .spawn_scoped(s, move || {
-                                    let _scan = span_labeled(observer, "shard_scan", || {
-                                        format!("shard={k}")
-                                    });
-                                    scan(from, to)
-                                })
+                                .spawn_scoped(s, move || scan(k, &share))
                                 .expect("spawn band scan thread")
                         })
                         .collect();
@@ -390,32 +411,29 @@ impl IncrementalMergePurge {
                 observer.add(Counter::Matches, found.len() as u64);
                 self.fold_scan(p, counts.comparisons, found);
             }
-            self.passes[p].snap.order = merged;
         }
     }
 
-    /// Extracts keys for the new records `old_len..` and merges the sorted
-    /// batch into pass `p`'s existing order. Returns the merged order
-    /// without installing it (the caller installs after scanning).
-    fn merge_pass(&mut self, p: usize, old_len: u32) -> Vec<u32> {
+    /// Extracts keys for the new records `old_len..`, sorts the batch and
+    /// inserts it into pass `p`'s order. Returns the positions the new
+    /// records landed on, ascending.
+    fn merge_pass(&mut self, p: usize, old_len: u32) -> Vec<usize> {
         let PassState { key, snap: pass } = &mut self.passes[p];
         let records = &self.records;
 
-        // Extract keys for the new records and sort the batch.
         let mut buf = String::new();
         for r in &records[old_len as usize..] {
             key.extract_into(r, &mut buf);
             pass.keys.push(buf.clone());
         }
+        let keys = &pass.keys;
         let mut batch_order: Vec<u32> = (old_len..records.len() as u32).collect();
-        batch_order
-            .sort_by(|&a, &b| chunked_str_cmp(&pass.keys[a as usize], &pass.keys[b as usize]));
+        batch_order.sort_by(|&a, &b| chunked_str_cmp(&keys[a as usize], &keys[b as usize]));
 
         // Old record ids are always smaller, so ties keep old first —
         // matching a from-scratch stable sort.
-        let keys = &pass.keys;
-        merge_sorted(&pass.order, &batch_order, |a, b| {
-            chunked_str_cmp(&keys[a as usize], &keys[b as usize]).is_le()
+        insert_sorted(&mut pass.order, &batch_order, |old, new| {
+            chunked_str_cmp(&keys[old as usize], &keys[new as usize]).is_le()
         })
     }
 
@@ -612,6 +630,50 @@ pub fn band_ranges(n: usize, shards: usize) -> Vec<(usize, usize)> {
         start += len;
     }
     out
+}
+
+/// The scan positions that can hold a window pair with a new member, given
+/// the ascending positions `landed` the new records took in an order of
+/// `n`: the `window` positions from each new record's own on, clipped to
+/// the scan's `1..n` and coalesced into ascending disjoint ranges. Every
+/// other position holds an old record whose whole window is old.
+fn touched_ranges(landed: &[usize], window: usize, n: usize) -> Vec<Range<usize>> {
+    let mut out: Vec<Range<usize>> = Vec::new();
+    for &at in landed {
+        let (from, to) = (at.max(1), (at + window).min(n));
+        match out.last_mut() {
+            Some(last) if from <= last.end => last.end = to,
+            _ if from < to => out.push(from..to),
+            _ => {}
+        }
+    }
+    out
+}
+
+/// Deals the positions of the ascending disjoint `ranges` out in `shards`
+/// contiguous shares ([`band_ranges`] over the visited positions), so the
+/// bands stay balanced however the new records cluster in the order.
+fn deal(ranges: &[Range<usize>], shards: usize) -> Vec<Vec<Range<usize>>> {
+    let visited: usize = ranges.iter().map(Range::len).sum();
+    let mut rest = ranges.iter().cloned();
+    let mut current = 0..0;
+    band_ranges(visited + 1, shards)
+        .into_iter()
+        .map(|(from, to)| {
+            let mut share = Vec::new();
+            let mut wanted = to - from;
+            while wanted > 0 {
+                if current.is_empty() {
+                    current = rest.next().expect("shares add up to the visited positions");
+                }
+                let take = wanted.min(current.len());
+                share.push(current.start..current.start + take);
+                current.start += take;
+                wanted -= take;
+            }
+            share
+        })
+        .collect()
 }
 
 /// What [`DurableIncremental::open`] recovered from disk.
@@ -1032,6 +1094,56 @@ mod tests {
                 assert_eq!(next, n.max(1), "positions 1..{n} not covered");
             }
         }
+    }
+
+    proptest::proptest! {
+        /// The sparse scan's shape: the touched ranges are exactly the
+        /// positions of `1..n` with a new record at most `w − 1` before
+        /// them (or on them) — ascending, disjoint, never more than `B·w`
+        /// however large the store — and dealing them out neither drops
+        /// nor reorders a position and keeps the bands within one of each
+        /// other.
+        #[test]
+        fn touched_ranges_cover_new_windows_and_nothing_else(
+            slots in proptest::collection::vec(0usize..400, 0..12),
+            old in 0usize..400,
+            w in 2usize..12,
+            shards in 1usize..9,
+        ) {
+            // Where `insert_sorted` lands a batch: ascending slots of the
+            // old order, each shifted by the batch entries before it.
+            let mut slots: Vec<usize> = slots.iter().map(|s| s % (old + 1)).collect();
+            slots.sort_unstable();
+            let landed: Vec<usize> = slots.iter().enumerate().map(|(j, s)| s + j).collect();
+            let n = old + landed.len();
+
+            let touched = touched_ranges(&landed, w, n);
+            let visited: Vec<usize> = touched.iter().cloned().flatten().collect();
+            let want: Vec<usize> = (1..n)
+                .filter(|&i| landed.iter().any(|&at| at <= i && i < at + w))
+                .collect();
+            proptest::prop_assert_eq!(&visited, &want);
+            proptest::prop_assert!(visited.len() <= landed.len() * w);
+            proptest::prop_assert!(touched.iter().all(|r| 1 <= r.start && r.start < r.end));
+            proptest::prop_assert!(touched.windows(2).all(|p| p[0].end < p[1].start));
+
+            let shares = deal(&touched, shards);
+            proptest::prop_assert_eq!(shares.len(), shards);
+            let sizes: Vec<usize> = shares
+                .iter()
+                .map(|share| share.iter().map(Range::len).sum())
+                .collect();
+            proptest::prop_assert!(sizes.iter().max().unwrap() - sizes.iter().min().unwrap() <= 1);
+            let dealt: Vec<usize> = shares.into_iter().flatten().flatten().collect();
+            proptest::prop_assert_eq!(&dealt, &want);
+        }
+    }
+
+    #[test]
+    fn first_batch_touches_every_position() {
+        let landed: Vec<usize> = (0..50).collect();
+        assert_eq!(touched_ranges(&landed, 6, 50), vec![1..50]);
+        assert_eq!(touched_ranges(&[0], 6, 1), Vec::<Range<usize>>::new());
     }
 
     #[test]

@@ -82,6 +82,51 @@ pub(crate) fn merge_sorted(a: &[u32], b: &[u32], le: impl Fn(u32, u32) -> bool) 
     out
 }
 
+/// Inserts the index run `batch` into `order` in place — both sorted under
+/// `le` ("not after") — and returns the positions the batch landed on,
+/// ascending. The result is the permutation [`merge_sorted`] gives (ties
+/// keep `order`'s entries first), reached without walking `order`: each
+/// slot is found by galloping on from the previous one and bisecting the
+/// bracket, at most `2·⌈log2(N+1)⌉ + 2` calls of `le(old, new)` per batch
+/// entry, and the entries between slots move as blocks.
+pub(crate) fn insert_sorted(
+    order: &mut Vec<u32>,
+    batch: &[u32],
+    le: impl Fn(u32, u32) -> bool,
+) -> Vec<usize> {
+    // Slots first, in `order`'s old coordinates: how many old entries stay
+    // before each batch entry. The batch is sorted, so slots never go back.
+    let mut slot = 0;
+    let mut positions: Vec<usize> = batch
+        .iter()
+        .map(|&new| {
+            let rest = &order[slot..];
+            // `rest[..known]` is not after `new`; each probe doubles the
+            // stride until one lands after it or `rest` runs out.
+            let (mut known, mut step) = (0, 1);
+            while known + step <= rest.len() && le(rest[known + step - 1], new) {
+                known += step;
+                step *= 2;
+            }
+            let bracket = &rest[known..rest.len().min(known + step - 1)];
+            slot += known + bracket.partition_point(|&old| le(old, new));
+            slot
+        })
+        .collect();
+
+    // Then the moves, last slot first, so every old entry moves once and
+    // lands clear of the ones still to move.
+    let mut end = order.len();
+    order.resize(end + batch.len(), 0);
+    for (j, (&new, at)) in batch.iter().zip(&mut positions).enumerate().rev() {
+        order.copy_within(*at..end, *at + j + 1);
+        end = *at;
+        *at += j;
+        order[*at] = new;
+    }
+    positions
+}
+
 /// Outcome of one radix-ordered sort.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RadixOrder {
@@ -238,6 +283,44 @@ mod tests {
         }
     }
 
+    /// Ids `0..old` and `old..keys.len()`, each stably sorted by key: an
+    /// existing order and a sorted batch, as the incremental engine has them.
+    fn sorted_runs(keys: &[String], old: usize) -> (Vec<u32>, Vec<u32>) {
+        let run = |ids: std::ops::Range<usize>| {
+            let mut ids: Vec<u32> = ids.map(|i| i as u32).collect();
+            ids.sort_by(|&a, &b| keys[a as usize].cmp(&keys[b as usize]));
+            ids
+        };
+        (run(0..old), run(old..keys.len()))
+    }
+
+    /// What the insertion may spend on `batch` entries against `old` ones.
+    fn search_budget(old: usize, batch: usize) -> usize {
+        let log = (old + 1).next_power_of_two().trailing_zeros() as usize;
+        batch * (2 * log + 2)
+    }
+
+    #[test]
+    fn insertion_searches_instead_of_walking() {
+        // Four records into 4096: a merge walk compares some 3,000 times.
+        let keys: Vec<String> = (0..4096)
+            .map(|i| format!("{i:05}"))
+            .chain([500, 1500, 2500, 3500].map(|i| format!("{i:05}X")))
+            .collect();
+        let (mut order, batch) = sorted_runs(&keys, 4096);
+        let calls = std::cell::Cell::new(0);
+        let landed = insert_sorted(&mut order, &batch, |old, new| {
+            calls.set(calls.get() + 1);
+            keys[old as usize] <= keys[new as usize]
+        });
+        assert_eq!(landed, vec![501, 1502, 2503, 3504]);
+        assert!(
+            calls.get() <= search_budget(4096, 4),
+            "{} calls",
+            calls.get()
+        );
+    }
+
     #[test]
     fn radix_matches_comparison_on_generated_keys() {
         let db =
@@ -320,6 +403,41 @@ mod tests {
                 sorted_order_radix(&arena, &NoopObserver),
                 sorted_order(&arena)
             );
+        }
+
+        /// The incremental engine's key merge: inserting a sorted batch by
+        /// search gives the permutation the two-way merge gives — ties old
+        /// first; the alphabet is small so they are common — says where
+        /// the batch landed, and stays inside its comparison budget. `place`
+        /// puts the batch among (0), before (1) or after (2) the old keys;
+        /// either side may be empty.
+        #[test]
+        fn insert_sorted_is_merge_sorted_within_budget(
+            keys in proptest::collection::vec("[AB]{0,3}", 0..300),
+            old_share in 0usize..9,
+            place in 0usize..3,
+        ) {
+            // Shares 0 and 8 leave one side empty; 7 leaves a small batch.
+            let old = keys.len() * old_share.min(8) / 8;
+            let keys: Vec<String> = keys
+                .iter()
+                .enumerate()
+                .map(|(i, k)| format!("{}{k}", if i < old { "M" } else { ["M", "A", "Z"][place] }))
+                .collect();
+            let (order, batch) = sorted_runs(&keys, old);
+            let want = merge_sorted(&order, &batch, |a, b| keys[a as usize] <= keys[b as usize]);
+
+            let calls = std::cell::Cell::new(0);
+            let mut got = order.clone();
+            let landed = insert_sorted(&mut got, &batch, |a, b| {
+                prop_assert!((a as usize) < old && b as usize >= old, "le(old, new) only");
+                calls.set(calls.get() + 1);
+                keys[a as usize] <= keys[b as usize]
+            });
+            prop_assert_eq!(&got, &want);
+            prop_assert_eq!(landed.iter().map(|&at| got[at]).collect::<Vec<_>>(), batch.clone());
+            prop_assert!(landed.windows(2).all(|w| w[0] < w[1]));
+            prop_assert!(calls.get() <= search_budget(old, batch.len()));
         }
 
         #[test]

@@ -75,9 +75,11 @@ pub struct Candidate<'a> {
 /// runs a sink may rule a pair out twice over: as *not a candidate* (never
 /// counted), then as *implied* (counted as a comparison and as pruned).
 pub trait ScanSink {
-    /// The lowest name a candidate of `new_at` can bear: predecessors named
-    /// below it are not window candidates at all, and are passed over
-    /// before either record is touched.
+    /// The lowest name a candidate of `new_at` can bear: a predecessor named
+    /// below it is not a window candidate at all, and is passed over on its
+    /// name, before its record is touched. This filters predecessors inside
+    /// a visited window only; which positions are visited is the caller's
+    /// choice of bands.
     #[inline]
     fn candidates_from(&self, _new_at: u32) -> u32 {
         0
@@ -163,6 +165,11 @@ pub type Found = (u32, u32, u32);
 /// order and touched by nothing else, so a coordinator can fold several
 /// bands' lists in band order and reproduce the serial scan's discovery
 /// sequence — first-found rule attribution included — bit for bit.
+///
+/// With an `old_len` it drops the old-old pairs inside each visited window
+/// and nothing more: the incremental engine, its only such user, bands the
+/// scan over the positions a new record touches, so no window it is shown
+/// is old throughout.
 #[derive(Debug)]
 pub struct FoundList {
     old_len: u32,
@@ -319,12 +326,7 @@ impl<'a> WindowScan<'a> {
         let mut counts = ScanCounts::default();
         for i in band.start.max(1)..band.end {
             let lo = i.saturating_sub(self.window - 1);
-            // A whole window of non-candidates (an old record among old
-            // ones, on an incremental batch) is passed over on names alone.
             let from = sink.candidates_from(order[i]);
-            if order[lo..i].iter().all(|&p| p < from) {
-                continue;
-            }
             let new = &records[order[i] as usize];
             let predecessors = order[lo..i]
                 .iter()

@@ -49,7 +49,8 @@ pub const SNAPSHOT_VERSION: u32 = 2;
 
 /// One pass's persisted state: configuration (for validation on load),
 /// attribution counters, and the sorted key index that lets the next batch
-/// merge in O(N + B log B) instead of a full resort.
+/// of B records be inserted by search — O(B log B + B log N) key
+/// comparisons and one block move of the order — instead of a full resort.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PassSnapshot {
     /// Display name of the pass's key (`KeySpec::name` in the core crate);

@@ -45,11 +45,14 @@ pub struct ShardObs {
 }
 
 /// Per-batch critical-path decomposition, extracted from the batch's
-/// drained spans: where did the wall-clock go — the slowest shard's
-/// window scan, the cross-shard reconcile fold, or the slowest shard
-/// journal fsync?
+/// drained spans: where did the wall-clock go — inserting the batch's
+/// keys into the pass orders, the slowest shard's window scan, the
+/// cross-shard reconcile fold, or the slowest shard journal fsync?
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct PhaseBreakdown {
+    /// Total `key_merge` time (key extraction + order insertion, summed
+    /// over the passes; it runs on the coordinator before each scan).
+    pub key_merge_ns: u64,
     /// Total `shard_scan` time per shard band, as `(shard, ns)`.
     pub scan_ns: Vec<(usize, u64)>,
     /// The slowest band's total scan time (0 when unsharded).
@@ -74,9 +77,9 @@ fn label_shard(label: &str) -> Option<usize> {
 }
 
 impl PhaseBreakdown {
-    /// Decomposes one batch's drained tracks by span name: `shard_scan`
-    /// durations per band, `closure_reconcile` total, and the slowest
-    /// `shard_ingest` (the journal-fsync leg).
+    /// Decomposes one batch's drained tracks by span name: `key_merge`
+    /// total, `shard_scan` durations per band, `closure_reconcile` total,
+    /// and the slowest `shard_ingest` (the journal-fsync leg).
     pub fn from_tracks(tracks: &[TrackSpans]) -> Self {
         let mut out = PhaseBreakdown::default();
         for t in tracks {
@@ -89,6 +92,7 @@ impl PhaseBreakdown {
                             None => out.scan_ns.push((k, s.dur_ns())),
                         }
                     }
+                    "key_merge" => out.key_merge_ns += s.dur_ns(),
                     "closure_reconcile" => out.reconcile_ns += s.dur_ns(),
                     "shard_ingest" => out.journal_max_ns = out.journal_max_ns.max(s.dur_ns()),
                     _ => {}
@@ -110,16 +114,18 @@ impl PhaseBreakdown {
         out
     }
 
-    /// Which phase dominated the batch: `"shard_scan"`, `"reconcile"`,
-    /// or `"journal_fsync"` (ties go to the earlier phase).
+    /// Which phase dominated the batch: `"shard_scan"`, `"key_merge"`,
+    /// `"reconcile"`, or `"journal_fsync"` (ties go to the earlier name).
     pub fn critical_phase(&self) -> &'static str {
-        if self.scan_max_ns >= self.reconcile_ns && self.scan_max_ns >= self.journal_max_ns {
-            "shard_scan"
-        } else if self.reconcile_ns >= self.journal_max_ns {
-            "reconcile"
-        } else {
-            "journal_fsync"
-        }
+        let legs = [
+            ("shard_scan", self.scan_max_ns),
+            ("key_merge", self.key_merge_ns),
+            ("reconcile", self.reconcile_ns),
+            ("journal_fsync", self.journal_max_ns),
+        ];
+        // `max_by_key` keeps the last of equal maxima: walk backwards.
+        let longest = legs.into_iter().rev().max_by_key(|&(_, ns)| ns);
+        longest.map_or("shard_scan", |(name, _)| name)
     }
 
     /// The event-log/`slow_batch` field list for this breakdown, in
@@ -131,6 +137,7 @@ impl PhaseBreakdown {
                 "critical_phase".into(),
                 Json::Str(self.critical_phase().into()),
             ),
+            ("key_merge_ms".into(), ms(self.key_merge_ns)),
             ("scan_max_ms".into(), ms(self.scan_max_ns)),
             ("reconcile_ms".into(), ms(self.reconcile_ns)),
             ("journal_max_ms".into(), ms(self.journal_max_ns)),
@@ -1175,8 +1182,10 @@ mod tests {
                 0,
                 vec![
                     span("batch", Some("trace=x seq=1"), 0, 10_000),
+                    span("key_merge", None, 20, 60),
                     span("shard_scan", Some("shard=0"), 100, 3_000),
                     span("closure_reconcile", None, 4_000, 1_500),
+                    span("key_merge", None, 5_600, 40),
                 ],
             ),
             track(1, vec![span("shard_scan", Some("shard=1"), 100, 1_000)]),
@@ -1186,6 +1195,7 @@ mod tests {
             ),
         ];
         let bd = PhaseBreakdown::from_tracks(&tracks);
+        assert_eq!(bd.key_merge_ns, 100, "summed over the passes");
         assert_eq!(bd.scan_ns, vec![(0, 3_000), (1, 1_000)]);
         assert_eq!(bd.scan_max_ns, 3_000);
         assert_eq!(bd.slowest_shard, Some(0));
@@ -1201,6 +1211,9 @@ mod tests {
         assert!(fields
             .iter()
             .any(|(k, v)| k == "slowest_shard" && *v == Json::Num(0.0)));
+        assert!(fields
+            .iter()
+            .any(|(k, v)| k == "key_merge_ms" && *v == Json::Num(0.0001)));
 
         // Reconcile-dominated batch.
         let bd2 = PhaseBreakdown::from_tracks(&[track(
@@ -1212,6 +1225,17 @@ mod tests {
         )]);
         assert_eq!(bd2.critical_phase(), "reconcile");
         assert_eq!(bd2.imbalance_milli, 0, "one band has no imbalance");
+
+        // A batch whose key insertion outlasts its scan, and the tie rule.
+        let bd3 = PhaseBreakdown::from_tracks(&[track(
+            0,
+            vec![
+                span("key_merge", None, 0, 900),
+                span("shard_scan", Some("shard=0"), 900, 400),
+            ],
+        )]);
+        assert_eq!(bd3.critical_phase(), "key_merge");
+        assert_eq!(PhaseBreakdown::default().critical_phase(), "shard_scan");
     }
 
     #[test]
@@ -1220,6 +1244,7 @@ mod tests {
         let obs = ObsState::new(4, None);
         obs.init_shards(2);
         obs.record_batch_phases(&PhaseBreakdown {
+            key_merge_ns: 300_000,
             scan_ns: vec![(0, 4_000_000), (1, 1_000_000)],
             scan_max_ns: 4_000_000,
             slowest_shard: Some(0),

@@ -146,6 +146,53 @@ fn work_dir(tag: &str) -> PathBuf {
     dir
 }
 
+/// The batch sequences the incremental engine is judged on. `skewed` makes
+/// one large batch followed by a trickle of 1–3 records each (the sparse
+/// regime: almost every scan position is old) where the even split cuts
+/// `parts` chunks; `place` decides where the later batches' keys fall in
+/// the store's order: 0 as generated, 1 all before it (digits sort before
+/// names), 2 all after it, 3 on keys the store already holds (copies of
+/// first-batch records, so the tie rule — old first — decides every slot).
+fn batch_sequence(
+    records: &[Record],
+    parts: usize,
+    skewed: bool,
+    place: usize,
+) -> Vec<Vec<Record>> {
+    let n = records.len();
+    let mut batches: Vec<Vec<Record>> = if skewed {
+        let (base, mut rest) = records.split_at(n - (3 * parts).min(n - 1));
+        let mut out = vec![base.to_vec()];
+        for size in (1..=3).cycle() {
+            if rest.is_empty() {
+                break;
+            }
+            let (batch, after) = rest.split_at(size.min(rest.len()));
+            out.push(batch.to_vec());
+            rest = after;
+        }
+        out
+    } else {
+        records
+            .chunks(n.div_ceil(parts))
+            .map(<[Record]>::to_vec)
+            .collect()
+    };
+    let (base, later) = batches.split_first_mut().unwrap();
+    for (i, r) in later.iter_mut().flatten().enumerate() {
+        match place {
+            1 | 2 => {
+                let prefix = if place == 1 { "0" } else { "ZZZ" };
+                r.last_name.insert_str(0, prefix);
+                r.first_name.insert_str(0, prefix);
+            }
+            3 => *r = base[i * 7 % base.len()].clone(),
+            _ => {}
+        }
+    }
+    batches
+}
+
 /// The three scan counters of one observed run; asserts the invariant
 /// that ties them and returns the comparison count.
 fn observed_comparisons(recorder: &MetricsRecorder, what: &str) -> u64 {
@@ -296,25 +343,33 @@ proptest! {
     }
 
     /// The incremental engine: the same records as one batch and as
-    /// several, serially and banded over 1..=8 shards.
+    /// several — split evenly or as a large base and a trickle, the later
+    /// batches keyed into, before, after and onto the store's keys —
+    /// serially and banded over 1..=8 shards.
     #[test]
     fn incremental_engines_agree_with_the_oracle(
         seed in 0u64..1_000,
         originals in 8usize..70,
         w in 2usize..12,
         parts in 1usize..5,
+        skewed in 0usize..2,
+        place in 0usize..4,
     ) {
         let theory = NativeEmployeeTheory::new();
         let records = seeded_records(seed, originals);
         let n = records.len();
         let keys = [KeySpec::last_name_key(), KeySpec::first_name_key()];
-        let batches: Vec<&[Record]> = records.chunks(n.div_ceil(parts)).collect();
+        let owned = batch_sequence(&records, parts, skewed == 1, place);
+        let batches: Vec<&[Record]> = owned.iter().map(Vec::as_slice).collect();
         let want = oracle(&batches, &keys, w, &theory);
         let want_closed = closed_pairs(n, want.pairs.iter().copied());
 
         let mut snapshot: Option<Vec<u8>> = None;
         for shards in 0..=8usize {
-            let what = format!("batches={} shards={shards}", batches.len());
+            let what = format!(
+                "batches={} skewed={skewed} place={place} shards={shards}",
+                batches.len()
+            );
             let recorder = MetricsRecorder::new();
             let mut engine = keys
                 .iter()

@@ -621,7 +621,13 @@ fn trace_ids_flow_from_ack_to_event_log_and_flight_dump() {
     for lane in ["shard-0", "shard-1", "shard-2", "shard-3", "engine"] {
         assert!(dump.contains(lane), "dump misses worker lane {lane}");
     }
-    for span in ["batch", "shard_ingest", "shard_scan", "closure_reconcile"] {
+    for span in [
+        "batch",
+        "shard_ingest",
+        "key_merge",
+        "shard_scan",
+        "closure_reconcile",
+    ] {
         assert!(dump.contains(span), "dump misses span {span}");
     }
 
@@ -757,7 +763,12 @@ fn slow_batches_are_pinned_and_logged_with_phase_breakdown() {
         ev.get("trace_id").and_then(Json::as_str),
         Some(trace_id.as_str())
     );
-    for key in ["duration_ms", "threshold_ms", "critical_phase"] {
+    for key in [
+        "duration_ms",
+        "threshold_ms",
+        "critical_phase",
+        "key_merge_ms",
+    ] {
         assert!(ev.get(key).is_some(), "slow_batch misses {key}: {ev}");
     }
     std::fs::remove_dir_all(&dir).unwrap();
