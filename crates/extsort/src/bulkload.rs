@@ -4,10 +4,23 @@
 //! The incremental engine's `add_batch` is the right tool for monthly
 //! deltas, but cold-loading an entire 10M-record database through it
 //! means an in-memory sort of every pass's key list at once. The bulk
-//! loader replaces that with the external pipeline: per pass, an
-//! [`ExternalSorter`] run formation + merge (bounded by
-//! `memory_records`), then a *streaming* window scan over the sorted run
-//! holding only the window's worth of records.
+//! loader replaces that with the external pipeline, priced in data passes
+//! the way §3.5 prices it:
+//!
+//! 1. **one input sweep forms every pass's runs** — each
+//!    `memory_records` chunk is parsed from text once, then keyed,
+//!    radix-sorted and spilled as binary frames once per pass key;
+//! 2. **per pass, intermediate merge levels** (`fan_in` runs at a time)
+//!    run only while more than `fan_in` runs remain;
+//! 3. **the last merge level streams into the scan**: a
+//!    [`MergeStream`] over the remaining runs feeds `WindowScan::stream`
+//!    directly, holding only the window's worth of records. The fully
+//!    merged run is never written or re-read.
+//!
+//! A load over `k` passes therefore costs `1 + Σ_pass (levels + 1)` data
+//! passes, where `levels` is the pass's intermediate merge levels (zero
+//! while the input forms at most `fan_in` runs per pass): four for the
+//! standard three keys.
 //!
 //! # Fingerprint equivalence
 //!
@@ -34,10 +47,10 @@
 //! What stays in memory: per-pass keys and order (a few dozen bytes per
 //! record), the pair set, and the union-find — never the records
 //! themselves. Peak record residency is `memory_records` during run
-//! formation and `window` during the scan.
+//! formation (one key's arena at a time per thread) and `window` during
+//! the scan.
 
-use crate::runfile::RunReader;
-use crate::sorter::ExternalSorter;
+use crate::sorter::{check_config, form_runs, merge_levels, MergeStream};
 use crate::{ExternalConfig, IoStats};
 use merge_purge::incremental::PassSnapshot;
 use merge_purge::window::{Candidate, ScanSink, WindowScan};
@@ -58,9 +71,11 @@ pub struct BulkLoadStats {
     pub comparisons: u64,
     /// Distinct matching pairs found.
     pub pairs: u64,
-    /// Sort + scan I/O summed over all passes (each pass sweeps the
-    /// input independently, exactly as §3.5 charges the multi-pass
-    /// method).
+    /// The whole load's I/O: the one input sweep that forms every pass's
+    /// runs (N records read, `k·N` written), then per pass each
+    /// intermediate merge level (N read, N written) and the streamed final
+    /// level feeding the scan (N read). `data_passes()` is
+    /// `1 + Σ_pass (levels + 1)`.
     pub io: IoStats,
 }
 
@@ -163,10 +178,14 @@ impl BulkLoader {
         self.load_observed(input, work_dir, theory, &NoopObserver)
     }
 
-    /// Like [`BulkLoader::load`], reporting per-pass sort statistics (see
-    /// [`ExternalSorter::sort_observed`]) plus the scan counters
-    /// (`Comparisons`, `RuleInvocations`, `Matches`, `RecordsKeyed`) the
-    /// durable ingest path reports, under a `bulk_load` span.
+    /// Like [`BulkLoader::load`], reporting the sort statistics of
+    /// [`ExternalSorter::sort_observed`](crate::ExternalSorter::sort_observed)
+    /// summed over passes, plus the scan counters (`Comparisons`,
+    /// `RuleInvocations`, `Matches`, `RecordsKeyed`) the durable ingest
+    /// path reports. Spans: one `run_formation` (with its `run_gen` and
+    /// `spill` children), then per pass a `bulk_pass` holding `merge` (only
+    /// when intermediate levels run) and `window_scan`. The caller opens
+    /// the enclosing `bulk_load` span, so a commit can sit beside them.
     pub fn load_observed(
         &self,
         input: &Path,
@@ -178,37 +197,48 @@ impl BulkLoader {
             !self.passes.is_empty(),
             "configure passes before bulk loading"
         );
-        let _load_span = span(observer, "bulk_load");
+        check_config(&self.config);
+
+        // The one sweep over the input: every pass's runs. Ingest does not
+        // condition (batches arrive pre-conditioned), so neither does the
+        // bulk path.
+        let keys: Vec<KeySpec> = self.passes.iter().map(|(key, _)| key.clone()).collect();
+        let formed = {
+            let _formation_span = span(observer, "run_formation");
+            form_runs(&keys, &self.config, input, work_dir, false, observer)?
+        };
+        let records = formed.records;
         let mut out = BulkOutcome {
-            records: 0,
+            records,
             passes: Vec::with_capacity(self.passes.len()),
             pairs: PairSet::new(),
-            closure: UnionFind::new(0),
+            closure: UnionFind::new(records),
             comparisons: 0,
-            stats: BulkLoadStats::default(),
+            stats: BulkLoadStats {
+                io: formed.io,
+                ..BulkLoadStats::default()
+            },
         };
 
-        for (key, window) in &self.passes {
+        for (k, ((key, window), runs)) in self.passes.iter().zip(formed.runs).enumerate() {
             let _pass_span = span_labeled(observer, "bulk_pass", || {
                 format!("{} w={window}", key.name())
             });
-            // Sort: run formation + merge, bounded by memory_records.
-            // Ingest does not condition (batches arrive pre-conditioned),
-            // so neither does the bulk path.
-            let sorter = ExternalSorter::new(key.clone(), self.config);
-            let sorted = sorter.sort_observed(input, work_dir, false, observer)?;
-
-            if out.passes.is_empty() {
-                out.records = sorted.records;
-                out.closure.grow(sorted.records);
-            } else if sorted.records != out.records {
-                return Err(io::Error::new(
-                    io::ErrorKind::InvalidData,
-                    format!(
-                        "input changed between passes: {} then {} records",
-                        out.records, sorted.records
-                    ),
-                ));
+            // Intermediate levels until at most fan_in runs remain; the
+            // last level is never written — it streams into the scan.
+            let io = &mut out.stats.io;
+            let runs = merge_levels(
+                runs,
+                self.config.fan_in,
+                &self.config,
+                work_dir,
+                k,
+                io,
+                observer,
+            )?;
+            io.add_sweep();
+            if runs.len() > 1 {
+                observer.add(Counter::MergeFanIn, runs.len() as u64);
             }
 
             let mut pass = PassSnapshot {
@@ -216,21 +246,19 @@ impl BulkLoader {
                 window: *window as u32,
                 pairs_found: 0,
                 pairs_first_found: 0,
-                keys: vec![String::new(); sorted.records],
-                order: Vec::with_capacity(sorted.records),
+                keys: vec![String::new(); records],
+                order: Vec::with_capacity(records),
             };
-            observer.add(Counter::RecordsKeyed, sorted.records as u64);
+            observer.add(Counter::RecordsKeyed, records as u64);
 
-            // Streaming window scan over the sorted run, rebuilding the
+            // Streaming window scan over the merged runs, rebuilding the
             // pass's key list and order as the records go by.
             let t_scan = Instant::now();
             let _scan_span = span(observer, "window_scan");
-            let mut reader = RunReader::open(&sorted.path)?;
-            let mut io_read = 0u64;
+            let mut merged = MergeStream::open(&runs)?;
             let next = || {
-                let entry = reader.next_entry()?;
+                let entry = merged.next_entry()?;
                 io::Result::Ok(entry.map(|(run_key, record)| {
-                    io_read += 1;
                     pass.keys[record.id.0 as usize] = run_key;
                     pass.order.push(record.id.0);
                     record
@@ -248,10 +276,7 @@ impl BulkLoader {
             observer.add(Counter::Matches, pass.pairs_found);
 
             out.comparisons += counts.comparisons;
-            out.stats.io.records_read += sorted.io.records_read + io_read;
-            out.stats.io.records_written += sorted.io.records_written;
-            out.stats.io.sweeps += sorted.io.data_passes() + 1; // + the scan sweep
-            sorted.cleanup();
+            out.stats.io.records_read += merged.records_read();
             out.passes.push(pass);
         }
 
@@ -309,44 +334,105 @@ mod tests {
         (path, db.records)
     }
 
+    fn key_sets() -> [Vec<(KeySpec, usize)>; 3] {
+        [
+            vec![(KeySpec::last_name_key(), 10)],
+            vec![
+                (KeySpec::last_name_key(), 10),
+                (KeySpec::first_name_key(), 8),
+            ],
+            vec![
+                (KeySpec::last_name_key(), 6),
+                (KeySpec::first_name_key(), 8),
+                (KeySpec::address_key(), 5),
+            ],
+        ]
+    }
+
+    fn loader(passes: &[(KeySpec, usize)], config: ExternalConfig) -> BulkLoader {
+        passes.iter().fold(BulkLoader::new(config), |l, (key, w)| {
+            l.pass(key.clone(), *w)
+        })
+    }
+
     /// The equivalence the whole design hangs on: a spilled bulk load is
     /// fingerprint-identical to one in-memory `add_batch` of the same
-    /// file, for every thread count.
+    /// file, for 1, 2 and 3 pass keys, every fan-in and every thread
+    /// count. The budget forms more runs than any fan-in here, so
+    /// intermediate levels run before the streamed one.
     #[test]
     fn bulk_load_matches_add_batch_fingerprint() {
         let theory = NativeEmployeeTheory::new();
         let dir = work_dir("fp");
         let (input, records) = write_db(600, 7001, &dir);
+        let memory_records = 37;
+        assert!(records.len().div_ceil(memory_records) > 16);
 
-        let mut engine = IncrementalMergePurge::new()
-            .pass(KeySpec::last_name_key(), 10)
-            .pass(KeySpec::first_name_key(), 8);
-        engine.add_batch(records, &theory);
-        let snap = engine.to_snapshot();
+        for passes in key_sets() {
+            let mut engine = IncrementalMergePurge::new();
+            for (key, w) in &passes {
+                engine = engine.pass(key.clone(), *w);
+            }
+            engine.add_batch(records.clone(), &theory);
+            let snap = engine.to_snapshot();
 
-        for threads in [1usize, 3] {
-            let outcome = BulkLoader::new(ExternalConfig {
-                memory_records: 97, // forces several spilled runs
-                fan_in: 3,
-                threads,
-            })
-            .pass(KeySpec::last_name_key(), 10)
-            .pass(KeySpec::first_name_key(), 8)
-            .load(&input, &dir, &theory)
-            .unwrap();
+            for fan_in in [2usize, 3, 16] {
+                for threads in 1..=3usize {
+                    let config = ExternalConfig {
+                        memory_records,
+                        fan_in,
+                        threads,
+                    };
+                    let outcome = loader(&passes, config).load(&input, &dir, &theory).unwrap();
+                    let tag = format!("keys={} fan_in={fan_in} threads={threads}", passes.len());
+                    assert_eq!(outcome.records, snap.records.len(), "{tag}");
+                    assert_eq!(outcome.comparisons, engine.comparisons(), "{tag}");
+                    assert_eq!(outcome.pairs.sorted(), snap.pairs, "{tag}");
+                    assert_eq!(outcome.closure.clone().classes(), engine.classes(), "{tag}");
+                    assert_eq!(outcome.passes.len(), snap.passes.len(), "{tag}");
+                    for (b, s) in outcome.passes.iter().zip(&snap.passes) {
+                        assert_eq!(b.key_name, s.key_name, "{tag}");
+                        assert_eq!(b.window, s.window, "{tag}");
+                        assert_eq!(b.pairs_found, s.pairs_found, "{tag}");
+                        assert_eq!(b.pairs_first_found, s.pairs_first_found, "{tag}");
+                        assert_eq!(b.keys, s.keys, "{tag}");
+                        assert_eq!(b.order, s.order, "{tag}");
+                    }
+                }
+            }
+        }
+        let _ = std::fs::remove_dir_all(&dir);
+    }
 
-            let tag = format!("threads={threads}");
-            assert_eq!(outcome.records, snap.records.len(), "{tag}");
-            assert_eq!(outcome.comparisons, engine.comparisons(), "{tag}");
-            assert_eq!(outcome.pairs.sorted(), snap.pairs, "{tag}");
-            assert_eq!(outcome.closure.clone().classes(), engine.classes(), "{tag}");
-            for (b, s) in outcome.passes.iter().zip(&snap.passes) {
-                assert_eq!(b.key_name, s.key_name, "{tag}");
-                assert_eq!(b.window, s.window, "{tag}");
-                assert_eq!(b.pairs_found, s.pairs_found, "{tag}");
-                assert_eq!(b.pairs_first_found, s.pairs_first_found, "{tag}");
-                assert_eq!(b.keys, s.keys, "{tag}");
-                assert_eq!(b.order, s.order, "{tag}");
+    /// The pass accounting: one sweep forms every pass's runs, then each
+    /// pass pays its intermediate levels plus the streamed final level.
+    #[test]
+    fn io_stats_count_one_sweep_plus_levels_per_pass() {
+        let theory = NativeEmployeeTheory::new();
+        let dir = work_dir("io");
+        let (input, records) = write_db(400, 7002, &dir);
+        let n = records.len() as u64;
+        for passes in key_sets() {
+            for (memory_records, fan_in) in [(n as usize + 1, 16usize), (50, 16), (50, 4), (23, 2)]
+            {
+                let config = ExternalConfig {
+                    memory_records,
+                    fan_in,
+                    threads: 1,
+                };
+                let outcome = loader(&passes, config).load(&input, &dir, &theory).unwrap();
+                let mut runs = n.div_ceil(memory_records as u64);
+                let mut levels = 0u64;
+                while runs > fan_in as u64 {
+                    runs = runs.div_ceil(fan_in as u64);
+                    levels += 1;
+                }
+                let k = passes.len() as u64;
+                let io = outcome.stats.io;
+                let tag = format!("keys={k} m={memory_records} f={fan_in} levels={levels}");
+                assert_eq!(u64::from(io.data_passes()), 1 + k * (levels + 1), "{tag}");
+                assert_eq!(io.records_written, k * n * (1 + levels), "{tag}");
+                assert_eq!(io.records_read, n + k * n * (levels + 1), "{tag}");
             }
         }
         let _ = std::fs::remove_dir_all(&dir);

@@ -26,17 +26,49 @@
 //!
 //! # Pipeline and spill format
 //!
-//! [`ExternalSorter`] streams the input in chunks of at most
-//! `memory_records` records. Each chunk is conditioned (optionally),
-//! key-extracted, sorted, and written as one *run file*; runs are then
-//! merged `fan_in` at a time until a single sorted run remains. A run file
-//! is a plain text spill: one `key|id|field…` line per record (see
-//! [`runfile`]), always written fully sorted — a run file is either
-//! complete and sorted or it is garbage from a crashed process, never a
-//! partially meaningful state. Temporary names embed the owning process id
-//! (`run-{n}-{pid}.tmp`, `merge-{level}-{group}-{pid}.tmp`) so a crashed
-//! sort can never be confused with a live one and stale files are swept on
-//! the next open.
+//! Run formation streams the input in chunks of at most
+//! `memory_records` records and parses each chunk from text **once**,
+//! conditioning it once when asked. Then, for each key it was given, the
+//! chunk is key-extracted, radix-sorted and written as one *run file*
+//! (one per worker thread with `threads > 1`). [`ExternalSorter`] is that
+//! sweep with one key, followed by merge levels `fan_in` runs at a time
+//! until a single sorted run remains. [`BulkLoader`] runs the sweep once
+//! for every pass key, merges each key's runs only down to `fan_in`, and
+//! streams the last level through a [`MergeStream`] straight into its
+//! window scan, so the fully merged run is never written or re-read.
+//!
+//! A run file is a sequence of binary frames, one per record, then a
+//! trailer (layout in [`runfile`]):
+//!
+//! ```text
+//! frame   = len key id entity field×10 sum    (LEB128 lengths and ints)
+//! trailer = 0x00 count
+//! ```
+//!
+//! Frames carry any UTF-8 (separators and newlines included) and are, on
+//! generated data, smaller than the `key|id|record` text lines they
+//! replaced (at most two bytes larger in the worst case). A per-frame
+//! checksum byte and the trailer's frame count make every truncated or
+//! single-byte-corrupted file read back as `InvalidData`. Runs are always
+//! written fully sorted, so a run file is either complete and sorted or
+//! it is garbage from a crashed process, never a partially meaningful
+//! state.
+//!
+//! Spill files are owned by the process that wrote them. They are
+//! deleted as soon as they are consumed, and on every exit path,
+//! including errors. Their names end in the owner's process id
+//! (`run-{key}-{n}-{pid}.tmp`, `merge-{key}-{level}-{group}-{pid}.tmp`),
+//! so a crashed sort can never be confused with a live one. Run
+//! formation sweeps away a dead process's `run-*`/`merge-*` files in its
+//! work dir before it starts (where `/proc` can tell a dead pid).
+//!
+//! Priced in §3.5's unit, full sweeps over the data
+//! ([`IoStats::data_passes`]):
+//!
+//! * [`ExternalSnm`]: `1 + levels + 1`, with `levels = ceil(log_F(runs))`;
+//! * [`BulkLoader`] over `k` keys: `1 + Σ_key (extra + 1)`, where `extra`
+//!   counts the levels needed to bring a key's runs down to `F`. That is
+//!   `1 + k` whenever a key forms at most `F` runs.
 //!
 //! # Run-merge invariants
 //!
@@ -110,7 +142,7 @@ pub mod sorter;
 pub use bulkload::{BulkLoadStats, BulkLoader, BulkOutcome};
 pub use clustering::ExternalClustering;
 pub use snm::ExternalSnm;
-pub use sorter::ExternalSorter;
+pub use sorter::{ExternalSorter, MergeStream};
 
 use mp_closure::PairSet;
 
@@ -151,7 +183,8 @@ impl Default for ExternalConfig {
 pub struct IoStats {
     /// Records read from disk (input + intermediate runs).
     pub records_read: u64,
-    /// Records written to disk (runs + merge levels + cluster files).
+    /// Records written to disk (runs + intermediate merge levels +
+    /// cluster files; a streamed final merge writes nothing).
     pub records_written: u64,
     /// Number of full sweeps over the data set (the §3.5 unit of cost):
     /// each sweep reads every live record once.

@@ -6,14 +6,21 @@
 //! partition of the input into contiguous runs — one per memory-budget
 //! chunk, or several per chunk when run formation fans out across threads
 //! — merges to the exact order an in-memory stable sort would produce.
+//!
+//! Run formation (`form_runs`) sweeps the input once for any number of
+//! keys: each chunk is parsed (and conditioned) once, then keyed, sorted
+//! and spilled once per key. [`ExternalSorter`] is that sweep with one key
+//! followed by merge levels down to a single run; the bulk loader merges
+//! each key's runs down to `fan_in` and streams the last level through a
+//! [`MergeStream`] into its window scan.
 
 use crate::runfile::{RunReader, RunWriter};
 use crate::{ExternalConfig, IoStats};
 use merge_purge::{band_ranges, chunked_str_cmp, sorted_order_radix, KeyArena, KeySpec};
 use mp_metrics::{span, span_labeled, Counter, NoopObserver, Phase, PipelineObserver};
-use mp_record::{io as rio, Record};
+use mp_record::{io as rio, NicknameTable, Record};
 use std::cmp::Ordering;
-use std::collections::BinaryHeap;
+use std::collections::binary_heap::{BinaryHeap, PeekMut};
 use std::fs::File;
 use std::io::{self, BufReader};
 use std::path::{Path, PathBuf};
@@ -33,33 +40,58 @@ pub struct ExternalSorter {
 
 /// A fully sorted run on disk plus the accounting that produced it.
 pub struct SortedRun {
-    /// Path of the final sorted run file.
+    /// Path of the final sorted run file (the caller removes it with
+    /// [`SortedRun::cleanup`]; every intermediate file is already gone).
     pub path: PathBuf,
     /// Number of records.
     pub records: usize,
     /// I/O accounting so far (run formation + merge levels).
     pub io: IoStats,
-    /// Intermediate files created (caller removes them with
-    /// [`SortedRun::cleanup`]).
-    pub temp_files: Vec<PathBuf>,
 }
 
 impl SortedRun {
-    /// Removes the final run and any leftover temporaries.
+    /// Removes the final run.
     pub fn cleanup(self) {
-        for f in self.temp_files {
-            let _ = std::fs::remove_file(f);
-        }
         let _ = std::fs::remove_file(self.path);
     }
 }
 
-/// What one run-formation worker produced: its run file plus the
-/// accounting folded back into the chunk totals.
-struct FormedRun {
-    path: PathBuf,
-    records_written: u64,
-    bytes: u64,
+/// A spill file this process owns, removed when dropped — so every exit
+/// path (success, `?` error, panic) cleans up after itself.
+pub(crate) struct TempFile(PathBuf);
+
+impl TempFile {
+    fn path(&self) -> &Path {
+        &self.0
+    }
+
+    /// Hands the file to the caller, who becomes responsible for it.
+    fn keep(mut self) -> PathBuf {
+        std::mem::take(&mut self.0)
+    }
+}
+
+impl AsRef<Path> for TempFile {
+    fn as_ref(&self) -> &Path {
+        &self.0
+    }
+}
+
+impl Drop for TempFile {
+    fn drop(&mut self) {
+        if !self.0.as_os_str().is_empty() {
+            let _ = std::fs::remove_file(&self.0);
+        }
+    }
+}
+
+/// What one sweep of the input formed: per key (in the order given), its
+/// sorted runs in input order.
+pub(crate) struct FormedRuns {
+    pub(crate) runs: Vec<Vec<TempFile>>,
+    pub(crate) records: usize,
+    /// One sweep: every record read once, written once per key.
+    pub(crate) io: IoStats,
 }
 
 impl ExternalSorter {
@@ -70,12 +102,7 @@ impl ExternalSorter {
     /// Panics when the memory budget is zero, the fan-in is below 2, or
     /// the thread count is zero.
     pub fn new(key: KeySpec, config: ExternalConfig) -> Self {
-        assert!(config.memory_records >= 1, "memory budget must be positive");
-        assert!(config.fan_in >= 2, "fan-in must be at least 2");
-        assert!(
-            config.threads >= 1,
-            "need at least one run-formation thread"
-        );
+        check_config(&config);
         ExternalSorter { key, config }
     }
 
@@ -101,177 +128,38 @@ impl ExternalSorter {
         condition: bool,
         observer: &dyn PipelineObserver,
     ) -> io::Result<SortedRun> {
-        std::fs::create_dir_all(work_dir)?;
         let _ext_span = span(observer, "extsort");
-        let mut io_stats = IoStats::default();
-        let mut temp_files = Vec::new();
+        let formed = form_runs(
+            std::slice::from_ref(&self.key),
+            &self.config,
+            input,
+            work_dir,
+            condition,
+            observer,
+        )?;
+        let mut io_stats = formed.io;
+        let runs = formed
+            .runs
+            .into_iter()
+            .next()
+            .expect("one key, one run list");
+        let mut runs = merge_levels(runs, 1, &self.config, work_dir, 0, &mut io_stats, observer)?;
 
-        // Pass 1: run formation. Stream M records at a time, condition,
-        // extract keys, sort in memory, write a run (or one run per worker
-        // thread). At no point do more than M records live in memory.
-        let nicknames = mp_record::NicknameTable::standard();
-        let mut stream = rio::RecordStream::new(BufReader::new(File::open(input)?));
-        io_stats.add_sweep();
-
-        let t_runs = Instant::now();
-        let mut bytes_spilled = 0u64;
-        let mut spill_runs = 0u64;
-        let mut total = 0usize;
-        let mut runs: Vec<PathBuf> = Vec::new();
-        let mut chunk: Vec<Record> = Vec::with_capacity(self.config.memory_records);
-        let mut done = false;
-        while !done {
-            chunk.clear();
-            while chunk.len() < self.config.memory_records {
-                match stream.next() {
-                    Some(Ok(r)) => chunk.push(r),
-                    Some(Err(e)) => {
-                        return Err(io::Error::new(io::ErrorKind::InvalidData, e.to_string()))
-                    }
-                    None => {
-                        done = true;
-                        break;
-                    }
-                }
+        let path = match runs.pop() {
+            Some(run) => run.keep(),
+            None => {
+                // Empty input: produce an empty run file for uniformity.
+                let empty =
+                    TempFile(work_dir.join(format!("run-empty-{}.tmp", std::process::id())));
+                RunWriter::create(empty.path())?.finish()?;
+                empty.keep()
             }
-            if chunk.is_empty() {
-                break;
-            }
-            total += chunk.len();
-            io_stats.records_read += chunk.len() as u64;
-            let budget_full = chunk.len() == self.config.memory_records;
-
-            let formed = self.form_runs(
-                &mut chunk,
-                runs.len(),
-                work_dir,
-                condition.then_some(&nicknames),
-                observer,
-            )?;
-            for run in formed {
-                io_stats.records_written += run.records_written;
-                bytes_spilled += run.bytes;
-                spill_runs += u64::from(budget_full);
-                runs.push(run.path);
-            }
-        }
-        observer.add(Counter::SortRuns, runs.len() as u64);
-        observer.add(Counter::SpillRuns, spill_runs);
-        observer.phase_ns(Phase::RunFormation, t_runs.elapsed().as_nanos() as u64);
-
-        // Merge levels: F runs at a time until one remains.
-        let t_merge = Instant::now();
-        let _merge_span = span(observer, "merge");
-        let mut merge_inputs = 0u64;
-        let mut level = 0usize;
-        while runs.len() > 1 {
-            io_stats.add_sweep();
-            let mut next: Vec<PathBuf> = Vec::new();
-            for (g, group) in runs.chunks(self.config.fan_in).enumerate() {
-                let path = work_dir.join(format!("merge-{level}-{g}-{}.tmp", std::process::id()));
-                let (read, written) = merge_group(group, &path)?;
-                merge_inputs += group.len() as u64;
-                io_stats.records_read += read;
-                io_stats.records_written += written;
-                bytes_spilled += std::fs::metadata(&path)?.len();
-                next.push(path);
-            }
-            temp_files.extend(runs);
-            level += 1;
-            runs = next;
-        }
-        drop(_merge_span);
-        observer.add(Counter::MergeFanIn, merge_inputs);
-        observer.add(Counter::BytesSpilled, bytes_spilled);
-        observer.phase_ns(Phase::RunMerge, t_merge.elapsed().as_nanos() as u64);
-
-        let path = runs.pop().unwrap_or_else(|| {
-            // Empty input: produce an empty run file for uniformity.
-            let p = work_dir.join(format!("run-empty-{}.tmp", std::process::id()));
-            let _ = RunWriter::create(&p).and_then(RunWriter::finish);
-            p
-        });
+        };
         Ok(SortedRun {
             path,
-            records: total,
+            records: formed.records,
             io: io_stats,
-            temp_files,
         })
-    }
-
-    /// Conditions, keys, sorts, and spills one memory-budget chunk as
-    /// `threads` contiguous sub-runs (one when `threads == 1`). Worker `k`
-    /// owns `chunk[bands[k]]`; because record ids ascend in input order,
-    /// each sub-run is (key, id)-sorted and the merge invariants make the
-    /// final order independent of the split.
-    fn form_runs(
-        &self,
-        chunk: &mut [Record],
-        first_run: usize,
-        work_dir: &Path,
-        nicknames: Option<&mp_record::NicknameTable>,
-        observer: &dyn PipelineObserver,
-    ) -> io::Result<Vec<FormedRun>> {
-        let threads = self.config.threads.min(chunk.len()).max(1);
-        // band_ranges splits 1-based scan positions; shift to 0-based
-        // slice offsets to carve the chunk.
-        let bands: Vec<(usize, usize)> = band_ranges(chunk.len() + 1, threads)
-            .into_iter()
-            .map(|(a, b)| (a - 1, b - 1))
-            .collect();
-
-        let run_one = |slice: &mut [Record], run_idx: usize| -> io::Result<FormedRun> {
-            let gen_span = span_labeled(observer, "run_gen", || format!("run {run_idx}"));
-            if let Some(table) = nicknames {
-                mp_record::normalize::condition_all(slice, table);
-            }
-            let keys = KeyArena::extract(&self.key, slice);
-            let order = sorted_order_radix(&keys, observer);
-            drop(gen_span);
-
-            let _spill_span = span_labeled(observer, "spill", || format!("run {run_idx}"));
-            let path = work_dir.join(format!("run-{run_idx}-{}.tmp", std::process::id()));
-            let mut w = RunWriter::create(&path)?;
-            for &i in &order {
-                w.write(keys.get(i as usize), &slice[i as usize])?;
-            }
-            let records_written = w.finish()?;
-            let bytes = std::fs::metadata(&path)?.len();
-            Ok(FormedRun {
-                path,
-                records_written,
-                bytes,
-            })
-        };
-
-        if threads == 1 {
-            return Ok(vec![run_one(chunk, first_run)?]);
-        }
-
-        // Carve the chunk into disjoint mutable bands and form each band's
-        // run on its own scoped thread.
-        let mut slices: Vec<&mut [Record]> = Vec::with_capacity(threads);
-        let mut rest = chunk;
-        let mut offset = 0usize;
-        for &(from, to) in &bands {
-            let (band, tail) = rest.split_at_mut(to - offset);
-            debug_assert_eq!(offset, from);
-            slices.push(band);
-            rest = tail;
-            offset = to;
-        }
-        let results: Vec<io::Result<FormedRun>> = std::thread::scope(|scope| {
-            let handles: Vec<_> = slices
-                .into_iter()
-                .enumerate()
-                .map(|(k, band)| {
-                    let run_one = &run_one;
-                    scope.spawn(move || run_one(band, first_run + k))
-                })
-                .collect();
-            handles.into_iter().map(|h| h.join().unwrap()).collect()
-        });
-        results.into_iter().collect()
     }
 
     /// The configured key.
@@ -280,9 +168,321 @@ impl ExternalSorter {
     }
 }
 
+pub(crate) fn check_config(config: &ExternalConfig) {
+    assert!(config.memory_records >= 1, "memory budget must be positive");
+    assert!(config.fan_in >= 2, "fan-in must be at least 2");
+    assert!(
+        config.threads >= 1,
+        "need at least one run-formation thread"
+    );
+}
+
+/// Run formation for every key in one sweep of `input`: stream
+/// `memory_records` records at a time, parse (and condition) each chunk
+/// once, then per key extract, radix-sort and spill it — as `threads`
+/// contiguous sub-runs, so each key's run list is in input order. At no
+/// point do more than `memory_records` records live in memory.
+///
+/// Reports [`Counter::SortRuns`], [`Counter::SpillRuns`] and the run bytes
+/// of [`Counter::BytesSpilled`] summed over keys, plus
+/// [`Phase::RunFormation`]; opens `run_gen` and `spill` spans per run.
+pub(crate) fn form_runs(
+    keys: &[KeySpec],
+    config: &ExternalConfig,
+    input: &Path,
+    work_dir: &Path,
+    condition: bool,
+    observer: &dyn PipelineObserver,
+) -> io::Result<FormedRuns> {
+    std::fs::create_dir_all(work_dir)?;
+    sweep_stale(work_dir);
+    let t_runs = Instant::now();
+    let nicknames = condition.then(NicknameTable::standard);
+    let mut stream = rio::RecordStream::new(BufReader::new(File::open(input)?));
+    let mut io_stats = IoStats::default();
+    io_stats.add_sweep();
+
+    let mut runs: Vec<Vec<TempFile>> = keys.iter().map(|_| Vec::new()).collect();
+    let (mut next_run, mut bytes_spilled, mut spill_runs) = (0usize, 0u64, 0u64);
+    let mut chunk: Vec<Record> = Vec::with_capacity(config.memory_records);
+    loop {
+        chunk.clear();
+        for record in stream.by_ref().take(config.memory_records) {
+            chunk.push(
+                record.map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e.to_string()))?,
+            );
+        }
+        if chunk.is_empty() {
+            break;
+        }
+        io_stats.records_read += chunk.len() as u64;
+        let budget_full = chunk.len() == config.memory_records;
+        let bands = form_chunk(
+            &mut chunk,
+            keys,
+            config.threads,
+            next_run,
+            work_dir,
+            nicknames.as_ref(),
+            observer,
+        )?;
+        next_run += bands.len();
+        for band in bands {
+            for (k, run) in band.into_iter().enumerate() {
+                bytes_spilled += std::fs::metadata(run.path())?.len();
+                spill_runs += u64::from(budget_full);
+                runs[k].push(run);
+            }
+        }
+    }
+    let records = io_stats.records_read as usize;
+    io_stats.records_written = (records * keys.len()) as u64;
+    observer.add(
+        Counter::SortRuns,
+        runs.iter().map(Vec::len).sum::<usize>() as u64,
+    );
+    observer.add(Counter::SpillRuns, spill_runs);
+    observer.add(Counter::BytesSpilled, bytes_spilled);
+    observer.phase_ns(Phase::RunFormation, t_runs.elapsed().as_nanos() as u64);
+    Ok(FormedRuns {
+        runs,
+        records,
+        io: io_stats,
+    })
+}
+
+/// Conditions, then per key extracts, sorts and spills one memory-budget
+/// chunk as `threads` contiguous sub-runs (one when `threads == 1`).
+/// Worker `b` owns `chunk[bands[b]]` and returns its run per key; because
+/// record ids ascend in input order, each sub-run is (key, id)-sorted and
+/// the merge invariants make the final order independent of the split.
+fn form_chunk(
+    chunk: &mut [Record],
+    keys: &[KeySpec],
+    threads: usize,
+    first_run: usize,
+    work_dir: &Path,
+    nicknames: Option<&NicknameTable>,
+    observer: &dyn PipelineObserver,
+) -> io::Result<Vec<Vec<TempFile>>> {
+    let run_one = |slice: &mut [Record], run_idx: usize| -> io::Result<Vec<TempFile>> {
+        if let Some(table) = nicknames {
+            mp_record::normalize::condition_all(slice, table);
+        }
+        let slice = &*slice;
+        keys.iter()
+            .enumerate()
+            .map(|(k, key)| {
+                let label = || format!("run {run_idx} {}", key.name());
+                let gen_span = span_labeled(observer, "run_gen", label);
+                let arena = KeyArena::extract(key, slice);
+                let order = sorted_order_radix(&arena, observer);
+                drop(gen_span);
+
+                let _spill_span = span_labeled(observer, "spill", label);
+                let run = TempFile(
+                    work_dir.join(format!("run-{k}-{run_idx}-{}.tmp", std::process::id())),
+                );
+                let mut w = RunWriter::create(run.path())?;
+                for &i in &order {
+                    w.write(arena.get(i as usize), &slice[i as usize])?;
+                }
+                w.finish()?;
+                Ok(run)
+            })
+            .collect()
+    };
+
+    let threads = threads.min(chunk.len()).max(1);
+    if threads == 1 {
+        return Ok(vec![run_one(chunk, first_run)?]);
+    }
+    // band_ranges splits 1-based scan positions into contiguous ranges;
+    // their lengths carve the chunk into disjoint mutable bands, each
+    // formed on its own scoped thread.
+    let mut slices: Vec<&mut [Record]> = Vec::with_capacity(threads);
+    let mut rest = chunk;
+    for (from, to) in band_ranges(rest.len() + 1, threads) {
+        let (band, tail) = rest.split_at_mut(to - from);
+        slices.push(band);
+        rest = tail;
+    }
+    let results: Vec<io::Result<Vec<TempFile>>> = std::thread::scope(|scope| {
+        let handles: Vec<_> = slices
+            .into_iter()
+            .enumerate()
+            .map(|(b, band)| {
+                let run_one = &run_one;
+                scope.spawn(move || run_one(band, first_run + b))
+            })
+            .collect();
+        handles
+            .into_iter()
+            .map(|h| h.join().expect("a run-formation worker panicked"))
+            .collect()
+    });
+    results.into_iter().collect()
+}
+
+/// Merges `runs` `fan_in` at a time, one full level after another, until
+/// at most `target` remain — each level one sweep over the key's data.
+/// A group's inputs are deleted as soon as it is merged. `tag` (the key's
+/// index) keeps concurrent keys' merge files apart.
+///
+/// Reports [`Counter::MergeFanIn`], the merge bytes of
+/// [`Counter::BytesSpilled`] and [`Phase::RunMerge`], under a `merge` span
+/// — all only when a level runs.
+pub(crate) fn merge_levels(
+    mut runs: Vec<TempFile>,
+    target: usize,
+    config: &ExternalConfig,
+    work_dir: &Path,
+    tag: usize,
+    io_stats: &mut IoStats,
+    observer: &dyn PipelineObserver,
+) -> io::Result<Vec<TempFile>> {
+    if runs.len() <= target {
+        return Ok(runs);
+    }
+    let t_merge = Instant::now();
+    let _merge_span = span(observer, "merge");
+    let (mut fed, mut bytes_spilled) = (0u64, 0u64);
+    let mut level = 0usize;
+    while runs.len() > target {
+        io_stats.add_sweep();
+        let mut next = Vec::with_capacity(runs.len().div_ceil(config.fan_in));
+        let mut rest = runs.into_iter();
+        loop {
+            let group: Vec<TempFile> = rest.by_ref().take(config.fan_in).collect();
+            if group.is_empty() {
+                break;
+            }
+            let out = TempFile(work_dir.join(format!(
+                "merge-{tag}-{level}-{}-{}.tmp",
+                next.len(),
+                std::process::id()
+            )));
+            let (read, written) = merge_group(&group, out.path())?;
+            io_stats.records_read += read;
+            io_stats.records_written += written;
+            fed += group.len() as u64;
+            bytes_spilled += std::fs::metadata(out.path())?.len();
+            next.push(out);
+        }
+        runs = next;
+        level += 1;
+    }
+    observer.add(Counter::MergeFanIn, fed);
+    observer.add(Counter::BytesSpilled, bytes_spilled);
+    observer.phase_ns(Phase::RunMerge, t_merge.elapsed().as_nanos() as u64);
+    Ok(runs)
+}
+
+/// One merge step: a [`MergeStream`] over `group` drained into a run at
+/// `out`. Returns `(records read, records written)`.
+fn merge_group(group: &[TempFile], out: &Path) -> io::Result<(u64, u64)> {
+    let mut merged = MergeStream::open(group)?;
+    let mut w = RunWriter::create(out)?;
+    while let Some((key, record)) = merged.next_entry()? {
+        w.write(&key, &record)?;
+    }
+    Ok((merged.records_read(), w.finish()?))
+}
+
+/// Removes the run and merge files a dead process left in `work_dir` —
+/// names end in the owner's pid, and a SIGKILLed load cannot clean up
+/// after itself. Runs only where `/proc` can tell a live pid from a dead
+/// one; files of live processes (this one included) are left alone.
+fn sweep_stale(work_dir: &Path) {
+    if !Path::new("/proc/self").exists() {
+        return;
+    }
+    let Ok(entries) = std::fs::read_dir(work_dir) else {
+        return;
+    };
+    for entry in entries.flatten() {
+        let name = entry.file_name();
+        let Some(stem) = name.to_str().and_then(|n| n.strip_suffix(".tmp")) else {
+            continue;
+        };
+        if !(stem.starts_with("run-") || stem.starts_with("merge-")) {
+            continue;
+        }
+        let pid = stem.rsplit('-').next().and_then(|p| p.parse::<u32>().ok());
+        if pid.is_some_and(|pid| !Path::new(&format!("/proc/{pid}")).exists()) {
+            let _ = std::fs::remove_file(entry.path());
+        }
+    }
+}
+
+/// An F-way merge over (key, id)-sorted run files, yielding every entry
+/// in (key, id) order: the one heap merge behind both the intermediate
+/// merge levels and the bulk loader's streamed final level.
+pub struct MergeStream {
+    readers: Vec<RunReader>,
+    heap: BinaryHeap<HeapEntry>,
+    read: u64,
+}
+
+impl MergeStream {
+    /// Opens every run in `runs` and primes the heap with their heads.
+    pub fn open<P: AsRef<Path>>(runs: &[P]) -> io::Result<Self> {
+        let mut readers: Vec<RunReader> = runs
+            .iter()
+            .map(|p| RunReader::open(p.as_ref()))
+            .collect::<io::Result<_>>()?;
+        let mut heap = BinaryHeap::with_capacity(readers.len());
+        for (source, reader) in readers.iter_mut().enumerate() {
+            if let Some((key, record)) = reader.next_entry()? {
+                heap.push(HeapEntry {
+                    key,
+                    record,
+                    source,
+                });
+            }
+        }
+        let read = heap.len() as u64;
+        Ok(MergeStream {
+            readers,
+            heap,
+            read,
+        })
+    }
+
+    /// The smallest remaining `(key, record)` by (key, id), or `None` once
+    /// every run is drained.
+    pub fn next_entry(&mut self) -> io::Result<Option<(String, Record)>> {
+        let Some(mut top) = self.heap.peek_mut() else {
+            return Ok(None);
+        };
+        // Replace the head with its run's next entry in place: one
+        // sift-down instead of a pop and a push.
+        let source = top.source;
+        let entry = match self.readers[source].next_entry()? {
+            Some((key, record)) => {
+                self.read += 1;
+                std::mem::replace(
+                    &mut *top,
+                    HeapEntry {
+                        key,
+                        record,
+                        source,
+                    },
+                )
+            }
+            None => PeekMut::pop(top),
+        };
+        Ok(Some((entry.key, entry.record)))
+    }
+
+    /// Entries read from the runs so far.
+    pub fn records_read(&self) -> u64 {
+        self.read
+    }
+}
+
 struct HeapEntry {
     key: String,
-    id: u32,
     record: Record,
     source: usize,
 }
@@ -302,45 +502,9 @@ impl Ord for HeapEntry {
     fn cmp(&self, other: &Self) -> Ordering {
         // Max-heap: reverse. Ties by record id keep the order identical to
         // the in-memory stable sort (ids are positional in the input).
-        chunked_str_cmp(&other.key, &self.key).then_with(|| other.id.cmp(&self.id))
+        chunked_str_cmp(&other.key, &self.key).then_with(|| other.record.id.cmp(&self.record.id))
     }
 }
-
-fn merge_group(group: &[PathBuf], out: &Path) -> io::Result<(u64, u64)> {
-    let mut readers: Vec<RunReader> = group
-        .iter()
-        .map(|p| RunReader::open(p))
-        .collect::<io::Result<_>>()?;
-    let mut heap = BinaryHeap::with_capacity(readers.len());
-    let mut read = 0u64;
-    for (i, r) in readers.iter_mut().enumerate() {
-        if let Some((key, record)) = r.next_entry()? {
-            read += 1;
-            heap.push(HeapEntry {
-                key,
-                id: record.id.0,
-                record,
-                source: i,
-            });
-        }
-    }
-    let mut w = RunWriter::create(out)?;
-    while let Some(top) = heap.pop() {
-        w.write(&top.key, &top.record)?;
-        if let Some((key, record)) = readers[top.source].next_entry()? {
-            read += 1;
-            heap.push(HeapEntry {
-                key,
-                id: record.id.0,
-                record,
-                source: top.source,
-            });
-        }
-    }
-    let written = w.finish()?;
-    Ok((read, written))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -523,6 +687,114 @@ mod tests {
         let mut reader = RunReader::open(&sorted.path).unwrap();
         assert!(reader.next_entry().unwrap().is_none());
         sorted.cleanup();
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    fn entries(dir: &Path) -> Vec<String> {
+        let mut names: Vec<String> = std::fs::read_dir(dir)
+            .unwrap()
+            .map(|e| e.unwrap().file_name().to_string_lossy().into_owned())
+            .collect();
+        names.sort();
+        names
+    }
+
+    /// A malformed line in the second chunk fails the sort after the
+    /// first chunk's run was spilled — and takes that run with it.
+    #[test]
+    fn failed_sort_leaves_no_spill_files() {
+        let dir = work_dir("fail");
+        let (input, _) = write_db(300, 5006, &dir);
+        let mut text = std::fs::read_to_string(&input).unwrap();
+        let second_chunk = text.match_indices('\n').nth(150).unwrap().0 + 1;
+        text.insert_str(second_chunk, "not|a|record\n");
+        std::fs::write(&input, text).unwrap();
+        let work = dir.join("work");
+        for threads in [1usize, 2] {
+            let sorter = ExternalSorter::new(
+                KeySpec::last_name_key(),
+                ExternalConfig {
+                    memory_records: 100,
+                    fan_in: 2,
+                    threads,
+                },
+            );
+            let err = sorter
+                .sort(&input, &work, false)
+                .err()
+                .expect("corrupt input");
+            assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+            assert!(
+                entries(&work).is_empty(),
+                "threads={threads}: {:?}",
+                entries(&work)
+            );
+        }
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// Run formation sweeps away the spill files of dead processes and
+    /// leaves live processes' files and foreign files alone.
+    #[test]
+    fn stale_spills_of_dead_processes_are_swept() {
+        let dir = work_dir("sweep");
+        let (input, _) = write_db(50, 5007, &dir);
+        let work = dir.join("work");
+        std::fs::create_dir_all(&work).unwrap();
+        // pid_max is at most 2^22 on Linux, so u32::MAX is never alive.
+        let dead = u32::MAX;
+        let live = std::process::id();
+        for name in [
+            format!("run-0-3-{dead}.tmp"),
+            format!("merge-1-0-2-{dead}.tmp"),
+            format!("run-0-0-{live}.tmp.keep"),
+            "notes.txt".to_string(),
+        ] {
+            std::fs::write(work.join(name), "x").unwrap();
+        }
+        let sorted = ExternalSorter::new(KeySpec::last_name_key(), ExternalConfig::default())
+            .sort(&input, &work, false)
+            .unwrap();
+        sorted.cleanup();
+        let mut want = vec!["notes.txt".to_string(), format!("run-0-0-{live}.tmp.keep")];
+        if !Path::new("/proc/self").exists() {
+            // No way to tell a dead pid: nothing is swept.
+            want.push(format!("merge-1-0-2-{dead}.tmp"));
+            want.push(format!("run-0-3-{dead}.tmp"));
+            want.sort();
+        }
+        assert_eq!(entries(&work), want);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn merge_stream_breaks_key_ties_by_id() {
+        let dir = work_dir("ties");
+        let runs: Vec<PathBuf> = [[("B", 1u32), ("B", 4)], [("A", 9), ("B", 2)]]
+            .iter()
+            .enumerate()
+            .map(|(i, entries)| {
+                let path = dir.join(format!("tie-{i}.run"));
+                let mut w = RunWriter::create(&path).unwrap();
+                for &(key, id) in entries {
+                    w.write(key, &Record::empty(mp_record::RecordId(id)))
+                        .unwrap();
+                }
+                w.finish().unwrap();
+                path
+            })
+            .collect();
+        let mut merged = MergeStream::open(&runs).unwrap();
+        let mut got = Vec::new();
+        while let Some((key, record)) = merged.next_entry().unwrap() {
+            got.push((key, record.id.0));
+        }
+        let want: Vec<(String, u32)> = [("A", 9), ("B", 1), ("B", 2), ("B", 4)]
+            .iter()
+            .map(|&(k, id)| (k.to_string(), id))
+            .collect();
+        assert_eq!(got, want);
+        assert_eq!(merged.records_read(), 4);
         let _ = std::fs::remove_dir_all(&dir);
     }
 

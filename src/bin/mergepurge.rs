@@ -78,6 +78,7 @@ commands:
   load      --input FILE --store DIR [--window W] [--keys a,b,c]
             [--rules FILE] [--theory T] [--shards N] [--work-dir DIR]
             [--memory-budget N] [--fan-in N] [--sort-threads N]
+            [--stats FILE|-] [--trace FILE]
   serve     --socket PATH --store DIR [--window W] [--keys a,b,c]
             [--rules FILE] [--theory T] [--shards N] [--listen HOST:PORT]
             [--queue-depth N] [--snapshot-every N] [--slow-batch-ms T]
@@ -148,8 +149,11 @@ load cold-loads a record file into an empty durable store through the
 external-sort bulk pipeline (mp-extsort): the full database is never
 materialized, so a 10M-record file loads under the --memory-budget
 record cap (default 100000 records in memory; spill runs go to
---work-dir, default STORE/bulk-tmp). A non-empty store is left
-untouched (exit failure). See docs/SCALING.md for the tuning model.
+--work-dir, default STORE/bulk-tmp, which is removed again whether the
+load succeeds or fails). A non-empty store is left untouched (exit
+failure). --stats/--trace report the load like dedupe's (span tree
+bulk_load > run_formation, bulk_pass, snapshot_commit; see
+docs/TRACING.md). See docs/SCALING.md for the tuning model.
 
 serve --bulk-load FILE runs the same cold load before the store opens
 (readyz stays 503 throughout) and skips it harmlessly when the store
@@ -327,7 +331,13 @@ fn load_cmd(flags: &Flags) -> Result<(), String> {
         .map(std::path::PathBuf::from)
         .unwrap_or_else(|| std::path::Path::new(store).join("bulk-tmp"));
     let theory = Theory::load(flags, None)?;
-    let recorder = MetricsRecorder::new();
+    let stats_dest = flags.get("stats").map(str::to_string);
+    let trace_path = flags.get("trace").map(str::to_string);
+    let to_stderr = stats_dest.as_deref() == Some("-");
+    let mut recorder = MetricsRecorder::new();
+    if stats_dest.is_some() || trace_path.is_some() {
+        recorder = recorder.with_tracing();
+    }
     let started = std::time::Instant::now();
     let report = bulk_load_store(
         std::path::Path::new(store),
@@ -337,7 +347,6 @@ fn load_cmd(flags: &Flags) -> Result<(), String> {
         theory.as_dyn(),
         &recorder,
     )?;
-    let _ = std::fs::remove_dir_all(&work);
     let Some(report) = report else {
         return Err(format!(
             "store {store} is not empty; load only cold-starts empty stores \
@@ -345,12 +354,20 @@ fn load_cmd(flags: &Flags) -> Result<(), String> {
         ));
     };
     let secs = started.elapsed().as_secs_f64();
-    println!(
+    write_report(
+        &recorder,
+        stats_dest.as_deref(),
+        trace_path.as_deref(),
+        |_| {},
+    )?;
+    status!(
+        to_stderr,
         "loaded {} records -> {store} in {secs:.1}s ({:.0} records/s)",
         report.records,
         report.records as f64 / secs.max(1e-9),
     );
-    println!(
+    status!(
+        to_stderr,
         "  {} pairs, {} comparisons, {} snapshot bytes, {} data passes \
          ({} records read, {} spilled)",
         report.pairs,
@@ -360,6 +377,45 @@ fn load_cmd(flags: &Flags) -> Result<(), String> {
         report.io.records_read,
         report.io.records_written,
     );
+    Ok(())
+}
+
+/// Writes what `--trace FILE` and `--stats FILE|-` ask for from a traced
+/// `recorder`: the Chrome trace first, then the pipeline report with the
+/// same span tracks attached (`complete` adds command-specific sections).
+/// Confirmation lines follow the `status!` convention.
+fn write_report(
+    recorder: &MetricsRecorder,
+    stats_dest: Option<&str>,
+    trace_path: Option<&str>,
+    complete: impl FnOnce(&mut mp_metrics::PipelineReport),
+) -> Result<(), String> {
+    if stats_dest.is_none() && trace_path.is_none() {
+        return Ok(());
+    }
+    let to_stderr = stats_dest == Some("-");
+    // Drain once; the Chrome trace and the report share the tracks.
+    let tracks = recorder.drain_spans();
+    if let Some(path) = trace_path {
+        let json = chrome_trace_json(&tracks);
+        std::fs::write(path, json).map_err(|e| format!("write {path}: {e}"))?;
+        status!(
+            to_stderr,
+            "wrote Chrome trace to {path} (open in Perfetto or chrome://tracing)"
+        );
+    }
+    if let Some(dest) = stats_dest {
+        let mut report = recorder.report();
+        report.span_tree = tracks.into_iter().map(SpanTreeTrack::from).collect();
+        complete(&mut report);
+        let json = report.to_json();
+        if dest == "-" {
+            println!("{json}");
+        } else {
+            std::fs::write(dest, json).map_err(|e| format!("write {dest}: {e}"))?;
+            println!("wrote pipeline stats to {dest}");
+        }
+    }
     Ok(())
 }
 
@@ -546,20 +602,11 @@ fn dedupe(flags: &Flags, purge: bool) -> Result<(), String> {
         pm.finish();
     }
 
-    if want_report {
-        // Drain once; the Chrome trace and the report share the tracks.
-        let tracks = recorder.drain_spans();
-        if let Some(path) = &trace_path {
-            let json = chrome_trace_json(&tracks);
-            std::fs::write(path, json).map_err(|e| format!("write {path}: {e}"))?;
-            status!(
-                to_stderr,
-                "wrote Chrome trace to {path} (open in Perfetto or chrome://tracing)"
-            );
-        }
-        if let Some(dest) = &stats_dest {
-            let mut report = recorder.report();
-            report.span_tree = tracks.into_iter().map(SpanTreeTrack::from).collect();
+    write_report(
+        &recorder,
+        stats_dest.as_deref(),
+        trace_path.as_deref(),
+        |report| {
             report.attribution = Some(result.attribution.clone());
             report.rules = rules;
             if kernel_stats {
@@ -572,15 +619,9 @@ fn dedupe(flags: &Flags, purge: bool) -> Result<(), String> {
                     })
                     .collect();
             }
-            let json = report.to_json();
-            if dest == "-" {
-                println!("{json}");
-            } else {
-                std::fs::write(dest, json).map_err(|e| format!("write {dest}: {e}"))?;
-                println!("wrote pipeline stats to {dest}");
-            }
-        }
-    } else if kernel_stats {
+        },
+    )?;
+    if !want_report && kernel_stats {
         for (name, calls, total_ns) in mp_strsim::timing::snapshot() {
             if calls > 0 {
                 println!("  kernel {name:<24} {calls:>10} calls  {total_ns:>12} ns");

@@ -87,15 +87,41 @@ fn record_stream(
         .map(|r| r.map(Cow::Owned).map_err(io::Error::other)))
 }
 
-fn run_loader(
+/// The load's spill directory: created on entry and removed on every
+/// exit path — success, error or panic — so no caller can leak a keyed
+/// copy of the input into the store directory. The extsort pipeline
+/// deletes its own spill files the same way (and sweeps a dead process's
+/// leftovers before it starts), so the directory is empty by the time
+/// this guard drops; a non-empty one (say a `--work-dir` the user shares
+/// with other files) is left in place.
+struct WorkDir<'a>(&'a Path);
+
+impl<'a> WorkDir<'a> {
+    fn create(path: &'a Path) -> Result<Self, String> {
+        std::fs::create_dir_all(path)
+            .map_err(|e| format!("create work dir {}: {e}", path.display()))?;
+        Ok(WorkDir(path))
+    }
+}
+
+impl Drop for WorkDir<'_> {
+    fn drop(&mut self) {
+        let _ = std::fs::remove_dir(self.0);
+    }
+}
+
+/// Runs the external-sort bulk pipeline over `input`, spilling under
+/// `work_dir`, which exists only for the duration of the call. The one
+/// loader entry point for `mergepurge load`, `serve --bulk-load` and the
+/// `bulk-load` wire command; callers open the enclosing `bulk_load` span.
+pub(crate) fn run_loader(
     input: &Path,
     work_dir: &Path,
     cfg: &BulkStoreConfig,
     theory: &dyn EquationalTheory,
     observer: &dyn PipelineObserver,
 ) -> Result<BulkOutcome, String> {
-    std::fs::create_dir_all(work_dir)
-        .map_err(|e| format!("create work dir {}: {e}", work_dir.display()))?;
+    let _work = WorkDir::create(work_dir)?;
     let mut loader = BulkLoader::new(cfg.external);
     for key in &cfg.keys {
         loader = loader.pass(key.clone(), cfg.window);
@@ -126,7 +152,10 @@ fn outcome_view<'a>(
 }
 
 /// Cold-loads the flat record file at `input` into the durable store at
-/// `store_dir`, spilling sort runs under `work_dir`.
+/// `store_dir`, spilling sort runs under `work_dir` — created for the
+/// load and removed again on every exit path, failed loads included.
+/// Everything runs under one `bulk_load` span: the loader's
+/// `run_formation` and `bulk_pass` spans, then `snapshot_commit`.
 ///
 /// Returns `Ok(None)` — without touching anything — when the store
 /// already holds state (a snapshot or journaled batches): the load is
@@ -157,6 +186,7 @@ pub fn bulk_load_store(
             cfg.shards
         ));
     }
+    let _load_span = span(observer, "bulk_load");
     if cfg.shards <= 1 {
         bulk_load_single(store_dir, input, work_dir, cfg, theory, observer)
     } else {
@@ -182,6 +212,7 @@ fn bulk_load_single(
     // Commit: stream the records back off the input file through the
     // snapshot encoder — the one moment the whole database flows through
     // this process, and it flows, never resides.
+    let _commit_span = span(observer, "snapshot_commit");
     let provenance = mp_closure::ProvenanceLog::new();
     let snapshot_bytes = store
         .commit_snapshot(&outcome_view(&outcome, &provenance), record_stream(input)?)
@@ -234,8 +265,10 @@ fn bulk_load_sharded(
             owner.len()
         ));
     }
+    drop(_scatter);
     // Build and write one shard slice at a time: peak record residency
     // is a single shard's owned records, not the whole database.
+    let _commit_span = span(observer, "snapshot_commit");
     let provenance = mp_closure::ProvenanceLog::new();
     let view = outcome_view(&outcome, &provenance);
     let mut snapshot_bytes = 0u64;

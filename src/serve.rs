@@ -202,6 +202,17 @@ impl ServeConfig {
             bulk: mp_extsort::ExternalConfig::default(),
         }
     }
+
+    /// What both bulk-load paths hand the loader: this daemon's passes,
+    /// layout and external-sort limits.
+    fn bulk_store_config(&self) -> crate::bulk::BulkStoreConfig {
+        crate::bulk::BulkStoreConfig {
+            window: self.window,
+            keys: self.keys.clone(),
+            shards: self.shards,
+            external: self.bulk,
+        }
+    }
 }
 
 /// Process-wide shutdown flag, shared with the C signal handler.
@@ -398,16 +409,14 @@ fn bulk_ingest(
             backend.engine().batches_applied()
         ));
     }
-    let mut loader = mp_extsort::BulkLoader::new(config.bulk);
-    for key in &config.keys {
-        loader = loader.pass(key.clone(), config.window);
-    }
-    let work = config.store_dir.join("bulk-tmp");
-    std::fs::create_dir_all(&work).map_err(|e| format!("create {}: {e}", work.display()))?;
-    let outcome = loader
-        .load_observed(input, &work, theory, recorder)
-        .map_err(|e| format!("bulk load {}: {e}", input.display()))?;
-    let _ = std::fs::remove_dir_all(&work);
+    let _load_span = span(recorder, "bulk_load");
+    let outcome = crate::bulk::run_loader(
+        input,
+        &config.store_dir.join("bulk-tmp"),
+        &config.bulk_store_config(),
+        theory,
+        recorder,
+    )?;
 
     // The serving engine answers queries from memory, so the records are
     // materialized here — the bulk pipeline bounded the *sort and scan*,
@@ -600,13 +609,6 @@ pub fn serve(
             // `set_replay_complete`: `readyz` answers 503 for the whole
             // load + open, exactly like a long journal replay.
             if let Some(input) = &config.bulk_load {
-                let bulk_cfg = crate::bulk::BulkStoreConfig {
-                    window: config.window,
-                    keys: config.keys.clone(),
-                    shards: config.shards,
-                    external: config.bulk,
-                };
-                let work = config.store_dir.join("bulk-tmp");
                 obs.event(
                     Level::Info,
                     "bulk_load_started",
@@ -615,13 +617,12 @@ pub fn serve(
                 match crate::bulk::bulk_load_store(
                     &config.store_dir,
                     input,
-                    &work,
-                    &bulk_cfg,
+                    &config.store_dir.join("bulk-tmp"),
+                    &config.bulk_store_config(),
                     theory,
                     recorder,
                 ) {
                     Ok(Some(report)) => {
-                        let _ = std::fs::remove_dir_all(&work);
                         if !config.quiet {
                             eprintln!(
                                 "mergepurge serve: bulk-loaded {} records ({} pairs, {} snapshot bytes, {} data passes) from {}",

@@ -165,16 +165,19 @@ fn memory_budget_and_thread_count_commit_identical_bytes() {
     let input = write_file(&dir, "db.mp", &records);
 
     let mut snapshots = Vec::new();
-    for (name, budget, threads) in [
-        ("spill", 301, 1),
-        ("spill-2t", 301, 2),
-        ("ram-2t", 1_000_000, 2),
+    for (name, budget, fan_in, threads) in [
+        ("spill", 301, 16, 1),
+        ("spill-2t", 301, 16, 2),
+        ("ram-2t", 1_000_000, 16, 2),
+        // 12 runs per pass at fan-in 2: three intermediate levels, then
+        // the streamed one.
+        ("fan-in-2", 301, 2, 1),
     ] {
         let store = dir.join(format!("store-{name}"));
         let external = ExternalConfig {
             memory_records: budget,
+            fan_in,
             threads,
-            ..ExternalConfig::default()
         };
         load(
             &store,
@@ -188,6 +191,12 @@ fn memory_budget_and_thread_count_commit_identical_bytes() {
     }
     assert_eq!(snapshots[0], snapshots[1], "threads must not change bytes");
     assert_eq!(snapshots[0], snapshots[2], "nor must the memory budget");
+    assert_eq!(snapshots[0], snapshots[3], "nor must the fan-in");
+    assert_eq!(
+        snapshots[0],
+        reference_snapshot(&records, 8).encode(),
+        "and every leg is one add_batch, byte for byte"
+    );
     let _ = std::fs::remove_dir_all(&dir);
 }
 
@@ -393,5 +402,52 @@ fn sigkill_mid_load_then_rerun_commits_identical_bytes() {
         want,
         "post-crash rerun must commit the reference bytes"
     );
+    // The rerun swept the victim's spill files and removed the work dir.
+    if killed_in_flight {
+        assert!(!work.exists(), "work dir survived the rerun: {work:?}");
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+// ---------------------------------------------------------------------------
+// Failure cleanup: a load that fails after spilling leaves nothing behind.
+// ---------------------------------------------------------------------------
+
+#[test]
+fn failed_load_leaves_no_snapshot_and_no_spill_dir() {
+    let dir = tmp_dir("fail");
+    let records = generate(9008, 1_000);
+    let input = write_file(&dir, "db.mp", &records);
+    // A malformed line in the second memory-budget chunk: the first
+    // chunk's runs are on disk, for every pass, when the parse fails.
+    let mut text = std::fs::read_to_string(&input).unwrap();
+    let at = text.match_indices('\n').nth(450).unwrap().0 + 1;
+    text.insert_str(at, "only|three|columns\n");
+    std::fs::write(&input, text).unwrap();
+
+    for shards in ["1", "2"] {
+        let store = dir.join(format!("store-{shards}"));
+        let out = Command::new(env!("CARGO_BIN_EXE_mergepurge"))
+            .args(["load", "--input", input.to_str().unwrap()])
+            .args(["--store", store.to_str().unwrap()])
+            .args(["--window", "8", "--keys", "last_name,first_name"])
+            .args(["--memory-budget", "300", "--shards", shards])
+            .output()
+            .expect("run mergepurge load");
+        assert!(!out.status.success(), "shards={shards}: load must fail");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(stderr.contains("columns"), "shards={shards}: {stderr}");
+        let left: Vec<String> = std::fs::read_dir(&store)
+            .unwrap()
+            .map(|e| e.unwrap().file_name().to_string_lossy().into_owned())
+            .collect();
+        assert!(
+            !left
+                .iter()
+                .any(|n| n == "bulk-tmp" || n.starts_with("snapshot")),
+            "shards={shards}: left behind {left:?}"
+        );
+        assert!(!store.join("bulk-tmp").exists());
+    }
     let _ = std::fs::remove_dir_all(&dir);
 }
