@@ -861,48 +861,6 @@ impl DurableIncremental {
         Ok(bytes)
     }
 
-    /// Installs a bulk-loaded state (see `mp-extsort`'s `BulkLoader`) as
-    /// the store's first batch: writes `snap` as the committed snapshot
-    /// (resetting the journal to the `batches_applied + 1` watermark,
-    /// like any checkpoint) and restores the engine from it. Only legal
-    /// on a cold store — the engine must be empty and the journal must
-    /// hold no acknowledged batches. Returns the snapshot size in bytes
-    /// (added to `Counter::SnapshotBytes`); runs under a `snapshot` span.
-    ///
-    /// # Errors
-    ///
-    /// A non-empty engine or journal, a pass-configuration mismatch
-    /// between `snap` and the configured engine, or I/O failure writing
-    /// the snapshot (the store then still looks empty).
-    pub fn bulk_restore(
-        &mut self,
-        snap: Snapshot,
-        observer: &dyn PipelineObserver,
-    ) -> Result<u64, StoreError> {
-        if self.engine.batches_applied() != 0 || !self.engine.records().is_empty() {
-            return Err(StoreError::Corrupt(format!(
-                "bulk restore requires an empty engine (found {} records, {} batches)",
-                self.engine.records().len(),
-                self.engine.batches_applied()
-            )));
-        }
-        if self.store.next_seq() != 1 {
-            return Err(StoreError::Corrupt(format!(
-                "bulk restore requires an empty journal (next seq is {})",
-                self.store.next_seq()
-            )));
-        }
-        let _snap_span = span(observer, "snapshot");
-        // Durability first, exactly like ingest: the snapshot commit is
-        // the acknowledgment; only then does memory adopt the state.
-        let bytes = self.store.write_snapshot(&snap)?;
-        observer.add(Counter::SnapshotBytes, bytes);
-        let configured = std::mem::take(&mut self.engine);
-        self.engine = configured.restore(snap).map_err(StoreError::Corrupt)?;
-        self.batches_since_checkpoint = 0;
-        Ok(bytes)
-    }
-
     /// The in-memory engine (records, pairs, closure, counters).
     pub fn engine(&self) -> &IncrementalMergePurge {
         &self.engine

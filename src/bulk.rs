@@ -32,6 +32,12 @@
 //! it was skipped). Until the snapshot commit (an atomic rename), the
 //! store directory holds no readable state — a crash mid-load just
 //! reruns from scratch, which the kill-recovery tests exercise.
+//!
+//! [`bulk_load_store`] is the only way a load reaches a store:
+//! `mergepurge load` calls it with no daemon, `serve --bulk-load` before
+//! the store opens, and the daemon's `bulk-load` command with the store
+//! closed, reopening it afterwards exactly as startup opens it. No
+//! running engine ever adopts a loaded state in place.
 
 use crate::serve::shard::ShardRouter;
 use merge_purge::KeySpec;
@@ -111,10 +117,9 @@ impl Drop for WorkDir<'_> {
 }
 
 /// Runs the external-sort bulk pipeline over `input`, spilling under
-/// `work_dir`, which exists only for the duration of the call. The one
-/// loader entry point for `mergepurge load`, `serve --bulk-load` and the
-/// `bulk-load` wire command; callers open the enclosing `bulk_load` span.
-pub(crate) fn run_loader(
+/// `work_dir`, which exists only for the duration of the call. Callers
+/// open the enclosing `bulk_load` span.
+fn run_loader(
     input: &Path,
     work_dir: &Path,
     cfg: &BulkStoreConfig,

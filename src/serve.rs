@@ -19,14 +19,16 @@
 //!   `mp_record::io`. Replies `{"ok":true,"seq":S,...}` only after the
 //!   batch is fsync'd to the journal *and* folded into the engine.
 //! * `bulk-load` — `{"cmd":"bulk-load","path":"/path/on/daemon.mp"}`:
-//!   cold-loads a *daemon-local* flat record file through the
-//!   external-sort pipeline (`mp_extsort::BulkLoader`, spilling under
-//!   the store directory) and commits it as the store's first batch.
+//!   `serve --bulk-load` without the restart. The worker closes the
+//!   empty store, cold-loads the *daemon-local* flat record file into it
+//!   through the one bulk commit `mergepurge load` runs
+//!   ([`crate::bulk::bulk_load_store`]), and reopens it through the same
+//!   open startup runs — so there is one way to fill a serving store.
 //!   Refused unless the store is empty; the state is fingerprint-
-//!   identical to ingesting the whole file as one `ingest-batch`. For
-//!   loading *before* the daemon starts accepting traffic (readyz held
-//!   503 throughout), use `serve --bulk-load` or `mergepurge load`
-//!   instead — see `docs/SCALING.md`.
+//!   identical to ingesting the whole file as one `ingest-batch`. To
+//!   load *before* the daemon accepts traffic (readyz held 503
+//!   throughout), use `serve --bulk-load` or `mergepurge load` — see
+//!   `docs/SCALING.md`.
 //! * `query-matches` — `{"cmd":"query-matches","id":N}` replies with the
 //!   record's duplicate class (including itself). Answered on the
 //!   connection's own thread from the read view the engine worker
@@ -59,8 +61,10 @@
 //! thread blocks until the engine drains a slot (backpressure — counted
 //! in `mergepurge_backpressure_waits_total` and visible as a not-ready
 //! `readyz`) instead of buffering unboundedly or failing fast.
-//! `SIGTERM`/`SIGINT` trigger the same graceful drain as the `shutdown`
-//! command.
+//! `SIGTERM`/`SIGINT` trigger exactly the drain the `shutdown` command
+//! does: the accept loop stops and queues the same drain job, so a
+//! signal leaves the same final checkpoint (logged with trigger
+//! `shutdown`).
 //!
 //! Sharding: `--shards N` partitions the durable store by key band into
 //! N shard workers, each owning its own journal + snapshot under
@@ -85,7 +89,9 @@
 
 use merge_purge::incremental::{DurableIncremental, IncrementalMergePurge, RecoveryReport};
 use merge_purge::KeySpec;
-use mp_metrics::{span, span_labeled, Counter, FlightRecorder, MetricsRecorder, PipelineObserver};
+use mp_metrics::{
+    span, span_labeled, Counter, FlightRecorder, MetricsRecorder, PipelineObserver, TrackSpans,
+};
 use mp_record::{io as rio, Record};
 use mp_rules::EquationalTheory;
 use std::io::{self, Read, Write};
@@ -93,9 +99,10 @@ use std::net::{TcpListener, TcpStream};
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::mpsc::{self, SyncSender, TrySendError};
+use std::sync::mpsc::{self, Receiver, SyncSender, TrySendError};
 use std::sync::{Arc, Mutex};
-use std::time::Duration;
+use std::thread::Scope;
+use std::time::{Duration, Instant};
 
 pub mod eventlog;
 pub mod http;
@@ -203,15 +210,32 @@ impl ServeConfig {
         }
     }
 
-    /// What both bulk-load paths hand the loader: this daemon's passes,
-    /// layout and external-sort limits.
-    fn bulk_store_config(&self) -> crate::bulk::BulkStoreConfig {
-        crate::bulk::BulkStoreConfig {
+    /// Cold-loads `input` into this daemon's store through the one bulk
+    /// commit, [`crate::bulk::bulk_load_store`], with this daemon's
+    /// passes, layout and external-sort limits, spilling under
+    /// `STORE/bulk-tmp`. Both bulk-load paths run it: `--bulk-load` before
+    /// the store opens, the `bulk-load` job while it is closed. `Ok(None)`:
+    /// the store already holds state and was left untouched.
+    fn load_store(
+        &self,
+        input: &Path,
+        theory: &dyn EquationalTheory,
+        recorder: &MetricsRecorder,
+    ) -> Result<Option<crate::bulk::BulkStoreReport>, String> {
+        let cfg = crate::bulk::BulkStoreConfig {
             window: self.window,
             keys: self.keys.clone(),
             shards: self.shards,
             external: self.bulk,
-        }
+        };
+        crate::bulk::bulk_load_store(
+            &self.store_dir,
+            input,
+            &self.store_dir.join("bulk-tmp"),
+            &cfg,
+            theory,
+            recorder,
+        )
     }
 }
 
@@ -265,7 +289,7 @@ struct ReadView {
 }
 
 /// The slot through which the engine worker hands connection threads the
-/// current [`ReadView`]. The worker publishes ([`publish_state`]) after
+/// current [`ReadView`]. The worker publishes ([`Worker::publish`]) after
 /// every state change and *before* it acknowledges the change, so a
 /// client that has seen an ack reads that batch; readers only clone the `Arc`, so a read never
 /// waits for a write (the lock is held for a pointer swap, not a copy).
@@ -372,81 +396,6 @@ impl Backend {
             Backend::Sharded(s) => s.checkpoint(recorder, obs),
         }
     }
-
-    /// Installs a bulk-loaded state as the store's first batch (cold
-    /// stores only); see `DurableIncremental::bulk_restore` and its
-    /// sharded twin.
-    fn bulk_restore(
-        &mut self,
-        snap: mp_store::Snapshot,
-        recorder: &MetricsRecorder,
-        obs: &ObsState,
-    ) -> Result<u64, String> {
-        match self {
-            Backend::Single(d) => d.bulk_restore(snap, recorder).map_err(|e| e.to_string()),
-            Backend::Sharded(s) => s.bulk_restore(snap, recorder, obs),
-        }
-    }
-}
-
-/// The engine worker's `bulk-load` handler: runs the external-sort bulk
-/// pipeline over a daemon-local flat record file and installs the result
-/// as the (empty) store's first batch. Returns
-/// `(records, pairs, snapshot_bytes)`.
-fn bulk_ingest(
-    backend: &mut Backend,
-    input: &Path,
-    config: &ServeConfig,
-    theory: &dyn EquationalTheory,
-    recorder: &MetricsRecorder,
-    obs: &ObsState,
-) -> Result<(usize, u64, u64), String> {
-    if backend.engine().batches_applied() != 0 || !backend.engine().records().is_empty() {
-        return Err(format!(
-            "bulk-load requires an empty store (this one holds {} records from {} batches); \
-             use ingest-batch for increments",
-            backend.engine().records().len(),
-            backend.engine().batches_applied()
-        ));
-    }
-    let _load_span = span(recorder, "bulk_load");
-    let outcome = crate::bulk::run_loader(
-        input,
-        &config.store_dir.join("bulk-tmp"),
-        &config.bulk_store_config(),
-        theory,
-        recorder,
-    )?;
-
-    // The serving engine answers queries from memory, so the records are
-    // materialized here — the bulk pipeline bounded the *sort and scan*,
-    // which is where cold-load memory otherwise multiplies.
-    let file = std::fs::File::open(input).map_err(|e| format!("open {}: {e}", input.display()))?;
-    let records = rio::read_records(std::io::BufReader::new(file))
-        .map_err(|e| format!("parse {}: {e}", input.display()))?;
-    if records.len() != outcome.records {
-        return Err(format!(
-            "input changed during load: sorted {} records, reread {}",
-            outcome.records,
-            records.len()
-        ));
-    }
-    let n_records = records.len();
-    let pairs = outcome.pairs.sorted();
-    let n_pairs = pairs.len() as u64;
-    let snap = mp_store::Snapshot {
-        records,
-        passes: outcome.passes,
-        pairs,
-        closure: outcome.closure,
-        // Bulk loads carry no merge lineage (see `crate::bulk`).
-        provenance: mp_closure::ProvenanceLog::new(),
-        comparisons: outcome.comparisons,
-        batches_applied: 1,
-    };
-    let bytes = backend.bulk_restore(snap, recorder, obs)?;
-    recorder.add(Counter::BatchesIngested, 1);
-    Ok((n_records, n_pairs, bytes))
 }
 
 /// Reports what opening the store recovered, identically for both
@@ -517,6 +466,163 @@ fn report_recovery(
     }
 }
 
+/// `serve --bulk-load`: cold-loads `input` before the store opens. A
+/// store that already holds state is left alone, so a restart over a
+/// committed load is a no-op.
+fn load_at_startup(
+    config: &ServeConfig,
+    input: &Path,
+    theory: &dyn EquationalTheory,
+    recorder: &MetricsRecorder,
+    obs: &ObsState,
+) -> Result<(), String> {
+    obs.event(
+        Level::Info,
+        "bulk_load_started",
+        vec![("input".into(), Json::Str(input.display().to_string()))],
+    );
+    match config.load_store(input, theory, recorder) {
+        Ok(Some(report)) => {
+            if !config.quiet {
+                eprintln!(
+                    "mergepurge serve: bulk-loaded {} records ({} pairs, {} snapshot bytes, {} data passes) from {}",
+                    report.records,
+                    report.pairs,
+                    report.snapshot_bytes,
+                    report.io.data_passes(),
+                    input.display(),
+                );
+            }
+            obs.event(
+                Level::Info,
+                "bulk_load_complete",
+                vec![
+                    ("records".into(), Json::Num(report.records as f64)),
+                    ("pairs".into(), Json::Num(report.pairs as f64)),
+                    ("comparisons".into(), Json::Num(report.comparisons as f64)),
+                    (
+                        "snapshot_bytes".into(),
+                        Json::Num(report.snapshot_bytes as f64),
+                    ),
+                    (
+                        "data_passes".into(),
+                        Json::Num(report.io.data_passes() as f64),
+                    ),
+                ],
+            );
+            Ok(())
+        }
+        Ok(None) => {
+            if !config.quiet {
+                eprintln!("mergepurge serve: bulk load skipped (store already holds state)");
+            }
+            obs.event(
+                Level::Info,
+                "bulk_load_skipped",
+                vec![(
+                    "reason".into(),
+                    Json::Str("store already holds state".into()),
+                )],
+            );
+            Ok(())
+        }
+        Err(e) => Err(format!("bulk load {}: {e}", input.display())),
+    }
+}
+
+/// Opens the store at `config.store_dir` — snapshot restored, journals
+/// replayed — and reports what recovery found. Sharded, it also spawns
+/// one worker per shard journal on `scope` and marks each shard replayed
+/// for `readyz`. Runs at startup, and again in the `bulk-load` job to
+/// serve what the load committed.
+fn open_backend<'scope, 'env>(
+    config: &'env ServeConfig,
+    theory: &dyn EquationalTheory,
+    recorder: &'env MetricsRecorder,
+    obs: &'env ObsState,
+    scope: &'scope Scope<'scope, 'env>,
+) -> Result<Backend, String> {
+    let configure = |mut e: IncrementalMergePurge| {
+        for key in &config.keys {
+            e = e.pass(key.clone(), config.window);
+        }
+        e
+    };
+    let open_err =
+        |e: &dyn std::fmt::Display| format!("open store {}: {e}", config.store_dir.display());
+    if config.shards <= 1 {
+        let (durable, recovery) =
+            DurableIncremental::open(&config.store_dir, configure, theory, recorder)
+                .map_err(|e| open_err(&e))?;
+        report_recovery(obs, config.quiet, durable.engine(), None, &recovery);
+        return Ok(Backend::Single(durable));
+    }
+    let first_key = config
+        .keys
+        .first()
+        .cloned()
+        .ok_or("at least one pass key is required")?;
+    let mut prep = shard::open_sharded(
+        &config.store_dir,
+        config.shards,
+        configure,
+        theory,
+        recorder,
+    )
+    .map_err(|e| open_err(&e))?;
+    // A shard journal that lost bytes always says why, so "some reason"
+    // and "some bytes" coincide as they do for the single store.
+    let recovery = RecoveryReport {
+        snapshot_loaded: prep.snapshot_loaded,
+        batches_in_snapshot: prep.engine.batches_applied() - prep.batches_replayed,
+        batches_replayed: prep.batches_replayed,
+        truncated_bytes: prep.truncated_bytes,
+        truncation_reason: (!prep.truncation_reasons.is_empty())
+            .then(|| prep.truncation_reasons.join("; ")),
+    };
+    report_recovery(
+        obs,
+        config.quiet,
+        &prep.engine,
+        Some(config.shards),
+        &recovery,
+    );
+    // Hand each shard its journal and mark it replayed; the readiness
+    // probe stays 503 until every shard flips.
+    let journals = std::mem::take(&mut prep.journals);
+    let mut senders = Vec::with_capacity(journals.len());
+    for (k, journal) in journals.into_iter().enumerate() {
+        let (stx, srx) = mpsc::sync_channel::<shard::ShardMsg>(config.queue_depth);
+        let shard_dir = prep.store.shard_dir(k);
+        // Named so each worker keeps one stable lane in the flight-recorder
+        // dump.
+        std::thread::Builder::new()
+            .name(format!("shard-{k}"))
+            .spawn_scoped(scope, move || {
+                shard::run_worker(k, journal, shard_dir, srx, obs, recorder)
+            })
+            .expect("spawn shard worker");
+        obs.set_shard_journal_replays(k, prep.shard_replays[k]);
+        obs.event(
+            Level::Info,
+            "shard_replayed",
+            vec![
+                ("shard".into(), Json::Num(k as f64)),
+                (
+                    "journal_replays".into(),
+                    Json::Num(prep.shard_replays[k] as f64),
+                ),
+            ],
+        );
+        obs.set_shard_replay_complete(k);
+        senders.push(stx);
+    }
+    let router = shard::ShardRouter::new(first_key, config.shards);
+    Ok(Backend::Sharded(shard::ShardedDurable::new(
+        prep, router, senders,
+    )))
+}
+
 /// Runs the daemon until `shutdown` (command or signal). Blocks.
 ///
 /// `theory` decides record equivalence; `recorder` collects counters and
@@ -528,8 +634,9 @@ fn report_recovery(
 ///
 /// # Errors
 ///
-/// Socket bind/store-open failures, or a pass-configuration mismatch
-/// against the stored snapshot.
+/// Socket bind/store-open failures, a pass-configuration mismatch
+/// against the stored snapshot, or a store the `bulk-load` job could not
+/// reopen.
 pub fn serve(
     config: &ServeConfig,
     theory: &(dyn EquationalTheory + Sync),
@@ -609,150 +716,29 @@ pub fn serve(
             // `set_replay_complete`: `readyz` answers 503 for the whole
             // load + open, exactly like a long journal replay.
             if let Some(input) = &config.bulk_load {
-                obs.event(
-                    Level::Info,
-                    "bulk_load_started",
-                    vec![("input".into(), Json::Str(input.display().to_string()))],
-                );
-                match crate::bulk::bulk_load_store(
-                    &config.store_dir,
-                    input,
-                    &config.store_dir.join("bulk-tmp"),
-                    &config.bulk_store_config(),
-                    theory,
-                    recorder,
-                ) {
-                    Ok(Some(report)) => {
-                        if !config.quiet {
-                            eprintln!(
-                                "mergepurge serve: bulk-loaded {} records ({} pairs, {} snapshot bytes, {} data passes) from {}",
-                                report.records,
-                                report.pairs,
-                                report.snapshot_bytes,
-                                report.io.data_passes(),
-                                input.display(),
-                            );
-                        }
-                        obs.event(
-                            Level::Info,
-                            "bulk_load_complete",
-                            vec![
-                                ("records".into(), Json::Num(report.records as f64)),
-                                ("pairs".into(), Json::Num(report.pairs as f64)),
-                                ("comparisons".into(), Json::Num(report.comparisons as f64)),
-                                (
-                                    "snapshot_bytes".into(),
-                                    Json::Num(report.snapshot_bytes as f64),
-                                ),
-                                (
-                                    "data_passes".into(),
-                                    Json::Num(report.io.data_passes() as f64),
-                                ),
-                            ],
-                        );
-                    }
-                    Ok(None) => {
-                        if !config.quiet {
-                            eprintln!(
-                                "mergepurge serve: bulk load skipped (store already holds state)"
-                            );
-                        }
-                        obs.event(
-                            Level::Info,
-                            "bulk_load_skipped",
-                            vec![(
-                                "reason".into(),
-                                Json::Str("store already holds state".into()),
-                            )],
-                        );
-                    }
-                    Err(e) => return Err(format!("bulk load {}: {e}", input.display())),
-                }
+                load_at_startup(config, input, theory, recorder, obs)?;
             }
-            let configure = |mut e: IncrementalMergePurge| {
-                for key in &config.keys {
-                    e = e.pass(key.clone(), config.window);
-                }
-                e
+            let backend = open_backend(config, theory, recorder, obs, scope)?;
+            let worker = Worker {
+                config,
+                theory,
+                recorder,
+                flight,
+                obs,
+                reads,
+                scope,
+                rule_names: theory.rule_names(),
+                trace_nonce: std::time::SystemTime::now()
+                    .duration_since(std::time::UNIX_EPOCH)
+                    .map(|d| d.as_millis() as u64)
+                    .unwrap_or(0)
+                    ^ u64::from(std::process::id()),
+                trace_seq: 0,
+                last_trace_id: None,
             };
-            let mut backend = if config.shards <= 1 {
-                let (durable, recovery) =
-                    DurableIncremental::open(&config.store_dir, configure, theory, recorder)
-                        .map_err(|e| format!("open store {}: {e}", config.store_dir.display()))?;
-                report_recovery(obs, config.quiet, durable.engine(), None, &recovery);
-                Backend::Single(durable)
-            } else {
-                let first_key = config
-                    .keys
-                    .first()
-                    .cloned()
-                    .ok_or("at least one pass key is required")?;
-                let mut prep = shard::open_sharded(
-                    &config.store_dir,
-                    config.shards,
-                    configure,
-                    theory,
-                    recorder,
-                )
-                .map_err(|e| format!("open store {}: {e}", config.store_dir.display()))?;
-                // A shard journal that lost bytes always says why, so
-                // "some reason" and "some bytes" coincide as they do for
-                // the single store.
-                let recovery = RecoveryReport {
-                    snapshot_loaded: prep.snapshot_loaded,
-                    batches_in_snapshot: prep.engine.batches_applied() - prep.batches_replayed,
-                    batches_replayed: prep.batches_replayed,
-                    truncated_bytes: prep.truncated_bytes,
-                    truncation_reason: (!prep.truncation_reasons.is_empty())
-                        .then(|| prep.truncation_reasons.join("; ")),
-                };
-                report_recovery(
-                    obs,
-                    config.quiet,
-                    &prep.engine,
-                    Some(config.shards),
-                    &recovery,
-                );
-                // Hand each shard its journal and mark it replayed; the
-                // readiness probe stays 503 until every shard flips.
-                let journals = std::mem::take(&mut prep.journals);
-                let mut senders = Vec::with_capacity(journals.len());
-                for (k, journal) in journals.into_iter().enumerate() {
-                    let (stx, srx) = mpsc::sync_channel::<shard::ShardMsg>(config.queue_depth);
-                    let shard_dir = prep.store.shard_dir(k);
-                    // Named so each worker keeps one stable lane in the
-                    // flight-recorder dump.
-                    std::thread::Builder::new()
-                        .name(format!("shard-{k}"))
-                        .spawn_scoped(scope, move || {
-                            shard::run_worker(k, journal, shard_dir, srx, obs, recorder)
-                        })
-                        .expect("spawn shard worker");
-                    obs.set_shard_journal_replays(k, prep.shard_replays[k]);
-                    obs.event(
-                        Level::Info,
-                        "shard_replayed",
-                        vec![
-                            ("shard".into(), Json::Num(k as f64)),
-                            (
-                                "journal_replays".into(),
-                                Json::Num(prep.shard_replays[k] as f64),
-                            ),
-                        ],
-                    );
-                    obs.set_shard_replay_complete(k);
-                    senders.push(stx);
-                }
-                let router = shard::ShardRouter::new(first_key, config.shards);
-                Backend::Sharded(shard::ShardedDurable::new(prep, router, senders))
-            };
-            // Cached once: the theory's rule table is fixed for the
-            // daemon's lifetime, and `explain` replies and the quality
-            // stats name rules by id.
-            let rule_names = theory.rule_names();
             // Before any listener binds: the first connection already
             // reads the recovered state.
-            publish_state(&backend, obs, &rule_names, reads);
+            worker.publish(&backend);
             obs.set_replay_complete();
             // Sweep the startup spans (load + journal replay) into their
             // own flight entry so the first batch's entry holds only its
@@ -799,606 +785,59 @@ pub fn serve(
             );
 
             let (tx, rx) = mpsc::sync_channel::<Job>(config.queue_depth);
-            let snapshot_every = config.snapshot_every;
-            let (quiet, progress) = (config.quiet, config.progress);
-            let slow_batch_ms = config.slow_batch_ms;
-            let large_cluster_threshold = config.large_cluster_threshold;
-            // Process-unique trace-id prefix (wall millis XOR pid), so
-            // ids from successive daemon runs over the same store never
-            // collide in shipped logs.
-            let trace_nonce = std::time::SystemTime::now()
-                .duration_since(std::time::UNIX_EPOCH)
-                .map(|d| d.as_millis() as u64)
-                .unwrap_or(0)
-                ^ u64::from(std::process::id());
-
-            // The worker owns the engine; jobs are applied strictly in
-            // FIFO order, which is what makes the journal replayable.
-            let worker = std::thread::Builder::new()
+            let engine = std::thread::Builder::new()
                 .name("engine".into())
-                .spawn_scoped(scope, move || {
-                    let mut clean = false;
-                    let mut last_heartbeat_line = 0u64;
-                    let mut trace_seq = 0u64;
-                    let mut last_trace_id: Option<String> = None;
-                    let mut mint_trace_id = move || {
-                        let id = format!("{trace_nonce:08x}-{trace_seq:08x}");
-                        trace_seq += 1;
-                        id
-                    };
-                    loop {
-                        // Bounded wait so the worker heartbeat stays fresh
-                        // while idle (healthz liveness).
-                        let job = match rx.recv_timeout(Duration::from_millis(250)) {
-                            Ok(job) => job,
-                            Err(mpsc::RecvTimeoutError::Timeout) => {
-                                obs.beat();
-                                if progress && !quiet {
-                                    heartbeat_line(obs, &mut last_heartbeat_line);
-                                }
-                                continue;
-                            }
-                            Err(mpsc::RecvTimeoutError::Disconnected) => break,
-                        };
-                        obs.job_dequeued();
-                        obs.beat();
-                        let Job { work, reply } = job;
-                        let msg = match work {
-                            Work::Ingest(batch) => {
-                                let n = batch.len();
-                                let trace_id = mint_trace_id();
-                                let started = std::time::Instant::now();
-                                let before = [
-                                    recorder.get(Counter::Comparisons),
-                                    recorder.get(Counter::RuleInvocations),
-                                    recorder.get(Counter::Matches),
-                                ];
-                                // The batch span is scoped so its guard
-                                // records before the per-batch drain below.
-                                let msg = {
-                                    let _batch_span = span_labeled(recorder, "batch", || {
-                                        format!("trace={trace_id} seq={}", backend.next_seq())
-                                    });
-                                    match backend.ingest(batch, &trace_id, theory, recorder, obs) {
-                                        Ok(seq) => {
-                                            let dur_ns = started.elapsed().as_nanos() as u64;
-                                            let matches = recorder
-                                                .get(Counter::Matches)
-                                                .saturating_sub(before[2]);
-                                            obs.record_batch(
-                                                n as u64,
-                                                recorder
-                                                    .get(Counter::Comparisons)
-                                                    .saturating_sub(before[0]),
-                                                recorder
-                                                    .get(Counter::RuleInvocations)
-                                                    .saturating_sub(before[1]),
-                                                matches,
-                                                dur_ns,
-                                            );
-                                            let mut fields = vec![
-                                                ("batch_seq".into(), Json::Num(seq as f64)),
-                                                ("trace_id".into(), Json::Str(trace_id.clone())),
-                                                ("records".into(), Json::Num(n as f64)),
-                                                ("matches".into(), Json::Num(matches as f64)),
-                                                (
-                                                    "total_records".into(),
-                                                    Json::Num(
-                                                        backend.engine().records().len() as f64
-                                                    ),
-                                                ),
-                                                (
-                                                    "duration_ms".into(),
-                                                    Json::Num((dur_ns / 1_000_000) as f64),
-                                                ),
-                                            ];
-                                            if let Backend::Sharded(s) = &backend {
-                                                fields.push((
-                                                    "shard_records".into(),
-                                                    Json::Arr(
-                                                        s.last_scatter()
-                                                            .iter()
-                                                            .map(|&c| Json::Num(c as f64))
-                                                            .collect(),
-                                                    ),
-                                                ));
-                                            }
-                                            obs.event(Level::Info, "batch_ingested", fields);
-                                            if let Some((ea, eb, size)) =
-                                                backend.engine().last_batch_largest_merge()
-                                            {
-                                                let level = if large_cluster_threshold > 0
-                                                    && size >= large_cluster_threshold
-                                                {
-                                                    Level::Warn
-                                                } else {
-                                                    Level::Info
-                                                };
-                                                obs.event(
-                                                    level,
-                                                    "cluster_merged",
-                                                    vec![
-                                                        ("a".into(), Json::Num(ea as f64)),
-                                                        ("b".into(), Json::Num(eb as f64)),
-                                                        ("size".into(), Json::Num(size as f64)),
-                                                        (
-                                                            "threshold".into(),
-                                                            Json::Num(
-                                                                large_cluster_threshold as f64,
-                                                            ),
-                                                        ),
-                                                        ("batch_seq".into(), Json::Num(seq as f64)),
-                                                        (
-                                                            "trace_id".into(),
-                                                            Json::Str(trace_id.clone()),
-                                                        ),
-                                                    ],
-                                                );
-                                            }
-                                            if snapshot_every > 0
-                                                && backend.batches_since_checkpoint()
-                                                    >= snapshot_every
-                                            {
-                                                match backend.checkpoint(recorder, obs) {
-                                                    Ok(bytes) => obs.event(
-                                                        Level::Info,
-                                                        "checkpoint_written",
-                                                        vec![
-                                                            (
-                                                                "bytes".into(),
-                                                                Json::Num(bytes as f64),
-                                                            ),
-                                                            (
-                                                                "trigger".into(),
-                                                                Json::Str("snapshot-every".into()),
-                                                            ),
-                                                        ],
-                                                    ),
-                                                    Err(e) => {
-                                                        eprintln!(
-                                                    "mergepurge serve: checkpoint failed: {e}"
-                                                );
-                                                        obs.event(
-                                                            Level::Error,
-                                                            "checkpoint_failed",
-                                                            vec![(
-                                                                "error".into(),
-                                                                Json::Str(e.to_string()),
-                                                            )],
-                                                        );
-                                                    }
-                                                }
-                                            }
-                                            Json::Obj(vec![
-                                                ("ok".into(), Json::Bool(true)),
-                                                ("seq".into(), Json::Num(seq as f64)),
-                                                ("trace_id".into(), Json::Str(trace_id.clone())),
-                                                ("records".into(), Json::Num(n as f64)),
-                                                (
-                                                    "total_records".into(),
-                                                    Json::Num(
-                                                        backend.engine().records().len() as f64
-                                                    ),
-                                                ),
-                                            ])
-                                            .to_string()
-                                        }
-                                        Err(e) => {
-                                            obs.event(
-                                                Level::Error,
-                                                "ingest_failed",
-                                                vec![
-                                                    ("error".into(), Json::Str(e.to_string())),
-                                                    (
-                                                        "trace_id".into(),
-                                                        Json::Str(trace_id.clone()),
-                                                    ),
-                                                ],
-                                            );
-                                            if backend.poisoned() {
-                                                // A partial shard append: disk and
-                                                // memory may disagree on sequence
-                                                // alignment. Stop taking traffic;
-                                                // recovery discards the partial
-                                                // scatter on restart.
-                                                eprintln!(
-                                            "mergepurge serve: store poisoned, shutting down: {e}"
-                                        );
-                                                obs.event(Level::Error, "store_poisoned", vec![]);
-                                                SHUTDOWN.store(true, Ordering::SeqCst);
-                                            }
-                                            err_json(&format!("ingest failed: {e}"))
-                                        }
-                                    }
-                                };
-                                // All of the batch's spans are closed now
-                                // (band threads joined, shard workers acked
-                                // before their guards dropped, batch guard
-                                // dropped above): sweep them into one flight
-                                // entry and decompose the critical path.
-                                let total_ns = started.elapsed().as_nanos() as u64;
-                                let tracks = recorder.drain_spans();
-                                if !tracks.is_empty() {
-                                    let phases = PhaseBreakdown::from_tracks(&tracks);
-                                    obs.record_batch_phases(&phases);
-                                    let slow = slow_batch_ms > 0
-                                        && total_ns >= slow_batch_ms.saturating_mul(1_000_000);
-                                    if slow {
-                                        let mut fields = vec![
-                                            ("trace_id".into(), Json::Str(trace_id.clone())),
-                                            (
-                                                "duration_ms".into(),
-                                                Json::Num(total_ns as f64 / 1e6),
-                                            ),
-                                            (
-                                                "threshold_ms".into(),
-                                                Json::Num(slow_batch_ms as f64),
-                                            ),
-                                        ];
-                                        fields.extend(phases.event_fields());
-                                        obs.event(Level::Warn, "slow_batch", fields);
-                                    }
-                                    flight.record(
-                                        trace_id.clone(),
-                                        last_seq(&backend),
-                                        slow,
-                                        tracks,
-                                    );
-                                }
-                                last_trace_id = Some(trace_id);
-                                publish_state(&backend, obs, &rule_names, reads);
-                                msg
-                            }
-                            Work::BulkLoad(path) => {
-                                let trace_id = mint_trace_id();
-                                let started = std::time::Instant::now();
-                                let msg = {
-                                    let _batch_span = span_labeled(recorder, "batch", || {
-                                        format!("trace={trace_id} bulk-load")
-                                    });
-                                    match bulk_ingest(
-                                        &mut backend,
-                                        &path,
-                                        config,
-                                        theory,
-                                        recorder,
-                                        obs,
-                                    ) {
-                                        Ok((records, pairs, bytes)) => {
-                                            obs.event(
-                                                Level::Info,
-                                                "bulk_loaded",
-                                                vec![
-                                                    (
-                                                        "trace_id".into(),
-                                                        Json::Str(trace_id.clone()),
-                                                    ),
-                                                    (
-                                                        "input".into(),
-                                                        Json::Str(path.display().to_string()),
-                                                    ),
-                                                    ("records".into(), Json::Num(records as f64)),
-                                                    ("pairs".into(), Json::Num(pairs as f64)),
-                                                    (
-                                                        "snapshot_bytes".into(),
-                                                        Json::Num(bytes as f64),
-                                                    ),
-                                                    (
-                                                        "duration_ms".into(),
-                                                        Json::Num(
-                                                            started.elapsed().as_millis() as f64
-                                                        ),
-                                                    ),
-                                                ],
-                                            );
-                                            Json::Obj(vec![
-                                                ("ok".into(), Json::Bool(true)),
-                                                (
-                                                    "seq".into(),
-                                                    Json::Num(last_seq(&backend) as f64),
-                                                ),
-                                                ("trace_id".into(), Json::Str(trace_id.clone())),
-                                                ("records".into(), Json::Num(records as f64)),
-                                                ("pairs".into(), Json::Num(pairs as f64)),
-                                                ("snapshot_bytes".into(), Json::Num(bytes as f64)),
-                                                (
-                                                    "total_records".into(),
-                                                    Json::Num(
-                                                        backend.engine().records().len() as f64
-                                                    ),
-                                                ),
-                                            ])
-                                            .to_string()
-                                        }
-                                        Err(e) => {
-                                            obs.event(
-                                                Level::Error,
-                                                "bulk_load_failed",
-                                                vec![
-                                                    ("error".into(), Json::Str(e.to_string())),
-                                                    (
-                                                        "trace_id".into(),
-                                                        Json::Str(trace_id.clone()),
-                                                    ),
-                                                ],
-                                            );
-                                            if backend.poisoned() {
-                                                eprintln!(
-                                            "mergepurge serve: store poisoned, shutting down: {e}"
-                                        );
-                                                obs.event(Level::Error, "store_poisoned", vec![]);
-                                                SHUTDOWN.store(true, Ordering::SeqCst);
-                                            }
-                                            err_json(&format!("bulk load failed: {e}"))
-                                        }
-                                    }
-                                };
-                                flight.record(
-                                    trace_id.clone(),
-                                    last_seq(&backend),
-                                    false,
-                                    recorder.drain_spans(),
-                                );
-                                last_trace_id = Some(trace_id);
-                                publish_state(&backend, obs, &rule_names, reads);
-                                msg
-                            }
-                            Work::Explain(a, b) => {
-                                obs.event(
-                                    Level::Debug,
-                                    "explain",
-                                    vec![
-                                        ("a".into(), Json::Num(a as f64)),
-                                        ("b".into(), Json::Num(b as f64)),
-                                    ],
-                                );
-                                let n = backend.engine().records().len();
-                                if (a as usize) >= n || (b as usize) >= n {
-                                    err_json(&format!(
-                                        "record id out of range ({n} records): a={a} b={b}"
-                                    ))
-                                } else {
-                                    let chain = backend.engine().explain(a, b);
-                                    let evidence = chain
-                                        .as_deref()
-                                        .unwrap_or(&[])
-                                        .iter()
-                                        .map(|e| {
-                                            Json::Obj(vec![
-                                                ("a".into(), Json::Num(e.a as f64)),
-                                                ("b".into(), Json::Num(e.b as f64)),
-                                                (
-                                                    "rule".into(),
-                                                    Json::Str(
-                                                        rule_names
-                                                            .get(e.rule_id as usize)
-                                                            .cloned()
-                                                            .unwrap_or_else(|| {
-                                                                format!("rule-{}", e.rule_id)
-                                                            }),
-                                                    ),
-                                                ),
-                                                ("rule_id".into(), Json::Num(e.rule_id as f64)),
-                                                ("pass".into(), Json::Num(e.pass as f64)),
-                                                ("batch_seq".into(), Json::Num(e.batch_seq as f64)),
-                                                (
-                                                    "trace_id".into(),
-                                                    match &e.trace_id {
-                                                        Some(t) => Json::Str(t.clone()),
-                                                        None => Json::Null,
-                                                    },
-                                                ),
-                                            ])
-                                        })
-                                        .collect();
-                                    Json::Obj(vec![
-                                        ("ok".into(), Json::Bool(true)),
-                                        ("a".into(), Json::Num(a as f64)),
-                                        ("b".into(), Json::Num(b as f64)),
-                                        ("connected".into(), Json::Bool(chain.is_some())),
-                                        ("chain".into(), Json::Arr(evidence)),
-                                        ("seq".into(), Json::Num(last_seq(&backend) as f64)),
-                                    ])
-                                    .to_string()
-                                }
-                            }
-                            Work::Stats => {
-                                obs.event(Level::Debug, "stats", vec![]);
-                                stats_json(
-                                    &backend,
-                                    recorder,
-                                    obs,
-                                    flight,
-                                    last_trace_id.as_deref(),
-                                    &rule_names,
-                                )
-                            }
-                            Work::Snapshot => {
-                                let trace_id = mint_trace_id();
-                                let msg = {
-                                    let _snap_span = span_labeled(recorder, "batch", || {
-                                        format!("trace={trace_id} snapshot")
-                                    });
-                                    match backend.checkpoint(recorder, obs) {
-                                        Ok(bytes) => {
-                                            obs.event(
-                                                Level::Info,
-                                                "checkpoint_written",
-                                                vec![
-                                                    ("bytes".into(), Json::Num(bytes as f64)),
-                                                    (
-                                                        "trigger".into(),
-                                                        Json::Str("snapshot-cmd".into()),
-                                                    ),
-                                                ],
-                                            );
-                                            Json::Obj(vec![
-                                                ("ok".into(), Json::Bool(true)),
-                                                ("bytes".into(), Json::Num(bytes as f64)),
-                                            ])
-                                            .to_string()
-                                        }
-                                        Err(e) => {
-                                            obs.event(
-                                                Level::Error,
-                                                "checkpoint_failed",
-                                                vec![("error".into(), Json::Str(e.to_string()))],
-                                            );
-                                            err_json(&format!("snapshot failed: {e}"))
-                                        }
-                                    }
-                                };
-                                flight.record(
-                                    trace_id.clone(),
-                                    last_seq(&backend),
-                                    false,
-                                    recorder.drain_spans(),
-                                );
-                                last_trace_id = Some(trace_id);
-                                publish_state(&backend, obs, &rule_names, reads);
-                                msg
-                            }
-                            Work::Shutdown => {
-                                SHUTDOWN.store(true, Ordering::SeqCst);
-                                obs.set_accepting(false);
-                                obs.event(Level::Info, "shutdown_begun", vec![]);
-                                // Jobs accepted after the shutdown request sit
-                                // behind it in the queue; refuse them.
-                                while let Ok(late) = rx.try_recv() {
-                                    obs.job_dequeued();
-                                    let _ = late.reply.send(err_json("shutting-down"));
-                                }
-                                let msg = match backend.checkpoint(recorder, obs) {
-                                    Ok(bytes) => {
-                                        obs.event(
-                                            Level::Info,
-                                            "checkpoint_written",
-                                            vec![
-                                                ("bytes".into(), Json::Num(bytes as f64)),
-                                                ("trigger".into(), Json::Str("shutdown".into())),
-                                            ],
-                                        );
-                                        Json::Obj(vec![
-                                            ("ok".into(), Json::Bool(true)),
-                                            ("bytes".into(), Json::Num(bytes as f64)),
-                                        ])
-                                        .to_string()
-                                    }
-                                    Err(e) => {
-                                        obs.event(
-                                            Level::Error,
-                                            "checkpoint_failed",
-                                            vec![("error".into(), Json::Str(e.to_string()))],
-                                        );
-                                        err_json(&format!("final snapshot failed: {e}"))
-                                    }
-                                };
-                                publish_state(&backend, obs, &rule_names, reads);
-                                clean = true;
-                                msg
-                            }
-                        };
-                        let _ = reply.send(msg);
-                        if clean {
-                            break;
-                        }
-                    }
-                    if !clean {
-                        // Channel closed without an explicit shutdown job
-                        // (signal path): still leave a snapshot behind.
-                        obs.set_accepting(false);
-                        match backend.checkpoint(recorder, obs) {
-                            Ok(bytes) => obs.event(
-                                Level::Info,
-                                "checkpoint_written",
-                                vec![
-                                    ("bytes".into(), Json::Num(bytes as f64)),
-                                    ("trigger".into(), Json::Str("signal".into())),
-                                ],
-                            ),
-                            Err(e) => {
-                                eprintln!("mergepurge serve: final checkpoint failed: {e}");
-                                obs.event(
-                                    Level::Error,
-                                    "checkpoint_failed",
-                                    vec![("error".into(), Json::Str(e.to_string()))],
-                                );
-                            }
-                        }
-                    }
-                    // Final sweep so a `--trace` dump written after exit
-                    // includes the shutdown checkpoint's spans.
-                    flight.record(
-                        mint_trace_id(),
-                        last_seq(&backend),
-                        false,
-                        recorder.drain_spans(),
-                    );
-                })
+                .spawn_scoped(scope, move || worker.run(backend, rx))
                 .expect("spawn engine worker");
-
-            // TCP accept thread: same poll loop as the Unix one below,
-            // same per-connection threads, same dispatch.
+            let front = Front {
+                tx,
+                reads,
+                obs,
+                recorder,
+                flight,
+            };
             if let Some(tcp) = tcp_listener {
-                let tcp_tx = tx.clone();
+                let front = front.clone();
                 scope.spawn(move || {
-                    while !SHUTDOWN.load(Ordering::SeqCst) {
-                        match tcp.accept() {
-                            Ok((stream, _)) => {
-                                let _ = stream.set_read_timeout(Some(POLL));
-                                let tx = tcp_tx.clone();
-                                scope.spawn(move || {
-                                    handle_conn(stream, &tx, reads, obs, recorder, flight)
-                                });
-                            }
-                            Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                                std::thread::sleep(Duration::from_millis(25));
-                            }
-                            Err(e) => {
-                                eprintln!("mergepurge serve: tcp accept failed: {e}");
-                                break;
-                            }
-                        }
-                    }
+                    let accept = || tcp.accept().map(|(stream, _)| stream);
+                    accept_loop(
+                        accept,
+                        TcpStream::set_read_timeout,
+                        "tcp accept",
+                        scope,
+                        &front,
+                    );
                 });
             }
-
-            // Accept loop: poll so the shutdown flag is honored promptly.
-            while !SHUTDOWN.load(Ordering::SeqCst) {
-                match listener.accept() {
-                    Ok((stream, _)) => {
-                        let _ = stream.set_read_timeout(Some(POLL));
-                        let tx = tx.clone();
-                        scope.spawn(move || handle_conn(stream, &tx, reads, obs, recorder, flight));
-                    }
-                    Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                        std::thread::sleep(Duration::from_millis(25));
-                    }
-                    Err(e) => {
-                        eprintln!("mergepurge serve: accept failed: {e}");
-                        break;
-                    }
-                }
-            }
+            let accept = || listener.accept().map(|(stream, _)| stream);
+            accept_loop(
+                accept,
+                UnixStream::set_read_timeout,
+                "accept",
+                scope,
+                &front,
+            );
             obs.set_accepting(false);
 
-            // Drain: ask the worker to snapshot and stop (no-op if a
-            // client shutdown already did), then let connection threads
-            // time out.
+            // A signal, the `shutdown` command and a poisoned store all
+            // end the accept loop. Drain: ask the worker to checkpoint
+            // and stop (a no-op if a `shutdown` command already did), then
+            // let connection threads time out.
             let (ack_tx, ack_rx) = mpsc::channel();
             obs.job_enqueued();
             let drain = Job {
                 work: Work::Shutdown,
                 reply: ack_tx,
             };
-            if tx.send(drain).is_ok() {
+            if front.tx.send(drain).is_ok() {
                 let _ = ack_rx.recv_timeout(Duration::from_secs(30));
             } else {
                 obs.job_dequeued();
             }
-            drop(tx);
-            let _ = worker.join();
-            Ok(())
+            drop(front);
+            engine
+                .join()
+                .unwrap_or_else(|_| Err("engine worker panicked".into()))
         })();
         // The HTTP thread (if any) polls this flag; set it on every exit
         // path so the scope can close.
@@ -1422,43 +861,552 @@ fn last_seq(backend: &Backend) -> u64 {
     backend.next_seq().saturating_sub(1)
 }
 
-/// Publishes what other threads may know of the engine, after every job
-/// that can change it and before that job is acknowledged: the
-/// engine-owned gauges and the match-quality view into the shared
-/// observability state, and the [`ReadView`] `query-matches` answers from.
-fn publish_state(backend: &Backend, obs: &ObsState, rule_names: &[String], reads: &ReadSlot) {
-    obs.publish_engine(
-        backend.engine().records().len() as u64,
-        last_seq(backend),
-        backend.batches_since_checkpoint(),
-        backend.snapshot_meta(),
-    );
-    if let Backend::Sharded(s) = backend {
-        for (k, &n) in s.shard_records().iter().enumerate() {
-            obs.set_shard_records(k, n);
+/// A rule's name for `explain` and the quality stats, by rule id.
+fn rule_name(rule_names: &[String], id: usize) -> String {
+    rule_names
+        .get(id)
+        .cloned()
+        .unwrap_or_else(|| format!("rule-{id}"))
+}
+
+/// The `{"ok":true,"bytes":N}` reply of a checkpoint, or the error
+/// prefixed with `what`.
+fn checkpoint_reply(written: Result<u64, String>, what: &str) -> String {
+    match written {
+        Ok(bytes) => Json::Obj(vec![
+            ("ok".into(), Json::Bool(true)),
+            ("bytes".into(), Json::Num(bytes as f64)),
+        ])
+        .to_string(),
+        Err(e) => err_json(&format!("{what} failed: {e}")),
+    }
+}
+
+/// The engine worker: the one thread that owns the [`Backend`]. Jobs are
+/// applied strictly in FIFO order, which is what makes the journal
+/// replayable, and every job that can change state publishes the new
+/// state before it is acknowledged.
+struct Worker<'scope, 'env: 'scope> {
+    config: &'env ServeConfig,
+    theory: &'env (dyn EquationalTheory + Sync),
+    recorder: &'env MetricsRecorder,
+    flight: &'env FlightRecorder,
+    obs: &'env ObsState,
+    reads: &'env ReadSlot,
+    /// Where a reopened sharded store spawns its shard workers.
+    scope: &'scope Scope<'scope, 'env>,
+    /// The theory's rule table, fixed for the daemon's lifetime:
+    /// `explain` replies and the quality stats name rules by id.
+    rule_names: Vec<String>,
+    /// Process-unique trace-id prefix (wall millis XOR pid), so ids from
+    /// successive daemon runs over the same store never collide in
+    /// shipped logs.
+    trace_nonce: u64,
+    trace_seq: u64,
+    last_trace_id: Option<String>,
+}
+
+impl<'scope, 'env> Worker<'scope, 'env> {
+    fn mint_trace_id(&mut self) -> String {
+        let id = format!("{:08x}-{:08x}", self.trace_nonce, self.trace_seq);
+        self.trace_seq += 1;
+        id
+    }
+
+    /// Applies jobs until the drain job (or until every sender is gone),
+    /// then sweeps the last spans into the flight recorder so a `--trace`
+    /// dump written after exit includes the final checkpoint's.
+    ///
+    /// # Errors
+    ///
+    /// The `bulk-load` job could not reopen the store: the daemon has no
+    /// store left to serve.
+    fn run(mut self, mut backend: Backend, rx: Receiver<Job>) -> Result<(), String> {
+        let mut last_heartbeat_line = 0u64;
+        loop {
+            // Bounded wait so the worker heartbeat stays fresh while idle
+            // (healthz liveness).
+            let Job { work, reply } = match rx.recv_timeout(Duration::from_millis(250)) {
+                Ok(job) => job,
+                Err(mpsc::RecvTimeoutError::Timeout) => {
+                    self.obs.beat();
+                    if self.config.progress && !self.config.quiet {
+                        heartbeat_line(self.obs, &mut last_heartbeat_line);
+                    }
+                    continue;
+                }
+                Err(mpsc::RecvTimeoutError::Disconnected) => break,
+            };
+            self.obs.job_dequeued();
+            self.obs.beat();
+            let is_drain = matches!(work, Work::Shutdown);
+            let msg = match work {
+                Work::Ingest(batch) => self.ingest(&mut backend, batch),
+                Work::BulkLoad(input) => match self.bulk_load(backend, &input) {
+                    Ok((reopened, msg)) => {
+                        backend = reopened;
+                        msg
+                    }
+                    Err(e) => {
+                        let _ = reply.send(err_json(&format!("bulk load failed: {e}")));
+                        return Err(e);
+                    }
+                },
+                Work::Explain(a, b) => self.explain(&backend, a, b),
+                Work::Stats => {
+                    self.obs.event(Level::Debug, "stats", vec![]);
+                    stats_json(
+                        &backend,
+                        self.recorder,
+                        self.obs,
+                        self.flight,
+                        self.last_trace_id.as_deref(),
+                        &self.rule_names,
+                    )
+                }
+                Work::Snapshot => self.snapshot(&mut backend),
+                Work::Shutdown => self.drain(&mut backend, &rx),
+            };
+            let _ = reply.send(msg);
+            if is_drain {
+                break;
+            }
+        }
+        let trace_id = self.mint_trace_id();
+        self.flight.record(
+            trace_id,
+            last_seq(&backend),
+            false,
+            self.recorder.drain_spans(),
+        );
+        Ok(())
+    }
+
+    /// An `ingest-batch` job: the backend journals (fsync) and folds the
+    /// batch; then the batch is logged, a due `--snapshot-every`
+    /// checkpoint runs, and its spans are decomposed and settled — all
+    /// before the ack.
+    fn ingest(&mut self, backend: &mut Backend, batch: Vec<Record>) -> String {
+        let (recorder, obs) = (self.recorder, self.obs);
+        let n = batch.len();
+        let trace_id = self.mint_trace_id();
+        let started = Instant::now();
+        let before = [
+            recorder.get(Counter::Comparisons),
+            recorder.get(Counter::RuleInvocations),
+            recorder.get(Counter::Matches),
+        ];
+        // The batch span is scoped so its guard records before the
+        // per-batch drain below.
+        let msg = {
+            let _batch_span = span_labeled(recorder, "batch", || {
+                format!("trace={trace_id} seq={}", backend.next_seq())
+            });
+            match backend.ingest(batch, &trace_id, self.theory, recorder, obs) {
+                Ok(seq) => {
+                    let dur_ns = started.elapsed().as_nanos() as u64;
+                    self.log_batch(backend, seq, n, &trace_id, dur_ns, before);
+                    let every = self.config.snapshot_every;
+                    if every > 0 && backend.batches_since_checkpoint() >= every {
+                        // A failure is logged; the batch itself is already
+                        // durable in the journal.
+                        let _ = self.checkpoint(backend, "snapshot-every");
+                    }
+                    Json::Obj(vec![
+                        ("ok".into(), Json::Bool(true)),
+                        ("seq".into(), Json::Num(seq as f64)),
+                        ("trace_id".into(), Json::Str(trace_id.clone())),
+                        ("records".into(), Json::Num(n as f64)),
+                        (
+                            "total_records".into(),
+                            Json::Num(backend.engine().records().len() as f64),
+                        ),
+                    ])
+                    .to_string()
+                }
+                Err(e) => {
+                    obs.event(
+                        Level::Error,
+                        "ingest_failed",
+                        vec![
+                            ("error".into(), Json::Str(e.clone())),
+                            ("trace_id".into(), Json::Str(trace_id.clone())),
+                        ],
+                    );
+                    if backend.poisoned() {
+                        // A partial shard append: disk and memory may
+                        // disagree on sequence alignment. Recovery discards
+                        // the partial scatter on restart.
+                        self.stop_serving(&e);
+                    }
+                    err_json(&format!("ingest failed: {e}"))
+                }
+            }
+        };
+        // All of the batch's spans are closed now (band threads joined,
+        // shard workers acked before their guards dropped, batch guard
+        // dropped above): decompose the critical path, then settle.
+        let total_ns = started.elapsed().as_nanos() as u64;
+        let tracks = recorder.drain_spans();
+        let mut slow = false;
+        if !tracks.is_empty() {
+            let phases = PhaseBreakdown::from_tracks(&tracks);
+            obs.record_batch_phases(&phases);
+            let threshold_ms = self.config.slow_batch_ms;
+            slow = threshold_ms > 0 && total_ns >= threshold_ms.saturating_mul(1_000_000);
+            if slow {
+                let mut fields = vec![
+                    ("trace_id".into(), Json::Str(trace_id.clone())),
+                    ("duration_ms".into(), Json::Num(total_ns as f64 / 1e6)),
+                    ("threshold_ms".into(), Json::Num(threshold_ms as f64)),
+                ];
+                fields.extend(phases.event_fields());
+                obs.event(Level::Warn, "slow_batch", fields);
+            }
+        }
+        self.settle(backend, trace_id, slow, tracks);
+        msg
+    }
+
+    /// Accounts an acknowledged batch: the rolling windows, the
+    /// `batch_ingested` event, and `cluster_merged` when the batch grew a
+    /// cluster (at warn level from `--large-cluster-threshold` up).
+    fn log_batch(
+        &self,
+        backend: &Backend,
+        seq: u64,
+        n: usize,
+        trace_id: &str,
+        dur_ns: u64,
+        before: [u64; 3],
+    ) {
+        let (recorder, obs) = (self.recorder, self.obs);
+        let matches = recorder.get(Counter::Matches).saturating_sub(before[2]);
+        obs.record_batch(
+            n as u64,
+            recorder.get(Counter::Comparisons).saturating_sub(before[0]),
+            recorder
+                .get(Counter::RuleInvocations)
+                .saturating_sub(before[1]),
+            matches,
+            dur_ns,
+        );
+        let mut fields = vec![
+            ("batch_seq".into(), Json::Num(seq as f64)),
+            ("trace_id".into(), Json::Str(trace_id.into())),
+            ("records".into(), Json::Num(n as f64)),
+            ("matches".into(), Json::Num(matches as f64)),
+            (
+                "total_records".into(),
+                Json::Num(backend.engine().records().len() as f64),
+            ),
+            ("duration_ms".into(), Json::Num((dur_ns / 1_000_000) as f64)),
+        ];
+        if let Backend::Sharded(s) = backend {
+            fields.push((
+                "shard_records".into(),
+                Json::Arr(
+                    s.last_scatter()
+                        .iter()
+                        .map(|&c| Json::Num(c as f64))
+                        .collect(),
+                ),
+            ));
+        }
+        obs.event(Level::Info, "batch_ingested", fields);
+        if let Some((ea, eb, size)) = backend.engine().last_batch_largest_merge() {
+            let threshold = self.config.large_cluster_threshold;
+            let level = if threshold > 0 && size >= threshold {
+                Level::Warn
+            } else {
+                Level::Info
+            };
+            obs.event(
+                level,
+                "cluster_merged",
+                vec![
+                    ("a".into(), Json::Num(ea as f64)),
+                    ("b".into(), Json::Num(eb as f64)),
+                    ("size".into(), Json::Num(size as f64)),
+                    ("threshold".into(), Json::Num(threshold as f64)),
+                    ("batch_seq".into(), Json::Num(seq as f64)),
+                    ("trace_id".into(), Json::Str(trace_id.into())),
+                ],
+            );
         }
     }
-    let engine = backend.engine();
-    let sizes = engine.cluster_sizes();
-    let firings = &engine.provenance().rule_firings;
-    obs.publish_quality(QualitySnapshot {
-        hist: sizes.histogram().to_vec(),
-        largest: sizes.largest() as u64,
-        clusters: sizes.cluster_count(),
-        edges: engine.provenance().edges.len() as u64,
-        rules: firings
+
+    /// A `bulk-load` job: fills the empty store with `input` (a
+    /// daemon-local file) through the one bulk commit `mergepurge load`
+    /// and `serve --bulk-load` run, then serves it through the open
+    /// startup runs. The store is closed for the load — dropping the
+    /// backend closes the journals, and the shard workers exit with their
+    /// queues — so the commit lands in a quiescent directory; a failed
+    /// load reopens the still-empty store. Returns the backend to serve
+    /// from and the reply.
+    ///
+    /// # Errors
+    ///
+    /// The store could not be reopened; the daemon is stopping.
+    fn bulk_load(&mut self, backend: Backend, input: &Path) -> Result<(Backend, String), String> {
+        let (recorder, obs) = (self.recorder, self.obs);
+        let trace_id = self.mint_trace_id();
+        let started = Instant::now();
+        let batch_span = span_labeled(recorder, "batch", || format!("trace={trace_id} bulk-load"));
+        let engine = backend.engine();
+        let (backend, loaded) = if engine.batches_applied() != 0 || !engine.records().is_empty() {
+            let held = format!(
+                "bulk-load requires an empty store (this one holds {} records from {} batches); \
+                 use ingest-batch for increments",
+                engine.records().len(),
+                engine.batches_applied()
+            );
+            (backend, Err(held))
+        } else {
+            drop(backend);
+            let loaded = self
+                .config
+                .load_store(input, self.theory, recorder)
+                .and_then(|report| {
+                    report.ok_or_else(|| {
+                        "bulk-load requires an empty store (this one holds a checkpoint); \
+                         use ingest-batch for increments"
+                            .to_string()
+                    })
+                });
+            match open_backend(self.config, self.theory, recorder, obs, self.scope) {
+                Ok(reopened) => (reopened, loaded),
+                Err(e) => {
+                    self.stop_serving(&e);
+                    return Err(e);
+                }
+            }
+        };
+        drop(batch_span);
+        let msg = match loaded {
+            Ok(report) => {
+                // Counted like the batch it is, and like the checkpoint
+                // it commits.
+                recorder.add(Counter::BatchesIngested, 1);
+                recorder.add(Counter::SnapshotBytes, report.snapshot_bytes);
+                obs.event(
+                    Level::Info,
+                    "bulk_loaded",
+                    vec![
+                        ("trace_id".into(), Json::Str(trace_id.clone())),
+                        ("input".into(), Json::Str(input.display().to_string())),
+                        ("records".into(), Json::Num(report.records as f64)),
+                        ("pairs".into(), Json::Num(report.pairs as f64)),
+                        (
+                            "snapshot_bytes".into(),
+                            Json::Num(report.snapshot_bytes as f64),
+                        ),
+                        (
+                            "duration_ms".into(),
+                            Json::Num(started.elapsed().as_millis() as f64),
+                        ),
+                    ],
+                );
+                Json::Obj(vec![
+                    ("ok".into(), Json::Bool(true)),
+                    ("seq".into(), Json::Num(last_seq(&backend) as f64)),
+                    ("trace_id".into(), Json::Str(trace_id.clone())),
+                    ("records".into(), Json::Num(report.records as f64)),
+                    ("pairs".into(), Json::Num(report.pairs as f64)),
+                    (
+                        "snapshot_bytes".into(),
+                        Json::Num(report.snapshot_bytes as f64),
+                    ),
+                    (
+                        "total_records".into(),
+                        Json::Num(backend.engine().records().len() as f64),
+                    ),
+                ])
+                .to_string()
+            }
+            Err(e) => {
+                obs.event(
+                    Level::Error,
+                    "bulk_load_failed",
+                    vec![
+                        ("error".into(), Json::Str(e.clone())),
+                        ("trace_id".into(), Json::Str(trace_id.clone())),
+                    ],
+                );
+                err_json(&format!("bulk load failed: {e}"))
+            }
+        };
+        let tracks = recorder.drain_spans();
+        self.settle(&backend, trace_id, false, tracks);
+        Ok((backend, msg))
+    }
+
+    /// An `explain` job: the provenance chain connecting `a` and `b`, or
+    /// `connected:false` when they are in different classes.
+    fn explain(&self, backend: &Backend, a: u32, b: u32) -> String {
+        self.obs.event(
+            Level::Debug,
+            "explain",
+            vec![
+                ("a".into(), Json::Num(a as f64)),
+                ("b".into(), Json::Num(b as f64)),
+            ],
+        );
+        let n = backend.engine().records().len();
+        if (a as usize) >= n || (b as usize) >= n {
+            return err_json(&format!(
+                "record id out of range ({n} records): a={a} b={b}"
+            ));
+        }
+        let chain = backend.engine().explain(a, b);
+        let evidence = chain
+            .as_deref()
+            .unwrap_or(&[])
             .iter()
-            .enumerate()
-            .map(|(i, &f)| {
-                let name = rule_names
-                    .get(i)
-                    .cloned()
-                    .unwrap_or_else(|| format!("rule-{i}"));
-                (name, f)
+            .map(|e| {
+                Json::Obj(vec![
+                    ("a".into(), Json::Num(e.a as f64)),
+                    ("b".into(), Json::Num(e.b as f64)),
+                    (
+                        "rule".into(),
+                        Json::Str(rule_name(&self.rule_names, e.rule_id as usize)),
+                    ),
+                    ("rule_id".into(), Json::Num(e.rule_id as f64)),
+                    ("pass".into(), Json::Num(e.pass as f64)),
+                    ("batch_seq".into(), Json::Num(e.batch_seq as f64)),
+                    (
+                        "trace_id".into(),
+                        match &e.trace_id {
+                            Some(t) => Json::Str(t.clone()),
+                            None => Json::Null,
+                        },
+                    ),
+                ])
             })
-            .collect(),
-    });
-    reads.publish(backend);
+            .collect();
+        Json::Obj(vec![
+            ("ok".into(), Json::Bool(true)),
+            ("a".into(), Json::Num(a as f64)),
+            ("b".into(), Json::Num(b as f64)),
+            ("connected".into(), Json::Bool(chain.is_some())),
+            ("chain".into(), Json::Arr(evidence)),
+            ("seq".into(), Json::Num(last_seq(backend) as f64)),
+        ])
+        .to_string()
+    }
+
+    /// A `snapshot` job: a checkpoint under its own `batch` span.
+    fn snapshot(&mut self, backend: &mut Backend) -> String {
+        let trace_id = self.mint_trace_id();
+        let written = {
+            let _snap_span = span_labeled(self.recorder, "batch", || {
+                format!("trace={trace_id} snapshot")
+            });
+            self.checkpoint(backend, "snapshot-cmd")
+        };
+        let tracks = self.recorder.drain_spans();
+        self.settle(backend, trace_id, false, tracks);
+        checkpoint_reply(written, "snapshot")
+    }
+
+    /// The drain job — the `shutdown` command, or the accept loop's drain
+    /// after a signal: stop accepting, refuse what queued behind it, and
+    /// write the final checkpoint.
+    fn drain(&mut self, backend: &mut Backend, rx: &Receiver<Job>) -> String {
+        SHUTDOWN.store(true, Ordering::SeqCst);
+        self.obs.set_accepting(false);
+        self.obs.event(Level::Info, "shutdown_begun", vec![]);
+        // Jobs accepted after the shutdown request sit behind it in the
+        // queue; refuse them.
+        while let Ok(late) = rx.try_recv() {
+            self.obs.job_dequeued();
+            let _ = late.reply.send(err_json("shutting-down"));
+        }
+        let written = self.checkpoint(backend, "shutdown");
+        self.publish(backend);
+        checkpoint_reply(written, "final snapshot")
+    }
+
+    /// Writes a checkpoint and logs it: `checkpoint_written` with what
+    /// triggered it (`snapshot-every`, `snapshot-cmd` or `shutdown`), or
+    /// `checkpoint_failed`.
+    fn checkpoint(&self, backend: &mut Backend, trigger: &str) -> Result<u64, String> {
+        let written = backend.checkpoint(self.recorder, self.obs);
+        match &written {
+            Ok(bytes) => self.obs.event(
+                Level::Info,
+                "checkpoint_written",
+                vec![
+                    ("bytes".into(), Json::Num(*bytes as f64)),
+                    ("trigger".into(), Json::Str(trigger.into())),
+                ],
+            ),
+            Err(e) => {
+                eprintln!("mergepurge serve: checkpoint failed: {e}");
+                self.obs.event(
+                    Level::Error,
+                    "checkpoint_failed",
+                    vec![("error".into(), Json::Str(e.clone()))],
+                );
+            }
+        }
+        written
+    }
+
+    /// Stops taking traffic once this process cannot trust its store — a
+    /// partial shard append, or a store the `bulk-load` job could not
+    /// reopen. A restart recovers from what is on disk.
+    fn stop_serving(&self, e: &str) {
+        eprintln!("mergepurge serve: store poisoned, shutting down: {e}");
+        self.obs.event(Level::Error, "store_poisoned", vec![]);
+        SHUTDOWN.store(true, Ordering::SeqCst);
+    }
+
+    /// The tail of every job that can change state: its closed spans
+    /// become one flight entry (pinned when `slow`), its trace id the last
+    /// one, and the new state is published — all before the ack.
+    fn settle(&mut self, backend: &Backend, trace_id: String, slow: bool, tracks: Vec<TrackSpans>) {
+        self.flight
+            .record(trace_id.clone(), last_seq(backend), slow, tracks);
+        self.last_trace_id = Some(trace_id);
+        self.publish(backend);
+    }
+
+    /// Publishes what other threads may know of the engine, after every
+    /// job that can change it and before that job is acknowledged: the
+    /// engine-owned gauges and the match-quality view into the shared
+    /// observability state, and the [`ReadView`] `query-matches` answers
+    /// from.
+    fn publish(&self, backend: &Backend) {
+        let obs = self.obs;
+        obs.publish_engine(
+            backend.engine().records().len() as u64,
+            last_seq(backend),
+            backend.batches_since_checkpoint(),
+            backend.snapshot_meta(),
+        );
+        if let Backend::Sharded(s) = backend {
+            for (k, &n) in s.shard_records().iter().enumerate() {
+                obs.set_shard_records(k, n);
+            }
+        }
+        let engine = backend.engine();
+        let sizes = engine.cluster_sizes();
+        obs.publish_quality(QualitySnapshot {
+            hist: sizes.histogram().to_vec(),
+            largest: sizes.largest() as u64,
+            clusters: sizes.cluster_count(),
+            edges: engine.provenance().edges.len() as u64,
+            rules: engine
+                .provenance()
+                .rule_firings
+                .iter()
+                .enumerate()
+                .map(|(i, &f)| (rule_name(&self.rule_names, i), f))
+                .collect(),
+        });
+        self.reads.publish(backend);
+    }
 }
 
 /// Prints the `--progress` heartbeat line (at most every 10 s; called
@@ -1482,23 +1430,52 @@ fn heartbeat_line(obs: &ObsState, last: &mut u64) {
     );
 }
 
-/// Serves one client connection (Unix or TCP — the caller has already
-/// armed a read timeout of [`POLL`]) until EOF or shutdown.
-fn handle_conn(
-    mut stream: impl Read + Write,
-    tx: &SyncSender<Job>,
-    reads: &ReadSlot,
-    obs: &ObsState,
-    recorder: &MetricsRecorder,
-    flight: &FlightRecorder,
+/// What connection threads serve from: the job queue into the engine
+/// worker, and the shared state that reads, probes and scrapes answer
+/// from without queueing.
+#[derive(Clone)]
+struct Front<'a> {
+    tx: SyncSender<Job>,
+    reads: &'a ReadSlot,
+    obs: &'a ObsState,
+    recorder: &'a MetricsRecorder,
+    flight: &'a FlightRecorder,
+}
+
+/// Accepts connections until shutdown — `accept` polls the non-blocking
+/// Unix socket or `--listen` TCP port, same framing and dispatch either
+/// way — and serves each on its own scoped thread, once `arm_timeout` has
+/// armed its read timeout of [`POLL`], the connection's shutdown poll.
+fn accept_loop<'scope, 'env, S: Read + Write + Send + 'scope>(
+    accept: impl Fn() -> io::Result<S>,
+    arm_timeout: fn(&S, Option<Duration>) -> io::Result<()>,
+    what: &str,
+    scope: &'scope Scope<'scope, 'env>,
+    front: &Front<'env>,
 ) {
-    loop {
-        let frame = match read_frame_with_shutdown(&mut stream) {
-            Ok(Some(f)) => f,
-            Ok(None) => return, // clean EOF or shutdown
-            Err(_) => return,
-        };
-        let response = dispatch(&frame, tx, reads, obs, recorder, flight);
+    while !SHUTDOWN.load(Ordering::SeqCst) {
+        match accept() {
+            Ok(stream) => {
+                let _ = arm_timeout(&stream, Some(POLL));
+                let front = front.clone();
+                scope.spawn(move || handle_conn(stream, &front));
+            }
+            Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
+                std::thread::sleep(Duration::from_millis(25));
+            }
+            Err(e) => {
+                eprintln!("mergepurge serve: {what} failed: {e}");
+                break;
+            }
+        }
+    }
+}
+
+/// Serves one client connection until EOF or shutdown.
+fn handle_conn(mut stream: impl Read + Write, front: &Front<'_>) {
+    // Ends at a clean EOF or shutdown (`Ok(None)`) and on any read error.
+    while let Ok(Some(frame)) = read_frame(&mut stream) {
+        let response = dispatch(&frame, front);
         if write_frame(&mut stream, &response).is_err() {
             return;
         }
@@ -1509,14 +1486,14 @@ fn handle_conn(
 /// `query-matches` answer from shared state immediately, on this
 /// connection's thread; everything else goes through the job queue to the
 /// engine worker.
-fn dispatch(
-    frame: &str,
-    tx: &SyncSender<Job>,
-    reads: &ReadSlot,
-    obs: &ObsState,
-    recorder: &MetricsRecorder,
-    flight: &FlightRecorder,
-) -> String {
+fn dispatch(frame: &str, front: &Front<'_>) -> String {
+    let Front {
+        tx,
+        reads,
+        obs,
+        recorder,
+        flight,
+    } = front;
     let req = match Json::parse(frame) {
         Ok(v) => v,
         Err(e) => return err_json(&format!("bad json: {e}")),
@@ -1785,15 +1762,7 @@ fn stats_json(
         .enumerate()
         .map(|(i, &f)| {
             Json::Obj(vec![
-                (
-                    "rule".into(),
-                    Json::Str(
-                        rule_names
-                            .get(i)
-                            .cloned()
-                            .unwrap_or_else(|| format!("rule-{i}")),
-                    ),
-                ),
+                ("rule".into(), Json::Str(rule_name(rule_names, i))),
                 ("rule_id".into(), Json::Num(i as f64)),
                 ("firings".into(), Json::Num(f as f64)),
             ])
@@ -1843,17 +1812,42 @@ pub fn write_frame(stream: &mut impl Write, payload: &str) -> io::Result<()> {
     stream.flush()
 }
 
-/// Reads one frame; `Ok(None)` on clean EOF before a length prefix.
+/// Reads one frame; `Ok(None)` on clean EOF before a length prefix, or
+/// once shutdown is flagged.
+///
+/// Resumable across read timeouts: the serving sockets arm a 100 ms read
+/// timeout as their shutdown poll, and a timeout means "check the
+/// shutdown flag and keep waiting" wherever in the frame it lands — a
+/// slow peer's partial prefix or payload is kept, never discarded.
+/// Clients arm no read timeout, so for them this is a plain blocking
+/// read. The payload buffer grows 64 KiB at a time as bytes arrive,
+/// never straight to the length a peer declares.
 ///
 /// # Errors
 ///
-/// Socket failures, oversized frames (> [`MAX_FRAME`]), or invalid UTF-8.
+/// Socket failures, oversized frames (> [`MAX_FRAME`]), invalid UTF-8,
+/// and `UnexpectedEof` when the peer closes inside a frame.
 pub fn read_frame(stream: &mut impl Read) -> io::Result<Option<String>> {
+    let mut payload = Vec::new();
+    if !read_payload(stream, &mut payload)? {
+        return Ok(None);
+    }
+    String::from_utf8(payload)
+        .map(Some)
+        .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e))
+}
+
+/// How much payload buffer [`read_frame`] adds at a time: what a frame
+/// holds in memory tracks the bytes its peer has actually sent.
+const FRAME_CHUNK: usize = 64 * 1024;
+
+/// Reads one length prefix and its payload into `payload`, growing it a
+/// [`FRAME_CHUNK`] at a time. `Ok(false)` means stop serving this
+/// connection cleanly (see [`fill_with_shutdown`]).
+fn read_payload(stream: &mut impl Read, payload: &mut Vec<u8>) -> io::Result<bool> {
     let mut len_buf = [0u8; 4];
-    match stream.read_exact(&mut len_buf) {
-        Ok(()) => {}
-        Err(e) if e.kind() == io::ErrorKind::UnexpectedEof => return Ok(None),
-        Err(e) => return Err(e),
+    if !fill_with_shutdown(stream, &mut len_buf, true)? {
+        return Ok(false);
     }
     let len = u32::from_le_bytes(len_buf);
     if len > MAX_FRAME {
@@ -1862,39 +1856,15 @@ pub fn read_frame(stream: &mut impl Read) -> io::Result<Option<String>> {
             format!("frame of {len} bytes exceeds the {MAX_FRAME} byte cap"),
         ));
     }
-    let mut payload = vec![0u8; len as usize];
-    stream.read_exact(&mut payload)?;
-    String::from_utf8(payload)
-        .map(Some)
-        .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e))
-}
-
-/// Like [`read_frame`], but resumable across read timeouts: the serving
-/// sockets arm a [`POLL`] read timeout as their shutdown poll, and a
-/// timeout means "check the shutdown flag and keep waiting" wherever in
-/// the frame it lands — a slow peer's partial prefix or payload is kept,
-/// never discarded. `Ok(None)` on clean EOF before a length prefix, or
-/// once shutdown is flagged. Works over any transport whose reads time
-/// out (Unix or TCP sockets with a read timeout armed).
-fn read_frame_with_shutdown(stream: &mut impl Read) -> io::Result<Option<String>> {
-    let mut len_buf = [0u8; 4];
-    if !fill_with_shutdown(stream, &mut len_buf, true)? {
-        return Ok(None);
+    let len = len as usize;
+    while payload.len() < len {
+        let filled = payload.len();
+        payload.resize(filled + (len - filled).min(FRAME_CHUNK), 0);
+        if !fill_with_shutdown(stream, &mut payload[filled..], false)? {
+            return Ok(false);
+        }
     }
-    let len = u32::from_le_bytes(len_buf);
-    if len > MAX_FRAME {
-        return Err(io::Error::new(
-            io::ErrorKind::InvalidData,
-            "oversized frame",
-        ));
-    }
-    let mut payload = vec![0u8; len as usize];
-    if !fill_with_shutdown(stream, &mut payload, false)? {
-        return Ok(None);
-    }
-    String::from_utf8(payload)
-        .map(Some)
-        .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e))
+    Ok(true)
 }
 
 /// Fills `buf`, keeping what has arrived across read timeouts and
@@ -2016,6 +1986,24 @@ mod tests {
         assert!(read_frame(&mut cursor).is_err());
     }
 
+    /// A peer that declares the largest frame, sends 1 KiB and hangs up
+    /// costs the reader about what it sent, not what it declared.
+    #[test]
+    fn declared_frame_length_is_not_allocated_before_bytes_arrive() {
+        let mut wire = MAX_FRAME.to_le_bytes().to_vec();
+        wire.extend_from_slice(&[b'x'; 1024]);
+        let mut payload = Vec::new();
+        let torn = read_payload(&mut &wire[..], &mut payload).unwrap_err();
+        assert_eq!(torn.kind(), io::ErrorKind::UnexpectedEof);
+        assert!(
+            payload.capacity() <= 1024 + FRAME_CHUNK,
+            "{} bytes reserved for 1024 received",
+            payload.capacity()
+        );
+        let torn = read_frame(&mut &wire[..]).unwrap_err();
+        assert_eq!(torn.kind(), io::ErrorKind::UnexpectedEof);
+    }
+
     /// A peer that stalls longer than the socket's read timeout — inside
     /// the length prefix, or inside the payload — loses nothing: the
     /// partial bytes are kept, the frame parses, and so does the next one
@@ -2051,16 +2039,16 @@ mod tests {
             peer.write_all(&third[..6]).unwrap();
         });
         for want in ["healthz", "query-matches", "readyz"] {
-            let got = read_frame_with_shutdown(&mut conn).unwrap().unwrap();
+            let got = read_frame(&mut conn).unwrap().unwrap();
             assert!(got.contains(want), "{got} should be the {want} frame");
         }
         writer.join().unwrap();
-        let torn = read_frame_with_shutdown(&mut conn).unwrap_err();
+        let torn = read_frame(&mut conn).unwrap_err();
         assert_eq!(torn.kind(), io::ErrorKind::UnexpectedEof);
         // And with nothing in flight, a close is clean.
         let (peer, mut conn) = UnixStream::pair().unwrap();
         drop(peer);
-        assert_eq!(read_frame_with_shutdown(&mut conn).unwrap(), None);
+        assert_eq!(read_frame(&mut conn).unwrap(), None);
     }
 
     #[test]

@@ -401,55 +401,6 @@ impl ShardedDurable {
         Ok(seq)
     }
 
-    /// Installs a bulk-loaded state (see `mp-extsort`'s `BulkLoader`) as
-    /// this store's first batch: restores the engine from `snap`, aligns
-    /// the sequence watermark to `batches_applied + 1`, and runs a full
-    /// checkpoint so every shard durably owns its slice before the call
-    /// returns. Only legal on a cold store — the engine must be empty
-    /// and no batch may have been acknowledged. Returns total snapshot
-    /// bytes.
-    ///
-    /// # Errors
-    ///
-    /// A non-empty engine or journal, a pass-configuration mismatch, or
-    /// any shard failing its snapshot write (the store then still looks
-    /// empty — the manifest never flipped).
-    pub fn bulk_restore(
-        &mut self,
-        snap: mp_store::Snapshot,
-        recorder: &MetricsRecorder,
-        obs: &ObsState,
-    ) -> Result<u64, String> {
-        if self.engine.batches_applied() != 0 || !self.engine.records().is_empty() {
-            return Err(format!(
-                "bulk restore requires an empty engine (found {} records, {} batches)",
-                self.engine.records().len(),
-                self.engine.batches_applied()
-            ));
-        }
-        if self.next_seq != 1 || self.store.epoch() != 0 {
-            return Err(format!(
-                "bulk restore requires an empty store (next seq {}, epoch {})",
-                self.next_seq,
-                self.store.epoch()
-            ));
-        }
-        let batches_applied = snap.batches_applied;
-        let configured = std::mem::replace(&mut self.engine, IncrementalMergePurge::new());
-        self.engine = configured.restore(snap)?;
-        // The next incremental batch journals above the snapshot's
-        // watermark, exactly as after a normal checkpoint.
-        self.next_seq = batches_applied + 1;
-        for r in self.engine.records() {
-            self.shard_records[self.router.shard_of(r)] += 1;
-        }
-        // If the checkpoint fails, memory holds state disk never saw;
-        // refuse further ingests (a restart recovers the empty store).
-        self.checkpoint(recorder, obs).inspect_err(|_| {
-            self.poisoned = true;
-        })
-    }
-
     /// Checkpoints via two-phase commit: every shard durably writes its
     /// snapshot slice for the next epoch (phase one, in parallel — each
     /// slice built from the borrowed engine, one shard's copy at a time), the

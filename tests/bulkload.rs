@@ -338,6 +338,105 @@ fn wire_bulk_load_fills_an_empty_daemon_once() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// Every file under `dir`, by path relative to it, with its bytes.
+fn files(dir: &Path) -> Vec<(PathBuf, Vec<u8>)> {
+    let mut out = Vec::new();
+    let mut pending = vec![dir.to_path_buf()];
+    while let Some(d) = pending.pop() {
+        for entry in std::fs::read_dir(&d).unwrap() {
+            let path = entry.unwrap().path();
+            if path.is_dir() {
+                pending.push(path);
+            } else {
+                let bytes = std::fs::read(&path).unwrap();
+                out.push((path.strip_prefix(dir).unwrap().to_path_buf(), bytes));
+            }
+        }
+    }
+    out.sort();
+    out
+}
+
+/// The wire `bulk-load` is the `load` commit. For 1 and 2 shards, a
+/// daemon that answered `bulk-load` leaves, after `shutdown`, a store
+/// directory byte-identical to what `mergepurge load` commits on the same
+/// input, budget and keys (put through the same daemon open and shutdown,
+/// whose final checkpoint advances the sharded epoch), and it answers
+/// `stats` and `query-matches` like a `serve --bulk-load` daemon.
+#[test]
+fn wire_bulk_load_commits_what_load_commits() {
+    let dir = tmp_dir("wire-is-load");
+    let records = generate(9009, 1_000);
+    let input = write_file(&dir, "db.mp", &records);
+    // The same records with a malformed line past the first budget chunk.
+    let mut text = std::fs::read_to_string(&input).unwrap();
+    let at = text.match_indices('\n').nth(450).unwrap().0 + 1;
+    text.insert_str(at, "only|three|columns\n");
+    let broken = dir.join("broken.mp");
+    std::fs::write(&broken, text).unwrap();
+    let bulk_load = |path: &Path| {
+        Json::Obj(vec![
+            ("cmd".into(), Json::Str("bulk-load".into())),
+            ("path".into(), Json::Str(path.display().to_string())),
+        ])
+        .to_string()
+    };
+    let socket = dir.join("mp.sock");
+    let probes = [0, 7, 313, records.len() as u64 - 1];
+    let reads = |socket: &Path| -> Vec<Json> {
+        probes
+            .iter()
+            .map(|id| ask(socket, &format!(r#"{{"cmd":"query-matches","id":{id}}}"#)))
+            .collect()
+    };
+    for shards in ["1", "2"] {
+        let flags = ["--memory-budget", "293", "--shards", shards];
+
+        let loaded = dir.join(format!("load-{shards}"));
+        let status = Command::new(env!("CARGO_BIN_EXE_mergepurge"))
+            .args(["load", "--input", input.to_str().unwrap()])
+            .args(["--store", loaded.to_str().unwrap()])
+            .args(["--window", "8", "--keys", "last_name,first_name"])
+            .args(flags)
+            .stdout(Stdio::null())
+            .stderr(Stdio::null())
+            .status()
+            .expect("run mergepurge load");
+        assert!(status.success(), "shards={shards}: load must commit");
+        let mut child = spawn_daemon(&socket, &loaded, &flags);
+        shutdown(&socket, &mut child);
+
+        let startup = [&flags[..], &["--bulk-load", input.to_str().unwrap()]].concat();
+        let mut child = spawn_daemon(&socket, &dir.join(format!("startup-{shards}")), &startup);
+        let want_store = store_section(&socket);
+        let want_reads = reads(&socket);
+        shutdown(&socket, &mut child);
+
+        let wired = dir.join(format!("wire-{shards}"));
+        let mut child = spawn_daemon(&socket, &wired, &flags);
+        // A load that fails partway reopens the still-empty store.
+        let failed = ask(&socket, &bulk_load(&broken));
+        assert_eq!(failed.get("ok").and_then(Json::as_bool), Some(false));
+        assert!(failed.to_string().contains("columns"), "{failed}");
+        expect_ok(&ask(&socket, &bulk_load(&input)));
+        assert_eq!(store_section(&socket), want_store, "shards={shards}");
+        assert_eq!(reads(&socket), want_reads, "shards={shards}");
+        shutdown(&socket, &mut child);
+
+        let (want, got) = (files(&loaded), files(&wired));
+        let paths: Vec<_> = got.iter().map(|(path, _)| path).collect();
+        assert_eq!(
+            paths,
+            want.iter().map(|(path, _)| path).collect::<Vec<_>>(),
+            "shards={shards}: same files"
+        );
+        for ((path, a), (_, b)) in want.iter().zip(&got) {
+            assert!(a == b, "shards={shards}: {} differs", path.display());
+        }
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 // ---------------------------------------------------------------------------
 // Crash safety: SIGKILL mid-load leaves a store that reruns to the
 // reference bytes (the commit is one atomic rename at the very end).

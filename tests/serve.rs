@@ -203,6 +203,73 @@ fn sigkill_mid_run_replays_the_journal_to_the_same_stats() {
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
+/// SIGTERM drains exactly like the `shutdown` command: exit 0, socket
+/// gone, one final checkpoint logged with trigger `shutdown`, and a
+/// restart that serves the same store without replaying the journal.
+#[test]
+fn sigterm_drains_like_the_shutdown_command() {
+    extern "C" {
+        fn kill(pid: i32, sig: i32) -> i32;
+    }
+    const SIGTERM: i32 = 15;
+
+    let dir = tmp_dir("sigterm");
+    let socket = dir.join("mp.sock");
+    let store = dir.join("store");
+    let log = dir.join("events.jsonl");
+    let mut child = spawn_daemon_with(&socket, &store, &["--log", log.to_str().unwrap()], false);
+    expect_ok(&ask(&socket, &ingest_request(&batches(6161, 300, 1)[0])));
+    let want = store_section(&socket);
+
+    // SAFETY: `kill` only sends a signal to the child process we own.
+    assert_eq!(unsafe { kill(child.id() as i32, SIGTERM) }, 0);
+    let status = child.wait().expect("daemon exit status");
+    assert!(status.success(), "SIGTERM drains and exits 0: {status:?}");
+    assert!(!socket.exists(), "socket unlinked on SIGTERM");
+
+    let events: Vec<Json> = std::fs::read_to_string(&log)
+        .unwrap()
+        .lines()
+        .map(|l| Json::parse(l).expect("log lines are json"))
+        .collect();
+    let named = |name: &str| {
+        events
+            .iter()
+            .filter(|e| e.get("event").and_then(Json::as_str) == Some(name))
+            .collect::<Vec<_>>()
+    };
+    let checkpoints = named("checkpoint_written");
+    assert_eq!(
+        checkpoints.len(),
+        1,
+        "one final checkpoint: {checkpoints:?}"
+    );
+    assert_eq!(
+        checkpoints[0].get("trigger").and_then(Json::as_str),
+        Some("shutdown")
+    );
+    assert_eq!(named("stopped").len(), 1, "the drain completed");
+
+    let mut child = spawn_daemon(&socket, &store);
+    let stats = ask(&socket, r#"{"cmd":"stats"}"#);
+    expect_ok(&stats);
+    assert_eq!(
+        stats.get("store"),
+        Some(&want),
+        "restart serves the same store"
+    );
+    assert_eq!(
+        stats
+            .get("process")
+            .and_then(|p| p.get("journal_replays"))
+            .and_then(Json::as_u64),
+        Some(0),
+        "the final checkpoint covered every batch: {stats}"
+    );
+    shutdown_and_wait(&socket, &mut child);
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
 #[test]
 fn protocol_errors_are_reported_not_fatal() {
     let dir = tmp_dir("errors");
