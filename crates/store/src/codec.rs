@@ -6,6 +6,15 @@
 //! [`Reader`] is bounds-checked on every read and never panics on corrupt
 //! input — decode errors surface as `Err(String)` that the store wraps in
 //! [`crate::StoreError::Corrupt`].
+//!
+//! Every byte the store writes or reads back also passes through one
+//! checksum, [`Crc32`] (CRC-32/IEEE). It folds 16 bytes per step with
+//! slicing-by-16 tables yet yields the same digest as the textbook
+//! bytewise loop, so stores written by any earlier build verify unchanged.
+//! The CRC covers payloads only: the framing around them (section counts
+//! and lengths, frame sequence numbers) is checked against the bytes
+//! actually present, with overflow-free arithmetic, before anything is
+//! allocated or sliced.
 
 use mp_record::{EntityId, Record, RecordId};
 
@@ -134,10 +143,12 @@ pub fn take_records(r: &mut Reader<'_>) -> Result<Vec<Record>, String> {
     Ok(out)
 }
 
-/// CRC-32 (IEEE 802.3, the zlib/PNG polynomial), table-driven.
+/// CRC-32 (IEEE 802.3, the zlib/PNG polynomial), slicing-by-16.
 ///
 /// Every snapshot section and journal frame carries the CRC of its payload;
 /// a mismatch on load is treated as corruption, never silently accepted.
+/// The digest is the standard one (init and final XOR `0xFFFF_FFFF`), so
+/// how many bytes a step folds is invisible on disk.
 pub fn crc32(data: &[u8]) -> u32 {
     let mut h = Crc32::new();
     h.update(data);
@@ -165,12 +176,38 @@ impl Crc32 {
         Crc32 { crc: 0xFFFF_FFFF }
     }
 
-    /// Folds `data` into the running digest.
+    /// Folds `data` into the running digest: 16 bytes per step through
+    /// sixteen lookup tables, the last `len % 16` bytes one at a time.
     pub fn update(&mut self, data: &[u8]) {
-        const TABLE: [u32; 256] = crc32_table();
-        for &b in data {
-            self.crc = (self.crc >> 8) ^ TABLE[((self.crc ^ b as u32) & 0xFF) as usize];
+        let t = &CRC_TABLES;
+        let mut crc = self.crc;
+        let mut blocks = data.chunks_exact(16);
+        for b in &mut blocks {
+            // The running CRC folds into the first four bytes; byte `j`
+            // of the block is then advanced past the `15 - j` bytes after
+            // it by table `15 - j`.
+            let x = crc ^ u32::from_le_bytes([b[0], b[1], b[2], b[3]]);
+            crc = t[15][x as u8 as usize]
+                ^ t[14][(x >> 8) as u8 as usize]
+                ^ t[13][(x >> 16) as u8 as usize]
+                ^ t[12][(x >> 24) as usize]
+                ^ t[11][b[4] as usize]
+                ^ t[10][b[5] as usize]
+                ^ t[9][b[6] as usize]
+                ^ t[8][b[7] as usize]
+                ^ t[7][b[8] as usize]
+                ^ t[6][b[9] as usize]
+                ^ t[5][b[10] as usize]
+                ^ t[4][b[11] as usize]
+                ^ t[3][b[12] as usize]
+                ^ t[2][b[13] as usize]
+                ^ t[1][b[14] as usize]
+                ^ t[0][b[15] as usize];
         }
+        for &b in blocks.remainder() {
+            crc = (crc >> 8) ^ t[0][((crc ^ b as u32) & 0xFF) as usize];
+        }
+        self.crc = crc;
     }
 
     /// The digest of everything fed so far.
@@ -179,8 +216,14 @@ impl Crc32 {
     }
 }
 
-const fn crc32_table() -> [u32; 256] {
-    let mut table = [0u32; 256];
+/// Slicing-by-16 lookup tables (16 KiB), built at compile time. Table 0
+/// is the classic bytewise table for the reflected polynomial
+/// `0xEDB8_8320`; table `k` advances a byte's contribution through `k`
+/// further zero bytes, so `t[k][i] = (t[k-1][i] >> 8) ^ t[0][t[k-1][i] & 0xFF]`.
+static CRC_TABLES: [[u32; 256]; 16] = crc32_tables();
+
+const fn crc32_tables() -> [[u32; 256]; 16] {
+    let mut t = [[0u32; 256]; 16];
     let mut i = 0;
     while i < 256 {
         let mut c = i as u32;
@@ -193,22 +236,76 @@ const fn crc32_table() -> [u32; 256] {
             };
             k += 1;
         }
-        table[i] = c;
+        t[0][i] = c;
         i += 1;
     }
-    table
+    let mut k = 1;
+    while k < 16 {
+        let mut i = 0;
+        while i < 256 {
+            let prev = t[k - 1][i];
+            t[k][i] = (prev >> 8) ^ t[0][(prev & 0xFF) as usize];
+            i += 1;
+        }
+        k += 1;
+    }
+    t
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::collection::vec;
+    use proptest::prelude::*;
+
+    /// The reference: the plain one-byte-per-step table loop.
+    fn crc32_bytewise(data: &[u8]) -> u32 {
+        let mut crc = 0xFFFF_FFFFu32;
+        for &b in data {
+            crc = (crc >> 8) ^ CRC_TABLES[0][((crc ^ b as u32) & 0xFF) as usize];
+        }
+        !crc
+    }
 
     #[test]
     fn crc32_known_vectors() {
         // Standard check value for the IEEE polynomial.
         assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
         assert_eq!(crc32(b""), 0);
+        assert_eq!(crc32_bytewise(b"123456789"), 0xCBF4_3926);
+        assert_eq!(crc32_bytewise(b""), 0);
         assert_ne!(crc32(b"abc"), crc32(b"abd"));
+        // Longer than one 16-byte step, with a tail.
+        assert_eq!(
+            crc32(b"The quick brown fox jumps over the lazy dog"),
+            0x414F_A339
+        );
+    }
+
+    #[test]
+    fn every_short_length_matches_the_reference() {
+        let data: Vec<u8> = (0..64u32).map(|i| (i * 37 + 11) as u8).collect();
+        for n in 0..=64 {
+            assert_eq!(crc32(&data[..n]), crc32_bytewise(&data[..n]), "len {n}");
+        }
+    }
+
+    proptest! {
+        #[test]
+        fn chunked_kernel_matches_the_reference(
+            data in vec(0u8..=255, 0..4097),
+            cuts in vec(0usize..=4096, 0..8),
+        ) {
+            let mut cuts: Vec<usize> = cuts.into_iter().map(|c| c.min(data.len())).collect();
+            cuts.sort_unstable();
+            let mut h = Crc32::new();
+            let mut from = 0;
+            for to in cuts.into_iter().chain([data.len()]) {
+                h.update(&data[from..to]);
+                from = to;
+            }
+            prop_assert_eq!(h.finalize(), crc32_bytewise(&data));
+        }
     }
 
     #[test]

@@ -159,6 +159,7 @@ impl Journal {
             Journal {
                 file,
                 path: path.to_path_buf(),
+                // `scan_frame` keeps only frames whose seq has a successor.
                 next_seq: last_seq.map_or(1, |s| s + 1),
             },
             recovery,
@@ -179,22 +180,27 @@ impl Journal {
         if &rest[..4] != FRAME_MAGIC {
             return Err("bad frame magic".into());
         }
+        // The header is outside the payload CRC: a sequence number with no
+        // successor, or a length past the file, is a torn tail.
         let seq = u64::from_le_bytes(rest[4..12].try_into().unwrap());
-        let len = u64::from_le_bytes(rest[12..20].try_into().unwrap()) as usize;
+        let len = u64::from_le_bytes(rest[12..20].try_into().unwrap());
         let crc = u32::from_le_bytes(rest[20..24].try_into().unwrap());
+        if seq.checked_add(1).is_none() {
+            return Err(format!("frame sequence {seq} has no successor"));
+        }
         if let Some(last) = last_seq {
-            if seq != last + 1 {
+            if last.checked_add(1) != Some(seq) {
                 return Err(format!("sequence jump: frame {seq} after {last}"));
             }
         }
         let body = &rest[FRAME_HEADER_LEN..];
-        if body.len() < len {
+        if len > body.len() as u64 {
             return Err(format!(
                 "partial frame payload ({} of {len} bytes)",
                 body.len()
             ));
         }
-        let payload = &body[..len];
+        let payload = &body[..len as usize];
         if codec::crc32(payload) != crc {
             return Err(format!("CRC mismatch on frame {seq}"));
         }
@@ -212,7 +218,7 @@ impl Journal {
                 records,
                 trace,
             },
-            FRAME_HEADER_LEN + len,
+            FRAME_HEADER_LEN + payload.len(),
         ))
     }
 
@@ -395,6 +401,44 @@ mod tests {
             after_first,
             "file truncated back to the last good frame"
         );
+    }
+
+    /// Overwrites the `seq` field of the frame starting at `frame_at`
+    /// (outside the payload CRC).
+    fn patch_seq(path: &Path, frame_at: usize, seq: u64) {
+        let mut data = std::fs::read(path).unwrap();
+        data[frame_at + 4..frame_at + 12].copy_from_slice(&seq.to_le_bytes());
+        std::fs::write(path, &data).unwrap();
+    }
+
+    #[test]
+    fn last_frame_with_max_seq_is_a_torn_tail() {
+        // One frame numbered u64::MAX: no next sequence number exists.
+        let path = tmp("maxseq-last");
+        let (mut j, _) = Journal::open(&path).unwrap();
+        j.append(&batch(1, 2), None).unwrap();
+        drop(j);
+        patch_seq(&path, HEADER_LEN, u64::MAX);
+        let (mut j, rec) = Journal::open(&path).unwrap();
+        assert!(rec.truncated() && rec.batches.is_empty());
+        assert!(rec.truncation_reason.unwrap().contains("successor"));
+        assert_eq!(j.append(&batch(2, 1), None).unwrap(), 1);
+    }
+
+    #[test]
+    fn frame_after_max_seq_does_not_overflow() {
+        // Frame u64::MAX followed by another: its predecessor check must
+        // not compute `u64::MAX + 1`.
+        let path = tmp("maxseq-next");
+        let (mut j, _) = Journal::open(&path).unwrap();
+        j.append(&batch(1, 2), None).unwrap();
+        j.append(&batch(2, 2), None).unwrap();
+        drop(j);
+        patch_seq(&path, HEADER_LEN, u64::MAX);
+        let (j, rec) = Journal::open(&path).unwrap();
+        assert!(rec.truncated() && rec.batches.is_empty());
+        assert_eq!(std::fs::metadata(&path).unwrap().len(), HEADER_LEN as u64);
+        assert_eq!(j.next_seq(), 1);
     }
 
     #[test]

@@ -550,9 +550,11 @@ impl ShardSnapshot {
         if version != SHARD_SNAPSHOT_VERSION {
             return Err(corrupt(format!("unknown version {version}")));
         }
-        let len = u64::from_le_bytes(data[12..20].try_into().unwrap()) as usize;
+        // Compared against the bytes present, never added to: the length
+        // is outside the CRC.
+        let len = u64::from_le_bytes(data[12..20].try_into().unwrap());
         let crc = u32::from_le_bytes(data[20..24].try_into().unwrap());
-        if data.len() != 24 + len {
+        if (data.len() - 24) as u64 != len {
             return Err(corrupt(format!(
                 "payload length {len} disagrees with file size {}",
                 data.len()
@@ -1054,6 +1056,21 @@ mod tests {
             assert!(
                 ShardSnapshot::decode(&bad).is_err(),
                 "byte flip at {i} went undetected"
+            );
+        }
+    }
+
+    #[test]
+    fn shard_snapshot_length_near_u64_max_is_corrupt() {
+        let snap = sample_snapshot();
+        let part = split_snapshot(&snap, 2, |r| (r.id.0 % 2) as usize).remove(0);
+        let bytes = part.encode();
+        for len in [u64::MAX, u64::MAX - 23, 0] {
+            let mut bad = bytes.clone();
+            bad[12..20].copy_from_slice(&len.to_le_bytes());
+            assert!(
+                matches!(ShardSnapshot::decode(&bad), Err(StoreError::Corrupt(_))),
+                "len {len}"
             );
         }
     }

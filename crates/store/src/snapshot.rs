@@ -135,22 +135,26 @@ impl Snapshot {
                 "format version {version} (this build reads {SNAPSHOT_VERSION})"
             )));
         }
+        // Neither the section count nor a section length is under any CRC:
+        // both are checked against the bytes actually present before they
+        // size an allocation or a slice (every section header is 16 bytes).
         let count = u32::from_le_bytes(data[12..16].try_into().unwrap()) as usize;
 
-        let mut sections: Vec<([u8; 4], &[u8])> = Vec::with_capacity(count);
+        let mut sections: Vec<([u8; 4], &[u8])> =
+            Vec::with_capacity(count.min((data.len() - 16) / 16));
         let mut off = 16usize;
         for i in 0..count {
-            if data.len() < off + 16 {
+            if data.len() - off < 16 {
                 return Err(corrupt(format!("section {i}: truncated header")));
             }
             let tag: [u8; 4] = data[off..off + 4].try_into().unwrap();
-            let len = u64::from_le_bytes(data[off + 4..off + 12].try_into().unwrap()) as usize;
+            let len = u64::from_le_bytes(data[off + 4..off + 12].try_into().unwrap());
             let crc = u32::from_le_bytes(data[off + 12..off + 16].try_into().unwrap());
             off += 16;
-            if data.len() < off + len {
+            if len > (data.len() - off) as u64 {
                 return Err(corrupt(format!("section {i}: truncated payload")));
             }
-            let payload = &data[off..off + len];
+            let payload = &data[off..off + len as usize];
             if codec::crc32(payload) != crc {
                 return Err(corrupt(format!(
                     "section {:?}: CRC mismatch",
@@ -158,7 +162,7 @@ impl Snapshot {
                 )));
             }
             sections.push((tag, payload));
-            off += len;
+            off += payload.len();
         }
         if off != data.len() {
             return Err(corrupt(format!("{} trailing bytes", data.len() - off)));
@@ -664,6 +668,41 @@ mod tests {
         let snap = sample();
         let back = snap.view().into_snapshot(snap.records.clone());
         assert_eq!(back.encode(), snap.encode());
+    }
+
+    /// The uncovered framing fields: the section count and every section
+    /// length, each set to zero, its type's maximum, and one off the true
+    /// value either way, must be reported as corruption — never an
+    /// allocation the file cannot back, never a panic.
+    #[test]
+    fn mangled_section_count_and_lengths_are_corrupt() {
+        let bytes = sample().encode();
+        let expect_corrupt = |bad: &[u8], what: &str| match Snapshot::decode(bad) {
+            Err(StoreError::Corrupt(_)) => {}
+            other => panic!("{what}: expected Corrupt, got {other:?}"),
+        };
+
+        let count = u32::from_le_bytes(bytes[12..16].try_into().unwrap());
+        for c in [0, u32::MAX, count - 1, count + 1] {
+            let mut bad = bytes.clone();
+            bad[12..16].copy_from_slice(&c.to_le_bytes());
+            expect_corrupt(&bad, &format!("count {c}"));
+        }
+
+        let mut off = 16;
+        for i in 0..count {
+            let len_at = off + 4;
+            let len = u64::from_le_bytes(bytes[len_at..len_at + 8].try_into().unwrap());
+            // The last value wraps `payload start + len` around to zero.
+            let wrap = u64::MAX - (off as u64 + 16) + 1;
+            for l in [0, u64::MAX, len - 1, len + 1, wrap] {
+                let mut bad = bytes.clone();
+                bad[len_at..len_at + 8].copy_from_slice(&l.to_le_bytes());
+                expect_corrupt(&bad, &format!("section {i} len {l}"));
+            }
+            off += 16 + len as usize;
+        }
+        assert_eq!(off, bytes.len());
     }
 
     #[test]
