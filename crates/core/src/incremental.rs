@@ -373,12 +373,12 @@ impl IncrementalMergePurge {
                 let mut sink = FoundList::new(old_len, attribute);
                 let mut counts = ScanCounts::default();
                 for range in ranges {
-                    let visited = window.band(records, &pass.order, range.clone(), &mut sink);
+                    let before = counts.comparisons;
+                    window.band(records, &pass.order, range.clone(), &mut sink, &mut counts);
                     debug_assert!(
-                        visited.comparisons >= range.len() as u64,
+                        counts.comparisons - before >= range.len() as u64,
                         "a touched position has a new record in its window"
                     );
-                    counts += visited;
                 }
                 (counts, sink.found)
             };
@@ -432,7 +432,7 @@ impl IncrementalMergePurge {
 
         // Old record ids are always smaller, so ties keep old first —
         // matching a from-scratch stable sort.
-        insert_sorted(&mut pass.order, &batch_order, |old, new| {
+        insert_sorted(&mut pass.order, &batch_order, keys, |old, new| {
             chunked_str_cmp(&keys[old as usize], &keys[new as usize]).is_le()
         })
     }

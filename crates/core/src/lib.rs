@@ -46,6 +46,7 @@ pub mod key;
 pub mod mergescan;
 pub mod multipass;
 pub mod pipeline;
+mod prefetch;
 pub mod purge;
 pub mod radix;
 pub mod snm;

@@ -93,7 +93,7 @@ impl MergeScanSnm {
             let _s = span(observer, "window_scan");
             let mut out = Scanned::default();
             let mut scan = |run: &[u32]| {
-                out.counts += window.band(records, run, 0..run.len(), &mut out.pairs);
+                window.band(records, run, 0..run.len(), &mut out.pairs, &mut out.counts);
             };
             let n = records.len();
             let mut runs: Vec<Vec<u32>> = (0..n)

@@ -27,6 +27,7 @@
 //! Executed scatter passes are reported as [`Counter::RadixPasses`].
 
 use crate::key::KeyArena;
+use crate::prefetch::prefetch;
 use mp_metrics::{Counter, PipelineObserver};
 use std::cmp::Ordering;
 
@@ -85,34 +86,55 @@ pub(crate) fn merge_sorted(a: &[u32], b: &[u32], le: impl Fn(u32, u32) -> bool) 
 /// Inserts the index run `batch` into `order` in place — both sorted under
 /// `le` ("not after") — and returns the positions the batch landed on,
 /// ascending. The result is the permutation [`merge_sorted`] gives (ties
-/// keep `order`'s entries first), reached without walking `order`: each
-/// slot is found by galloping on from the previous one and bisecting the
-/// bracket, at most `2·⌈log2(N+1)⌉ + 2` calls of `le(old, new)` per batch
-/// entry, and the entries between slots move as blocks.
+/// keep `order`'s entries first), reached without walking `order`: every
+/// batch entry bisects the whole of `order`, at most `⌈log2(N+1)⌉` calls of
+/// `le(old, new)` each, and the entries between slots move as blocks.
+///
+/// `keys` is what `le` reads: `keys[id]` for an `order` entry `id`. A probe
+/// is three dependent misses — the `order` slot, the key header it names,
+/// the key bytes — so the entries bisect in lockstep, one level at a time,
+/// and before a level's comparisons one sweep over the batch prefetches
+/// every probed slot, the next every key header, the next every key's
+/// bytes: each hop's misses overlap across the batch instead of queueing
+/// one behind another.
 pub(crate) fn insert_sorted(
     order: &mut Vec<u32>,
     batch: &[u32],
+    keys: &[String],
     le: impl Fn(u32, u32) -> bool,
 ) -> Vec<usize> {
     // Slots first, in `order`'s old coordinates: how many old entries stay
-    // before each batch entry. The batch is sorted, so slots never go back.
-    let mut slot = 0;
-    let mut positions: Vec<usize> = batch
-        .iter()
-        .map(|&new| {
-            let rest = &order[slot..];
-            // `rest[..known]` is not after `new`; each probe doubles the
-            // stride until one lands after it or `rest` runs out.
-            let (mut known, mut step) = (0, 1);
-            while known + step <= rest.len() && le(rest[known + step - 1], new) {
-                known += step;
-                step *= 2;
+    // before each batch entry. `[lo, hi)` is the part of `order` an entry's
+    // slot may still split; each level halves it.
+    let mut bounds = vec![(0, order.len()); batch.len()];
+    let mid = |&(lo, hi): &(usize, usize)| (lo < hi).then(|| lo + (hi - lo) / 2);
+    let mut live = !order.is_empty();
+    while live {
+        bounds
+            .iter()
+            .filter_map(mid)
+            .for_each(|m| prefetch(&order[m]));
+        let probed = || {
+            bounds
+                .iter()
+                .filter_map(mid)
+                .map(|m| &keys[order[m] as usize])
+        };
+        probed().for_each(|key| prefetch(key));
+        probed().for_each(|key| prefetch(key.as_ptr()));
+        live = false;
+        for (&new, bound) in batch.iter().zip(&mut bounds) {
+            if let Some(m) = mid(bound) {
+                *bound = if le(order[m], new) {
+                    (m + 1, bound.1)
+                } else {
+                    (bound.0, m)
+                };
+                live |= bound.0 < bound.1;
             }
-            let bracket = &rest[known..rest.len().min(known + step - 1)];
-            slot += known + bracket.partition_point(|&old| le(old, new));
-            slot
-        })
-        .collect();
+        }
+    }
+    let mut positions: Vec<usize> = bounds.into_iter().map(|(slot, _)| slot).collect();
 
     // Then the moves, last slot first, so every old entry moves once and
     // lands clear of the ones still to move.
@@ -294,10 +316,10 @@ mod tests {
         (run(0..old), run(old..keys.len()))
     }
 
-    /// What the insertion may spend on `batch` entries against `old` ones.
+    /// What the insertion may spend on `batch` entries against `old` ones:
+    /// one bisection each, `⌈log2(old+1)⌉` — the bit length of `old`.
     fn search_budget(old: usize, batch: usize) -> usize {
-        let log = (old + 1).next_power_of_two().trailing_zeros() as usize;
-        batch * (2 * log + 2)
+        batch * (usize::BITS - old.leading_zeros()) as usize
     }
 
     #[test]
@@ -309,11 +331,12 @@ mod tests {
             .collect();
         let (mut order, batch) = sorted_runs(&keys, 4096);
         let calls = std::cell::Cell::new(0);
-        let landed = insert_sorted(&mut order, &batch, |old, new| {
+        let landed = insert_sorted(&mut order, &batch, &keys, |old, new| {
             calls.set(calls.get() + 1);
             keys[old as usize] <= keys[new as usize]
         });
         assert_eq!(landed, vec![501, 1502, 2503, 3504]);
+        assert_eq!(search_budget(4096, 4), 4 * 13);
         assert!(
             calls.get() <= search_budget(4096, 4),
             "{} calls",
@@ -406,9 +429,10 @@ mod tests {
         }
 
         /// The incremental engine's key merge: inserting a sorted batch by
-        /// search gives the permutation the two-way merge gives — ties old
-        /// first; the alphabet is small so they are common — says where
-        /// the batch landed, and stays inside its comparison budget. `place`
+        /// lockstep bisection gives the permutation the two-way merge gives
+        /// — ties old first; the alphabet is small so they are common —
+        /// says where the batch landed, and calls `le(old, new)` at most
+        /// `⌈log2(N+1)⌉` times per batch entry. `place`
         /// puts the batch among (0), before (1) or after (2) the old keys;
         /// either side may be empty.
         #[test]
@@ -429,7 +453,7 @@ mod tests {
 
             let calls = std::cell::Cell::new(0);
             let mut got = order.clone();
-            let landed = insert_sorted(&mut got, &batch, |a, b| {
+            let landed = insert_sorted(&mut got, &batch, &keys, |a, b| {
                 prop_assert!((a as usize) < old && b as usize >= old, "le(old, new) only");
                 calls.set(calls.get() + 1);
                 keys[a as usize] <= keys[b as usize]

@@ -180,12 +180,12 @@ pub(crate) fn scan_segments<'s>(
         Some(uf) => {
             let mut sink = PrunedSink::new(uf, &mut out.pairs);
             for seg in segments {
-                out.counts += scan.band(records, seg, 0..seg.len(), &mut sink);
+                scan.band(records, seg, 0..seg.len(), &mut sink, &mut out.counts);
             }
         }
         None => {
             for seg in segments {
-                out.counts += scan.band(records, seg, 0..seg.len(), &mut out.pairs);
+                scan.band(records, seg, 0..seg.len(), &mut out.pairs, &mut out.counts);
             }
         }
     }

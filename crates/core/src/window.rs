@@ -14,9 +14,10 @@
 //! ([`FoundList`]). Everything is monomorphised over the sink; the theory
 //! is the only dynamic call in the loop.
 
+use crate::prefetch::{prefetch, prefetch_lines};
 use mp_closure::{PairSet, UnionFind};
 use mp_metrics::{Counter, NoopObserver, PipelineObserver, ScanHooks, LATENCY_SAMPLE_MASK};
-use mp_record::Record;
+use mp_record::{Field, Record};
 use mp_rules::EquationalTheory;
 use std::collections::VecDeque;
 use std::ops::{AddAssign, Range};
@@ -213,6 +214,27 @@ impl ScanSink for FoundList {
     }
 }
 
+/// How many positions ahead of the one entering the window
+/// [`WindowScan::band`] prefetches the record's own cache lines.
+const RECORD_AHEAD: usize = 4;
+
+/// How many positions ahead [`WindowScan::band`] prefetches the field bytes
+/// a record points at — after its record, so reading the field pointers
+/// finds the record already in cache.
+const FIELDS_AHEAD: usize = 2;
+
+/// Prefetches the bytes of every non-empty field of `r` (an empty field's
+/// pointer names no allocation worth fetching).
+#[inline(always)]
+fn prefetch_fields(r: &Record) {
+    for f in Field::ALL {
+        let value = r.field(f);
+        if !value.is_empty() {
+            prefetch(value.as_ptr());
+        }
+    }
+}
+
 /// What stays fixed across every segment of a pass: the window size, the
 /// theory, and the observer's per-comparison hooks (sampled rule latency,
 /// progress heartbeat). The two methods are the position drivers.
@@ -311,29 +333,58 @@ impl<'a> WindowScan<'a> {
     }
 
     /// Band driver: scans window positions `band` of `order` (indices into
-    /// `records`, already sorted by key). Position `i` meets the up-to-`w−1`
-    /// entries before it, reaching left of `band.start` when it must — the
-    /// §4.1 band replication that makes a fragment boundary invisible — so
-    /// contiguous bands covering `1..order.len()` evaluate every window
-    /// pair exactly once between them.
+    /// `records`, already sorted by key), adding its work to `counts`.
+    /// Position `i` meets the up-to-`w−1` entries before it, reaching left
+    /// of `band.start` when it must — the §4.1 band replication that makes
+    /// a fragment boundary invisible — so contiguous bands covering
+    /// `1..order.len()` evaluate every window pair exactly once between
+    /// them. A driver scanning one pass in several bands hands every band
+    /// the same `counts`, so the latency sampler's evaluation ordinal runs
+    /// on across them instead of restarting at each band's coldest pair.
+    ///
+    /// The key order scatters `records`, so every position entering the
+    /// window is a cache miss, and its field bytes a second, dependent
+    /// one. The driver knows the positions ahead, so it prefetches the
+    /// record four positions on and, once that has had time to land, the
+    /// field bytes it points at two positions on. A band's first window —
+    /// the `w−1` predecessors it reaches back to, and the first positions
+    /// of the lookahead — is primed the same way before the first
+    /// comparison. Nothing past `band.end` is prefetched or indexed.
     pub fn band<S: ScanSink>(
         &self,
         records: &[Record],
         order: &[u32],
         band: Range<usize>,
         sink: &mut S,
-    ) -> ScanCounts {
-        let mut counts = ScanCounts::default();
-        for i in band.start.max(1)..band.end {
+        counts: &mut ScanCounts,
+    ) {
+        let (start, order) = (band.start.max(1), &order[..band.end]);
+        if start >= order.len() {
+            return;
+        }
+        let first = start.saturating_sub(self.window - 1);
+        let record = |p: &u32| &records[*p as usize];
+        order[first..order.len().min(start + RECORD_AHEAD)]
+            .iter()
+            .for_each(|p| prefetch_lines(record(p)));
+        order[first..order.len().min(start + FIELDS_AHEAD)]
+            .iter()
+            .for_each(|p| prefetch_fields(record(p)));
+        for i in start..order.len() {
+            if let Some(p) = order.get(i + RECORD_AHEAD) {
+                prefetch_lines(record(p));
+            }
+            if let Some(p) = order.get(i + FIELDS_AHEAD) {
+                prefetch_fields(record(p));
+            }
             let lo = i.saturating_sub(self.window - 1);
             let from = sink.candidates_from(order[i]);
-            let new = &records[order[i] as usize];
+            let new = record(&order[i]);
             let predecessors = order[lo..i]
                 .iter()
                 .map(|&p| (p, move || &records[p as usize]));
-            self.position(order[i], new, from, predecessors, sink, &mut counts);
+            self.position(order[i], new, from, predecessors, sink, counts);
         }
-        counts
     }
 
     /// Stream driver: scans records arriving in key order from `next`,
@@ -380,9 +431,15 @@ pub fn window_scan(
     theory: &dyn EquationalTheory,
     pairs: &mut PairSet,
 ) -> u64 {
-    WindowScan::new(window, theory, &NoopObserver)
-        .band(records, order, 0..order.len(), pairs)
-        .comparisons
+    let mut counts = ScanCounts::default();
+    WindowScan::new(window, theory, &NoopObserver).band(
+        records,
+        order,
+        0..order.len(),
+        pairs,
+        &mut counts,
+    );
+    counts.comparisons
 }
 
 /// Like [`window_scan`] through a [`PrunedSink`]. Passing a union-find
@@ -402,12 +459,21 @@ pub fn window_scan_pruned(
     pairs: &mut PairSet,
 ) -> ScanCounts {
     let mut sink = PrunedSink::new(uf, pairs);
-    WindowScan::new(window, theory, &NoopObserver).band(records, order, 0..order.len(), &mut sink)
+    let mut counts = ScanCounts::default();
+    WindowScan::new(window, theory, &NoopObserver).band(
+        records,
+        order,
+        0..order.len(),
+        &mut sink,
+        &mut counts,
+    );
+    counts
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use mp_metrics::MetricsRecorder;
     use mp_record::RecordId;
 
     /// Theory matching records with equal last names.
@@ -550,6 +616,70 @@ mod tests {
             }
             assert_eq!(uf.classes(), uf_plain.classes(), "w={w}");
         }
+    }
+
+    /// Scans `order` in the contiguous `bands` with one count, the way a
+    /// driver scans one pass in pieces.
+    fn scan_bands(
+        scan: &WindowScan<'_>,
+        recs: &[Record],
+        order: &[u32],
+        bands: impl IntoIterator<Item = Range<usize>>,
+    ) -> (ScanCounts, Vec<Found>) {
+        let mut sink = FoundList::new(0, false);
+        let mut counts = ScanCounts::default();
+        for band in bands {
+            scan.band(recs, order, band, &mut sink, &mut counts);
+        }
+        (counts, sink.found)
+    }
+
+    #[test]
+    fn every_split_into_bands_finds_what_one_band_finds() {
+        // The lookahead runs four positions past the one scanned; bands
+        // that end at `order.len()`, bands shorter than the lookahead and
+        // orders shorter than it must all stay inside `order`.
+        let lasts = ["A", "B", "A", "A", "C", "B", "A", "C", "C", "B", "A", "B"];
+        for n in 0..=lasts.len() {
+            let recs = records(&lasts[..n]);
+            let order: Vec<u32> = (0..n as u32).rev().collect();
+            for w in 2..=5 {
+                let scan = WindowScan::new(w, &SameLast, &NoopObserver);
+                let whole = scan_bands(&scan, &recs, &order, std::iter::once(0..n));
+                // Bit `c` of `cuts` starts a band at position `c + 2`; the
+                // first band starts at 0 or 1 by the lowest bit.
+                for cuts in 0..1u32 << n.saturating_sub(1) {
+                    let mut starts = vec![(cuts & 1) as usize];
+                    starts.extend((2..n).filter(|c| cuts >> (c - 1) & 1 == 1));
+                    let bands: Vec<Range<usize>> = starts
+                        .iter()
+                        .zip(starts.iter().skip(1).chain([&n]))
+                        .map(|(&a, &b)| a..b.max(a))
+                        .collect();
+                    let split = scan_bands(&scan, &recs, &order, bands.clone());
+                    assert_eq!(split, whole, "n={n} w={w} bands={bands:?}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn latency_sampler_runs_on_across_a_pass_split_into_bands() {
+        let recs = records(&["A"; 200]);
+        let order: Vec<u32> = (0..200).collect();
+        let sampled = |bands: &[Range<usize>]| {
+            let observer = MetricsRecorder::new().with_tracing();
+            let scan = WindowScan::new(4, &SameLast, &observer);
+            let (counts, _) = scan_bands(&scan, &recs, &order, bands.iter().cloned());
+            let samples = observer.rule_latency().expect("tracing hooks latency");
+            (counts.rule_evaluations, samples.count())
+        };
+        let (evaluations, samples) = sampled(std::slice::from_ref(&(0..200)));
+        assert_eq!(samples, evaluations.div_ceil(LATENCY_SAMPLE_MASK + 1));
+        // 29 bands of seven: a fresh ordinal per band would time 29 pairs
+        // (each band's first) where one pass times one in 32.
+        let bands: Vec<Range<usize>> = (0..200).step_by(7).map(|s| s..(s + 7).min(200)).collect();
+        assert_eq!(sampled(&bands), (evaluations, samples));
     }
 
     #[test]

@@ -103,7 +103,7 @@ impl ParallelClustering {
                     let mut counts = ScanCounts::default();
                     for mut cluster in my_clusters {
                         keys.sort_indices(&mut cluster);
-                        counts += window.band(records, &cluster, 0..cluster.len(), &mut sink);
+                        window.band(records, &cluster, 0..cluster.len(), &mut sink, &mut counts);
                     }
                     (counts, sink.found)
                 }

@@ -2,7 +2,7 @@
 
 use crate::{parallel_extract_keys, psort::parallel_sorted_order, scan_fragments};
 use merge_purge::snm::PassRun;
-use merge_purge::window::FoundList;
+use merge_purge::window::{FoundList, ScanCounts};
 use merge_purge::{KeySpec, PassResult};
 use mp_metrics::{span, Counter, NoopObserver, PipelineObserver};
 use mp_record::Record;
@@ -95,12 +95,13 @@ impl ParallelSnm {
                     // same span shape (truncated windows).
                     let head_end = (start + w - 1).clamp(start.max(1), end);
                     let mut sink = FoundList::new(0, false);
+                    let mut counts = ScanCounts::default();
                     let mut scan = |name, band| {
                         let _s = span(observer, name);
-                        window.band(records, order, band, &mut sink)
+                        window.band(records, order, band, &mut sink, &mut counts);
                     };
-                    let mut counts = scan("band_overlap", start..head_end);
-                    counts += scan("scan", head_end..end);
+                    scan("band_overlap", start..head_end);
+                    scan("scan", head_end..end);
                     (counts, sink.found)
                 }
             });

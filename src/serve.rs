@@ -255,6 +255,9 @@ fn install_signal_handlers() {
     const SIGINT: i32 = 2;
     const SIGTERM: i32 = 15;
     let handler = on_term_signal as extern "C" fn(i32) as *const () as usize;
+    // SAFETY: `signal` is the C library's, declared with its C signature;
+    // `handler` is an `extern "C" fn(i32)` that lives for the whole program
+    // and only stores an atomic, which is async-signal-safe.
     unsafe {
         signal(SIGTERM, handler);
         signal(SIGINT, handler);
