@@ -37,6 +37,7 @@
 //! kill/restart sequence reaches byte-identical pairs, comparisons, and
 //! closure classes as an uninterrupted run (tests enforce this too).
 
+use crate::fan_out;
 use crate::key::KeySpec;
 use crate::radix::{chunked_str_cmp, insert_sorted};
 use crate::window::{Found, FoundList, ScanCounts, WindowScan};
@@ -297,9 +298,17 @@ impl IncrementalMergePurge {
     }
 
     /// Like [`add_batch`](Self::add_batch), but deals every pass's window
-    /// scan out to `shards` scoped threads in contiguous shares of the
-    /// visited positions, then folds the banded results back in band order
-    /// — the cross-shard reconciliation step.
+    /// scan out to `shards` bands in contiguous shares of the visited
+    /// positions, then folds the banded results back in (pass, band) order
+    /// — the reconciliation step.
+    ///
+    /// **Concurrency**: the passes are the paper's independent runs (§2.3)
+    /// — each reads the shared records and writes only its own key list
+    /// and order — so they run side by side, [`fan_out`] over the passes
+    /// and, inside each, over its bands: `passes × shards` workers, pass 0
+    /// band 0 on the calling thread, the rest on threads named `pass-P`
+    /// and `pass-P-band-K` (one flight-recorder lane each). A batch costs
+    /// its slowest pass plus the fold, not the sum of the passes.
     ///
     /// **What is visited**: a window pair has a new member only when the
     /// later position lies at most `w − 1` past a new record's, so the scan
@@ -313,10 +322,11 @@ impl IncrementalMergePurge {
     /// `mp-parallel`), so boundary pairs are evaluated exactly once by
     /// exactly one band. Because the incremental scan never mutates the
     /// merged order while scanning, a band's comparisons are independent of
-    /// every other band, and folding results in band order reproduces the
-    /// serial scan's discovery sequence bit for bit: same comparisons,
-    /// same `pairs_found` attribution, same closure. Tests enforce this
-    /// for arbitrary shard counts.
+    /// every other band and every other pass, and folding results in
+    /// (pass, band) order reproduces the one-thread discovery sequence bit
+    /// for bit: same comparisons, same `pairs_found` attribution, same
+    /// closure, same provenance. Tests enforce this for arbitrary pass and
+    /// shard counts.
     ///
     /// Every band scans into a [`FoundList`] that skips old-old pairs
     /// (decided in earlier cycles) and evaluates every other candidate —
@@ -324,11 +334,10 @@ impl IncrementalMergePurge {
     /// match. With provenance off the cheaper boolean theory entry point
     /// is used and every rule id is 0.
     ///
-    /// Per pass, opens a `key_merge` span around key extraction and the
-    /// insertion and a `shard_scan` span per band. `shards == 1` is the
-    /// serial scan — band 0, on the calling thread; otherwise the bands run
-    /// on threads of their own (their spans land on their thread's track)
-    /// and a `closure_reconcile` span covers the fold. Either way
+    /// Each pass opens a `key_merge` span (label `pass=P`) around key
+    /// extraction and the insertion and a `shard_scan` span (label
+    /// `pass=P shard=K`) per band, on its worker's track; a
+    /// `closure_reconcile` span on the calling thread covers the fold.
     /// `observer` receives the batch's `RecordsKeyed`, scan counters and
     /// `Matches`, so ingest, replay and `--stats` are fed identically.
     ///
@@ -359,82 +368,50 @@ impl IncrementalMergePurge {
         self.batches_applied += 1;
         self.last_batch_largest_merge = None;
 
-        for p in 0..self.passes.len() {
+        let (records, attribute) = (&self.records, self.record_provenance);
+        let run_pass = |p: usize, state: &mut PassState| {
             let landed = {
-                let _merge = span(observer, "key_merge");
-                self.merge_pass(p, old_len)
+                let _merge = span_labeled(observer, "key_merge", || format!("pass={p}"));
+                merge_pass(state, records, old_len)
             };
-            let pass = &self.passes[p].snap;
+            let pass = &state.snap;
             let window = WindowScan::new(pass.window as usize, theory, observer);
             let touched = touched_ranges(&landed, pass.window as usize, pass.order.len());
-            let (records, attribute) = (&self.records, self.record_provenance);
-            let scan = |k: usize, ranges: &[Range<usize>]| {
-                let _scan = span_labeled(observer, "shard_scan", || format!("shard={k}"));
+            let scan = |k: usize, ranges: Vec<Range<usize>>| {
+                let _scan = span_labeled(observer, "shard_scan", || format!("pass={p} shard={k}"));
                 let mut sink = FoundList::new(old_len, attribute);
                 let mut counts = ScanCounts::default();
                 for range in ranges {
-                    let before = counts.comparisons;
-                    window.band(records, &pass.order, range.clone(), &mut sink, &mut counts);
+                    let (before, len) = (counts.comparisons, range.len() as u64);
+                    window.band(records, &pass.order, range, &mut sink, &mut counts);
                     debug_assert!(
-                        counts.comparisons - before >= range.len() as u64,
+                        counts.comparisons - before >= len,
                         "a touched position has a new record in its window"
                     );
                 }
                 (counts, sink.found)
             };
-            let results: Vec<(ScanCounts, Vec<Found>)> = if shards == 1 {
-                vec![scan(0, &touched)]
-            } else {
-                let scan = &scan;
-                std::thread::scope(|s| {
-                    let handles: Vec<_> = deal(&touched, shards)
-                        .into_iter()
-                        .enumerate()
-                        .map(|(k, share)| {
-                            // Named so repeated batches land on one
-                            // flight-recorder lane per band.
-                            std::thread::Builder::new()
-                                .name(format!("band-{k}"))
-                                .spawn_scoped(s, move || scan(k, &share))
-                                .expect("spawn band scan thread")
-                        })
-                        .collect();
-                    handles.into_iter().map(|h| h.join().unwrap()).collect()
-                })
-            };
-            let _reconcile = (shards > 1)
-                .then(|| span(observer, "closure_reconcile"))
-                .flatten();
+            fan_out(
+                deal(&touched, shards),
+                |k| format!("pass-{p}-band-{k}"),
+                scan,
+            )
+        };
+        let results: Vec<Vec<(ScanCounts, Vec<Found>)>> = fan_out(
+            self.passes.iter_mut().collect(),
+            |p| format!("pass-{p}"),
+            run_pass,
+        );
+
+        let _reconcile = span(observer, "closure_reconcile");
+        for (p, bands) in results.iter().enumerate() {
             observer.add(Counter::RecordsKeyed, keyed);
-            for (counts, found) in &results {
+            for (counts, found) in bands {
                 counts.report(observer);
                 observer.add(Counter::Matches, found.len() as u64);
                 self.fold_scan(p, counts.comparisons, found);
             }
         }
-    }
-
-    /// Extracts keys for the new records `old_len..`, sorts the batch and
-    /// inserts it into pass `p`'s order. Returns the positions the new
-    /// records landed on, ascending.
-    fn merge_pass(&mut self, p: usize, old_len: u32) -> Vec<usize> {
-        let PassState { key, snap: pass } = &mut self.passes[p];
-        let records = &self.records;
-
-        let mut buf = String::new();
-        for r in &records[old_len as usize..] {
-            key.extract_into(r, &mut buf);
-            pass.keys.push(buf.clone());
-        }
-        let keys = &pass.keys;
-        let mut batch_order: Vec<u32> = (old_len..records.len() as u32).collect();
-        batch_order.sort_by(|&a, &b| chunked_str_cmp(&keys[a as usize], &keys[b as usize]));
-
-        // Old record ids are always smaller, so ties keep old first —
-        // matching a from-scratch stable sort.
-        insert_sorted(&mut pass.order, &batch_order, keys, |old, new| {
-            chunked_str_cmp(&keys[old as usize], &keys[new as usize]).is_le()
-        })
     }
 
     /// Folds one band's scan result into pass `p`'s counters, the global
@@ -608,6 +585,28 @@ pub struct Evidence {
     pub batch_seq: u64,
     /// Ingest trace id recorded for that batch, when one was.
     pub trace_id: Option<String>,
+}
+
+/// Extracts `pass`'s keys for the new records `old_len..` of `records`,
+/// sorts the batch and inserts it into the pass's order. Returns the
+/// positions the new records landed on, ascending.
+fn merge_pass(pass: &mut PassState, records: &[Record], old_len: u32) -> Vec<usize> {
+    let PassState { key, snap: pass } = pass;
+
+    let mut buf = String::new();
+    for r in &records[old_len as usize..] {
+        key.extract_into(r, &mut buf);
+        pass.keys.push(buf.clone());
+    }
+    let keys = &pass.keys;
+    let mut batch_order: Vec<u32> = (old_len..records.len() as u32).collect();
+    batch_order.sort_by(|&a, &b| chunked_str_cmp(&keys[a as usize], &keys[b as usize]));
+
+    // Old record ids are always smaller, so ties keep old first —
+    // matching a from-scratch stable sort.
+    insert_sorted(&mut pass.order, &batch_order, keys, |old, new| {
+        chunked_str_cmp(&keys[old as usize], &keys[new as usize]).is_le()
+    })
 }
 
 /// Splits scan positions `1..n` into `shards` contiguous bands (earlier

@@ -41,6 +41,7 @@
 pub mod clustering;
 pub mod costmodel;
 pub mod eval;
+pub mod fanout;
 pub mod incremental;
 pub mod key;
 pub mod mergescan;
@@ -55,6 +56,7 @@ pub mod window;
 pub use clustering::{ClusteringConfig, ClusteringMethod};
 pub use costmodel::CostModel;
 pub use eval::Evaluation;
+pub use fanout::fan_out;
 pub use incremental::{band_ranges, IncrementalMergePurge};
 pub use key::{KeyArena, KeyPart, KeySpec};
 pub use mergescan::MergeScanSnm;

@@ -16,7 +16,7 @@
 
 use crate::runfile::{RunReader, RunWriter};
 use crate::{ExternalConfig, IoStats};
-use merge_purge::{band_ranges, chunked_str_cmp, sorted_order_radix, KeyArena, KeySpec};
+use merge_purge::{band_ranges, chunked_str_cmp, fan_out, sorted_order_radix, KeyArena, KeySpec};
 use mp_metrics::{span, span_labeled, Counter, NoopObserver, Phase, PipelineObserver};
 use mp_record::{io as rio, NicknameTable, Record};
 use std::cmp::Ordering;
@@ -294,12 +294,9 @@ fn form_chunk(
     };
 
     let threads = threads.min(chunk.len()).max(1);
-    if threads == 1 {
-        return Ok(vec![run_one(chunk, first_run)?]);
-    }
     // band_ranges splits 1-based scan positions into contiguous ranges;
     // their lengths carve the chunk into disjoint mutable bands, each
-    // formed on its own scoped thread.
+    // formed by a worker of its own (band 0 on this thread).
     let mut slices: Vec<&mut [Record]> = Vec::with_capacity(threads);
     let mut rest = chunk;
     for (from, to) in band_ranges(rest.len() + 1, threads) {
@@ -307,21 +304,13 @@ fn form_chunk(
         slices.push(band);
         rest = tail;
     }
-    let results: Vec<io::Result<Vec<TempFile>>> = std::thread::scope(|scope| {
-        let handles: Vec<_> = slices
-            .into_iter()
-            .enumerate()
-            .map(|(b, band)| {
-                let run_one = &run_one;
-                scope.spawn(move || run_one(band, first_run + b))
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("a run-formation worker panicked"))
-            .collect()
-    });
-    results.into_iter().collect()
+    fan_out(
+        slices,
+        |b| format!("run-band-{b}"),
+        |b, band| run_one(band, first_run + b),
+    )
+    .into_iter()
+    .collect()
 }
 
 /// Merges `runs` `fan_in` at a time, one full level after another, until

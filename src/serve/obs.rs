@@ -20,6 +20,7 @@ use mp_metrics::rolling::{RollingRing, WindowCounter, WINDOWS};
 use mp_metrics::{
     Counter, LatencyHistogram, MetricsRecorder, PipelineObserver, PromWriter, TrackSpans,
 };
+use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Mutex, OnceLock};
 use std::time::Instant;
@@ -39,27 +40,37 @@ pub struct ShardObs {
     journal_replays: AtomicU64,
     records: AtomicU64,
     queue_depth: AtomicU64,
-    /// Cumulative per-shard window-scan latency (`shard_scan` span
-    /// durations, recorded from each batch's drained trace).
+    /// Cumulative per-shard window-scan latency: each batch's band-K
+    /// `shard_scan` span durations summed over its passes, recorded from
+    /// the batch's drained trace.
     scan: LatencyHistogram,
 }
 
 /// Per-batch critical-path decomposition, extracted from the batch's
-/// drained spans: where did the wall-clock go — inserting the batch's
-/// keys into the pass orders, the slowest shard's window scan, the
-/// cross-shard reconcile fold, or the slowest shard journal fsync?
+/// drained spans: where did the wall-clock go — the critical pass
+/// (inserting its keys into its order, then its slowest band's window
+/// scan), the reconcile fold, or the slowest shard journal fsync?
+///
+/// The passes run side by side, each keying and merging the batch and
+/// then scanning it in bands of its own, so a batch waits for its
+/// slowest pass: its *leg* is its `key_merge` plus its slowest band, and
+/// the pass with the longest leg is the critical one. Summing the passes
+/// would report CPU time, not the wall clock.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct PhaseBreakdown {
-    /// Total `key_merge` time (key extraction + order insertion, summed
-    /// over the passes; it runs on the coordinator before each scan).
+    /// The critical pass's `key_merge` time (key extraction + order
+    /// insertion).
     pub key_merge_ns: u64,
-    /// Total `shard_scan` time per shard band, as `(shard, ns)`.
+    /// `shard_scan` time per band, summed over the passes, as
+    /// `(shard, ns)` — the CPU time band K cost the batch.
     pub scan_ns: Vec<(usize, u64)>,
-    /// The slowest band's total scan time (0 when unsharded).
+    /// The critical pass's slowest band scan time (0 with no scan).
     pub scan_max_ns: u64,
     /// The band that took `scan_max_ns`.
     pub slowest_shard: Option<usize>,
-    /// Total `closure_reconcile` time (the cross-shard fold).
+    /// The critical pass: the longest `key_merge` + slowest band.
+    pub slowest_pass: Option<usize>,
+    /// Total `closure_reconcile` time (the fold of every pass's bands).
     pub reconcile_ns: u64,
     /// The slowest shard worker's `shard_ingest` (journal append +
     /// fsync) time.
@@ -69,53 +80,89 @@ pub struct PhaseBreakdown {
     pub imbalance_milli: u64,
 }
 
-/// Parses the shard index out of a `shard=K …` span label.
-fn label_shard(label: &str) -> Option<usize> {
-    let rest = label.strip_prefix("shard=")?;
-    let digits = rest.split(|c: char| !c.is_ascii_digit()).next()?;
-    digits.parse().ok()
+/// Parses the number after `key=` in a span label made of
+/// space-separated `key=N` fields (`pass=P shard=K`, `shard=K seq=S`).
+fn label_field(label: &str, key: &str) -> Option<usize> {
+    label
+        .split(' ')
+        .find_map(|field| field.strip_prefix(key)?.strip_prefix('=')?.parse().ok())
 }
 
 impl PhaseBreakdown {
-    /// Decomposes one batch's drained tracks by span name: `key_merge`
-    /// total, `shard_scan` durations per band, `closure_reconcile` total,
-    /// and the slowest `shard_ingest` (the journal-fsync leg).
+    /// Decomposes one batch's drained tracks by span name: per pass its
+    /// `key_merge` and its `shard_scan` durations per band (an unlabeled
+    /// span counts as pass 0, band 0), the `closure_reconcile` total, and
+    /// the slowest `shard_ingest` (the journal-fsync leg); then picks the
+    /// critical pass.
     pub fn from_tracks(tracks: &[TrackSpans]) -> Self {
+        // pass -> (key_merge ns, band -> scan ns)
+        let mut legs: BTreeMap<usize, (u64, BTreeMap<usize, u64>)> = BTreeMap::new();
         let mut out = PhaseBreakdown::default();
         for t in tracks {
             for s in &t.spans {
+                let field = |key| {
+                    s.label
+                        .as_deref()
+                        .and_then(|l| label_field(l, key))
+                        .unwrap_or(0)
+                };
                 match s.name {
                     "shard_scan" => {
-                        let k = s.label.as_deref().and_then(label_shard).unwrap_or(0);
-                        match out.scan_ns.iter_mut().find(|(shard, _)| *shard == k) {
-                            Some((_, ns)) => *ns += s.dur_ns(),
-                            None => out.scan_ns.push((k, s.dur_ns())),
-                        }
+                        let scans = &mut legs.entry(field("pass")).or_default().1;
+                        *scans.entry(field("shard")).or_default() += s.dur_ns();
                     }
-                    "key_merge" => out.key_merge_ns += s.dur_ns(),
+                    "key_merge" => legs.entry(field("pass")).or_default().0 += s.dur_ns(),
                     "closure_reconcile" => out.reconcile_ns += s.dur_ns(),
                     "shard_ingest" => out.journal_max_ns = out.journal_max_ns.max(s.dur_ns()),
                     _ => {}
                 }
             }
         }
-        out.scan_ns.sort_by_key(|&(k, _)| k);
-        if let Some(&(k, ns)) = out.scan_ns.iter().max_by_key(|&&(_, ns)| ns) {
-            out.scan_max_ns = ns;
-            out.slowest_shard = Some(k);
+        let mut bands: BTreeMap<usize, u64> = BTreeMap::new();
+        for (_, scans) in legs.values() {
+            for (&k, &ns) in scans {
+                *bands.entry(k).or_default() += ns;
+            }
         }
+        // `max_by_key` keeps the last of equal maxima: walk backwards so
+        // ties go to the lower band and the lower pass.
+        let longest = legs
+            .iter()
+            .rev()
+            .map(|(&p, (merge_ns, scans))| {
+                let slowest = scans
+                    .iter()
+                    .rev()
+                    .max_by_key(|&(_, &ns)| ns)
+                    .map(|(&k, &ns)| (k, ns));
+                let leg = merge_ns + slowest.map_or(0, |(_, ns)| ns);
+                (leg, p, *merge_ns, slowest)
+            })
+            .max_by_key(|&(leg, ..)| leg);
+        if let Some((_, p, merge_ns, slowest)) = longest {
+            out.slowest_pass = Some(p);
+            out.key_merge_ns = merge_ns;
+            if let Some((k, ns)) = slowest {
+                out.scan_max_ns = ns;
+                out.slowest_shard = Some(k);
+            }
+        }
+        out.scan_ns = bands.into_iter().collect();
         if out.scan_ns.len() >= 2 {
             let sum: u64 = out.scan_ns.iter().map(|&(_, ns)| ns).sum();
+            let max = out.scan_ns.iter().map(|&(_, ns)| ns).max().unwrap_or(0);
             let mean = sum as f64 / out.scan_ns.len() as f64;
             if mean > 0.0 {
-                out.imbalance_milli = (out.scan_max_ns as f64 / mean * 1000.0).round() as u64;
+                out.imbalance_milli = (max as f64 / mean * 1000.0).round() as u64;
             }
         }
         out
     }
 
-    /// Which phase dominated the batch: `"shard_scan"`, `"key_merge"`,
-    /// `"reconcile"`, or `"journal_fsync"` (ties go to the earlier name).
+    /// Which leg of the critical path dominated the batch: the critical
+    /// pass's `"shard_scan"` (slowest band) or `"key_merge"`, the
+    /// `"reconcile"` fold, or `"journal_fsync"` (ties go to the earlier
+    /// name).
     pub fn critical_phase(&self) -> &'static str {
         let legs = [
             ("shard_scan", self.scan_max_ns),
@@ -146,6 +193,9 @@ impl PhaseBreakdown {
                 Json::Num(self.imbalance_milli as f64 / 1000.0),
             ),
         ];
+        if let Some(p) = self.slowest_pass {
+            fields.push(("slowest_pass".into(), Json::Num(p as f64)));
+        }
         if let Some(k) = self.slowest_shard {
             fields.push(("slowest_shard".into(), Json::Num(k as f64)));
         }
@@ -182,8 +232,9 @@ pub struct ObsState {
     /// Cumulative batch-ingest latency histogram (journal append +
     /// engine fold, per acknowledged batch).
     pub batch_latency: LatencyHistogram,
-    /// Cumulative cross-shard reconciliation latency
-    /// (`closure_reconcile` span durations; sharded daemons only).
+    /// Cumulative reconciliation latency (`closure_reconcile` span
+    /// durations: the fold of every pass's bands, on every daemon;
+    /// exported as a Prometheus family by sharded daemons only).
     pub reconcile: LatencyHistogram,
     /// Rolling shard-imbalance ring: each batch's `max/mean` shard-scan
     /// ratio recorded as a milli-ratio "latency" sample, so the standard
@@ -949,7 +1000,7 @@ impl ObsState {
             }
             w.gauge_family(
                 "mergepurge_shard_scan_seconds",
-                "Cumulative per-shard window-scan latency quantiles (from batch traces).",
+                "Cumulative per-shard window-scan latency quantiles: each batch's band-K scan time summed over its passes (from batch traces).",
                 &scan_samples,
             );
             let imbalance_samples: Vec<_> = WINDOWS
@@ -1238,6 +1289,84 @@ mod tests {
         assert_eq!(PhaseBreakdown::default().critical_phase(), "shard_scan");
     }
 
+    /// Three passes side by side: pass 0's long key merge is the batch's
+    /// critical path even though the passes' scans add up to far more.
+    /// Summing `key_merge` and each band over the passes (CPU time) would
+    /// blame the scan.
+    #[test]
+    fn phase_breakdown_follows_the_slowest_of_concurrent_passes() {
+        let tracks = vec![
+            track(
+                0,
+                vec![
+                    span("batch", Some("trace=x seq=1"), 0, 4_400),
+                    span("key_merge", Some("pass=0"), 0, 3_000),
+                    span("shard_scan", Some("pass=0 shard=0"), 3_000, 600),
+                    span("closure_reconcile", None, 4_000, 300),
+                ],
+            ),
+            track(
+                1,
+                vec![span("shard_scan", Some("pass=0 shard=1"), 3_000, 1_000)],
+            ),
+            track(
+                2,
+                vec![
+                    span("key_merge", Some("pass=1"), 0, 200),
+                    span("shard_scan", Some("pass=1 shard=0"), 200, 2_000),
+                ],
+            ),
+            track(
+                3,
+                vec![span("shard_scan", Some("pass=1 shard=1"), 200, 1_800)],
+            ),
+            track(
+                4,
+                vec![
+                    span("key_merge", Some("pass=2"), 0, 200),
+                    span("shard_scan", Some("pass=2 shard=0"), 200, 2_200),
+                ],
+            ),
+            track(
+                5,
+                vec![span("shard_scan", Some("pass=2 shard=1"), 200, 1_600)],
+            ),
+        ];
+        let bd = PhaseBreakdown::from_tracks(&tracks);
+        // Legs: pass 0 = 3000 + 1000, pass 1 = 200 + 2000, pass 2 = 200 + 2200.
+        assert_eq!(bd.critical_phase(), "key_merge");
+        assert_eq!(
+            bd.key_merge_ns, 3_000,
+            "the critical pass's merge, not the sum"
+        );
+        assert_eq!(bd.scan_max_ns, 1_000, "the critical pass's slowest band");
+        // Per band, summed over the passes: what the shard histograms get.
+        assert_eq!(bd.scan_ns, vec![(0, 4_800), (1, 4_400)]);
+        assert_eq!(bd.reconcile_ns, 300);
+        let fields = bd.event_fields();
+        for (key, want) in [
+            ("slowest_pass", 0.0),
+            ("slowest_shard", 1.0),
+            ("scan_max_ms", 0.001),
+        ] {
+            assert!(
+                fields
+                    .iter()
+                    .any(|(k, v)| k == key && *v == Json::Num(want)),
+                "{key} != {want}: {fields:?}"
+            );
+        }
+
+        // Shorten pass 0's merge and pass 2 becomes the critical path.
+        let mut tracks = tracks;
+        tracks[0].spans[1] = span("key_merge", Some("pass=0"), 0, 500);
+        let bd = PhaseBreakdown::from_tracks(&tracks);
+        assert_eq!(bd.slowest_pass, Some(2));
+        assert_eq!((bd.key_merge_ns, bd.scan_max_ns), (200, 2_200));
+        assert_eq!(bd.slowest_shard, Some(0));
+        assert_eq!(bd.critical_phase(), "shard_scan");
+    }
+
     #[test]
     fn batch_phases_feed_histograms_ring_and_exposition() {
         let recorder = MetricsRecorder::new();
@@ -1248,6 +1377,7 @@ mod tests {
             scan_ns: vec![(0, 4_000_000), (1, 1_000_000)],
             scan_max_ns: 4_000_000,
             slowest_shard: Some(0),
+            slowest_pass: Some(0),
             reconcile_ns: 700_000,
             journal_max_ns: 2_000_000,
             imbalance_milli: 1_600,

@@ -23,11 +23,12 @@
 //!   shard, so a crash mid-scatter loses nothing that was acknowledged.
 //!
 //! The in-memory engine itself is *not* partitioned: the banded scan in
-//! [`IncrementalMergePurge::add_batch_sharded`] fans comparison work out
-//! across shard-count bands and reconciles band-boundary matches in band
-//! order (`closure_reconcile`), which makes the merged match set
-//! bit-identical to the single-worker engine on the same input — the
-//! property the shard-equivalence tests pin down.
+//! [`IncrementalMergePurge::add_batch_sharded`] runs the passes side by
+//! side, fans each pass's comparison work out across shard-count bands,
+//! and reconciles the bands' matches in (pass, band) order
+//! (`closure_reconcile`), which makes the merged match set bit-identical
+//! to the single-worker engine on the same input — the property the
+//! shard-equivalence tests pin down.
 
 use merge_purge::incremental::{recover, IncrementalMergePurge, RecoveryReport, StoreFiles};
 use merge_purge::KeySpec;
