@@ -26,23 +26,17 @@ pub struct Evaluation {
 }
 
 impl Evaluation {
-    /// Scores `found` (typically closure output) against `truth`.
+    /// Scores `found` (typically closure output) against `truth`: a found
+    /// pair is true when its two records share an entity, which the truth
+    /// answers per pair without materializing its true pairs.
     pub fn score(found: &PairSet, truth: &GroundTruth) -> Self {
-        let mut truth_set: std::collections::HashSet<(u32, u32)> = std::collections::HashSet::new();
-        for p in truth.true_pairs() {
-            truth_set.insert(p);
-        }
-        let mut true_found = 0u64;
-        let mut false_found = 0u64;
-        for (a, b) in found.iter() {
-            if truth_set.contains(&(a, b)) {
-                true_found += 1;
-            } else {
-                false_found += 1;
-            }
-        }
+        let true_found = found
+            .iter()
+            .filter(|&(a, b)| truth.is_true_pair(a, b))
+            .count() as u64;
         let true_pairs = truth.true_pair_count();
         let found_pairs = found.len() as u64;
+        let false_found = found_pairs - true_found;
         Evaluation {
             true_pairs,
             found_pairs,
@@ -75,7 +69,66 @@ fn percent(num: u64, den: u64) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{KeySpec, MergePurge};
+    use mp_datagen::{DatabaseGenerator, GeneratorConfig};
     use mp_record::{EntityId, Record, RecordId};
+    use mp_rules::NativeEmployeeTheory;
+
+    /// The scoring `Evaluation::score` replaced: a hash set of every true
+    /// pair, probed once per found pair. Kept as the oracle.
+    fn score_reference(found: &PairSet, truth: &GroundTruth) -> Evaluation {
+        let truth_set: std::collections::HashSet<(u32, u32)> = truth.true_pairs().collect();
+        let true_found = found.iter().filter(|p| truth_set.contains(p)).count() as u64;
+        let false_found = found.len() as u64 - true_found;
+        let true_pairs = truth.true_pair_count();
+        let found_pairs = found.len() as u64;
+        Evaluation {
+            true_pairs,
+            found_pairs,
+            true_found,
+            false_found,
+            percent_detected: percent(true_found, true_pairs),
+            percent_false_positive: percent(false_found, found_pairs),
+        }
+    }
+
+    #[test]
+    fn entity_column_scoring_matches_the_pair_set_oracle() {
+        let theory = NativeEmployeeTheory::new();
+        for (seed, unlabelled_every) in [(71, 0), (72, 3), (73, 1)] {
+            let mut db = DatabaseGenerator::new(
+                GeneratorConfig::new(1500)
+                    .duplicate_fraction(0.5)
+                    .seed(seed),
+            )
+            .generate();
+            // Drop the label of every k-th record (all of them for k = 1):
+            // those records are singletons in truth but can still be found.
+            if unlabelled_every > 0 {
+                for r in db.records.iter_mut().step_by(unlabelled_every) {
+                    r.entity = None;
+                }
+            }
+            let truth = GroundTruth::from_records(&db.records);
+            let result = MergePurge::new(&theory)
+                .pass(KeySpec::last_name_key(), 8)
+                .pass(KeySpec::address_key(), 8)
+                .run(&mut db.records);
+            assert!(
+                result.closed_pairs.len() > 100,
+                "seed {seed} found too little"
+            );
+            let got = Evaluation::score(&result.closed_pairs, &truth);
+            assert_eq!(
+                got,
+                score_reference(&result.closed_pairs, &truth),
+                "seed {seed}"
+            );
+            if unlabelled_every == 1 {
+                assert_eq!((got.true_pairs, got.true_found), (0, 0));
+            }
+        }
+    }
 
     fn truth_of(classes: &[&[u32]], total: u32) -> GroundTruth {
         let mut records = Vec::new();

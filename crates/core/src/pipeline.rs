@@ -1,6 +1,7 @@
 //! High-level merge/purge pipeline: condition → passes → closure.
 
 use crate::clustering::ClusteringConfig;
+use crate::fanout::fan_out;
 use crate::key::KeySpec;
 use crate::multipass::{MultiPass, MultiPassResult, PassConfig};
 use mp_metrics::{span, NoopObserver, Phase, PipelineObserver};
@@ -12,7 +13,8 @@ pub type MergePurgeResult = MultiPassResult;
 
 /// Builder for an end-to-end merge/purge run over a concatenated record
 /// list: optional conditioning (normalization, nicknames, city spell
-/// correction per §3.2), any number of passes, and the final closure.
+/// correction per §3.2) split across the host's cores, any number of
+/// passes, and the final closure.
 ///
 /// ```
 /// use merge_purge::{KeySpec, MergePurge};
@@ -123,13 +125,16 @@ impl<'t> MergePurge<'t> {
     ) -> MergePurgeResult {
         let _run_span = span(observer, "run");
         let t0 = std::time::Instant::now();
-        if self.condition {
-            normalize::condition_all(records, &self.nicknames);
-        }
-        if let Some(corrector) = &self.spell {
-            for r in records.iter_mut() {
-                corrector.correct_in_place(&mut r.city);
-            }
+        if self.condition || self.spell.is_some() {
+            // Conditioning is per record, so the list splits into one
+            // contiguous chunk per core; chunk 0 stays on this thread.
+            let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
+            let chunk = records.len().div_ceil(cores).max(1);
+            fan_out(
+                records.chunks_mut(chunk).collect(),
+                |i| format!("condition-{i}"),
+                |_, chunk| self.condition_chunk(chunk, observer),
+            );
         }
         observer.phase_ns(Phase::Condition, t0.elapsed().as_nanos() as u64);
         let passes = if self.prune {
@@ -138,6 +143,20 @@ impl<'t> MergePurge<'t> {
             self.passes
         };
         passes.run_observed(records, self.theory, observer)
+    }
+
+    /// Normalizes (if enabled) and spell-corrects (if configured) one
+    /// chunk of the record list, under a `condition` span.
+    fn condition_chunk(&self, records: &mut [Record], observer: &dyn PipelineObserver) {
+        let _span = span(observer, "condition");
+        if self.condition {
+            normalize::condition_all(records, &self.nicknames);
+        }
+        if let Some(corrector) = &self.spell {
+            for r in records {
+                corrector.correct_in_place(&mut r.city);
+            }
+        }
     }
 }
 

@@ -11,8 +11,12 @@ use std::collections::HashMap;
 /// perfect merge followed by transitive closure would produce.
 #[derive(Debug, Clone, Default)]
 pub struct GroundTruth {
-    /// entity → record ids (in insertion order).
-    classes: HashMap<EntityId, Vec<RecordId>>,
+    /// The records of each entity (in insertion order), one entry per
+    /// distinct entity.
+    classes: Vec<Vec<RecordId>>,
+    /// record id → 1 + its entity's index in `classes`, 0 for a record
+    /// without an entity: the column [`GroundTruth::is_true_pair`] reads.
+    class_of: Vec<u32>,
     total_records: usize,
 }
 
@@ -20,16 +24,33 @@ impl GroundTruth {
     /// Builds ground truth from a record list (records lacking an entity id
     /// are treated as unique singleton entities and contribute no pairs).
     pub fn from_records(records: &[Record]) -> Self {
-        let mut classes: HashMap<EntityId, Vec<RecordId>> = HashMap::new();
+        let mut slot_of: HashMap<EntityId, u32> = HashMap::new();
+        let mut classes: Vec<Vec<RecordId>> = Vec::new();
+        let ids = records.iter().map(|r| r.id.index() + 1).max().unwrap_or(0);
+        let mut class_of = vec![0; ids];
         for r in records {
             if let Some(e) = r.entity {
-                classes.entry(e).or_default().push(r.id);
+                let slot = *slot_of.entry(e).or_insert_with(|| {
+                    classes.push(Vec::new());
+                    classes.len() as u32
+                });
+                classes[slot as usize - 1].push(r.id);
+                class_of[r.id.index()] = slot;
             }
         }
         GroundTruth {
             classes,
+            class_of,
             total_records: records.len(),
         }
+    }
+
+    /// True when records `a` and `b` (by id) are two different records of
+    /// one entity — a pair [`GroundTruth::true_pairs`] yields. O(1): two
+    /// lookups in the per-record entity column, no pair set.
+    pub fn is_true_pair(&self, a: u32, b: u32) -> bool {
+        let class = |id: u32| self.class_of.get(id as usize).copied().unwrap_or(0);
+        a != b && class(a) != 0 && class(a) == class(b)
     }
 
     /// Number of records the truth covers (including singletons).
@@ -46,7 +67,7 @@ impl GroundTruth {
     /// Number of true duplicate pairs: Σ k·(k−1)/2 over entity classes.
     pub fn true_pair_count(&self) -> u64 {
         self.classes
-            .values()
+            .iter()
             .map(|c| {
                 let k = c.len() as u64;
                 k * (k - 1) / 2
@@ -56,7 +77,7 @@ impl GroundTruth {
 
     /// Iterates over every true duplicate pair as `(low, high)` record ids.
     pub fn true_pairs(&self) -> impl Iterator<Item = (u32, u32)> + '_ {
-        self.classes.values().flat_map(|class| {
+        self.classes.iter().flat_map(|class| {
             class.iter().enumerate().flat_map(move |(i, &a)| {
                 class[i + 1..].iter().map(move |&b| {
                     let (x, y) = (a.0.min(b.0), a.0.max(b.0));
@@ -80,7 +101,7 @@ impl GroundTruth {
     pub fn duplicate_classes(&self) -> Vec<Vec<u32>> {
         let mut out: Vec<Vec<u32>> = self
             .classes
-            .values()
+            .iter()
             .filter(|c| c.len() > 1)
             .map(|c| {
                 let mut v: Vec<u32> = c.iter().map(|r| r.0).collect();
@@ -121,6 +142,26 @@ mod tests {
         let mut pairs: Vec<_> = t.true_pairs().collect();
         pairs.sort_unstable();
         assert_eq!(pairs, vec![(0, 1), (0, 2), (1, 2), (4, 5)]);
+    }
+
+    #[test]
+    fn true_pairs_are_exactly_the_pairs_the_column_accepts() {
+        let records = vec![
+            record(0, Some(1)),
+            record(1, Some(1)),
+            record(2, None),
+            record(3, Some(2)),
+            record(4, Some(1)),
+            record(5, None),
+        ];
+        let t = GroundTruth::from_records(&records);
+        let listed: std::collections::HashSet<_> = t.true_pairs().collect();
+        for a in 0..8 {
+            for b in 0..8 {
+                let want = listed.contains(&(a.min(b), a.max(b)));
+                assert_eq!(t.is_true_pair(a, b), want, "({a}, {b})");
+            }
+        }
     }
 
     #[test]

@@ -4,10 +4,14 @@
 //! generated data and is rejected on write). The ground-truth entity id is
 //! stored first so evaluation can reload it; production exports simply leave
 //! the column empty.
+//!
+//! There is one parser, [`RecordStream`]: [`read_records`] collects it,
+//! and the bulk loader and the daemon's ingest stream it. It reads every
+//! line into one reused buffer and allocates each non-empty field once.
 
 use crate::record::{EntityId, Record, RecordId};
 use std::fmt;
-use std::io::{self, BufRead, Write};
+use std::io::{self, BufRead, BufWriter, Write};
 
 /// Number of `|`-separated columns per line: the entity column plus the ten
 /// data fields.
@@ -65,7 +69,12 @@ impl From<io::Error> for ReadError {
 
 /// Writes records in the flat format; field values containing `|` or a
 /// newline are rejected with `InvalidData`.
-pub fn write_records<W: Write>(mut w: W, records: &[Record]) -> io::Result<()> {
+///
+/// Output goes through a [`BufWriter`], so a file handle costs one
+/// `write` per buffer, not per record; the final flush's error is
+/// returned.
+pub fn write_records<W: Write>(w: W, records: &[Record]) -> io::Result<()> {
+    let mut w = BufWriter::new(w);
     let mut line = String::new();
     for r in records {
         line.clear();
@@ -91,24 +100,23 @@ pub fn write_records<W: Write>(mut w: W, records: &[Record]) -> io::Result<()> {
 
 /// Reads records written by [`write_records`], assigning sequential
 /// [`RecordId`]s from zero (the id is positional, exactly as in the
-/// concatenated list the paper sorts).
+/// concatenated list the paper sorts). Stops at the first error.
 pub fn read_records<R: BufRead>(r: R) -> Result<Vec<Record>, ReadError> {
-    let mut out = Vec::new();
-    for (i, line) in r.lines().enumerate() {
-        let line = line?;
-        if line.is_empty() {
-            continue;
-        }
-        out.push(parse_line(&line, i + 1, out.len() as u32)?);
-    }
-    Ok(out)
+    RecordStream::new(r).collect()
 }
 
 /// Streams records from a flat file one at a time, assigning positional
-/// ids — the memory-bounded counterpart of [`read_records`] used by the
-/// external-memory engines.
+/// ids — the one parser behind [`read_records`], and the memory-bounded
+/// reader the external-memory engines and the daemon's ingest use.
+///
+/// Every line is read into one reused buffer and split in place; the only
+/// allocations per record are its non-empty fields, one each. Blank lines
+/// are skipped (they take no id but do count as lines), a trailing `\r`
+/// before the newline is dropped, and invalid UTF-8 is an
+/// [`ReadError::Io`] error.
 pub struct RecordStream<R: BufRead> {
-    lines: std::io::Lines<R>,
+    reader: R,
+    line: String,
     line_no: usize,
     next_id: u32,
 }
@@ -117,7 +125,8 @@ impl<R: BufRead> RecordStream<R> {
     /// Wraps a buffered reader.
     pub fn new(reader: R) -> Self {
         RecordStream {
-            lines: reader.lines(),
+            reader,
+            line: String::new(),
             line_no: 0,
             next_id: 0,
         }
@@ -129,15 +138,23 @@ impl<R: BufRead> Iterator for RecordStream<R> {
 
     fn next(&mut self) -> Option<Self::Item> {
         loop {
+            self.line.clear();
+            let read = self.reader.read_line(&mut self.line);
+            if matches!(read, Ok(0)) {
+                return None;
+            }
             self.line_no += 1;
-            let line = match self.lines.next()? {
-                Ok(l) => l,
-                Err(e) => return Some(Err(ReadError::Io(e))),
+            if let Err(e) = read {
+                return Some(Err(ReadError::Io(e)));
+            }
+            let line = match self.line.strip_suffix('\n') {
+                Some(l) => l.strip_suffix('\r').unwrap_or(l),
+                None => &self.line,
             };
             if line.is_empty() {
                 continue;
             }
-            let parsed = parse_line(&line, self.line_no, self.next_id);
+            let parsed = parse_line(line, self.line_no, self.next_id);
             if parsed.is_ok() {
                 self.next_id += 1;
             }
@@ -146,27 +163,31 @@ impl<R: BufRead> Iterator for RecordStream<R> {
     }
 }
 
+/// Parses one non-empty line in a single pass over its columns; the
+/// column count is checked before the entity, as errors are reported.
 fn parse_line(line: &str, line_no: usize, id: u32) -> Result<Record, ReadError> {
-    let cols: Vec<&str> = line.split('|').collect();
-    if cols.len() != COLUMNS {
+    let mut cols = line.split('|');
+    let entity = cols.next().unwrap_or_default();
+    let mut rec = Record::empty(RecordId(id));
+    let mut columns = 1;
+    for (field, value) in crate::field::Field::ALL.into_iter().zip(cols.by_ref()) {
+        columns += 1;
+        if !value.is_empty() {
+            *rec.field_mut(field) = value.to_owned();
+        }
+    }
+    columns += cols.count();
+    if columns != COLUMNS {
         return Err(ReadError::Malformed {
             line: line_no,
-            columns: cols.len(),
+            columns,
         });
     }
-    let entity = if cols[0].is_empty() {
-        None
-    } else {
-        Some(EntityId(
-            cols[0]
-                .parse()
-                .map_err(|_| ReadError::BadEntity { line: line_no })?,
-        ))
-    };
-    let mut rec = Record::empty(RecordId(id));
-    rec.entity = entity;
-    for (field, value) in crate::field::Field::ALL.iter().zip(&cols[1..]) {
-        *rec.field_mut(*field) = (*value).to_string();
+    if !entity.is_empty() {
+        let e = entity
+            .parse()
+            .map_err(|_| ReadError::BadEntity { line: line_no })?;
+        rec.entity = Some(EntityId(e));
     }
     Ok(rec)
 }
@@ -254,6 +275,105 @@ mod tests {
             Err(ReadError::Malformed { line, .. }) => assert_eq!(line, 1),
             other => panic!("unexpected: {other:?}"),
         }
+    }
+
+    /// What a reader made of an input: the records' (id, entity, first
+    /// name) up to the first error, and that error.
+    type Outcome = (Vec<(u32, Option<u32>, String)>, Option<String>);
+
+    fn outcome(results: impl IntoIterator<Item = Result<Record, ReadError>>) -> Outcome {
+        let mut records = Vec::new();
+        for r in results {
+            match r {
+                Ok(r) => records.push((r.id.0, r.entity.map(|e| e.0), r.first_name)),
+                Err(ReadError::Io(e)) => return (records, Some(format!("io {:?}", e.kind()))),
+                Err(e) => return (records, Some(e.to_string())),
+            }
+        }
+        (records, None)
+    }
+
+    #[test]
+    fn both_readers_agree_on_every_line_shape() {
+        let row = |entity: &str, first: &str| format!("{entity}|1|{first}||||||||");
+        let good = row("7", "ANN");
+        let eleven_cols = format!("{good}|");
+        let ten_cols = good.replacen('|', "", 1);
+        let ann = |id: u32, entity: Option<u32>| (id, entity, "ANN".to_string());
+        let cases: Vec<(&str, Vec<u8>, Outcome)> = vec![
+            (
+                "crlf line endings",
+                format!("{good}\r\n{}\r\n", row("", "ANN")).into_bytes(),
+                (vec![ann(0, Some(7)), ann(1, None)], None),
+            ),
+            (
+                "blank lines take no id but count as lines",
+                format!("\n{good}\n\r\n\n{good}\n{ten_cols}\n").into_bytes(),
+                (
+                    vec![ann(0, Some(7)), ann(1, Some(7))],
+                    Some("line 6: expected 11 columns, found 10".into()),
+                ),
+            ),
+            (
+                "no trailing newline",
+                format!("{good}\n{good}").into_bytes(),
+                (vec![ann(0, Some(7)), ann(1, Some(7))], None),
+            ),
+            (
+                "a lone carriage return stays in the last field",
+                format!("{good}\r").into_bytes(),
+                (vec![ann(0, Some(7))], None),
+            ),
+            (
+                "ten columns",
+                format!("{good}\n{ten_cols}\n{good}\n").into_bytes(),
+                (
+                    vec![ann(0, Some(7))],
+                    Some("line 2: expected 11 columns, found 10".into()),
+                ),
+            ),
+            (
+                "twelve columns",
+                format!("{eleven_cols}\n").into_bytes(),
+                (vec![], Some("line 1: expected 11 columns, found 12".into())),
+            ),
+            (
+                "bad entity",
+                format!("{good}\n{}\n", row("7x", "ANN")).into_bytes(),
+                (
+                    vec![ann(0, Some(7))],
+                    Some("line 2: invalid entity id".into()),
+                ),
+            ),
+            (
+                "a column count error wins over a bad entity",
+                format!("x{ten_cols}\n").into_bytes(),
+                (vec![], Some("line 1: expected 11 columns, found 10".into())),
+            ),
+            (
+                "invalid utf-8",
+                [good.as_bytes(), b"\n", &[0xff, 0xfe], b"|\n"].concat(),
+                (vec![ann(0, Some(7))], Some("io InvalidData".into())),
+            ),
+        ];
+        for (name, input, want) in cases {
+            let streamed = outcome(RecordStream::new(input.as_slice()));
+            assert_eq!(streamed, want, "{name}: RecordStream");
+            // `read_records` returns every record or the first error.
+            let batch = outcome(match read_records(input.as_slice()) {
+                Ok(records) => records.into_iter().map(Ok).collect(),
+                Err(e) => vec![Err(e)],
+            });
+            let (records, err) = want;
+            let want = if err.is_some() {
+                (vec![], err)
+            } else {
+                (records, None)
+            };
+            assert_eq!(batch, want, "{name}: read_records");
+        }
+        let last = read_records(format!("{good}\r").as_bytes()).unwrap();
+        assert_eq!(last[0].zip, "\r");
     }
 
     #[test]

@@ -9,13 +9,17 @@
 //! matching runs the pipeline *conditions* the data (§3.2):
 //!
 //! * [`normalize`] — canonical upper-case form, collapsed whitespace,
-//!   stripped salutations/suffixes, expanded street abbreviations;
+//!   stripped salutations/suffixes, expanded street abbreviations, done
+//!   in place: each field is rewritten through one reused scratch buffer
+//!   into its own allocation;
 //! * [`nickname`] — a name-equivalence table assigning a common form to
 //!   known nicknames (Joseph/Giuseppe, Bob/Robert, ...);
 //! * [`spell`] — a corpus-based spelling corrector in the style of
 //!   Bickel (CACM 1987) applied to the city field;
 //! * [`io`] — a simple pipe-separated flat-file format for persisting
-//!   generated databases.
+//!   generated databases, read by one line reader ([`RecordStream`], one
+//!   reused line buffer, one allocation per non-empty field) and written
+//!   through a buffer.
 //!
 //! [`Record`] is deliberately a plain owned struct: the sorted-neighborhood
 //! method sorts multi-hundred-megabyte lists of them, and flat ownership

@@ -1,6 +1,12 @@
 //! Record conditioning: the cheap, purely syntactic cleanup pass run over
 //! every record before keys are extracted (§2.2 "after conditioning the
 //! records" / §3.2 pre-processing).
+//!
+//! The pass works in place. Each field is canonicalised into one scratch
+//! buffer (shared across a whole [`condition_all`] slice), edited there,
+//! and copied back into the field's existing allocation, so a record
+//! costs no allocation unless a field grows (an expanded street type, an
+//! upper-case form longer than its source such as `ß` → `SS`).
 
 use crate::nickname::NicknameTable;
 use crate::record::Record;
@@ -37,6 +43,14 @@ const STREET_ABBREVS: [(&str, &str); 12] = [
 /// ```
 pub fn canonical(s: &str) -> String {
     let mut out = String::with_capacity(s.len());
+    canonical_into(s, &mut out);
+    out
+}
+
+/// [`canonical`] written into `out` (cleared first), so a caller with a
+/// reused buffer allocates nothing.
+fn canonical_into(s: &str, out: &mut String) {
+    out.clear();
     let mut pending_space = false;
     for c in s.chars() {
         if c.is_whitespace() {
@@ -50,11 +64,12 @@ pub fn canonical(s: &str) -> String {
             out.push(' ');
             pending_space = false;
         }
-        for u in c.to_uppercase() {
-            out.push(u);
+        if c.is_ascii() {
+            out.push(c.to_ascii_uppercase());
+        } else {
+            out.extend(c.to_uppercase());
         }
     }
-    out
 }
 
 /// Removes a leading salutation token ("MR", "DR", ...) from a name.
@@ -86,16 +101,20 @@ pub fn strip_suffix(name: &str) -> &str {
 /// Only the final token is considered, which is where street types appear;
 /// expanding interior tokens would corrupt names like "ST JOHNS AVENUE".
 pub fn expand_street(street: &str) -> String {
-    match street.rsplit_once(' ') {
-        Some((head, last)) => {
-            for (abbr, long) in STREET_ABBREVS {
-                if last == abbr {
-                    return format!("{head} {long}");
-                }
-            }
-            street.to_string()
-        }
-        None => street.to_string(),
+    let mut out = street.to_string();
+    expand_street_in_place(&mut out);
+    out
+}
+
+/// [`expand_street`] on the string itself: the final token is replaced
+/// by its long form, everything before it stays where it is.
+fn expand_street_in_place(street: &mut String) {
+    let Some((head, last)) = street.rsplit_once(' ') else {
+        return;
+    };
+    if let Some((_, long)) = STREET_ABBREVS.iter().find(|(abbr, _)| *abbr == last) {
+        street.truncate(head.len() + 1);
+        street.push_str(long);
     }
 }
 
@@ -105,41 +124,210 @@ pub fn expand_street(street: &str) -> String {
 /// This is the paper's "create keys / conditioning" O(N) pass, minus key
 /// extraction (which the core crate fuses into its sort phase).
 pub fn condition(record: &mut Record, nicknames: &NicknameTable) {
-    record.ssn = record.ssn.chars().filter(char::is_ascii_digit).collect();
-    record.first_name = canonical(&record.first_name);
-    record.first_name = strip_salutation(&record.first_name).to_string();
-    if let Some(common) = nicknames.common_form(&record.first_name) {
-        record.first_name = common.to_string();
-    }
-    record.middle_initial = canonical(&record.middle_initial);
-    record.middle_initial.truncate(
-        record
-            .middle_initial
-            .char_indices()
-            .nth(1)
-            .map_or(record.middle_initial.len(), |(i, _)| i),
-    );
-    record.last_name = canonical(&record.last_name);
-    record.last_name = strip_suffix(&record.last_name).to_string();
-    record.street_number = canonical(&record.street_number);
-    record.street_name = expand_street(&canonical(&record.street_name));
-    record.apartment = canonical(&record.apartment);
-    record.city = canonical(&record.city);
-    record.state = canonical(&record.state);
-    record.zip = record.zip.chars().filter(char::is_ascii_digit).collect();
+    condition_with(record, nicknames, &mut String::new());
 }
 
-/// Conditions a whole list of records.
+/// Conditions a whole list of records, sharing one scratch buffer.
 pub fn condition_all(records: &mut [Record], nicknames: &NicknameTable) {
+    let mut scratch = String::new();
     for r in records {
-        condition(r, nicknames);
+        condition_with(r, nicknames, &mut scratch);
     }
+}
+
+/// [`condition`] through a caller's scratch buffer. Each field is
+/// canonicalised into `scratch`, edited there, and copied back into the
+/// field's own allocation, which only grows when the result is longer
+/// (an expanded street type, an upper-case form wider than its source).
+fn condition_with(record: &mut Record, nicknames: &NicknameTable, scratch: &mut String) {
+    record.ssn.retain(|c| c.is_ascii_digit());
+
+    canonical_into(&record.first_name, scratch);
+    let first = strip_salutation(scratch);
+    store(
+        &mut record.first_name,
+        nicknames.common_form(first).unwrap_or(first),
+    );
+
+    canonical_into(&record.middle_initial, scratch);
+    let initial = scratch.chars().next().map_or(0, char::len_utf8);
+    store(&mut record.middle_initial, &scratch[..initial]);
+
+    canonical_into(&record.last_name, scratch);
+    store(&mut record.last_name, strip_suffix(scratch));
+
+    canonical_into(&record.street_name, scratch);
+    expand_street_in_place(scratch);
+    store(&mut record.street_name, scratch);
+
+    for field in [
+        &mut record.street_number,
+        &mut record.apartment,
+        &mut record.city,
+        &mut record.state,
+    ] {
+        canonical_into(field, scratch);
+        store(field, scratch);
+    }
+
+    record.zip.retain(|c| c.is_ascii_digit());
+}
+
+/// Overwrites `field` with `value`, reusing the field's allocation.
+fn store(field: &mut String, value: &str) {
+    field.clear();
+    field.push_str(value);
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::field::Field;
     use crate::record::RecordId;
+    use proptest::collection::vec;
+    use proptest::prelude::*;
+
+    /// The allocating conditioning pass the in-place one replaced: a fresh
+    /// `String` for every step of every field. Kept as the oracle.
+    fn condition_reference(record: &mut Record, nicknames: &NicknameTable) {
+        fn canonical(s: &str) -> String {
+            let mut out = String::with_capacity(s.len());
+            let mut pending_space = false;
+            for c in s.chars() {
+                if c.is_whitespace() {
+                    pending_space = !out.is_empty();
+                    continue;
+                }
+                if c == '.' || c == ',' {
+                    continue;
+                }
+                if pending_space {
+                    out.push(' ');
+                    pending_space = false;
+                }
+                for u in c.to_uppercase() {
+                    out.push(u);
+                }
+            }
+            out
+        }
+        fn expand_street(street: &str) -> String {
+            match street.rsplit_once(' ') {
+                Some((head, last)) => {
+                    for (abbr, long) in STREET_ABBREVS {
+                        if last == abbr {
+                            return format!("{head} {long}");
+                        }
+                    }
+                    street.to_string()
+                }
+                None => street.to_string(),
+            }
+        }
+        record.ssn = record.ssn.chars().filter(char::is_ascii_digit).collect();
+        record.first_name = canonical(&record.first_name);
+        record.first_name = strip_salutation(&record.first_name).to_string();
+        if let Some(common) = nicknames.common_form(&record.first_name) {
+            record.first_name = common.to_string();
+        }
+        record.middle_initial = canonical(&record.middle_initial);
+        record.middle_initial.truncate(
+            record
+                .middle_initial
+                .char_indices()
+                .nth(1)
+                .map_or(record.middle_initial.len(), |(i, _)| i),
+        );
+        record.last_name = canonical(&record.last_name);
+        record.last_name = strip_suffix(&record.last_name).to_string();
+        record.street_number = canonical(&record.street_number);
+        record.street_name = expand_street(&canonical(&record.street_name));
+        record.apartment = canonical(&record.apartment);
+        record.city = canonical(&record.city);
+        record.state = canonical(&record.state);
+        record.zip = record.zip.chars().filter(char::is_ascii_digit).collect();
+    }
+
+    /// Field fragments: every salutation, suffix and street abbreviation,
+    /// nicknames, case and punctuation noise, non-ASCII whitespace
+    /// (U+00A0, U+3000, and U+000B, which `char::is_whitespace` counts
+    /// but `is_ascii_whitespace` does not), and characters whose
+    /// upper-case form is longer than they are (`ß` → `SS`, `ﬁ` → `FI`).
+    const PALETTE: &[&str] = &[
+        "", " ", "  ", "\t", "\u{a0}", "\u{3000}", "\u{b}", ".", ",", ". ", "mr", "MR", "MRS",
+        "MS", "DR", "MISS", "PROF", "REV", "HON", "JR", "SR", "II", "III", "IV", "ESQ", "PHD",
+        "ST", "AVE", "AV", "BLVD", "RD", "LN", "CT", "PL", "SQ", "HWY", "PKWY", "st", "bob", "BOB",
+        "Joe", "GIUSEPPE", "smith", "O'NEILL", "ß", "ﬁ", "straße", "é", "ǅ", "ΐ", "中", "x", "7",
+        "12-34", "a-b",
+    ];
+
+    fn text(picks: &[usize]) -> String {
+        picks.iter().map(|&i| PALETTE[i]).collect()
+    }
+
+    fn record_of(picks: &[Vec<usize>]) -> Record {
+        let mut r = Record::empty(RecordId(0));
+        for (f, p) in Field::ALL.into_iter().zip(picks) {
+            *r.field_mut(f) = text(p);
+        }
+        r
+    }
+
+    proptest! {
+        #[test]
+        fn in_place_conditioning_matches_the_allocating_oracle(
+            picks in vec(vec(0usize..PALETTE.len(), 0..7), 10..11),
+            unicode in vec("\\PC{0,12}", 10..11),
+        ) {
+            let nicks = NicknameTable::standard();
+            let mut records = vec![record_of(&picks), Record::empty(RecordId(1))];
+            for (f, v) in Field::ALL.into_iter().zip(&unicode) {
+                *records[1].field_mut(f) = v.clone();
+            }
+            for r in &records {
+                let mut want = r.clone();
+                condition_reference(&mut want, &nicks);
+                let mut got = r.clone();
+                condition(&mut got, &nicks);
+                prop_assert_eq!(&got, &want);
+            }
+            // One scratch buffer across a slice gives the same answers.
+            let mut want = records.clone();
+            want.iter_mut().for_each(|r| condition_reference(r, &nicks));
+            condition_all(&mut records, &nicks);
+            prop_assert_eq!(records, want);
+        }
+    }
+
+    /// Every salutation, suffix and street abbreviation as the first and
+    /// as the last token of every field, plus the empty field.
+    #[test]
+    fn every_special_token_first_or_last_matches_the_oracle() {
+        let nicks = NicknameTable::standard();
+        let tokens = SALUTATIONS
+            .into_iter()
+            .chain(SUFFIXES)
+            .chain(STREET_ABBREVS.map(|(abbr, _)| abbr));
+        for token in tokens {
+            for value in [
+                String::new(),
+                token.to_string(),
+                format!("{token} MAIN"),
+                format!("main {token}"),
+                format!(" {token}. x ,{token} "),
+                format!("{}\u{a0}ß", token.to_lowercase()),
+            ] {
+                let mut r = Record::empty(RecordId(0));
+                for f in Field::ALL {
+                    *r.field_mut(f) = value.clone();
+                }
+                let mut want = r.clone();
+                condition_reference(&mut want, &nicks);
+                condition(&mut r, &nicks);
+                assert_eq!(r, want, "field value {value:?}");
+            }
+        }
+    }
 
     #[test]
     fn canonical_uppercases_and_collapses() {

@@ -14,8 +14,8 @@
 use merge_purge::{Evaluation, KeySpec, MergePurge, MergePurgeResult, Purger};
 use mp_datagen::{DatabaseGenerator, GeneratorConfig, GroundTruth};
 use mp_metrics::{
-    chrome_trace_json, Counter, FlightRecorder, KernelTime, MetricsRecorder, PipelineObserver,
-    RuleFiringReport, SpanTreeTrack,
+    chrome_trace_json, span, Counter, FlightRecorder, KernelTime, MetricsRecorder,
+    PipelineObserver, RuleFiringReport, SpanTreeTrack,
 };
 use mp_record::{io as rio, Record};
 use mp_rules::{
@@ -23,7 +23,7 @@ use mp_rules::{
     Survivorship,
 };
 use std::fs::File;
-use std::io::{BufReader, Write};
+use std::io::{BufReader, BufWriter, Write};
 use std::process::ExitCode;
 
 fn main() -> ExitCode {
@@ -570,7 +570,6 @@ fn expected_comparisons(n: u64, window: u64, passes: u64) -> u64 {
 }
 
 fn dedupe(flags: &Flags, purge: bool) -> Result<(), String> {
-    let mut records = load_records(flags)?;
     let stats_dest = flags.get("stats").map(str::to_string);
     let trace_path = flags.get("trace").map(str::to_string);
     let want_report = stats_dest.is_some() || trace_path.is_some();
@@ -583,6 +582,10 @@ fn dedupe(flags: &Flags, purge: bool) -> Result<(), String> {
     if want_report {
         recorder = recorder.with_tracing();
     }
+    let mut records = {
+        let _parse = span(&recorder, "parse");
+        load_records(flags)?
+    };
     if flags.has("progress") {
         let window: u64 = flags.get_parsed("window", 10u64)?;
         let passes = parse_keys(flags)?.len() as u64;
@@ -670,10 +673,12 @@ fn dedupe(flags: &Flags, purge: bool) -> Result<(), String> {
     }
 
     if let Some(path) = flags.get("pairs-out") {
-        let mut f = File::create(path).map_err(|e| format!("create {path}: {e}"))?;
-        for (a, b) in result.closed_pairs.sorted() {
-            writeln!(f, "{a}\t{b}").map_err(|e| e.to_string())?;
-        }
+        write_lines(path, |f| {
+            for (a, b) in result.closed_pairs.sorted() {
+                writeln!(f, "{a}\t{b}")?;
+            }
+            Ok(())
+        })?;
         status!(
             to_stderr,
             "wrote {} pairs to {path}",
@@ -681,11 +686,13 @@ fn dedupe(flags: &Flags, purge: bool) -> Result<(), String> {
         );
     }
     if let Some(path) = flags.get("classes-out") {
-        let mut f = File::create(path).map_err(|e| format!("create {path}: {e}"))?;
-        for class in &result.classes {
-            let ids: Vec<String> = class.iter().map(u32::to_string).collect();
-            writeln!(f, "{}", ids.join("\t")).map_err(|e| e.to_string())?;
-        }
+        write_lines(path, |f| {
+            for class in &result.classes {
+                let ids: Vec<String> = class.iter().map(u32::to_string).collect();
+                writeln!(f, "{}", ids.join("\t"))?;
+            }
+            Ok(())
+        })?;
         status!(to_stderr, "wrote {} groups to {path}", result.classes.len());
     }
 
@@ -703,6 +710,19 @@ fn dedupe(flags: &Flags, purge: bool) -> Result<(), String> {
         );
     }
     Ok(())
+}
+
+/// Creates `path` and writes it through a buffer with `body`; an error
+/// from any write or from the final flush names the file.
+fn write_lines(
+    path: &str,
+    body: impl FnOnce(&mut BufWriter<File>) -> std::io::Result<()>,
+) -> Result<(), String> {
+    let file = File::create(path).map_err(|e| format!("create {path}: {e}"))?;
+    let mut w = BufWriter::new(file);
+    body(&mut w)
+        .and_then(|()| w.flush())
+        .map_err(|e| format!("write {path}: {e}"))
 }
 
 /// `mergepurge eval` — run the pipeline and score its closed pairs

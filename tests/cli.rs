@@ -190,3 +190,35 @@ fn help_prints_usage() {
     assert!(out.status.success());
     assert!(String::from_utf8_lossy(&out.stdout).contains("commands:"));
 }
+
+/// Every output file is written through a buffer; an error that only
+/// surfaces when the buffer is flushed (a full disk under an output
+/// smaller than the buffer) must fail the command and name the file.
+#[test]
+fn a_failed_flush_fails_every_output_file() {
+    let full = std::path::Path::new("/dev/full");
+    if !full.exists() {
+        return;
+    }
+    let dir = work_dir("flush");
+    let db = dir.join("db.mp");
+    assert!(bin()
+        .args(["generate", "--out", db.to_str().unwrap(), "--records", "50"])
+        .status()
+        .unwrap()
+        .success());
+    let db = db.to_str().unwrap();
+    let runs: [&[&str]; 4] = [
+        &["generate", "--records", "50", "--out"],
+        &["dedupe", "--input", db, "--pairs-out"],
+        &["dedupe", "--input", db, "--classes-out"],
+        &["purge", "--input", db, "--out"],
+    ];
+    for args in runs {
+        let out = bin().args(args).arg(full).output().unwrap();
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(!out.status.success(), "{args:?} succeeded on /dev/full");
+        assert!(stderr.contains("write /dev/full"), "{args:?}: {stderr}");
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
