@@ -1,8 +1,9 @@
 //! The clustering method (§2.2.1): histogram-partition the key space, then
 //! run the sorted-neighborhood method inside each cluster.
 
+use crate::banded::scan_segments;
 use crate::key::{KeyArena, KeySpec};
-use crate::snm::{scan_segments, PassResult, PassRun};
+use crate::snm::{PassResult, PassRun};
 use mp_closure::UnionFind;
 use mp_cluster::{KeyHistogram, RangePartition};
 use mp_metrics::{NoopObserver, PipelineObserver};
@@ -77,7 +78,9 @@ impl ClusteringMethod {
         ClusteringMethod { key, config }
     }
 
-    /// Runs cluster-data + per-cluster sorted-neighborhood serially.
+    /// Runs cluster-data + per-cluster sorted-neighborhood. The cluster
+    /// scans run as one position sequence cut into a band per core, with
+    /// the serial scan's result.
     ///
     /// The `create_keys` stat covers key extraction and histogram/partition
     /// construction; `sort` covers the per-cluster sorts; `window_scan` the

@@ -38,6 +38,7 @@
 //! assert!(eval.percent_detected > 50.0);
 //! ```
 
+mod banded;
 pub mod clustering;
 pub mod costmodel;
 pub mod eval;

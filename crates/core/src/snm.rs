@@ -1,9 +1,10 @@
 //! The sorted-neighborhood method (§2.2): create keys → sort → window scan
 //! — and the pass scaffold ([`PassRun`]) every in-memory engine runs on.
 
+use crate::banded::scan_segments;
 use crate::key::{KeyArena, KeySpec};
 use crate::radix::sorted_order_radix;
-use crate::window::{PrunedSink, ScanCounts, WindowScan};
+use crate::window::{ScanCounts, WindowScan};
 use mp_closure::{PairSet, UnionFind};
 use mp_metrics::{span, span_labeled, Counter, NoopObserver, Phase, PipelineObserver, SpanGuard};
 use mp_record::Record;
@@ -164,35 +165,6 @@ impl<'o> PassRun<'o> {
     }
 }
 
-/// Scans `segments` (each an ordered run of record indices) serially under
-/// one `window_scan` span — pruned through one [`PrunedSink`] for the whole
-/// pass when a union-find is given, into a plain [`PairSet`] otherwise.
-pub(crate) fn scan_segments<'s>(
-    scan: &WindowScan<'_>,
-    records: &[Record],
-    segments: impl IntoIterator<Item = &'s [u32]>,
-    uf: Option<&mut UnionFind>,
-    observer: &dyn PipelineObserver,
-) -> Scanned {
-    let _s = span(observer, "window_scan");
-    let mut out = Scanned::default();
-    match uf {
-        Some(uf) => {
-            let mut sink = PrunedSink::new(uf, &mut out.pairs);
-            for seg in segments {
-                scan.band(records, seg, 0..seg.len(), &mut sink, &mut out.counts);
-            }
-        }
-        None => {
-            for seg in segments {
-                scan.band(records, seg, 0..seg.len(), &mut out.pairs, &mut out.counts);
-            }
-        }
-    }
-    out.worker_comparisons = vec![out.counts.comparisons];
-    out
-}
-
 /// One configured sorted-neighborhood pass.
 ///
 /// ```
@@ -250,6 +222,10 @@ impl SortedNeighborhood {
     /// counted identically to the unpruned run; only
     /// [`Counter::RuleInvocations`] shrinks, with the difference reported
     /// as [`Counter::PairsPruned`].
+    ///
+    /// The scan runs in one band per core and is folded back into exactly
+    /// the serial scan's pairs, closure, counters and theory calls (see
+    /// [`PrunedSink`](crate::window::PrunedSink)).
     pub fn run_pruned_observed(
         &self,
         records: &[Record],

@@ -13,6 +13,19 @@
 //! ([`PrunedSink`]), or an ordered found-list a coordinator folds later
 //! ([`FoundList`]). Everything is monomorphised over the sink; the theory
 //! is the only dynamic call in the loop.
+//!
+//! An in-memory pass (`SortedNeighborhood`, `ClusteringMethod`, and so
+//! `dedupe` and `purge`) calls [`WindowScan::band`] once per core: its
+//! position sequence is cut into contiguous bands, band 0 scans on the
+//! calling thread through the real [`PrunedSink`], and every later band
+//! scans on a `scan-K` lane through a speculative sink holding a copy of
+//! the pass-start closure. That sink prunes what its own view connects,
+//! evaluates the rest, and *defers* a pair whose two classes both have a
+//! member before the band's start — the only pairs a match in an earlier
+//! band could have connected. A serial fold then replays every later
+//! band against the real closure, so the pairs, the closure, the counts
+//! and the theory calls are the serial scan's on any core count (the
+//! proof sketch is on [`PrunedSink`]).
 
 use crate::prefetch::{prefetch, prefetch_lines};
 use mp_closure::{PairSet, UnionFind};
@@ -121,6 +134,24 @@ impl ScanSink for PairSet {
 ///
 /// Build one per pass and feed it every segment of the pass: construction
 /// walks the whole union-find once.
+///
+/// **Scanned in bands.** A pass in memory feeds this sink only its first
+/// band, one per core; band `k` from position `S` on scans against its
+/// own *view* — the pass-start closure plus the band's own matches — and
+/// the calling thread folds the bands back in order, replaying this
+/// sink's decision for each of their pairs. Why that is the serial scan:
+///
+/// * the view is always a subset of the serial closure at the same pair
+///   (it holds the pass-start closure and matches the serial scan also
+///   finds), so a pair the view connects is one the serial scan prunes;
+/// * the serial closure adds to the view only matches of earlier bands,
+///   whose records both lie before `S`, and matches of deferred pairs,
+///   whose classes both reach before `S`; so a pair the serial closure
+///   connects and the view does not has both classes reaching a position
+///   before `S`. The band defers every pair whose two classes both reach
+///   before `S`, and the fold decides them against the real closure:
+///   pruned if it connects them, evaluated otherwise. Every other pair the
+///   band decides as the serial scan does.
 #[derive(Debug)]
 pub struct PrunedSink<'a> {
     uf: &'a mut UnionFind,
@@ -139,22 +170,41 @@ impl<'a> PrunedSink<'a> {
         let linked = (0..uf.len() as u32).map(|x| !uf.is_singleton(x)).collect();
         PrunedSink { uf, linked, pairs }
     }
+
+    /// Whether records `a` and `b` (by id) are already connected: the
+    /// pruning decision, asked by the scan and by the banded scan's fold.
+    #[inline]
+    pub(crate) fn connects(&mut self, a: u32, b: u32) -> bool {
+        self.linked[a as usize] && self.linked[b as usize] && self.uf.connected(a, b)
+    }
+
+    /// Whether record `id` has ever been merged: until it has, nothing
+    /// connects it.
+    #[inline]
+    pub(crate) fn merged(&self, id: u32) -> bool {
+        self.linked[id as usize]
+    }
+
+    /// Records the match `a ≡ b` (by id): inserted into the pairs and
+    /// unioned into the closure.
+    #[inline]
+    pub(crate) fn join(&mut self, a: u32, b: u32) {
+        self.pairs.insert(a, b);
+        self.uf.union(a, b);
+        self.linked[a as usize] = true;
+        self.linked[b as usize] = true;
+    }
 }
 
 impl ScanSink for PrunedSink<'_> {
     #[inline]
     fn is_implied(&mut self, pair: &Candidate<'_>) -> bool {
-        let (a, b) = (pair.old.id.0, pair.new.id.0);
-        self.linked[a as usize] && self.linked[b as usize] && self.uf.connected(a, b)
+        self.connects(pair.old.id.0, pair.new.id.0)
     }
 
     #[inline]
     fn matched(&mut self, pair: &Candidate<'_>, _rule: u32) {
-        let (a, b) = (pair.old.id.0, pair.new.id.0);
-        self.pairs.insert(a, b);
-        self.uf.union(a, b);
-        self.linked[a as usize] = true;
-        self.linked[b as usize] = true;
+        self.join(pair.old.id.0, pair.new.id.0);
     }
 }
 
@@ -264,6 +314,18 @@ impl<'a> WindowScan<'a> {
             theory,
             hooks: ScanHooks::from_observer(observer),
         }
+    }
+
+    /// The window size `w`.
+    pub(crate) fn window(&self) -> usize {
+        self.window
+    }
+
+    /// Evaluates one pair outside the drivers — the banded scan's fold
+    /// deciding a pair a band deferred. `n` is the pair's evaluation
+    /// ordinal for the latency sampler.
+    pub(crate) fn evaluate(&self, old: &Record, new: &Record, n: u64) -> bool {
+        self.eval_pair(old, new, false, n).is_some()
     }
 
     /// Applies the theory to one candidate, timing every

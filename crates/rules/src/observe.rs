@@ -4,11 +4,14 @@
 //! decided equivalences (§2.3). [`RuleFiringCounter`] makes that observable
 //! in any run: it wraps an [`EquationalTheory`] and, on every evaluation,
 //! records which rule (by index) fired first — or that none did — into
-//! lock-free atomic counters shared across worker threads.
+//! lock-free atomic counters shared across worker threads. Each thread
+//! bumps tallies of its own, on cache lines of their own, so threads
+//! scanning side by side never contend for one line; reads sum the
+//! shards.
 
 use crate::EquationalTheory;
 use mp_record::Record;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 
 /// Wraps a theory and counts per-rule firings and misses.
 ///
@@ -35,19 +38,68 @@ use std::sync::atomic::{AtomicU64, Ordering};
 /// ```
 pub struct RuleFiringCounter<T> {
     inner: T,
-    fired: Vec<AtomicU64>,
-    misses: AtomicU64,
+    rules: usize,
+    /// [`SHARDS`] shards of `lines_per_shard` cache lines each; a shard's
+    /// tallies are `fired` in rule order, then `misses`.
+    lines: Box<[Line]>,
+    lines_per_shard: usize,
+}
+
+/// One cache line of tallies.
+#[repr(align(64))]
+#[derive(Default)]
+struct Line([AtomicU64; 8]);
+
+/// How many threads can count without sharing a line; a thread past that
+/// many shares its shard with an earlier one (still exact, just slower).
+const SHARDS: usize = 32;
+
+/// The shard the calling thread counts into: handed out in the order
+/// threads first count, once per thread.
+fn shard() -> usize {
+    static NEXT: AtomicUsize = AtomicUsize::new(0);
+    thread_local! {
+        static SHARD: usize = NEXT.fetch_add(1, Ordering::Relaxed) % SHARDS;
+    }
+    SHARD.with(|s| *s)
 }
 
 impl<T: EquationalTheory> RuleFiringCounter<T> {
     /// Wraps `inner`, with one counter per rule.
     pub fn new(inner: T) -> Self {
         let rules = inner.rule_names().len();
+        let lines_per_shard = (rules + 1).div_ceil(8);
         RuleFiringCounter {
             inner,
-            fired: (0..rules).map(|_| AtomicU64::new(0)).collect(),
-            misses: AtomicU64::new(0),
+            rules,
+            lines: (0..SHARDS * lines_per_shard)
+                .map(|_| Line::default())
+                .collect(),
+            lines_per_shard,
         }
+    }
+
+    /// Tally `i` (a rule, or `rules` for misses) of shard `s`.
+    fn tally(&self, s: usize, i: usize) -> &AtomicU64 {
+        &self.lines[s * self.lines_per_shard + i / 8].0[i % 8]
+    }
+
+    /// Tally `i` summed over every shard.
+    fn total(&self, i: usize) -> u64 {
+        (0..SHARDS)
+            .map(|s| self.tally(s, i).load(Ordering::Relaxed))
+            .sum()
+    }
+
+    /// Counts one evaluation whose first firing rule was `id`.
+    ///
+    /// # Panics
+    ///
+    /// When `id` names no rule of the wrapped theory.
+    fn note(&self, id: Option<usize>) {
+        let i = id.unwrap_or(self.rules);
+        assert!(i <= self.rules, "rule {i} of a {}-rule theory", self.rules);
+        self.tally(shard(), i).fetch_add(1, Ordering::Relaxed);
     }
 
     /// The wrapped theory.
@@ -57,15 +109,12 @@ impl<T: EquationalTheory> RuleFiringCounter<T> {
 
     /// Firing counts in rule order.
     pub fn fired(&self) -> Vec<u64> {
-        self.fired
-            .iter()
-            .map(|c| c.load(Ordering::Relaxed))
-            .collect()
+        (0..self.rules).map(|i| self.total(i)).collect()
     }
 
     /// Evaluations where no rule fired.
     pub fn misses(&self) -> u64 {
-        self.misses.load(Ordering::Relaxed)
+        self.total(self.rules)
     }
 
     /// Total evaluations observed (firings + misses).
@@ -76,7 +125,7 @@ impl<T: EquationalTheory> RuleFiringCounter<T> {
     /// Rule conditions never evaluated because an earlier rule fired first:
     /// Σ over rules `fired[i] · (R − 1 − i)`.
     pub fn conditions_short_circuited(&self) -> u64 {
-        let r = self.fired.len() as u64;
+        let r = self.rules as u64;
         self.fired()
             .iter()
             .enumerate()
@@ -87,16 +136,7 @@ impl<T: EquationalTheory> RuleFiringCounter<T> {
 
 impl<T: EquationalTheory> EquationalTheory for RuleFiringCounter<T> {
     fn matches(&self, a: &Record, b: &Record) -> bool {
-        match self.inner.matching_rule_id(a, b) {
-            Some(i) => {
-                self.fired[i].fetch_add(1, Ordering::Relaxed);
-                true
-            }
-            None => {
-                self.misses.fetch_add(1, Ordering::Relaxed);
-                false
-            }
-        }
+        self.matching_rule_id(a, b).is_some()
     }
 
     fn name(&self) -> &str {
@@ -105,14 +145,7 @@ impl<T: EquationalTheory> EquationalTheory for RuleFiringCounter<T> {
 
     fn matching_rule_id(&self, a: &Record, b: &Record) -> Option<usize> {
         let id = self.inner.matching_rule_id(a, b);
-        match id {
-            Some(i) => {
-                self.fired[i].fetch_add(1, Ordering::Relaxed);
-            }
-            None => {
-                self.misses.fetch_add(1, Ordering::Relaxed);
-            }
-        }
+        self.note(id);
         id
     }
 
@@ -189,5 +222,47 @@ mod tests {
         let a = Record::empty(RecordId(0));
         assert!(!t.matches(&a, &a));
         assert_eq!(t.misses(), 1);
+    }
+
+    #[test]
+    fn threads_counting_side_by_side_sum_to_the_single_thread_tallies() {
+        use mp_datagen::{DatabaseGenerator, GeneratorConfig};
+        let db = DatabaseGenerator::new(GeneratorConfig::new(400).duplicate_fraction(0.5).seed(9))
+            .generate();
+        // Neighbours in id order plus every duplicate with its original:
+        // misses and firings of several rules.
+        let mut pairs: Vec<(usize, usize)> = (1..db.records.len()).map(|i| (i - 1, i)).collect();
+        for (i, a) in db.records.iter().enumerate() {
+            for (j, b) in db.records.iter().enumerate().skip(i + 1) {
+                if db.truth.same_entity(a, b) {
+                    pairs.push((i, j));
+                }
+            }
+        }
+        let evaluate = |t: &RuleFiringCounter<NativeEmployeeTheory>| {
+            for &(i, j) in &pairs {
+                t.matches(&db.records[i], &db.records[j]);
+            }
+        };
+        let one = RuleFiringCounter::new(NativeEmployeeTheory::new());
+        evaluate(&one);
+        assert!(one.fired().iter().filter(|&&n| n > 0).count() > 1);
+        assert!(one.misses() > 0);
+
+        let threads = 6;
+        let many = RuleFiringCounter::new(NativeEmployeeTheory::new());
+        std::thread::scope(|scope| {
+            for _ in 0..threads {
+                scope.spawn(|| evaluate(&many));
+            }
+        });
+        let times = |v: Vec<u64>| v.into_iter().map(|n| n * threads).collect::<Vec<_>>();
+        assert_eq!(many.fired(), times(one.fired()));
+        assert_eq!(many.misses(), one.misses() * threads);
+        assert_eq!(many.evaluations(), one.evaluations() * threads);
+        assert_eq!(
+            many.conditions_short_circuited(),
+            one.conditions_short_circuited() * threads
+        );
     }
 }

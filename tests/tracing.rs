@@ -177,7 +177,31 @@ fn serial_multipass_span_tree_has_expected_shape() {
     let _ = MultiPass::standard_three(6).run_observed(&db.records, &theory, &recorder);
 
     let tracks = recorder.drain_spans();
-    assert_eq!(tracks.len(), 1, "serial run records exactly one track");
+    // The run's own track, then each pass's scan bands past the first, one
+    // per further core, each on a fresh `scan-K` thread.
+    let bands = std::thread::available_parallelism().map_or(1, |n| n.get());
+    assert_eq!(tracks.len(), 1 + 3 * (bands - 1), "one track per scan band");
+    let mut lanes: Vec<(String, &str, Option<String>)> = tracks[1..]
+        .iter()
+        .flat_map(|t| {
+            t.spans
+                .iter()
+                .map(|s| (t.thread_name.clone(), s.name, s.label.clone()))
+        })
+        .collect();
+    lanes.sort();
+    let mut want: Vec<_> = (0..3)
+        .flat_map(|_| 1..bands)
+        .map(|k| {
+            (
+                format!("scan-{k}"),
+                "window_scan",
+                Some(format!("band={k}")),
+            )
+        })
+        .collect();
+    want.sort();
+    assert_eq!(lanes, want, "each band's scan on its own lane");
     let roots = tracks[0].tree();
     let pass_nodes: Vec<_> = roots.iter().filter(|n| n.name == "pass").collect();
     assert_eq!(pass_nodes.len(), 3);
@@ -189,6 +213,16 @@ fn serial_multipass_span_tree_has_expected_shape() {
             "pass phases in order"
         );
         assert!(pass.label.as_deref().unwrap_or("").contains("w=6"));
+        // Band 0 scans on this thread, then the fold replays the others.
+        let scan: Vec<_> = pass.children[2]
+            .children
+            .iter()
+            .map(|c| (c.name, c.label.clone().unwrap_or_default()))
+            .collect();
+        assert_eq!(scan.len(), 2);
+        assert_eq!(scan[0], ("window_scan", "band=0".to_string()));
+        assert_eq!(scan[1].0, "scan_fold");
+        assert!(scan[1].1.starts_with("deferred="), "{scan:?}");
         // Children nest inside the parent's time interval.
         for c in &pass.children {
             assert!(c.start_ns >= pass.start_ns);
