@@ -27,13 +27,13 @@
 //! The in-memory engine is deliberately a pure deterministic fold over the
 //! batch sequence: `state = fold(add_batch, empty, batches)`. That makes
 //! crash recovery trivial to reason about — [`DurableIncremental`] pairs
-//! the engine with an [`mp_store::MatchStore`] so that every batch is
-//! journaled (fsync'd) *before* it is applied, and a checkpoint
+//! the engine with an [`mp_store::MatchStore`] of any shard count so that
+//! every batch is journaled (fsync'd) *before* it is applied, and a checkpoint
 //! ([`DurableIncremental::checkpoint`]) streams the engine state — borrowed
 //! through [`IncrementalMergePurge::view`], never copied — into a snapshot
 //! file replaced atomically. On restart the snapshot is
-//! restored and the journal's unabsorbed batches are replayed through the
-//! exact same [`IncrementalMergePurge::add_batch`] code path, so a
+//! restored and the journals' unabsorbed batches are replayed through the
+//! exact same [`IncrementalMergePurge::add_batch_sharded`] code path, so a
 //! kill/restart sequence reaches byte-identical pairs, comparisons, and
 //! closure classes as an uninterrupted run (tests enforce this too).
 
@@ -42,10 +42,11 @@ use crate::key::KeySpec;
 use crate::radix::{chunked_str_cmp, insert_sorted};
 use crate::window::{Found, FoundList, ScanCounts, WindowScan};
 use mp_closure::{ClassRing, ClusterSizes, MergeEdge, PairSet, ProvenanceLog, UnionFind};
+use mp_cluster::RangePartition;
 use mp_metrics::{span, span_labeled, Counter, NoopObserver, PipelineObserver};
 use mp_record::{Record, RecordId};
 use mp_rules::EquationalTheory;
-use mp_store::{borrowed, JournalBatch, MatchStore, Snapshot, SnapshotView, StoreError};
+use mp_store::{borrowed, MatchStore, Snapshot, SnapshotView, StoreError};
 use std::borrow::Cow;
 use std::ops::Range;
 use std::path::Path;
@@ -675,115 +676,69 @@ fn deal(ranges: &[Range<usize>], shards: usize) -> Vec<Vec<Range<usize>>> {
         .collect()
 }
 
-/// A store's files as [`recover`] folds them, whatever the layout: what a
-/// single-worker or a sharded store open read from disk.
-#[derive(Debug)]
-pub struct StoreFiles {
-    /// The last checkpoint, if one was ever written.
-    pub snapshot: Option<Snapshot>,
-    /// Journaled batches the snapshot has not absorbed, in sequence order.
-    pub replayable: Vec<JournalBatch>,
-    /// Bytes the open cut from torn or orphaned journal tails.
-    pub truncated_bytes: u64,
-    /// One reason per journal that lost bytes.
-    pub truncation_reasons: Vec<String>,
-}
-
-/// Rebuilds the engine a store's files describe — the one recovery fold
-/// behind every store layout ([`DurableIncremental::open`] and the
-/// serving daemon's sharded open).
-///
-/// Under a `load` span it runs `open` on `dir`, reports any truncated
-/// journal (`Counter::CorruptTailTruncations` per journal, plus a stderr
-/// line — never silent), restores the snapshot into the engine
-/// `configure` sets up, and replays the journaled batches through
-/// [`IncrementalMergePurge::add_batch_sharded`] in `shards` bands,
-/// re-attaching the trace id each journal frame carried so explain chains
-/// survive replay byte-identically (`Counter::JournalReplays` counts the
-/// batches). Returns the store handle `open` made, the engine, and what
-/// recovery found.
-///
-/// `configure` must configure the same passes every time the same store
-/// is opened (the snapshot records key names and windows and restore
-/// validates them).
-///
-/// # Errors
-///
-/// Whatever `open` returns, or a pass-configuration mismatch against the
-/// stored snapshot (as [`StoreError::Corrupt`]).
-pub fn recover<S>(
-    dir: &Path,
-    shards: usize,
-    open: impl FnOnce(&Path) -> Result<(S, StoreFiles), StoreError>,
-    configure: impl FnOnce(IncrementalMergePurge) -> IncrementalMergePurge,
-    theory: &dyn EquationalTheory,
-    observer: &dyn PipelineObserver,
-) -> Result<(S, IncrementalMergePurge, RecoveryReport), StoreError> {
-    let _load = span(observer, "load");
-    let (store, files) = open(dir)?;
-
-    let truncation_reason =
-        (!files.truncation_reasons.is_empty()).then(|| files.truncation_reasons.join("; "));
-    if let Some(reason) = &truncation_reason {
-        observer.add(
-            Counter::CorruptTailTruncations,
-            files.truncation_reasons.len() as u64,
-        );
-        eprintln!(
-            "mp-store: truncated {} corrupt journal byte(s) at {}: {reason}",
-            files.truncated_bytes,
-            dir.display(),
-        );
-    }
-
-    let mut engine = configure(IncrementalMergePurge::new());
-    let mut report = RecoveryReport {
-        snapshot_loaded: false,
-        batches_in_snapshot: 0,
-        batches_replayed: 0,
-        truncated_bytes: files.truncated_bytes,
-        truncation_reason,
-    };
-    if let Some(snap) = files.snapshot {
-        report.snapshot_loaded = true;
-        report.batches_in_snapshot = snap.batches_applied;
-        engine = engine.restore(snap).map_err(StoreError::Corrupt)?;
-    }
-    for b in files.replayable {
-        engine.add_batch_sharded(b.records, theory, shards, observer);
-        if let Some(t) = &b.trace {
-            engine.note_batch_trace(t);
-        }
-        report.batches_replayed += 1;
-    }
-    observer.add(Counter::JournalReplays, report.batches_replayed);
-    Ok((store, engine, report))
-}
-
-/// What [`recover`] found on disk.
+/// What [`DurableIncremental::open`] found on disk.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RecoveryReport {
     /// Whether a snapshot was found and restored.
     pub snapshot_loaded: bool,
     /// Batches the snapshot had already absorbed.
     pub batches_in_snapshot: u64,
-    /// Journaled batches replayed through [`IncrementalMergePurge::add_batch`].
+    /// Journaled batches replayed through [`IncrementalMergePurge::add_batch_sharded`].
     pub batches_replayed: u64,
-    /// Bytes chopped off torn/corrupt journal tails (0 when clean).
+    /// Per-shard count of non-empty journal frames replayed.
+    pub shard_replays: Vec<u64>,
+    /// Bytes chopped off torn/corrupt/orphaned journal tails (0 when clean).
     pub truncated_bytes: u64,
     /// Why the tails were truncated, when they were (one reason per
     /// journal, joined by `; `).
     pub truncation_reason: Option<String>,
 }
 
-/// An [`IncrementalMergePurge`] engine wired to a durable
-/// [`MatchStore`]: every ingested batch is journaled (fsync'd) before it
-/// is applied, and checkpoints write an atomic snapshot.
+/// Routes records to shards: the first pass's key, banded by first
+/// letter into `shards` uniform ranges ([`RangePartition::uniform`]).
+/// Pure and deterministic, so the same record always lands in the same
+/// shard journal.
+#[derive(Debug)]
+pub struct ShardRouter {
+    key: KeySpec,
+    partition: RangePartition,
+}
+
+impl ShardRouter {
+    /// A router over `shards` uniform key bands.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `shards` is 0 or exceeds the 27-bin key alphabet.
+    pub fn new(key: KeySpec, shards: usize) -> Self {
+        ShardRouter {
+            key,
+            partition: RangePartition::uniform(shards),
+        }
+    }
+
+    /// The shard that owns `record`.
+    pub fn shard_of(&self, record: &Record) -> usize {
+        self.partition.cluster_of(&self.key.extract(record))
+    }
+}
+
+/// An [`IncrementalMergePurge`] engine wired to a durable [`MatchStore`]
+/// of any shard count: every ingested batch is journaled (fsync'd) before
+/// it is applied, and checkpoints write an atomic snapshot.
+///
+/// With N ≥ 2 shards every batch is routed by [`ShardRouter`] into one
+/// frame per shard journal, all with the same sequence number, and its
+/// window scans run in N bands; with one shard the batch is journaled as
+/// it came, with no key extraction and no copy. The in-memory engine is
+/// the same either way, so every shard count reaches the same pairs,
+/// closure, provenance and snapshot bytes.
 ///
 /// The replay contract: reopening a store directory reconstructs *exactly*
 /// the state of the process that wrote it, because recovery replays the
-/// journal's unabsorbed batches through the same deterministic
-/// [`IncrementalMergePurge::add_batch`] fold the original process ran.
+/// journals' unabsorbed batches through the same deterministic
+/// [`IncrementalMergePurge::add_batch_sharded`] fold the original process
+/// ran.
 ///
 /// ```
 /// use merge_purge::{incremental::DurableIncremental, KeySpec};
@@ -802,7 +757,7 @@ pub struct RecoveryReport {
 /// let mid = db.records.len() / 2;
 ///
 /// // First process: ingest two batches — journaled, but never checkpointed.
-/// let (mut d, _) = DurableIncremental::open(&dir, passes, &theory, &obs).unwrap();
+/// let (mut d, _) = DurableIncremental::open(&dir, 1, passes, &theory, &obs).unwrap();
 /// d.ingest(db.records[..mid].to_vec(), None, &theory, &obs).unwrap();
 /// d.ingest(db.records[mid..].to_vec(), None, &theory, &obs).unwrap();
 /// let classes = d.engine().classes();
@@ -810,7 +765,7 @@ pub struct RecoveryReport {
 /// drop(d); // "kill -9": no snapshot was written
 ///
 /// // Restart: the journal replays both batches deterministically.
-/// let (d2, report) = DurableIncremental::open(&dir, passes, &theory, &obs).unwrap();
+/// let (d2, report) = DurableIncremental::open(&dir, 1, passes, &theory, &obs).unwrap();
 /// assert_eq!(report.batches_replayed, 2);
 /// assert!(!report.snapshot_loaded);
 /// assert_eq!(d2.engine().classes(), classes);
@@ -821,84 +776,179 @@ pub struct RecoveryReport {
 pub struct DurableIncremental {
     engine: IncrementalMergePurge,
     store: MatchStore,
+    /// `None` with one shard: every record goes to the one journal.
+    router: Option<ShardRouter>,
     batches_since_checkpoint: u64,
+    shard_records: Vec<u64>,
+    last_scatter: Vec<u64>,
 }
 
 impl DurableIncremental {
-    /// Opens (creating if needed) the store at `dir`, restores the last
-    /// snapshot, and replays journaled batches the snapshot missed —
-    /// [`recover`] over a [`MatchStore`], with its observer wiring.
+    /// Opens (creating if needed) the `shards`-shard store at `dir`,
+    /// restores the last snapshot into the engine `configure` sets up, and
+    /// replays the journaled batches the snapshot missed through
+    /// [`IncrementalMergePurge::add_batch_sharded`] in `shards` bands,
+    /// re-attaching the trace id each frame carried so explain chains
+    /// survive replay byte-identically — the one recovery fold behind
+    /// every store layout.
+    ///
+    /// Runs under a `load` span. A truncated journal is reported
+    /// (`Counter::CorruptTailTruncations` per journal, plus a stderr line
+    /// — never silent); `Counter::JournalReplays` counts the replayed
+    /// batches. `configure` must configure the same passes every time the
+    /// same store is opened (the snapshot records key names and windows
+    /// and restore validates them).
     ///
     /// # Errors
     ///
-    /// I/O failures, corrupt snapshot, a sharded store at `dir`, or a
-    /// pass-configuration mismatch against the stored snapshot (as
-    /// [`StoreError::Corrupt`]).
+    /// I/O failures, a corrupt snapshot, a store made with another shard
+    /// count, or a pass-configuration mismatch against the stored snapshot
+    /// (as [`StoreError::Corrupt`]).
+    ///
+    /// # Panics
+    ///
+    /// Panics when `shards` is 0 or exceeds the 27-bin key alphabet, or
+    /// when `configure` sets up no pass.
     pub fn open(
         dir: impl AsRef<Path>,
+        shards: usize,
         configure: impl FnOnce(IncrementalMergePurge) -> IncrementalMergePurge,
         theory: &dyn EquationalTheory,
         observer: &dyn PipelineObserver,
     ) -> Result<(DurableIncremental, RecoveryReport), StoreError> {
-        let open = |dir: &Path| {
-            let (store, loaded) = MatchStore::open(dir)?;
-            let files = StoreFiles {
-                snapshot: loaded.snapshot,
-                replayable: loaded.replayable,
-                truncated_bytes: loaded.recovery.truncated_bytes,
-                truncation_reasons: loaded.recovery.truncation_reason.into_iter().collect(),
-            };
-            Ok((store, files))
+        let _load = span(observer, "load");
+        let (store, loaded) = MatchStore::open_shards(dir.as_ref(), shards)?;
+        let truncation_reason = loaded
+            .truncated()
+            .then(|| loaded.truncation_reasons.join("; "));
+        if let Some(reason) = &truncation_reason {
+            observer.add(
+                Counter::CorruptTailTruncations,
+                loaded.truncation_reasons.len() as u64,
+            );
+            eprintln!(
+                "mp-store: truncated {} corrupt journal byte(s) at {}: {reason}",
+                loaded.truncated_bytes,
+                dir.as_ref().display(),
+            );
+        }
+
+        let mut engine = configure(IncrementalMergePurge::new());
+        let mut report = RecoveryReport {
+            snapshot_loaded: false,
+            batches_in_snapshot: 0,
+            batches_replayed: 0,
+            shard_replays: loaded.shard_replays,
+            truncated_bytes: loaded.truncated_bytes,
+            truncation_reason,
         };
-        let (store, engine, report) = recover(dir.as_ref(), 1, open, configure, theory, observer)?;
+        if let Some(snap) = loaded.snapshot {
+            report.snapshot_loaded = true;
+            report.batches_in_snapshot = snap.batches_applied;
+            engine = engine.restore(snap).map_err(StoreError::Corrupt)?;
+        }
+        for b in loaded.replayable {
+            engine.add_batch_sharded(b.records, theory, shards, observer);
+            if let Some(t) = &b.trace {
+                engine.note_batch_trace(t);
+            }
+            report.batches_replayed += 1;
+        }
+        observer.add(Counter::JournalReplays, report.batches_replayed);
+
+        let router = (shards > 1).then(|| {
+            let key = engine.passes.first().expect("configure a pass").key.clone();
+            ShardRouter::new(key, shards)
+        });
+        let mut shard_records = vec![0u64; shards];
+        match &router {
+            None => shard_records[0] = engine.records.len() as u64,
+            Some(router) => {
+                for r in &engine.records {
+                    shard_records[router.shard_of(r)] += 1;
+                }
+            }
+        }
         Ok((
             DurableIncremental {
                 engine,
                 store,
+                router,
                 batches_since_checkpoint: report.batches_replayed,
+                shard_records,
+                last_scatter: Vec::new(),
             },
             report,
         ))
     }
 
-    /// Ingests one batch durably: journal append + fsync first (the frame
-    /// carries `trace` so replay keeps lineage attribution), then the
-    /// in-memory fold. Returns the batch's journal sequence number.
+    /// Ingests one batch durably: the store's append — one frame per
+    /// shard journal, each fsync'd, carrying `trace` so replay keeps
+    /// lineage attribution — then the in-memory fold in one band per
+    /// shard. Returns the batch's sequence number.
     ///
     /// Increments `Counter::BatchesIngested` (plus the comparison/match
-    /// counters for the scan work) and runs under an `ingest` span.
+    /// counters for the scan work) and runs under an `ingest` span
+    /// (labelled `trace=T` when traced).
     ///
     /// # Errors
     ///
-    /// I/O failure appending to the journal; the batch is then *not*
-    /// applied (it was never acknowledged, so no state diverges).
+    /// A failed journal append; the batch is then *not* applied (it was
+    /// never acknowledged, so no state diverges), and the store refuses
+    /// every later append until it is reopened ([`MatchStore::poisoned`]).
     pub fn ingest(
         &mut self,
-        batch: Vec<Record>,
+        mut batch: Vec<Record>,
         trace: Option<&str>,
         theory: &dyn EquationalTheory,
         observer: &dyn PipelineObserver,
     ) -> Result<u64, StoreError> {
-        let _ingest = span(observer, "ingest");
-        let seq = self.store.append_batch(&batch, trace)?;
-        self.engine.add_batch_sharded(batch, theory, 1, observer);
+        let _ingest = match trace {
+            Some(t) => span_labeled(observer, "ingest", || format!("trace={t}")),
+            None => span(observer, "ingest"),
+        };
+        let (seq, counts) = match &self.router {
+            None => {
+                let seq = self.store.append_batch(&[&batch], trace, observer)?;
+                (seq, vec![batch.len() as u64])
+            }
+            Some(router) => {
+                // Frames carry global ids, so replay can reassemble the
+                // batch in arrival order.
+                let old_len = self.engine.records.len() as u32;
+                let mut frames = vec![Vec::new(); self.shard_records.len()];
+                for (i, r) in batch.iter_mut().enumerate() {
+                    r.id = RecordId(old_len + i as u32);
+                    frames[router.shard_of(r)].push(r.clone());
+                }
+                let seq = self.store.append_batch(&frames, trace, observer)?;
+                (seq, frames.iter().map(|f| f.len() as u64).collect())
+            }
+        };
+        let shards = self.store.shards();
+        self.engine
+            .add_batch_sharded(batch, theory, shards, observer);
         if let Some(t) = trace {
             self.engine.note_batch_trace(t);
         }
         observer.add(Counter::BatchesIngested, 1);
         self.batches_since_checkpoint += 1;
+        for (total, c) in self.shard_records.iter_mut().zip(&counts) {
+            *total += c;
+        }
+        self.last_scatter = counts;
         Ok(seq)
     }
 
     /// Writes an atomic snapshot of the current engine state — encoded
     /// straight from the borrowed engine, no intermediate copy — and
-    /// resets the journal. Returns the snapshot size in bytes (also added
-    /// to `Counter::SnapshotBytes`); runs under a `snapshot` span.
+    /// resets every journal. Returns the snapshot size in bytes (also
+    /// added to `Counter::SnapshotBytes`); runs under a `snapshot` span.
     ///
     /// # Errors
     ///
     /// I/O failure writing the snapshot; the store still recovers from the
-    /// previous snapshot + journal.
+    /// previous snapshot + journals.
     pub fn checkpoint(&mut self, observer: &dyn PipelineObserver) -> Result<u64, StoreError> {
         let _snap = span(observer, "snapshot");
         let bytes = self
@@ -920,9 +970,19 @@ impl DurableIncremental {
     }
 
     /// Batches applied since the last checkpoint (replayed ones count:
-    /// they live only in the journal until the next checkpoint).
+    /// they live only in the journals until the next checkpoint).
     pub fn batches_since_checkpoint(&self) -> u64 {
         self.batches_since_checkpoint
+    }
+
+    /// Records each shard owns (router attribution; one shard owns all).
+    pub fn shard_records(&self) -> &[u64] {
+        &self.shard_records
+    }
+
+    /// Per-shard record counts of the most recently ingested batch.
+    pub fn last_scatter(&self) -> &[u64] {
+        &self.last_scatter
     }
 }
 
@@ -1247,7 +1307,7 @@ mod tests {
 
         // Golden: one uninterrupted process, never checkpointing.
         let dir_a = tmp_dir("golden");
-        let (mut a, _) = DurableIncremental::open(&dir_a, two_pass, &theory, &obs).unwrap();
+        let (mut a, _) = DurableIncremental::open(&dir_a, 1, two_pass, &theory, &obs).unwrap();
         for b in &parts {
             a.ingest(b.clone(), None, &theory, &obs).unwrap();
         }
@@ -1258,24 +1318,24 @@ mod tests {
         let dir_b = tmp_dir("killer");
         for (i, b) in parts.iter().enumerate() {
             let (mut d, report) =
-                DurableIncremental::open(&dir_b, two_pass, &theory, &obs).unwrap();
+                DurableIncremental::open(&dir_b, 1, two_pass, &theory, &obs).unwrap();
             assert_eq!(report.batches_replayed, i as u64);
             d.ingest(b.clone(), None, &theory, &obs).unwrap();
         }
-        let (d, _) = DurableIncremental::open(&dir_b, two_pass, &theory, &obs).unwrap();
+        let (d, _) = DurableIncremental::open(&dir_b, 1, two_pass, &theory, &obs).unwrap();
         assert_eq!(fingerprint(d.engine()), want);
         assert_eq!(d.engine().classes(), want_classes);
 
         // Checkpoint mid-way, kill, reopen, finish: same answer again.
         let dir_c = tmp_dir("checkpointed");
-        let (mut d, _) = DurableIncremental::open(&dir_c, two_pass, &theory, &obs).unwrap();
+        let (mut d, _) = DurableIncremental::open(&dir_c, 1, two_pass, &theory, &obs).unwrap();
         d.ingest(parts[0].clone(), None, &theory, &obs).unwrap();
         d.ingest(parts[1].clone(), None, &theory, &obs).unwrap();
         d.checkpoint(&obs).unwrap();
         assert_eq!(d.batches_since_checkpoint(), 0);
         d.ingest(parts[2].clone(), None, &theory, &obs).unwrap();
         drop(d);
-        let (mut d, report) = DurableIncremental::open(&dir_c, two_pass, &theory, &obs).unwrap();
+        let (mut d, report) = DurableIncremental::open(&dir_c, 1, two_pass, &theory, &obs).unwrap();
         assert!(report.snapshot_loaded);
         assert_eq!(report.batches_in_snapshot, 2);
         assert_eq!(report.batches_replayed, 1);
@@ -1295,7 +1355,7 @@ mod tests {
         let parts = batches(9008, 400, 3);
 
         let dir = tmp_dir("torn");
-        let (mut d, _) = DurableIncremental::open(&dir, two_pass, &theory, &obs).unwrap();
+        let (mut d, _) = DurableIncremental::open(&dir, 1, two_pass, &theory, &obs).unwrap();
         let mut journal_len_after = Vec::new();
         for b in &parts {
             d.ingest(b.clone(), None, &theory, &obs).unwrap();
@@ -1309,7 +1369,7 @@ mod tests {
         let data = std::fs::read(&journal).unwrap();
         std::fs::write(&journal, &data[..torn as usize]).unwrap();
 
-        let (mut d, report) = DurableIncremental::open(&dir, two_pass, &theory, &obs).unwrap();
+        let (mut d, report) = DurableIncremental::open(&dir, 1, two_pass, &theory, &obs).unwrap();
         assert!(report.truncated_bytes > 0, "torn tail must be reported");
         assert!(report.truncation_reason.is_some());
         assert_eq!(report.batches_replayed, 2, "intact prefix replays");

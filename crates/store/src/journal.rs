@@ -44,7 +44,7 @@ const JOURNAL_MAGIC: &[u8; 4] = b"MPJL";
 const FRAME_MAGIC: &[u8; 4] = b"MPJF";
 /// Journal format version written into the header.
 pub const JOURNAL_VERSION: u32 = 2;
-const HEADER_LEN: usize = 8;
+pub(crate) const HEADER_LEN: usize = 8;
 const FRAME_HEADER_LEN: usize = 4 + 8 + 8 + 4;
 
 /// One recovered journal frame: the batch, its sequence number, and the
@@ -291,6 +291,13 @@ impl Journal {
         self.file = OpenOptions::new().append(true).open(&self.path)?;
         self.next_seq = next_seq;
         Ok(())
+    }
+
+    /// Swaps the append handle for `file`, returning the old one: lets a
+    /// test make the next append fail (a read-only handle) and recover.
+    #[cfg(test)]
+    pub(crate) fn swap_file(&mut self, file: File) -> File {
+        std::mem::replace(&mut self.file, file)
     }
 
     /// The replay filter: keeps only batches a snapshot has not yet

@@ -14,9 +14,9 @@
 //! * [`Journal`] — an append-only batch log with torn-tail detection and
 //!   truncation ([`journal`] documents the recovery semantics);
 //! * [`MatchStore`] — the directory-level API tying them together:
-//!   `state = last snapshot + journal replayed`;
-//! * [`ShardedStore`] — the same `snapshot.mps` beside N per-shard
-//!   journals ([`sharded`] documents the scatter and its recovery).
+//!   `state = last snapshot + journals replayed`, with one journal per
+//!   shard beside the one snapshot ([`sharded`] documents the layouts and
+//!   the complete-scatter recovery).
 //!
 //! # Crash safety
 //!
@@ -32,8 +32,10 @@
 //! producer's state instead of copying it, and reach disk through one
 //! writer ([`replace_snapshot`]) whatever the layout. A corrupt or torn
 //! journal tail is detected (CRC / framing), truncated, and surfaced in
-//! [`LoadedState::recovery`]; a corrupt snapshot is a hard
-//! [`StoreError::Corrupt`], never silently loaded.
+//! [`LoadedState::truncation_reasons`]; a corrupt snapshot is a hard
+//! [`StoreError::Corrupt`], never silently loaded. A journal write that
+//! fails poisons the store: it refuses appends until it is reopened, so
+//! no acknowledged batch lands behind bytes that recovery will cut.
 //!
 //! ```
 //! use mp_store::{MatchStore, Snapshot};
@@ -47,7 +49,7 @@
 //!
 //! // Journal a batch (durable once this returns), then checkpoint.
 //! let batch = vec![Record::empty(RecordId(0))];
-//! let seq = store.append_batch(&batch, None).unwrap();
+//! let seq = store.append_batch(&[&batch], None, &mp_metrics::NoopObserver).unwrap();
 //! assert_eq!(seq, 1);
 //! let snap = Snapshot {
 //!     records: batch,
@@ -74,9 +76,10 @@ pub mod sharded;
 pub mod snapshot;
 
 pub use journal::{Journal, JournalBatch, JournalRecovery, JOURNAL_VERSION};
-pub use sharded::{ShardedLoaded, ShardedStore, MANIFEST_FILE};
+pub use sharded::MANIFEST_FILE;
 pub use snapshot::{borrowed, PassSnapshot, Snapshot, SnapshotView, SNAPSHOT_VERSION};
 
+use mp_metrics::{span_labeled, PipelineObserver};
 use mp_record::Record;
 use std::borrow::Cow;
 use std::fmt;
@@ -97,6 +100,9 @@ pub enum StoreError {
     /// On-disk data failed validation (bad magic, CRC mismatch, structural
     /// inconsistency). The message names the file and section.
     Corrupt(String),
+    /// An earlier journal write failed; the store refuses appends until
+    /// it is reopened. The message names the failed write.
+    Poisoned(String),
 }
 
 impl fmt::Display for StoreError {
@@ -104,6 +110,9 @@ impl fmt::Display for StoreError {
         match self {
             StoreError::Io(e) => write!(f, "store i/o error: {e}"),
             StoreError::Corrupt(msg) => write!(f, "store corruption: {msg}"),
+            StoreError::Poisoned(msg) => {
+                write!(f, "store refuses appends until reopened: {msg}")
+            }
         }
     }
 }
@@ -112,7 +121,7 @@ impl std::error::Error for StoreError {
     fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
         match self {
             StoreError::Io(e) => Some(e),
-            StoreError::Corrupt(_) => None,
+            StoreError::Corrupt(_) | StoreError::Poisoned(_) => None,
         }
     }
 }
@@ -164,9 +173,8 @@ pub(crate) fn replace_file<T>(
 }
 
 /// Atomically replaces `dir/snapshot.mps` with the state `view` borrows —
-/// the one snapshot writer behind every store layout: a single-worker
-/// checkpoint ([`MatchStore::commit_snapshot`]), a sharded checkpoint, and
-/// a bulk load's commit. The snapshot streams to disk through the one
+/// the one snapshot writer behind every store layout: a checkpoint
+/// ([`MatchStore::commit_snapshot`]) and a bulk load's commit. The snapshot streams to disk through the one
 /// encoder with the records pulled one at a time from `records` —
 /// [`borrowed`] for resident state, a file stream for a bulk load — so
 /// nothing is copied or buffered whole. Returns the snapshot size in
@@ -205,82 +213,179 @@ fn read_snapshot(dir: &Path) -> Result<Option<Snapshot>, StoreError> {
     }
 }
 
-/// Size and modification time of `dir/snapshot.mps`, if it exists.
-fn snapshot_meta(dir: &Path) -> Option<(u64, std::time::SystemTime)> {
-    let md = std::fs::metadata(dir.join(SNAPSHOT_FILE)).ok()?;
-    Some((md.len(), md.modified().ok()?))
-}
-
-/// Everything [`MatchStore::open`] found on disk.
+/// Everything [`MatchStore::open_shards`] found on disk.
 #[derive(Debug)]
 pub struct LoadedState {
     /// The last checkpoint, if one has ever been written.
     pub snapshot: Option<Snapshot>,
-    /// Journaled batches the snapshot has not absorbed, in sequence order;
-    /// replay these (oldest first) to reconstruct the pre-crash state.
-    /// Each carries the trace id of its original ingest, if one was
-    /// journaled, so provenance annotations replay identically.
+    /// Batches every journal holds and the snapshot has not absorbed, in
+    /// sequence order; replay these (oldest first) to reconstruct the
+    /// pre-crash state. A sharded batch is its shard frames reassembled
+    /// in record-id order. Each carries the trace id of its original
+    /// ingest, if one was journaled, so provenance annotations replay
+    /// identically.
     pub replayable: Vec<JournalBatch>,
-    /// Journal scan outcome, including any torn-tail truncation.
-    pub recovery: JournalRecovery,
+    /// Per-shard count of *non-empty* frames among the replayable batches
+    /// (an empty frame is sequence padding, not replay work).
+    pub shard_replays: Vec<u64>,
+    /// Bytes cut from torn tails and orphan frames, over every journal.
+    pub truncated_bytes: u64,
+    /// One reason per journal that lost bytes (prefixed `shard k: ` in a
+    /// sharded store).
+    pub truncation_reasons: Vec<String>,
 }
 
-/// A durable match-store directory: `snapshot.mps` + `journal.mpj`.
+impl LoadedState {
+    /// True when a torn, corrupt or orphaned journal tail was removed.
+    pub fn truncated(&self) -> bool {
+        !self.truncation_reasons.is_empty()
+    }
+}
+
+/// A durable match-store directory: `snapshot.mps` plus one batch journal
+/// per shard — the root `journal.mpj` for one shard, `manifest.mpm` and
+/// `shard-k/journal.mpj` for N ≥ 2 ([`sharded`] documents that layout).
 ///
 /// The store itself is engine-agnostic — it persists and recovers bytes
 /// with strong integrity checking; the incremental engine in the core
-/// crate decides what the state means and how to replay a batch.
+/// crate decides what the state means, how a batch is routed to shards,
+/// and how to replay it.
 #[derive(Debug)]
 pub struct MatchStore {
     dir: PathBuf,
-    journal: Journal,
+    journals: Vec<Journal>,
+    next_seq: u64,
+    /// Why an earlier journal write failed: appends are refused until
+    /// the store is reopened, whose recovery drops what that write left.
+    poisoned: Option<String>,
 }
 
 impl MatchStore {
-    /// Opens (creating if needed) the store at `dir` and loads its state.
+    /// [`MatchStore::open_shards`] with one shard: the single-worker
+    /// layout.
+    pub fn open(dir: impl AsRef<Path>) -> Result<(MatchStore, LoadedState), StoreError> {
+        Self::open_shards(dir, 1)
+    }
+
+    /// Opens (creating if needed) the store at `dir` with `shards`
+    /// journals and loads its state.
     ///
-    /// Stale temporary files from interrupted snapshot writes are removed.
-    /// The journal is scanned and torn tails truncated (see
-    /// [`journal`]); frames already covered by the snapshot are filtered
-    /// out of [`LoadedState::replayable`].
+    /// Stale temporary files from interrupted writes are removed. Every
+    /// journal is scanned and torn tails truncated (see [`journal`]);
+    /// frames already covered by the snapshot are filtered out. A batch
+    /// is replayable iff *every* journal holds its frame: trailing frames
+    /// of an incomplete scatter (the batch was never acknowledged) are
+    /// physically truncated, so their sequence numbers are reused. One
+    /// shard is the N = 1 case of that rule.
     ///
     /// # Errors
     ///
-    /// I/O failures, a corrupt snapshot, a snapshot/journal sequence gap,
-    /// or a sharded store at `dir` (its batches live in the shard
-    /// journals, which this handle would never replay).
-    pub fn open(dir: impl AsRef<Path>) -> Result<(MatchStore, LoadedState), StoreError> {
+    /// I/O failures, a corrupt manifest or snapshot, a sequence gap below
+    /// the replayable watermark, or a store made with another shard count
+    /// (the shard count is fixed at creation, and the other layout's
+    /// journals would never be replayed).
+    ///
+    /// # Panics
+    ///
+    /// Panics when `shards` is 0.
+    pub fn open_shards(
+        dir: impl AsRef<Path>,
+        shards: usize,
+    ) -> Result<(MatchStore, LoadedState), StoreError> {
+        assert!(shards >= 1, "need at least one shard");
         let dir = dir.as_ref().to_path_buf();
         std::fs::create_dir_all(&dir)?;
-        if let Some(shards) = sharded::manifest_shards(&dir)? {
-            return Err(StoreError::Corrupt(format!(
-                "store at {} has {shards} shards but was opened single-worker: open \
-                 it with --shards {shards} (shard count is fixed at store creation)",
-                dir.display()
-            )));
+        // A crash during a replace can leave a temp file; it was never
+        // renamed into place, so it is dead weight.
+        for stale in [SNAPSHOT_FILE, JOURNAL_FILE, MANIFEST_FILE] {
+            let _ = std::fs::remove_file(dir.join(format!("{stale}.tmp")));
         }
-        // A crash during a snapshot write can leave a temp file; it was
-        // never renamed into place, so it is dead weight.
-        for stale in [
-            dir.join(format!("{SNAPSHOT_FILE}.tmp")),
-            dir.join(format!("{JOURNAL_FILE}.tmp")),
-        ] {
-            let _ = std::fs::remove_file(stale);
-        }
-
+        let paths = sharded::journal_paths(&dir, shards)?;
         let snapshot = read_snapshot(&dir)?;
-        let (mut journal, mut recovery) = Journal::open(&dir.join(JOURNAL_FILE))?;
-        let batches_applied = snapshot.as_ref().map_or(0, |s| s.batches_applied);
-        Journal::filter_replayable(&mut recovery, batches_applied)?;
-        journal.bump_next_seq(batches_applied + recovery.batches.len() as u64 + 1);
+        let watermark = snapshot.as_ref().map_or(0, |s| s.batches_applied);
 
-        let replayable = std::mem::take(&mut recovery.batches);
+        let mut journals = Vec::with_capacity(shards);
+        let mut recoveries = Vec::with_capacity(shards);
+        let mut truncated_bytes = 0u64;
+        let mut truncation_reasons = Vec::new();
+        let label = |k: usize| match shards {
+            1 => String::new(),
+            _ => format!("shard {k}: "),
+        };
+        for (k, path) in paths.iter().enumerate() {
+            let (journal, mut rec) = Journal::open(path)?;
+            truncated_bytes += rec.truncated_bytes;
+            if let Some(r) = &rec.truncation_reason {
+                truncation_reasons.push(format!("{}{r}", label(k)));
+            }
+            Journal::filter_replayable(&mut rec, watermark)?;
+            journals.push(journal);
+            recoveries.push(rec);
+        }
+        // The last complete sequence is the minimum of the journals' tails.
+        let last_complete = recoveries
+            .iter()
+            .map(|r| r.batches.last().map_or(watermark, |b| b.seq))
+            .min()
+            .unwrap_or(watermark);
+
+        let mut shard_replays = vec![0u64; shards];
+        let mut replayable: Vec<JournalBatch> = (watermark + 1..=last_complete)
+            .map(|seq| JournalBatch {
+                seq,
+                records: Vec::new(),
+                trace: None,
+            })
+            .collect();
+        for (k, (journal, rec)) in journals.iter_mut().zip(&mut recoveries).enumerate() {
+            let orphans = rec.batches.iter().filter(|b| b.seq > last_complete).count();
+            if orphans > 0 {
+                let kept = |(s, e): &(u64, u64)| (*s <= last_complete).then_some(*e);
+                let end = rec.frame_ends.iter().filter_map(kept).max();
+                let end = end.unwrap_or(journal::HEADER_LEN as u64);
+                let file_len = rec.frame_ends.last().map_or(end, |&(_, e)| e);
+                journal.truncate_to(end, last_complete + 1)?;
+                truncated_bytes += file_len - end;
+                truncation_reasons.push(format!(
+                    "{}dropped {orphans} orphan frame(s) of an incomplete scatter \
+                     (batch never acknowledged)",
+                    label(k)
+                ));
+                rec.batches.retain(|b| b.seq <= last_complete);
+            }
+            journal.bump_next_seq(last_complete + 1);
+            for b in std::mem::take(&mut rec.batches) {
+                shard_replays[k] += u64::from(!b.records.is_empty());
+                let slot = &mut replayable[(b.seq - watermark - 1) as usize];
+                if slot.records.is_empty() {
+                    slot.records = b.records;
+                } else {
+                    slot.records.extend(b.records);
+                }
+                // Every frame of a batch journals the same trace.
+                slot.trace = slot.trace.take().or(b.trace);
+            }
+        }
+        if shards > 1 {
+            // Shard frames carry global ids; id order is arrival order.
+            for b in &mut replayable {
+                b.records.sort_by_key(|r| r.id.0);
+            }
+        }
+
         Ok((
-            MatchStore { dir, journal },
+            MatchStore {
+                dir,
+                journals,
+                next_seq: last_complete + 1,
+                poisoned: None,
+            },
             LoadedState {
                 snapshot,
                 replayable,
-                recovery,
+                shard_replays,
+                truncated_bytes,
+                truncation_reasons,
             },
         ))
     }
@@ -290,9 +395,20 @@ impl MatchStore {
         &self.dir
     }
 
+    /// Number of shard journals (fixed at store creation).
+    pub fn shards(&self) -> usize {
+        self.journals.len()
+    }
+
     /// Sequence number the next appended batch will receive.
     pub fn next_seq(&self) -> u64 {
-        self.journal.next_seq()
+        self.next_seq
+    }
+
+    /// Why the store refuses appends, when an earlier journal write
+    /// failed ([`MatchStore::append_batch`]).
+    pub fn poisoned(&self) -> Option<&str> {
+        self.poisoned.as_deref()
     }
 
     /// Size in bytes and modification time of the current snapshot file,
@@ -301,44 +417,85 @@ impl MatchStore {
     /// snapshot rename, so `now − mtime` is the snapshot's *staleness* —
     /// the serving daemon exports it as the `snapshot_age_seconds` gauge.
     pub fn snapshot_meta(&self) -> Option<(u64, std::time::SystemTime)> {
-        snapshot_meta(&self.dir)
+        let md = std::fs::metadata(self.dir.join(SNAPSHOT_FILE)).ok()?;
+        Some((md.len(), md.modified().ok()?))
     }
 
-    /// Journals one batch (fsync'd; durable when this returns) and returns
-    /// its sequence number. Append *before* applying the batch in memory:
-    /// on a crash the journal replays it, and an unjournaled batch was
-    /// never acknowledged. `trace` is the ingest trace id to persist with
-    /// the frame (replay re-annotates provenance with it).
-    pub fn append_batch(
+    /// Journals one batch as one frame per shard journal, in shard order
+    /// on the calling thread, every frame with the same sequence number
+    /// (an empty frame keeps a shard's sequence in step) and each
+    /// `fsync`ed; the batch is durable when this returns its sequence
+    /// number. Append *before* applying the batch in memory: on a crash
+    /// the journals replay it, and an unjournaled batch was never
+    /// acknowledged. `trace` is the ingest trace id each frame persists
+    /// (replay re-annotates provenance with it). Each append runs under a
+    /// `shard_ingest` span labelled `shard=k seq=S trace=T`.
+    ///
+    /// # Errors
+    ///
+    /// A failed write, after which every later append is refused
+    /// ([`StoreError::Poisoned`]) until the store is reopened: a frame
+    /// written in part, or written to some journals only, belongs to a
+    /// batch that was never acknowledged, and only the reopen's recovery
+    /// removes it. Appending behind it would put an acknowledged batch
+    /// where recovery cuts.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless `frames` holds one frame per shard journal.
+    pub fn append_batch<R: AsRef<[Record]>>(
         &mut self,
-        records: &[Record],
+        frames: &[R],
         trace: Option<&str>,
+        observer: &dyn PipelineObserver,
     ) -> Result<u64, StoreError> {
-        self.journal.append(records, trace)
+        assert_eq!(frames.len(), self.journals.len(), "one frame per shard");
+        if let Some(why) = &self.poisoned {
+            return Err(StoreError::Poisoned(why.clone()));
+        }
+        let seq = self.next_seq;
+        for (k, (journal, frame)) in self.journals.iter_mut().zip(frames).enumerate() {
+            let _span = span_labeled(observer, "shard_ingest", || {
+                format!("shard={k} seq={seq} trace={}", trace.unwrap_or("-"))
+            });
+            if let Err(e) = journal.append(frame.as_ref(), trace) {
+                self.poisoned = Some(format!("shard {k} append at seq {seq}: {e}"));
+                return Err(e);
+            }
+        }
+        self.next_seq += 1;
+        Ok(seq)
     }
 
     /// Atomically replaces the snapshot with the state `view` borrows
-    /// ([`replace_snapshot`]) and resets the journal, whose batches the
+    /// ([`replace_snapshot`]) and resets every journal, whose batches the
     /// snapshot now covers. Returns the snapshot size in bytes.
     ///
     /// Crash-ordering: the snapshot rename is the commit point. A crash
-    /// before it keeps the old snapshot + full journal; a crash after it
-    /// but before the journal reset leaves old frames whose sequence
-    /// numbers the next [`MatchStore::open`] filters out.
+    /// before it keeps the old snapshot + full journals; a crash after it
+    /// leaves frames at or below the new watermark, which the next open
+    /// filters out, whichever journals had already been reset.
     ///
     /// # Errors
     ///
     /// I/O failures, a record-iterator error, or a record-count mismatch
-    /// against [`SnapshotView::n_records`]; on every error path the old
-    /// snapshot (if any) and the journal stay in place and no temporary
-    /// file is left behind.
+    /// against [`SnapshotView::n_records`]; on every such error the old
+    /// snapshot (if any) and the journals stay in place and no temporary
+    /// file is left behind. A failed journal reset poisons the store, as a
+    /// failed append does.
     pub fn commit_snapshot<'r>(
         &mut self,
         view: &SnapshotView<'_>,
         records: impl Iterator<Item = io::Result<Cow<'r, Record>>>,
     ) -> Result<u64, StoreError> {
         let bytes = replace_snapshot(&self.dir, view, records)?;
-        self.journal.reset(view.batches_applied + 1)?;
+        self.next_seq = view.batches_applied + 1;
+        for (k, journal) in self.journals.iter_mut().enumerate() {
+            if let Err(e) = journal.reset(self.next_seq) {
+                self.poisoned = Some(format!("shard {k} journal reset: {e}"));
+                return Err(e);
+            }
+        }
         Ok(bytes)
     }
 
@@ -352,6 +509,7 @@ impl MatchStore {
 mod tests {
     use super::*;
     use mp_closure::UnionFind;
+    use mp_metrics::NoopObserver;
     use mp_record::RecordId;
     use std::io::Write;
 
@@ -389,8 +547,12 @@ mod tests {
         let dir = tmp_dir("cycle");
         let (mut store, loaded) = MatchStore::open(&dir).unwrap();
         assert!(loaded.snapshot.is_none() && loaded.replayable.is_empty());
-        store.append_batch(&batch(1, 2), None).unwrap();
-        store.append_batch(&batch(2, 2), None).unwrap();
+        store
+            .append_batch(&[batch(1, 2)], None, &NoopObserver)
+            .unwrap();
+        store
+            .append_batch(&[batch(2, 2)], None, &NoopObserver)
+            .unwrap();
         drop(store);
 
         // Crash before any snapshot: both batches replay.
@@ -403,7 +565,9 @@ mod tests {
         let mut all = batch(1, 2);
         all.extend(batch(2, 2));
         store.write_snapshot(&snap_of(all, 2)).unwrap();
-        store.append_batch(&batch(3, 1), None).unwrap();
+        store
+            .append_batch(&[batch(3, 1)], None, &NoopObserver)
+            .unwrap();
         drop(store);
 
         let (_, loaded) = MatchStore::open(&dir).unwrap();
@@ -417,8 +581,12 @@ mod tests {
     fn crash_between_snapshot_rename_and_journal_reset_is_handled() {
         let dir = tmp_dir("rename-crash");
         let (mut store, _) = MatchStore::open(&dir).unwrap();
-        store.append_batch(&batch(1, 2), None).unwrap();
-        store.append_batch(&batch(2, 2), None).unwrap();
+        store
+            .append_batch(&[batch(1, 2)], None, &NoopObserver)
+            .unwrap();
+        store
+            .append_batch(&[batch(2, 2)], None, &NoopObserver)
+            .unwrap();
         drop(store);
         // Simulate the crash window: write the snapshot file directly
         // without touching the journal (as if we died mid-write_snapshot).
@@ -440,9 +608,13 @@ mod tests {
     fn failed_commit_leaves_no_temp_file_and_the_old_state_recovers() {
         let dir = tmp_dir("failed-commit");
         let (mut store, _) = MatchStore::open(&dir).unwrap();
-        store.append_batch(&batch(1, 3), None).unwrap();
+        store
+            .append_batch(&[batch(1, 3)], None, &NoopObserver)
+            .unwrap();
         store.write_snapshot(&snap_of(batch(1, 3), 1)).unwrap();
-        store.append_batch(&batch(2, 2), None).unwrap();
+        store
+            .append_batch(&[batch(2, 2)], None, &NoopObserver)
+            .unwrap();
         let good_snapshot = std::fs::read(dir.join(SNAPSHOT_FILE)).unwrap();
         let good_journal = std::fs::read(dir.join(JOURNAL_FILE)).unwrap();
 
@@ -477,6 +649,79 @@ mod tests {
         // And the store is still writable: the real commit goes through.
         store.write_snapshot(&next).unwrap();
         assert_eq!(store.next_seq(), 3);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn a_failed_append_refuses_every_later_append_until_reopen() {
+        let dir = tmp_dir("failed-append");
+        let (mut store, _) = MatchStore::open(&dir).unwrap();
+        store
+            .append_batch(&[batch(1, 3)], None, &NoopObserver)
+            .unwrap();
+        // The next append writes part of its frame, then fails: the torn
+        // bytes land on disk and the handle turns read-only.
+        let path = dir.join(JOURNAL_FILE);
+        let mut file = std::fs::OpenOptions::new()
+            .append(true)
+            .open(&path)
+            .unwrap();
+        file.write_all(b"MPJF\x02\0\0\0").unwrap();
+        let writable = store.journals[0].swap_file(std::fs::File::open(&path).unwrap());
+        let err = store.append_batch(&[batch(2, 2)], None, &NoopObserver);
+        assert!(matches!(err, Err(StoreError::Io(_))), "{err:?}");
+        // The fault clears, but the store still refuses: an acknowledged
+        // batch behind the torn bytes would be cut by the next open.
+        store.journals[0].swap_file(writable);
+        match store.append_batch(&[batch(3, 2)], None, &NoopObserver) {
+            Err(StoreError::Poisoned(msg)) => assert!(msg.contains("seq 2"), "{msg}"),
+            other => panic!("a poisoned store must refuse appends: {other:?}"),
+        }
+        assert!(store.poisoned().is_some());
+        drop(store);
+
+        // Reopen: the torn frame is cut, exactly the acknowledged batch
+        // replays, and appends resume at the refused sequence number.
+        let (mut store, loaded) = MatchStore::open(&dir).unwrap();
+        assert!(loaded.truncated() && loaded.truncated_bytes == 8);
+        assert_eq!(loaded.replayable.len(), 1);
+        assert_eq!(loaded.replayable[0].records, batch(1, 3));
+        assert_eq!(
+            store
+                .append_batch(&[batch(4, 1)], None, &NoopObserver)
+                .unwrap(),
+            2
+        );
+        drop(store);
+        let (_, loaded) = MatchStore::open(&dir).unwrap();
+        let replayed: Vec<_> = loaded
+            .replayable
+            .iter()
+            .map(|b| b.records.clone())
+            .collect();
+        assert_eq!(replayed, vec![batch(1, 3), batch(4, 1)]);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn a_failed_shard_append_refuses_later_appends_and_drops_its_orphans() {
+        let dir = tmp_dir("failed-scatter");
+        let (mut store, _) = MatchStore::open_shards(&dir, 2).unwrap();
+        let frames = |tag: u32| [batch(tag, 1), batch(tag + 100, 1)];
+        store.append_batch(&frames(1), None, &NoopObserver).unwrap();
+        // Shard 0 journals batch 2; shard 1's append fails.
+        let path = dir.join("shard-1").join(JOURNAL_FILE);
+        let writable = store.journals[1].swap_file(std::fs::File::open(&path).unwrap());
+        assert!(store.append_batch(&frames(2), None, &NoopObserver).is_err());
+        store.journals[1].swap_file(writable);
+        assert!(matches!(
+            store.append_batch(&frames(3), None, &NoopObserver),
+            Err(StoreError::Poisoned(_))
+        ));
+        drop(store);
+        let (_, loaded) = MatchStore::open_shards(&dir, 2).unwrap();
+        assert_eq!(loaded.replayable.len(), 1, "only the acknowledged batch");
+        assert!(loaded.truncation_reasons[0].starts_with("shard 0: dropped 1 orphan"));
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

@@ -1,35 +1,31 @@
-//! Sharded durable store: the single-worker snapshot plus N per-shard
-//! journals.
+//! Store layouts: one journal per shard beside the one snapshot.
 //!
-//! The serving daemon's sharded mode partitions every batch's records by
-//! key band and gives each shard worker its own journal, so ingest
-//! `fsync`s run concurrently. The checkpoint is not partitioned: a sharded
-//! store keeps the same `snapshot.mps` a single-worker store keeps, written
-//! by the same encoder ([`crate::replace_snapshot`]), so the two layouts
-//! differ only in their journals. This module owns the journal layout and
-//! the complete-scatter recovery; it knows nothing about routing.
+//! A sharded store partitions every batch's records by key band into N
+//! journals. The checkpoint is not partitioned: every store keeps the same
+//! `snapshot.mps`, written by the same encoder ([`crate::replace_snapshot`]),
+//! so the layouts differ only in where their journals live. This module
+//! owns that difference; [`crate::MatchStore`] owns the journals and the
+//! complete-scatter recovery, and knows nothing about routing.
 //!
 //! # On-disk layout
 //!
 //! ```text
-//! store/
-//!   manifest.mpm          shard count, fixed at store creation
-//!   snapshot.mps          the checkpoint (see `snapshot`), as in a
-//!                         single-worker store
-//!   shard-0/
-//!     journal.mpj         standard journal (see `journal`)
-//!   shard-1/
-//!     ...
+//! store/                  one shard          N >= 2 shards
+//!   snapshot.mps          the checkpoint     the checkpoint
+//!   journal.mpj           the journal        -
+//!   manifest.mpm          -                  shard count, fixed at creation
+//!   shard-k/journal.mpj   -                  shard k's journal
 //! ```
 //!
-//! The manifest marks a directory as sharded: [`crate::MatchStore::open`]
-//! refuses a directory that has one, and [`ShardedStore::open`] refuses a
-//! single-worker store (a `snapshot.mps` or `journal.mpj` without a
-//! manifest), so neither layout's journals are ever silently ignored.
+//! The manifest marks a directory as sharded: a one-shard open refuses a
+//! directory that has one, and an N-shard open refuses a single-worker
+//! store (a `snapshot.mps` or `journal.mpj` without a manifest) or a
+//! manifest with another count, so no layout's journals are ever silently
+//! ignored.
 //!
 //! # Scatter protocol
 //!
-//! Every ingested batch is scattered as **one frame per shard journal,
+//! Every ingested batch is journaled as **one frame per shard journal,
 //! all carrying the same sequence number** — shards without records for
 //! the batch get an empty frame, keeping every journal's sequence stream
 //! identical. Records are journaled with their *global* ids already
@@ -40,21 +36,19 @@
 //! `fsync`ed. Recovery therefore treats a sequence number as replayable
 //! iff it is present in *every* shard journal; trailing frames of an
 //! incomplete scatter (present in some shards only — the batch was never
-//! acknowledged) are physically truncated via [`Journal::truncate_to`]
+//! acknowledged) are physically truncated via [`crate::Journal::truncate_to`]
 //! so their sequence numbers can be reused.
 //!
 //! # Checkpoint protocol
 //!
-//! The single store's: the coordinator replaces `snapshot.mps` — the
-//! rename is the commit point — then every shard resets its journal. A
-//! crash before the rename keeps the old snapshot and every journal; a
-//! crash after it leaves frames at or below the new watermark, which
-//! recovery filters out, whichever shards had already reset.
+//! Replace `snapshot.mps` — the rename is the commit point — then reset
+//! every journal. A crash before the rename keeps the old snapshot and
+//! every journal; a crash after it leaves frames at or below the new
+//! watermark, which recovery filters out, whichever journals had already
+//! been reset.
 
 use crate::codec::{self, Reader};
-use crate::journal::{Journal, JournalBatch, JournalRecovery};
-use crate::snapshot::Snapshot;
-use crate::{read_snapshot, replace_file, StoreError, JOURNAL_FILE, SNAPSHOT_FILE};
+use crate::{replace_file, StoreError, JOURNAL_FILE, SNAPSHOT_FILE};
 use std::io::Write;
 use std::path::{Path, PathBuf};
 
@@ -66,40 +60,6 @@ pub const MANIFEST_FILE: &str = "manifest.mpm";
 pub const MANIFEST_VERSION: u32 = 2;
 
 const MANIFEST_MAGIC: &[u8; 4] = b"MPMF";
-const JOURNAL_HEADER_LEN: u64 = 8;
-
-/// Everything [`ShardedStore::open`] recovered from disk.
-#[derive(Debug)]
-pub struct ShardedLoaded {
-    /// The last checkpoint: the store's `snapshot.mps`.
-    pub snapshot: Option<Snapshot>,
-    /// Fully-scattered batches the snapshot has not absorbed, in sequence
-    /// order, each reassembled (id-sorted) across shards, carrying the
-    /// ingest trace id its scatter frames journaled (if any).
-    pub replayable: Vec<JournalBatch>,
-    /// One open journal per shard, in shard order, positioned to append
-    /// at the next sequence number. The caller hands each to its worker.
-    pub journals: Vec<Journal>,
-    /// Per-shard count of *non-empty* frames among the replayable batches
-    /// (empty scatter frames are sequence padding, not replay work).
-    pub shard_replays: Vec<u64>,
-    /// Total bytes dropped across all shards (torn tails + orphan frames).
-    pub truncated_bytes: u64,
-    /// One reason per shard that lost bytes, prefixed with the shard index.
-    pub truncation_reasons: Vec<String>,
-    /// Sequence number the next ingested batch must use.
-    pub next_seq: u64,
-}
-
-/// Handle over a sharded store directory: its layout and shard count.
-/// Journals are owned by the caller's shard workers (returned from
-/// [`ShardedStore::open`] via [`ShardedLoaded`]); the snapshot is written
-/// with [`crate::replace_snapshot`], as for a single-worker store.
-#[derive(Debug)]
-pub struct ShardedStore {
-    dir: PathBuf,
-    shards: usize,
-}
 
 fn encode_manifest(shards: u32) -> Vec<u8> {
     let payload = shards.to_le_bytes();
@@ -152,7 +112,7 @@ fn decode_manifest(data: &[u8]) -> Result<u32, StoreError> {
 
 /// The shard count a sharded store's manifest declares, or `None` when
 /// `dir` has no manifest (a single-worker store, or no store yet).
-pub(crate) fn manifest_shards(dir: &Path) -> Result<Option<u32>, StoreError> {
+fn manifest_shards(dir: &Path) -> Result<Option<u32>, StoreError> {
     match std::fs::read(dir.join(MANIFEST_FILE)) {
         Ok(data) => decode_manifest(&data).map(Some),
         Err(e) if e.kind() == std::io::ErrorKind::NotFound => Ok(None),
@@ -160,173 +120,57 @@ pub(crate) fn manifest_shards(dir: &Path) -> Result<Option<u32>, StoreError> {
     }
 }
 
-impl ShardedStore {
-    /// Opens (creating if needed) the sharded store at `dir` with the
-    /// given shard count, loading its snapshot and recovering the
-    /// fully-scattered journal suffix. Stale temp files are removed;
-    /// orphan frames from an incomplete scatter are truncated (reported,
-    /// never silent).
-    ///
-    /// # Errors
-    ///
-    /// I/O failures, a corrupt manifest or snapshot, a shard-count
-    /// mismatch against the manifest, a single-worker store at `dir`, or a
-    /// sequence gap below the complete-scatter watermark (real corruption,
-    /// not a torn tail).
-    ///
-    /// # Panics
-    ///
-    /// Panics when `shards` is 0.
-    pub fn open(
-        dir: impl AsRef<Path>,
-        shards: usize,
-    ) -> Result<(ShardedStore, ShardedLoaded), StoreError> {
-        assert!(shards >= 1, "need at least one shard");
-        let dir = dir.as_ref().to_path_buf();
-        std::fs::create_dir_all(&dir)?;
-        for stale in [MANIFEST_FILE, SNAPSHOT_FILE] {
-            let _ = std::fs::remove_file(dir.join(format!("{stale}.tmp")));
+/// The journal paths of a `shards`-shard store at `dir`, after checking
+/// the directory is that layout — writing the manifest of a new sharded
+/// store and creating its shard directories. Refuses, writing nothing, a
+/// store made with another shard count.
+pub(crate) fn journal_paths(dir: &Path, shards: usize) -> Result<Vec<PathBuf>, StoreError> {
+    let refuse = |msg: String| {
+        Err(StoreError::Corrupt(format!(
+            "store at {} {msg} (shard count is fixed at store creation)",
+            dir.display()
+        )))
+    };
+    match manifest_shards(dir)? {
+        None if shards == 1 => return Ok(vec![dir.join(JOURNAL_FILE)]),
+        Some(m) if shards == 1 => {
+            return refuse(format!(
+                "has {m} shards but was opened single-worker: open it with --shards {m}"
+            ))
         }
-
-        match manifest_shards(&dir)? {
-            Some(m) if m as usize != shards => {
-                return Err(StoreError::Corrupt(format!(
-                    "store at {} has {m} shards but {shards} were configured: open it \
-                     with --shards {m} (shard count is fixed at store creation)",
-                    dir.display(),
-                )));
-            }
-            Some(_) => {}
-            None => {
-                if dir.join(SNAPSHOT_FILE).exists() || dir.join(JOURNAL_FILE).exists() {
-                    return Err(StoreError::Corrupt(format!(
-                        "store at {} is a single-worker store but {shards} shards were \
-                         configured: open it without --shards (shard count is fixed at \
-                         store creation)",
-                        dir.display(),
-                    )));
-                }
-                let bytes = encode_manifest(shards as u32);
-                replace_file(&dir.join(MANIFEST_FILE), |file| Ok(file.write_all(&bytes)?))?;
-            }
+        Some(m) if m as usize != shards => {
+            return refuse(format!(
+                "has {m} shards but {shards} were configured: open it with --shards {m}"
+            ))
         }
-
-        let mut journals = Vec::with_capacity(shards);
-        let mut recoveries: Vec<JournalRecovery> = Vec::with_capacity(shards);
-        let mut truncated_bytes = 0u64;
-        let mut truncation_reasons = Vec::new();
-        for k in 0..shards {
+        Some(_) => {}
+        None if dir.join(SNAPSHOT_FILE).exists() || dir.join(JOURNAL_FILE).exists() => {
+            return refuse(format!(
+                "is a single-worker store but {shards} shards were configured: open it \
+                 without --shards"
+            ))
+        }
+        None => {
+            let bytes = encode_manifest(shards as u32);
+            replace_file(&dir.join(MANIFEST_FILE), |file| Ok(file.write_all(&bytes)?))?;
+        }
+    }
+    (0..shards)
+        .map(|k| {
             let sd = dir.join(format!("shard-{k}"));
             std::fs::create_dir_all(&sd)?;
             let _ = std::fs::remove_file(sd.join(format!("{JOURNAL_FILE}.tmp")));
-            let (j, rec) = Journal::open(&sd.join(JOURNAL_FILE))?;
-            truncated_bytes += rec.truncated_bytes;
-            if let Some(r) = &rec.truncation_reason {
-                truncation_reasons.push(format!("shard {k}: {r}"));
-            }
-            journals.push(j);
-            recoveries.push(rec);
-        }
-
-        let snapshot = read_snapshot(&dir)?;
-        let watermark = snapshot.as_ref().map_or(0, |s| s.batches_applied);
-
-        for rec in &mut recoveries {
-            Journal::filter_replayable(rec, watermark)?;
-        }
-        // A batch is replayable iff every shard holds its frame: the last
-        // complete sequence is the minimum of the per-shard tails.
-        let last_complete = recoveries
-            .iter()
-            .map(|r| r.batches.last().map_or(watermark, |b| b.seq))
-            .min()
-            .unwrap_or(watermark);
-
-        let mut shard_replays = vec![0u64; shards];
-        let mut replayable: Vec<JournalBatch> = (watermark + 1..=last_complete)
-            .map(|s| JournalBatch {
-                seq: s,
-                records: Vec::new(),
-                trace: None,
-            })
-            .collect();
-        for (k, rec) in recoveries.iter_mut().enumerate() {
-            let orphans = rec.batches.iter().filter(|b| b.seq > last_complete).count();
-            if orphans > 0 {
-                let end = rec
-                    .frame_ends
-                    .iter()
-                    .filter(|(s, _)| *s <= last_complete)
-                    .map(|(_, e)| *e)
-                    .max()
-                    .unwrap_or(JOURNAL_HEADER_LEN);
-                let file_len = rec
-                    .frame_ends
-                    .last()
-                    .map_or(JOURNAL_HEADER_LEN, |(_, e)| *e);
-                journals[k].truncate_to(end, last_complete + 1)?;
-                truncated_bytes += file_len - end;
-                truncation_reasons.push(format!(
-                    "shard {k}: dropped {orphans} orphan frame(s) of an incomplete scatter \
-                     (batch never acknowledged)"
-                ));
-                rec.batches.retain(|b| b.seq <= last_complete);
-            }
-            journals[k].bump_next_seq(last_complete + 1);
-            for b in std::mem::take(&mut rec.batches) {
-                if !b.records.is_empty() {
-                    shard_replays[k] += 1;
-                }
-                let slot = &mut replayable[(b.seq - watermark - 1) as usize];
-                slot.records.extend(b.records);
-                // Every scatter frame of a batch journals the same trace;
-                // the first one seen stands for all.
-                if slot.trace.is_none() {
-                    slot.trace = b.trace;
-                }
-            }
-        }
-        // Scattered frames carry global ids; id order is the arrival order.
-        for b in &mut replayable {
-            b.records.sort_by_key(|r| r.id.0);
-        }
-
-        Ok((
-            ShardedStore { dir, shards },
-            ShardedLoaded {
-                snapshot,
-                replayable,
-                journals,
-                shard_replays,
-                truncated_bytes,
-                truncation_reasons,
-                next_seq: last_complete + 1,
-            },
-        ))
-    }
-
-    /// The store directory.
-    pub fn dir(&self) -> &Path {
-        &self.dir
-    }
-
-    /// Number of shards (fixed at store creation).
-    pub fn shards(&self) -> usize {
-        self.shards
-    }
-
-    /// Size and modification time of the store's `snapshot.mps`, or
-    /// `None` before the first checkpoint (as `MatchStore::snapshot_meta`).
-    pub fn snapshot_meta(&self) -> Option<(u64, std::time::SystemTime)> {
-        crate::snapshot_meta(&self.dir)
-    }
+            Ok(sd.join(JOURNAL_FILE))
+        })
+        .collect()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{borrowed, replace_snapshot, MatchStore};
+    use crate::{borrowed, replace_snapshot, MatchStore, Snapshot};
     use mp_closure::{ProvenanceLog, UnionFind};
+    use mp_metrics::NoopObserver;
     use mp_record::{Record, RecordId};
 
     fn tmp_dir(name: &str) -> PathBuf {
@@ -341,29 +185,25 @@ mod tests {
         r
     }
 
-    fn scatter(journals: &mut [Journal], frames: &[Vec<Record>]) -> u64 {
-        let mut seq = 0;
-        for (j, frame) in journals.iter_mut().zip(frames) {
-            seq = j.append(frame, None).unwrap();
-        }
-        seq
+    fn scatter(store: &mut MatchStore, frames: &[Vec<Record>]) -> u64 {
+        store.append_batch(frames, None, &NoopObserver).unwrap()
     }
 
     #[test]
     fn complete_scatters_replay_and_reassemble_by_id() {
         let dir = tmp_dir("replay");
-        let (_store, mut loaded) = ShardedStore::open(&dir, 2).unwrap();
+        let (mut store, loaded) = MatchStore::open_shards(&dir, 2).unwrap();
         assert!(loaded.snapshot.is_none() && loaded.replayable.is_empty());
         // Batch 1: records 0,1,2 — 0 and 2 to shard 0, 1 to shard 1.
         scatter(
-            &mut loaded.journals,
+            &mut store,
             &[vec![rec(0, "A"), rec(2, "C")], vec![rec(1, "B")]],
         );
         // Batch 2: record 3 to shard 1 only; shard 0 gets the empty frame.
-        scatter(&mut loaded.journals, &[vec![], vec![rec(3, "D")]]);
-        drop(loaded);
+        scatter(&mut store, &[vec![], vec![rec(3, "D")]]);
+        drop(store);
 
-        let (_store, loaded) = ShardedStore::open(&dir, 2).unwrap();
+        let (store, loaded) = MatchStore::open_shards(&dir, 2).unwrap();
         assert_eq!(loaded.replayable.len(), 2);
         assert_eq!(loaded.replayable[0].seq, 1);
         assert_eq!(
@@ -374,40 +214,39 @@ mod tests {
         assert_eq!(loaded.replayable[1].records, vec![rec(3, "D")]);
         // Non-empty frames only: shard 0 replayed 1, shard 1 replayed 2.
         assert_eq!(loaded.shard_replays, vec![1, 2]);
-        assert_eq!(loaded.next_seq, 3);
+        assert_eq!(store.next_seq(), 3);
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]
     fn incomplete_scatter_is_truncated_and_its_seq_reused() {
         let dir = tmp_dir("orphan");
-        let (_store, mut loaded) = ShardedStore::open(&dir, 3).unwrap();
-        scatter(
-            &mut loaded.journals,
-            &[vec![rec(0, "A")], vec![rec(1, "B")], vec![]],
-        );
+        let (mut store, _) = MatchStore::open_shards(&dir, 3).unwrap();
+        scatter(&mut store, &[vec![rec(0, "A")], vec![rec(1, "B")], vec![]]);
         // Crash mid-scatter of batch 2: only shard 0's frame landed.
-        loaded.journals[0].append(&[rec(2, "C")], None).unwrap();
-        drop(loaded);
+        store.journals[0].append(&[rec(2, "C")], None).unwrap();
+        drop(store);
 
-        let (_store, loaded) = ShardedStore::open(&dir, 3).unwrap();
+        let (store, loaded) = MatchStore::open_shards(&dir, 3).unwrap();
         assert_eq!(loaded.replayable.len(), 1, "orphan batch must not replay");
         assert!(loaded.truncated_bytes > 0);
         assert!(
             loaded
                 .truncation_reasons
                 .iter()
-                .any(|r| r.contains("orphan")),
+                .any(|r| r.starts_with("shard 0: ") && r.contains("orphan")),
             "{:?}",
             loaded.truncation_reasons
         );
         // Every journal now appends at seq 2 — the orphan's seq is reused.
-        for j in &loaded.journals {
+        assert_eq!(store.next_seq(), 2);
+        for j in &store.journals {
             assert_eq!(j.next_seq(), 2);
         }
-        drop(loaded);
+        drop(store);
         // And the store reopens clean.
-        let (_store, loaded) = ShardedStore::open(&dir, 3).unwrap();
+        let (_store, loaded) = MatchStore::open_shards(&dir, 3).unwrap();
+        assert!(!loaded.truncated());
         assert_eq!(loaded.truncated_bytes, 0);
         assert_eq!(loaded.replayable.len(), 1);
         std::fs::remove_dir_all(&dir).unwrap();
@@ -416,11 +255,8 @@ mod tests {
     #[test]
     fn checkpoint_is_the_single_store_snapshot_in_every_crash_window() {
         let dir = tmp_dir("checkpoint");
-        let (store, mut loaded) = ShardedStore::open(&dir, 2).unwrap();
-        scatter(
-            &mut loaded.journals,
-            &[vec![rec(0, "ADAMS")], vec![rec(1, "ZHU")]],
-        );
+        let (mut store, _) = MatchStore::open_shards(&dir, 2).unwrap();
+        scatter(&mut store, &[vec![rec(0, "ADAMS")], vec![rec(1, "ZHU")]]);
         let snap = Snapshot {
             records: vec![rec(0, "ADAMS"), rec(1, "ZHU")],
             passes: vec![],
@@ -434,12 +270,11 @@ mod tests {
         // Crash mid-write: a temporary that never got renamed is swept,
         // and the journals still replay the batch.
         std::fs::write(dir.join(format!("{SNAPSHOT_FILE}.tmp")), b"half a snapshot").unwrap();
-        drop(loaded);
-        let (_s, loaded) = ShardedStore::open(&dir, 2).unwrap();
+        drop(store);
+        let (store, loaded) = MatchStore::open_shards(&dir, 2).unwrap();
         assert!(loaded.snapshot.is_none());
         assert!(!dir.join(format!("{SNAPSHOT_FILE}.tmp")).exists());
         assert_eq!(loaded.replayable.len(), 1, "journal still replays");
-        drop(loaded);
 
         // Crash after the rename but before any journal reset: the frames
         // sit at the new watermark and are filtered.
@@ -449,26 +284,24 @@ mod tests {
             std::fs::read(dir.join(SNAPSHOT_FILE)).unwrap(),
             snap.encode()
         );
-        let (_s, mut loaded) = ShardedStore::open(&dir, 2).unwrap();
+        drop(store);
+        let (mut store, loaded) = MatchStore::open_shards(&dir, 2).unwrap();
         assert_eq!(loaded.snapshot.as_ref().unwrap().encode(), snap.encode());
         assert!(
             loaded.replayable.is_empty(),
             "frames at or below the watermark are filtered"
         );
-        assert_eq!(loaded.next_seq, 2);
+        assert_eq!(store.next_seq(), 2);
 
         // Only shard 0 reset before the crash: still nothing to replay, and
         // the next scatter continues at seq 2 on both shards.
-        loaded.journals[0].reset(2).unwrap();
-        drop(loaded);
-        let (_s, mut loaded) = ShardedStore::open(&dir, 2).unwrap();
+        store.journals[0].reset(2).unwrap();
+        drop(store);
+        let (mut store, loaded) = MatchStore::open_shards(&dir, 2).unwrap();
         assert!(loaded.replayable.is_empty());
-        assert_eq!(
-            scatter(&mut loaded.journals, &[vec![], vec![rec(2, "BAKER")]]),
-            2
-        );
-        drop(loaded);
-        let (_s, loaded) = ShardedStore::open(&dir, 2).unwrap();
+        assert_eq!(scatter(&mut store, &[vec![], vec![rec(2, "BAKER")]]), 2);
+        drop(store);
+        let (_s, loaded) = MatchStore::open_shards(&dir, 2).unwrap();
         assert_eq!(loaded.replayable.len(), 1);
         assert_eq!(loaded.replayable[0].seq, 2);
         std::fs::remove_dir_all(&dir).unwrap();
@@ -477,8 +310,8 @@ mod tests {
     #[test]
     fn shard_count_is_fixed_at_creation() {
         let dir = tmp_dir("fixed");
-        let (_store, _loaded) = ShardedStore::open(&dir, 3).unwrap();
-        match ShardedStore::open(&dir, 4) {
+        drop(MatchStore::open_shards(&dir, 3).unwrap());
+        match MatchStore::open_shards(&dir, 4) {
             Err(StoreError::Corrupt(msg)) => assert!(msg.contains("3 shards"), "{msg}"),
             other => panic!("shard-count mismatch must be rejected: {other:?}"),
         }
@@ -488,7 +321,7 @@ mod tests {
     #[test]
     fn a_sharded_store_refuses_a_single_worker_open() {
         let dir = tmp_dir("layout-sharded");
-        drop(ShardedStore::open(&dir, 2).unwrap());
+        drop(MatchStore::open_shards(&dir, 2).unwrap());
         match MatchStore::open(&dir) {
             Err(StoreError::Corrupt(msg)) => assert!(msg.contains("--shards 2"), "{msg}"),
             other => panic!("a sharded store must not open single-worker: {other:?}"),
@@ -501,7 +334,7 @@ mod tests {
     fn a_single_worker_store_refuses_a_sharded_open() {
         let dir = tmp_dir("layout-single");
         drop(MatchStore::open(&dir).unwrap());
-        match ShardedStore::open(&dir, 2) {
+        match MatchStore::open_shards(&dir, 2) {
             Err(StoreError::Corrupt(msg)) => assert!(msg.contains("without --shards"), "{msg}"),
             other => panic!("a single-worker store must not open sharded: {other:?}"),
         }
@@ -512,13 +345,13 @@ mod tests {
     #[test]
     fn a_version_1_manifest_names_the_rebuild() {
         let dir = tmp_dir("manifest-v1");
-        drop(ShardedStore::open(&dir, 2).unwrap());
+        drop(MatchStore::open_shards(&dir, 2).unwrap());
         // Version 1 held the shard count and a checkpoint epoch.
         let mut v1 = encode_manifest(2);
         v1[4..8].copy_from_slice(&1u32.to_le_bytes());
         v1.extend_from_slice(&7u64.to_le_bytes());
         std::fs::write(dir.join(MANIFEST_FILE), v1).unwrap();
-        match ShardedStore::open(&dir, 2) {
+        match MatchStore::open_shards(&dir, 2) {
             Err(StoreError::Corrupt(msg)) => {
                 assert!(msg.contains("`mergepurge load --shards 2`"), "{msg}")
             }

@@ -27,7 +27,9 @@ fn store_with_journaled_batches(name: &str) -> (PathBuf, Vec<Vec<Record>>, Vec<u
     {
         let (mut store, _) = MatchStore::open(&dir).unwrap();
         for b in &parts {
-            store.append_batch(b, None).unwrap();
+            store
+                .append_batch(&[b], None, &mp_metrics::NoopObserver)
+                .unwrap();
             offsets.push(std::fs::metadata(dir.join(JOURNAL_FILE)).unwrap().len());
         }
     }
@@ -45,8 +47,8 @@ fn flipped_byte_in_tail_truncates_to_last_good_frame() {
     std::fs::write(&journal, &data).unwrap();
 
     let (_, loaded) = MatchStore::open(&dir).unwrap();
-    assert!(loaded.recovery.truncated(), "damage must be reported");
-    assert!(loaded.recovery.truncated_bytes > 0);
+    assert!(loaded.truncated(), "damage must be reported");
+    assert!(loaded.truncated_bytes > 0);
     assert_eq!(
         loaded.replayable.len(),
         parts.len() - 1,
@@ -63,7 +65,7 @@ fn flipped_byte_in_tail_truncates_to_last_good_frame() {
         offsets[offsets.len() - 2]
     );
     let (_, again) = MatchStore::open(&dir).unwrap();
-    assert!(!again.recovery.truncated());
+    assert!(!again.truncated());
     assert_eq!(again.replayable.len(), parts.len() - 1);
     std::fs::remove_dir_all(&dir).unwrap();
 }
@@ -79,7 +81,7 @@ fn mid_journal_corruption_drops_everything_from_the_damage_on() {
     std::fs::write(&journal, &data).unwrap();
 
     let (_, loaded) = MatchStore::open(&dir).unwrap();
-    assert!(loaded.recovery.truncated());
+    assert!(loaded.truncated());
     assert_eq!(loaded.replayable.len(), 1);
     assert_eq!(loaded.replayable[0].records, parts[0]);
     std::fs::remove_dir_all(&dir).unwrap();
@@ -110,7 +112,7 @@ fn every_truncation_point_recovers_cleanly() {
         // a frame boundary or before the header leaves nothing torn).
         let at_boundary = cut == 0 || cut == 8 || offsets.contains(&(cut as u64));
         assert_eq!(
-            loaded.recovery.truncated(),
+            loaded.truncated(),
             !at_boundary,
             "cut at {cut}: truncation reporting"
         );

@@ -186,9 +186,9 @@ impl FlightRecorder {
     /// All entries were drained from the same collector, so their
     /// timestamps share one epoch and one timeline; spans are regrouped
     /// by *thread name* (one Perfetto lane per named worker — e.g. one
-    /// per shard worker, even though each batch's scoped scan threads
-    /// register fresh track ids) and sorted by start time within each
-    /// lane.
+    /// per `pass-P-band-K` scan thread, even though each batch's scoped
+    /// threads register fresh track ids) and sorted by start time within
+    /// each lane.
     pub fn chrome_json(&self) -> String {
         let merged = self.merged_tracks();
         chrome_trace_json(&merged)

@@ -64,7 +64,7 @@ fn main() {
         // memory between months — only through the store.
         let t0 = Instant::now();
         let (mut durable, _recovery) =
-            DurableIncremental::open(&store_dir, configure, &theory, &obs)
+            DurableIncremental::open(&store_dir, 1, configure, &theory, &obs)
                 .expect("open match-store");
         let open_time = t0.elapsed();
 

@@ -164,8 +164,8 @@ bulk-load --input FILE`, where FILE is a *daemon-local* path.
 serve runs the batch-ingest daemon on a Unix socket (plus TCP with
 --listen; same wire protocol), backed by the durable match-store at
 --store (crash-safe snapshots + batch journal; see docs/SERVING.md and
-docs/INCREMENTAL.md). --shards N partitions the store by key band into N
-journaling shard workers (fixed at store creation; the merged match set
+docs/INCREMENTAL.md). --shards N partitions the store's journal by key
+band into N shard journals (fixed at store creation; the merged match set
 stays identical to --shards 1). send is the matching client over either
 transport: --cmd is one of ingest-batch (reads --input), bulk-load
 (sends --input as a daemon-local path), query-matches (needs --id),
@@ -1157,16 +1157,15 @@ fn render_top(stats: &merge_purge_repro::serve::json::Json, socket: &str) -> Str
     }
     if let Some(shards) = stats.get("shards").and_then(Json::as_array) {
         out.push_str(&format!(
-            "\n{:<8}{:>12}{:>16}{:>12}{:>10}{:>10}{:>10}\n",
-            "shard", "records", "journal replays", "queue", "replayed", "scan p50", "scan p99"
+            "\n{:<8}{:>12}{:>16}{:>10}{:>10}{:>10}\n",
+            "shard", "records", "journal replays", "replayed", "scan p50", "scan p99"
         ));
         for s in shards {
             out.push_str(&format!(
-                "{:<8}{:>12}{:>16}{:>12}{:>10}{:>10}{:>10}\n",
+                "{:<8}{:>12}{:>16}{:>10}{:>10}{:>10}\n",
                 num(s.get("shard")),
                 num(s.get("records")),
                 num(s.get("journal_replays")),
-                num(s.get("queue_depth")),
                 if s.get("replay_complete").and_then(Json::as_bool) == Some(true) {
                     "yes"
                 } else {

@@ -37,7 +37,7 @@ use mp_metrics::{span, PipelineObserver};
 use mp_record::io as rio;
 use mp_record::Record;
 use mp_rules::EquationalTheory;
-use mp_store::{replace_snapshot, MatchStore, ShardedStore, SnapshotView};
+use mp_store::{replace_snapshot, MatchStore, SnapshotView};
 use std::borrow::Cow;
 use std::fs::File;
 use std::io::{self, BufReader};
@@ -215,13 +215,7 @@ pub fn bulk_load_store(
 /// holds any state: a snapshot or a journaled batch. The handle is closed
 /// again before the load runs.
 fn holds_state(store_dir: &Path, shards: usize) -> Result<bool, String> {
-    let open_err = |e: mp_store::StoreError| format!("open store {}: {e}", store_dir.display());
-    let (snapshot, replayable, next_seq) = if shards <= 1 {
-        let (store, loaded) = MatchStore::open(store_dir).map_err(open_err)?;
-        (loaded.snapshot, loaded.replayable, store.next_seq())
-    } else {
-        let (_store, loaded) = ShardedStore::open(store_dir, shards).map_err(open_err)?;
-        (loaded.snapshot, loaded.replayable, loaded.next_seq)
-    };
-    Ok(snapshot.is_some() || !replayable.is_empty() || next_seq != 1)
+    let (store, loaded) = MatchStore::open_shards(store_dir, shards)
+        .map_err(|e| format!("open store {}: {e}", store_dir.display()))?;
+    Ok(loaded.snapshot.is_some() || !loaded.replayable.is_empty() || store.next_seq() != 1)
 }

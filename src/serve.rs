@@ -7,7 +7,7 @@
 //! Unix domain socket and (with `--listen`) TCP — both transports share
 //! the same framing and dispatch (see `docs/SERVING.md` for the wire
 //! format) — backed by [`merge_purge::incremental::DurableIncremental`],
-//! or, with `--shards N`, by the sharded coordinator in [`shard`].
+//! the one durable engine for every shard count.
 //!
 //! # Protocol
 //!
@@ -67,11 +67,11 @@
 //! `shutdown`).
 //!
 //! Sharding: `--shards N` partitions the durable store's journals by key
-//! band into N shard workers, each owning its own journal under
-//! `store/shard-k/` beside the store's one `snapshot.mps`, with bounded
-//! per-shard queues, per-shard metrics (`shard="k"` labels), and a
-//! cross-shard reconciliation step that keeps the merged match set
-//! bit-identical to the single-worker engine.
+//! band into N journals under `store/shard-k/` beside the store's one
+//! `snapshot.mps`. The engine worker appends a batch's N frames one after
+//! another on its own thread, then scans the batch in N bands; per-shard
+//! metrics carry `shard="k"` labels, and a reconciliation step keeps the
+//! merged match set bit-identical to the single-worker engine.
 //!
 //! Observability: `--metrics-addr` serves `/metrics`, `/healthz`,
 //! `/readyz`, and `/trace` over HTTP; `--log` writes a leveled JSONL
@@ -109,7 +109,6 @@ pub mod eventlog;
 pub mod http;
 pub mod json;
 pub mod obs;
-pub mod shard;
 
 use eventlog::{EventLog, Level};
 use json::Json;
@@ -133,14 +132,14 @@ pub struct ServeConfig {
     pub window: usize,
     /// Pass keys, in order. Must match the store's snapshot when reopening.
     pub keys: Vec<KeySpec>,
-    /// Shard workers for the durable store (1 = single-worker layout;
+    /// Shard journals of the durable store (1 = single-worker layout;
     /// fixed at store creation). Capped by the 27-bin key alphabet.
     pub shards: usize,
     /// `host:port` to additionally serve the wire protocol over TCP
     /// (same framing as the Unix socket); `None` disables it.
     pub listen: Option<String>,
-    /// Bound of the ingest queue (and of each shard worker's queue); a
-    /// full queue blocks the sender (backpressure), never drops.
+    /// Bound of the engine worker's job queue; a full queue blocks the
+    /// sender (backpressure), never drops.
     pub queue_depth: usize,
     /// Checkpoint automatically after this many ingested batches
     /// (0 = only on `snapshot`/`shutdown`).
@@ -308,10 +307,10 @@ impl ReadSlot {
         })))
     }
 
-    fn publish(&self, backend: &Backend) {
+    fn publish(&self, durable: &DurableIncremental) {
         let view = Arc::new(ReadView {
-            ring: backend.engine().class_ring().clone(),
-            seq: last_seq(backend),
+            ring: durable.engine().class_ring().clone(),
+            seq: last_seq(durable),
         });
         // Bound so the superseded view is freed after the lock is released.
         let _superseded = std::mem::replace(
@@ -331,89 +330,20 @@ fn err_json(msg: &str) -> String {
     Json::Obj(obj).to_string()
 }
 
-/// The durable state the engine worker drives: either the single-worker
-/// store or the sharded coordinator. Same observable behavior either
-/// way — the `store` stats section is bit-identical for the same
-/// acknowledged batches (the shard-equivalence tests pin this down).
-enum Backend {
-    Single(DurableIncremental),
-    Sharded(shard::ShardedDurable),
-}
-
-impl Backend {
-    fn engine(&self) -> &IncrementalMergePurge {
-        match self {
-            Backend::Single(d) => d.engine(),
-            Backend::Sharded(s) => s.engine(),
-        }
-    }
-
-    fn next_seq(&self) -> u64 {
-        match self {
-            Backend::Single(d) => d.store().next_seq(),
-            Backend::Sharded(s) => s.next_seq(),
-        }
-    }
-
-    fn batches_since_checkpoint(&self) -> u64 {
-        match self {
-            Backend::Single(d) => d.batches_since_checkpoint(),
-            Backend::Sharded(s) => s.batches_since_checkpoint(),
-        }
-    }
-
-    fn snapshot_meta(&self) -> Option<(u64, std::time::SystemTime)> {
-        match self {
-            Backend::Single(d) => d.store().snapshot_meta(),
-            Backend::Sharded(s) => s.snapshot_meta(),
-        }
-    }
-
-    /// Whether a partial shard append left this process unable to ingest
-    /// (always false for the single-worker backend).
-    fn poisoned(&self) -> bool {
-        match self {
-            Backend::Single(_) => false,
-            Backend::Sharded(s) => s.poisoned(),
-        }
-    }
-
-    fn ingest(
-        &mut self,
-        batch: Vec<Record>,
-        trace_id: &str,
-        theory: &dyn EquationalTheory,
-        recorder: &MetricsRecorder,
-        obs: &ObsState,
-    ) -> Result<u64, String> {
-        match self {
-            Backend::Single(d) => d
-                .ingest(batch, Some(trace_id), theory, recorder)
-                .map_err(|e| e.to_string()),
-            Backend::Sharded(s) => s.ingest(batch, trace_id, theory, recorder, obs),
-        }
-    }
-
-    fn checkpoint(&mut self, recorder: &MetricsRecorder, obs: &ObsState) -> Result<u64, String> {
-        match self {
-            Backend::Single(d) => d.checkpoint(recorder).map_err(|e| e.to_string()),
-            Backend::Sharded(s) => s.checkpoint(recorder, obs),
-        }
-    }
-}
-
-/// Reports what opening the store recovered, identically for both
-/// backends: the stderr status line (naming the shard count when
-/// sharded), the `journal_replayed` event — whose middle field is the
-/// one thing the backends report differently (`batches_in_snapshot` vs
-/// `shards`) — and, when a journal lost bytes, `corrupt_tail_truncated`.
+/// Reports what opening the store recovered: the stderr status line
+/// (naming the shard count when sharded), the `journal_replayed` event —
+/// whose middle field is `shards` on a sharded store and
+/// `batches_in_snapshot` otherwise — and, when a journal lost bytes,
+/// `corrupt_tail_truncated`. Sharded, it also marks each shard replayed
+/// for `readyz`.
 fn report_recovery(
     obs: &ObsState,
     quiet: bool,
-    engine: &IncrementalMergePurge,
-    shards: Option<usize>,
+    durable: &DurableIncremental,
     recovery: &RecoveryReport,
 ) {
+    let engine = durable.engine();
+    let shards = Some(durable.store().shards()).filter(|&n| n > 1);
     if !quiet {
         eprintln!(
             "mergepurge serve: {} records{}, {} batches applied ({} replayed from journal{})",
@@ -467,6 +397,21 @@ fn report_recovery(
                 ),
             ],
         );
+    }
+    if shards.is_some() {
+        // The readiness probe stays 503 until every shard flips.
+        for (k, &replays) in recovery.shard_replays.iter().enumerate() {
+            obs.set_shard_journal_replays(k, replays);
+            obs.event(
+                Level::Info,
+                "shard_replayed",
+                vec![
+                    ("shard".into(), Json::Num(k as f64)),
+                    ("journal_replays".into(), Json::Num(replays as f64)),
+                ],
+            );
+            obs.set_shard_replay_complete(k);
+        }
     }
 }
 
@@ -535,85 +480,33 @@ fn load_at_startup(
 }
 
 /// Opens the store at `config.store_dir` — snapshot restored, journals
-/// replayed — and reports what recovery found. Sharded, it also spawns
-/// one worker per shard journal on `scope` and marks each shard replayed
-/// for `readyz`. Runs at startup, and again in the `bulk-load` job to
-/// serve what the load committed.
-fn open_backend<'scope, 'env>(
-    config: &'env ServeConfig,
+/// replayed — and reports what recovery found. Runs at startup, and again
+/// in the `bulk-load` job to serve what the load committed.
+fn open_store(
+    config: &ServeConfig,
     theory: &dyn EquationalTheory,
-    recorder: &'env MetricsRecorder,
-    obs: &'env ObsState,
-    scope: &'scope Scope<'scope, 'env>,
-) -> Result<Backend, String> {
+    recorder: &MetricsRecorder,
+    obs: &ObsState,
+) -> Result<DurableIncremental, String> {
+    if config.keys.is_empty() {
+        return Err("at least one pass key is required".into());
+    }
     let configure = |mut e: IncrementalMergePurge| {
         for key in &config.keys {
             e = e.pass(key.clone(), config.window);
         }
         e
     };
-    let open_err =
-        |e: &dyn std::fmt::Display| format!("open store {}: {e}", config.store_dir.display());
-    if config.shards <= 1 {
-        let (durable, recovery) =
-            DurableIncremental::open(&config.store_dir, configure, theory, recorder)
-                .map_err(|e| open_err(&e))?;
-        report_recovery(obs, config.quiet, durable.engine(), None, &recovery);
-        return Ok(Backend::Single(durable));
-    }
-    let first_key = config
-        .keys
-        .first()
-        .cloned()
-        .ok_or("at least one pass key is required")?;
-    let mut prep = shard::open_sharded(
+    let (durable, recovery) = DurableIncremental::open(
         &config.store_dir,
         config.shards,
         configure,
         theory,
         recorder,
     )
-    .map_err(|e| open_err(&e))?;
-    report_recovery(
-        obs,
-        config.quiet,
-        &prep.engine,
-        Some(config.shards),
-        &prep.recovery,
-    );
-    // Hand each shard its journal and mark it replayed; the readiness
-    // probe stays 503 until every shard flips.
-    let journals = std::mem::take(&mut prep.journals);
-    let mut senders = Vec::with_capacity(journals.len());
-    for (k, journal) in journals.into_iter().enumerate() {
-        let (stx, srx) = mpsc::sync_channel::<shard::ShardMsg>(config.queue_depth);
-        // Named so each worker keeps one stable lane in the flight-recorder
-        // dump.
-        std::thread::Builder::new()
-            .name(format!("shard-{k}"))
-            .spawn_scoped(scope, move || {
-                shard::run_worker(k, journal, srx, obs, recorder)
-            })
-            .expect("spawn shard worker");
-        obs.set_shard_journal_replays(k, prep.shard_replays[k]);
-        obs.event(
-            Level::Info,
-            "shard_replayed",
-            vec![
-                ("shard".into(), Json::Num(k as f64)),
-                (
-                    "journal_replays".into(),
-                    Json::Num(prep.shard_replays[k] as f64),
-                ),
-            ],
-        );
-        obs.set_shard_replay_complete(k);
-        senders.push(stx);
-    }
-    let router = shard::ShardRouter::new(first_key, config.shards);
-    Ok(Backend::Sharded(shard::ShardedDurable::new(
-        prep, router, senders,
-    )))
+    .map_err(|e| format!("open store {}: {e}", config.store_dir.display()))?;
+    report_recovery(obs, config.quiet, &durable, &recovery);
+    Ok(durable)
 }
 
 /// Runs the daemon until `shutdown` (command or signal). Blocks.
@@ -711,7 +604,7 @@ pub fn serve(
             if let Some(input) = &config.bulk_load {
                 load_at_startup(config, input, theory, recorder, obs)?;
             }
-            let backend = open_backend(config, theory, recorder, obs, scope)?;
+            let durable = open_store(config, theory, recorder, obs)?;
             let worker = Worker {
                 config,
                 theory,
@@ -719,7 +612,6 @@ pub fn serve(
                 flight,
                 obs,
                 reads,
-                scope,
                 rule_names: theory.rule_names(),
                 trace_nonce: std::time::SystemTime::now()
                     .duration_since(std::time::UNIX_EPOCH)
@@ -731,7 +623,7 @@ pub fn serve(
             };
             // Before any listener binds: the first connection already
             // reads the recovered state.
-            worker.publish(&backend);
+            worker.publish(&durable);
             obs.set_replay_complete();
             // Sweep the startup spans (load + journal replay) into their
             // own flight entry so the first batch's entry holds only its
@@ -780,7 +672,7 @@ pub fn serve(
             let (tx, rx) = mpsc::sync_channel::<Job>(config.queue_depth);
             let engine = std::thread::Builder::new()
                 .name("engine".into())
-                .spawn_scoped(scope, move || worker.run(backend, rx))
+                .spawn_scoped(scope, move || worker.run(durable, rx))
                 .expect("spawn engine worker");
             let front = Front {
                 tx,
@@ -850,8 +742,8 @@ pub fn serve(
 /// The last acknowledged journal sequence number (0 before any batch):
 /// the watermark `stats` and `query-matches` replies carry so clients can
 /// correlate answers with journal position.
-fn last_seq(backend: &Backend) -> u64 {
-    backend.next_seq().saturating_sub(1)
+fn last_seq(durable: &DurableIncremental) -> u64 {
+    durable.store().next_seq().saturating_sub(1)
 }
 
 /// A rule's name for `explain` and the quality stats, by rule id.
@@ -875,19 +767,17 @@ fn checkpoint_reply(written: Result<u64, String>, what: &str) -> String {
     }
 }
 
-/// The engine worker: the one thread that owns the [`Backend`]. Jobs are
-/// applied strictly in FIFO order, which is what makes the journal
-/// replayable, and every job that can change state publishes the new
-/// state before it is acknowledged.
-struct Worker<'scope, 'env: 'scope> {
+/// The engine worker: the one thread that owns the
+/// [`DurableIncremental`]. Jobs are applied strictly in FIFO order, which
+/// is what makes the journals replayable, and every job that can change
+/// state publishes the new state before it is acknowledged.
+struct Worker<'env> {
     config: &'env ServeConfig,
     theory: &'env (dyn EquationalTheory + Sync),
     recorder: &'env MetricsRecorder,
     flight: &'env FlightRecorder,
     obs: &'env ObsState,
     reads: &'env ReadSlot,
-    /// Where a reopened sharded store spawns its shard workers.
-    scope: &'scope Scope<'scope, 'env>,
     /// The theory's rule table, fixed for the daemon's lifetime:
     /// `explain` replies and the quality stats name rules by id.
     rule_names: Vec<String>,
@@ -899,7 +789,7 @@ struct Worker<'scope, 'env: 'scope> {
     last_trace_id: Option<String>,
 }
 
-impl<'scope, 'env> Worker<'scope, 'env> {
+impl Worker<'_> {
     fn mint_trace_id(&mut self) -> String {
         let id = format!("{:08x}-{:08x}", self.trace_nonce, self.trace_seq);
         self.trace_seq += 1;
@@ -914,7 +804,7 @@ impl<'scope, 'env> Worker<'scope, 'env> {
     ///
     /// The `bulk-load` job could not reopen the store: the daemon has no
     /// store left to serve.
-    fn run(mut self, mut backend: Backend, rx: Receiver<Job>) -> Result<(), String> {
+    fn run(mut self, mut durable: DurableIncremental, rx: Receiver<Job>) -> Result<(), String> {
         let mut last_heartbeat_line = 0u64;
         loop {
             // Bounded wait so the worker heartbeat stays fresh while idle
@@ -934,10 +824,10 @@ impl<'scope, 'env> Worker<'scope, 'env> {
             self.obs.beat();
             let is_drain = matches!(work, Work::Shutdown);
             let msg = match work {
-                Work::Ingest(batch) => self.ingest(&mut backend, batch),
-                Work::BulkLoad(input) => match self.bulk_load(backend, &input) {
+                Work::Ingest(batch) => self.ingest(&mut durable, batch),
+                Work::BulkLoad(input) => match self.bulk_load(durable, &input) {
                     Ok((reopened, msg)) => {
-                        backend = reopened;
+                        durable = reopened;
                         msg
                     }
                     Err(e) => {
@@ -945,11 +835,11 @@ impl<'scope, 'env> Worker<'scope, 'env> {
                         return Err(e);
                     }
                 },
-                Work::Explain(a, b) => self.explain(&backend, a, b),
+                Work::Explain(a, b) => self.explain(&durable, a, b),
                 Work::Stats => {
                     self.obs.event(Level::Debug, "stats", vec![]);
                     stats_json(
-                        &backend,
+                        &durable,
                         self.recorder,
                         self.obs,
                         self.flight,
@@ -957,8 +847,8 @@ impl<'scope, 'env> Worker<'scope, 'env> {
                         &self.rule_names,
                     )
                 }
-                Work::Snapshot => self.snapshot(&mut backend),
-                Work::Shutdown => self.drain(&mut backend, &rx),
+                Work::Snapshot => self.snapshot(&mut durable),
+                Work::Shutdown => self.drain(&mut durable, &rx),
             };
             let _ = reply.send(msg);
             if is_drain {
@@ -968,18 +858,18 @@ impl<'scope, 'env> Worker<'scope, 'env> {
         let trace_id = self.mint_trace_id();
         self.flight.record(
             trace_id,
-            last_seq(&backend),
+            last_seq(&durable),
             false,
             self.recorder.drain_spans(),
         );
         Ok(())
     }
 
-    /// An `ingest-batch` job: the backend journals (fsync) and folds the
+    /// An `ingest-batch` job: the engine journals (fsync) and folds the
     /// batch; then the batch is logged, a due `--snapshot-every`
     /// checkpoint runs, and its spans are decomposed and settled — all
     /// before the ack.
-    fn ingest(&mut self, backend: &mut Backend, batch: Vec<Record>) -> String {
+    fn ingest(&mut self, durable: &mut DurableIncremental, batch: Vec<Record>) -> String {
         let (recorder, obs) = (self.recorder, self.obs);
         let n = batch.len();
         let trace_id = self.mint_trace_id();
@@ -993,17 +883,18 @@ impl<'scope, 'env> Worker<'scope, 'env> {
         // per-batch drain below.
         let msg = {
             let _batch_span = span_labeled(recorder, "batch", || {
-                format!("trace={trace_id} seq={}", backend.next_seq())
+                format!("trace={trace_id} seq={}", durable.store().next_seq())
             });
-            match backend.ingest(batch, &trace_id, self.theory, recorder, obs) {
+            let ingested = durable.ingest(batch, Some(&trace_id), self.theory, recorder);
+            match ingested.map_err(|e| e.to_string()) {
                 Ok(seq) => {
                     let dur_ns = started.elapsed().as_nanos() as u64;
-                    self.log_batch(backend, seq, n, &trace_id, dur_ns, before);
+                    self.log_batch(durable, seq, n, &trace_id, dur_ns, before);
                     let every = self.config.snapshot_every;
-                    if every > 0 && backend.batches_since_checkpoint() >= every {
+                    if every > 0 && durable.batches_since_checkpoint() >= every {
                         // A failure is logged; the batch itself is already
                         // durable in the journal.
-                        let _ = self.checkpoint(backend, "snapshot-every");
+                        let _ = self.checkpoint(durable, "snapshot-every");
                     }
                     Json::Obj(vec![
                         ("ok".into(), Json::Bool(true)),
@@ -1012,7 +903,7 @@ impl<'scope, 'env> Worker<'scope, 'env> {
                         ("records".into(), Json::Num(n as f64)),
                         (
                             "total_records".into(),
-                            Json::Num(backend.engine().records().len() as f64),
+                            Json::Num(durable.engine().records().len() as f64),
                         ),
                     ])
                     .to_string()
@@ -1026,19 +917,17 @@ impl<'scope, 'env> Worker<'scope, 'env> {
                             ("trace_id".into(), Json::Str(trace_id.clone())),
                         ],
                     );
-                    if backend.poisoned() {
-                        // A partial shard append: disk and memory may
-                        // disagree on sequence alignment. Recovery discards
-                        // the partial scatter on restart.
-                        self.stop_serving(&e);
-                    }
+                    // An ingest fails only on a journal write, after which
+                    // the store refuses every later append; a restart's
+                    // recovery drops what the write left.
+                    self.stop_serving(&e);
                     err_json(&format!("ingest failed: {e}"))
                 }
             }
         };
         // All of the batch's spans are closed now (band threads joined,
-        // shard workers acked before their guards dropped, batch guard
-        // dropped above): decompose the critical path, then settle.
+        // batch guard dropped above): decompose the critical path, then
+        // settle.
         let total_ns = started.elapsed().as_nanos() as u64;
         let tracks = recorder.drain_spans();
         let mut slow = false;
@@ -1057,7 +946,7 @@ impl<'scope, 'env> Worker<'scope, 'env> {
                 obs.event(Level::Warn, "slow_batch", fields);
             }
         }
-        self.settle(backend, trace_id, slow, tracks);
+        self.settle(durable, trace_id, slow, tracks);
         msg
     }
 
@@ -1066,7 +955,7 @@ impl<'scope, 'env> Worker<'scope, 'env> {
     /// cluster (at warn level from `--large-cluster-threshold` up).
     fn log_batch(
         &self,
-        backend: &Backend,
+        durable: &DurableIncremental,
         seq: u64,
         n: usize,
         trace_id: &str,
@@ -1091,23 +980,17 @@ impl<'scope, 'env> Worker<'scope, 'env> {
             ("matches".into(), Json::Num(matches as f64)),
             (
                 "total_records".into(),
-                Json::Num(backend.engine().records().len() as f64),
+                Json::Num(durable.engine().records().len() as f64),
             ),
             ("duration_ms".into(), Json::Num((dur_ns / 1_000_000) as f64)),
         ];
-        if let Backend::Sharded(s) = backend {
-            fields.push((
-                "shard_records".into(),
-                Json::Arr(
-                    s.last_scatter()
-                        .iter()
-                        .map(|&c| Json::Num(c as f64))
-                        .collect(),
-                ),
-            ));
+        if durable.store().shards() > 1 {
+            let scatter = durable.last_scatter().iter();
+            let counts = scatter.map(|&c| Json::Num(c as f64)).collect();
+            fields.push(("shard_records".into(), Json::Arr(counts)));
         }
         obs.event(Level::Info, "batch_ingested", fields);
-        if let Some((ea, eb, size)) = backend.engine().last_batch_largest_merge() {
+        if let Some((ea, eb, size)) = durable.engine().last_batch_largest_merge() {
             let threshold = self.config.large_cluster_threshold;
             let level = if threshold > 0 && size >= threshold {
                 Level::Warn
@@ -1133,30 +1016,33 @@ impl<'scope, 'env> Worker<'scope, 'env> {
     /// daemon-local file) through the one bulk commit `mergepurge load`
     /// and `serve --bulk-load` run, then serves it through the open
     /// startup runs. The store is closed for the load — dropping the
-    /// backend closes the journals, and the shard workers exit with their
-    /// queues — so the commit lands in a quiescent directory; a failed
-    /// load reopens the still-empty store. Returns the backend to serve
-    /// from and the reply.
+    /// engine closes its journals — so the commit lands in a quiescent
+    /// directory; a failed load reopens the still-empty store. Returns the
+    /// engine to serve from and the reply.
     ///
     /// # Errors
     ///
     /// The store could not be reopened; the daemon is stopping.
-    fn bulk_load(&mut self, backend: Backend, input: &Path) -> Result<(Backend, String), String> {
+    fn bulk_load(
+        &mut self,
+        durable: DurableIncremental,
+        input: &Path,
+    ) -> Result<(DurableIncremental, String), String> {
         let (recorder, obs) = (self.recorder, self.obs);
         let trace_id = self.mint_trace_id();
         let started = Instant::now();
         let batch_span = span_labeled(recorder, "batch", || format!("trace={trace_id} bulk-load"));
-        let engine = backend.engine();
-        let (backend, loaded) = if engine.batches_applied() != 0 || !engine.records().is_empty() {
+        let engine = durable.engine();
+        let (durable, loaded) = if engine.batches_applied() != 0 || !engine.records().is_empty() {
             let held = format!(
                 "bulk-load requires an empty store (this one holds {} records from {} batches); \
                  use ingest-batch for increments",
                 engine.records().len(),
                 engine.batches_applied()
             );
-            (backend, Err(held))
+            (durable, Err(held))
         } else {
-            drop(backend);
+            drop(durable);
             let loaded = self
                 .config
                 .load_store(input, self.theory, recorder)
@@ -1167,7 +1053,7 @@ impl<'scope, 'env> Worker<'scope, 'env> {
                             .to_string()
                     })
                 });
-            match open_backend(self.config, self.theory, recorder, obs, self.scope) {
+            match open_store(self.config, self.theory, recorder, obs) {
                 Ok(reopened) => (reopened, loaded),
                 Err(e) => {
                     self.stop_serving(&e);
@@ -1202,7 +1088,7 @@ impl<'scope, 'env> Worker<'scope, 'env> {
                 );
                 Json::Obj(vec![
                     ("ok".into(), Json::Bool(true)),
-                    ("seq".into(), Json::Num(last_seq(&backend) as f64)),
+                    ("seq".into(), Json::Num(last_seq(&durable) as f64)),
                     ("trace_id".into(), Json::Str(trace_id.clone())),
                     ("records".into(), Json::Num(report.records as f64)),
                     ("pairs".into(), Json::Num(report.pairs as f64)),
@@ -1212,7 +1098,7 @@ impl<'scope, 'env> Worker<'scope, 'env> {
                     ),
                     (
                         "total_records".into(),
-                        Json::Num(backend.engine().records().len() as f64),
+                        Json::Num(durable.engine().records().len() as f64),
                     ),
                 ])
                 .to_string()
@@ -1230,13 +1116,13 @@ impl<'scope, 'env> Worker<'scope, 'env> {
             }
         };
         let tracks = recorder.drain_spans();
-        self.settle(&backend, trace_id, false, tracks);
-        Ok((backend, msg))
+        self.settle(&durable, trace_id, false, tracks);
+        Ok((durable, msg))
     }
 
     /// An `explain` job: the provenance chain connecting `a` and `b`, or
     /// `connected:false` when they are in different classes.
-    fn explain(&self, backend: &Backend, a: u32, b: u32) -> String {
+    fn explain(&self, durable: &DurableIncremental, a: u32, b: u32) -> String {
         self.obs.event(
             Level::Debug,
             "explain",
@@ -1245,13 +1131,13 @@ impl<'scope, 'env> Worker<'scope, 'env> {
                 ("b".into(), Json::Num(b as f64)),
             ],
         );
-        let n = backend.engine().records().len();
+        let n = durable.engine().records().len();
         if (a as usize) >= n || (b as usize) >= n {
             return err_json(&format!(
                 "record id out of range ({n} records): a={a} b={b}"
             ));
         }
-        let chain = backend.engine().explain(a, b);
+        let chain = durable.engine().explain(a, b);
         let evidence = chain
             .as_deref()
             .unwrap_or(&[])
@@ -1283,29 +1169,29 @@ impl<'scope, 'env> Worker<'scope, 'env> {
             ("b".into(), Json::Num(b as f64)),
             ("connected".into(), Json::Bool(chain.is_some())),
             ("chain".into(), Json::Arr(evidence)),
-            ("seq".into(), Json::Num(last_seq(backend) as f64)),
+            ("seq".into(), Json::Num(last_seq(durable) as f64)),
         ])
         .to_string()
     }
 
     /// A `snapshot` job: a checkpoint under its own `batch` span.
-    fn snapshot(&mut self, backend: &mut Backend) -> String {
+    fn snapshot(&mut self, durable: &mut DurableIncremental) -> String {
         let trace_id = self.mint_trace_id();
         let written = {
             let _snap_span = span_labeled(self.recorder, "batch", || {
                 format!("trace={trace_id} snapshot")
             });
-            self.checkpoint(backend, "snapshot-cmd")
+            self.checkpoint(durable, "snapshot-cmd")
         };
         let tracks = self.recorder.drain_spans();
-        self.settle(backend, trace_id, false, tracks);
+        self.settle(durable, trace_id, false, tracks);
         checkpoint_reply(written, "snapshot")
     }
 
     /// The drain job — the `shutdown` command, or the accept loop's drain
     /// after a signal: stop accepting, refuse what queued behind it, and
     /// write the final checkpoint.
-    fn drain(&mut self, backend: &mut Backend, rx: &Receiver<Job>) -> String {
+    fn drain(&mut self, durable: &mut DurableIncremental, rx: &Receiver<Job>) -> String {
         SHUTDOWN.store(true, Ordering::SeqCst);
         self.obs.set_accepting(false);
         self.obs.event(Level::Info, "shutdown_begun", vec![]);
@@ -1315,16 +1201,16 @@ impl<'scope, 'env> Worker<'scope, 'env> {
             self.obs.job_dequeued();
             let _ = late.reply.send(err_json("shutting-down"));
         }
-        let written = self.checkpoint(backend, "shutdown");
-        self.publish(backend);
+        let written = self.checkpoint(durable, "shutdown");
+        self.publish(durable);
         checkpoint_reply(written, "final snapshot")
     }
 
     /// Writes a checkpoint and logs it: `checkpoint_written` with what
     /// triggered it (`snapshot-every`, `snapshot-cmd` or `shutdown`), or
     /// `checkpoint_failed`.
-    fn checkpoint(&self, backend: &mut Backend, trigger: &str) -> Result<u64, String> {
-        let written = backend.checkpoint(self.recorder, self.obs);
+    fn checkpoint(&self, durable: &mut DurableIncremental, trigger: &str) -> Result<u64, String> {
+        let written = durable.checkpoint(self.recorder).map_err(|e| e.to_string());
         match &written {
             Ok(bytes) => self.obs.event(
                 Level::Info,
@@ -1347,7 +1233,7 @@ impl<'scope, 'env> Worker<'scope, 'env> {
     }
 
     /// Stops taking traffic once this process cannot trust its store — a
-    /// partial shard append, or a store the `bulk-load` job could not
+    /// failed journal write, or a store the `bulk-load` job could not
     /// reopen. A restart recovers from what is on disk.
     fn stop_serving(&self, e: &str) {
         eprintln!("mergepurge serve: store poisoned, shutting down: {e}");
@@ -1358,11 +1244,17 @@ impl<'scope, 'env> Worker<'scope, 'env> {
     /// The tail of every job that can change state: its closed spans
     /// become one flight entry (pinned when `slow`), its trace id the last
     /// one, and the new state is published — all before the ack.
-    fn settle(&mut self, backend: &Backend, trace_id: String, slow: bool, tracks: Vec<TrackSpans>) {
+    fn settle(
+        &mut self,
+        durable: &DurableIncremental,
+        trace_id: String,
+        slow: bool,
+        tracks: Vec<TrackSpans>,
+    ) {
         self.flight
-            .record(trace_id.clone(), last_seq(backend), slow, tracks);
+            .record(trace_id.clone(), last_seq(durable), slow, tracks);
         self.last_trace_id = Some(trace_id);
-        self.publish(backend);
+        self.publish(durable);
     }
 
     /// Publishes what other threads may know of the engine, after every
@@ -1370,20 +1262,18 @@ impl<'scope, 'env> Worker<'scope, 'env> {
     /// engine-owned gauges and the match-quality view into the shared
     /// observability state, and the [`ReadView`] `query-matches` answers
     /// from.
-    fn publish(&self, backend: &Backend) {
+    fn publish(&self, durable: &DurableIncremental) {
         let obs = self.obs;
         obs.publish_engine(
-            backend.engine().records().len() as u64,
-            last_seq(backend),
-            backend.batches_since_checkpoint(),
-            backend.snapshot_meta(),
+            durable.engine().records().len() as u64,
+            last_seq(durable),
+            durable.batches_since_checkpoint(),
+            durable.store().snapshot_meta(),
         );
-        if let Backend::Sharded(s) = backend {
-            for (k, &n) in s.shard_records().iter().enumerate() {
-                obs.set_shard_records(k, n);
-            }
+        for (k, &n) in durable.shard_records().iter().enumerate() {
+            obs.set_shard_records(k, n);
         }
-        let engine = backend.engine();
+        let engine = durable.engine();
         let sizes = engine.cluster_sizes();
         obs.publish_quality(QualitySnapshot {
             hist: sizes.histogram().to_vec(),
@@ -1398,7 +1288,7 @@ impl<'scope, 'env> Worker<'scope, 'env> {
                 .map(|(i, &f)| (rule_name(&self.rule_names, i), f))
                 .collect(),
         });
-        self.reads.publish(backend);
+        self.reads.publish(durable);
     }
 }
 
@@ -1656,14 +1546,14 @@ fn enqueue_and_wait(tx: &SyncSender<Job>, obs: &ObsState, work: Work) -> String 
 /// (sharded daemons only) reports per-shard ownership, replay state,
 /// and scan-latency quantiles (see `docs/OBSERVABILITY.md`).
 fn stats_json(
-    backend: &Backend,
+    durable: &DurableIncremental,
     recorder: &MetricsRecorder,
     obs: &ObsState,
     flight: &FlightRecorder,
     last_trace_id: Option<&str>,
     rule_names: &[String],
 ) -> String {
-    let engine = backend.engine();
+    let engine = durable.engine();
     let (duplicate_groups, duplicate_records) = engine.duplicate_counts();
     let passes = engine
         .pass_counters()
@@ -1713,7 +1603,7 @@ fn stats_json(
         ),
         (
             "batches_since_checkpoint".into(),
-            Json::Num(backend.batches_since_checkpoint() as f64),
+            Json::Num(durable.batches_since_checkpoint() as f64),
         ),
     ]);
     let tracing = Json::Obj(vec![
@@ -1776,7 +1666,7 @@ fn stats_json(
     let mut reply = vec![
         ("ok".into(), Json::Bool(true)),
         ("schema".into(), Json::Num(6.0)),
-        ("seq".into(), Json::Num(last_seq(backend) as f64)),
+        ("seq".into(), Json::Num(last_seq(durable) as f64)),
         ("store".into(), store),
         ("process".into(), process),
         ("health".into(), obs.health_json()),

@@ -4,9 +4,9 @@
 //!
 //! One [`ObsState`] is shared (by reference, under the daemon's thread
 //! scope) between the engine worker (which records batch work and
-//! publishes engine gauges), connection threads (which count
-//! backpressure waits), shard workers (per-shard gauges, when running
-//! `--shards`), and the scrape paths — the `metrics`/`healthz`/`readyz`
+//! publishes engine gauges, per shard too when running `--shards`),
+//! connection threads (which count backpressure waits), and the scrape
+//! paths — the `metrics`/`healthz`/`readyz`
 //! wire commands and the `--metrics-addr` HTTP listener. Everything is
 //! atomics; nothing on the serving path takes a lock (the event log has
 //! its own mutex and is only touched when `--log` is set).
@@ -31,15 +31,14 @@ use std::time::Instant;
 /// single enormous batch — see `docs/OBSERVABILITY.md`).
 pub const HEARTBEAT_STALE_SECS: u64 = 30;
 
-/// Per-shard observability: one slot per shard worker when the daemon
+/// Per-shard observability: one slot per shard journal when the daemon
 /// runs with `--shards N` (N >= 2). All atomics; read by the scrape
-/// paths, written by the coordinator and shard workers.
+/// paths, written by the engine worker.
 #[derive(Debug, Default)]
 pub struct ShardObs {
     replay_complete: AtomicBool,
     journal_replays: AtomicU64,
     records: AtomicU64,
-    queue_depth: AtomicU64,
     /// Cumulative per-shard window-scan latency: each batch's band-K
     /// `shard_scan` span durations summed over its passes, recorded from
     /// the batch's drained trace.
@@ -49,7 +48,7 @@ pub struct ShardObs {
 /// Per-batch critical-path decomposition, extracted from the batch's
 /// drained spans: where did the wall-clock go — the critical pass
 /// (inserting its keys into its order, then its slowest band's window
-/// scan), the reconcile fold, or the slowest shard journal fsync?
+/// scan), the reconcile fold, or the shard journals' fsyncs?
 ///
 /// The passes run side by side, each keying and merging the batch and
 /// then scanning it in bands of its own, so a batch waits for its
@@ -72,9 +71,9 @@ pub struct PhaseBreakdown {
     pub slowest_pass: Option<usize>,
     /// Total `closure_reconcile` time (the fold of every pass's bands).
     pub reconcile_ns: u64,
-    /// The slowest shard worker's `shard_ingest` (journal append +
-    /// fsync) time.
-    pub journal_max_ns: u64,
+    /// Summed `shard_ingest` (journal append + fsync) time: the shards'
+    /// appends run one after another on the engine worker.
+    pub journal_ns: u64,
     /// `1000 · max/mean` of the per-band scan times — the batch's shard
     /// imbalance as a milli-ratio (0 with fewer than two active bands).
     pub imbalance_milli: u64,
@@ -92,7 +91,7 @@ impl PhaseBreakdown {
     /// Decomposes one batch's drained tracks by span name: per pass its
     /// `key_merge` and its `shard_scan` durations per band (an unlabeled
     /// span counts as pass 0, band 0), the `closure_reconcile` total, and
-    /// the slowest `shard_ingest` (the journal-fsync leg); then picks the
+    /// the `shard_ingest` total (the journal-fsync leg); then picks the
     /// critical pass.
     pub fn from_tracks(tracks: &[TrackSpans]) -> Self {
         // pass -> (key_merge ns, band -> scan ns)
@@ -113,7 +112,7 @@ impl PhaseBreakdown {
                     }
                     "key_merge" => legs.entry(field("pass")).or_default().0 += s.dur_ns(),
                     "closure_reconcile" => out.reconcile_ns += s.dur_ns(),
-                    "shard_ingest" => out.journal_max_ns = out.journal_max_ns.max(s.dur_ns()),
+                    "shard_ingest" => out.journal_ns += s.dur_ns(),
                     _ => {}
                 }
             }
@@ -168,7 +167,7 @@ impl PhaseBreakdown {
             ("shard_scan", self.scan_max_ns),
             ("key_merge", self.key_merge_ns),
             ("reconcile", self.reconcile_ns),
-            ("journal_fsync", self.journal_max_ns),
+            ("journal_fsync", self.journal_ns),
         ];
         // `max_by_key` keeps the last of equal maxima: walk backwards.
         let longest = legs.into_iter().rev().max_by_key(|&(_, ns)| ns);
@@ -187,7 +186,7 @@ impl PhaseBreakdown {
             ("key_merge_ms".into(), ms(self.key_merge_ns)),
             ("scan_max_ms".into(), ms(self.scan_max_ns)),
             ("reconcile_ms".into(), ms(self.reconcile_ns)),
-            ("journal_max_ms".into(), ms(self.journal_max_ns)),
+            ("journal_ms".into(), ms(self.journal_ns)),
             (
                 "imbalance".into(),
                 Json::Num(self.imbalance_milli as f64 / 1000.0),
@@ -430,28 +429,6 @@ impl ObsState {
             .map_or(0, |s| s.records.load(Ordering::Relaxed))
     }
 
-    /// Notes a message enqueued for shard `k`'s worker.
-    pub fn shard_job_enqueued(&self, k: usize) {
-        if let Some(s) = self.shard(k) {
-            s.queue_depth.fetch_add(1, Ordering::Relaxed);
-        }
-    }
-
-    /// Notes a message dequeued by shard `k`'s worker.
-    pub fn shard_job_dequeued(&self, k: usize) {
-        if let Some(s) = self.shard(k) {
-            let _ = s
-                .queue_depth
-                .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |d| d.checked_sub(1));
-        }
-    }
-
-    /// Messages currently queued for shard `k`'s worker.
-    pub fn shard_queue_depth(&self, k: usize) -> u64 {
-        self.shard(k)
-            .map_or(0, |s| s.queue_depth.load(Ordering::Relaxed))
-    }
-
     /// The `shards` section of the extended `stats` reply: one object
     /// per shard, or `None` for single-worker daemons.
     pub fn shards_json(&self) -> Option<Json> {
@@ -465,10 +442,6 @@ impl ObsState {
                         (
                             "journal_replays".into(),
                             Json::Num(self.shard_journal_replays(k) as f64),
-                        ),
-                        (
-                            "queue_depth".into(),
-                            Json::Num(self.shard_queue_depth(k) as f64),
                         ),
                         (
                             "replay_complete".into(),
@@ -954,21 +927,6 @@ impl ObsState {
                 "Records owned by each shard.",
                 &records,
             );
-            let depths: Vec<_> = labels
-                .iter()
-                .enumerate()
-                .map(|(k, l)| {
-                    (
-                        vec![("shard", l.as_str())],
-                        self.shard_queue_depth(k) as f64,
-                    )
-                })
-                .collect();
-            w.gauge_family(
-                "mergepurge_shard_queue_depth",
-                "Messages queued for each shard worker.",
-                &depths,
-            );
             let ready: Vec<_> = labels
                 .iter()
                 .enumerate()
@@ -1123,20 +1081,14 @@ mod tests {
     }
 
     #[test]
-    fn shard_slots_track_replays_records_and_queue_depth() {
+    fn shard_slots_track_replays_and_records() {
         let obs = ObsState::new(4, None);
         obs.init_shards(2);
         assert_eq!(obs.shard_count(), 2);
         obs.set_shard_journal_replays(1, 7);
         obs.set_shard_records(0, 40);
-        obs.shard_job_enqueued(0);
-        obs.shard_job_enqueued(0);
-        obs.shard_job_dequeued(0);
-        obs.shard_job_dequeued(1); // saturates at zero
         assert_eq!(obs.shard_journal_replays(1), 7);
         assert_eq!(obs.shard_records(0), 40);
-        assert_eq!(obs.shard_queue_depth(0), 1);
-        assert_eq!(obs.shard_queue_depth(1), 0);
         let shards = obs.shards_json().expect("shards configured");
         let arr = shards.as_array().unwrap();
         assert_eq!(arr.len(), 2);
@@ -1145,7 +1097,6 @@ mod tests {
             Some(7)
         );
         assert_eq!(arr[0].get("records").and_then(Json::as_u64), Some(40));
-        assert_eq!(arr[0].get("queue_depth").and_then(Json::as_u64), Some(1));
         assert_eq!(
             ObsState::new(4, None).shards_json(),
             None,
@@ -1166,7 +1117,6 @@ mod tests {
         assert!(text.contains("mergepurge_shard_records{shard=\"1\"} 11\n"));
         assert!(text.contains("mergepurge_shard_ready{shard=\"0\"} 1\n"));
         assert!(text.contains("mergepurge_shard_ready{shard=\"1\"} 0\n"));
-        assert!(text.contains("mergepurge_shard_queue_depth{shard=\"0\"} 0\n"));
     }
 
     #[test]
@@ -1242,7 +1192,10 @@ mod tests {
             track(1, vec![span("shard_scan", Some("shard=1"), 100, 1_000)]),
             track(
                 2,
-                vec![span("shard_ingest", Some("shard=1 seq=1"), 50, 2_200)],
+                vec![
+                    span("shard_ingest", Some("shard=0 seq=1"), 50, 1_200),
+                    span("shard_ingest", Some("shard=1 seq=1"), 1_250, 1_000),
+                ],
             ),
         ];
         let bd = PhaseBreakdown::from_tracks(&tracks);
@@ -1251,7 +1204,7 @@ mod tests {
         assert_eq!(bd.scan_max_ns, 3_000);
         assert_eq!(bd.slowest_shard, Some(0));
         assert_eq!(bd.reconcile_ns, 1_500);
-        assert_eq!(bd.journal_max_ns, 2_200);
+        assert_eq!(bd.journal_ns, 2_200, "the serial appends add up");
         // max/mean = 3000/2000 = 1.5 → 1500 milli.
         assert_eq!(bd.imbalance_milli, 1_500);
         assert_eq!(bd.critical_phase(), "shard_scan");
@@ -1379,7 +1332,7 @@ mod tests {
             slowest_shard: Some(0),
             slowest_pass: Some(0),
             reconcile_ns: 700_000,
-            journal_max_ns: 2_000_000,
+            journal_ns: 2_000_000,
             imbalance_milli: 1_600,
         });
         assert_eq!(obs.shard_scan_quantile_ns(0, 1.0), 4_000_000);

@@ -15,7 +15,7 @@ use mp_extsort::ExternalConfig;
 use mp_metrics::MetricsRecorder;
 use mp_record::{io as rio, Record};
 use mp_rules::NativeEmployeeTheory;
-use mp_store::{MatchStore, ShardedStore, Snapshot};
+use mp_store::{MatchStore, Snapshot};
 use std::path::{Path, PathBuf};
 use std::process::{Child, Command, Stdio};
 use std::time::{Duration, Instant};
@@ -133,7 +133,7 @@ fn sharded_bulk_load_commits_the_single_store_snapshot() {
     // The shard count only decides which journals sit beside the
     // snapshot: the snapshot itself is one add_batch, byte for byte, as
     // for a single-worker store.
-    let (_s, loaded) = ShardedStore::open(&store, 3).unwrap();
+    let (opened, loaded) = MatchStore::open_shards(&store, 3).unwrap();
     let committed = loaded.snapshot.expect("bulk load committed a snapshot");
     let expected = reference_snapshot(&records, 8).encode();
     assert_eq!(committed.encode(), expected);
@@ -143,11 +143,12 @@ fn sharded_bulk_load_commits_the_single_store_snapshot() {
         "the file itself, not just its decoding"
     );
     assert_eq!(
-        loaded.next_seq, 2,
+        opened.next_seq(),
+        2,
         "bulk load is batch 1; the journal watermark must follow"
     );
     assert!(loaded.replayable.is_empty());
-    drop(loaded.journals);
+    drop(opened);
 
     // A load into the now-populated store is refused, and a single-worker
     // load must not mistake the sharded store for an empty one of its own.

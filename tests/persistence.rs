@@ -1,9 +1,14 @@
-//! Flat-file round trips across crates: a generated database written to
-//! disk and reloaded must drive the pipeline to identical results.
+//! Round trips across crates: a generated database written to disk and
+//! reloaded must drive the pipeline to identical results, and a durable
+//! engine of any shard count, killed and reopened, must hold what the
+//! in-memory engine holds.
 
+use merge_purge::incremental::{DurableIncremental, IncrementalMergePurge, ShardRouter};
 use merge_purge::{KeySpec, MultiPass};
+use mp_closure::MergeEdge;
 use mp_datagen::{DatabaseGenerator, GeneratorConfig, GroundTruth};
-use mp_record::io;
+use mp_metrics::NoopObserver;
+use mp_record::{io, Record, RecordId};
 use mp_rules::NativeEmployeeTheory;
 
 #[test]
@@ -67,4 +72,114 @@ fn pipeline_results_reproducible_across_processes() {
         result.closed_pairs.sorted()
     };
     assert_eq!(run(), run());
+}
+
+type Fingerprint = (Vec<(u32, u32)>, Vec<Vec<u32>>, Vec<MergeEdge>, u64);
+
+fn fingerprint(e: &IncrementalMergePurge) -> Fingerprint {
+    (
+        e.pairs().sorted(),
+        e.classes(),
+        e.provenance().edges.clone(),
+        e.batches_applied(),
+    )
+}
+
+fn two_pass(e: IncrementalMergePurge) -> IncrementalMergePurge {
+    e.pass(KeySpec::last_name_key(), 8)
+        .pass(KeySpec::first_name_key(), 8)
+}
+
+/// The one durable engine, in process, for shards 1..=4: batches are
+/// journaled, the engine is dropped without a checkpoint (kill -9), then
+/// reopened, checkpointed, fed more, dropped and reopened again. After
+/// every reopen its pairs, classes, provenance edges and batch count are
+/// the in-memory `add_batch` engine's after the same batches.
+#[test]
+fn durable_engine_of_every_shard_count_recovers_the_in_memory_state() {
+    let theory = NativeEmployeeTheory::new();
+    let db = DatabaseGenerator::new(GeneratorConfig::new(600).duplicate_fraction(0.5).seed(2005))
+        .generate();
+    let chunk = db.records.len().div_ceil(6);
+    let parts: Vec<Vec<Record>> = db.records.chunks(chunk).map(<[Record]>::to_vec).collect();
+    assert_eq!(parts.len(), 6);
+    let mut reference = two_pass(IncrementalMergePurge::new());
+    let want: Vec<Fingerprint> = parts
+        .iter()
+        .map(|b| {
+            reference.add_batch(b.clone(), &theory);
+            fingerprint(&reference)
+        })
+        .collect();
+
+    for shards in 1..=4usize {
+        let dir =
+            std::env::temp_dir().join(format!("mp-persist-{}-shards{shards}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let open = || DurableIncremental::open(&dir, shards, two_pass, &theory, &NoopObserver);
+        let ingest = |d: &mut DurableIncremental, batches: &[Vec<Record>]| {
+            for (i, b) in batches.iter().enumerate() {
+                let trace = format!("t-{shards}-{i}");
+                d.ingest(b.clone(), Some(&trace), &theory, &NoopObserver)
+                    .unwrap();
+            }
+        };
+
+        let (mut d, _) = open().unwrap();
+        ingest(&mut d, &parts[..2]);
+        drop(d); // kill -9: journals only
+        let (mut d, report) = open().unwrap();
+        assert_eq!(
+            (report.snapshot_loaded, report.batches_replayed),
+            (false, 2),
+            "{shards} shards"
+        );
+        assert_eq!(report.shard_replays.len(), shards);
+        assert_eq!(fingerprint(d.engine()), want[1], "{shards} shards, replay");
+
+        d.checkpoint(&NoopObserver).unwrap();
+        ingest(&mut d, &parts[2..4]);
+        drop(d);
+        let (mut d, report) = open().unwrap();
+        assert_eq!(
+            (report.batches_in_snapshot, report.batches_replayed),
+            (2, 2),
+            "{shards} shards"
+        );
+        assert_eq!(
+            fingerprint(d.engine()),
+            want[3],
+            "{shards} shards, snapshot + replay"
+        );
+
+        ingest(&mut d, &parts[4..]);
+        drop(d);
+        let (d, _) = open().unwrap();
+        assert_eq!(fingerprint(d.engine()), want[5], "{shards} shards, final");
+        assert_eq!(
+            d.shard_records().iter().sum::<u64>(),
+            d.engine().records().len() as u64
+        );
+        drop(d);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+}
+
+#[test]
+fn router_is_deterministic_and_covers_all_shards() {
+    let router = ShardRouter::new(KeySpec::last_name_key(), 4);
+    let mut seen = [false; 4];
+    for (i, last) in ["ADAMS", "HERNANDEZ", "MILLER", "STOLFO", "ZWEIG"]
+        .iter()
+        .enumerate()
+    {
+        let mut r = Record::empty(RecordId(i as u32));
+        r.last_name = (*last).into();
+        r.first_name = "A".into();
+        let k = router.shard_of(&r);
+        assert!(k < 4);
+        assert_eq!(k, router.shard_of(&r), "routing is deterministic");
+        seen[k] = true;
+    }
+    assert!(seen.iter().all(|&s| s), "A..Z spread covers every band");
 }

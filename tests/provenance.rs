@@ -122,7 +122,7 @@ proptest! {
                 .pass(KeySpec::first_name_key(), 6)
         };
         let (mut durable, _) =
-            DurableIncremental::open(&dir, configure, &theory, &NoopObserver).unwrap();
+            DurableIncremental::open(&dir, 1, configure, &theory, &NoopObserver).unwrap();
         for (i, b) in batches.iter().enumerate() {
             durable
                 .ingest(b.clone(), Some(&format!("trace-{i}")), &theory, &NoopObserver)
@@ -131,7 +131,7 @@ proptest! {
         prop_assert_eq!(dump(durable.engine()), want.clone());
         drop(durable);
         let (reopened, report) =
-            DurableIncremental::open(&dir, configure, &theory, &NoopObserver).unwrap();
+            DurableIncremental::open(&dir, 1, configure, &theory, &NoopObserver).unwrap();
         prop_assert_eq!(report.batches_replayed, batches.len() as u64);
         prop_assert_eq!(
             dump(reopened.engine()), want,
@@ -311,7 +311,7 @@ fn sigkill_then_replay_rebuilds_byte_identical_provenance() {
             .pass(KeySpec::first_name_key(), 8)
     };
     let (replayed, report) =
-        DurableIncremental::open(&store, configure, &theory, &NoopObserver).unwrap();
+        DurableIncremental::open(&store, 1, configure, &theory, &NoopObserver).unwrap();
     assert_eq!(report.batches_replayed, batches.len() as u64);
     assert!(!report.snapshot_loaded);
 

@@ -6,8 +6,8 @@
 
 #![cfg(unix)]
 
+use merge_purge::incremental::ShardRouter;
 use merge_purge::{IncrementalMergePurge, KeySpec};
-use merge_purge_repro::serve::shard::ShardRouter;
 use merge_purge_repro::serve::{ingest_request, json::Json, request, request_tcp};
 use mp_datagen::{DatabaseGenerator, GeneratorConfig};
 use mp_record::Record;
@@ -607,7 +607,7 @@ fn event_log_rotates_and_top_renders() {
 /// the `batch_ingested` event-log line, the flight-recorder span dump
 /// (wire `trace` command, HTTP `/trace`, and the `mergepurge trace`
 /// client), and the `stats` tracing section — on a live `--shards 4`
-/// daemon whose dump shows one lane per shard worker.
+/// daemon whose dump shows a `shard_ingest` span for every shard journal.
 #[test]
 fn trace_ids_flow_from_ack_to_event_log_and_flight_dump() {
     let dir = tmp_dir("tracing");
@@ -666,7 +666,8 @@ fn trace_ids_flow_from_ack_to_event_log_and_flight_dump() {
     );
 
     // Wire `trace` command: a Chrome trace document containing every
-    // acked trace id and one named lane per shard worker.
+    // acked trace id, the engine lane, and one `shard_ingest` span per
+    // shard journal (the appends run in turn on the engine worker).
     let wire = ask(&socket, r#"{"cmd":"trace"}"#);
     expect_ok(&wire);
     assert_eq!(
@@ -685,8 +686,23 @@ fn trace_ids_flow_from_ack_to_event_log_and_flight_dump() {
     for id in &acked_ids {
         assert!(dump.contains(id.as_str()), "dump misses trace id {id}");
     }
-    for lane in ["shard-0", "shard-1", "shard-2", "shard-3", "engine"] {
-        assert!(dump.contains(lane), "dump misses worker lane {lane}");
+    assert!(dump.contains("\"engine\""), "dump misses the engine lane");
+    let appends: Vec<&str> = parsed
+        .get("traceEvents")
+        .and_then(Json::as_array)
+        .unwrap()
+        .iter()
+        .filter(|e| e.get("name").and_then(Json::as_str) == Some("shard_ingest"))
+        .filter_map(|e| e.get("args")?.get("label")?.as_str())
+        .collect();
+    for k in 0..4 {
+        let prefix = format!("shard={k} seq=");
+        assert!(
+            appends
+                .iter()
+                .any(|l| l.starts_with(&prefix) && l.contains(" trace=")),
+            "no shard_ingest span labelled {prefix}S trace=T: {appends:?}"
+        );
     }
     for span in [
         "batch",

@@ -9,7 +9,8 @@
 //!
 //! Covered: `mergepurge load` (cold load, single and two-shard layout) on
 //! the seeded 10k database, and library-level checkpoints — single-store
-//! and sharded — after three deterministic batches with fixed trace ids.
+//! and sharded — after three deterministic batches with fixed trace ids,
+//! with the journals those batches left (the root one and both shards').
 //! Every layout keeps the same `snapshot.mps`, so the sharded legs are
 //! pinned to the single-store digests: the shard count changes only
 //! which journals sit beside it. The second half is a property test:
@@ -20,10 +21,6 @@
 
 use merge_purge::incremental::{DurableIncremental, IncrementalMergePurge};
 use merge_purge::KeySpec;
-use merge_purge_repro::serve::obs::ObsState;
-use merge_purge_repro::serve::shard::{
-    open_sharded, run_worker, ShardMsg, ShardRouter, ShardedDurable,
-};
 use mp_datagen::{DatabaseGenerator, GeneratorConfig};
 use mp_metrics::MetricsRecorder;
 use mp_record::Record;
@@ -31,7 +28,6 @@ use mp_rules::NativeEmployeeTheory;
 use mp_store::{JOURNAL_FILE, MANIFEST_FILE, SNAPSHOT_FILE};
 use std::path::{Path, PathBuf};
 use std::process::Command;
-use std::sync::mpsc;
 
 fn tmp_dir(name: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("mp-bytes-{}-{name}", std::process::id()));
@@ -159,7 +155,7 @@ fn single_store_checkpoint_writes_the_pinned_bytes() {
     let dir = tmp_dir("single-ckpt");
     let theory = NativeEmployeeTheory::new();
     let recorder = MetricsRecorder::new();
-    let (mut d, _) = DurableIncremental::open(&dir, configure, &theory, &recorder).unwrap();
+    let (mut d, _) = DurableIncremental::open(&dir, 1, configure, &theory, &recorder).unwrap();
     for (batch, trace) in three_batches().into_iter().zip(TRACES) {
         d.ingest(batch, Some(trace), &theory, &recorder).unwrap();
     }
@@ -182,36 +178,37 @@ fn single_store_checkpoint_writes_the_pinned_bytes() {
 
 /// `snapshot.mps` after [`three_batches`] with [`TRACES`], in any layout.
 const PINNED_CHECKPOINT: (u64, u64) = (271_793, 0x99fc_2a35_0432_7376);
+/// `shard-0/journal.mpj` and `shard-1/journal.mpj` of a two-shard store
+/// after [`three_batches`] with [`TRACES`], before the checkpoint (recorded
+/// when each shard journal still had a worker thread of its own).
+const PINNED_SHARD_JOURNALS: [(u64, u64); 2] = [
+    (102_852, 0xbbd8_7342_a75d_e5e7),
+    (66_870, 0xdda3_026a_cfaf_4b95),
+];
 
 #[test]
 fn sharded_checkpoint_writes_the_single_store_snapshot() {
     let dir = tmp_dir("sharded-ckpt");
     let theory = NativeEmployeeTheory::new();
     let recorder = MetricsRecorder::new();
-    let obs = ObsState::new(8, None);
-    obs.init_shards(2);
-    let mut prep = open_sharded(&dir, 2, configure, &theory, &recorder).unwrap();
-    std::thread::scope(|scope| {
-        let (obs, recorder) = (&obs, &recorder);
-        let mut senders = Vec::new();
-        for (k, journal) in std::mem::take(&mut prep.journals).into_iter().enumerate() {
-            let (tx, rx) = mpsc::sync_channel::<ShardMsg>(8);
-            scope.spawn(move || run_worker(k, journal, rx, obs, recorder));
-            senders.push(tx);
-        }
-        let router = ShardRouter::new(KeySpec::last_name_key(), 2);
-        let mut d = ShardedDurable::new(prep, router, senders);
-        for (batch, trace) in three_batches().into_iter().zip(TRACES) {
-            d.ingest(batch, trace, &theory, recorder, obs).unwrap();
-        }
-        let bytes = d.checkpoint(recorder, obs).unwrap();
+    let (mut d, _) = DurableIncremental::open(&dir, 2, configure, &theory, &recorder).unwrap();
+    for (batch, trace) in three_batches().into_iter().zip(TRACES) {
+        d.ingest(batch, Some(trace), &theory, &recorder).unwrap();
+    }
+    for (k, pinned) in PINNED_SHARD_JOURNALS.into_iter().enumerate() {
+        let journal = dir.join(format!("shard-{k}")).join(JOURNAL_FILE);
         assert_eq!(
-            bytes, PINNED_CHECKPOINT.0,
-            "checkpoint reports the file size"
+            digest(&journal),
+            pinned,
+            "shard-{k} journal of three batches"
         );
-        // Dropping the coordinator hangs up the queues; the scope joins
-        // the workers.
-    });
+    }
+    let bytes = d.checkpoint(&recorder).unwrap();
+    assert_eq!(
+        bytes, PINNED_CHECKPOINT.0,
+        "checkpoint reports the file size"
+    );
+    drop(d);
     assert_eq!(
         digest(&dir.join(SNAPSHOT_FILE)),
         PINNED_CHECKPOINT,
@@ -220,18 +217,18 @@ fn sharded_checkpoint_writes_the_single_store_snapshot() {
     assert_sharded_layout(&dir);
     // A restart decodes that one file into an engine that re-encodes it
     // byte for byte.
-    let prep = open_sharded(&dir, 2, configure, &theory, &recorder).unwrap();
-    assert!(prep.recovery.snapshot_loaded);
-    assert_eq!((prep.recovery.batches_replayed, prep.next_seq), (0, 4));
+    let (d, report) = DurableIncremental::open(&dir, 2, configure, &theory, &recorder).unwrap();
+    assert!(report.snapshot_loaded);
+    assert_eq!((report.batches_replayed, d.store().next_seq()), (0, 4));
     assert_eq!(
-        prep.engine
+        d.engine()
             .view()
-            .encode(mp_store::borrowed(prep.engine.records()))
+            .encode(mp_store::borrowed(d.engine().records()))
             .unwrap(),
         std::fs::read(dir.join(SNAPSHOT_FILE)).unwrap(),
         "reopened engine re-encodes the checkpoint"
     );
-    drop(prep);
+    drop(d);
     let _ = std::fs::remove_dir_all(&dir);
 }
 
