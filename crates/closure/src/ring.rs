@@ -33,7 +33,7 @@
 /// assert_eq!(ring.class_of(4), vec![1, 3, 4]);
 /// assert_eq!(ring.class_of(0), vec![0]); // a singleton is its own class
 /// ```
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct ClassRing {
     next: Vec<u32>,
 }

@@ -47,6 +47,9 @@
 //!   process-local `process` section, the `seq` watermark, live
 //!   `health`/`windows`/`tracing`/`quality` sections (reply schema 6),
 //!   and a per-shard `shards` section when the daemon runs sharded.
+//!   Rendered on the connection's own thread from the same published
+//!   view `query-matches` reads, so it never queues behind a write and
+//!   every engine number in it is as of its `seq`.
 //! * `metrics` — the Prometheus text exposition, embedded in a JSON
 //!   reply; also served raw over HTTP via `--metrics-addr`.
 //! * `trace` — the flight recorder's retained batch spans as one
@@ -70,8 +73,10 @@
 //! band into N journals under `store/shard-k/` beside the store's one
 //! `snapshot.mps`. The engine worker appends a batch's N frames one after
 //! another on its own thread, then scans the batch in N bands; per-shard
-//! metrics carry `shard="k"` labels, and a reconciliation step keeps the
-//! merged match set bit-identical to the single-worker engine.
+//! metrics carry `shard="k"` labels (every shard's journal replays in the
+//! one store open, so shards finish replay together), and a
+//! reconciliation step keeps the merged match set bit-identical to the
+//! single-worker engine.
 //!
 //! Observability: `--metrics-addr` serves `/metrics`, `/healthz`,
 //! `/readyz`, and `/trace` over HTTP; `--log` writes a leveled JSONL
@@ -101,7 +106,7 @@ use std::os::unix::net::{UnixListener, UnixStream};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::{self, Receiver, SyncSender, TrySendError};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use std::thread::Scope;
 use std::time::{Duration, Instant};
 
@@ -112,7 +117,7 @@ pub mod obs;
 
 use eventlog::{EventLog, Level};
 use json::Json;
-use obs::{ObsState, PhaseBreakdown, QualitySnapshot};
+use obs::{ObsState, PhaseBreakdown, ReadView};
 
 /// Frames larger than this are rejected (protocol error, not a panic).
 pub const MAX_FRAME: u32 = 64 * 1024 * 1024;
@@ -272,56 +277,15 @@ struct Job {
     reply: mpsc::Sender<String>,
 }
 
-/// What the engine worker is asked to do. `query-matches` is not here:
-/// connection threads answer it from the published [`ReadView`].
+/// What the engine worker is asked to do. Reads are not here: connection
+/// threads answer `query-matches`, `stats` and the probes from the
+/// published [`ReadView`].
 enum Work {
     Ingest(Vec<Record>),
     BulkLoad(PathBuf),
     Explain(u32, u32),
-    Stats,
     Snapshot,
     Shutdown,
-}
-
-/// What `query-matches` is answered from: the class-member ring as of
-/// acknowledged batch `seq`. Immutable once published, so a reply is
-/// snapshot-consistent — class and `seq` come from the same state.
-struct ReadView {
-    ring: mp_closure::ClassRing,
-    seq: u64,
-}
-
-/// The slot through which the engine worker hands connection threads the
-/// current [`ReadView`]. The worker publishes ([`Worker::publish`]) after
-/// every state change and *before* it acknowledges the change, so a
-/// client that has seen an ack reads that batch; readers only clone the `Arc`, so a read never
-/// waits for a write (the lock is held for a pointer swap, not a copy).
-struct ReadSlot(Mutex<Arc<ReadView>>);
-
-impl ReadSlot {
-    /// A slot holding the view of an empty store, until the first publish.
-    fn new() -> Self {
-        ReadSlot(Mutex::new(Arc::new(ReadView {
-            ring: mp_closure::ClassRing::new(0),
-            seq: 0,
-        })))
-    }
-
-    fn publish(&self, durable: &DurableIncremental) {
-        let view = Arc::new(ReadView {
-            ring: durable.engine().class_ring().clone(),
-            seq: last_seq(durable),
-        });
-        // Bound so the superseded view is freed after the lock is released.
-        let _superseded = std::mem::replace(
-            &mut *self.0.lock().expect("no panic while holding the view lock"),
-            view,
-        );
-    }
-
-    fn load(&self) -> Arc<ReadView> {
-        Arc::clone(&self.0.lock().expect("no panic while holding the view lock"))
-    }
 }
 
 fn err_json(msg: &str) -> String {
@@ -334,8 +298,7 @@ fn err_json(msg: &str) -> String {
 /// (naming the shard count when sharded), the `journal_replayed` event —
 /// whose middle field is `shards` on a sharded store and
 /// `batches_in_snapshot` otherwise — and, when a journal lost bytes,
-/// `corrupt_tail_truncated`. Sharded, it also marks each shard replayed
-/// for `readyz`.
+/// `corrupt_tail_truncated`. Sharded, it logs each shard's replay too.
 fn report_recovery(
     obs: &ObsState,
     quiet: bool,
@@ -399,9 +362,7 @@ fn report_recovery(
         );
     }
     if shards.is_some() {
-        // The readiness probe stays 503 until every shard flips.
         for (k, &replays) in recovery.shard_replays.iter().enumerate() {
-            obs.set_shard_journal_replays(k, replays);
             obs.event(
                 Level::Info,
                 "shard_replayed",
@@ -410,7 +371,6 @@ fn report_recovery(
                     ("journal_replays".into(), Json::Num(replays as f64)),
                 ],
             );
-            obs.set_shard_replay_complete(k);
         }
     }
 }
@@ -481,13 +441,14 @@ fn load_at_startup(
 
 /// Opens the store at `config.store_dir` — snapshot restored, journals
 /// replayed — and reports what recovery found. Runs at startup, and again
-/// in the `bulk-load` job to serve what the load committed.
+/// in the `bulk-load` job to serve what the load committed. Returns the
+/// engine and the non-empty frames each shard journal replayed.
 fn open_store(
     config: &ServeConfig,
     theory: &dyn EquationalTheory,
     recorder: &MetricsRecorder,
     obs: &ObsState,
-) -> Result<DurableIncremental, String> {
+) -> Result<(DurableIncremental, Vec<u64>), String> {
     if config.keys.is_empty() {
         return Err("at least one pass key is required".into());
     }
@@ -506,7 +467,7 @@ fn open_store(
     )
     .map_err(|e| format!("open store {}: {e}", config.store_dir.display()))?;
     report_recovery(obs, config.quiet, &durable, &recovery);
-    Ok(durable)
+    Ok((durable, recovery.shard_replays))
 }
 
 /// Runs the daemon until `shutdown` (command or signal). Blocks.
@@ -548,13 +509,7 @@ pub fn serve(
         )?),
         None => None,
     };
-    let obs = ObsState::new(config.queue_depth, log);
-    let reads = ReadSlot::new();
-    if config.shards > 1 {
-        // Allocated before the store opens so `readyz` can report
-        // per-shard replay progress (503 until *every* shard finishes).
-        obs.init_shards(config.shards);
-    }
+    let obs = ObsState::new(config.queue_depth, config.shards, log);
     obs.beat();
     obs.event(
         Level::Info,
@@ -593,7 +548,7 @@ pub fn serve(
     };
 
     let result = std::thread::scope(|scope| {
-        let (obs, reads) = (&obs, &reads);
+        let obs = &obs;
         if let Some(l) = metrics_listener {
             scope.spawn(move || http::serve_http(l, obs, recorder, flight, &SHUTDOWN));
         }
@@ -604,15 +559,15 @@ pub fn serve(
             if let Some(input) = &config.bulk_load {
                 load_at_startup(config, input, theory, recorder, obs)?;
             }
-            let durable = open_store(config, theory, recorder, obs)?;
+            let (durable, shard_replays) = open_store(config, theory, recorder, obs)?;
             let worker = Worker {
                 config,
                 theory,
                 recorder,
                 flight,
                 obs,
-                reads,
-                rule_names: theory.rule_names(),
+                rule_names: theory.rule_names().into(),
+                shard_replays,
                 trace_nonce: std::time::SystemTime::now()
                     .duration_since(std::time::UNIX_EPOCH)
                     .map(|d| d.as_millis() as u64)
@@ -676,7 +631,6 @@ pub fn serve(
                 .expect("spawn engine worker");
             let front = Front {
                 tx,
-                reads,
                 obs,
                 recorder,
                 flight,
@@ -746,14 +700,6 @@ fn last_seq(durable: &DurableIncremental) -> u64 {
     durable.store().next_seq().saturating_sub(1)
 }
 
-/// A rule's name for `explain` and the quality stats, by rule id.
-fn rule_name(rule_names: &[String], id: usize) -> String {
-    rule_names
-        .get(id)
-        .cloned()
-        .unwrap_or_else(|| format!("rule-{id}"))
-}
-
 /// The `{"ok":true,"bytes":N}` reply of a checkpoint, or the error
 /// prefixed with `what`.
 fn checkpoint_reply(written: Result<u64, String>, what: &str) -> String {
@@ -777,10 +723,13 @@ struct Worker<'env> {
     recorder: &'env MetricsRecorder,
     flight: &'env FlightRecorder,
     obs: &'env ObsState,
-    reads: &'env ReadSlot,
-    /// The theory's rule table, fixed for the daemon's lifetime:
-    /// `explain` replies and the quality stats name rules by id.
-    rule_names: Vec<String>,
+    /// The theory's rule table, fixed for the daemon's lifetime and
+    /// shared by every published view: `explain` replies and the quality
+    /// stats name rules by id.
+    rule_names: Arc<[String]>,
+    /// Non-empty frames each shard journal replayed when the store last
+    /// opened.
+    shard_replays: Vec<u64>,
     /// Process-unique trace-id prefix (wall millis XOR pid), so ids from
     /// successive daemon runs over the same store never collide in
     /// shipped logs.
@@ -836,17 +785,6 @@ impl Worker<'_> {
                     }
                 },
                 Work::Explain(a, b) => self.explain(&durable, a, b),
-                Work::Stats => {
-                    self.obs.event(Level::Debug, "stats", vec![]);
-                    stats_json(
-                        &durable,
-                        self.recorder,
-                        self.obs,
-                        self.flight,
-                        self.last_trace_id.as_deref(),
-                        &self.rule_names,
-                    )
-                }
                 Work::Snapshot => self.snapshot(&mut durable),
                 Work::Shutdown => self.drain(&mut durable, &rx),
             };
@@ -1054,7 +992,10 @@ impl Worker<'_> {
                     })
                 });
             match open_store(self.config, self.theory, recorder, obs) {
-                Ok(reopened) => (reopened, loaded),
+                Ok((reopened, shard_replays)) => {
+                    self.shard_replays = shard_replays;
+                    (reopened, loaded)
+                }
                 Err(e) => {
                     self.stop_serving(&e);
                     return Err(e);
@@ -1148,7 +1089,9 @@ impl Worker<'_> {
                     ("b".into(), Json::Num(e.b as f64)),
                     (
                         "rule".into(),
-                        Json::Str(rule_name(&self.rule_names, e.rule_id as usize)),
+                        Json::Str(
+                            obs::rule_name(&self.rule_names, e.rule_id as usize).into_owned(),
+                        ),
                     ),
                     ("rule_id".into(), Json::Num(e.rule_id as f64)),
                     ("pass".into(), Json::Num(e.pass as f64)),
@@ -1257,38 +1200,34 @@ impl Worker<'_> {
         self.publish(durable);
     }
 
-    /// Publishes what other threads may know of the engine, after every
-    /// job that can change it and before that job is acknowledged: the
-    /// engine-owned gauges and the match-quality view into the shared
-    /// observability state, and the [`ReadView`] `query-matches` answers
-    /// from.
+    /// Publishes what other threads may know of the engine as one
+    /// [`ReadView`], after every job that can change it and before that
+    /// job is acknowledged: every read renders from it.
     fn publish(&self, durable: &DurableIncremental) {
-        let obs = self.obs;
-        obs.publish_engine(
-            durable.engine().records().len() as u64,
-            last_seq(durable),
-            durable.batches_since_checkpoint(),
-            durable.store().snapshot_meta(),
-        );
-        for (k, &n) in durable.shard_records().iter().enumerate() {
-            obs.set_shard_records(k, n);
-        }
         let engine = durable.engine();
         let sizes = engine.cluster_sizes();
-        obs.publish_quality(QualitySnapshot {
-            hist: sizes.histogram().to_vec(),
-            largest: sizes.largest() as u64,
-            clusters: sizes.cluster_count(),
-            edges: engine.provenance().edges.len() as u64,
-            rules: engine
-                .provenance()
-                .rule_firings
-                .iter()
-                .enumerate()
-                .map(|(i, &f)| (rule_name(&self.rule_names, i), f))
-                .collect(),
+        let (duplicate_groups, duplicate_records) = engine.duplicate_counts();
+        self.obs.publish(ReadView {
+            ring: engine.class_ring().clone(),
+            seq: last_seq(durable),
+            records: engine.records().len() as u64,
+            batches_applied: engine.batches_applied(),
+            comparisons: engine.comparisons(),
+            distinct_pairs: engine.pairs().len() as u64,
+            duplicate_groups,
+            duplicate_records,
+            passes: engine.pass_counters(),
+            batches_since_checkpoint: durable.batches_since_checkpoint(),
+            snapshot: durable.store().snapshot_meta(),
+            cluster_hist: sizes.histogram().to_vec(),
+            largest_cluster: u64::from(sizes.largest()),
+            merge_edges: engine.provenance().edges.len() as u64,
+            rule_names: Arc::clone(&self.rule_names),
+            rule_firings: engine.provenance().rule_firings.clone(),
+            shard_records: durable.shard_records().to_vec(),
+            shard_replays: self.shard_replays.clone(),
+            last_trace_id: self.last_trace_id.clone(),
         });
-        self.reads.publish(durable);
     }
 }
 
@@ -1301,11 +1240,12 @@ fn heartbeat_line(obs: &ObsState, last: &mut u64) {
     }
     *last = now;
     let w = obs.ring.window(now, 60);
+    let view = obs.view();
     eprintln!(
         "mergepurge serve: up {}s, {} records, seq {}, queue {}/{}, 1m {:.1} rec/s, p99 {:.1} ms",
         obs.uptime_secs(),
-        obs.records(),
-        obs.last_seq(),
+        view.records,
+        view.seq,
         obs.queue_depth(),
         obs.queue_capacity(),
         w.rate(mp_metrics::rolling::WindowCounter::Records),
@@ -1314,12 +1254,11 @@ fn heartbeat_line(obs: &ObsState, last: &mut u64) {
 }
 
 /// What connection threads serve from: the job queue into the engine
-/// worker, and the shared state that reads, probes and scrapes answer
-/// from without queueing.
+/// worker, and the shared state — the published view among it — that
+/// reads, probes and scrapes answer from without queueing.
 #[derive(Clone)]
 struct Front<'a> {
     tx: SyncSender<Job>,
-    reads: &'a ReadSlot,
     obs: &'a ObsState,
     recorder: &'a MetricsRecorder,
     flight: &'a FlightRecorder,
@@ -1365,14 +1304,13 @@ fn handle_conn(mut stream: impl Read + Write, front: &Front<'_>) {
     }
 }
 
-/// Parses one request frame and routes it: probe/scrape commands and
-/// `query-matches` answer from shared state immediately, on this
-/// connection's thread; everything else goes through the job queue to the
-/// engine worker.
+/// Parses one request frame and routes it: probe/scrape commands,
+/// `query-matches` and `stats` answer from shared state immediately, on
+/// this connection's thread; everything else goes through the job queue to
+/// the engine worker.
 fn dispatch(frame: &str, front: &Front<'_>) -> String {
     let Front {
         tx,
-        reads,
         obs,
         recorder,
         flight,
@@ -1385,6 +1323,8 @@ fn dispatch(frame: &str, front: &Front<'_>) -> String {
         return err_json("missing \"cmd\"");
     };
     match cmd {
+        // The drained queue refuses late jobs with this same reply.
+        "query-matches" | "stats" if SHUTDOWN.load(Ordering::SeqCst) => err_json("shutting-down"),
         "ingest-batch" => {
             let Some(lines) = req.get("records").and_then(Json::as_array) else {
                 return err_json("ingest-batch needs a \"records\" array");
@@ -1439,16 +1379,12 @@ fn dispatch(frame: &str, front: &Front<'_>) -> String {
             if id > u64::from(u32::MAX) {
                 return err_json("id out of range");
             }
-            // The drained queue refuses late jobs with this same reply.
-            if SHUTDOWN.load(Ordering::SeqCst) {
-                return err_json("shutting-down");
-            }
             obs.event(
                 Level::Debug,
                 "query_matches",
                 vec![("id".into(), Json::Num(id as f64))],
             );
-            query_matches_json(&reads.load(), id as u32)
+            query_matches_json(&obs.view(), id as u32)
         }
         "explain" => {
             let (Some(a), Some(b)) = (
@@ -1468,10 +1404,13 @@ fn dispatch(frame: &str, front: &Front<'_>) -> String {
             };
             enqueue_and_wait(tx, obs, Work::BulkLoad(PathBuf::from(path)))
         }
-        "stats" => enqueue_and_wait(tx, obs, Work::Stats),
         "snapshot" => enqueue_and_wait(tx, obs, Work::Snapshot),
-        // Probes and scrapes never touch the worker queue: they must
-        // answer even when the engine is busy or backed up.
+        // Reads, probes and scrapes never touch the worker queue: they
+        // must answer even when the engine is busy or backed up.
+        "stats" => {
+            obs.event(Level::Debug, "stats", vec![]);
+            obs.stats_json(recorder, flight)
+        }
         "metrics" => Json::Obj(vec![
             ("ok".into(), Json::Bool(true)),
             ("format".into(), Json::Str("prometheus-0.0.4".into())),
@@ -1531,153 +1470,6 @@ fn enqueue_and_wait(tx: &SyncSender<Job>, obs: &ObsState, work: Work) -> String 
     reply_rx
         .recv()
         .unwrap_or_else(|_| err_json("shutting-down"))
-}
-
-/// The `stats` response (reply schema 6). The `store` object is
-/// **deterministic**: it is a pure function of the acknowledged batch
-/// sequence, so it compares equal across single-process, kill/restart,
-/// *and* single-vs-sharded runs (CI enforces this) — schemas 3 through 6
-/// only *add* sections around it. `seq` is the acknowledged-journal
-/// watermark; `process` is local to this daemon process; `health` and
-/// `windows` are live observability views; `tracing` (schema 5) reports
-/// the last minted trace id and the flight recorder's fill; `quality`
-/// (schema 6) reports the cluster-size distribution, the provenance
-/// edge count, and per-rule firings with rolling selectivity; `shards`
-/// (sharded daemons only) reports per-shard ownership, replay state,
-/// and scan-latency quantiles (see `docs/OBSERVABILITY.md`).
-fn stats_json(
-    durable: &DurableIncremental,
-    recorder: &MetricsRecorder,
-    obs: &ObsState,
-    flight: &FlightRecorder,
-    last_trace_id: Option<&str>,
-    rule_names: &[String],
-) -> String {
-    let engine = durable.engine();
-    let (duplicate_groups, duplicate_records) = engine.duplicate_counts();
-    let passes = engine
-        .pass_counters()
-        .into_iter()
-        .map(|p| {
-            Json::Obj(vec![
-                ("key".into(), Json::Str(p.key_name)),
-                ("window".into(), Json::Num(p.window as f64)),
-                ("pairs_found".into(), Json::Num(p.pairs_found as f64)),
-                (
-                    "pairs_first_found".into(),
-                    Json::Num(p.pairs_first_found as f64),
-                ),
-            ])
-        })
-        .collect();
-    let store = Json::Obj(vec![
-        ("records".into(), Json::Num(engine.records().len() as f64)),
-        (
-            "batches_applied".into(),
-            Json::Num(engine.batches_applied() as f64),
-        ),
-        ("comparisons".into(), Json::Num(engine.comparisons() as f64)),
-        (
-            "distinct_pairs".into(),
-            Json::Num(engine.pairs().len() as f64),
-        ),
-        (
-            "duplicate_groups".into(),
-            Json::Num(duplicate_groups as f64),
-        ),
-        (
-            "duplicate_records".into(),
-            Json::Num(duplicate_records as f64),
-        ),
-        ("passes".into(), Json::Arr(passes)),
-    ]);
-    let report = recorder.report();
-    let counter = |name: &str| Json::Num(report.counter(name).unwrap_or(0) as f64);
-    let process = Json::Obj(vec![
-        ("batches_ingested".into(), counter("batches_ingested")),
-        ("journal_replays".into(), counter("journal_replays")),
-        ("snapshot_bytes".into(), counter("snapshot_bytes")),
-        (
-            "corrupt_tail_truncations".into(),
-            counter("corrupt_tail_truncations"),
-        ),
-        (
-            "batches_since_checkpoint".into(),
-            Json::Num(durable.batches_since_checkpoint() as f64),
-        ),
-    ]);
-    let tracing = Json::Obj(vec![
-        (
-            "last_trace_id".into(),
-            match last_trace_id {
-                Some(id) => Json::Str(id.to_string()),
-                None => Json::Null,
-            },
-        ),
-        ("flight_entries".into(), Json::Num(flight.len() as f64)),
-        (
-            "flight_pinned".into(),
-            Json::Num(flight.pinned_len() as f64),
-        ),
-        ("imbalance_1m".into(), Json::Num(obs.imbalance_mean(60))),
-        (
-            "reconcile_p99_ns".into(),
-            Json::Num(obs.reconcile.snapshot().p99_ns as f64),
-        ),
-    ]);
-    let sizes = engine.cluster_sizes();
-    let hist = sizes.histogram();
-    let hist_json: Vec<Json> = hist
-        .iter()
-        .enumerate()
-        .filter(|&(_, &count)| count > 0)
-        .map(|(i, &count)| {
-            Json::Obj(vec![
-                ("size_min".into(), Json::Num((1u64 << i) as f64)),
-                ("count".into(), Json::Num(count as f64)),
-            ])
-        })
-        .collect();
-    let rules_json: Vec<Json> = engine
-        .provenance()
-        .rule_firings
-        .iter()
-        .enumerate()
-        .map(|(i, &f)| {
-            Json::Obj(vec![
-                ("rule".into(), Json::Str(rule_name(rule_names, i))),
-                ("rule_id".into(), Json::Num(i as f64)),
-                ("firings".into(), Json::Num(f as f64)),
-            ])
-        })
-        .collect();
-    let quality = Json::Obj(vec![
-        ("largest_cluster".into(), Json::Num(sizes.largest() as f64)),
-        ("clusters".into(), Json::Num(sizes.cluster_count() as f64)),
-        (
-            "merge_edges".into(),
-            Json::Num(engine.provenance().edges.len() as f64),
-        ),
-        ("cluster_size_hist".into(), Json::Arr(hist_json)),
-        ("rules".into(), Json::Arr(rules_json)),
-        ("selectivity_1m".into(), Json::Num(obs.selectivity(60))),
-        ("selectivity_5m".into(), Json::Num(obs.selectivity(300))),
-    ]);
-    let mut reply = vec![
-        ("ok".into(), Json::Bool(true)),
-        ("schema".into(), Json::Num(6.0)),
-        ("seq".into(), Json::Num(last_seq(durable) as f64)),
-        ("store".into(), store),
-        ("process".into(), process),
-        ("health".into(), obs.health_json()),
-        ("windows".into(), obs.windows_json()),
-        ("tracing".into(), tracing),
-        ("quality".into(), quality),
-    ];
-    if let Some(shards) = obs.shards_json() {
-        reply.push(("shards".into(), shards));
-    }
-    Json::Obj(reply).to_string()
 }
 
 // ---- framing ---------------------------------------------------------
@@ -1938,7 +1730,11 @@ mod tests {
     fn query_reply_lists_the_class_as_of_the_view() {
         let mut ring = mp_closure::ClassRing::new(4);
         ring.splice(3, 1);
-        let view = ReadView { ring, seq: 9 };
+        let view = ReadView {
+            ring,
+            seq: 9,
+            ..ReadView::default()
+        };
         assert_eq!(
             query_matches_json(&view, 3),
             "{\"ok\":true,\"id\":3,\"class\":[1,3],\"seq\":9}"
@@ -1951,6 +1747,54 @@ mod tests {
             query_matches_json(&view, 4),
             err_json("record id 4 out of range (4 records)")
         );
+    }
+
+    /// Reads never enter the job queue. With no engine worker behind it —
+    /// the job receiver dropped — a `Front` still answers every read and
+    /// probe from the published view, and refuses what needs the worker.
+    #[test]
+    fn reads_answer_without_a_worker_and_jobs_are_refused() {
+        let obs = ObsState::new(4, 2, None);
+        let mut ring = mp_closure::ClassRing::new(2);
+        ring.splice(1, 0);
+        obs.publish(ReadView {
+            ring,
+            seq: 1,
+            records: 2,
+            shard_records: vec![2, 0],
+            shard_replays: vec![0, 0],
+            ..ReadView::default()
+        });
+        obs.set_replay_complete();
+        obs.set_accepting(true);
+        obs.beat();
+        let (recorder, flight) = (MetricsRecorder::new(), FlightRecorder::default());
+        let (tx, rx) = mpsc::sync_channel(4);
+        drop(rx);
+        let front = Front {
+            tx,
+            obs: &obs,
+            recorder: &recorder,
+            flight: &flight,
+        };
+        for cmd in ["stats", "metrics", "healthz", "readyz"] {
+            let reply = dispatch(&format!(r#"{{"cmd":"{cmd}"}}"#), &front);
+            assert!(reply.starts_with(r#"{"ok":true"#), "{cmd}: {reply}");
+        }
+        assert_eq!(
+            dispatch(r#"{"cmd":"query-matches","id":1}"#, &front),
+            r#"{"ok":true,"id":1,"class":[0,1],"seq":1}"#
+        );
+        let mut record = Record::empty(mp_record::RecordId(0));
+        record.last_name = "ANA".into();
+        for job in [
+            r#"{"cmd":"explain","a":0,"b":1}"#.to_string(),
+            r#"{"cmd":"snapshot"}"#.to_string(),
+            ingest_request(&[record]),
+        ] {
+            assert_eq!(dispatch(&job, &front), err_json("shutting-down"), "{job}");
+        }
+        assert_eq!(obs.queue_depth(), 0, "refused jobs leave no queue depth");
     }
 
     #[test]

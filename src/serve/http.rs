@@ -168,8 +168,7 @@ mod tests {
     fn routes_metrics_health_ready_and_404() {
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
         let addr = listener.local_addr().unwrap();
-        let obs = ObsState::new(4, None);
-        obs.init_shards(2);
+        let obs = ObsState::new(4, 2, None);
         obs.beat();
         let recorder = MetricsRecorder::new().with_tracing();
         let flight = FlightRecorder::default();
@@ -185,19 +184,13 @@ mod tests {
             assert!(head.starts_with("HTTP/1.1 200 OK"), "{head}");
             assert!(body.contains("mergepurge_uptime_seconds"));
 
-            // Not ready yet: replay has not completed.
+            // Not ready yet: replay has not completed, on any shard.
             let (head, body) = get(addr, "/readyz");
             assert!(head.starts_with("HTTP/1.1 503"), "{head}");
             assert!(body.contains("\"ready\":false"));
+            assert!(body.contains("\"shards_replayed\":0"), "{body}");
             obs.set_replay_complete();
             obs.set_accepting(true);
-
-            // Still not ready: one shard has not finished its replay.
-            obs.set_shard_replay_complete(0);
-            let (head, body) = get(addr, "/readyz");
-            assert!(head.starts_with("HTTP/1.1 503"), "{head}");
-            assert!(body.contains("shard journal replay"), "{body}");
-            obs.set_shard_replay_complete(1);
             let (head, body) = get(addr, "/readyz");
             assert!(head.starts_with("HTTP/1.1 200"), "{head}");
             assert!(body.contains("\"shards_replayed\":2"), "{body}");

@@ -1,29 +1,37 @@
-//! Live operational state of the serving daemon: rolling-window rates,
-//! health/readiness, queue pressure, snapshot staleness, and the
-//! Prometheus exposition that surfaces all of it.
+//! Live operational state of the serving daemon — the engine view the
+//! worker publishes, rolling-window rates, health/readiness, queue
+//! pressure — and every reply rendered from it: `stats`, the Prometheus
+//! exposition and the probes.
 //!
 //! One [`ObsState`] is shared (by reference, under the daemon's thread
-//! scope) between the engine worker (which records batch work and
-//! publishes engine gauges, per shard too when running `--shards`),
-//! connection threads (which count backpressure waits), and the scrape
-//! paths — the `metrics`/`healthz`/`readyz`
-//! wire commands and the `--metrics-addr` HTTP listener. Everything is
-//! atomics; nothing on the serving path takes a lock (the event log has
-//! its own mutex and is only touched when `--log` is set).
+//! scope) between the engine worker, connection threads and the
+//! `--metrics-addr` HTTP listener. Every engine number a reader sees comes
+//! from one [`ReadView`], which the worker publishes after each job that
+//! can change the engine and before that job's ack; the readers — `stats`,
+//! `query-matches`, `metrics`/`healthz`/`readyz`, `GET /metrics` and the
+//! `--progress` heartbeat — render on their own thread from that view plus
+//! what is local to this process (queue, heartbeat, rolling rings,
+//! histograms, all atomics). The view's lock is held for an `Arc` clone or
+//! swap, so no read waits for a write (the event log has its own mutex and
+//! is only touched when `--log` is set).
 //!
 //! `docs/OBSERVABILITY.md` documents every exported metric name, the
 //! window semantics, and the probe contracts.
 
 use super::eventlog::{EventLog, Level};
 use super::json::Json;
+use merge_purge::incremental::PassCounters;
+use mp_closure::ClassRing;
 use mp_metrics::rolling::{RollingRing, WindowCounter, WINDOWS};
 use mp_metrics::{
-    Counter, LatencyHistogram, MetricsRecorder, PipelineObserver, PromWriter, TrackSpans,
+    Counter, FlightRecorder, LatencyHistogram, MetricsRecorder, PipelineObserver, PromWriter,
+    TrackSpans,
 };
+use std::borrow::Cow;
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Mutex, OnceLock};
-use std::time::Instant;
+use std::sync::{Arc, Mutex};
+use std::time::{Instant, SystemTime};
 
 /// The worker heartbeat age past which `healthz` reports the daemon
 /// dead. The worker beats at least every 250 ms when idle, so a stale
@@ -31,18 +39,72 @@ use std::time::Instant;
 /// single enormous batch — see `docs/OBSERVABILITY.md`).
 pub const HEARTBEAT_STALE_SECS: u64 = 30;
 
-/// Per-shard observability: one slot per shard journal when the daemon
-/// runs with `--shards N` (N >= 2). All atomics; read by the scrape
-/// paths, written by the engine worker.
+/// The engine as of acknowledged batch `seq`: all that readers know of
+/// engine state. Immutable once published, so a reply rendered from one
+/// view is consistent as of its `seq`.
 #[derive(Debug, Default)]
-pub struct ShardObs {
-    replay_complete: AtomicBool,
-    journal_replays: AtomicU64,
-    records: AtomicU64,
-    /// Cumulative per-shard window-scan latency: each batch's band-K
-    /// `shard_scan` span durations summed over its passes, recorded from
-    /// the batch's drained trace.
-    scan: LatencyHistogram,
+pub struct ReadView {
+    /// The class-member ring `query-matches` walks.
+    pub ring: ClassRing,
+    /// Last acknowledged journal sequence number (0 before any batch).
+    pub seq: u64,
+    /// Records in the engine.
+    pub records: u64,
+    /// Batches folded into the engine.
+    pub batches_applied: u64,
+    /// Pair comparisons over every batch.
+    pub comparisons: u64,
+    /// Distinct matched pairs.
+    pub distinct_pairs: u64,
+    /// Duplicate classes: clusters of two or more records.
+    pub duplicate_groups: u64,
+    /// Records in duplicate classes beyond one per class.
+    pub duplicate_records: u64,
+    /// Per-pass attribution counters, in pass order.
+    pub passes: Vec<PassCounters>,
+    /// Batches journaled but not yet absorbed by a checkpoint.
+    pub batches_since_checkpoint: u64,
+    /// Size and mtime of the last checkpoint (`None` before the first).
+    pub snapshot: Option<(u64, SystemTime)>,
+    /// Log2 cluster-size histogram: `cluster_hist[i]` counts clusters
+    /// whose size `s` has `floor(log2(s)) == i` (bucket 0 = singletons).
+    pub cluster_hist: Vec<u64>,
+    /// Size of the largest cluster (1 when nothing merged yet).
+    pub largest_cluster: u64,
+    /// Merge edges in the provenance spanning forest.
+    pub merge_edges: u64,
+    /// The theory's rule table, shared by every view.
+    pub rule_names: Arc<[String]>,
+    /// Matches attributed to each rule, by rule id.
+    pub rule_firings: Vec<u64>,
+    /// Records each shard owns, by shard.
+    pub shard_records: Vec<u64>,
+    /// Non-empty journal frames each shard replayed when the store opened.
+    pub shard_replays: Vec<u64>,
+    /// The trace id of the last job that changed the engine.
+    pub last_trace_id: Option<String>,
+}
+
+impl ReadView {
+    /// Seconds since the last checkpoint was written (`None` before the
+    /// first).
+    pub fn snapshot_age_secs(&self) -> Option<u64> {
+        let (_, mtime) = self.snapshot?;
+        Some(
+            SystemTime::now()
+                .duration_since(mtime)
+                .map_or(0, |d| d.as_secs()),
+        )
+    }
+}
+
+/// Rule `id`'s name in the theory's rule table `names`, or `rule-<id>`
+/// past its end.
+pub fn rule_name(names: &[String], id: usize) -> Cow<'_, str> {
+    match names.get(id) {
+        Some(name) => Cow::Borrowed(name),
+        None => Cow::Owned(format!("rule-{id}")),
+    }
 }
 
 /// Per-batch critical-path decomposition, extracted from the batch's
@@ -202,26 +264,6 @@ impl PhaseBreakdown {
     }
 }
 
-/// Match-quality view published by the engine worker after every batch:
-/// the cluster-size distribution and the per-rule firing counters from
-/// the provenance log. Everything here is a copy — the scrape paths
-/// never touch the engine.
-#[derive(Debug, Default, Clone)]
-pub struct QualitySnapshot {
-    /// Log2 cluster-size histogram: `hist[i]` counts clusters whose
-    /// size `s` satisfies `floor(log2(s)) == i` (bucket 0 = singletons).
-    pub hist: Vec<u64>,
-    /// Size of the largest duplicate cluster (1 when no merges yet).
-    pub largest: u64,
-    /// Clusters of size >= 2 (duplicate groups).
-    pub clusters: u64,
-    /// Merge edges in the provenance spanning forest.
-    pub edges: u64,
-    /// Per-rule firing counters, `(rule_name, firings)`, in rule-table
-    /// order.
-    pub rules: Vec<(String, u64)>,
-}
-
 /// Shared observability state for one daemon process.
 #[derive(Debug)]
 pub struct ObsState {
@@ -239,6 +281,9 @@ pub struct ObsState {
     /// ratio recorded as a milli-ratio "latency" sample, so the standard
     /// windows answer mean imbalance over 1m/5m/15m.
     imbalance_ring: RollingRing,
+    /// Cumulative window-scan latency per band, one per shard: each
+    /// batch's band-K `shard_scan` durations summed over its passes.
+    shard_scan: Vec<LatencyHistogram>,
     /// Jobs currently queued for the engine worker.
     queue_depth: AtomicU64,
     queue_capacity: u64,
@@ -246,47 +291,64 @@ pub struct ObsState {
     accepting: AtomicBool,
     heartbeat_ms: AtomicU64,
     backpressure_waits: AtomicU64,
-    /// Per-shard slots; empty until [`ObsState::init_shards`] runs
-    /// (single-worker daemons never initialise it).
-    shards: OnceLock<Vec<ShardObs>>,
-    // Engine gauges, published by the worker after every job.
-    records: AtomicU64,
-    last_seq: AtomicU64,
-    journal_lag: AtomicU64,
-    snapshot_bytes: AtomicU64,
-    snapshot_mtime_ms: AtomicU64, // Unix ms of the last checkpoint; 0 = none
-    /// Match-quality copy (own mutex, like the event log: touched once
-    /// per batch by the worker and briefly by scrapes — never on the
-    /// per-comparison path).
-    quality: Mutex<QualitySnapshot>,
+    /// The last published [`ReadView`].
+    view: Mutex<Arc<ReadView>>,
     /// Structured event log (`--log`), if configured.
     pub log: Option<EventLog>,
 }
 
 impl ObsState {
-    /// Fresh state for a daemon with the given ingest-queue capacity.
-    pub fn new(queue_capacity: usize, log: Option<EventLog>) -> Self {
+    /// Fresh state for a daemon with the given ingest-queue capacity and
+    /// shard count, holding the view of an empty store until the first
+    /// publish. Sized before the store opens, so `readyz` and the
+    /// exposition name every shard while the journals replay.
+    pub fn new(queue_capacity: usize, shards: usize, log: Option<EventLog>) -> Self {
         ObsState {
             start: Instant::now(),
             ring: RollingRing::standard(),
             batch_latency: LatencyHistogram::new(),
             reconcile: LatencyHistogram::new(),
             imbalance_ring: RollingRing::standard(),
+            shard_scan: (0..shards).map(|_| LatencyHistogram::new()).collect(),
             queue_depth: AtomicU64::new(0),
             queue_capacity: queue_capacity as u64,
             replay_complete: AtomicBool::new(false),
             accepting: AtomicBool::new(false),
             heartbeat_ms: AtomicU64::new(0),
             backpressure_waits: AtomicU64::new(0),
-            shards: OnceLock::new(),
-            records: AtomicU64::new(0),
-            last_seq: AtomicU64::new(0),
-            journal_lag: AtomicU64::new(0),
-            snapshot_bytes: AtomicU64::new(0),
-            snapshot_mtime_ms: AtomicU64::new(0),
-            quality: Mutex::new(QualitySnapshot::default()),
+            view: Mutex::new(Arc::new(ReadView {
+                shard_records: vec![0; shards],
+                shard_replays: vec![0; shards],
+                ..ReadView::default()
+            })),
             log,
         }
+    }
+
+    /// Makes `view` the one every later read renders from. The engine
+    /// worker calls it after every job that can change the engine and
+    /// before that job's ack, so a client that has seen an ack reads that
+    /// batch.
+    pub fn publish(&self, view: ReadView) {
+        // Bound so the superseded view is freed after the lock is released.
+        let _superseded = std::mem::replace(&mut *self.lock_view(), Arc::new(view));
+    }
+
+    /// The last published view.
+    pub fn view(&self) -> Arc<ReadView> {
+        Arc::clone(&self.lock_view())
+    }
+
+    fn lock_view(&self) -> std::sync::MutexGuard<'_, Arc<ReadView>> {
+        self.view
+            .lock()
+            .expect("no panic while holding the view lock")
+    }
+
+    /// Whether the daemon runs sharded (`--shards` ≥ 2): only then do
+    /// `stats`, `readyz` and the exposition report per-shard numbers.
+    fn sharded(&self) -> bool {
+        self.shard_scan.len() > 1
     }
 
     /// Seconds since the daemon process started (the ring's clock).
@@ -344,20 +406,12 @@ impl ObsState {
 
     /// Readiness verdict: `Ok(())` when the daemon should receive
     /// traffic, `Err(reason)` otherwise. Ready means journal replay is
-    /// complete (on *every* shard when sharded), the daemon is accepting
-    /// (not shutting down), and the ingest queue is below its
-    /// high-watermark (capacity).
+    /// complete (every shard's journal replays in the one store open),
+    /// the daemon is accepting (not shutting down), and the ingest queue
+    /// is below its high-watermark (capacity).
     pub fn readiness(&self) -> Result<(), &'static str> {
         if !self.replay_complete() {
             return Err("journal replay in progress");
-        }
-        if let Some(shards) = self.shards.get() {
-            if shards
-                .iter()
-                .any(|s| !s.replay_complete.load(Ordering::SeqCst))
-            {
-                return Err("shard journal replay in progress");
-            }
         }
         if !self.accepting.load(Ordering::SeqCst) {
             return Err("not accepting (starting up or shutting down)");
@@ -368,97 +422,18 @@ impl ObsState {
         Ok(())
     }
 
-    // ---- shards ------------------------------------------------------
-
-    /// Allocates per-shard observability slots. Called once at startup
-    /// by sharded daemons, before journal replay begins; single-worker
-    /// daemons never call it.
-    pub fn init_shards(&self, n: usize) {
-        let _ = self
-            .shards
-            .set((0..n).map(|_| ShardObs::default()).collect());
-    }
-
-    /// Number of shard slots (0 for single-worker daemons).
-    pub fn shard_count(&self) -> usize {
-        self.shards.get().map_or(0, Vec::len)
-    }
-
-    fn shard(&self, k: usize) -> Option<&ShardObs> {
-        self.shards.get().and_then(|s| s.get(k))
-    }
-
-    /// Marks shard `k`'s journal replay finished. Readiness requires
-    /// *all* shards to have replayed.
-    pub fn set_shard_replay_complete(&self, k: usize) {
-        if let Some(s) = self.shard(k) {
-            s.replay_complete.store(true, Ordering::SeqCst);
-        }
-    }
-
-    /// Whether shard `k` has finished replaying its journal.
-    pub fn shard_replay_complete(&self, k: usize) -> bool {
-        self.shard(k)
-            .is_some_and(|s| s.replay_complete.load(Ordering::SeqCst))
-    }
-
-    /// Publishes shard `k`'s replayed-frame count (non-empty journal
-    /// frames applied at startup).
-    pub fn set_shard_journal_replays(&self, k: usize, n: u64) {
-        if let Some(s) = self.shard(k) {
-            s.journal_replays.store(n, Ordering::Relaxed);
-        }
-    }
-
-    /// Non-empty journal frames shard `k` replayed at startup.
-    pub fn shard_journal_replays(&self, k: usize) -> u64 {
-        self.shard(k)
-            .map_or(0, |s| s.journal_replays.load(Ordering::Relaxed))
-    }
-
-    /// Publishes the number of records owned by shard `k`.
-    pub fn set_shard_records(&self, k: usize, n: u64) {
-        if let Some(s) = self.shard(k) {
-            s.records.store(n, Ordering::Relaxed);
-        }
-    }
-
-    /// Records owned by shard `k` (gauge copy).
-    pub fn shard_records(&self, k: usize) -> u64 {
-        self.shard(k)
-            .map_or(0, |s| s.records.load(Ordering::Relaxed))
-    }
-
-    /// The `shards` section of the extended `stats` reply: one object
-    /// per shard, or `None` for single-worker daemons.
-    pub fn shards_json(&self) -> Option<Json> {
-        let shards = self.shards.get()?;
-        Some(Json::Arr(
-            (0..shards.len())
-                .map(|k| {
-                    Json::Obj(vec![
-                        ("shard".into(), Json::Num(k as f64)),
-                        ("records".into(), Json::Num(self.shard_records(k) as f64)),
-                        (
-                            "journal_replays".into(),
-                            Json::Num(self.shard_journal_replays(k) as f64),
-                        ),
-                        (
-                            "replay_complete".into(),
-                            Json::Bool(self.shard_replay_complete(k)),
-                        ),
-                        (
-                            "scan_p50_ns".into(),
-                            Json::Num(self.shard_scan_quantile_ns(k, 0.50) as f64),
-                        ),
-                        (
-                            "scan_p99_ns".into(),
-                            Json::Num(self.shard_scan_quantile_ns(k, 0.99) as f64),
-                        ),
-                    ])
-                })
-                .collect(),
-        ))
+    /// Each shard as `(records, journal replays, scan histogram)`, from
+    /// `view` and this process's histograms. Every shard's journal
+    /// replays in the one store open, so each finishes replay when the
+    /// daemon does ([`ObsState::replay_complete`]).
+    fn shards<'a>(
+        &'a self,
+        view: &'a ReadView,
+    ) -> impl Iterator<Item = (u64, u64, &'a LatencyHistogram)> + 'a {
+        let per_shard = view.shard_records.iter().zip(&view.shard_replays);
+        per_shard
+            .zip(&self.shard_scan)
+            .map(|((&records, &replays), scan)| (records, replays, scan))
     }
 
     // ---- queue & backpressure ----------------------------------------
@@ -509,45 +484,6 @@ impl ObsState {
         self.backpressure_waits.load(Ordering::Relaxed)
     }
 
-    // ---- engine gauges (published by the worker) ---------------------
-
-    /// Publishes the engine-owned gauges: record count, last
-    /// acknowledged sequence, journal lag (batches since checkpoint),
-    /// and snapshot size/mtime.
-    pub fn publish_engine(
-        &self,
-        records: u64,
-        last_seq: u64,
-        journal_lag: u64,
-        snapshot_meta: Option<(u64, std::time::SystemTime)>,
-    ) {
-        self.records.store(records, Ordering::Relaxed);
-        self.last_seq.store(last_seq, Ordering::Relaxed);
-        self.journal_lag.store(journal_lag, Ordering::Relaxed);
-        if let Some((bytes, mtime)) = snapshot_meta {
-            self.snapshot_bytes.store(bytes, Ordering::Relaxed);
-            let ms = mtime
-                .duration_since(std::time::UNIX_EPOCH)
-                .map(|d| d.as_millis() as u64)
-                .unwrap_or(0);
-            self.snapshot_mtime_ms.store(ms, Ordering::Relaxed);
-        }
-    }
-
-    /// Publishes the engine's match-quality view (cluster-size
-    /// distribution + per-rule firings); called by the worker after
-    /// every batch, alongside the engine gauges.
-    pub fn publish_quality(&self, q: QualitySnapshot) {
-        if let Ok(mut slot) = self.quality.lock() {
-            *slot = q;
-        }
-    }
-
-    /// A copy of the last published match-quality view.
-    pub fn quality(&self) -> QualitySnapshot {
-        self.quality.lock().map(|q| q.clone()).unwrap_or_default()
-    }
-
     /// Rolling rule selectivity: matches per rule invocation over the
     /// last `window_secs` seconds (0 when no rule ran in the window).
     pub fn selectivity(&self, window_secs: u64) -> f64 {
@@ -557,40 +493,6 @@ impl ObsState {
             return 0.0;
         }
         w.count(WindowCounter::Matches) as f64 / invocations as f64
-    }
-
-    /// Records in the engine (gauge copy).
-    pub fn records(&self) -> u64 {
-        self.records.load(Ordering::Relaxed)
-    }
-
-    /// Last acknowledged journal sequence number (0 before any batch).
-    pub fn last_seq(&self) -> u64 {
-        self.last_seq.load(Ordering::Relaxed)
-    }
-
-    /// Batches journaled but not yet absorbed by a checkpoint.
-    pub fn journal_lag(&self) -> u64 {
-        self.journal_lag.load(Ordering::Relaxed)
-    }
-
-    /// Size of the last checkpoint in bytes (0 before any checkpoint).
-    pub fn snapshot_bytes(&self) -> u64 {
-        self.snapshot_bytes.load(Ordering::Relaxed)
-    }
-
-    /// Seconds since the last checkpoint was written, or `None` when no
-    /// checkpoint exists yet.
-    pub fn snapshot_age_secs(&self) -> Option<u64> {
-        let ms = self.snapshot_mtime_ms.load(Ordering::Relaxed);
-        if ms == 0 {
-            return None;
-        }
-        let now_ms = std::time::SystemTime::now()
-            .duration_since(std::time::UNIX_EPOCH)
-            .map(|d| d.as_millis() as u64)
-            .unwrap_or(0);
-        Some(now_ms.saturating_sub(ms) / 1000)
     }
 
     // ---- batch accounting --------------------------------------------
@@ -622,8 +524,8 @@ impl ObsState {
     /// histogram, and the rolling imbalance ring.
     pub fn record_batch_phases(&self, phases: &PhaseBreakdown) {
         for &(k, ns) in &phases.scan_ns {
-            if let Some(s) = self.shard(k) {
-                s.scan.record(ns);
+            if let Some(scan) = self.shard_scan.get(k) {
+                scan.record(ns);
             }
         }
         if phases.reconcile_ns > 0 {
@@ -633,12 +535,6 @@ impl ObsState {
             self.imbalance_ring
                 .record_latency(self.now_secs(), phases.imbalance_milli);
         }
-    }
-
-    /// Shard `k`'s cumulative scan-latency quantile in nanoseconds
-    /// (0 when no scans recorded).
-    pub fn shard_scan_quantile_ns(&self, k: usize, q: f64) -> u64 {
-        self.shard(k).map_or(0, |s| s.scan.quantile_ns(q))
     }
 
     /// Mean shard-imbalance ratio (`max/mean` scan time per batch) over
@@ -685,11 +581,10 @@ impl ObsState {
                 Json::Num(self.queue_capacity as f64),
             ),
         ];
-        if let Some(shards) = self.shards.get() {
-            let replayed = (0..shards.len())
-                .filter(|&k| self.shard_replay_complete(k))
-                .count();
-            obj.push(("shards".into(), Json::Num(shards.len() as f64)));
+        if self.sharded() {
+            let shards = self.shard_scan.len();
+            let replayed = if self.replay_complete() { shards } else { 0 };
+            obj.push(("shards".into(), Json::Num(shards as f64)));
             obj.push(("shards_replayed".into(), Json::Num(replayed as f64)));
         }
         if let Err(reason) = verdict {
@@ -698,33 +593,142 @@ impl ObsState {
         Json::Obj(obj).to_string()
     }
 
-    /// The `health` section of the extended `stats` reply.
-    pub fn health_json(&self) -> Json {
+    /// The `stats` reply (schema 6), rendered on the caller's thread from
+    /// the last published view. The `store` object is **deterministic**: a
+    /// pure function of the acknowledged batch sequence, so it compares
+    /// equal across single-process, kill/restart, *and* single-vs-sharded
+    /// runs (CI enforces this) — schemas 3 through 6 only *add* sections
+    /// around it. `seq` is the view's acknowledged-journal watermark, and
+    /// every engine number in the reply is as of it; `process` is local to
+    /// this daemon process; `health` and `windows` are live observability
+    /// views; `tracing` (schema 5) reports the last trace id and the
+    /// flight recorder's fill; `quality` (schema 6) reports the
+    /// cluster-size distribution, the provenance edge count, and per-rule
+    /// firings with rolling selectivity; `shards` (sharded daemons only)
+    /// reports per-shard ownership, replay state, and scan-latency
+    /// quantiles (see `docs/OBSERVABILITY.md`). Counters are read one by
+    /// one: a full recorder report would drain the span buffers an
+    /// in-flight batch still owns.
+    pub fn stats_json(&self, recorder: &MetricsRecorder, flight: &FlightRecorder) -> String {
+        let view = self.view();
+        let num = |n: u64| Json::Num(n as f64);
+        let passes = view.passes.iter().map(|p| {
+            Json::Obj(vec![
+                ("key".into(), Json::Str(p.key_name.clone())),
+                ("window".into(), num(p.window as u64)),
+                ("pairs_found".into(), num(p.pairs_found)),
+                ("pairs_first_found".into(), num(p.pairs_first_found)),
+            ])
+        });
+        let store = Json::Obj(vec![
+            ("records".into(), num(view.records)),
+            ("batches_applied".into(), num(view.batches_applied)),
+            ("comparisons".into(), num(view.comparisons)),
+            ("distinct_pairs".into(), num(view.distinct_pairs)),
+            ("duplicate_groups".into(), num(view.duplicate_groups)),
+            ("duplicate_records".into(), num(view.duplicate_records)),
+            ("passes".into(), Json::Arr(passes.collect())),
+        ]);
+        let counter = |c| num(recorder.get(c));
+        let process = Json::Obj(vec![
+            ("batches_ingested".into(), counter(Counter::BatchesIngested)),
+            ("journal_replays".into(), counter(Counter::JournalReplays)),
+            ("snapshot_bytes".into(), counter(Counter::SnapshotBytes)),
+            (
+                "corrupt_tail_truncations".into(),
+                counter(Counter::CorruptTailTruncations),
+            ),
+            (
+                "batches_since_checkpoint".into(),
+                num(view.batches_since_checkpoint),
+            ),
+        ]);
+        let last_trace_id = view.last_trace_id.clone().map_or(Json::Null, Json::Str);
+        let tracing = Json::Obj(vec![
+            ("last_trace_id".into(), last_trace_id),
+            ("flight_entries".into(), num(flight.len() as u64)),
+            ("flight_pinned".into(), num(flight.pinned_len() as u64)),
+            ("imbalance_1m".into(), Json::Num(self.imbalance_mean(60))),
+            (
+                "reconcile_p99_ns".into(),
+                num(self.reconcile.snapshot().p99_ns),
+            ),
+        ]);
+        let hist = view.cluster_hist.iter().enumerate();
+        let hist = hist.filter(|&(_, &count)| count > 0).map(|(i, &count)| {
+            Json::Obj(vec![
+                ("size_min".into(), num(1 << i)),
+                ("count".into(), num(count)),
+            ])
+        });
+        let rules = view.rule_firings.iter().enumerate().map(|(i, &firings)| {
+            Json::Obj(vec![
+                (
+                    "rule".into(),
+                    Json::Str(rule_name(&view.rule_names, i).into_owned()),
+                ),
+                ("rule_id".into(), num(i as u64)),
+                ("firings".into(), num(firings)),
+            ])
+        });
+        let quality = Json::Obj(vec![
+            ("largest_cluster".into(), num(view.largest_cluster)),
+            ("clusters".into(), num(view.duplicate_groups)),
+            ("merge_edges".into(), num(view.merge_edges)),
+            ("cluster_size_hist".into(), Json::Arr(hist.collect())),
+            ("rules".into(), Json::Arr(rules.collect())),
+            ("selectivity_1m".into(), Json::Num(self.selectivity(60))),
+            ("selectivity_5m".into(), Json::Num(self.selectivity(300))),
+        ]);
+        let mut reply = vec![
+            ("ok".into(), Json::Bool(true)),
+            ("schema".into(), Json::Num(6.0)),
+            ("seq".into(), num(view.seq)),
+            ("store".into(), store),
+            ("process".into(), process),
+            ("health".into(), self.health_json(&view)),
+            ("windows".into(), self.windows_json()),
+            ("tracing".into(), tracing),
+            ("quality".into(), quality),
+        ];
+        if self.sharded() {
+            let shards = self
+                .shards(&view)
+                .enumerate()
+                .map(|(k, (records, replays, scan))| {
+                    Json::Obj(vec![
+                        ("shard".into(), num(k as u64)),
+                        ("records".into(), num(records)),
+                        ("journal_replays".into(), num(replays)),
+                        ("replay_complete".into(), Json::Bool(self.replay_complete())),
+                        ("scan_p50_ns".into(), num(scan.quantile_ns(0.50))),
+                        ("scan_p99_ns".into(), num(scan.quantile_ns(0.99))),
+                    ])
+                });
+            reply.push(("shards".into(), Json::Arr(shards.collect())));
+        }
+        Json::Obj(reply).to_string()
+    }
+
+    /// The `health` section of the `stats` reply.
+    pub fn health_json(&self, view: &ReadView) -> Json {
+        let num = |n: u64| Json::Num(n as f64);
         let mut obj = vec![
             ("ready".into(), Json::Bool(self.readiness().is_ok())),
             ("alive".into(), Json::Bool(self.worker_alive())),
-            ("uptime_secs".into(), Json::Num(self.uptime_secs() as f64)),
-            (
-                "heartbeat_age_secs".into(),
-                Json::Num(self.heartbeat_age_secs() as f64),
-            ),
-            ("queue_depth".into(), Json::Num(self.queue_depth() as f64)),
-            (
-                "queue_capacity".into(),
-                Json::Num(self.queue_capacity as f64),
-            ),
-            ("journal_lag".into(), Json::Num(self.journal_lag() as f64)),
-            (
-                "backpressure_waits".into(),
-                Json::Num(self.backpressure_waits() as f64),
-            ),
+            ("uptime_secs".into(), num(self.uptime_secs())),
+            ("heartbeat_age_secs".into(), num(self.heartbeat_age_secs())),
+            ("queue_depth".into(), num(self.queue_depth())),
+            ("queue_capacity".into(), num(self.queue_capacity)),
+            ("journal_lag".into(), num(view.batches_since_checkpoint)),
+            ("backpressure_waits".into(), num(self.backpressure_waits())),
             (
                 "snapshot_bytes".into(),
-                Json::Num(self.snapshot_bytes() as f64),
+                num(view.snapshot.map_or(0, |s| s.0)),
             ),
         ];
-        if let Some(age) = self.snapshot_age_secs() {
-            obj.push(("snapshot_age_secs".into(), Json::Num(age as f64)));
+        if let Some(age) = view.snapshot_age_secs() {
+            obj.push(("snapshot_age_secs".into(), num(age)));
         }
         Json::Obj(obj)
     }
@@ -779,6 +783,7 @@ impl ObsState {
     /// families, and the cumulative batch-ingest latency histogram
     /// (plus the rule-eval histogram when tracing is enabled).
     pub fn exposition(&self, recorder: &MetricsRecorder) -> String {
+        let view = self.view();
         let mut w = PromWriter::new();
         for c in Counter::ALL {
             w.counter(
@@ -800,12 +805,12 @@ impl ObsState {
         w.gauge(
             "mergepurge_records",
             "Records resident in the incremental engine.",
-            self.records() as f64,
+            view.records as f64,
         );
         w.gauge(
             "mergepurge_sequence",
             "Last acknowledged journal sequence number.",
-            self.last_seq() as f64,
+            view.seq as f64,
         );
         w.gauge(
             "mergepurge_queue_depth",
@@ -820,14 +825,14 @@ impl ObsState {
         w.gauge(
             "mergepurge_journal_lag_batches",
             "Batches journaled but not yet absorbed by a checkpoint.",
-            self.journal_lag() as f64,
+            view.batches_since_checkpoint as f64,
         );
         w.gauge(
             "mergepurge_snapshot_size_bytes",
             "Size of the last checkpoint (0 before the first).",
-            self.snapshot_bytes() as f64,
+            view.snapshot.map_or(0, |s| s.0) as f64,
         );
-        if let Some(age) = self.snapshot_age_secs() {
+        if let Some(age) = view.snapshot_age_secs() {
             w.gauge(
                 "mergepurge_snapshot_age_seconds",
                 "Seconds since the last checkpoint was written.",
@@ -850,22 +855,22 @@ impl ObsState {
             self.heartbeat_age_secs() as f64,
         );
 
-        // Match-quality families (from the worker's last published
-        // snapshot; see docs/PROVENANCE.md for the lineage they ride on).
-        let q = self.quality();
+        // Match-quality families (see docs/PROVENANCE.md for the lineage
+        // they ride on).
         w.gauge(
             "mergepurge_largest_cluster_size",
             "Size of the largest duplicate cluster.",
-            q.largest as f64,
+            view.largest_cluster as f64,
         );
         w.gauge(
             "mergepurge_duplicate_clusters",
             "Duplicate clusters (size >= 2) in the engine.",
-            q.clusters as f64,
+            view.duplicate_groups as f64,
         );
         // Cumulative le-buckets from the log2 histogram: bucket i covers
         // sizes [2^i, 2^(i+1)-1], so its upper bound is 2^(i+1)-1.
-        let last_bucket = q.hist.iter().rposition(|&c| c > 0);
+        let hist = &view.cluster_hist;
+        let last_bucket = hist.iter().rposition(|&c| c > 0);
         let le_labels: Vec<String> = (0..=last_bucket.unwrap_or(0))
             .map(|i| ((1u64 << (i + 1)) - 1).to_string())
             .collect();
@@ -873,21 +878,24 @@ impl ObsState {
         let mut cumulative = 0u64;
         if last_bucket.is_some() {
             for (i, le) in le_labels.iter().enumerate() {
-                cumulative += q.hist.get(i).copied().unwrap_or(0);
+                cumulative += hist.get(i).copied().unwrap_or(0);
                 cluster_samples.push((vec![("le", le.as_str())], cumulative));
             }
         }
-        cluster_samples.push((vec![("le", "+Inf")], q.hist.iter().sum()));
+        cluster_samples.push((vec![("le", "+Inf")], hist.iter().sum()));
         w.counter_family(
             "mergepurge_cluster_size_bucket",
             "Clusters with size <= le (log2-bucketed; singletons included).",
             &cluster_samples,
         );
-        if !q.rules.is_empty() {
-            let firings: Vec<(Vec<(&str, &str)>, u64)> = q
-                .rules
+        if !view.rule_firings.is_empty() {
+            let names: Vec<_> = (0..view.rule_firings.len())
+                .map(|i| rule_name(&view.rule_names, i))
+                .collect();
+            let firings: Vec<(Vec<(&str, &str)>, u64)> = names
                 .iter()
-                .map(|(name, f)| (vec![("rule", name.as_str())], *f))
+                .zip(&view.rule_firings)
+                .map(|(name, &f)| (vec![("rule", name.as_ref())], f))
                 .collect();
             w.counter_family(
                 "mergepurge_rule_firings_total",
@@ -905,57 +913,39 @@ impl ObsState {
             &selectivity,
         );
 
-        if let Some(shards) = self.shards.get() {
-            let labels: Vec<String> = (0..shards.len()).map(|k| k.to_string()).collect();
-            let replays: Vec<_> = labels
-                .iter()
-                .enumerate()
-                .map(|(k, l)| (vec![("shard", l.as_str())], self.shard_journal_replays(k)))
-                .collect();
+        if self.sharded() {
+            let labels: Vec<String> = (0..self.shard_scan.len()).map(|k| k.to_string()).collect();
+            let (mut replays, mut records, mut ready) = (Vec::new(), Vec::new(), Vec::new());
+            let ready_value = if self.replay_complete() { 1.0 } else { 0.0 };
+            let quantile_labels = [("0.5", 0.50), ("0.95", 0.95), ("0.99", 0.99)];
+            let mut scan_samples = Vec::new();
+            for (l, (n, replayed, scan)) in labels.iter().zip(self.shards(&view)) {
+                let shard = vec![("shard", l.as_str())];
+                replays.push((shard.clone(), replayed));
+                records.push((shard.clone(), n as f64));
+                ready.push((shard, ready_value));
+                for (qname, q) in quantile_labels {
+                    scan_samples.push((
+                        vec![("shard", l.as_str()), ("quantile", qname)],
+                        scan.quantile_ns(q) as f64 / 1e9,
+                    ));
+                }
+            }
             w.counter_family(
                 "mergepurge_shard_journal_replays_total",
                 "Non-empty journal frames each shard replayed at startup.",
                 &replays,
             );
-            let records: Vec<_> = labels
-                .iter()
-                .enumerate()
-                .map(|(k, l)| (vec![("shard", l.as_str())], self.shard_records(k) as f64))
-                .collect();
             w.gauge_family(
                 "mergepurge_shard_records",
                 "Records owned by each shard.",
                 &records,
             );
-            let ready: Vec<_> = labels
-                .iter()
-                .enumerate()
-                .map(|(k, l)| {
-                    (
-                        vec![("shard", l.as_str())],
-                        if self.shard_replay_complete(k) {
-                            1.0
-                        } else {
-                            0.0
-                        },
-                    )
-                })
-                .collect();
             w.gauge_family(
                 "mergepurge_shard_ready",
                 "1 when the shard has finished journal replay.",
                 &ready,
             );
-            let quantile_labels = [("0.5", 0.50), ("0.95", 0.95), ("0.99", 0.99)];
-            let mut scan_samples = Vec::new();
-            for (k, l) in labels.iter().enumerate() {
-                for (qname, q) in quantile_labels {
-                    scan_samples.push((
-                        vec![("shard", l.as_str()), ("quantile", qname)],
-                        self.shard_scan_quantile_ns(k, q) as f64 / 1e9,
-                    ));
-                }
-            }
             w.gauge_family(
                 "mergepurge_shard_scan_seconds",
                 "Cumulative per-shard window-scan latency quantiles: each batch's band-K scan time summed over its passes (from batch traces).",
@@ -1034,7 +1024,7 @@ mod tests {
 
     #[test]
     fn readiness_requires_replay_accepting_and_queue_headroom() {
-        let obs = ObsState::new(2, None);
+        let obs = ObsState::new(2, 1, None);
         assert!(obs.readiness().is_err(), "not ready before replay");
         obs.set_replay_complete();
         assert!(obs.readiness().is_err(), "not ready before accepting");
@@ -1051,45 +1041,50 @@ mod tests {
 
     #[test]
     fn queue_depth_never_underflows() {
-        let obs = ObsState::new(4, None);
+        let obs = ObsState::new(4, 1, None);
         obs.job_dequeued();
         assert_eq!(obs.queue_depth(), 0);
     }
 
+    /// Every shard's journal replays in the one store open, before the
+    /// daemon's replay flag flips: the shards are replayed exactly when
+    /// the daemon is, and `readyz` counts them from that one flag.
     #[test]
     fn readiness_requires_every_shard_to_finish_replay() {
-        let obs = ObsState::new(4, None);
-        obs.init_shards(4);
-        obs.set_replay_complete();
+        let obs = ObsState::new(4, 4, None);
         obs.set_accepting(true);
-        for k in 0..3 {
-            obs.set_shard_replay_complete(k);
-        }
-        assert_eq!(
-            obs.readiness(),
-            Err("shard journal replay in progress"),
-            "3 of 4 shards replayed is not ready"
-        );
-        obs.set_shard_replay_complete(3);
+        assert_eq!(obs.readiness(), Err("journal replay in progress"));
+        let replaying = obs.readyz_json();
+        assert!(replaying.contains("\"shards\":4"), "{replaying}");
+        assert!(replaying.contains("\"shards_replayed\":0"), "{replaying}");
+        obs.set_replay_complete();
         assert!(obs.readiness().is_ok(), "all shards replayed is ready");
         let ready = obs.readyz_json();
-        assert!(
-            ready.contains("\"shards\":4"),
-            "readyz shard count: {ready}"
-        );
-        assert!(ready.contains("\"shards_replayed\":4"));
+        assert!(ready.contains("\"shards_replayed\":4"), "{ready}");
+        let solo = ObsState::new(4, 1, None).readyz_json();
+        assert!(!solo.contains("shards"), "single-worker readyz: {solo}");
     }
 
+    /// A sharded view's per-shard numbers, published by the worker, are
+    /// what the `stats` reply's `shards` section reports.
     #[test]
     fn shard_slots_track_replays_and_records() {
-        let obs = ObsState::new(4, None);
-        obs.init_shards(2);
-        assert_eq!(obs.shard_count(), 2);
-        obs.set_shard_journal_replays(1, 7);
-        obs.set_shard_records(0, 40);
-        assert_eq!(obs.shard_journal_replays(1), 7);
-        assert_eq!(obs.shard_records(0), 40);
-        let shards = obs.shards_json().expect("shards configured");
+        let (recorder, flight) = (MetricsRecorder::new(), FlightRecorder::default());
+        let stats = |obs: &ObsState| Json::parse(&obs.stats_json(&recorder, &flight)).unwrap();
+        let obs = ObsState::new(4, 2, None);
+        let shards = stats(&obs).get("shards").cloned().expect("shards section");
+        assert_eq!(
+            shards.as_array().unwrap().len(),
+            2,
+            "sized before any publish"
+        );
+        obs.publish(ReadView {
+            shard_records: vec![40, 2],
+            shard_replays: vec![0, 7],
+            ..ReadView::default()
+        });
+        obs.set_replay_complete();
+        let shards = stats(&obs).get("shards").cloned().unwrap();
         let arr = shards.as_array().unwrap();
         assert_eq!(arr.len(), 2);
         assert_eq!(
@@ -1098,7 +1093,11 @@ mod tests {
         );
         assert_eq!(arr[0].get("records").and_then(Json::as_u64), Some(40));
         assert_eq!(
-            ObsState::new(4, None).shards_json(),
+            arr[0].get("replay_complete").and_then(Json::as_bool),
+            Some(true)
+        );
+        assert_eq!(
+            stats(&ObsState::new(4, 1, None)).get("shards"),
             None,
             "single-worker daemons have no shards section"
         );
@@ -1107,23 +1106,139 @@ mod tests {
     #[test]
     fn exposition_labels_shard_families_by_shard_number() {
         let recorder = MetricsRecorder::new();
-        let obs = ObsState::new(4, None);
-        obs.init_shards(3);
-        obs.set_shard_journal_replays(2, 5);
-        obs.set_shard_records(1, 11);
-        obs.set_shard_replay_complete(0);
+        let obs = ObsState::new(4, 3, None);
+        obs.publish(ReadView {
+            shard_records: vec![0, 11, 0],
+            shard_replays: vec![0, 0, 5],
+            ..ReadView::default()
+        });
         let text = obs.exposition(&recorder);
         assert!(text.contains("mergepurge_shard_journal_replays_total{shard=\"2\"} 5\n"));
         assert!(text.contains("mergepurge_shard_records{shard=\"1\"} 11\n"));
-        assert!(text.contains("mergepurge_shard_ready{shard=\"0\"} 1\n"));
-        assert!(text.contains("mergepurge_shard_ready{shard=\"1\"} 0\n"));
+        assert!(text.contains("mergepurge_shard_ready{shard=\"0\"} 0\n"));
+        obs.set_replay_complete();
+        let text = obs.exposition(&recorder);
+        for k in 0..3 {
+            assert!(text.contains(&format!("mergepurge_shard_ready{{shard=\"{k}\"}} 1\n")));
+        }
+    }
+
+    /// `stats` and the exposition render the same published numbers, and
+    /// reading counters for `stats` leaves the span buffers to the batch
+    /// that owns them.
+    #[test]
+    fn stats_and_exposition_render_one_view() {
+        let recorder = MetricsRecorder::new().with_tracing();
+        let flight = FlightRecorder::default();
+        let obs = ObsState::new(4, 2, None);
+        obs.publish(ReadView {
+            seq: 7,
+            records: 30,
+            duplicate_groups: 4,
+            largest_cluster: 3,
+            batches_since_checkpoint: 2,
+            cluster_hist: vec![20, 4],
+            rule_names: vec!["exact".to_string()].into(),
+            rule_firings: vec![6, 1],
+            shard_records: vec![18, 12],
+            shard_replays: vec![0, 0],
+            ..ReadView::default()
+        });
+        {
+            let _in_flight = mp_metrics::span(&recorder, "batch");
+        }
+        let stats = Json::parse(&obs.stats_json(&recorder, &flight)).unwrap();
+        let text = obs.exposition(&recorder);
+        let at = |path: &[&str]| {
+            let v = path.iter().try_fold(&stats, |v, k| v.get(k)).unwrap();
+            v.as_u64().unwrap()
+        };
+        for (path, sample) in [
+            (&["seq"][..], "mergepurge_sequence 7"),
+            (&["store", "records"], "mergepurge_records 30"),
+            (
+                &["health", "journal_lag"],
+                "mergepurge_journal_lag_batches 2",
+            ),
+            (
+                &["quality", "largest_cluster"],
+                "mergepurge_largest_cluster_size 3",
+            ),
+            (&["quality", "clusters"], "mergepurge_duplicate_clusters 4"),
+        ] {
+            let (_, want) = sample.rsplit_once(' ').unwrap();
+            assert_eq!(at(path).to_string(), want, "{path:?}");
+            assert!(text.contains(&format!("{sample}\n")), "{sample}");
+        }
+        let rules = stats.get("quality").and_then(|q| q.get("rules")).unwrap();
+        assert_eq!(
+            rules.to_string(),
+            r#"[{"rule":"exact","rule_id":0,"firings":6},{"rule":"rule-1","rule_id":1,"firings":1}]"#
+        );
+        assert!(text.contains("mergepurge_rule_firings_total{rule=\"rule-1\"} 1\n"));
+        assert_eq!(recorder.drain_spans().len(), 1, "stats drained no spans");
+    }
+
+    /// docs/OBSERVABILITY.md names every family the exposition of a
+    /// sharded, traced daemon emits, and every name in its tables is one
+    /// the exposition emits.
+    #[test]
+    fn every_emitted_family_is_documented_and_every_documented_name_is_emitted() {
+        let docs = include_str!(concat!(
+            env!("CARGO_MANIFEST_DIR"),
+            "/docs/OBSERVABILITY.md"
+        ));
+        let names = |text: &str| -> Vec<String> {
+            let word = |c: char| c.is_ascii_alphanumeric() || "_<>".contains(c);
+            let tokens = text.split(|c: char| !word(c));
+            tokens
+                .filter(|t| t.starts_with("mergepurge_"))
+                .map(str::to_owned)
+                .collect()
+        };
+        let documented = names(docs);
+        let obs = ObsState::new(4, 2, None);
+        obs.publish(ReadView {
+            snapshot: Some((100, SystemTime::now())),
+            rule_names: vec!["exact".to_string()].into(),
+            rule_firings: vec![1],
+            shard_records: vec![0, 0],
+            shard_replays: vec![0, 0],
+            ..ReadView::default()
+        });
+        let text = obs.exposition(&MetricsRecorder::new().with_tracing());
+        let emitted: Vec<&str> = text
+            .lines()
+            .filter_map(|l| l.strip_prefix("# TYPE ")?.split(' ').next())
+            .collect();
+        let counters: Vec<String> = Counter::ALL
+            .iter()
+            .map(|c| format!("mergepurge_{}_total", c.name()))
+            .collect();
+        for family in &emitted {
+            let by_pattern = counters.iter().any(|c| c == family)
+                && documented
+                    .iter()
+                    .any(|d| d == "mergepurge_<counter_name>_total");
+            assert!(
+                by_pattern || documented.iter().any(|d| d == family),
+                "{family} is emitted but not in docs/OBSERVABILITY.md"
+            );
+        }
+        let tables = docs.lines().filter(|l| l.starts_with('|'));
+        for name in tables.flat_map(names) {
+            assert!(
+                emitted.contains(&name.as_str()),
+                "{name} is documented but not emitted"
+            );
+        }
     }
 
     #[test]
     fn exposition_contains_every_counter_and_parses_line_by_line() {
         let recorder = MetricsRecorder::new();
         recorder.add(Counter::Comparisons, 123);
-        let obs = ObsState::new(4, None);
+        let obs = ObsState::new(4, 1, None);
         obs.set_replay_complete();
         obs.set_accepting(true);
         obs.record_batch(100, 5_000, 5_000, 12, 2_000_000);
@@ -1323,8 +1438,7 @@ mod tests {
     #[test]
     fn batch_phases_feed_histograms_ring_and_exposition() {
         let recorder = MetricsRecorder::new();
-        let obs = ObsState::new(4, None);
-        obs.init_shards(2);
+        let obs = ObsState::new(4, 2, None);
         obs.record_batch_phases(&PhaseBreakdown {
             key_merge_ns: 300_000,
             scan_ns: vec![(0, 4_000_000), (1, 1_000_000)],
@@ -1335,12 +1449,13 @@ mod tests {
             journal_ns: 2_000_000,
             imbalance_milli: 1_600,
         });
-        assert_eq!(obs.shard_scan_quantile_ns(0, 1.0), 4_000_000);
-        assert_eq!(obs.shard_scan_quantile_ns(1, 1.0), 1_000_000);
+        assert_eq!(obs.shard_scan[0].quantile_ns(1.0), 4_000_000);
+        assert_eq!(obs.shard_scan[1].quantile_ns(1.0), 1_000_000);
         assert!((obs.imbalance_mean(60) - 1.6).abs() < 1e-9);
         assert!((obs.imbalance_max(60) - 1.6).abs() < 1e-9);
-        let shards = obs.shards_json().unwrap();
-        let arr = shards.as_array().unwrap();
+        let stats = obs.stats_json(&recorder, &FlightRecorder::default());
+        let stats = Json::parse(&stats).unwrap();
+        let arr = stats.get("shards").and_then(Json::as_array).unwrap();
         assert_eq!(
             arr[0].get("scan_p99_ns").and_then(Json::as_u64),
             Some(4_000_000)
@@ -1353,14 +1468,14 @@ mod tests {
         assert!(text.contains("mergepurge_shard_imbalance_ratio{window=\"1m\"} 1.6\n"));
         assert!(text.contains("mergepurge_reconcile_seconds_count 1\n"));
         // Single-worker daemons expose none of the shard families.
-        let solo = ObsState::new(4, None).exposition(&recorder);
+        let solo = ObsState::new(4, 1, None).exposition(&recorder);
         assert!(!solo.contains("mergepurge_shard_imbalance_ratio"));
         assert!(!solo.contains("mergepurge_reconcile_seconds"));
     }
 
     #[test]
     fn windows_json_has_all_three_windows_with_rates() {
-        let obs = ObsState::new(4, None);
+        let obs = ObsState::new(4, 1, None);
         obs.record_batch(60, 600, 600, 6, 1_000_000);
         let windows = obs.windows_json();
         let arr = windows.as_array().unwrap();

@@ -284,6 +284,11 @@ fn protocol_errors_are_reported_not_fatal() {
     assert_eq!(out_of_range.get("ok").and_then(Json::as_bool), Some(false));
     let empty = ask(&socket, r#"{"cmd":"ingest-batch","records":[]}"#);
     assert_eq!(empty.get("ok").and_then(Json::as_bool), Some(false));
+    // 200 KB of `[`: nested past the parser's depth cap, not deep enough
+    // to overflow a connection thread's stack and abort the daemon.
+    let deep = ask(&socket, &"[".repeat(200_000));
+    let error = deep.get("error").and_then(Json::as_str).unwrap_or("");
+    assert!(error.starts_with("bad json"), "{deep}");
 
     // The daemon is still healthy after every error.
     let stats = ask(&socket, r#"{"cmd":"stats"}"#);
@@ -913,6 +918,59 @@ fn log_keep_three_retains_three_generations() {
 }
 
 // ---- sharding --------------------------------------------------------
+
+/// `stats` and the exposition render from the one view the worker
+/// publishes: after several ingests into a `--shards 2` daemon, each
+/// engine number `stats` reports equals its Prometheus sample.
+#[test]
+fn stats_and_metrics_report_the_same_published_numbers() {
+    let dir = tmp_dir("one-source");
+    let socket = dir.join("mp.sock");
+    let mut child = spawn_daemon_with(&socket, &dir.join("store"), &["--shards", "2"], false);
+    for part in batches(8080, 450, 3) {
+        expect_ok(&ask(&socket, &ingest_request(&part)));
+    }
+    let stats = ask(&socket, r#"{"cmd":"stats"}"#);
+    expect_ok(&stats);
+    let metrics = ask(&socket, r#"{"cmd":"metrics"}"#);
+    let text = metrics.get("exposition").and_then(Json::as_str).unwrap();
+    let samples = prom_samples(text);
+    let sample = |name: &str| {
+        let found = samples.iter().find(|(n, _)| n == name);
+        found.unwrap_or_else(|| panic!("no {name} sample")).1 as u64
+    };
+    let field = |path: &[&str]| {
+        let v = path.iter().try_fold(&stats, |v, k| v.get(k));
+        v.and_then(Json::as_u64)
+            .unwrap_or_else(|| panic!("no {path:?} in {stats}"))
+    };
+    for (path, name) in [
+        (&["store", "records"][..], "mergepurge_records"),
+        (&["seq"], "mergepurge_sequence"),
+        (&["health", "journal_lag"], "mergepurge_journal_lag_batches"),
+        (
+            &["quality", "largest_cluster"],
+            "mergepurge_largest_cluster_size",
+        ),
+        (&["quality", "clusters"], "mergepurge_duplicate_clusters"),
+    ] {
+        assert_eq!(field(path), sample(name), "{path:?} vs {name}");
+    }
+    assert_eq!(field(&["seq"]), 3);
+    let shards = stats.get("shards").and_then(Json::as_array).unwrap();
+    assert_eq!(shards.len(), 2);
+    for (k, shard) in shards.iter().enumerate() {
+        assert_eq!(
+            shard.get("records").and_then(Json::as_u64),
+            Some(sample(&format!(
+                "mergepurge_shard_records{{shard=\"{k}\"}}"
+            ))),
+            "shard {k}"
+        );
+    }
+    shutdown_and_wait(&socket, &mut child);
+    std::fs::remove_dir_all(&dir).unwrap();
+}
 
 /// How a hammer client reaches the daemon: Unix socket or TCP, sharing
 /// the same length-prefixed JSON framing.
