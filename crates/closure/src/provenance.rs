@@ -52,7 +52,7 @@ const EDGE_BYTES: usize = 24;
 ///
 /// The log is append-only and deterministic: the engine's band-replicated
 /// scan guarantees the same pairs are found in the same order on every
-/// engine configuration, so serial, parallel, and sharded runs — and
+/// engine configuration, so serial, parallel, and banded runs — and
 /// journal replay after a crash — produce byte-identical logs.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct ProvenanceLog {

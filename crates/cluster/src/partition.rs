@@ -60,28 +60,6 @@ impl RangePartition {
         }
     }
 
-    /// A data-independent partition: the 27 single-letter bins divided
-    /// into `clusters` near-equal contiguous ranges. Used where the
-    /// assignment must be stable across processes and restarts without
-    /// sampling the data first (e.g. routing records to store shards).
-    ///
-    /// # Panics
-    ///
-    /// Panics when `clusters` is 0 or exceeds the 27 first-letter bins.
-    pub fn uniform(clusters: usize) -> Self {
-        use crate::histogram::ALPHABET;
-        assert!(clusters >= 1, "need at least one cluster");
-        assert!(
-            clusters <= ALPHABET,
-            "C = {clusters} exceeds B = {ALPHABET} bins"
-        );
-        let starts = (0..clusters).map(|c| c * ALPHABET / clusters).collect();
-        RangePartition {
-            starts,
-            prefix_len: 1,
-        }
-    }
-
     /// Number of clusters `C`.
     pub fn clusters(&self) -> usize {
         self.starts.len()
@@ -200,37 +178,6 @@ mod tests {
         let p = RangePartition::build(&h, 27);
         assert_eq!(p.clusters(), 27);
         assert_eq!(p.boundaries(), (0..27).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn uniform_is_deterministic_and_covers_all_clusters() {
-        for c in 1..=27usize {
-            let p = RangePartition::uniform(c);
-            assert_eq!(p.clusters(), c);
-            assert_eq!(p.boundaries(), RangePartition::uniform(c).boundaries());
-            // Every cluster is reachable: feed one key per first letter
-            // (plus a non-letter) and check the image is exactly 0..c.
-            let mut seen = vec![false; c];
-            seen[p.cluster_of("0MISC")] = true;
-            for l in b'A'..=b'Z' {
-                let key = format!("{}NAME", l as char);
-                let cl = p.cluster_of(&key);
-                assert!(cl < c);
-                seen[cl] = true;
-            }
-            assert!(seen.iter().all(|&s| s), "cluster unreachable for C={c}");
-            // Monotone over the alphabet.
-            let cls: Vec<usize> = (b'A'..=b'Z')
-                .map(|l| p.cluster_of(&format!("{}X", l as char)))
-                .collect();
-            assert!(cls.windows(2).all(|w| w[0] <= w[1]));
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "exceeds B")]
-    fn uniform_too_many_clusters_rejected() {
-        RangePartition::uniform(28);
     }
 
     #[test]

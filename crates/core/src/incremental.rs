@@ -27,12 +27,12 @@
 //! The in-memory engine is deliberately a pure deterministic fold over the
 //! batch sequence: `state = fold(add_batch, empty, batches)`. That makes
 //! crash recovery trivial to reason about — [`DurableIncremental`] pairs
-//! the engine with an [`mp_store::MatchStore`] of any shard count so that
-//! every batch is journaled (fsync'd) *before* it is applied, and a checkpoint
+//! the engine with an [`mp_store::MatchStore`] so that every batch is
+//! journaled (fsync'd) *before* it is applied, and a checkpoint
 //! ([`DurableIncremental::checkpoint`]) streams the engine state — borrowed
 //! through [`IncrementalMergePurge::view`], never copied — into a snapshot
 //! file replaced atomically. On restart the snapshot is
-//! restored and the journals' unabsorbed batches are replayed through the
+//! restored and the journal's unabsorbed batches are replayed through the
 //! exact same [`IncrementalMergePurge::add_batch_sharded`] code path, so a
 //! kill/restart sequence reaches byte-identical pairs, comparisons, and
 //! closure classes as an uninterrupted run (tests enforce this too).
@@ -42,7 +42,6 @@ use crate::key::KeySpec;
 use crate::radix::{chunked_str_cmp, insert_sorted};
 use crate::window::{Found, FoundList, ScanCounts, WindowScan};
 use mp_closure::{ClassRing, ClusterSizes, MergeEdge, PairSet, ProvenanceLog, UnionFind};
-use mp_cluster::RangePartition;
 use mp_metrics::{span, span_labeled, Counter, NoopObserver, PipelineObserver};
 use mp_record::{Record, RecordId};
 use mp_rules::EquationalTheory;
@@ -299,14 +298,14 @@ impl IncrementalMergePurge {
     }
 
     /// Like [`add_batch`](Self::add_batch), but deals every pass's window
-    /// scan out to `shards` bands in contiguous shares of the visited
+    /// scan out to `bands` bands in contiguous shares of the visited
     /// positions, then folds the banded results back in (pass, band) order
     /// — the reconciliation step.
     ///
     /// **Concurrency**: the passes are the paper's independent runs (§2.3)
     /// — each reads the shared records and writes only its own key list
     /// and order — so they run side by side, [`fan_out`] over the passes
-    /// and, inside each, over its bands: `passes × shards` workers, pass 0
+    /// and, inside each, over its bands: `passes × bands` workers, pass 0
     /// band 0 on the calling thread, the rest on threads named `pass-P`
     /// and `pass-P-band-K` (one flight-recorder lane each). A batch costs
     /// its slowest pass plus the fold, not the sum of the passes.
@@ -327,7 +326,7 @@ impl IncrementalMergePurge {
     /// (pass, band) order reproduces the one-thread discovery sequence bit
     /// for bit: same comparisons, same `pairs_found` attribution, same
     /// closure, same provenance. Tests enforce this for arbitrary pass and
-    /// shard counts.
+    /// band counts.
     ///
     /// Every band scans into a [`FoundList`] that skips old-old pairs
     /// (decided in earlier cycles) and evaluates every other candidate —
@@ -344,15 +343,15 @@ impl IncrementalMergePurge {
     ///
     /// # Panics
     ///
-    /// Panics when no passes are configured or `shards` is 0.
+    /// Panics when no passes are configured or `bands` is 0.
     pub fn add_batch_sharded(
         &mut self,
         mut batch: Vec<Record>,
         theory: &dyn EquationalTheory,
-        shards: usize,
+        bands: usize,
         observer: &dyn PipelineObserver,
     ) {
-        assert!(shards >= 1, "need at least one shard");
+        assert!(bands >= 1, "need at least one band");
         assert!(
             !self.passes.is_empty(),
             "configure passes before adding batches"
@@ -393,7 +392,7 @@ impl IncrementalMergePurge {
                 (counts, sink.found)
             };
             fan_out(
-                deal(&touched, shards),
+                deal(&touched, bands),
                 |k| format!("pass-{p}-band-{k}"),
                 scan,
             )
@@ -685,58 +684,24 @@ pub struct RecoveryReport {
     pub batches_in_snapshot: u64,
     /// Journaled batches replayed through [`IncrementalMergePurge::add_batch_sharded`].
     pub batches_replayed: u64,
-    /// Per-shard count of non-empty journal frames replayed.
-    pub shard_replays: Vec<u64>,
-    /// Bytes chopped off torn/corrupt/orphaned journal tails (0 when clean).
+    /// Bytes chopped off a torn/corrupt journal tail (0 when clean).
     pub truncated_bytes: u64,
-    /// Why the tails were truncated, when they were (one reason per
-    /// journal, joined by `; `).
+    /// Why the tail was truncated, when it was.
     pub truncation_reason: Option<String>,
 }
 
-/// Routes records to shards: the first pass's key, banded by first
-/// letter into `shards` uniform ranges ([`RangePartition::uniform`]).
-/// Pure and deterministic, so the same record always lands in the same
-/// shard journal.
-#[derive(Debug)]
-pub struct ShardRouter {
-    key: KeySpec,
-    partition: RangePartition,
-}
-
-impl ShardRouter {
-    /// A router over `shards` uniform key bands.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `shards` is 0 or exceeds the 27-bin key alphabet.
-    pub fn new(key: KeySpec, shards: usize) -> Self {
-        ShardRouter {
-            key,
-            partition: RangePartition::uniform(shards),
-        }
-    }
-
-    /// The shard that owns `record`.
-    pub fn shard_of(&self, record: &Record) -> usize {
-        self.partition.cluster_of(&self.key.extract(record))
-    }
-}
-
-/// An [`IncrementalMergePurge`] engine wired to a durable [`MatchStore`]
-/// of any shard count: every ingested batch is journaled (fsync'd) before
-/// it is applied, and checkpoints write an atomic snapshot.
+/// An [`IncrementalMergePurge`] engine wired to a durable [`MatchStore`]:
+/// every ingested batch is journaled (fsync'd) before it is applied, and
+/// checkpoints write an atomic snapshot.
 ///
-/// With N ≥ 2 shards every batch is routed by [`ShardRouter`] into one
-/// frame per shard journal, all with the same sequence number, and its
-/// window scans run in N bands; with one shard the batch is journaled as
-/// it came, with no key extraction and no copy. The in-memory engine is
-/// the same either way, so every shard count reaches the same pairs,
-/// closure, provenance and snapshot bytes.
+/// Each batch's window scans run in the `bands` the store was opened
+/// with. The band count is not part of the store: every band count
+/// reaches the same pairs, closure, provenance and snapshot bytes, so a
+/// store may be reopened with any.
 ///
 /// The replay contract: reopening a store directory reconstructs *exactly*
 /// the state of the process that wrote it, because recovery replays the
-/// journals' unabsorbed batches through the same deterministic
+/// journal's unabsorbed batches through the same deterministic
 /// [`IncrementalMergePurge::add_batch_sharded`] fold the original process
 /// ran.
 ///
@@ -776,60 +741,51 @@ impl ShardRouter {
 pub struct DurableIncremental {
     engine: IncrementalMergePurge,
     store: MatchStore,
-    /// `None` with one shard: every record goes to the one journal.
-    router: Option<ShardRouter>,
+    bands: usize,
     batches_since_checkpoint: u64,
-    shard_records: Vec<u64>,
-    last_scatter: Vec<u64>,
 }
 
 impl DurableIncremental {
-    /// Opens (creating if needed) the `shards`-shard store at `dir`,
-    /// restores the last snapshot into the engine `configure` sets up, and
-    /// replays the journaled batches the snapshot missed through
-    /// [`IncrementalMergePurge::add_batch_sharded`] in `shards` bands,
+    /// Opens (creating if needed) the store at `dir`, restores the last
+    /// snapshot into the engine `configure` sets up, and replays the
+    /// journaled batches the snapshot missed through
+    /// [`IncrementalMergePurge::add_batch_sharded`] in `bands` bands,
     /// re-attaching the trace id each frame carried so explain chains
-    /// survive replay byte-identically — the one recovery fold behind
-    /// every store layout.
+    /// survive replay byte-identically. Later ingests scan in `bands`
+    /// bands too.
     ///
     /// Runs under a `load` span. A truncated journal is reported
-    /// (`Counter::CorruptTailTruncations` per journal, plus a stderr line
-    /// — never silent); `Counter::JournalReplays` counts the replayed
-    /// batches. `configure` must configure the same passes every time the
-    /// same store is opened (the snapshot records key names and windows
-    /// and restore validates them).
+    /// (`Counter::CorruptTailTruncations`, plus a stderr line — never
+    /// silent); `Counter::JournalReplays` counts the replayed batches.
+    /// `configure` must configure the same passes every time the same
+    /// store is opened (the snapshot records key names and windows and
+    /// restore validates them).
     ///
     /// # Errors
     ///
-    /// I/O failures, a corrupt snapshot, a store made with another shard
-    /// count, or a pass-configuration mismatch against the stored snapshot
-    /// (as [`StoreError::Corrupt`]).
+    /// I/O failures, a corrupt snapshot, a directory laid out as a
+    /// sharded store, or a pass-configuration mismatch against the stored
+    /// snapshot (as [`StoreError::Corrupt`]).
     ///
     /// # Panics
     ///
-    /// Panics when `shards` is 0 or exceeds the 27-bin key alphabet, or
-    /// when `configure` sets up no pass.
+    /// Panics when `bands` is 0 or when `configure` sets up no pass.
     pub fn open(
         dir: impl AsRef<Path>,
-        shards: usize,
+        bands: usize,
         configure: impl FnOnce(IncrementalMergePurge) -> IncrementalMergePurge,
         theory: &dyn EquationalTheory,
         observer: &dyn PipelineObserver,
     ) -> Result<(DurableIncremental, RecoveryReport), StoreError> {
         let _load = span(observer, "load");
-        let (store, loaded) = MatchStore::open_shards(dir.as_ref(), shards)?;
-        let truncation_reason = loaded
-            .truncated()
-            .then(|| loaded.truncation_reasons.join("; "));
-        if let Some(reason) = &truncation_reason {
-            observer.add(
-                Counter::CorruptTailTruncations,
-                loaded.truncation_reasons.len() as u64,
-            );
+        let (store, loaded) = MatchStore::open(dir.as_ref())?;
+        if loaded.truncated() {
+            observer.add(Counter::CorruptTailTruncations, 1);
             eprintln!(
-                "mp-store: truncated {} corrupt journal byte(s) at {}: {reason}",
+                "mp-store: truncated {} corrupt journal byte(s) at {}: {}",
                 loaded.truncated_bytes,
                 dir.as_ref().display(),
+                loaded.truncation_reason.as_deref().unwrap_or("unknown"),
             );
         }
 
@@ -838,9 +794,8 @@ impl DurableIncremental {
             snapshot_loaded: false,
             batches_in_snapshot: 0,
             batches_replayed: 0,
-            shard_replays: loaded.shard_replays,
             truncated_bytes: loaded.truncated_bytes,
-            truncation_reason,
+            truncation_reason: loaded.truncation_reason,
         };
         if let Some(snap) = loaded.snapshot {
             report.snapshot_loaded = true;
@@ -848,44 +803,28 @@ impl DurableIncremental {
             engine = engine.restore(snap).map_err(StoreError::Corrupt)?;
         }
         for b in loaded.replayable {
-            engine.add_batch_sharded(b.records, theory, shards, observer);
+            engine.add_batch_sharded(b.records, theory, bands, observer);
             if let Some(t) = &b.trace {
                 engine.note_batch_trace(t);
             }
             report.batches_replayed += 1;
         }
         observer.add(Counter::JournalReplays, report.batches_replayed);
-
-        let router = (shards > 1).then(|| {
-            let key = engine.passes.first().expect("configure a pass").key.clone();
-            ShardRouter::new(key, shards)
-        });
-        let mut shard_records = vec![0u64; shards];
-        match &router {
-            None => shard_records[0] = engine.records.len() as u64,
-            Some(router) => {
-                for r in &engine.records {
-                    shard_records[router.shard_of(r)] += 1;
-                }
-            }
-        }
         Ok((
             DurableIncremental {
                 engine,
                 store,
-                router,
+                bands,
                 batches_since_checkpoint: report.batches_replayed,
-                shard_records,
-                last_scatter: Vec::new(),
             },
             report,
         ))
     }
 
-    /// Ingests one batch durably: the store's append — one frame per
-    /// shard journal, each fsync'd, carrying `trace` so replay keeps
-    /// lineage attribution — then the in-memory fold in one band per
-    /// shard. Returns the batch's sequence number.
+    /// Ingests one batch durably: the store's append — one fsync'd
+    /// frame carrying `trace`, so replay keeps lineage attribution — then
+    /// the in-memory fold in the engine's bands. Returns the batch's
+    /// sequence number.
     ///
     /// Increments `Counter::BatchesIngested` (plus the comparison/match
     /// counters for the scan work) and runs under an `ingest` span
@@ -898,7 +837,7 @@ impl DurableIncremental {
     /// every later append until it is reopened ([`MatchStore::poisoned`]).
     pub fn ingest(
         &mut self,
-        mut batch: Vec<Record>,
+        batch: Vec<Record>,
         trace: Option<&str>,
         theory: &dyn EquationalTheory,
         observer: &dyn PipelineObserver,
@@ -907,48 +846,26 @@ impl DurableIncremental {
             Some(t) => span_labeled(observer, "ingest", || format!("trace={t}")),
             None => span(observer, "ingest"),
         };
-        let (seq, counts) = match &self.router {
-            None => {
-                let seq = self.store.append_batch(&[&batch], trace, observer)?;
-                (seq, vec![batch.len() as u64])
-            }
-            Some(router) => {
-                // Frames carry global ids, so replay can reassemble the
-                // batch in arrival order.
-                let old_len = self.engine.records.len() as u32;
-                let mut frames = vec![Vec::new(); self.shard_records.len()];
-                for (i, r) in batch.iter_mut().enumerate() {
-                    r.id = RecordId(old_len + i as u32);
-                    frames[router.shard_of(r)].push(r.clone());
-                }
-                let seq = self.store.append_batch(&frames, trace, observer)?;
-                (seq, frames.iter().map(|f| f.len() as u64).collect())
-            }
-        };
-        let shards = self.store.shards();
+        let seq = self.store.append_batch(&batch, trace, observer)?;
         self.engine
-            .add_batch_sharded(batch, theory, shards, observer);
+            .add_batch_sharded(batch, theory, self.bands, observer);
         if let Some(t) = trace {
             self.engine.note_batch_trace(t);
         }
         observer.add(Counter::BatchesIngested, 1);
         self.batches_since_checkpoint += 1;
-        for (total, c) in self.shard_records.iter_mut().zip(&counts) {
-            *total += c;
-        }
-        self.last_scatter = counts;
         Ok(seq)
     }
 
     /// Writes an atomic snapshot of the current engine state — encoded
     /// straight from the borrowed engine, no intermediate copy — and
-    /// resets every journal. Returns the snapshot size in bytes (also
+    /// resets the journal. Returns the snapshot size in bytes (also
     /// added to `Counter::SnapshotBytes`); runs under a `snapshot` span.
     ///
     /// # Errors
     ///
     /// I/O failure writing the snapshot; the store still recovers from the
-    /// previous snapshot + journals.
+    /// previous snapshot + journal.
     pub fn checkpoint(&mut self, observer: &dyn PipelineObserver) -> Result<u64, StoreError> {
         let _snap = span(observer, "snapshot");
         let bytes = self
@@ -970,19 +887,9 @@ impl DurableIncremental {
     }
 
     /// Batches applied since the last checkpoint (replayed ones count:
-    /// they live only in the journals until the next checkpoint).
+    /// they live only in the journal until the next checkpoint).
     pub fn batches_since_checkpoint(&self) -> u64 {
         self.batches_since_checkpoint
-    }
-
-    /// Records each shard owns (router attribution; one shard owns all).
-    pub fn shard_records(&self) -> &[u64] {
-        &self.shard_records
-    }
-
-    /// Per-shard record counts of the most recently ingested batch.
-    pub fn last_scatter(&self) -> &[u64] {
-        &self.last_scatter
     }
 }
 

@@ -1,8 +1,8 @@
 //! Property test for the ingest's serial-equivalence guarantee: for any
-//! pass count up to the serving daemon's three, any shard count, any
+//! pass count up to the serving daemon's three, any band count, any
 //! seeded database, and any batch split, the passes running side by side,
-//! each scanning in band-replicated shards, plus the (pass, band)-order
-//! reconciliation fold must reproduce the one-shard run bit for bit —
+//! each scanning in band-replicated bands, plus the (pass, band)-order
+//! reconciliation fold must reproduce the one-band run bit for bit —
 //! same snapshot bytes (closure, pair set, per-pass orders and
 //! attribution, comparison count, provenance).
 
@@ -38,7 +38,7 @@ fn seeded_batches(seed: u64, originals: usize, parts: usize) -> Vec<Vec<mp_recor
 }
 
 proptest! {
-    /// Sharded engine == one-shard engine for 1..=3 passes × shard counts
+    /// Banded engine == one-band engine for 1..=3 passes × band counts
     /// 1..=8, down to the encoded snapshot.
     #[test]
     fn sharded_closure_equals_single_engine(
@@ -71,7 +71,7 @@ proptest! {
         prop_assert!(want == sharded.to_snapshot().encode(), "snapshot bytes differ");
     }
 
-    /// Shard count never changes the answer: any two shard counts agree
+    /// Band count never changes the answer: any two band counts agree
     /// with each other on the same stream, byte for byte.
     #[test]
     fn any_two_shard_counts_agree(

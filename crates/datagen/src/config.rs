@@ -1,7 +1,5 @@
 //! Generator parameters.
 
-use serde::{Deserialize, Serialize};
-
 /// Probabilities for the gross, field-level corruptions a duplicate record
 /// may suffer (beyond per-character typos). Each is applied independently.
 ///
@@ -9,7 +7,7 @@ use serde::{Deserialize, Serialize};
 /// "from small typographical changes, to complete change of last names and
 /// addresses" (§3.1), the transposed-SSN example of §2.4, and the
 /// missing-fields/salutations/nicknames noise of §2.1.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ErrorProfile {
     /// Expected number of single-character typos injected per corrupted
     /// text field (drawn as a Poisson-like geometric count; ~80% of
@@ -90,7 +88,7 @@ impl ErrorProfile {
 }
 
 /// Full parameter set for one generated database.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct GeneratorConfig {
     /// Number of distinct original records (entities).
     pub originals: usize,

@@ -162,7 +162,7 @@ pub struct ExternalConfig {
     pub fan_in: usize,
     /// Worker threads for run formation. Each memory-budget chunk is split
     /// into this many contiguous sub-chunks, sorted and spilled on scoped
-    /// threads (the band-partition machinery of the sharded engine). More
+    /// threads (the band partition the incremental engine scans in). More
     /// threads mean more, smaller initial runs — the merge invariants make
     /// the final order identical regardless.
     pub threads: usize,

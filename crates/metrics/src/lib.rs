@@ -48,8 +48,6 @@ pub mod rolling;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
 
-use serde::Serialize;
-
 pub use prom::PromWriter;
 pub use rolling::{RollingRing, WindowCounter, WindowSnapshot};
 
@@ -567,7 +565,7 @@ impl Drop for Stopwatch<'_> {
 }
 
 /// One named counter value in a [`PipelineReport`].
-#[derive(Debug, Clone, PartialEq, Eq, Serialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CounterValue {
     /// Stable counter name ([`Counter::name`]).
     pub name: &'static str,
@@ -576,7 +574,7 @@ pub struct CounterValue {
 }
 
 /// One named phase total in a [`PipelineReport`].
-#[derive(Debug, Clone, PartialEq, Eq, Serialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PhaseTime {
     /// Stable phase name ([`Phase::name`]).
     pub name: &'static str,
@@ -681,7 +679,7 @@ impl From<TrackSpans> for SpanTreeTrack {
 /// byte-stable for a fixed seed and configuration. Everything from
 /// `"phases_ns"` on (`latency`, `span_tree`, `kernels`) is wall-clock and
 /// varies run to run.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct PipelineReport {
     /// Report layout version ([`REPORT_SCHEMA`]).
     pub schema: u32,
@@ -712,8 +710,8 @@ impl PipelineReport {
 
     /// Renders the report as pretty-printed JSON.
     ///
-    /// Serialization is hand-rolled: the vendored offline `serde` shim has
-    /// no serializer backend, and a fixed field order keeps the
+    /// Serialization is hand-rolled: the workspace has no serializer
+    /// dependency, and a fixed field order keeps the
     /// deterministic section (everything before `"phases_ns"`) byte-stable
     /// across runs. Optional sections are omitted entirely when absent, so
     /// presence is also deterministic for a fixed configuration.

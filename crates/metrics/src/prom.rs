@@ -110,7 +110,7 @@ impl PromWriter {
     }
 
     /// Emits a counter family: one sample per label set (e.g. one per
-    /// shard), one shared `HELP`/`TYPE` header.
+    /// rule), one shared `HELP`/`TYPE` header.
     pub fn counter_family(&mut self, name: &str, help: &str, samples: &[(Vec<(&str, &str)>, u64)]) {
         self.header(name, help, "counter");
         for (labels, value) in samples {
@@ -184,17 +184,14 @@ mod tests {
     fn counter_family_shares_one_header() {
         let mut w = PromWriter::new();
         w.counter_family(
-            "shard_replays_total",
-            "Per-shard replays.",
-            &[(vec![("shard", "0")], 3), (vec![("shard", "1")], 0)],
+            "rule_firings_total",
+            "Per-rule firings.",
+            &[(vec![("rule", "0")], 3), (vec![("rule", "1")], 0)],
         );
         let text = w.finish();
-        assert_eq!(
-            text.matches("# TYPE shard_replays_total counter").count(),
-            1
-        );
-        assert!(text.contains("shard_replays_total{shard=\"0\"} 3\n"));
-        assert!(text.contains("shard_replays_total{shard=\"1\"} 0\n"));
+        assert_eq!(text.matches("# TYPE rule_firings_total counter").count(), 1);
+        assert!(text.contains("rule_firings_total{rule=\"0\"} 3\n"));
+        assert!(text.contains("rule_firings_total{rule=\"1\"} 0\n"));
     }
 
     #[test]

@@ -1,6 +1,5 @@
 //! Field tags for addressing record attributes symbolically.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::str::FromStr;
 
@@ -9,7 +8,7 @@ use std::str::FromStr;
 /// Key specifications, rule programs, and the generator's corruption plans
 /// all refer to fields through this enum, so a typo in a field name is a
 /// compile error (or a parse error with a clear message in the rule DSL).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum Field {
     /// Social security number.
     Ssn,

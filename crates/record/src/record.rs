@@ -1,13 +1,12 @@
 //! The core [`Record`] type and its identifiers.
 
 use crate::field::Field;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Position of a record in the concatenated input list — the "tuple id" the
 /// paper feeds to the transitive closure ("pairs of tuple id's, each at most
 /// 30 bits", §3.3).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct RecordId(pub u32);
 
 impl RecordId {
@@ -29,7 +28,7 @@ impl fmt::Display for RecordId {
 /// Assigned by the database generator; two records are *true* duplicates iff
 /// their entity ids are equal. Production data has no such column — it exists
 /// so accuracy can be measured exactly, as in the paper's controlled studies.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct EntityId(pub u32);
 
 /// One employee-style record.
@@ -57,7 +56,7 @@ pub struct EntityId(pub u32);
 /// };
 /// assert_eq!(r.field(mp_record::Field::LastName), "HERNANDEZ");
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Record {
     /// Tuple id: position in the concatenated list.
     pub id: RecordId,

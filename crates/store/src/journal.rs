@@ -44,7 +44,7 @@ const JOURNAL_MAGIC: &[u8; 4] = b"MPJL";
 const FRAME_MAGIC: &[u8; 4] = b"MPJF";
 /// Journal format version written into the header.
 pub const JOURNAL_VERSION: u32 = 2;
-pub(crate) const HEADER_LEN: usize = 8;
+const HEADER_LEN: usize = 8;
 const FRAME_HEADER_LEN: usize = 4 + 8 + 8 + 4;
 
 /// One recovered journal frame: the batch, its sequence number, and the
@@ -64,10 +64,6 @@ pub struct JournalBatch {
 pub struct JournalRecovery {
     /// Every intact journaled batch, in sequence order.
     pub batches: Vec<JournalBatch>,
-    /// `(seq, file end offset)` of every intact frame, in scan order. Lets
-    /// a coordinator chop *whole* trailing frames (e.g. orphans of an
-    /// incomplete cross-shard scatter) with [`Journal::truncate_to`].
-    pub frame_ends: Vec<(u64, u64)>,
     /// Bytes removed from a torn/corrupt tail (0 on a clean open).
     pub truncated_bytes: u64,
     /// Human-readable reason for the truncation, when one happened.
@@ -119,11 +115,9 @@ impl Journal {
                 }
                 match Self::scan_frame(rest, last_seq) {
                     Ok((batch, frame_len)) => {
-                        let seq = batch.seq;
+                        last_seq = Some(batch.seq);
                         recovery.batches.push(batch);
                         good_end += frame_len;
-                        recovery.frame_ends.push((seq, good_end as u64));
-                        last_seq = Some(seq);
                     }
                     Err(reason) => {
                         recovery.truncation_reason = Some(reason);
@@ -273,21 +267,6 @@ impl Journal {
             file.write_all(&JOURNAL_VERSION.to_le_bytes())?;
             Ok(())
         })?;
-        self.file = OpenOptions::new().append(true).open(&self.path)?;
-        self.next_seq = next_seq;
-        Ok(())
-    }
-
-    /// Truncates the journal back to `end` (a frame boundary from
-    /// [`JournalRecovery::frame_ends`], or the 8-byte header) and sets the
-    /// next sequence number. Used by the sharded store to drop *intact but
-    /// orphaned* trailing frames — frames from a cross-shard scatter that
-    /// never completed on every shard, so the batch was never acknowledged
-    /// and must not replay (and its sequence number will be reused).
-    pub fn truncate_to(&mut self, end: u64, next_seq: u64) -> Result<(), StoreError> {
-        let f = OpenOptions::new().write(true).open(&self.path)?;
-        f.set_len(end)?;
-        f.sync_all()?;
         self.file = OpenOptions::new().append(true).open(&self.path)?;
         self.next_seq = next_seq;
         Ok(())
@@ -465,32 +444,6 @@ mod tests {
         // Replay filtering against the snapshot watermark keeps it.
         assert!(Journal::filter_replayable(&mut rec, 2).is_ok());
         assert_eq!(rec.batches.len(), 1);
-    }
-
-    #[test]
-    fn truncate_to_drops_whole_trailing_frames_and_reuses_seqs() {
-        let path = tmp("chop");
-        let (mut j, _) = Journal::open(&path).unwrap();
-        j.append(&batch(1, 2), None).unwrap();
-        j.append(&batch(2, 2), None).unwrap();
-        j.append(&batch(3, 2), None).unwrap();
-        drop(j);
-        let (mut j, rec) = Journal::open(&path).unwrap();
-        assert_eq!(rec.frame_ends.len(), 3);
-        assert_eq!(
-            rec.frame_ends.last().unwrap().1,
-            std::fs::metadata(&path).unwrap().len()
-        );
-        // Chop the last frame (an orphan) at its exact boundary.
-        let (seq2, end2) = rec.frame_ends[1];
-        assert_eq!(seq2, 2);
-        j.truncate_to(end2, 3).unwrap();
-        assert_eq!(j.append(&batch(9, 1), None).unwrap(), 3, "seq 3 is reused");
-        drop(j);
-        let (_, rec) = Journal::open(&path).unwrap();
-        assert!(!rec.truncated(), "boundary truncation leaves a clean file");
-        assert_eq!(rec.batches.len(), 3);
-        assert_eq!(rec.batches[2].records, batch(9, 1));
     }
 
     #[test]

@@ -14,15 +14,14 @@
 //! * [`Journal`] — an append-only batch log with torn-tail detection and
 //!   truncation ([`journal`] documents the recovery semantics);
 //! * [`MatchStore`] — the directory-level API tying them together:
-//!   `state = last snapshot + journals replayed`, with one journal per
-//!   shard beside the one snapshot ([`sharded`] documents the layouts and
-//!   the complete-scatter recovery).
+//!   `state = last snapshot + journal replayed`, as `snapshot.mps` and
+//!   `journal.mpj` in one directory.
 //!
 //! # Crash safety
 //!
 //! Batches are `fsync`ed to the journal before they are acknowledged or
 //! applied. Every file that is *replaced* rather than appended to — the
-//! snapshot, the sharded manifest, a journal being reset — goes through
+//! snapshot, or the journal being reset — goes through
 //! one private routine, `replace_file`: write a temporary sibling,
 //! `fsync` it, atomically rename it into place, then `fsync` the
 //! directory (and remove the temporary on any error). A reader therefore
@@ -30,9 +29,9 @@
 //! ordering rule lives in exactly one function. Snapshot bytes likewise
 //! come from exactly one encoder ([`SnapshotView`]), which borrows the
 //! producer's state instead of copying it, and reach disk through one
-//! writer ([`replace_snapshot`]) whatever the layout. A corrupt or torn
+//! writer ([`replace_snapshot`]). A corrupt or torn
 //! journal tail is detected (CRC / framing), truncated, and surfaced in
-//! [`LoadedState::truncation_reasons`]; a corrupt snapshot is a hard
+//! [`LoadedState::truncation_reason`]; a corrupt snapshot is a hard
 //! [`StoreError::Corrupt`], never silently loaded. A journal write that
 //! fails poisons the store: it refuses appends until it is reopened, so
 //! no acknowledged batch lands behind bytes that recovery will cut.
@@ -49,7 +48,7 @@
 //!
 //! // Journal a batch (durable once this returns), then checkpoint.
 //! let batch = vec![Record::empty(RecordId(0))];
-//! let seq = store.append_batch(&[&batch], None, &mp_metrics::NoopObserver).unwrap();
+//! let seq = store.append_batch(&batch, None, &mp_metrics::NoopObserver).unwrap();
 //! assert_eq!(seq, 1);
 //! let snap = Snapshot {
 //!     records: batch,
@@ -72,11 +71,9 @@
 
 pub mod codec;
 pub mod journal;
-pub mod sharded;
 pub mod snapshot;
 
 pub use journal::{Journal, JournalBatch, JournalRecovery, JOURNAL_VERSION};
-pub use sharded::MANIFEST_FILE;
 pub use snapshot::{borrowed, PassSnapshot, Snapshot, SnapshotView, SNAPSHOT_VERSION};
 
 use mp_metrics::{span_labeled, PipelineObserver};
@@ -103,6 +100,9 @@ pub enum StoreError {
     /// An earlier journal write failed; the store refuses appends until
     /// it is reopened. The message names the failed write.
     Poisoned(String),
+    /// The directory holds a store layout this build does not open. The
+    /// message names the file and the migration.
+    Unsupported(String),
 }
 
 impl fmt::Display for StoreError {
@@ -113,6 +113,7 @@ impl fmt::Display for StoreError {
             StoreError::Poisoned(msg) => {
                 write!(f, "store refuses appends until reopened: {msg}")
             }
+            StoreError::Unsupported(msg) => write!(f, "unsupported store layout: {msg}"),
         }
     }
 }
@@ -121,7 +122,7 @@ impl std::error::Error for StoreError {
     fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
         match self {
             StoreError::Io(e) => Some(e),
-            StoreError::Corrupt(_) | StoreError::Poisoned(_) => None,
+            StoreError::Corrupt(_) | StoreError::Poisoned(_) | StoreError::Unsupported(_) => None,
         }
     }
 }
@@ -173,15 +174,15 @@ pub(crate) fn replace_file<T>(
 }
 
 /// Atomically replaces `dir/snapshot.mps` with the state `view` borrows —
-/// the one snapshot writer behind every store layout: a checkpoint
+/// the one snapshot writer: a checkpoint
 /// ([`MatchStore::commit_snapshot`]) and a bulk load's commit. The snapshot streams to disk through the one
 /// encoder with the records pulled one at a time from `records` —
 /// [`borrowed`] for resident state, a file stream for a bulk load — so
 /// nothing is copied or buffered whole. Returns the snapshot size in
 /// bytes.
 ///
-/// The rename is the commit point; the caller resets the journals the
-/// snapshot now covers afterwards. Until it does, their frames sit at or
+/// The rename is the commit point; the caller resets the journal the
+/// snapshot now covers afterwards. Until it does, its frames sit at or
 /// below the snapshot's watermark and recovery filters them out.
 ///
 /// # Errors
@@ -213,179 +214,113 @@ fn read_snapshot(dir: &Path) -> Result<Option<Snapshot>, StoreError> {
     }
 }
 
-/// Everything [`MatchStore::open_shards`] found on disk.
+/// Everything [`MatchStore::open`] found on disk.
 #[derive(Debug)]
 pub struct LoadedState {
     /// The last checkpoint, if one has ever been written.
     pub snapshot: Option<Snapshot>,
-    /// Batches every journal holds and the snapshot has not absorbed, in
-    /// sequence order; replay these (oldest first) to reconstruct the
-    /// pre-crash state. A sharded batch is its shard frames reassembled
-    /// in record-id order. Each carries the trace id of its original
-    /// ingest, if one was journaled, so provenance annotations replay
-    /// identically.
+    /// Journaled batches the snapshot has not absorbed, in sequence
+    /// order; replay these (oldest first) to reconstruct the pre-crash
+    /// state. Each carries the trace id of its original ingest, if one
+    /// was journaled, so provenance annotations replay identically.
     pub replayable: Vec<JournalBatch>,
-    /// Per-shard count of *non-empty* frames among the replayable batches
-    /// (an empty frame is sequence padding, not replay work).
-    pub shard_replays: Vec<u64>,
-    /// Bytes cut from torn tails and orphan frames, over every journal.
+    /// Bytes cut from a torn or corrupt journal tail (0 on a clean open).
     pub truncated_bytes: u64,
-    /// One reason per journal that lost bytes (prefixed `shard k: ` in a
-    /// sharded store).
-    pub truncation_reasons: Vec<String>,
+    /// Why the journal lost bytes, when it did.
+    pub truncation_reason: Option<String>,
 }
 
 impl LoadedState {
-    /// True when a torn, corrupt or orphaned journal tail was removed.
+    /// True when a torn or corrupt journal tail was removed.
     pub fn truncated(&self) -> bool {
-        !self.truncation_reasons.is_empty()
+        self.truncated_bytes > 0 || self.truncation_reason.is_some()
     }
 }
 
-/// A durable match-store directory: `snapshot.mps` plus one batch journal
-/// per shard — the root `journal.mpj` for one shard, `manifest.mpm` and
-/// `shard-k/journal.mpj` for N ≥ 2 ([`sharded`] documents that layout).
+/// Refuses a directory laid out as a sharded store (a `manifest.mpm`, or
+/// a `shard-k/journal.mpj`), naming the file and touching nothing: its
+/// journals would otherwise never replay.
+fn refuse_sharded_layout(dir: &Path) -> Result<(), StoreError> {
+    let refuse = |file: PathBuf| {
+        Err(StoreError::Unsupported(format!(
+            "{} belongs to a sharded store, which this build does not open: checkpoint \
+             it with the build that wrote it (`send --cmd snapshot`), then remove \
+             manifest.mpm and every shard-*/ directory",
+            file.display()
+        )))
+    };
+    let manifest = dir.join("manifest.mpm");
+    if manifest.exists() {
+        return refuse(manifest);
+    }
+    let entries = match std::fs::read_dir(dir) {
+        Ok(entries) => entries,
+        Err(e) if e.kind() == io::ErrorKind::NotFound => return Ok(()),
+        Err(e) => return Err(e.into()),
+    };
+    for entry in entries {
+        let entry = entry?;
+        let journal = entry.path().join(JOURNAL_FILE);
+        if entry.file_name().to_string_lossy().starts_with("shard-") && journal.exists() {
+            return refuse(journal);
+        }
+    }
+    Ok(())
+}
+
+/// A durable match-store directory: `snapshot.mps` plus the batch
+/// journal `journal.mpj`.
 ///
 /// The store itself is engine-agnostic — it persists and recovers bytes
 /// with strong integrity checking; the incremental engine in the core
-/// crate decides what the state means, how a batch is routed to shards,
-/// and how to replay it.
+/// crate decides what the state means and how to replay it.
 #[derive(Debug)]
 pub struct MatchStore {
     dir: PathBuf,
-    journals: Vec<Journal>,
-    next_seq: u64,
+    journal: Journal,
     /// Why an earlier journal write failed: appends are refused until
     /// the store is reopened, whose recovery drops what that write left.
     poisoned: Option<String>,
 }
 
 impl MatchStore {
-    /// [`MatchStore::open_shards`] with one shard: the single-worker
-    /// layout.
-    pub fn open(dir: impl AsRef<Path>) -> Result<(MatchStore, LoadedState), StoreError> {
-        Self::open_shards(dir, 1)
-    }
-
-    /// Opens (creating if needed) the store at `dir` with `shards`
-    /// journals and loads its state.
+    /// Opens (creating if needed) the store at `dir` and loads its state.
     ///
-    /// Stale temporary files from interrupted writes are removed. Every
-    /// journal is scanned and torn tails truncated (see [`journal`]);
-    /// frames already covered by the snapshot are filtered out. A batch
-    /// is replayable iff *every* journal holds its frame: trailing frames
-    /// of an incomplete scatter (the batch was never acknowledged) are
-    /// physically truncated, so their sequence numbers are reused. One
-    /// shard is the N = 1 case of that rule.
+    /// Stale temporary files from interrupted writes are removed. The
+    /// journal is scanned and a torn tail truncated (see [`journal`]);
+    /// frames already covered by the snapshot are filtered out.
     ///
     /// # Errors
     ///
-    /// I/O failures, a corrupt manifest or snapshot, a sequence gap below
-    /// the replayable watermark, or a store made with another shard count
-    /// (the shard count is fixed at creation, and the other layout's
-    /// journals would never be replayed).
-    ///
-    /// # Panics
-    ///
-    /// Panics when `shards` is 0.
-    pub fn open_shards(
-        dir: impl AsRef<Path>,
-        shards: usize,
-    ) -> Result<(MatchStore, LoadedState), StoreError> {
-        assert!(shards >= 1, "need at least one shard");
+    /// I/O failures, a corrupt snapshot, a sequence gap below the
+    /// replayable watermark, or a directory laid out as a sharded store
+    /// ([`StoreError::Unsupported`], naming the file; nothing in the
+    /// directory is modified).
+    pub fn open(dir: impl AsRef<Path>) -> Result<(MatchStore, LoadedState), StoreError> {
         let dir = dir.as_ref().to_path_buf();
+        refuse_sharded_layout(&dir)?;
         std::fs::create_dir_all(&dir)?;
         // A crash during a replace can leave a temp file; it was never
         // renamed into place, so it is dead weight.
-        for stale in [SNAPSHOT_FILE, JOURNAL_FILE, MANIFEST_FILE] {
+        for stale in [SNAPSHOT_FILE, JOURNAL_FILE] {
             let _ = std::fs::remove_file(dir.join(format!("{stale}.tmp")));
         }
-        let paths = sharded::journal_paths(&dir, shards)?;
         let snapshot = read_snapshot(&dir)?;
         let watermark = snapshot.as_ref().map_or(0, |s| s.batches_applied);
-
-        let mut journals = Vec::with_capacity(shards);
-        let mut recoveries = Vec::with_capacity(shards);
-        let mut truncated_bytes = 0u64;
-        let mut truncation_reasons = Vec::new();
-        let label = |k: usize| match shards {
-            1 => String::new(),
-            _ => format!("shard {k}: "),
-        };
-        for (k, path) in paths.iter().enumerate() {
-            let (journal, mut rec) = Journal::open(path)?;
-            truncated_bytes += rec.truncated_bytes;
-            if let Some(r) = &rec.truncation_reason {
-                truncation_reasons.push(format!("{}{r}", label(k)));
-            }
-            Journal::filter_replayable(&mut rec, watermark)?;
-            journals.push(journal);
-            recoveries.push(rec);
-        }
-        // The last complete sequence is the minimum of the journals' tails.
-        let last_complete = recoveries
-            .iter()
-            .map(|r| r.batches.last().map_or(watermark, |b| b.seq))
-            .min()
-            .unwrap_or(watermark);
-
-        let mut shard_replays = vec![0u64; shards];
-        let mut replayable: Vec<JournalBatch> = (watermark + 1..=last_complete)
-            .map(|seq| JournalBatch {
-                seq,
-                records: Vec::new(),
-                trace: None,
-            })
-            .collect();
-        for (k, (journal, rec)) in journals.iter_mut().zip(&mut recoveries).enumerate() {
-            let orphans = rec.batches.iter().filter(|b| b.seq > last_complete).count();
-            if orphans > 0 {
-                let kept = |(s, e): &(u64, u64)| (*s <= last_complete).then_some(*e);
-                let end = rec.frame_ends.iter().filter_map(kept).max();
-                let end = end.unwrap_or(journal::HEADER_LEN as u64);
-                let file_len = rec.frame_ends.last().map_or(end, |&(_, e)| e);
-                journal.truncate_to(end, last_complete + 1)?;
-                truncated_bytes += file_len - end;
-                truncation_reasons.push(format!(
-                    "{}dropped {orphans} orphan frame(s) of an incomplete scatter \
-                     (batch never acknowledged)",
-                    label(k)
-                ));
-                rec.batches.retain(|b| b.seq <= last_complete);
-            }
-            journal.bump_next_seq(last_complete + 1);
-            for b in std::mem::take(&mut rec.batches) {
-                shard_replays[k] += u64::from(!b.records.is_empty());
-                let slot = &mut replayable[(b.seq - watermark - 1) as usize];
-                if slot.records.is_empty() {
-                    slot.records = b.records;
-                } else {
-                    slot.records.extend(b.records);
-                }
-                // Every frame of a batch journals the same trace.
-                slot.trace = slot.trace.take().or(b.trace);
-            }
-        }
-        if shards > 1 {
-            // Shard frames carry global ids; id order is arrival order.
-            for b in &mut replayable {
-                b.records.sort_by_key(|r| r.id.0);
-            }
-        }
-
+        let (mut journal, mut recovery) = Journal::open(&dir.join(JOURNAL_FILE))?;
+        Journal::filter_replayable(&mut recovery, watermark)?;
+        journal.bump_next_seq(watermark + 1);
         Ok((
             MatchStore {
                 dir,
-                journals,
-                next_seq: last_complete + 1,
+                journal,
                 poisoned: None,
             },
             LoadedState {
                 snapshot,
-                replayable,
-                shard_replays,
-                truncated_bytes,
-                truncation_reasons,
+                replayable: recovery.batches,
+                truncated_bytes: recovery.truncated_bytes,
+                truncation_reason: recovery.truncation_reason,
             },
         ))
     }
@@ -395,14 +330,9 @@ impl MatchStore {
         &self.dir
     }
 
-    /// Number of shard journals (fixed at store creation).
-    pub fn shards(&self) -> usize {
-        self.journals.len()
-    }
-
     /// Sequence number the next appended batch will receive.
     pub fn next_seq(&self) -> u64 {
-        self.next_seq
+        self.journal.next_seq()
     }
 
     /// Why the store refuses appends, when an earlier journal write
@@ -421,66 +351,53 @@ impl MatchStore {
         Some((md.len(), md.modified().ok()?))
     }
 
-    /// Journals one batch as one frame per shard journal, in shard order
-    /// on the calling thread, every frame with the same sequence number
-    /// (an empty frame keeps a shard's sequence in step) and each
-    /// `fsync`ed; the batch is durable when this returns its sequence
-    /// number. Append *before* applying the batch in memory: on a crash
-    /// the journals replay it, and an unjournaled batch was never
-    /// acknowledged. `trace` is the ingest trace id each frame persists
-    /// (replay re-annotates provenance with it). Each append runs under a
-    /// `shard_ingest` span labelled `shard=k seq=S trace=T`.
+    /// Journals one batch as one `fsync`ed frame; the batch is durable
+    /// when this returns its sequence number. Append *before* applying
+    /// the batch in memory: on a crash the journal replays it, and an
+    /// unjournaled batch was never acknowledged. `trace` is the ingest
+    /// trace id the frame persists (replay re-annotates provenance with
+    /// it). Runs under a `shard_ingest` span labelled
+    /// `shard=0 seq=S trace=T`.
     ///
     /// # Errors
     ///
     /// A failed write, after which every later append is refused
     /// ([`StoreError::Poisoned`]) until the store is reopened: a frame
-    /// written in part, or written to some journals only, belongs to a
-    /// batch that was never acknowledged, and only the reopen's recovery
-    /// removes it. Appending behind it would put an acknowledged batch
-    /// where recovery cuts.
-    ///
-    /// # Panics
-    ///
-    /// Panics unless `frames` holds one frame per shard journal.
-    pub fn append_batch<R: AsRef<[Record]>>(
+    /// written in part belongs to a batch that was never acknowledged,
+    /// and only the reopen's recovery removes it. Appending behind it
+    /// would put an acknowledged batch where recovery cuts.
+    pub fn append_batch(
         &mut self,
-        frames: &[R],
+        records: &[Record],
         trace: Option<&str>,
         observer: &dyn PipelineObserver,
     ) -> Result<u64, StoreError> {
-        assert_eq!(frames.len(), self.journals.len(), "one frame per shard");
         if let Some(why) = &self.poisoned {
             return Err(StoreError::Poisoned(why.clone()));
         }
-        let seq = self.next_seq;
-        for (k, (journal, frame)) in self.journals.iter_mut().zip(frames).enumerate() {
-            let _span = span_labeled(observer, "shard_ingest", || {
-                format!("shard={k} seq={seq} trace={}", trace.unwrap_or("-"))
-            });
-            if let Err(e) = journal.append(frame.as_ref(), trace) {
-                self.poisoned = Some(format!("shard {k} append at seq {seq}: {e}"));
-                return Err(e);
-            }
-        }
-        self.next_seq += 1;
-        Ok(seq)
+        let seq = self.journal.next_seq();
+        let _span = span_labeled(observer, "shard_ingest", || {
+            format!("shard=0 seq={seq} trace={}", trace.unwrap_or("-"))
+        });
+        self.journal.append(records, trace).inspect_err(|e| {
+            self.poisoned = Some(format!("append at seq {seq}: {e}"));
+        })
     }
 
     /// Atomically replaces the snapshot with the state `view` borrows
-    /// ([`replace_snapshot`]) and resets every journal, whose batches the
+    /// ([`replace_snapshot`]) and resets the journal, whose batches the
     /// snapshot now covers. Returns the snapshot size in bytes.
     ///
     /// Crash-ordering: the snapshot rename is the commit point. A crash
-    /// before it keeps the old snapshot + full journals; a crash after it
+    /// before it keeps the old snapshot + full journal; a crash after it
     /// leaves frames at or below the new watermark, which the next open
-    /// filters out, whichever journals had already been reset.
+    /// filters out.
     ///
     /// # Errors
     ///
     /// I/O failures, a record-iterator error, or a record-count mismatch
     /// against [`SnapshotView::n_records`]; on every such error the old
-    /// snapshot (if any) and the journals stay in place and no temporary
+    /// snapshot (if any) and the journal stay in place and no temporary
     /// file is left behind. A failed journal reset poisons the store, as a
     /// failed append does.
     pub fn commit_snapshot<'r>(
@@ -489,13 +406,9 @@ impl MatchStore {
         records: impl Iterator<Item = io::Result<Cow<'r, Record>>>,
     ) -> Result<u64, StoreError> {
         let bytes = replace_snapshot(&self.dir, view, records)?;
-        self.next_seq = view.batches_applied + 1;
-        for (k, journal) in self.journals.iter_mut().enumerate() {
-            if let Err(e) = journal.reset(self.next_seq) {
-                self.poisoned = Some(format!("shard {k} journal reset: {e}"));
-                return Err(e);
-            }
-        }
+        self.journal
+            .reset(view.batches_applied + 1)
+            .inspect_err(|e| self.poisoned = Some(format!("journal reset: {e}")))?;
         Ok(bytes)
     }
 
@@ -548,10 +461,10 @@ mod tests {
         let (mut store, loaded) = MatchStore::open(&dir).unwrap();
         assert!(loaded.snapshot.is_none() && loaded.replayable.is_empty());
         store
-            .append_batch(&[batch(1, 2)], None, &NoopObserver)
+            .append_batch(&batch(1, 2), None, &NoopObserver)
             .unwrap();
         store
-            .append_batch(&[batch(2, 2)], None, &NoopObserver)
+            .append_batch(&batch(2, 2), None, &NoopObserver)
             .unwrap();
         drop(store);
 
@@ -566,7 +479,7 @@ mod tests {
         all.extend(batch(2, 2));
         store.write_snapshot(&snap_of(all, 2)).unwrap();
         store
-            .append_batch(&[batch(3, 1)], None, &NoopObserver)
+            .append_batch(&batch(3, 1), None, &NoopObserver)
             .unwrap();
         drop(store);
 
@@ -582,10 +495,10 @@ mod tests {
         let dir = tmp_dir("rename-crash");
         let (mut store, _) = MatchStore::open(&dir).unwrap();
         store
-            .append_batch(&[batch(1, 2)], None, &NoopObserver)
+            .append_batch(&batch(1, 2), None, &NoopObserver)
             .unwrap();
         store
-            .append_batch(&[batch(2, 2)], None, &NoopObserver)
+            .append_batch(&batch(2, 2), None, &NoopObserver)
             .unwrap();
         drop(store);
         // Simulate the crash window: write the snapshot file directly
@@ -609,11 +522,11 @@ mod tests {
         let dir = tmp_dir("failed-commit");
         let (mut store, _) = MatchStore::open(&dir).unwrap();
         store
-            .append_batch(&[batch(1, 3)], None, &NoopObserver)
+            .append_batch(&batch(1, 3), None, &NoopObserver)
             .unwrap();
         store.write_snapshot(&snap_of(batch(1, 3), 1)).unwrap();
         store
-            .append_batch(&[batch(2, 2)], None, &NoopObserver)
+            .append_batch(&batch(2, 2), None, &NoopObserver)
             .unwrap();
         let good_snapshot = std::fs::read(dir.join(SNAPSHOT_FILE)).unwrap();
         let good_journal = std::fs::read(dir.join(JOURNAL_FILE)).unwrap();
@@ -657,7 +570,7 @@ mod tests {
         let dir = tmp_dir("failed-append");
         let (mut store, _) = MatchStore::open(&dir).unwrap();
         store
-            .append_batch(&[batch(1, 3)], None, &NoopObserver)
+            .append_batch(&batch(1, 3), None, &NoopObserver)
             .unwrap();
         // The next append writes part of its frame, then fails: the torn
         // bytes land on disk and the handle turns read-only.
@@ -667,13 +580,13 @@ mod tests {
             .open(&path)
             .unwrap();
         file.write_all(b"MPJF\x02\0\0\0").unwrap();
-        let writable = store.journals[0].swap_file(std::fs::File::open(&path).unwrap());
-        let err = store.append_batch(&[batch(2, 2)], None, &NoopObserver);
+        let writable = store.journal.swap_file(std::fs::File::open(&path).unwrap());
+        let err = store.append_batch(&batch(2, 2), None, &NoopObserver);
         assert!(matches!(err, Err(StoreError::Io(_))), "{err:?}");
         // The fault clears, but the store still refuses: an acknowledged
         // batch behind the torn bytes would be cut by the next open.
-        store.journals[0].swap_file(writable);
-        match store.append_batch(&[batch(3, 2)], None, &NoopObserver) {
+        store.journal.swap_file(writable);
+        match store.append_batch(&batch(3, 2), None, &NoopObserver) {
             Err(StoreError::Poisoned(msg)) => assert!(msg.contains("seq 2"), "{msg}"),
             other => panic!("a poisoned store must refuse appends: {other:?}"),
         }
@@ -688,7 +601,7 @@ mod tests {
         assert_eq!(loaded.replayable[0].records, batch(1, 3));
         assert_eq!(
             store
-                .append_batch(&[batch(4, 1)], None, &NoopObserver)
+                .append_batch(&batch(4, 1), None, &NoopObserver)
                 .unwrap(),
             2
         );
@@ -703,26 +616,56 @@ mod tests {
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
+    /// Every file of `dir`, relative path to bytes.
+    fn tree(dir: &Path) -> Vec<(PathBuf, Vec<u8>)> {
+        let mut out = Vec::new();
+        for entry in std::fs::read_dir(dir).unwrap() {
+            let path = entry.unwrap().path();
+            if path.is_dir() {
+                out.extend(tree(&path));
+            } else {
+                out.push((path.clone(), std::fs::read(&path).unwrap()));
+            }
+        }
+        out.sort();
+        out
+    }
+
     #[test]
-    fn a_failed_shard_append_refuses_later_appends_and_drops_its_orphans() {
-        let dir = tmp_dir("failed-scatter");
-        let (mut store, _) = MatchStore::open_shards(&dir, 2).unwrap();
-        let frames = |tag: u32| [batch(tag, 1), batch(tag + 100, 1)];
-        store.append_batch(&frames(1), None, &NoopObserver).unwrap();
-        // Shard 0 journals batch 2; shard 1's append fails.
-        let path = dir.join("shard-1").join(JOURNAL_FILE);
-        let writable = store.journals[1].swap_file(std::fs::File::open(&path).unwrap());
-        assert!(store.append_batch(&frames(2), None, &NoopObserver).is_err());
-        store.journals[1].swap_file(writable);
-        assert!(matches!(
-            store.append_batch(&frames(3), None, &NoopObserver),
-            Err(StoreError::Poisoned(_))
-        ));
-        drop(store);
-        let (_, loaded) = MatchStore::open_shards(&dir, 2).unwrap();
-        assert_eq!(loaded.replayable.len(), 1, "only the acknowledged batch");
-        assert!(loaded.truncation_reasons[0].starts_with("shard 0: dropped 1 orphan"));
-        std::fs::remove_dir_all(&dir).unwrap();
+    fn a_sharded_store_is_refused_by_name_and_left_untouched() {
+        let legacy = |name: &str, files: &[&str]| {
+            let dir = tmp_dir(name);
+            std::fs::create_dir_all(dir.join("shard-0")).unwrap();
+            for (i, file) in files.iter().enumerate() {
+                std::fs::write(dir.join(file), [b'x', i as u8]).unwrap();
+            }
+            dir
+        };
+        for (name, files, named) in [
+            (
+                "legacy-manifest",
+                &["manifest.mpm", "snapshot.mps", "shard-0/journal.mpj"][..],
+                "manifest.mpm",
+            ),
+            ("legacy-shard", &["shard-0/journal.mpj"][..], "shard-0"),
+            (
+                "legacy-tmp",
+                &["manifest.mpm", "snapshot.mps.tmp"][..],
+                "manifest.mpm",
+            ),
+        ] {
+            let dir = legacy(name, files);
+            let before = tree(&dir);
+            match MatchStore::open(&dir) {
+                Err(StoreError::Unsupported(msg)) => {
+                    assert!(msg.contains(named), "{msg}");
+                    assert!(msg.contains("remove"), "names the migration: {msg}");
+                }
+                other => panic!("{name}: a sharded store must be refused: {other:?}"),
+            }
+            assert_eq!(tree(&dir), before, "{name}: refusal modifies nothing");
+            std::fs::remove_dir_all(&dir).unwrap();
+        }
     }
 
     #[test]

@@ -28,7 +28,7 @@ fn store_with_journaled_batches(name: &str) -> (PathBuf, Vec<Vec<Record>>, Vec<u
         let (mut store, _) = MatchStore::open(&dir).unwrap();
         for b in &parts {
             store
-                .append_batch(&[b], None, &mp_metrics::NoopObserver)
+                .append_batch(b, None, &mp_metrics::NoopObserver)
                 .unwrap();
             offsets.push(std::fs::metadata(dir.join(JOURNAL_FILE)).unwrap().len());
         }

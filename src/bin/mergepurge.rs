@@ -76,11 +76,11 @@ commands:
   explain   --input FILE --a ID --b ID [--rules FILE] [--theory T]
             | (--socket PATH | --addr HOST:PORT) --a ID --b ID
   load      --input FILE --store DIR [--window W] [--keys a,b,c]
-            [--rules FILE] [--theory T] [--shards N] [--work-dir DIR]
+            [--rules FILE] [--theory T] [--work-dir DIR]
             [--memory-budget N] [--fan-in N] [--sort-threads N]
             [--stats FILE|-] [--trace FILE]
   serve     --socket PATH --store DIR [--window W] [--keys a,b,c]
-            [--rules FILE] [--theory T] [--shards N] [--listen HOST:PORT]
+            [--rules FILE] [--theory T] [--listen HOST:PORT]
             [--queue-depth N] [--snapshot-every N] [--slow-batch-ms T]
             [--large-cluster-threshold N]
             [--bulk-load FILE] [--memory-budget N] [--fan-in N]
@@ -164,9 +164,9 @@ bulk-load --input FILE`, where FILE is a *daemon-local* path.
 serve runs the batch-ingest daemon on a Unix socket (plus TCP with
 --listen; same wire protocol), backed by the durable match-store at
 --store (crash-safe snapshots + batch journal; see docs/SERVING.md and
-docs/INCREMENTAL.md). --shards N partitions the store's journal by key
-band into N shard journals (fixed at store creation; the merged match set
-stays identical to --shards 1). send is the matching client over either
+docs/INCREMENTAL.md); each pass of an ingest scans in max(1, cores /
+passes) bands, and the band count never changes the answer. send is the
+matching client over either
 transport: --cmd is one of ingest-batch (reads --input), bulk-load
 (sends --input as a daemon-local path), query-matches (needs --id),
 stats, snapshot, metrics, trace, healthz, readyz,
@@ -190,10 +190,9 @@ stderr output. top polls a running daemon's stats and renders an
 in-place refreshing terminal view of rolling 1m/5m/15m rates,
 batch-latency quantiles, queue pressure, snapshot staleness, tracing
 state, a match-quality panel (cluster-size histogram, largest cluster,
-top rules by firings, rolling selectivity), and (sharded daemons) a
-per-shard table with scan-latency
-quantiles (--iterations 0 = run until interrupted); top --json prints
-the same data as machine-readable JSON frames (one by default). trace
+top rules by firings, rolling selectivity); --iterations 0 = run until
+interrupted. top --json prints the same data as machine-readable JSON
+frames (one by default). trace
 fetches the flight-recorder dump into a Perfetto-loadable file.";
 
 /// Minimal `--flag value` parser.
@@ -319,11 +318,9 @@ fn load_cmd(flags: &Flags) -> Result<(), String> {
     if window < 2 {
         return Err("--window must be at least 2".into());
     }
-    let shards: usize = flags.get_parsed("shards", 1)?;
     let cfg = BulkStoreConfig {
         window,
         keys: parse_keys(flags)?,
-        shards,
         external: parse_external(flags)?,
     };
     let work = flags
@@ -784,10 +781,6 @@ fn serve_cmd(flags: &Flags) -> Result<(), String> {
     let mut config = ServeConfig::new(socket, store);
     config.window = window;
     config.keys = parse_keys(flags)?;
-    config.shards = flags.get_parsed("shards", 1)?;
-    if config.shards == 0 || config.shards > 27 {
-        return Err("--shards must be 1..=27 (key bands by first letter)".into());
-    }
     config.listen = flags.get("listen").map(str::to_string);
     config.queue_depth = flags.get_parsed("queue-depth", 4)?;
     if config.queue_depth == 0 {
@@ -1008,7 +1001,7 @@ fn top_cmd(flags: &Flags) -> Result<(), String> {
 fn top_json(stats: &merge_purge_repro::serve::json::Json, socket: &str) -> String {
     use merge_purge_repro::serve::json::Json;
     let section = |key: &str| stats.get(key).cloned().unwrap_or(Json::Null);
-    let mut fields = vec![
+    let fields = vec![
         ("target".to_string(), Json::Str(socket.to_string())),
         ("schema".to_string(), section("schema")),
         ("seq".to_string(), section("seq")),
@@ -1018,9 +1011,6 @@ fn top_json(stats: &merge_purge_repro::serve::json::Json, socket: &str) -> Strin
         ("tracing".to_string(), section("tracing")),
         ("quality".to_string(), section("quality")),
     ];
-    if let Some(shards) = stats.get("shards") {
-        fields.push(("shards".to_string(), shards.clone()));
-    }
     Json::Obj(fields).to_string()
 }
 
@@ -1153,27 +1143,6 @@ fn render_top(stats: &merge_purge_repro::serve::json::Json, socket: &str) -> Str
                     firings,
                 ));
             }
-        }
-    }
-    if let Some(shards) = stats.get("shards").and_then(Json::as_array) {
-        out.push_str(&format!(
-            "\n{:<8}{:>12}{:>16}{:>10}{:>10}{:>10}\n",
-            "shard", "records", "journal replays", "replayed", "scan p50", "scan p99"
-        ));
-        for s in shards {
-            out.push_str(&format!(
-                "{:<8}{:>12}{:>16}{:>10}{:>10}{:>10}\n",
-                num(s.get("shard")),
-                num(s.get("records")),
-                num(s.get("journal_replays")),
-                if s.get("replay_complete").and_then(Json::as_bool) == Some(true) {
-                    "yes"
-                } else {
-                    "NO"
-                },
-                human_ns(num(s.get("scan_p50_ns"))),
-                human_ns(num(s.get("scan_p99_ns"))),
-            ));
         }
     }
     out

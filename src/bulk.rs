@@ -3,16 +3,14 @@
 //!
 //! This is the glue between `mp-extsort`'s [`BulkLoader`] (which
 //! reconstructs the exact state one `add_batch` of the whole file would
-//! build, under a bounded memory budget) and `mp-store`. Every store
-//! layout keeps the same `snapshot.mps`, so a load commits the same bytes
-//! whatever `--shards` says: the loader's outcome, as a borrowed
-//! [`SnapshotView`], goes through the store's one snapshot writer
+//! build, under a bounded memory budget) and `mp-store`. The loader's
+//! outcome, as a borrowed [`SnapshotView`], goes through the store's one
+//! snapshot writer
 //! ([`replace_snapshot`]) — the call a daemon checkpoint makes — with the
 //! records iterated back off the input file instead of borrowed from
 //! memory. The full database is never materialized in this process; peak
 //! record residency is the sort's `memory_records` budget plus one scan
-//! window. The shard count only decides which journals the store is
-//! created with, and they stay empty until the daemon ingests.
+//! window. The store's journal stays empty until the daemon ingests.
 //!
 //! The committed snapshot carries `batches_applied = 1` — a restarted
 //! daemon sees a store that ingested the whole file as its first batch,
@@ -52,9 +50,6 @@ pub struct BulkStoreConfig {
     /// Pass keys, in order (must match the daemon that will serve the
     /// store).
     pub keys: Vec<KeySpec>,
-    /// Store layout: 1 = single-worker, N = sharded (fixed at store
-    /// creation, like `serve --shards`).
-    pub shards: usize,
     /// External-sort limits: memory budget, fan-in and run-formation
     /// threads.
     pub external: ExternalConfig,
@@ -161,7 +156,7 @@ fn outcome_view<'a>(
 /// # Errors
 ///
 /// I/O failures anywhere in the pipeline, or a configuration problem
-/// (no keys, window < 2, shard count out of range).
+/// (no keys, window < 2).
 pub fn bulk_load_store(
     store_dir: &Path,
     input: &Path,
@@ -176,21 +171,15 @@ pub fn bulk_load_store(
     if cfg.window < 2 {
         return Err("window must be at least 2".into());
     }
-    if cfg.shards == 0 || cfg.shards > 27 {
-        return Err(format!(
-            "shards must be 1..=27 (got {}): routing bands by key first letter",
-            cfg.shards
-        ));
-    }
     let _load_span = span(observer, "bulk_load");
-    if holds_state(store_dir, cfg.shards)? {
+    if holds_state(store_dir)? {
         return Ok(None);
     }
 
     let outcome = run_loader(input, work_dir, cfg, theory, observer)?;
     // Commit: stream the records back off the input file through the
     // snapshot encoder — the one moment the whole database flows through
-    // this process, and it flows, never resides. The store's journals are
+    // this process, and it flows, never resides. The store's journal is
     // empty, so there is nothing for the commit to reset.
     let _commit_span = span(observer, "snapshot_commit");
     let provenance = mp_closure::ProvenanceLog::new();
@@ -210,12 +199,12 @@ pub fn bulk_load_store(
     }))
 }
 
-/// Opens the store at `store_dir` in the layout `shards` names — creating
-/// it, or refusing one created under the other — and reports whether it
-/// holds any state: a snapshot or a journaled batch. The handle is closed
-/// again before the load runs.
-fn holds_state(store_dir: &Path, shards: usize) -> Result<bool, String> {
-    let (store, loaded) = MatchStore::open_shards(store_dir, shards)
+/// Opens the store at `store_dir` — creating it, or refusing a sharded
+/// store's directory — and reports whether it holds any state: a
+/// snapshot or a journaled batch. The handle is closed again before the
+/// load runs.
+fn holds_state(store_dir: &Path) -> Result<bool, String> {
+    let (store, loaded) = MatchStore::open(store_dir)
         .map_err(|e| format!("open store {}: {e}", store_dir.display()))?;
     Ok(loaded.snapshot.is_some() || !loaded.replayable.is_empty() || store.next_seq() != 1)
 }

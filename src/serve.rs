@@ -7,7 +7,7 @@
 //! Unix domain socket and (with `--listen`) TCP — both transports share
 //! the same framing and dispatch (see `docs/SERVING.md` for the wire
 //! format) — backed by [`merge_purge::incremental::DurableIncremental`],
-//! the one durable engine for every shard count.
+//! the one durable engine.
 //!
 //! # Protocol
 //!
@@ -45,8 +45,7 @@
 //! * `stats` — replies with a deterministic `store` section (identical
 //!   across kill/restart for the same acknowledged batches), a
 //!   process-local `process` section, the `seq` watermark, live
-//!   `health`/`windows`/`tracing`/`quality` sections (reply schema 6),
-//!   and a per-shard `shards` section when the daemon runs sharded.
+//!   `health`/`windows`/`tracing`/`quality` sections (reply schema 6).
 //!   Rendered on the connection's own thread from the same published
 //!   view `query-matches` reads, so it never queues behind a write and
 //!   every engine number in it is as of its `seq`.
@@ -69,14 +68,11 @@
 //! signal leaves the same final checkpoint (logged with trigger
 //! `shutdown`).
 //!
-//! Sharding: `--shards N` partitions the durable store's journals by key
-//! band into N journals under `store/shard-k/` beside the store's one
-//! `snapshot.mps`. The engine worker appends a batch's N frames one after
-//! another on its own thread, then scans the batch in N bands; per-shard
-//! metrics carry `shard="k"` labels (every shard's journal replays in the
-//! one store open, so shards finish replay together), and a
-//! reconciliation step keeps the merged match set bit-identical to the
-//! single-worker engine.
+//! Ingest bands: the engine worker appends each batch to the store's one
+//! journal, then scans it in `max(1, cores ÷ passes)` bands per pass
+//! (`ingest_bands`); the passes already run side by side, so that
+//! fills the host's cores. A band count never changes the answer: the
+//! fold reproduces the one-band scan bit for bit.
 //!
 //! Observability: `--metrics-addr` serves `/metrics`, `/healthz`,
 //! `/readyz`, and `/trace` over HTTP; `--log` writes a leveled JSONL
@@ -137,9 +133,6 @@ pub struct ServeConfig {
     pub window: usize,
     /// Pass keys, in order. Must match the store's snapshot when reopening.
     pub keys: Vec<KeySpec>,
-    /// Shard journals of the durable store (1 = single-worker layout;
-    /// fixed at store creation). Capped by the 27-bin key alphabet.
-    pub shards: usize,
     /// `host:port` to additionally serve the wire protocol over TCP
     /// (same framing as the Unix socket); `None` disables it.
     pub listen: Option<String>,
@@ -197,7 +190,6 @@ impl ServeConfig {
                 KeySpec::first_name_key(),
                 KeySpec::address_key(),
             ],
-            shards: 1,
             listen: None,
             queue_depth: 4,
             snapshot_every: 0,
@@ -217,7 +209,7 @@ impl ServeConfig {
 
     /// Cold-loads `input` into this daemon's store through the one bulk
     /// commit, [`crate::bulk::bulk_load_store`], with this daemon's
-    /// passes, layout and external-sort limits, spilling under
+    /// passes and external-sort limits, spilling under
     /// `STORE/bulk-tmp`. Both bulk-load paths run it: `--bulk-load` before
     /// the store opens, the `bulk-load` job while it is closed. `Ok(None)`:
     /// the store already holds state and was left untouched.
@@ -230,7 +222,6 @@ impl ServeConfig {
         let cfg = crate::bulk::BulkStoreConfig {
             window: self.window,
             keys: self.keys.clone(),
-            shards: self.shards,
             external: self.bulk,
         };
         crate::bulk::bulk_load_store(
@@ -294,11 +285,9 @@ fn err_json(msg: &str) -> String {
     Json::Obj(obj).to_string()
 }
 
-/// Reports what opening the store recovered: the stderr status line
-/// (naming the shard count when sharded), the `journal_replayed` event —
-/// whose middle field is `shards` on a sharded store and
-/// `batches_in_snapshot` otherwise — and, when a journal lost bytes,
-/// `corrupt_tail_truncated`. Sharded, it logs each shard's replay too.
+/// Reports what opening the store recovered: the stderr status line, the
+/// `journal_replayed` event, and, when the journal lost bytes,
+/// `corrupt_tail_truncated`.
 fn report_recovery(
     obs: &ObsState,
     quiet: bool,
@@ -306,12 +295,10 @@ fn report_recovery(
     recovery: &RecoveryReport,
 ) {
     let engine = durable.engine();
-    let shards = Some(durable.store().shards()).filter(|&n| n > 1);
     if !quiet {
         eprintln!(
-            "mergepurge serve: {} records{}, {} batches applied ({} replayed from journal{})",
+            "mergepurge serve: {} records, {} batches applied ({} replayed from journal{})",
             engine.records().len(),
-            shards.map_or_else(String::new, |n| format!(" across {n} shards")),
             engine.batches_applied(),
             recovery.batches_replayed,
             if recovery.truncated_bytes > 0 {
@@ -321,10 +308,6 @@ fn report_recovery(
             },
         );
     }
-    let (middle, value) = match shards {
-        Some(n) => ("shards", n as u64),
-        None => ("batches_in_snapshot", recovery.batches_in_snapshot),
-    };
     obs.event(
         Level::Info,
         "journal_replayed",
@@ -333,7 +316,10 @@ fn report_recovery(
                 "snapshot_loaded".into(),
                 Json::Bool(recovery.snapshot_loaded),
             ),
-            (middle.into(), Json::Num(value as f64)),
+            (
+                "batches_in_snapshot".into(),
+                Json::Num(recovery.batches_in_snapshot as f64),
+            ),
             (
                 "batches_replayed".into(),
                 Json::Num(recovery.batches_replayed as f64),
@@ -360,18 +346,6 @@ fn report_recovery(
                 ),
             ],
         );
-    }
-    if shards.is_some() {
-        for (k, &replays) in recovery.shard_replays.iter().enumerate() {
-            obs.event(
-                Level::Info,
-                "shard_replayed",
-                vec![
-                    ("shard".into(), Json::Num(k as f64)),
-                    ("journal_replays".into(), Json::Num(replays as f64)),
-                ],
-            );
-        }
     }
 }
 
@@ -439,16 +413,24 @@ fn load_at_startup(
     }
 }
 
-/// Opens the store at `config.store_dir` — snapshot restored, journals
-/// replayed — and reports what recovery found. Runs at startup, and again
-/// in the `bulk-load` job to serve what the load committed. Returns the
-/// engine and the non-empty frames each shard journal replayed.
+/// Bands each pass of an ingest scans in: one per core the passes leave,
+/// `max(1, cores ÷ passes)`, since the passes already run side by side.
+/// The counterpart of `dedupe`'s one band per core.
+fn ingest_bands(passes: usize) -> usize {
+    let cores = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
+    (cores / passes.max(1)).max(1)
+}
+
+/// Opens the store at `config.store_dir` — snapshot restored, journal
+/// replayed in [`ingest_bands`] bands — and reports what recovery found.
+/// Runs at startup, and again in the `bulk-load` job to serve what the
+/// load committed.
 fn open_store(
     config: &ServeConfig,
     theory: &dyn EquationalTheory,
     recorder: &MetricsRecorder,
     obs: &ObsState,
-) -> Result<(DurableIncremental, Vec<u64>), String> {
+) -> Result<DurableIncremental, String> {
     if config.keys.is_empty() {
         return Err("at least one pass key is required".into());
     }
@@ -460,14 +442,14 @@ fn open_store(
     };
     let (durable, recovery) = DurableIncremental::open(
         &config.store_dir,
-        config.shards,
+        ingest_bands(config.keys.len()),
         configure,
         theory,
         recorder,
     )
     .map_err(|e| format!("open store {}: {e}", config.store_dir.display()))?;
     report_recovery(obs, config.quiet, &durable, &recovery);
-    Ok((durable, recovery.shard_replays))
+    Ok(durable)
 }
 
 /// Runs the daemon until `shutdown` (command or signal). Blocks.
@@ -493,12 +475,6 @@ pub fn serve(
     SHUTDOWN.store(false, Ordering::SeqCst);
     install_signal_handlers();
     let _serve_span = span(recorder, "serve");
-    if config.shards == 0 || config.shards > 27 {
-        return Err(format!(
-            "--shards must be 1..=27 (got {}): routing bands by key first letter",
-            config.shards
-        ));
-    }
 
     let log = match &config.log_file {
         Some(path) => Some(EventLog::open(
@@ -509,7 +485,7 @@ pub fn serve(
         )?),
         None => None,
     };
-    let obs = ObsState::new(config.queue_depth, config.shards, log);
+    let obs = ObsState::new(config.queue_depth, log);
     obs.beat();
     obs.event(
         Level::Info,
@@ -559,7 +535,7 @@ pub fn serve(
             if let Some(input) = &config.bulk_load {
                 load_at_startup(config, input, theory, recorder, obs)?;
             }
-            let (durable, shard_replays) = open_store(config, theory, recorder, obs)?;
+            let durable = open_store(config, theory, recorder, obs)?;
             let worker = Worker {
                 config,
                 theory,
@@ -567,7 +543,6 @@ pub fn serve(
                 flight,
                 obs,
                 rule_names: theory.rule_names().into(),
-                shard_replays,
                 trace_nonce: std::time::SystemTime::now()
                     .duration_since(std::time::UNIX_EPOCH)
                     .map(|d| d.as_millis() as u64)
@@ -715,7 +690,7 @@ fn checkpoint_reply(written: Result<u64, String>, what: &str) -> String {
 
 /// The engine worker: the one thread that owns the
 /// [`DurableIncremental`]. Jobs are applied strictly in FIFO order, which
-/// is what makes the journals replayable, and every job that can change
+/// is what makes the journal replayable, and every job that can change
 /// state publishes the new state before it is acknowledged.
 struct Worker<'env> {
     config: &'env ServeConfig,
@@ -727,9 +702,6 @@ struct Worker<'env> {
     /// shared by every published view: `explain` replies and the quality
     /// stats name rules by id.
     rule_names: Arc<[String]>,
-    /// Non-empty frames each shard journal replayed when the store last
-    /// opened.
-    shard_replays: Vec<u64>,
     /// Process-unique trace-id prefix (wall millis XOR pid), so ids from
     /// successive daemon runs over the same store never collide in
     /// shipped logs.
@@ -911,7 +883,7 @@ impl Worker<'_> {
             matches,
             dur_ns,
         );
-        let mut fields = vec![
+        let fields = vec![
             ("batch_seq".into(), Json::Num(seq as f64)),
             ("trace_id".into(), Json::Str(trace_id.into())),
             ("records".into(), Json::Num(n as f64)),
@@ -922,11 +894,6 @@ impl Worker<'_> {
             ),
             ("duration_ms".into(), Json::Num((dur_ns / 1_000_000) as f64)),
         ];
-        if durable.store().shards() > 1 {
-            let scatter = durable.last_scatter().iter();
-            let counts = scatter.map(|&c| Json::Num(c as f64)).collect();
-            fields.push(("shard_records".into(), Json::Arr(counts)));
-        }
         obs.event(Level::Info, "batch_ingested", fields);
         if let Some((ea, eb, size)) = durable.engine().last_batch_largest_merge() {
             let threshold = self.config.large_cluster_threshold;
@@ -954,7 +921,7 @@ impl Worker<'_> {
     /// daemon-local file) through the one bulk commit `mergepurge load`
     /// and `serve --bulk-load` run, then serves it through the open
     /// startup runs. The store is closed for the load — dropping the
-    /// engine closes its journals — so the commit lands in a quiescent
+    /// engine closes its journal — so the commit lands in a quiescent
     /// directory; a failed load reopens the still-empty store. Returns the
     /// engine to serve from and the reply.
     ///
@@ -992,10 +959,7 @@ impl Worker<'_> {
                     })
                 });
             match open_store(self.config, self.theory, recorder, obs) {
-                Ok((reopened, shard_replays)) => {
-                    self.shard_replays = shard_replays;
-                    (reopened, loaded)
-                }
+                Ok(reopened) => (reopened, loaded),
                 Err(e) => {
                     self.stop_serving(&e);
                     return Err(e);
@@ -1224,8 +1188,6 @@ impl Worker<'_> {
             merge_edges: engine.provenance().edges.len() as u64,
             rule_names: Arc::clone(&self.rule_names),
             rule_firings: engine.provenance().rule_firings.clone(),
-            shard_records: durable.shard_records().to_vec(),
-            shard_replays: self.shard_replays.clone(),
             last_trace_id: self.last_trace_id.clone(),
         });
     }
@@ -1754,15 +1716,13 @@ mod tests {
     /// probe from the published view, and refuses what needs the worker.
     #[test]
     fn reads_answer_without_a_worker_and_jobs_are_refused() {
-        let obs = ObsState::new(4, 2, None);
+        let obs = ObsState::new(4, None);
         let mut ring = mp_closure::ClassRing::new(2);
         ring.splice(1, 0);
         obs.publish(ReadView {
             ring,
             seq: 1,
             records: 2,
-            shard_records: vec![2, 0],
-            shard_replays: vec![0, 0],
             ..ReadView::default()
         });
         obs.set_replay_complete();

@@ -168,7 +168,7 @@ mod tests {
     fn routes_metrics_health_ready_and_404() {
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
         let addr = listener.local_addr().unwrap();
-        let obs = ObsState::new(4, 2, None);
+        let obs = ObsState::new(4, None);
         obs.beat();
         let recorder = MetricsRecorder::new().with_tracing();
         let flight = FlightRecorder::default();
@@ -184,16 +184,16 @@ mod tests {
             assert!(head.starts_with("HTTP/1.1 200 OK"), "{head}");
             assert!(body.contains("mergepurge_uptime_seconds"));
 
-            // Not ready yet: replay has not completed, on any shard.
+            // Not ready yet: replay has not completed.
             let (head, body) = get(addr, "/readyz");
             assert!(head.starts_with("HTTP/1.1 503"), "{head}");
             assert!(body.contains("\"ready\":false"));
-            assert!(body.contains("\"shards_replayed\":0"), "{body}");
+            assert!(body.contains("\"replay_complete\":false"), "{body}");
             obs.set_replay_complete();
             obs.set_accepting(true);
             let (head, body) = get(addr, "/readyz");
             assert!(head.starts_with("HTTP/1.1 200"), "{head}");
-            assert!(body.contains("\"shards_replayed\":2"), "{body}");
+            assert!(body.contains("\"replay_complete\":true"), "{body}");
 
             let (head, body) = get(addr, "/healthz");
             assert!(head.starts_with("HTTP/1.1 200"), "{head}");

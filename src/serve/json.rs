@@ -1,10 +1,10 @@
 //! Minimal JSON value: enough for the serve protocol, no dependencies.
 //!
-//! The build environment has no serde backend (the serde shim under
-//! `shims/` is interface-only), so the daemon's frames are parsed and
-//! printed by hand. Supports the full JSON grammar except that numbers
-//! are kept as `f64` (every value the protocol carries — record ids,
-//! sequence numbers, counters — is exactly representable below 2^53).
+//! The workspace has no JSON dependency, so the daemon's frames are
+//! parsed and printed by hand. Supports the full JSON grammar except
+//! that numbers are kept as `f64` (every value the protocol carries —
+//! record ids, sequence numbers, counters — is exactly representable
+//! below 2^53).
 
 use std::fmt;
 

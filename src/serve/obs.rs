@@ -77,10 +77,6 @@ pub struct ReadView {
     pub rule_names: Arc<[String]>,
     /// Matches attributed to each rule, by rule id.
     pub rule_firings: Vec<u64>,
-    /// Records each shard owns, by shard.
-    pub shard_records: Vec<u64>,
-    /// Non-empty journal frames each shard replayed when the store opened.
-    pub shard_replays: Vec<u64>,
     /// The trace id of the last job that changed the engine.
     pub last_trace_id: Option<String>,
 }
@@ -110,7 +106,7 @@ pub fn rule_name(names: &[String], id: usize) -> Cow<'_, str> {
 /// Per-batch critical-path decomposition, extracted from the batch's
 /// drained spans: where did the wall-clock go — the critical pass
 /// (inserting its keys into its order, then its slowest band's window
-/// scan), the reconcile fold, or the shard journals' fsyncs?
+/// scan), the reconcile fold, or the journal fsync?
 ///
 /// The passes run side by side, each keying and merging the batch and
 /// then scanning it in bands of its own, so a batch waits for its
@@ -133,10 +129,9 @@ pub struct PhaseBreakdown {
     pub slowest_pass: Option<usize>,
     /// Total `closure_reconcile` time (the fold of every pass's bands).
     pub reconcile_ns: u64,
-    /// Summed `shard_ingest` (journal append + fsync) time: the shards'
-    /// appends run one after another on the engine worker.
+    /// `shard_ingest` (journal append + fsync) time.
     pub journal_ns: u64,
-    /// `1000 · max/mean` of the per-band scan times — the batch's shard
+    /// `1000 · max/mean` of the per-band scan times — the batch's band
     /// imbalance as a milli-ratio (0 with fewer than two active bands).
     pub imbalance_milli: u64,
 }
@@ -274,16 +269,12 @@ pub struct ObsState {
     /// engine fold, per acknowledged batch).
     pub batch_latency: LatencyHistogram,
     /// Cumulative reconciliation latency (`closure_reconcile` span
-    /// durations: the fold of every pass's bands, on every daemon;
-    /// exported as a Prometheus family by sharded daemons only).
+    /// durations: the fold of every pass's bands).
     pub reconcile: LatencyHistogram,
-    /// Rolling shard-imbalance ring: each batch's `max/mean` shard-scan
+    /// Rolling band-imbalance ring: each batch's `max/mean` band-scan
     /// ratio recorded as a milli-ratio "latency" sample, so the standard
     /// windows answer mean imbalance over 1m/5m/15m.
     imbalance_ring: RollingRing,
-    /// Cumulative window-scan latency per band, one per shard: each
-    /// batch's band-K `shard_scan` durations summed over its passes.
-    shard_scan: Vec<LatencyHistogram>,
     /// Jobs currently queued for the engine worker.
     queue_depth: AtomicU64,
     queue_capacity: u64,
@@ -298,29 +289,22 @@ pub struct ObsState {
 }
 
 impl ObsState {
-    /// Fresh state for a daemon with the given ingest-queue capacity and
-    /// shard count, holding the view of an empty store until the first
-    /// publish. Sized before the store opens, so `readyz` and the
-    /// exposition name every shard while the journals replay.
-    pub fn new(queue_capacity: usize, shards: usize, log: Option<EventLog>) -> Self {
+    /// Fresh state for a daemon with the given ingest-queue capacity,
+    /// holding the view of an empty store until the first publish.
+    pub fn new(queue_capacity: usize, log: Option<EventLog>) -> Self {
         ObsState {
             start: Instant::now(),
             ring: RollingRing::standard(),
             batch_latency: LatencyHistogram::new(),
             reconcile: LatencyHistogram::new(),
             imbalance_ring: RollingRing::standard(),
-            shard_scan: (0..shards).map(|_| LatencyHistogram::new()).collect(),
             queue_depth: AtomicU64::new(0),
             queue_capacity: queue_capacity as u64,
             replay_complete: AtomicBool::new(false),
             accepting: AtomicBool::new(false),
             heartbeat_ms: AtomicU64::new(0),
             backpressure_waits: AtomicU64::new(0),
-            view: Mutex::new(Arc::new(ReadView {
-                shard_records: vec![0; shards],
-                shard_replays: vec![0; shards],
-                ..ReadView::default()
-            })),
+            view: Mutex::new(Arc::new(ReadView::default())),
             log,
         }
     }
@@ -343,12 +327,6 @@ impl ObsState {
         self.view
             .lock()
             .expect("no panic while holding the view lock")
-    }
-
-    /// Whether the daemon runs sharded (`--shards` ≥ 2): only then do
-    /// `stats`, `readyz` and the exposition report per-shard numbers.
-    fn sharded(&self) -> bool {
-        self.shard_scan.len() > 1
     }
 
     /// Seconds since the daemon process started (the ring's clock).
@@ -406,9 +384,8 @@ impl ObsState {
 
     /// Readiness verdict: `Ok(())` when the daemon should receive
     /// traffic, `Err(reason)` otherwise. Ready means journal replay is
-    /// complete (every shard's journal replays in the one store open),
-    /// the daemon is accepting (not shutting down), and the ingest queue
-    /// is below its high-watermark (capacity).
+    /// complete, the daemon is accepting (not shutting down), and the
+    /// ingest queue is below its high-watermark (capacity).
     pub fn readiness(&self) -> Result<(), &'static str> {
         if !self.replay_complete() {
             return Err("journal replay in progress");
@@ -420,20 +397,6 @@ impl ObsState {
             return Err("ingest queue at high-watermark");
         }
         Ok(())
-    }
-
-    /// Each shard as `(records, journal replays, scan histogram)`, from
-    /// `view` and this process's histograms. Every shard's journal
-    /// replays in the one store open, so each finishes replay when the
-    /// daemon does ([`ObsState::replay_complete`]).
-    fn shards<'a>(
-        &'a self,
-        view: &'a ReadView,
-    ) -> impl Iterator<Item = (u64, u64, &'a LatencyHistogram)> + 'a {
-        let per_shard = view.shard_records.iter().zip(&view.shard_replays);
-        per_shard
-            .zip(&self.shard_scan)
-            .map(|((&records, &replays), scan)| (records, replays, scan))
     }
 
     // ---- queue & backpressure ----------------------------------------
@@ -520,14 +483,9 @@ impl ObsState {
     }
 
     /// Feeds one batch's per-phase decomposition (from its drained
-    /// trace) into the per-shard scan histograms, the reconcile
-    /// histogram, and the rolling imbalance ring.
+    /// trace) into the reconcile histogram and the rolling imbalance
+    /// ring.
     pub fn record_batch_phases(&self, phases: &PhaseBreakdown) {
-        for &(k, ns) in &phases.scan_ns {
-            if let Some(scan) = self.shard_scan.get(k) {
-                scan.record(ns);
-            }
-        }
         if phases.reconcile_ns > 0 {
             self.reconcile.record(phases.reconcile_ns);
         }
@@ -537,18 +495,12 @@ impl ObsState {
         }
     }
 
-    /// Mean shard-imbalance ratio (`max/mean` scan time per batch) over
-    /// the last `window_secs` seconds; 0 when no sharded batch landed in
-    /// the window.
+    /// Mean band-imbalance ratio (`max/mean` scan time per batch) over
+    /// the last `window_secs` seconds; 0 when no batch scanned in two or
+    /// more bands inside the window.
     pub fn imbalance_mean(&self, window_secs: u64) -> f64 {
         let w = self.imbalance_ring.window(self.now_secs(), window_secs);
         w.latency_mean_ns() as f64 / 1000.0
-    }
-
-    /// Worst shard-imbalance ratio inside the window (0 when empty).
-    pub fn imbalance_max(&self, window_secs: u64) -> f64 {
-        let w = self.imbalance_ring.window(self.now_secs(), window_secs);
-        w.latency_max_ns as f64 / 1000.0
     }
 
     // ---- JSON views (wire commands & extended stats) -----------------
@@ -581,12 +533,6 @@ impl ObsState {
                 Json::Num(self.queue_capacity as f64),
             ),
         ];
-        if self.sharded() {
-            let shards = self.shard_scan.len();
-            let replayed = if self.replay_complete() { shards } else { 0 };
-            obj.push(("shards".into(), Json::Num(shards as f64)));
-            obj.push(("shards_replayed".into(), Json::Num(replayed as f64)));
-        }
         if let Err(reason) = verdict {
             obj.push(("reason".into(), Json::Str(reason.to_string())));
         }
@@ -596,17 +542,16 @@ impl ObsState {
     /// The `stats` reply (schema 6), rendered on the caller's thread from
     /// the last published view. The `store` object is **deterministic**: a
     /// pure function of the acknowledged batch sequence, so it compares
-    /// equal across single-process, kill/restart, *and* single-vs-sharded
-    /// runs (CI enforces this) — schemas 3 through 6 only *add* sections
+    /// equal across single-process, kill/restart and bulk-loaded runs
+    /// (CI enforces this) — schemas 3 through 6 only *add* sections
     /// around it. `seq` is the view's acknowledged-journal watermark, and
     /// every engine number in the reply is as of it; `process` is local to
     /// this daemon process; `health` and `windows` are live observability
     /// views; `tracing` (schema 5) reports the last trace id and the
     /// flight recorder's fill; `quality` (schema 6) reports the
     /// cluster-size distribution, the provenance edge count, and per-rule
-    /// firings with rolling selectivity; `shards` (sharded daemons only)
-    /// reports per-shard ownership, replay state, and scan-latency
-    /// quantiles (see `docs/OBSERVABILITY.md`). Counters are read one by
+    /// firings with rolling selectivity (see `docs/OBSERVABILITY.md`).
+    /// Counters are read one by
     /// one: a full recorder report would drain the span buffers an
     /// in-flight batch still owns.
     pub fn stats_json(&self, recorder: &MetricsRecorder, flight: &FlightRecorder) -> String {
@@ -680,7 +625,7 @@ impl ObsState {
             ("selectivity_1m".into(), Json::Num(self.selectivity(60))),
             ("selectivity_5m".into(), Json::Num(self.selectivity(300))),
         ]);
-        let mut reply = vec![
+        Json::Obj(vec![
             ("ok".into(), Json::Bool(true)),
             ("schema".into(), Json::Num(6.0)),
             ("seq".into(), num(view.seq)),
@@ -690,24 +635,8 @@ impl ObsState {
             ("windows".into(), self.windows_json()),
             ("tracing".into(), tracing),
             ("quality".into(), quality),
-        ];
-        if self.sharded() {
-            let shards = self
-                .shards(&view)
-                .enumerate()
-                .map(|(k, (records, replays, scan))| {
-                    Json::Obj(vec![
-                        ("shard".into(), num(k as u64)),
-                        ("records".into(), num(records)),
-                        ("journal_replays".into(), num(replays)),
-                        ("replay_complete".into(), Json::Bool(self.replay_complete())),
-                        ("scan_p50_ns".into(), num(scan.quantile_ns(0.50))),
-                        ("scan_p99_ns".into(), num(scan.quantile_ns(0.99))),
-                    ])
-                });
-            reply.push(("shards".into(), Json::Arr(shards.collect())));
-        }
-        Json::Obj(reply).to_string()
+        ])
+        .to_string()
     }
 
     /// The `health` section of the `stats` reply.
@@ -913,60 +842,6 @@ impl ObsState {
             &selectivity,
         );
 
-        if self.sharded() {
-            let labels: Vec<String> = (0..self.shard_scan.len()).map(|k| k.to_string()).collect();
-            let (mut replays, mut records, mut ready) = (Vec::new(), Vec::new(), Vec::new());
-            let ready_value = if self.replay_complete() { 1.0 } else { 0.0 };
-            let quantile_labels = [("0.5", 0.50), ("0.95", 0.95), ("0.99", 0.99)];
-            let mut scan_samples = Vec::new();
-            for (l, (n, replayed, scan)) in labels.iter().zip(self.shards(&view)) {
-                let shard = vec![("shard", l.as_str())];
-                replays.push((shard.clone(), replayed));
-                records.push((shard.clone(), n as f64));
-                ready.push((shard, ready_value));
-                for (qname, q) in quantile_labels {
-                    scan_samples.push((
-                        vec![("shard", l.as_str()), ("quantile", qname)],
-                        scan.quantile_ns(q) as f64 / 1e9,
-                    ));
-                }
-            }
-            w.counter_family(
-                "mergepurge_shard_journal_replays_total",
-                "Non-empty journal frames each shard replayed at startup.",
-                &replays,
-            );
-            w.gauge_family(
-                "mergepurge_shard_records",
-                "Records owned by each shard.",
-                &records,
-            );
-            w.gauge_family(
-                "mergepurge_shard_ready",
-                "1 when the shard has finished journal replay.",
-                &ready,
-            );
-            w.gauge_family(
-                "mergepurge_shard_scan_seconds",
-                "Cumulative per-shard window-scan latency quantiles: each batch's band-K scan time summed over its passes (from batch traces).",
-                &scan_samples,
-            );
-            let imbalance_samples: Vec<_> = WINDOWS
-                .iter()
-                .map(|&(label, secs)| (vec![("window", label)], self.imbalance_mean(secs)))
-                .collect();
-            w.gauge_family(
-                "mergepurge_shard_imbalance_ratio",
-                "Mean max/mean shard-scan time ratio per batch over the rolling window.",
-                &imbalance_samples,
-            );
-            w.histogram_ns(
-                "mergepurge_reconcile_seconds",
-                "Cross-shard reconciliation (closure_reconcile) latency per batch.",
-                &self.reconcile.snapshot(),
-            );
-        }
-
         let now = self.now_secs();
         let snaps: Vec<_> = WINDOWS
             .iter()
@@ -1024,7 +899,7 @@ mod tests {
 
     #[test]
     fn readiness_requires_replay_accepting_and_queue_headroom() {
-        let obs = ObsState::new(2, 1, None);
+        let obs = ObsState::new(2, None);
         assert!(obs.readiness().is_err(), "not ready before replay");
         obs.set_replay_complete();
         assert!(obs.readiness().is_err(), "not ready before accepting");
@@ -1041,96 +916,16 @@ mod tests {
 
     #[test]
     fn queue_depth_never_underflows() {
-        let obs = ObsState::new(4, 1, None);
+        let obs = ObsState::new(4, None);
         obs.job_dequeued();
         assert_eq!(obs.queue_depth(), 0);
     }
 
-    /// Every shard's journal replays in the one store open, before the
-    /// daemon's replay flag flips: the shards are replayed exactly when
-    /// the daemon is, and `readyz` counts them from that one flag.
-    #[test]
-    fn readiness_requires_every_shard_to_finish_replay() {
-        let obs = ObsState::new(4, 4, None);
-        obs.set_accepting(true);
-        assert_eq!(obs.readiness(), Err("journal replay in progress"));
-        let replaying = obs.readyz_json();
-        assert!(replaying.contains("\"shards\":4"), "{replaying}");
-        assert!(replaying.contains("\"shards_replayed\":0"), "{replaying}");
-        obs.set_replay_complete();
-        assert!(obs.readiness().is_ok(), "all shards replayed is ready");
-        let ready = obs.readyz_json();
-        assert!(ready.contains("\"shards_replayed\":4"), "{ready}");
-        let solo = ObsState::new(4, 1, None).readyz_json();
-        assert!(!solo.contains("shards"), "single-worker readyz: {solo}");
-    }
-
-    /// A sharded view's per-shard numbers, published by the worker, are
-    /// what the `stats` reply's `shards` section reports.
-    #[test]
-    fn shard_slots_track_replays_and_records() {
-        let (recorder, flight) = (MetricsRecorder::new(), FlightRecorder::default());
-        let stats = |obs: &ObsState| Json::parse(&obs.stats_json(&recorder, &flight)).unwrap();
-        let obs = ObsState::new(4, 2, None);
-        let shards = stats(&obs).get("shards").cloned().expect("shards section");
-        assert_eq!(
-            shards.as_array().unwrap().len(),
-            2,
-            "sized before any publish"
-        );
-        obs.publish(ReadView {
-            shard_records: vec![40, 2],
-            shard_replays: vec![0, 7],
-            ..ReadView::default()
-        });
-        obs.set_replay_complete();
-        let shards = stats(&obs).get("shards").cloned().unwrap();
-        let arr = shards.as_array().unwrap();
-        assert_eq!(arr.len(), 2);
-        assert_eq!(
-            arr[1].get("journal_replays").and_then(Json::as_u64),
-            Some(7)
-        );
-        assert_eq!(arr[0].get("records").and_then(Json::as_u64), Some(40));
-        assert_eq!(
-            arr[0].get("replay_complete").and_then(Json::as_bool),
-            Some(true)
-        );
-        assert_eq!(
-            stats(&ObsState::new(4, 1, None)).get("shards"),
-            None,
-            "single-worker daemons have no shards section"
-        );
-    }
-
-    #[test]
-    fn exposition_labels_shard_families_by_shard_number() {
-        let recorder = MetricsRecorder::new();
-        let obs = ObsState::new(4, 3, None);
-        obs.publish(ReadView {
-            shard_records: vec![0, 11, 0],
-            shard_replays: vec![0, 0, 5],
-            ..ReadView::default()
-        });
-        let text = obs.exposition(&recorder);
-        assert!(text.contains("mergepurge_shard_journal_replays_total{shard=\"2\"} 5\n"));
-        assert!(text.contains("mergepurge_shard_records{shard=\"1\"} 11\n"));
-        assert!(text.contains("mergepurge_shard_ready{shard=\"0\"} 0\n"));
-        obs.set_replay_complete();
-        let text = obs.exposition(&recorder);
-        for k in 0..3 {
-            assert!(text.contains(&format!("mergepurge_shard_ready{{shard=\"{k}\"}} 1\n")));
-        }
-    }
-
-    /// `stats` and the exposition render the same published numbers, and
-    /// reading counters for `stats` leaves the span buffers to the batch
-    /// that owns them.
     #[test]
     fn stats_and_exposition_render_one_view() {
         let recorder = MetricsRecorder::new().with_tracing();
         let flight = FlightRecorder::default();
-        let obs = ObsState::new(4, 2, None);
+        let obs = ObsState::new(4, None);
         obs.publish(ReadView {
             seq: 7,
             records: 30,
@@ -1140,8 +935,6 @@ mod tests {
             cluster_hist: vec![20, 4],
             rule_names: vec!["exact".to_string()].into(),
             rule_firings: vec![6, 1],
-            shard_records: vec![18, 12],
-            shard_replays: vec![0, 0],
             ..ReadView::default()
         });
         {
@@ -1180,7 +973,7 @@ mod tests {
     }
 
     /// docs/OBSERVABILITY.md names every family the exposition of a
-    /// sharded, traced daemon emits, and every name in its tables is one
+    /// traced daemon emits, and every name in its tables is one
     /// the exposition emits.
     #[test]
     fn every_emitted_family_is_documented_and_every_documented_name_is_emitted() {
@@ -1197,13 +990,11 @@ mod tests {
                 .collect()
         };
         let documented = names(docs);
-        let obs = ObsState::new(4, 2, None);
+        let obs = ObsState::new(4, None);
         obs.publish(ReadView {
             snapshot: Some((100, SystemTime::now())),
             rule_names: vec!["exact".to_string()].into(),
             rule_firings: vec![1],
-            shard_records: vec![0, 0],
-            shard_replays: vec![0, 0],
             ..ReadView::default()
         });
         let text = obs.exposition(&MetricsRecorder::new().with_tracing());
@@ -1238,7 +1029,7 @@ mod tests {
     fn exposition_contains_every_counter_and_parses_line_by_line() {
         let recorder = MetricsRecorder::new();
         recorder.add(Counter::Comparisons, 123);
-        let obs = ObsState::new(4, 1, None);
+        let obs = ObsState::new(4, None);
         obs.set_replay_complete();
         obs.set_accepting(true);
         obs.record_batch(100, 5_000, 5_000, 12, 2_000_000);
@@ -1408,7 +1199,7 @@ mod tests {
             "the critical pass's merge, not the sum"
         );
         assert_eq!(bd.scan_max_ns, 1_000, "the critical pass's slowest band");
-        // Per band, summed over the passes: what the shard histograms get.
+        // Per band, summed over the passes: what the imbalance ratio reads.
         assert_eq!(bd.scan_ns, vec![(0, 4_800), (1, 4_400)]);
         assert_eq!(bd.reconcile_ns, 300);
         let fields = bd.event_fields();
@@ -1438,7 +1229,7 @@ mod tests {
     #[test]
     fn batch_phases_feed_histograms_ring_and_exposition() {
         let recorder = MetricsRecorder::new();
-        let obs = ObsState::new(4, 2, None);
+        let obs = ObsState::new(4, None);
         obs.record_batch_phases(&PhaseBreakdown {
             key_merge_ns: 300_000,
             scan_ns: vec![(0, 4_000_000), (1, 1_000_000)],
@@ -1449,33 +1240,26 @@ mod tests {
             journal_ns: 2_000_000,
             imbalance_milli: 1_600,
         });
-        assert_eq!(obs.shard_scan[0].quantile_ns(1.0), 4_000_000);
-        assert_eq!(obs.shard_scan[1].quantile_ns(1.0), 1_000_000);
         assert!((obs.imbalance_mean(60) - 1.6).abs() < 1e-9);
-        assert!((obs.imbalance_max(60) - 1.6).abs() < 1e-9);
         let stats = obs.stats_json(&recorder, &FlightRecorder::default());
         let stats = Json::parse(&stats).unwrap();
-        let arr = stats.get("shards").and_then(Json::as_array).unwrap();
+        let tracing = stats.get("tracing").unwrap();
         assert_eq!(
-            arr[0].get("scan_p99_ns").and_then(Json::as_u64),
-            Some(4_000_000)
+            tracing.get("reconcile_p99_ns").and_then(Json::as_u64),
+            Some(obs.reconcile.snapshot().p99_ns)
         );
+        assert_eq!(obs.reconcile.snapshot().count, 1);
+        assert_eq!(tracing.get("imbalance_1m"), Some(&Json::Num(1.6)));
+        // The per-band numbers live in `stats` and `slow_batch` events,
+        // not in exposition families of their own.
         let text = obs.exposition(&recorder);
-        assert!(
-            text.contains("mergepurge_shard_scan_seconds{shard=\"0\",quantile=\"0.99\"} 0.004\n"),
-            "{text}"
-        );
-        assert!(text.contains("mergepurge_shard_imbalance_ratio{window=\"1m\"} 1.6\n"));
-        assert!(text.contains("mergepurge_reconcile_seconds_count 1\n"));
-        // Single-worker daemons expose none of the shard families.
-        let solo = ObsState::new(4, 1, None).exposition(&recorder);
-        assert!(!solo.contains("mergepurge_shard_imbalance_ratio"));
-        assert!(!solo.contains("mergepurge_reconcile_seconds"));
+        assert!(!text.contains("shard"), "{text}");
+        assert!(!text.contains("mergepurge_reconcile_seconds"), "{text}");
     }
 
     #[test]
     fn windows_json_has_all_three_windows_with_rates() {
-        let obs = ObsState::new(4, 1, None);
+        let obs = ObsState::new(4, None);
         obs.record_batch(60, 600, 600, 6, 1_000_000);
         let windows = obs.windows_json();
         let arr = windows.as_array().unwrap();

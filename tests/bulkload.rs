@@ -1,9 +1,9 @@
 //! Bulk cold-load equivalence: the extsort-backed pipeline
 //! (`mergepurge load`, `serve --bulk-load`, and the `bulk-load` wire
 //! command) must commit a store byte-identical to one `add_batch` of the
-//! whole file — across store layouts (single / sharded), memory budgets
-//! and run-formation thread counts — and a SIGKILL mid-load must leave a
-//! store that reruns to the same bytes.
+//! whole file — across memory budgets and run-formation thread counts —
+//! and a SIGKILL mid-load must leave a store that reruns to the same
+//! bytes.
 
 #![cfg(unix)]
 
@@ -59,11 +59,10 @@ fn reference_snapshot(records: &[Record], window: usize) -> Snapshot {
     engine.to_snapshot()
 }
 
-fn config(shards: usize, external: ExternalConfig) -> BulkStoreConfig {
+fn config(external: ExternalConfig) -> BulkStoreConfig {
     BulkStoreConfig {
         window: 8,
         keys: keys(),
-        shards,
         external,
     }
 }
@@ -94,7 +93,7 @@ fn single_store_bulk_load_matches_one_shot_ingest() {
         memory_records: 257,
         ..ExternalConfig::default()
     };
-    let report = load(&store, &input, &dir.join("work"), &config(1, external));
+    let report = load(&store, &input, &dir.join("work"), &config(external));
     assert!(report.is_some(), "empty store must accept the load");
 
     let (_store, loaded) = MatchStore::open(&store).unwrap();
@@ -109,13 +108,16 @@ fn single_store_bulk_load_matches_one_shot_ingest() {
 
     // A second load over the now-populated store must refuse (Ok(None))
     // and leave the committed bytes untouched.
-    let again = load(&store, &input, &dir.join("work2"), &config(1, external));
+    let again = load(&store, &input, &dir.join("work2"), &config(external));
     assert!(again.is_none(), "non-empty store must be left alone");
     let (_store, reloaded) = MatchStore::open(&store).unwrap();
     assert_eq!(reloaded.snapshot.unwrap().encode(), expected.encode());
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// A load commits the one layout, `snapshot.mps` beside an empty
+/// `journal.mpj`, and refuses a directory laid out as a sharded store
+/// (its `manifest.mpm` named) without touching a byte of it.
 #[test]
 fn sharded_bulk_load_commits_the_single_store_snapshot() {
     let dir = tmp_dir("sharded");
@@ -127,16 +129,15 @@ fn sharded_bulk_load_commits_the_single_store_snapshot() {
         memory_records: 311,
         ..ExternalConfig::default()
     };
-    let report = load(&store, &input, &dir.join("work"), &config(3, external));
-    assert!(report.is_some());
-
-    // The shard count only decides which journals sit beside the
-    // snapshot: the snapshot itself is one add_batch, byte for byte, as
-    // for a single-worker store.
-    let (opened, loaded) = MatchStore::open_shards(&store, 3).unwrap();
-    let committed = loaded.snapshot.expect("bulk load committed a snapshot");
+    assert!(load(&store, &input, &dir.join("work"), &config(external)).is_some());
+    let mut names: Vec<String> = std::fs::read_dir(&store)
+        .unwrap()
+        .map(|e| e.unwrap().file_name().to_string_lossy().into_owned())
+        .collect();
+    names.sort();
+    assert_eq!(names, ["journal.mpj", "snapshot.mps"]);
+    let (opened, loaded) = MatchStore::open(&store).unwrap();
     let expected = reference_snapshot(&records, 8).encode();
-    assert_eq!(committed.encode(), expected);
     assert_eq!(
         std::fs::read(store.join(mp_store::SNAPSHOT_FILE)).unwrap(),
         expected,
@@ -150,19 +151,29 @@ fn sharded_bulk_load_commits_the_single_store_snapshot() {
     assert!(loaded.replayable.is_empty());
     drop(opened);
 
-    // A load into the now-populated store is refused, and a single-worker
-    // load must not mistake the sharded store for an empty one of its own.
-    assert!(load(&store, &input, &dir.join("work2"), &config(3, external)).is_none());
+    // A sharded store's directory: its journals would never replay.
+    let legacy = dir.join("legacy");
+    std::fs::create_dir_all(legacy.join("shard-0")).unwrap();
+    std::fs::write(legacy.join("manifest.mpm"), b"MPMF").unwrap();
+    std::fs::write(legacy.join("shard-0/journal.mpj"), b"MPJL").unwrap();
     let err = bulk_load_store(
-        &store,
+        &legacy,
         &input,
-        &dir.join("work3"),
-        &config(1, external),
+        &dir.join("work2"),
+        &config(external),
         &NativeEmployeeTheory::new(),
         &MetricsRecorder::new(),
     )
     .unwrap_err();
-    assert!(err.contains("3 shards"), "{err}");
+    assert!(err.contains("manifest.mpm"), "{err}");
+    assert_eq!(
+        files(&legacy),
+        [
+            (PathBuf::from("manifest.mpm"), b"MPMF".to_vec()),
+            (PathBuf::from("shard-0/journal.mpj"), b"MPJL".to_vec()),
+        ],
+        "refusal modifies nothing"
+    );
     let _ = std::fs::remove_dir_all(&dir);
 }
 
@@ -191,7 +202,7 @@ fn memory_budget_and_thread_count_commit_identical_bytes() {
             &store,
             &input,
             &dir.join(format!("work-{name}")),
-            &config(1, external),
+            &config(external),
         )
         .expect("load commits");
         let (_s, loaded) = MatchStore::open(&store).unwrap();
@@ -365,12 +376,12 @@ fn files(dir: &Path) -> Vec<(PathBuf, Vec<u8>)> {
     out
 }
 
-/// The wire `bulk-load` is the `load` commit. For 1 and 2 shards, a
-/// daemon that answered `bulk-load` leaves, after `shutdown`, a store
-/// directory byte-identical to what `mergepurge load` commits on the same
-/// input, budget and keys (put through the same daemon open and shutdown,
-/// whose final checkpoint rewrites the snapshot), and it answers
-/// `stats` and `query-matches` like a `serve --bulk-load` daemon.
+/// The wire `bulk-load` is the `load` commit. A daemon that answered
+/// `bulk-load` leaves, after `shutdown`, a store directory byte-identical
+/// to what `mergepurge load` commits on the same input, budget and keys
+/// (put through the same daemon open and shutdown, whose final checkpoint
+/// rewrites the snapshot), and it answers `stats` and `query-matches`
+/// like a `serve --bulk-load` daemon.
 #[test]
 fn wire_bulk_load_commits_what_load_commits() {
     let dir = tmp_dir("wire-is-load");
@@ -397,50 +408,48 @@ fn wire_bulk_load_commits_what_load_commits() {
             .map(|id| ask(socket, &format!(r#"{{"cmd":"query-matches","id":{id}}}"#)))
             .collect()
     };
-    for shards in ["1", "2"] {
-        let flags = ["--memory-budget", "293", "--shards", shards];
+    let flags = ["--memory-budget", "293"];
 
-        let loaded = dir.join(format!("load-{shards}"));
-        let status = Command::new(env!("CARGO_BIN_EXE_mergepurge"))
-            .args(["load", "--input", input.to_str().unwrap()])
-            .args(["--store", loaded.to_str().unwrap()])
-            .args(["--window", "8", "--keys", "last_name,first_name"])
-            .args(flags)
-            .stdout(Stdio::null())
-            .stderr(Stdio::null())
-            .status()
-            .expect("run mergepurge load");
-        assert!(status.success(), "shards={shards}: load must commit");
-        let mut child = spawn_daemon(&socket, &loaded, &flags);
-        shutdown(&socket, &mut child);
+    let loaded = dir.join("load");
+    let status = Command::new(env!("CARGO_BIN_EXE_mergepurge"))
+        .args(["load", "--input", input.to_str().unwrap()])
+        .args(["--store", loaded.to_str().unwrap()])
+        .args(["--window", "8", "--keys", "last_name,first_name"])
+        .args(flags)
+        .stdout(Stdio::null())
+        .stderr(Stdio::null())
+        .status()
+        .expect("run mergepurge load");
+    assert!(status.success(), "load must commit");
+    let mut child = spawn_daemon(&socket, &loaded, &flags);
+    shutdown(&socket, &mut child);
 
-        let startup = [&flags[..], &["--bulk-load", input.to_str().unwrap()]].concat();
-        let mut child = spawn_daemon(&socket, &dir.join(format!("startup-{shards}")), &startup);
-        let want_store = store_section(&socket);
-        let want_reads = reads(&socket);
-        shutdown(&socket, &mut child);
+    let startup = [&flags[..], &["--bulk-load", input.to_str().unwrap()]].concat();
+    let mut child = spawn_daemon(&socket, &dir.join("startup"), &startup);
+    let want_store = store_section(&socket);
+    let want_reads = reads(&socket);
+    shutdown(&socket, &mut child);
 
-        let wired = dir.join(format!("wire-{shards}"));
-        let mut child = spawn_daemon(&socket, &wired, &flags);
-        // A load that fails partway reopens the still-empty store.
-        let failed = ask(&socket, &bulk_load(&broken));
-        assert_eq!(failed.get("ok").and_then(Json::as_bool), Some(false));
-        assert!(failed.to_string().contains("columns"), "{failed}");
-        expect_ok(&ask(&socket, &bulk_load(&input)));
-        assert_eq!(store_section(&socket), want_store, "shards={shards}");
-        assert_eq!(reads(&socket), want_reads, "shards={shards}");
-        shutdown(&socket, &mut child);
+    let wired = dir.join("wire");
+    let mut child = spawn_daemon(&socket, &wired, &flags);
+    // A load that fails partway reopens the still-empty store.
+    let failed = ask(&socket, &bulk_load(&broken));
+    assert_eq!(failed.get("ok").and_then(Json::as_bool), Some(false));
+    assert!(failed.to_string().contains("columns"), "{failed}");
+    expect_ok(&ask(&socket, &bulk_load(&input)));
+    assert_eq!(store_section(&socket), want_store);
+    assert_eq!(reads(&socket), want_reads);
+    shutdown(&socket, &mut child);
 
-        let (want, got) = (files(&loaded), files(&wired));
-        let paths: Vec<_> = got.iter().map(|(path, _)| path).collect();
-        assert_eq!(
-            paths,
-            want.iter().map(|(path, _)| path).collect::<Vec<_>>(),
-            "shards={shards}: same files"
-        );
-        for ((path, a), (_, b)) in want.iter().zip(&got) {
-            assert!(a == b, "shards={shards}: {} differs", path.display());
-        }
+    let (want, got) = (files(&loaded), files(&wired));
+    let paths: Vec<_> = got.iter().map(|(path, _)| path).collect();
+    assert_eq!(
+        paths,
+        want.iter().map(|(path, _)| path).collect::<Vec<_>>(),
+        "same files"
+    );
+    for ((path, a), (_, b)) in want.iter().zip(&got) {
+        assert!(a == b, "{} differs", path.display());
     }
     let _ = std::fs::remove_dir_all(&dir);
 }
@@ -462,13 +471,7 @@ fn sigkill_mid_load_then_rerun_commits_identical_bytes() {
         memory_records: 127,
         ..ExternalConfig::default()
     };
-    load(
-        &ref_store,
-        &input,
-        &dir.join("ref-work"),
-        &config(1, external),
-    )
-    .expect("reference load");
+    load(&ref_store, &input, &dir.join("ref-work"), &config(external)).expect("reference load");
     let (_s, loaded) = MatchStore::open(&ref_store).unwrap();
     let want = loaded.snapshot.unwrap().encode();
 
@@ -532,29 +535,27 @@ fn failed_load_leaves_no_snapshot_and_no_spill_dir() {
     text.insert_str(at, "only|three|columns\n");
     std::fs::write(&input, text).unwrap();
 
-    for shards in ["1", "2"] {
-        let store = dir.join(format!("store-{shards}"));
-        let out = Command::new(env!("CARGO_BIN_EXE_mergepurge"))
-            .args(["load", "--input", input.to_str().unwrap()])
-            .args(["--store", store.to_str().unwrap()])
-            .args(["--window", "8", "--keys", "last_name,first_name"])
-            .args(["--memory-budget", "300", "--shards", shards])
-            .output()
-            .expect("run mergepurge load");
-        assert!(!out.status.success(), "shards={shards}: load must fail");
-        let stderr = String::from_utf8_lossy(&out.stderr);
-        assert!(stderr.contains("columns"), "shards={shards}: {stderr}");
-        let left: Vec<String> = std::fs::read_dir(&store)
-            .unwrap()
-            .map(|e| e.unwrap().file_name().to_string_lossy().into_owned())
-            .collect();
-        assert!(
-            !left
-                .iter()
-                .any(|n| n == "bulk-tmp" || n.starts_with("snapshot")),
-            "shards={shards}: left behind {left:?}"
-        );
-        assert!(!store.join("bulk-tmp").exists());
-    }
+    let store = dir.join("store");
+    let out = Command::new(env!("CARGO_BIN_EXE_mergepurge"))
+        .args(["load", "--input", input.to_str().unwrap()])
+        .args(["--store", store.to_str().unwrap()])
+        .args(["--window", "8", "--keys", "last_name,first_name"])
+        .args(["--memory-budget", "300"])
+        .output()
+        .expect("run mergepurge load");
+    assert!(!out.status.success(), "load must fail");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.contains("columns"), "{stderr}");
+    let left: Vec<String> = std::fs::read_dir(&store)
+        .unwrap()
+        .map(|e| e.unwrap().file_name().to_string_lossy().into_owned())
+        .collect();
+    assert!(
+        !left
+            .iter()
+            .any(|n| n == "bulk-tmp" || n.starts_with("snapshot")),
+        "left behind {left:?}"
+    );
+    assert!(!store.join("bulk-tmp").exists());
     let _ = std::fs::remove_dir_all(&dir);
 }

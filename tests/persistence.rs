@@ -1,15 +1,16 @@
 //! Round trips across crates: a generated database written to disk and
 //! reloaded must drive the pipeline to identical results, and a durable
-//! engine of any shard count, killed and reopened, must hold what the
+//! engine of any band count, killed and reopened, must hold what the
 //! in-memory engine holds.
 
-use merge_purge::incremental::{DurableIncremental, IncrementalMergePurge, ShardRouter};
+use merge_purge::incremental::{DurableIncremental, IncrementalMergePurge};
 use merge_purge::{KeySpec, MultiPass};
 use mp_closure::MergeEdge;
 use mp_datagen::{DatabaseGenerator, GeneratorConfig, GroundTruth};
 use mp_metrics::NoopObserver;
-use mp_record::{io, Record, RecordId};
+use mp_record::{io, Record};
 use mp_rules::NativeEmployeeTheory;
+use mp_store::borrowed;
 
 #[test]
 fn file_round_trip_preserves_pipeline_results() {
@@ -76,6 +77,20 @@ fn pipeline_results_reproducible_across_processes() {
 
 type Fingerprint = (Vec<(u32, u32)>, Vec<Vec<u32>>, Vec<MergeEdge>, u64);
 
+fn six_batches() -> Vec<Vec<Record>> {
+    let db = DatabaseGenerator::new(GeneratorConfig::new(600).duplicate_fraction(0.5).seed(2005))
+        .generate();
+    let chunk = db.records.len().div_ceil(6);
+    let parts: Vec<Vec<Record>> = db.records.chunks(chunk).map(<[Record]>::to_vec).collect();
+    assert_eq!(parts.len(), 6);
+    parts
+}
+
+/// The snapshot bytes a checkpoint of `e` would write.
+fn encoded(e: &IncrementalMergePurge) -> Vec<u8> {
+    e.view().encode(borrowed(e.records())).unwrap()
+}
+
 fn fingerprint(e: &IncrementalMergePurge) -> Fingerprint {
     (
         e.pairs().sorted(),
@@ -90,19 +105,15 @@ fn two_pass(e: IncrementalMergePurge) -> IncrementalMergePurge {
         .pass(KeySpec::first_name_key(), 8)
 }
 
-/// The one durable engine, in process, for shards 1..=4: batches are
+/// The one durable engine, in process, for bands 1..=4: batches are
 /// journaled, the engine is dropped without a checkpoint (kill -9), then
 /// reopened, checkpointed, fed more, dropped and reopened again. After
 /// every reopen its pairs, classes, provenance edges and batch count are
 /// the in-memory `add_batch` engine's after the same batches.
 #[test]
-fn durable_engine_of_every_shard_count_recovers_the_in_memory_state() {
+fn durable_engine_of_every_band_count_recovers_the_in_memory_state() {
     let theory = NativeEmployeeTheory::new();
-    let db = DatabaseGenerator::new(GeneratorConfig::new(600).duplicate_fraction(0.5).seed(2005))
-        .generate();
-    let chunk = db.records.len().div_ceil(6);
-    let parts: Vec<Vec<Record>> = db.records.chunks(chunk).map(<[Record]>::to_vec).collect();
-    assert_eq!(parts.len(), 6);
+    let parts = six_batches();
     let mut reference = two_pass(IncrementalMergePurge::new());
     let want: Vec<Fingerprint> = parts
         .iter()
@@ -112,14 +123,14 @@ fn durable_engine_of_every_shard_count_recovers_the_in_memory_state() {
         })
         .collect();
 
-    for shards in 1..=4usize {
+    for bands in 1..=4usize {
         let dir =
-            std::env::temp_dir().join(format!("mp-persist-{}-shards{shards}", std::process::id()));
+            std::env::temp_dir().join(format!("mp-persist-{}-bands{bands}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
-        let open = || DurableIncremental::open(&dir, shards, two_pass, &theory, &NoopObserver);
+        let open = || DurableIncremental::open(&dir, bands, two_pass, &theory, &NoopObserver);
         let ingest = |d: &mut DurableIncremental, batches: &[Vec<Record>]| {
             for (i, b) in batches.iter().enumerate() {
-                let trace = format!("t-{shards}-{i}");
+                let trace = format!("t-{bands}-{i}");
                 d.ingest(b.clone(), Some(&trace), &theory, &NoopObserver)
                     .unwrap();
             }
@@ -127,15 +138,14 @@ fn durable_engine_of_every_shard_count_recovers_the_in_memory_state() {
 
         let (mut d, _) = open().unwrap();
         ingest(&mut d, &parts[..2]);
-        drop(d); // kill -9: journals only
+        drop(d); // kill -9: journal only
         let (mut d, report) = open().unwrap();
         assert_eq!(
             (report.snapshot_loaded, report.batches_replayed),
             (false, 2),
-            "{shards} shards"
+            "{bands} bands"
         );
-        assert_eq!(report.shard_replays.len(), shards);
-        assert_eq!(fingerprint(d.engine()), want[1], "{shards} shards, replay");
+        assert_eq!(fingerprint(d.engine()), want[1], "{bands} bands, replay");
 
         d.checkpoint(&NoopObserver).unwrap();
         ingest(&mut d, &parts[2..4]);
@@ -144,42 +154,65 @@ fn durable_engine_of_every_shard_count_recovers_the_in_memory_state() {
         assert_eq!(
             (report.batches_in_snapshot, report.batches_replayed),
             (2, 2),
-            "{shards} shards"
+            "{bands} bands"
         );
         assert_eq!(
             fingerprint(d.engine()),
             want[3],
-            "{shards} shards, snapshot + replay"
+            "{bands} bands, snapshot + replay"
         );
 
         ingest(&mut d, &parts[4..]);
         drop(d);
         let (d, _) = open().unwrap();
-        assert_eq!(fingerprint(d.engine()), want[5], "{shards} shards, final");
-        assert_eq!(
-            d.shard_records().iter().sum::<u64>(),
-            d.engine().records().len() as u64
-        );
+        assert_eq!(fingerprint(d.engine()), want[5], "{bands} bands, final");
         drop(d);
         std::fs::remove_dir_all(&dir).unwrap();
     }
 }
 
+/// The band count is the host's, not the store's: a store ingested at 3
+/// bands and dropped without a checkpoint reopens at 1, ingests, and
+/// reopens at 2. After every reopen the pairs, classes, provenance edges
+/// and encoded snapshot are the in-memory `add_batch` engine's.
 #[test]
-fn router_is_deterministic_and_covers_all_shards() {
-    let router = ShardRouter::new(KeySpec::last_name_key(), 4);
-    let mut seen = [false; 4];
-    for (i, last) in ["ADAMS", "HERNANDEZ", "MILLER", "STOLFO", "ZWEIG"]
+fn a_store_moves_between_band_counts() {
+    let theory = NativeEmployeeTheory::new();
+    let parts = six_batches();
+    let trace = |i: usize| format!("t-{i}");
+    let mut reference = two_pass(IncrementalMergePurge::new());
+    let want: Vec<(Fingerprint, Vec<u8>)> = parts
         .iter()
         .enumerate()
-    {
-        let mut r = Record::empty(RecordId(i as u32));
-        r.last_name = (*last).into();
-        r.first_name = "A".into();
-        let k = router.shard_of(&r);
-        assert!(k < 4);
-        assert_eq!(k, router.shard_of(&r), "routing is deterministic");
-        seen[k] = true;
+        .map(|(i, b)| {
+            reference.add_batch(b.clone(), &theory);
+            reference.note_batch_trace(&trace(i));
+            (fingerprint(&reference), encoded(&reference))
+        })
+        .collect();
+
+    let dir = std::env::temp_dir().join(format!("mp-persist-{}-moves", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let mut fed = 0;
+    for (bands, batches) in [(3usize, 3), (1, 2), (2, 1)] {
+        let (mut d, report) =
+            DurableIncremental::open(&dir, bands, two_pass, &theory, &NoopObserver).unwrap();
+        assert_eq!(report.batches_replayed, fed as u64, "{bands} bands");
+        if fed > 0 {
+            let (print, bytes) = &want[fed - 1];
+            assert_eq!(&fingerprint(d.engine()), print, "reopened at {bands} bands");
+            assert!(encoded(d.engine()) == *bytes, "snapshot at {bands} bands");
+        }
+        for (i, part) in parts.iter().enumerate().skip(fed).take(batches) {
+            d.ingest(part.clone(), Some(&trace(i)), &theory, &NoopObserver)
+                .unwrap();
+        }
+        fed += batches;
+        drop(d); // kill -9: the journal holds every batch
     }
-    assert!(seen.iter().all(|&s| s), "A..Z spread covers every band");
+    let (d, _) = DurableIncremental::open(&dir, 1, two_pass, &theory, &NoopObserver).unwrap();
+    assert_eq!(fingerprint(d.engine()), want[5].0);
+    assert!(encoded(d.engine()) == want[5].1);
+    drop(d);
+    std::fs::remove_dir_all(&dir).unwrap();
 }

@@ -1,6 +1,6 @@
 //! Provenance equivalence: the merge-lineage forest (edges, rule
 //! firings, explain chains) must be identical across every engine
-//! configuration — serial, sharded scans at 1..=8 bands, and the durable
+//! configuration — serial, banded scans at 1..=8 bands, and the durable
 //! engine — and must survive SIGKILL + journal replay byte for byte.
 //!
 //! The guarantee under test is the band-replicated scan's deterministic
@@ -96,33 +96,34 @@ proptest! {
         let want = dump(&serial);
         let probes = probe_pairs(&serial);
 
-        // Sharded scans, every band count 1..=8.
-        for shards in 1..=8usize {
+        // Banded scans, every band count 1..=8.
+        for bands in 1..=8usize {
             let mut e = engine(6);
             for (i, b) in batches.iter().enumerate() {
-                e.add_batch_sharded(b.clone(), &theory, shards, &NoopObserver);
+                e.add_batch_sharded(b.clone(), &theory, bands, &NoopObserver);
                 e.note_batch_trace(&format!("trace-{i}"));
             }
             prop_assert_eq!(
                 &dump(&e), &want,
-                "provenance bytes diverge at {} shards", shards
+                "provenance bytes diverge at {} bands", bands
             );
             for &(a, b) in &probes {
                 prop_assert_eq!(
                     e.explain(a, b), serial.explain(a, b),
-                    "explain({}, {}) diverges at {} shards", a, b, shards
+                    "explain({}, {}) diverges at {} bands", a, b, bands
                 );
             }
         }
 
-        // Durable engine: journal every batch, then reopen and replay.
+        // Durable engine: journal every batch at 3 bands, then reopen and
+        // replay at 1.
         let dir = tmp_dir(&format!("prop-{seed}-{originals}-{parts}"));
         let configure = |e: IncrementalMergePurge| {
             e.pass(KeySpec::last_name_key(), 6)
                 .pass(KeySpec::first_name_key(), 6)
         };
         let (mut durable, _) =
-            DurableIncremental::open(&dir, 1, configure, &theory, &NoopObserver).unwrap();
+            DurableIncremental::open(&dir, 3, configure, &theory, &NoopObserver).unwrap();
         for (i, b) in batches.iter().enumerate() {
             durable
                 .ingest(b.clone(), Some(&format!("trace-{i}")), &theory, &NoopObserver)

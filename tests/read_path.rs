@@ -7,8 +7,8 @@
 //!
 //! * **Bytes.** For *every* id the reply is byte-identical to one rendered
 //!   from `IncrementalMergePurge::classes()` — the clone-and-sweep oracle
-//!   the daemon used to answer from — on a single worker, with
-//!   `--shards 2`, across a `kill -9` + journal replay, and after a
+//!   the daemon used to answer from — on an uninterrupted daemon,
+//!   across a `kill -9` + journal replay, and after a
 //!   `bulk-load` (whose state is restored, so the ring is rebuilt).
 //! * **Ordering.** A read does not queue behind a write in service, and a
 //!   client that has seen an ack reads that batch.
@@ -181,17 +181,15 @@ fn every_reply_is_byte_identical_to_the_classes_oracle() {
         oracle.add_batch(batch.clone(), &theory);
     }
 
-    // Single worker and two shards, uninterrupted.
-    for (name, extra) in [("single", &[][..]), ("shards2", &["--shards", "2"][..])] {
-        let socket = dir.join(format!("{name}.sock"));
-        let mut child = spawn_daemon(&socket, &dir.join(format!("{name}-store")), extra);
-        let mut conn = Conn::open(&socket);
-        for batch in &batches {
-            conn.ask_ok(&ingest_request(batch));
-        }
-        assert_reads_match(&mut conn, &oracle, 4, name);
-        conn.shutdown(&mut child);
+    // Uninterrupted.
+    let socket = dir.join("single.sock");
+    let mut child = spawn_daemon(&socket, &dir.join("single-store"), &[]);
+    let mut conn = Conn::open(&socket);
+    for batch in &batches {
+        conn.ask_ok(&ingest_request(batch));
     }
+    assert_reads_match(&mut conn, &oracle, 4, "single");
+    conn.shutdown(&mut child);
 
     // kill -9 after two acknowledged batches: the restart restores
     // nothing (no snapshot was written) and replays the journal.

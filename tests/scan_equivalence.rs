@@ -345,7 +345,7 @@ proptest! {
     /// The incremental engine: the same records as one batch and as
     /// several — split evenly or as a large base and a trickle, the later
     /// batches keyed into, before, after and onto the store's keys —
-    /// serially and banded over 1..=8 shards.
+    /// serially and banded over 1..=8 bands.
     #[test]
     fn incremental_engines_agree_with_the_oracle(
         seed in 0u64..1_000,
@@ -365,9 +365,9 @@ proptest! {
         let want_closed = closed_pairs(n, want.pairs.iter().copied());
 
         let mut snapshot: Option<Vec<u8>> = None;
-        for shards in 0..=8usize {
+        for bands in 0..=8usize {
             let what = format!(
-                "batches={} skewed={skewed} place={place} shards={shards}",
+                "batches={} skewed={skewed} place={place} bands={bands}",
                 batches.len()
             );
             let recorder = MetricsRecorder::new();
@@ -375,15 +375,15 @@ proptest! {
                 .iter()
                 .fold(IncrementalMergePurge::new(), |e, k| e.pass(k.clone(), w));
             for batch in &batches {
-                match shards {
+                match bands {
                     0 => engine.add_batch(batch.to_vec(), &theory),
-                    _ => engine.add_batch_sharded(batch.to_vec(), &theory, shards, &recorder),
+                    _ => engine.add_batch_sharded(batch.to_vec(), &theory, bands, &recorder),
                 }
             }
             prop_assert_eq!(engine.pairs().sorted(), want.pairs.iter().copied().collect::<Vec<_>>(), "{}", what);
             prop_assert_eq!(pairs_of_classes(engine.classes()), want_closed.clone(), "{}", what);
             prop_assert_eq!(engine.comparisons(), want.comparisons, "{}", what);
-            if shards > 0 {
+            if bands > 0 {
                 prop_assert_eq!(observed_comparisons(&recorder, &what), want.comparisons, "{}", what);
             }
             let counters: Vec<_> = engine

@@ -6,7 +6,6 @@
 
 #![cfg(unix)]
 
-use merge_purge::incremental::ShardRouter;
 use merge_purge::{IncrementalMergePurge, KeySpec};
 use merge_purge_repro::serve::{ingest_request, json::Json, request, request_tcp};
 use mp_datagen::{DatabaseGenerator, GeneratorConfig};
@@ -611,8 +610,8 @@ fn event_log_rotates_and_top_renders() {
 /// The one trace_id per batch must be the same string on the wire ack,
 /// the `batch_ingested` event-log line, the flight-recorder span dump
 /// (wire `trace` command, HTTP `/trace`, and the `mergepurge trace`
-/// client), and the `stats` tracing section — on a live `--shards 4`
-/// daemon whose dump shows a `shard_ingest` span for every shard journal.
+/// client), and the `stats` tracing section — on a live daemon whose
+/// dump shows the one `shard_ingest` journal append per batch.
 #[test]
 fn trace_ids_flow_from_ack_to_event_log_and_flight_dump() {
     let dir = tmp_dir("tracing");
@@ -626,8 +625,6 @@ fn trace_ids_flow_from_ack_to_event_log_and_flight_dump() {
         &socket,
         &store,
         &[
-            "--shards",
-            "4",
             "--metrics-addr",
             &format!("127.0.0.1:{port}"),
             "--log",
@@ -672,7 +669,7 @@ fn trace_ids_flow_from_ack_to_event_log_and_flight_dump() {
 
     // Wire `trace` command: a Chrome trace document containing every
     // acked trace id, the engine lane, and one `shard_ingest` span per
-    // shard journal (the appends run in turn on the engine worker).
+    // batch: the journal append, labelled `shard=0 seq=S trace=T`.
     let wire = ask(&socket, r#"{"cmd":"trace"}"#);
     expect_ok(&wire);
     assert_eq!(
@@ -700,14 +697,14 @@ fn trace_ids_flow_from_ack_to_event_log_and_flight_dump() {
         .filter(|e| e.get("name").and_then(Json::as_str) == Some("shard_ingest"))
         .filter_map(|e| e.get("args")?.get("label")?.as_str())
         .collect();
-    for k in 0..4 {
-        let prefix = format!("shard={k} seq=");
-        assert!(
-            appends
-                .iter()
-                .any(|l| l.starts_with(&prefix) && l.contains(" trace=")),
-            "no shard_ingest span labelled {prefix}S trace=T: {appends:?}"
-        );
+    assert_eq!(
+        appends.len(),
+        parts.len(),
+        "one append per batch: {appends:?}"
+    );
+    for (seq, id) in (1..).zip(&acked_ids) {
+        let label = format!("shard=0 seq={seq} trace={id}");
+        assert!(appends.contains(&label.as_str()), "no {label}: {appends:?}");
     }
     for span in [
         "batch",
@@ -766,13 +763,7 @@ fn trace_ids_flow_from_ack_to_event_log_and_flight_dump() {
             .and_then(Json::as_str),
         Some(acked_ids.last().unwrap().as_str())
     );
-    assert_eq!(
-        frame
-            .get("shards")
-            .and_then(Json::as_array)
-            .map(<[Json]>::len),
-        Some(4)
-    );
+    assert!(frame.get("shards").is_none(), "no shards section: {frame}");
 
     shutdown_and_wait(&socket, &mut child);
 
@@ -802,7 +793,7 @@ fn slow_batches_are_pinned_and_logged_with_phase_breakdown() {
     let socket = dir.join("mp.sock");
     let store = dir.join("store");
     let log = dir.join("events.jsonl");
-    // One big batch through a 4-shard scatter + journal fsync takes well
+    // One big batch through the journal fsync and the scan takes well
     // over 1ms on any real machine.
     let big = batches(2727, 2000, 1).remove(0);
 
@@ -810,8 +801,6 @@ fn slow_batches_are_pinned_and_logged_with_phase_breakdown() {
         &socket,
         &store,
         &[
-            "--shards",
-            "4",
             "--slow-batch-ms",
             "1",
             "--log",
@@ -917,16 +906,16 @@ fn log_keep_three_retains_three_generations() {
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
-// ---- sharding --------------------------------------------------------
+// ---- one published view ----------------------------------------------
 
 /// `stats` and the exposition render from the one view the worker
-/// publishes: after several ingests into a `--shards 2` daemon, each
-/// engine number `stats` reports equals its Prometheus sample.
+/// publishes: after several ingests, each engine number `stats` reports
+/// equals its Prometheus sample, and neither names a shard.
 #[test]
 fn stats_and_metrics_report_the_same_published_numbers() {
     let dir = tmp_dir("one-source");
     let socket = dir.join("mp.sock");
-    let mut child = spawn_daemon_with(&socket, &dir.join("store"), &["--shards", "2"], false);
+    let mut child = spawn_daemon(&socket, &dir.join("store"));
     for part in batches(8080, 450, 3) {
         expect_ok(&ask(&socket, &ingest_request(&part)));
     }
@@ -957,17 +946,8 @@ fn stats_and_metrics_report_the_same_published_numbers() {
         assert_eq!(field(path), sample(name), "{path:?} vs {name}");
     }
     assert_eq!(field(&["seq"]), 3);
-    let shards = stats.get("shards").and_then(Json::as_array).unwrap();
-    assert_eq!(shards.len(), 2);
-    for (k, shard) in shards.iter().enumerate() {
-        assert_eq!(
-            shard.get("records").and_then(Json::as_u64),
-            Some(sample(&format!(
-                "mergepurge_shard_records{{shard=\"{k}\"}}"
-            ))),
-            "shard {k}"
-        );
-    }
+    assert!(stats.get("shards").is_none(), "{stats}");
+    assert!(!text.contains("shard"), "{text}");
     shutdown_and_wait(&socket, &mut child);
     std::fs::remove_dir_all(&dir).unwrap();
 }
@@ -1001,12 +981,12 @@ impl Transport {
     }
 }
 
-/// 24 concurrent clients hammer a `--shards 4` daemon with disjoint
-/// seeded batches. No batch may be lost, every client's acked seq
-/// watermark must be monotone, and the final deterministic store section
-/// must be byte-identical to a serial single-worker daemon fed the same
-/// batches in acked-seq order.
-fn hammer_sharded_daemon(name: &str, use_tcp: bool) {
+/// 24 concurrent clients hammer a daemon with disjoint seeded batches.
+/// No batch may be lost, every client's acked seq watermark must be
+/// monotone, and the final deterministic store section must be
+/// byte-identical to a second daemon fed the same batches serially in
+/// acked-seq order.
+fn hammer_daemon(name: &str, use_tcp: bool) {
     let dir = tmp_dir(name);
     let socket = dir.join("mp.sock");
     let store = dir.join("store");
@@ -1014,7 +994,7 @@ fn hammer_sharded_daemon(name: &str, use_tcp: bool) {
 
     // A deliberately shallow queue so the hammer exercises backpressure
     // blocking (not just the happy path).
-    let mut extra = vec!["--shards", "4", "--queue-depth", "2"];
+    let mut extra = vec!["--queue-depth", "2"];
     if use_tcp {
         extra.push("--listen");
         extra.push(&addr);
@@ -1069,27 +1049,9 @@ fn hammer_sharded_daemon(name: &str, use_tcp: bool) {
     let want: Vec<u64> = (1..=(CLIENTS * BATCHES_PER_CLIENT) as u64).collect();
     assert_eq!(got, want, "every batch acked exactly once, gap-free");
 
-    // Schema-6 stats carry a per-shard section; records are spread over
-    // all four shards and sum to the engine total.
     let stats = transport.ask(r#"{"cmd":"stats"}"#);
     expect_ok(&stats);
-    let shard_stats = stats
-        .get("shards")
-        .and_then(Json::as_array)
-        .expect("schema-6 shards section");
-    assert_eq!(shard_stats.len(), 4);
-    let per_shard: u64 = shard_stats
-        .iter()
-        .map(|s| s.get("records").and_then(Json::as_u64).unwrap())
-        .sum();
-    let engine_records = stats
-        .get("store")
-        .and_then(|s| s.get("records"))
-        .and_then(Json::as_u64)
-        .unwrap();
-    assert_eq!(per_shard, engine_records, "shard records sum to the total");
-
-    let sharded_section = stats.get("store").unwrap().clone();
+    let hammered = stats.get("store").unwrap().clone();
     shutdown_and_wait(&socket, &mut child);
 
     // Golden: a single-worker daemon fed the reconstructed batch stream
@@ -1101,8 +1063,8 @@ fn hammer_sharded_daemon(name: &str, use_tcp: bool) {
     }
     assert_eq!(
         store_section(&golden_socket).to_string(),
-        sharded_section.to_string(),
-        "sharded daemon matches the serial single-worker engine byte for byte"
+        hammered.to_string(),
+        "the hammered daemon matches the serial engine byte for byte"
     );
     shutdown_and_wait(&golden_socket, &mut child);
     std::fs::remove_dir_all(&dir).unwrap();
@@ -1110,102 +1072,35 @@ fn hammer_sharded_daemon(name: &str, use_tcp: bool) {
 
 #[test]
 fn hammer_24_clients_over_unix_socket_matches_serial_golden() {
-    hammer_sharded_daemon("hammer-unix", false);
+    hammer_daemon("hammer-unix", false);
 }
 
 #[test]
 fn hammer_24_clients_over_tcp_matches_serial_golden() {
-    hammer_sharded_daemon("hammer-tcp", true);
+    hammer_daemon("hammer-tcp", true);
 }
 
-#[test]
-fn sigkill_sharded_daemon_replays_only_the_written_shard() {
-    let dir = tmp_dir("kill9-shard");
-    let socket = dir.join("mp.sock");
-    let store = dir.join("store");
-
-    // Craft batches that land entirely in one shard by routing every
-    // generated record through the daemon's own router (first key, 4
-    // shards) and keeping one shard's records.
-    let router = ShardRouter::new(KeySpec::last_name_key(), 4);
-    let all: Vec<Record> = batches(6161, 600, 1).remove(0);
-    let target = router.shard_of(&all[0]);
-    let owned: Vec<Record> = all
-        .iter()
-        .filter(|r| router.shard_of(r) == target)
-        .cloned()
-        .collect();
-    assert!(owned.len() >= 40, "single-shard records: {}", owned.len());
-    let chunk = owned.len().div_ceil(2);
-    let parts: Vec<Vec<Record>> = owned.chunks(chunk).map(<[Record]>::to_vec).collect();
-    let shards_flag = ["--shards", "4"];
-
-    // Golden: the same batches in one uninterrupted sharded daemon.
-    let golden_store = dir.join("store-golden");
-    let mut child = spawn_daemon_with(&socket, &golden_store, &shards_flag, false);
-    for part in &parts {
-        expect_ok(&ask(&socket, &ingest_request(part)));
+/// Every file under `dir`, path to bytes.
+fn tree(dir: &Path) -> Vec<(PathBuf, Vec<u8>)> {
+    let mut out = Vec::new();
+    for entry in std::fs::read_dir(dir).unwrap() {
+        let path = entry.unwrap().path();
+        if path.is_dir() {
+            out.extend(tree(&path));
+        } else {
+            out.push((path.clone(), std::fs::read(&path).unwrap()));
+        }
     }
-    let want = store_section(&socket);
-    shutdown_and_wait(&socket, &mut child);
-
-    // Crash run: both batches acked, then SIGKILL — the store holds only
-    // the per-shard journals, no snapshot.
-    let mut child = spawn_daemon_with(&socket, &store, &shards_flag, false);
-    for part in &parts {
-        expect_ok(&ask(&socket, &ingest_request(part)));
-    }
-    child.kill().expect("SIGKILL the daemon");
-    child.wait().unwrap();
-    let _ = std::fs::remove_file(&socket);
-
-    // Restart: only the owning shard replays non-empty frames; the other
-    // shards' journals hold the seq-aligning empty frames.
-    let mut child = spawn_daemon_with(&socket, &store, &shards_flag, false);
-    let stats = ask(&socket, r#"{"cmd":"stats"}"#);
-    expect_ok(&stats);
-    let shard_stats = stats
-        .get("shards")
-        .and_then(Json::as_array)
-        .expect("shards section");
-    assert_eq!(shard_stats.len(), 4);
-    for s in shard_stats {
-        let k = s.get("shard").and_then(Json::as_u64).unwrap() as usize;
-        let replays = s.get("journal_replays").and_then(Json::as_u64).unwrap();
-        let expected = if k == target { 2 } else { 0 };
-        assert_eq!(replays, expected, "shard {k} replay count: {stats}");
-        assert_eq!(
-            s.get("replay_complete").and_then(Json::as_bool),
-            Some(true),
-            "shard {k} finished replay"
-        );
-    }
-    // The global replay counter still counts whole batches.
-    assert_eq!(
-        stats
-            .get("process")
-            .and_then(|p| p.get("journal_replays"))
-            .and_then(Json::as_u64),
-        Some(2)
-    );
-    // readyz rolls up per-shard replay once every shard has finished.
-    let ready = ask(&socket, r#"{"cmd":"readyz"}"#);
-    expect_ok(&ready);
-    assert_eq!(ready.get("shards").and_then(Json::as_u64), Some(4));
-    assert_eq!(ready.get("shards_replayed").and_then(Json::as_u64), Some(4));
-    // Cross-shard fingerprint identical to the uninterrupted golden.
-    assert_eq!(store_section(&socket), want, "replay matches golden");
-    shutdown_and_wait(&socket, &mut child);
-    std::fs::remove_dir_all(&dir).unwrap();
+    out.sort();
+    out
 }
 
-/// A store opens only in the layout it was made in. `serve` without
-/// `--shards` on a `load --shards 2` store — whose batches would live in
-/// the shard journals — must exit non-zero naming the shard count rather
-/// than serve an empty store beside them, and `--shards 2` on a
-/// single-worker store is refused the same way.
+/// A directory laid out as a sharded store — a `manifest.mpm` beside a
+/// loaded snapshot, or only a `shard-0/journal.mpj` — holds batches
+/// `serve` cannot replay: it must exit 1 naming the file rather than
+/// serve an empty store beside them, and leave every byte as it was.
 #[test]
-fn serve_refuses_a_store_made_with_another_shard_count() {
+fn serve_refuses_a_sharded_store_and_leaves_it_untouched() {
     let dir = tmp_dir("layout");
     let socket = dir.join("mp.sock");
     let input = dir.join("db.mp");
@@ -1226,26 +1121,25 @@ fn serve_refuses_a_store_made_with_another_shard_count() {
         "--seed",
         "7",
     ]);
+    let manifest_store = dir.join("manifest");
+    let mut load = vec!["load", "--input", input.to_str().unwrap()];
+    load.extend(["--store", manifest_store.to_str().unwrap()]);
+    load.extend(cfg);
+    mp(&load);
+    std::fs::write(manifest_store.join("manifest.mpm"), b"MPMF").unwrap();
+    let shard_store = dir.join("shard-only");
+    std::fs::create_dir_all(shard_store.join("shard-0")).unwrap();
+    std::fs::write(shard_store.join("shard-0/journal.mpj"), b"MPJL").unwrap();
 
-    for (store, load_flags, serve_flags, want) in [
-        ("sharded", &["--shards", "2"][..], &[][..], "--shards 2"),
-        (
-            "single",
-            &[][..],
-            &["--shards", "2"][..],
-            "without --shards",
-        ),
+    for (store, want) in [
+        (&manifest_store, "manifest.mpm"),
+        (&shard_store, "shard-0/journal.mpj"),
     ] {
-        let store = dir.join(store);
-        let mut load = vec!["load", "--input", input.to_str().unwrap()];
-        load.extend(["--store", store.to_str().unwrap()]);
-        load.extend(cfg.iter().chain(load_flags));
-        mp(&load);
-
+        let before = tree(store);
         let mut child = Command::new(env!("CARGO_BIN_EXE_mergepurge"))
             .args(["serve", "--socket", socket.to_str().unwrap()])
             .args(["--store", store.to_str().unwrap()])
-            .args(cfg.iter().chain(serve_flags))
+            .args(cfg)
             .stdout(Stdio::null())
             .stderr(Stdio::piped())
             .spawn()
@@ -1260,7 +1154,7 @@ fn serve_refuses_a_store_made_with_another_shard_count() {
             if socket.exists() || Instant::now() > deadline {
                 child.kill().unwrap();
                 child.wait().unwrap();
-                panic!("serve {serve_flags:?} opened the {store:?} store");
+                panic!("serve opened the sharded store {store:?}");
             }
             std::thread::sleep(Duration::from_millis(20));
         };
@@ -1268,13 +1162,14 @@ fn serve_refuses_a_store_made_with_another_shard_count() {
         std::io::Read::read_to_string(&mut child.stderr.take().unwrap(), &mut stderr).unwrap();
         assert_eq!(status.code(), Some(1), "{stderr}");
         assert!(stderr.contains(want), "{stderr}");
+        assert_eq!(tree(store), before, "{store:?}: refusal modifies nothing");
     }
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
 // ---- decision provenance --------------------------------------------
 
-/// The `explain` wire command against a live 4-shard TCP daemon must
+/// The `explain` wire command against a live TCP daemon must
 /// return the exact evidence chain the serial in-process engine derives
 /// on the same data — rule id, pass, batch seq, and the acked trace ids
 /// — and the `mergepurge explain --addr` client must render it.
@@ -1285,12 +1180,7 @@ fn explain_over_the_wire_matches_the_serial_engine() {
     let addr = format!("127.0.0.1:{}", free_port());
     let parts = batches(3737, 400, 3);
 
-    let mut child = spawn_daemon_with(
-        &socket,
-        &dir.join("store"),
-        &["--shards", "4", "--listen", &addr],
-        false,
-    );
+    let mut child = spawn_daemon_with(&socket, &dir.join("store"), &["--listen", &addr], false);
     let tcp = Transport::Tcp(addr.clone());
 
     // Serial reference engine, fed the identical batches and annotated

@@ -7,15 +7,14 @@
 //! format from outside: a change to any of them is a format change and
 //! needs a version bump, not a new constant.
 //!
-//! Covered: `mergepurge load` (cold load, single and two-shard layout) on
-//! the seeded 10k database, and library-level checkpoints — single-store
-//! and sharded — after three deterministic batches with fixed trace ids,
-//! with the journals those batches left (the root one and both shards').
-//! Every layout keeps the same `snapshot.mps`, so the sharded legs are
-//! pinned to the single-store digests: the shard count changes only
-//! which journals sit beside it. The second half is a property test:
-//! random engine states round-trip view → bytes → decode → restore → view
-//! to identical bytes, whatever shard count ingested them.
+//! Covered: `mergepurge load` (cold load) on the seeded 10k database, and
+//! library-level checkpoints after three deterministic batches with fixed
+//! trace ids, with the journal those batches left. An engine scanning in
+//! several bands writes the same journal and snapshot bytes as one
+//! scanning in one, so the banded leg is pinned to the same digests. The
+//! second half is a property test: random engine states round-trip view →
+//! bytes → decode → restore → view to identical bytes, whatever band
+//! count ingested them.
 
 #![cfg(unix)]
 
@@ -25,7 +24,7 @@ use mp_datagen::{DatabaseGenerator, GeneratorConfig};
 use mp_metrics::MetricsRecorder;
 use mp_record::Record;
 use mp_rules::NativeEmployeeTheory;
-use mp_store::{JOURNAL_FILE, MANIFEST_FILE, SNAPSHOT_FILE};
+use mp_store::{JOURNAL_FILE, SNAPSHOT_FILE};
 use std::path::{Path, PathBuf};
 use std::process::Command;
 
@@ -91,49 +90,37 @@ fn cold_load_of_the_seeded_10k_database_commits_the_pinned_bytes() {
         "7",
     ]);
     let single = dir.join("single");
-    let sharded = dir.join("sharded");
-    for (store, shards) in [(&single, "1"), (&sharded, "2")] {
-        mergepurge(&[
-            "load",
-            "--input",
-            db,
-            "--store",
-            store.to_str().unwrap(),
-            "--shards",
-            shards,
-            "--memory-budget",
-            "1500",
-        ]);
-        no_tmp_files(store);
-    }
-    for (store, layout) in [(&single, "--shards 1"), (&sharded, "--shards 2")] {
-        assert_eq!(
-            digest(&store.join(SNAPSHOT_FILE)),
-            (2_996_312, 0xd19c_3ba8_217c_d2df),
-            "snapshot.mps of `load {layout}`"
-        );
-    }
+    mergepurge(&[
+        "load",
+        "--input",
+        db,
+        "--store",
+        single.to_str().unwrap(),
+        "--memory-budget",
+        "1500",
+    ]);
+    no_tmp_files(&single);
+    assert_eq!(
+        digest(&single.join(SNAPSHOT_FILE)),
+        (2_996_312, 0xd19c_3ba8_217c_d2df),
+        "snapshot.mps of `load`"
+    );
     assert_eq!(digest(&single.join(JOURNAL_FILE)), PINNED_EMPTY_JOURNAL);
-    assert_sharded_layout(&sharded);
+    assert_one_journal_layout(&single);
     let _ = std::fs::remove_dir_all(&dir);
 }
 
 /// A journal holding only its header (what a checkpoint's reset leaves).
 const PINNED_EMPTY_JOURNAL: (u64, u64) = (8, 0xdc72_ec41_e1e5_db8c);
-/// `manifest.mpm` of a two-shard store.
-const PINNED_MANIFEST_2: (u64, u64) = (16, 0x8996_224c_5c32_4f9d);
-
-/// What a two-shard store keeps beside its snapshot after a load or a
-/// checkpoint: the manifest and two header-only journals, and nothing
-/// else.
-fn assert_sharded_layout(store: &Path) {
-    assert_eq!(digest(&store.join(MANIFEST_FILE)), PINNED_MANIFEST_2);
-    for k in 0..2 {
-        let shard = store.join(format!("shard-{k}"));
-        assert_eq!(digest(&shard.join(JOURNAL_FILE)), PINNED_EMPTY_JOURNAL);
-        assert_eq!(std::fs::read_dir(&shard).unwrap().count(), 1, "shard {k}");
-    }
-    no_tmp_files(store);
+/// What a store directory holds after a load or a checkpoint: the
+/// snapshot and the journal, and nothing else.
+fn assert_one_journal_layout(store: &Path) {
+    let mut names: Vec<String> = std::fs::read_dir(store)
+        .unwrap()
+        .map(|e| e.unwrap().file_name().to_string_lossy().into_owned())
+        .collect();
+    names.sort();
+    assert_eq!(names, [JOURNAL_FILE, SNAPSHOT_FILE]);
 }
 
 fn configure(e: IncrementalMergePurge) -> IncrementalMergePurge {
@@ -176,33 +163,26 @@ fn single_store_checkpoint_writes_the_pinned_bytes() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// `snapshot.mps` after [`three_batches`] with [`TRACES`], in any layout.
+/// `snapshot.mps` after [`three_batches`] with [`TRACES`].
 const PINNED_CHECKPOINT: (u64, u64) = (271_793, 0x99fc_2a35_0432_7376);
-/// `shard-0/journal.mpj` and `shard-1/journal.mpj` of a two-shard store
-/// after [`three_batches`] with [`TRACES`], before the checkpoint (recorded
-/// when each shard journal still had a worker thread of its own).
-const PINNED_SHARD_JOURNALS: [(u64, u64); 2] = [
-    (102_852, 0xbbd8_7342_a75d_e5e7),
-    (66_870, 0xdda3_026a_cfaf_4b95),
-];
 
+/// An engine scanning each pass in two bands journals and checkpoints the
+/// bytes the one-band engine does, and a restart at one band decodes that
+/// checkpoint into an engine that re-encodes it byte for byte.
 #[test]
-fn sharded_checkpoint_writes_the_single_store_snapshot() {
-    let dir = tmp_dir("sharded-ckpt");
+fn banded_checkpoint_writes_the_single_store_bytes() {
+    let dir = tmp_dir("banded-ckpt");
     let theory = NativeEmployeeTheory::new();
     let recorder = MetricsRecorder::new();
     let (mut d, _) = DurableIncremental::open(&dir, 2, configure, &theory, &recorder).unwrap();
     for (batch, trace) in three_batches().into_iter().zip(TRACES) {
         d.ingest(batch, Some(trace), &theory, &recorder).unwrap();
     }
-    for (k, pinned) in PINNED_SHARD_JOURNALS.into_iter().enumerate() {
-        let journal = dir.join(format!("shard-{k}")).join(JOURNAL_FILE);
-        assert_eq!(
-            digest(&journal),
-            pinned,
-            "shard-{k} journal of three batches"
-        );
-    }
+    assert_eq!(
+        digest(&dir.join(JOURNAL_FILE)),
+        (169_570, 0xcd6f_34c3_3150_7778),
+        "journal of three traced batches"
+    );
     let bytes = d.checkpoint(&recorder).unwrap();
     assert_eq!(
         bytes, PINNED_CHECKPOINT.0,
@@ -212,12 +192,11 @@ fn sharded_checkpoint_writes_the_single_store_snapshot() {
     assert_eq!(
         digest(&dir.join(SNAPSHOT_FILE)),
         PINNED_CHECKPOINT,
-        "snapshot.mps after three batches scattered over two shards"
+        "snapshot.mps after three batches scanned in two bands"
     );
-    assert_sharded_layout(&dir);
-    // A restart decodes that one file into an engine that re-encodes it
-    // byte for byte.
-    let (d, report) = DurableIncremental::open(&dir, 2, configure, &theory, &recorder).unwrap();
+    assert_eq!(digest(&dir.join(JOURNAL_FILE)), PINNED_EMPTY_JOURNAL);
+    assert_one_journal_layout(&dir);
+    let (d, report) = DurableIncremental::open(&dir, 1, configure, &theory, &recorder).unwrap();
     assert!(report.snapshot_loaded);
     assert_eq!((report.batches_replayed, d.store().next_seq()), (0, 4));
     assert_eq!(
@@ -238,7 +217,7 @@ proptest::proptest! {
     /// database with no duplicates, provenance on or off) encodes to
     /// bytes that decode, restore, and re-encode identically; and an
     /// engine that ingested the same batches in 1..=4 banded scans — as a
-    /// sharded daemon does — encodes to the very same bytes.
+    /// daemon on a many-core host does — encodes to the very same bytes.
     #[test]
     fn view_bytes_survive_decode_restore_and_sharded_ingest(
         seed in 0u64..1000,
