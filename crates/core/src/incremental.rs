@@ -38,7 +38,7 @@
 //! closure classes as an uninterrupted run (tests enforce this too).
 
 use crate::fan_out;
-use crate::key::KeySpec;
+use crate::key::{KeyArena, KeySpec};
 use crate::radix::{chunked_str_cmp, insert_sorted};
 use crate::window::{Found, FoundList, ScanCounts, WindowScan};
 use mp_closure::{ClassRing, ClusterSizes, MergeEdge, PairSet, ProvenanceLog, UnionFind};
@@ -179,7 +179,7 @@ impl IncrementalMergePurge {
                 window: window as u32,
                 pairs_found: 0,
                 pairs_first_found: 0,
-                keys: Vec::new(),
+                keys: KeyArena::new(),
                 order: Vec::new(),
             },
             key,
@@ -593,19 +593,18 @@ pub struct Evidence {
 fn merge_pass(pass: &mut PassState, records: &[Record], old_len: u32) -> Vec<usize> {
     let PassState { key, snap: pass } = pass;
 
-    let mut buf = String::new();
     for r in &records[old_len as usize..] {
-        key.extract_into(r, &mut buf);
-        pass.keys.push(buf.clone());
+        pass.keys.push_with(|buf| key.extract_into_append(r, buf));
     }
     let keys = &pass.keys;
+    let key = |id: u32| keys.get(id as usize);
     let mut batch_order: Vec<u32> = (old_len..records.len() as u32).collect();
-    batch_order.sort_by(|&a, &b| chunked_str_cmp(&keys[a as usize], &keys[b as usize]));
+    batch_order.sort_by(|&a, &b| chunked_str_cmp(key(a), key(b)));
 
     // Old record ids are always smaller, so ties keep old first —
     // matching a from-scratch stable sort.
     insert_sorted(&mut pass.order, &batch_order, keys, |old, new| {
-        chunked_str_cmp(&keys[old as usize], &keys[new as usize]).is_le()
+        chunked_str_cmp(key(old), key(new)).is_le()
     })
 }
 

@@ -90,17 +90,17 @@ pub(crate) fn merge_sorted(a: &[u32], b: &[u32], le: impl Fn(u32, u32) -> bool) 
 /// batch entry bisects the whole of `order`, at most `⌈log2(N+1)⌉` calls of
 /// `le(old, new)` each, and the entries between slots move as blocks.
 ///
-/// `keys` is what `le` reads: `keys[id]` for an `order` entry `id`. A probe
-/// is three dependent misses — the `order` slot, the key header it names,
-/// the key bytes — so the entries bisect in lockstep, one level at a time,
-/// and before a level's comparisons one sweep over the batch prefetches
-/// every probed slot, the next every key header, the next every key's
+/// `keys` is what `le` reads: `keys.get(id)` for an `order` entry `id`. A
+/// probe is three dependent misses — the `order` slot, the key's span it
+/// names, the key bytes — so the entries bisect in lockstep, one level at a
+/// time, and before a level's comparisons one sweep over the batch
+/// prefetches every probed slot, the next every span, the next every key's
 /// bytes: each hop's misses overlap across the batch instead of queueing
 /// one behind another.
 pub(crate) fn insert_sorted(
     order: &mut Vec<u32>,
     batch: &[u32],
-    keys: &[String],
+    keys: &KeyArena,
     le: impl Fn(u32, u32) -> bool,
 ) -> Vec<usize> {
     // Slots first, in `order`'s old coordinates: how many old entries stay
@@ -114,14 +114,9 @@ pub(crate) fn insert_sorted(
             .iter()
             .filter_map(mid)
             .for_each(|m| prefetch(&order[m]));
-        let probed = || {
-            bounds
-                .iter()
-                .filter_map(mid)
-                .map(|m| &keys[order[m] as usize])
-        };
-        probed().for_each(|key| prefetch(key));
-        probed().for_each(|key| prefetch(key.as_ptr()));
+        let probed = || bounds.iter().filter_map(mid).map(|m| order[m] as usize);
+        probed().for_each(|id| prefetch(keys.span_addr(id)));
+        probed().for_each(|id| prefetch(keys.key_addr(id)));
         live = false;
         for (&new, bound) in batch.iter().zip(&mut bounds) {
             if let Some(m) = mid(bound) {
@@ -280,10 +275,10 @@ mod tests {
     use mp_metrics::NoopObserver;
     use proptest::prelude::*;
 
-    fn arena_of(keys: &[&str]) -> KeyArena {
+    fn arena_of(keys: &[impl AsRef<str>]) -> KeyArena {
         let mut arena = KeyArena::new();
         for k in keys {
-            arena.push_str(k);
+            arena.push_str(k.as_ref());
         }
         arena
     }
@@ -307,10 +302,10 @@ mod tests {
 
     /// Ids `0..old` and `old..keys.len()`, each stably sorted by key: an
     /// existing order and a sorted batch, as the incremental engine has them.
-    fn sorted_runs(keys: &[String], old: usize) -> (Vec<u32>, Vec<u32>) {
+    fn sorted_runs(keys: &KeyArena, old: usize) -> (Vec<u32>, Vec<u32>) {
         let run = |ids: std::ops::Range<usize>| {
             let mut ids: Vec<u32> = ids.map(|i| i as u32).collect();
-            ids.sort_by(|&a, &b| keys[a as usize].cmp(&keys[b as usize]));
+            ids.sort_by(|&a, &b| keys.get(a as usize).cmp(keys.get(b as usize)));
             ids
         };
         (run(0..old), run(old..keys.len()))
@@ -329,11 +324,12 @@ mod tests {
             .map(|i| format!("{i:05}"))
             .chain([500, 1500, 2500, 3500].map(|i| format!("{i:05}X")))
             .collect();
+        let keys = arena_of(&keys);
         let (mut order, batch) = sorted_runs(&keys, 4096);
         let calls = std::cell::Cell::new(0);
         let landed = insert_sorted(&mut order, &batch, &keys, |old, new| {
             calls.set(calls.get() + 1);
-            keys[old as usize] <= keys[new as usize]
+            keys.get(old as usize) <= keys.get(new as usize)
         });
         assert_eq!(landed, vec![501, 1502, 2503, 3504]);
         assert_eq!(search_budget(4096, 4), 4 * 13);
@@ -448,15 +444,17 @@ mod tests {
                 .enumerate()
                 .map(|(i, k)| format!("{}{k}", if i < old { "M" } else { ["M", "A", "Z"][place] }))
                 .collect();
+            let keys = arena_of(&keys);
+            let key = |id: u32| keys.get(id as usize);
             let (order, batch) = sorted_runs(&keys, old);
-            let want = merge_sorted(&order, &batch, |a, b| keys[a as usize] <= keys[b as usize]);
+            let want = merge_sorted(&order, &batch, |a, b| key(a) <= key(b));
 
             let calls = std::cell::Cell::new(0);
             let mut got = order.clone();
             let landed = insert_sorted(&mut got, &batch, &keys, |a, b| {
                 prop_assert!((a as usize) < old && b as usize >= old, "le(old, new) only");
                 calls.set(calls.get() + 1);
-                keys[a as usize] <= keys[b as usize]
+                key(a) <= key(b)
             });
             prop_assert_eq!(&got, &want);
             prop_assert_eq!(landed.iter().map(|&at| got[at]).collect::<Vec<_>>(), batch.clone());

@@ -15,7 +15,20 @@
 //! 3. **the last merge level streams into the scan**: a
 //!    [`MergeStream`] over the remaining runs feeds `WindowScan::stream`
 //!    directly, holding only the window's worth of records. The fully
-//!    merged run is never written or re-read.
+//!    merged run is never written or re-read;
+//! 4. **one fold** takes the passes' matches into the pair set and the
+//!    closure.
+//!
+//! Steps 2 and 3 are a pass's own: §4 runs the passes of a multi-pass
+//! run on processors of their own, and so does the loader — each pass
+//! merges and scans on a worker of its own (pass `K` on lane
+//! `bulk-pass-K`, pass 0 on the calling thread), collecting its matches
+//! in scan order. The fold then runs on the calling thread, pass by pass
+//! in configuration order. A load costs its run formation, its slowest
+//! pass and the fold, not the sum of the passes. Run formation itself is
+//! not spread over the keys: it sets the load's peak memory, and one
+//! chunk keyed per key at a time keeps that peak where a serial load has
+//! it.
 //!
 //! A load over `k` passes therefore costs `1 + Σ_pass (levels + 1)` data
 //! passes, where `levels` is the pass's intermediate merge levels (zero
@@ -38,23 +51,34 @@
 //!   each window farthest-predecessor-first — `WindowScan::stream` here
 //!   and the engine's `WindowScan::band` are two drivers of one kernel;
 //! * passes fold into the global pair set and closure sequentially, in
-//!   configuration order, as `add_batch` does.
+//!   configuration order, each pass's matches in scan order, as
+//!   `add_batch` does. The scan is unpruned — it never reads the
+//!   closure — so a pass's matches do not depend on when the other
+//!   passes run, and folding them afterwards gives the counters, the
+//!   pairs and the union order (hence the closure forest and the
+//!   snapshot bytes) of a load that scanned its passes one after
+//!   another.
 //!
 //! A bulk-loaded state therefore checkpoints to a snapshot that a
 //! restarted daemon cannot distinguish from one built by ingesting the
 //! whole file as a single batch — `batches_applied` is 1 by definition.
 //!
-//! What stays in memory: per-pass keys and order (a few dozen bytes per
-//! record), the pair set, and the union-find — never the records
-//! themselves. Peak record residency is `memory_records` during run
-//! formation (one key's arena at a time per thread) and `window` during
-//! the scan.
+//! What stays in memory: per pass, its keys in one [`KeyArena`] (a span
+//! and the key's bytes, ≈ 24 bytes a key) and its order (4 bytes a
+//! record), both filled by record id as the merged entries arrive, plus
+//! the pass's match list until the fold; then the pair set and the
+//! union-find — never the records themselves. All of these are allocated
+//! on the calling thread before the passes start (the arena's byte buffer
+//! sized exactly from run formation's key bytes), so the workers only
+//! fill them. Peak record residency is `memory_records` during run
+//! formation (one key's arena at a time per thread) and, during the
+//! scans, one window per pass, the passes' windows side by side.
 
 use crate::sorter::{check_config, form_runs, merge_levels, MergeStream};
 use crate::{ExternalConfig, IoStats};
 use merge_purge::incremental::PassSnapshot;
-use merge_purge::window::{Candidate, ScanSink, WindowScan};
-use merge_purge::KeySpec;
+use merge_purge::window::{FoundList, WindowScan};
+use merge_purge::{fan_out, KeyArena, KeySpec};
 use mp_closure::{PairSet, UnionFind};
 use mp_metrics::{span, span_labeled, Counter, NoopObserver, Phase, PipelineObserver};
 use mp_rules::EquationalTheory;
@@ -183,9 +207,11 @@ impl BulkLoader {
     /// summed over passes, plus the scan counters (`Comparisons`,
     /// `RuleInvocations`, `Matches`, `RecordsKeyed`) the durable ingest
     /// path reports. Spans: one `run_formation` (with its `run_gen` and
-    /// `spill` children), then per pass a `bulk_pass` holding `merge` (only
-    /// when intermediate levels run) and `window_scan`. The caller opens
-    /// the enclosing `bulk_load` span, so a commit can sit beside them.
+    /// `spill` children), then per pass, on the pass's own lane, a
+    /// `bulk_pass` holding `merge` (only when intermediate levels run) and
+    /// `window_scan`; the passes overlap, so [`Phase::WindowScan`] sums
+    /// their scans. The caller opens the enclosing `bulk_load` span, so a
+    /// commit can sit beside them.
     pub fn load_observed(
         &self,
         input: &Path,
@@ -208,6 +234,88 @@ impl BulkLoader {
             form_runs(&keys, &self.config, input, work_dir, false, observer)?
         };
         let records = formed.records;
+
+        // Every buffer that outlives a pass's worker is allocated here, on
+        // the calling thread, and sized before the workers start: the
+        // order, the key arena (its byte buffer exactly), the match list.
+        // Workers only fill them, so what a worker allocates for itself is
+        // freed when it finishes and the load's peak stays that of a serial
+        // load. A pass finds matches for a fraction of its records (about a
+        // third at w = 40); past `records` its list grows on the worker.
+        let lanes: Vec<_> = self
+            .passes
+            .iter()
+            .zip(formed.runs)
+            .zip(formed.key_bytes)
+            .map(|(((key, window), runs), key_bytes)| {
+                let pass = PassSnapshot {
+                    key_name: key.name().to_string(),
+                    window: *window as u32,
+                    pairs_found: 0,
+                    pairs_first_found: 0,
+                    keys: KeyArena::with_slots(records, key_bytes),
+                    order: Vec::with_capacity(records),
+                };
+                let mut found = FoundList::new(0, false);
+                found.found.reserve_exact(records);
+                (pass, runs, found)
+            })
+            .collect();
+
+        // The passes are independent until their matches meet in the pair
+        // set and the closure, so each merges and scans on its own worker.
+        let scanned = fan_out(
+            lanes,
+            |k| format!("bulk-pass-{k}"),
+            |k, (mut pass, runs, mut found)| {
+                let _pass_span = span_labeled(observer, "bulk_pass", || {
+                    format!("{} w={}", pass.key_name, pass.window)
+                });
+                // Intermediate levels until at most fan_in runs remain; the
+                // last level is never written — it streams into the scan.
+                let mut io = IoStats::default();
+                let runs = merge_levels(
+                    runs,
+                    self.config.fan_in,
+                    &self.config,
+                    work_dir,
+                    k,
+                    &mut io,
+                    observer,
+                )?;
+                io.add_sweep();
+                if runs.len() > 1 {
+                    observer.add(Counter::MergeFanIn, runs.len() as u64);
+                }
+                observer.add(Counter::RecordsKeyed, records as u64);
+
+                // Streaming window scan over the merged runs, filling the
+                // pass's key arena and order as the records go by.
+                let t_scan = Instant::now();
+                let _scan_span = span(observer, "window_scan");
+                let mut merged = MergeStream::open(&runs)?;
+                let next = || {
+                    let entry = merged.next_entry()?;
+                    io::Result::Ok(entry.map(|(run_key, record)| {
+                        pass.keys.set(record.id.0 as usize, &run_key);
+                        pass.order.push(record.id.0);
+                        record
+                    }))
+                };
+                let counts = WindowScan::new(pass.window as usize, theory, observer)
+                    .stream(next, &mut found)?;
+                observer.phase_ns(Phase::WindowScan, t_scan.elapsed().as_nanos() as u64);
+                counts.report(observer);
+                observer.add(Counter::Matches, found.found.len() as u64);
+                io.records_read += merged.records_read();
+                io::Result::Ok((pass, found.found, counts.comparisons, io))
+            },
+        );
+
+        // One fold in configuration order, each pass's matches in scan
+        // order: what the serial load did as the matches arrived. Every
+        // match counts for its pass; the ones new to the global pair set
+        // count as first found and extend the closure, in found order.
         let mut out = BulkOutcome {
             records,
             passes: Vec::with_capacity(self.passes.len()),
@@ -219,64 +327,19 @@ impl BulkLoader {
                 ..BulkLoadStats::default()
             },
         };
-
-        for (k, ((key, window), runs)) in self.passes.iter().zip(formed.runs).enumerate() {
-            let _pass_span = span_labeled(observer, "bulk_pass", || {
-                format!("{} w={window}", key.name())
-            });
-            // Intermediate levels until at most fan_in runs remain; the
-            // last level is never written — it streams into the scan.
-            let io = &mut out.stats.io;
-            let runs = merge_levels(
-                runs,
-                self.config.fan_in,
-                &self.config,
-                work_dir,
-                k,
-                io,
-                observer,
-            )?;
-            io.add_sweep();
-            if runs.len() > 1 {
-                observer.add(Counter::MergeFanIn, runs.len() as u64);
+        for scan in scanned {
+            let (mut pass, found, comparisons, io) = scan?;
+            pass.pairs_found = found.len() as u64;
+            for &(a, b, _) in &found {
+                if out.pairs.insert(a, b) {
+                    pass.pairs_first_found += 1;
+                    out.closure.union(a, b);
+                }
             }
-
-            let mut pass = PassSnapshot {
-                key_name: key.name().to_string(),
-                window: *window as u32,
-                pairs_found: 0,
-                pairs_first_found: 0,
-                keys: vec![String::new(); records],
-                order: Vec::with_capacity(records),
-            };
-            observer.add(Counter::RecordsKeyed, records as u64);
-
-            // Streaming window scan over the merged runs, rebuilding the
-            // pass's key list and order as the records go by.
-            let t_scan = Instant::now();
-            let _scan_span = span(observer, "window_scan");
-            let mut merged = MergeStream::open(&runs)?;
-            let next = || {
-                let entry = merged.next_entry()?;
-                io::Result::Ok(entry.map(|(run_key, record)| {
-                    pass.keys[record.id.0 as usize] = run_key;
-                    pass.order.push(record.id.0);
-                    record
-                }))
-            };
-            let mut sink = BulkSink {
-                pairs: &mut out.pairs,
-                closure: &mut out.closure,
-                pairs_found: &mut pass.pairs_found,
-                pairs_first_found: &mut pass.pairs_first_found,
-            };
-            let counts = WindowScan::new(*window, theory, observer).stream(next, &mut sink)?;
-            observer.phase_ns(Phase::WindowScan, t_scan.elapsed().as_nanos() as u64);
-            counts.report(observer);
-            observer.add(Counter::Matches, pass.pairs_found);
-
-            out.comparisons += counts.comparisons;
-            out.stats.io.records_read += merged.records_read();
+            out.comparisons += comparisons;
+            out.stats.io.records_read += io.records_read;
+            out.stats.io.records_written += io.records_written;
+            out.stats.io.sweeps += io.sweeps;
             out.passes.push(pass);
         }
 
@@ -284,29 +347,6 @@ impl BulkLoader {
         out.stats.comparisons = out.comparisons;
         out.stats.pairs = out.pairs.len() as u64;
         Ok(out)
-    }
-}
-
-/// The bulk sink: every window match counts for its pass, and the ones
-/// new to the global pair set extend the closure — what the incremental
-/// engine's fold does to a found-list, applied as the matches arrive.
-/// Unpruned, like incremental ingest: the committed pair set is defined
-/// as every window match.
-struct BulkSink<'a> {
-    pairs: &'a mut PairSet,
-    closure: &'a mut UnionFind,
-    pairs_found: &'a mut u64,
-    pairs_first_found: &'a mut u64,
-}
-
-impl ScanSink for BulkSink<'_> {
-    #[inline]
-    fn matched(&mut self, pair: &Candidate<'_>, _rule: u32) {
-        *self.pairs_found += 1;
-        if self.pairs.insert(pair.prev_at, pair.new_at) {
-            *self.pairs_first_found += 1;
-            self.closure.union(pair.prev_at, pair.new_at);
-        }
     }
 }
 
@@ -401,6 +441,59 @@ mod tests {
                 }
             }
         }
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// The passes scan side by side and fold afterwards, and that changes
+    /// nothing: a three-key load equals three one-key loads folded one
+    /// after another in configuration order. Each pass keeps the keys and
+    /// order its own load builds; `pairs_found` is its own pair count (a
+    /// pass meets each window pair once); `pairs_first_found` counts the
+    /// pairs no earlier pass found; the pairs are the union and the
+    /// classes its closure.
+    #[test]
+    fn a_three_key_load_equals_one_key_loads_folded_in_order() {
+        let theory = NativeEmployeeTheory::new();
+        let dir = work_dir("fold");
+        let (input, _) = write_db(500, 7003, &dir);
+        let config = ExternalConfig {
+            memory_records: 41,
+            fan_in: 3,
+            threads: 2,
+        };
+        let [_, _, passes] = key_sets();
+        let outcome = loader(&passes, config).load(&input, &dir, &theory).unwrap();
+        assert_eq!(outcome.passes.len(), 3);
+
+        let mut pairs = PairSet::new();
+        let mut closure = UnionFind::new(outcome.records);
+        let mut comparisons = 0;
+        for (got, pass) in outcome.passes.iter().zip(&passes) {
+            let single = loader(std::slice::from_ref(pass), config)
+                .load(&input, &dir, &theory)
+                .unwrap();
+            let want = &single.passes[0];
+            let tag = want.key_name.as_str();
+            assert_eq!(got.key_name, want.key_name);
+            assert_eq!(got.window, want.window, "{tag}");
+            assert_eq!(got.keys, want.keys, "{tag}");
+            assert_eq!(got.order, want.order, "{tag}");
+            assert_eq!(want.pairs_found, single.pairs.len() as u64, "{tag}");
+            assert_eq!(got.pairs_found, want.pairs_found, "{tag}");
+            let mut first_found = 0;
+            for (a, b) in single.pairs.sorted() {
+                if pairs.insert(a, b) {
+                    first_found += 1;
+                    closure.union(a, b);
+                }
+            }
+            assert_eq!(got.pairs_first_found, first_found, "{tag}");
+            comparisons += single.comparisons;
+        }
+        assert!(pairs.len() < outcome.passes.iter().map(|p| p.pairs_found).sum::<u64>() as usize);
+        assert_eq!(outcome.comparisons, comparisons);
+        assert_eq!(outcome.pairs.sorted(), pairs.sorted());
+        assert_eq!(outcome.closure.clone().classes(), closure.classes());
         let _ = std::fs::remove_dir_all(&dir);
     }
 

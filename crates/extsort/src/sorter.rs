@@ -86,9 +86,10 @@ impl Drop for TempFile {
 }
 
 /// What one sweep of the input formed: per key (in the order given), its
-/// sorted runs in input order.
+/// sorted runs in input order and the total length of its keys.
 pub(crate) struct FormedRuns {
     pub(crate) runs: Vec<Vec<TempFile>>,
+    pub(crate) key_bytes: Vec<usize>,
     pub(crate) records: usize,
     /// One sweep: every record read once, written once per key.
     pub(crate) io: IoStats,
@@ -203,6 +204,7 @@ pub(crate) fn form_runs(
     io_stats.add_sweep();
 
     let mut runs: Vec<Vec<TempFile>> = keys.iter().map(|_| Vec::new()).collect();
+    let mut key_bytes = vec![0usize; keys.len()];
     let (mut next_run, mut bytes_spilled, mut spill_runs) = (0usize, 0u64, 0u64);
     let mut chunk: Vec<Record> = Vec::with_capacity(config.memory_records);
     loop {
@@ -228,7 +230,8 @@ pub(crate) fn form_runs(
         )?;
         next_run += bands.len();
         for band in bands {
-            for (k, run) in band.into_iter().enumerate() {
+            for (k, (run, bytes)) in band.into_iter().enumerate() {
+                key_bytes[k] += bytes;
                 bytes_spilled += std::fs::metadata(run.path())?.len();
                 spill_runs += u64::from(budget_full);
                 runs[k].push(run);
@@ -246,6 +249,7 @@ pub(crate) fn form_runs(
     observer.phase_ns(Phase::RunFormation, t_runs.elapsed().as_nanos() as u64);
     Ok(FormedRuns {
         runs,
+        key_bytes,
         records,
         io: io_stats,
     })
@@ -253,7 +257,8 @@ pub(crate) fn form_runs(
 
 /// Conditions, then per key extracts, sorts and spills one memory-budget
 /// chunk as `threads` contiguous sub-runs (one when `threads == 1`).
-/// Worker `b` owns `chunk[bands[b]]` and returns its run per key; because
+/// Worker `b` owns `chunk[bands[b]]` and returns its run per key, with the
+/// run's key bytes; because
 /// record ids ascend in input order, each sub-run is (key, id)-sorted and
 /// the merge invariants make the final order independent of the split.
 fn form_chunk(
@@ -264,8 +269,8 @@ fn form_chunk(
     work_dir: &Path,
     nicknames: Option<&NicknameTable>,
     observer: &dyn PipelineObserver,
-) -> io::Result<Vec<Vec<TempFile>>> {
-    let run_one = |slice: &mut [Record], run_idx: usize| -> io::Result<Vec<TempFile>> {
+) -> io::Result<Vec<Vec<(TempFile, usize)>>> {
+    let run_one = |slice: &mut [Record], run_idx: usize| -> io::Result<Vec<(TempFile, usize)>> {
         if let Some(table) = nicknames {
             mp_record::normalize::condition_all(slice, table);
         }
@@ -288,7 +293,7 @@ fn form_chunk(
                     w.write(arena.get(i as usize), &slice[i as usize])?;
                 }
                 w.finish()?;
-                Ok(run)
+                Ok((run, arena.bytes()))
             })
             .collect()
     };

@@ -19,7 +19,9 @@
 //! * [`io`] — a simple pipe-separated flat-file format for persisting
 //!   generated databases, read by one line reader ([`RecordStream`], one
 //!   reused line buffer, one allocation per non-empty field) and written
-//!   through a buffer.
+//!   through a buffer;
+//! * [`key`] — the §2.4 sort keys a pass builds from a record's fields,
+//!   and the [`KeyArena`] a pass keeps them in.
 //!
 //! [`Record`] is deliberately a plain owned struct: the sorted-neighborhood
 //! method sorts multi-hundred-megabyte lists of them, and flat ownership
@@ -27,6 +29,7 @@
 
 pub mod field;
 pub mod io;
+pub mod key;
 pub mod nickname;
 pub mod normalize;
 pub mod record;
@@ -34,6 +37,7 @@ pub mod spell;
 
 pub use field::Field;
 pub use io::RecordStream;
+pub use key::{KeyArena, KeyPart, KeySpec};
 pub use nickname::NicknameTable;
 pub use record::{EntityId, Record, RecordId};
 pub use spell::SpellCorrector;

@@ -65,6 +65,11 @@ impl<'a> Reader<'a> {
         Ok(s)
     }
 
+    /// Steps over `n` bytes.
+    pub fn skip(&mut self, n: usize) -> Result<(), String> {
+        self.take(n).map(drop)
+    }
+
     /// Reads a `u32`.
     pub fn u32(&mut self) -> Result<u32, String> {
         Ok(u32::from_le_bytes(self.take(4)?.try_into().unwrap()))
@@ -77,9 +82,14 @@ impl<'a> Reader<'a> {
 
     /// Reads a length-prefixed UTF-8 string.
     pub fn str(&mut self) -> Result<String, String> {
+        self.str_ref().map(String::from)
+    }
+
+    /// Reads a length-prefixed UTF-8 string in place, copying nothing.
+    pub fn str_ref(&mut self) -> Result<&'a str, String> {
         let len = self.u32()? as usize;
         let bytes = self.take(len)?;
-        String::from_utf8(bytes.to_vec()).map_err(|_| "invalid UTF-8 in string".to_string())
+        std::str::from_utf8(bytes).map_err(|_| "invalid UTF-8 in string".to_string())
     }
 
     /// Fails unless every byte has been consumed — encoders write exact

@@ -39,7 +39,7 @@
 use crate::codec::{self, Crc32, Reader};
 use crate::StoreError;
 use mp_closure::{ProvenanceLog, UnionFind};
-use mp_record::Record;
+use mp_record::{KeyArena, Record};
 use std::borrow::Cow;
 use std::io::{self, Seek, SeekFrom, Write};
 
@@ -63,8 +63,8 @@ pub struct PassSnapshot {
     pub pairs_found: u64,
     /// Of those, pairs no earlier scan of any pass had already recorded.
     pub pairs_first_found: u64,
-    /// Extracted sort key per record, indexed by record id.
-    pub keys: Vec<String>,
+    /// Extracted sort key per record, indexed by record id, in one arena.
+    pub keys: KeyArena,
     /// Record ids in sorted key order (stable: ties keep smaller id first).
     pub order: Vec<u32>,
 }
@@ -211,11 +211,7 @@ impl Snapshot {
                 let window = r.u32()?;
                 let pairs_found = r.u64()?;
                 let pairs_first_found = r.u64()?;
-                let nk = r.u32()? as usize;
-                let mut keys = Vec::with_capacity(nk.min(r.remaining()));
-                for _ in 0..nk {
-                    keys.push(r.str()?);
-                }
+                let keys = take_keys(&mut r)?;
                 let no = r.u32()? as usize;
                 let mut order = Vec::with_capacity(no.min(r.remaining() / 4 + 1));
                 for _ in 0..no {
@@ -306,6 +302,27 @@ impl Snapshot {
             provenance,
         })
     }
+}
+
+/// Reads one pass's key list — a `u32` count, then each key as a
+/// length-prefixed string — into one arena, in id order. A first walk over
+/// the length prefixes checks every key against the bytes present and sums
+/// their lengths, so neither the claimed count nor a claimed length sizes
+/// an allocation, and the buffer is allocated once, exactly.
+fn take_keys(r: &mut Reader<'_>) -> Result<KeyArena, String> {
+    let n = r.u32()? as usize;
+    let mut walk = *r;
+    let mut bytes = 0usize;
+    for _ in 0..n {
+        let len = walk.u32()? as usize;
+        walk.skip(len)?;
+        bytes += len;
+    }
+    let mut keys = KeyArena::with_slots(n, bytes);
+    for i in 0..n {
+        keys.set(i, r.str_ref()?);
+    }
+    Ok(keys)
 }
 
 /// Borrowed view of everything a snapshot stores *except* the records,
@@ -461,7 +478,7 @@ impl SnapshotView<'_> {
                 codec::put_u64(&mut s.buf, p.pairs_found);
                 codec::put_u64(&mut s.buf, p.pairs_first_found);
                 codec::put_u32(&mut s.buf, p.keys.len() as u32);
-                for k in &p.keys {
+                for k in p.keys.iter() {
                     codec::put_str(&mut s.buf, k);
                     s.spill()?;
                 }
@@ -534,6 +551,12 @@ mod tests {
     use super::*;
     use mp_record::RecordId;
 
+    fn arena<'k>(keys: impl IntoIterator<Item = &'k str>) -> KeyArena {
+        let mut arena = KeyArena::new();
+        keys.into_iter().for_each(|k| arena.push_str(k));
+        arena
+    }
+
     fn sample() -> Snapshot {
         let records: Vec<Record> = (0..4)
             .map(|i| {
@@ -561,7 +584,7 @@ mod tests {
                 window: 4,
                 pairs_found: 1,
                 pairs_first_found: 1,
-                keys: records.iter().map(|r| r.last_name.clone()).collect(),
+                keys: arena(records.iter().map(|r| r.last_name.as_str())),
                 order: vec![0, 1, 2, 3],
             }],
             records,
@@ -616,11 +639,89 @@ mod tests {
     #[test]
     fn truncation_is_detected() {
         let bytes = sample().encode();
-        for cut in [0, 3, 15, 16, 40, bytes.len() - 1] {
+        for cut in 0..bytes.len() {
             assert!(
-                Snapshot::decode(&bytes[..cut]).is_err(),
+                matches!(Snapshot::decode(&bytes[..cut]), Err(StoreError::Corrupt(_))),
                 "truncation to {cut} bytes went undetected"
             );
+        }
+    }
+
+    /// `bytes` with the `PASS` payload swapped for `payload` under a valid
+    /// CRC, so only the payload's own structure can be at fault.
+    fn with_pass_payload(bytes: &[u8], payload: &[u8]) -> Vec<u8> {
+        let mut out = bytes[..16].to_vec();
+        let mut off = 16;
+        while off < bytes.len() {
+            let tag = &bytes[off..off + 4];
+            let len = u64::from_le_bytes(bytes[off + 4..off + 12].try_into().unwrap()) as usize;
+            let body = &bytes[off + 16..off + 16 + len];
+            let body = if tag == b"PASS" { payload } else { body };
+            out.extend_from_slice(tag);
+            codec::put_u64(&mut out, body.len() as u64);
+            codec::put_u32(&mut out, codec::crc32(body));
+            out.extend_from_slice(body);
+            off += 16 + len;
+        }
+        out
+    }
+
+    /// A `PASS` payload for the sample's one pass, keys given as raw
+    /// `(claimed length, bytes)` after a claimed key count.
+    fn pass_payload(key_count: u32, keys: &[(u32, &[u8])]) -> Vec<u8> {
+        let mut p = Vec::new();
+        codec::put_u32(&mut p, 1);
+        codec::put_str(&mut p, "last-name");
+        codec::put_u32(&mut p, 4);
+        codec::put_u64(&mut p, 1);
+        codec::put_u64(&mut p, 1);
+        codec::put_u32(&mut p, key_count);
+        for &(len, key) in keys {
+            codec::put_u32(&mut p, len);
+            p.extend_from_slice(key);
+        }
+        codec::put_u32(&mut p, 4);
+        (0..4).for_each(|o| codec::put_u32(&mut p, o));
+        p
+    }
+
+    /// Each payload carries a valid CRC and breaks the key list one way:
+    /// the decoder must say `Corrupt` without panicking and without
+    /// allocating what a claimed count or length asks for.
+    #[test]
+    fn a_broken_key_list_under_a_valid_crc_is_corrupt() {
+        let bytes = sample().encode();
+        let keys: [(u32, &[u8]); 4] = [(2, b"L0"), (2, b"L1"), (2, b"L2"), (2, b"L3")];
+        assert_eq!(
+            with_pass_payload(&bytes, &pass_payload(4, &keys)),
+            bytes,
+            "the template rebuilds the sample's own PASS"
+        );
+        let cases: [(&str, Vec<u8>); 6] = [
+            ("key count above the bytes", pass_payload(u32::MAX, &keys)),
+            ("key count one too many", pass_payload(5, &keys)),
+            (
+                "key length past the payload end",
+                pass_payload(4, &[keys[0], keys[1], keys[2], (u32::MAX, b"L3")]),
+            ),
+            (
+                "non-UTF-8 key bytes",
+                pass_payload(4, &[keys[0], (2, b"\xff\xfe"), keys[2], keys[3]]),
+            ),
+            ("fewer keys than records", pass_payload(3, &keys[..3])),
+            (
+                "more keys than records",
+                pass_payload(5, &[keys[0], keys[1], keys[2], keys[3], (2, b"L4")]),
+            ),
+        ];
+        for (what, payload) in cases {
+            match Snapshot::decode(&with_pass_payload(&bytes, &payload)) {
+                Err(StoreError::Corrupt(msg)) => assert!(
+                    msg.contains("PASS") || msg.contains("pass 0"),
+                    "{what}: {msg}"
+                ),
+                other => panic!("{what}: expected Corrupt, got {other:?}"),
+            }
         }
     }
 
@@ -637,7 +738,7 @@ mod tests {
             })
             .collect();
         let n = snap.records.len();
-        snap.passes[0].keys = snap.records.iter().map(|r| r.last_name.clone()).collect();
+        snap.passes[0].keys = arena(snap.records.iter().map(|r| r.last_name.as_str()));
         snap.passes[0].order = (0..n as u32).collect();
         snap.closure.grow(n);
         let bytes = snap.encode();

@@ -3,7 +3,7 @@
 //! cares about — the transitive-closure classes.
 
 use mp_closure::{MergeEdge, ProvenanceLog, UnionFind};
-use mp_record::{Record, RecordId};
+use mp_record::{KeyArena, Record, RecordId};
 use mp_store::{MatchStore, PassSnapshot, Snapshot};
 use proptest::prelude::*;
 use std::path::PathBuf;
@@ -54,10 +54,15 @@ fn build_snapshot(n: usize, raw_pairs: &[(u32, u32)], fields: &[String]) -> Snap
         provenance.note_firing((i % 3) as u32);
     }
     provenance.note_batch_trace(2, "0000beef-00000002");
-    let mut keys: Vec<String> = records.iter().map(|r| r.last_name.clone()).collect();
-    keys.iter_mut().for_each(|k| k.truncate(8));
+    let mut keys = KeyArena::new();
+    records.iter().for_each(|r| keys.push_str(&r.last_name));
+    keys.truncate_keys(8);
     let mut order: Vec<u32> = (0..n as u32).collect();
-    order.sort_by(|&a, &b| keys[a as usize].cmp(&keys[b as usize]).then(a.cmp(&b)));
+    order.sort_by(|&a, &b| {
+        keys.get(a as usize)
+            .cmp(keys.get(b as usize))
+            .then(a.cmp(&b))
+    });
     Snapshot {
         passes: vec![PassSnapshot {
             key_name: "last-name".into(),

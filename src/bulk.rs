@@ -123,10 +123,11 @@ fn run_loader(
 }
 
 /// The loader's outcome as the store's snapshot view: one cold batch.
-/// Bulk loads carry no merge lineage — the external pipeline finds pairs
-/// out of scan order, so there is no well-defined edge log, and explain
-/// against a bulk-loaded base reports connectivity only — hence the
-/// caller-supplied empty `provenance`.
+/// Bulk loads carry no merge lineage, hence the caller-supplied empty
+/// `provenance`: the loader folds each pass's matches in scan order, as
+/// `add_batch` does, but records no edges yet, and recording them would
+/// change the bytes a load commits. Explain against a bulk-loaded base
+/// reports connectivity only.
 fn outcome_view<'a>(
     outcome: &'a BulkOutcome,
     provenance: &'a mp_closure::ProvenanceLog,
