@@ -7,12 +7,12 @@
 //! theory is applied to a window pair. Two *drivers* decide which positions
 //! it visits — [`WindowScan::band`] over a borrowed permutation (the serial
 //! scan, every cluster, every parallel fragment, every incremental band)
-//! and [`WindowScan::stream`] over an owned record stream (the external
-//! engines) — and a [`ScanSink`] decides what happens around each
-//! evaluation: plain accumulation ([`PairSet`]), closure-aware pruning
-//! ([`PrunedSink`]), or an ordered found-list a coordinator folds later
-//! ([`FoundList`]). Everything is monomorphised over the sink; the theory
-//! is the only dynamic call in the loop.
+//! and [`WindowScan::stream`] over a record stream that recycles the
+//! records it evicts (the external engines) — and a [`ScanSink`] decides
+//! what happens around each evaluation: plain accumulation ([`PairSet`]),
+//! closure-aware pruning ([`PrunedSink`]), or an ordered found-list a
+//! coordinator folds later ([`FoundList`]). Everything is monomorphised
+//! over the sink; the theory is the only dynamic call in the loop.
 //!
 //! An in-memory pass (`SortedNeighborhood`, `ClusteringMethod`, and so
 //! `dedupe` and `purge`) calls [`WindowScan::band`] once per core: its
@@ -30,7 +30,7 @@
 use crate::prefetch::{prefetch, prefetch_lines};
 use mp_closure::{PairSet, UnionFind};
 use mp_metrics::{Counter, NoopObserver, PipelineObserver, ScanHooks, LATENCY_SAMPLE_MASK};
-use mp_record::{Field, Record};
+use mp_record::{Field, Record, RecordId};
 use mp_rules::EquationalTheory;
 use std::collections::VecDeque;
 use std::ops::{AddAssign, Range};
@@ -454,24 +454,34 @@ impl<'a> WindowScan<'a> {
     /// the exact comparison sequence of [`band`](Self::band) over the same
     /// order.
     ///
+    /// `next` fills the slot it is handed with the next record and returns
+    /// `true`, or returns `false` at the end of the stream. Once the
+    /// window is full, the slot is the record the window just evicted, so
+    /// a `next` that decodes into it in place (as the external engines'
+    /// run readers do) reuses its field buffers instead of allocating.
+    ///
     /// # Errors
     ///
     /// The first error `next` returns; matches found so far stay in `sink`.
     pub fn stream<S: ScanSink, E>(
         &self,
-        mut next: impl FnMut() -> Result<Option<Record>, E>,
+        mut next: impl FnMut(&mut Record) -> Result<bool, E>,
         sink: &mut S,
     ) -> Result<ScanCounts, E> {
         let mut counts = ScanCounts::default();
         let mut held: VecDeque<Record> = VecDeque::with_capacity(self.window);
-        while let Some(new) = next()? {
+        let mut slot = Record::empty(RecordId(0));
+        while next(&mut slot)? {
+            let new = &slot;
             let from = sink.candidates_from(new.id.0);
             let predecessors = held.iter().map(|r| (r.id.0, move || r));
-            self.position(new.id.0, &new, from, predecessors, sink, &mut counts);
-            if held.len() == self.window - 1 {
-                held.pop_front();
-            }
-            held.push_back(new);
+            self.position(new.id.0, new, from, predecessors, sink, &mut counts);
+            let spare = if held.len() == self.window - 1 {
+                held.pop_front().expect("a full window")
+            } else {
+                Record::empty(RecordId(0))
+            };
+            held.push_back(std::mem::replace(&mut slot, spare));
         }
         Ok(counts)
     }

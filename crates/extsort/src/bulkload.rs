@@ -7,9 +7,11 @@
 //! loader replaces that with the external pipeline, priced in data passes
 //! the way §3.5 prices it:
 //!
-//! 1. **one input sweep forms every pass's runs** — each
-//!    `memory_records` chunk is parsed from text once, then keyed,
-//!    radix-sorted and spilled as binary frames once per pass key;
+//! 1. **one input sweep forms every pass's runs** — each record is parsed
+//!    from text once, its key appended to every pass's chunk arena, its
+//!    run-frame body encoded once, and its snapshot encoding appended to a
+//!    record spill; every `memory_records` records each pass key's arena
+//!    is radix-sorted and spilled as key + body frames;
 //! 2. **per pass, intermediate merge levels** (`fan_in` runs at a time)
 //!    run only while more than `fan_in` runs remain;
 //! 3. **the last merge level streams into the scan**: a
@@ -18,6 +20,9 @@
 //!    merged run is never written or re-read;
 //! 4. **one fold** takes the passes' matches into the pair set and the
 //!    closure.
+//!
+//! The record spill ([`BulkOutcome::records_spill`]) is what a commit
+//! copies into the snapshot's `RECS`, so a load parses its input once.
 //!
 //! Steps 2 and 3 are a pass's own: §4 runs the passes of a multi-pass
 //! run on processors of their own, and so does the loader — each pass
@@ -70,17 +75,21 @@
 //! union-find — never the records themselves. All of these are allocated
 //! on the calling thread before the passes start (the arena's byte buffer
 //! sized exactly from run formation's key bytes), so the workers only
-//! fill them. Peak record residency is `memory_records` during run
-//! formation (one key's arena at a time per thread) and, during the
-//! scans, one window per pass, the passes' windows side by side.
+//! fill them. During run formation one chunk is resident: its
+//! `memory_records` encoded record bodies and, per pass key, their keys —
+//! never a chunk of parsed records; a record lives parsed only while it
+//! is keyed and encoded. During the scans each pass holds one window of
+//! records, the passes' windows side by side; the merge decodes into the
+//! records the window evicts, so a scan allocates nothing per record.
 
-use crate::sorter::{check_config, form_runs, merge_levels, MergeStream};
+use crate::sorter::{check_config, form_runs, merge_levels, MergeStream, RecordSpill};
 use crate::{ExternalConfig, IoStats};
 use merge_purge::incremental::PassSnapshot;
 use merge_purge::window::{FoundList, WindowScan};
 use merge_purge::{fan_out, KeyArena, KeySpec};
 use mp_closure::{PairSet, UnionFind};
 use mp_metrics::{span, span_labeled, Counter, NoopObserver, Phase, PipelineObserver};
+use mp_record::Record;
 use mp_rules::EquationalTheory;
 use std::io;
 use std::path::Path;
@@ -105,12 +114,17 @@ pub struct BulkLoadStats {
 
 /// Everything a bulk load reconstructs: the same state
 /// `IncrementalMergePurge::add_batch` would have built from the file as
-/// one batch, minus the in-memory record list (stream the records back
-/// from the input file when materializing a snapshot).
+/// one batch, with the records left on disk in the record spill run
+/// formation wrote, ready to be copied into a snapshot.
 #[derive(Debug)]
 pub struct BulkOutcome {
     /// Number of records loaded (ids are `0..records`).
     pub records: usize,
+    /// The records in id order and the snapshot's record encoding, under
+    /// the work dir until this outcome is dropped:
+    /// [`RecordSpill::source`] commits them as `RECS` with no second
+    /// parse of the input.
+    pub records_spill: RecordSpill,
     /// Per-pass state in configuration order — the durable snapshot's own
     /// per-pass type (`keys` indexed by record id, `order` the sorted
     /// permutation), so committing it converts nothing.
@@ -231,7 +245,7 @@ impl BulkLoader {
         let keys: Vec<KeySpec> = self.passes.iter().map(|(key, _)| key.clone()).collect();
         let formed = {
             let _formation_span = span(observer, "run_formation");
-            form_runs(&keys, &self.config, input, work_dir, false, observer)?
+            form_runs(&keys, &self.config, input, work_dir, false, true, observer)?
         };
         let records = formed.records;
 
@@ -294,13 +308,14 @@ impl BulkLoader {
                 let t_scan = Instant::now();
                 let _scan_span = span(observer, "window_scan");
                 let mut merged = MergeStream::open(&runs)?;
-                let next = || {
-                    let entry = merged.next_entry()?;
-                    io::Result::Ok(entry.map(|(run_key, record)| {
-                        pass.keys.set(record.id.0 as usize, &run_key);
-                        pass.order.push(record.id.0);
-                        record
-                    }))
+                let mut run_key = String::new();
+                let next = |slot: &mut Record| {
+                    let more = merged.next_into(&mut run_key, slot)?;
+                    if more {
+                        pass.keys.set(slot.id.0 as usize, &run_key);
+                        pass.order.push(slot.id.0);
+                    }
+                    io::Result::Ok(more)
                 };
                 let counts = WindowScan::new(pass.window as usize, theory, observer)
                     .stream(next, &mut found)?;
@@ -318,6 +333,9 @@ impl BulkLoader {
         // count as first found and extend the closure, in found order.
         let mut out = BulkOutcome {
             records,
+            records_spill: formed
+                .spill
+                .expect("run formation was asked for a record spill"),
             passes: Vec::with_capacity(self.passes.len()),
             pairs: PairSet::new(),
             closure: UnionFind::new(records),

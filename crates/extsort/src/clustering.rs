@@ -7,7 +7,7 @@ use merge_purge::key::truncate_chars as truncate;
 use merge_purge::{window_scan, KeySpec};
 use mp_closure::PairSet;
 use mp_cluster::{KeyHistogram, RangePartition};
-use mp_record::{io as rio, Record};
+use mp_record::{io as rio, Record, RecordId};
 use mp_rules::EquationalTheory;
 use std::fs::File;
 use std::io::{self, BufReader};
@@ -111,9 +111,10 @@ impl ExternalClustering {
             let mut reader = RunReader::open(path)?;
             let mut keys: Vec<String> = Vec::new();
             let mut records: Vec<Record> = Vec::new();
-            while let Some((key, record)) = reader.next_entry()? {
-                keys.push(key);
-                records.push(record);
+            let (mut key, mut record) = (String::new(), Record::empty(RecordId(0)));
+            while reader.next_into(&mut key, &mut record)? {
+                keys.push(std::mem::take(&mut key));
+                records.push(std::mem::replace(&mut record, Record::empty(RecordId(0))));
                 io_stats.records_read += 1;
                 if records.len() > self.config.memory_records {
                     return Err(io::Error::new(

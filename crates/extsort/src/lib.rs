@@ -27,10 +27,12 @@
 //! # Pipeline and spill format
 //!
 //! Run formation streams the input in chunks of at most
-//! `memory_records` records and parses each chunk from text **once**,
-//! conditioning it once when asked. Then, for each key it was given, the
-//! chunk is key-extracted, radix-sorted and written as one *run file*
-//! (one per worker thread with `threads > 1`). [`ExternalSorter`] is that
+//! `memory_records` records and parses each record from text **once**,
+//! conditioning it once when asked, then keys it for every key it was
+//! given and encodes it once; a chunk holds those encoded bytes and keys,
+//! not parsed records. Then, for each key, the chunk's keys are
+//! radix-sorted and written as one *run file* (one per worker thread
+//! with `threads > 1`). [`ExternalSorter`] is that
 //! sweep with one key, followed by merge levels `fan_in` runs at a time
 //! until a single sorted run remains. [`BulkLoader`] runs the sweep once
 //! for every pass key, merges each key's runs only down to `fan_in`, and
@@ -57,10 +59,11 @@
 //! Spill files are owned by the process that wrote them. They are
 //! deleted as soon as they are consumed, and on every exit path,
 //! including errors. Their names end in the owner's process id
-//! (`run-{key}-{n}-{pid}.tmp`, `merge-{key}-{level}-{group}-{pid}.tmp`),
-//! so a crashed sort can never be confused with a live one. Run
-//! formation sweeps away a dead process's `run-*`/`merge-*` files in its
-//! work dir before it starts (where `/proc` can tell a dead pid).
+//! (`run-{key}-{n}-{pid}.tmp`, `merge-{key}-{level}-{group}-{pid}.tmp`,
+//! and a bulk load's record spill `records-{pid}.tmp`), so a crashed sort
+//! can never be confused with a live one. Run formation sweeps away a
+//! dead process's `run-*`/`merge-*`/`records-*` files in its work dir
+//! before it starts (where `/proc` can tell a dead pid).
 //!
 //! Priced in §3.5's unit, full sweeps over the data
 //! ([`IoStats::data_passes`]):
@@ -124,10 +127,11 @@
 //! assert!(sorted.io.data_passes() >= 2, "run formation plus merging");
 //!
 //! let mut reader = mp_extsort::runfile::RunReader::open(&sorted.path).unwrap();
-//! let mut prev = String::new();
-//! while let Some((key, _)) = reader.next_entry().unwrap() {
+//! let (mut prev, mut key) = (String::new(), String::new());
+//! let mut record = mp_record::Record::empty(mp_record::RecordId(0));
+//! while reader.next_into(&mut key, &mut record).unwrap() {
 //!     assert!(prev <= key, "sorted output");
-//!     prev = key;
+//!     std::mem::swap(&mut prev, &mut key);
 //! }
 //! sorted.cleanup();
 //! std::fs::remove_dir_all(&dir).unwrap();
@@ -142,7 +146,7 @@ pub mod sorter;
 pub use bulkload::{BulkLoadStats, BulkLoader, BulkOutcome};
 pub use clustering::ExternalClustering;
 pub use snm::ExternalSnm;
-pub use sorter::{ExternalSorter, MergeStream};
+pub use sorter::{ExternalSorter, MergeStream, RecordSpill};
 
 use mp_closure::PairSet;
 

@@ -6,6 +6,13 @@
 //! record's tuple id is stored explicitly because the base flat format
 //! assigns ids positionally and runs permute the order.
 //!
+//! Everything after the key — the body — is encoded once per record
+//! while run formation holds it (`put_body`); each key's run then writes
+//! its frames from the key and that one encoding, so a chunk is resident
+//! as encoded bytes and keys, not as parsed records. Reading back goes
+//! through one entry point, [`RunReader::next_into`], which decodes into
+//! the caller's key and record and reuses their allocations.
+//!
 //! # Frame layout
 //!
 //! Every integer is an unsigned LEB128 varint; every string is a varint
@@ -42,7 +49,7 @@ const IO_BUF: usize = 64 * 1024;
 /// Writes `(key, record)` frames to a run file.
 pub struct RunWriter {
     out: BufWriter<File>,
-    frame: Vec<u8>,
+    body: Vec<u8>,
     written: u64,
 }
 
@@ -51,7 +58,7 @@ impl RunWriter {
     pub fn create(path: &Path) -> io::Result<Self> {
         Ok(RunWriter {
             out: BufWriter::with_capacity(IO_BUF, File::create(path)?),
-            frame: Vec::with_capacity(256),
+            body: Vec::with_capacity(256),
             written: 0,
         })
     }
@@ -59,18 +66,29 @@ impl RunWriter {
     /// Appends one keyed record. Keys and fields may hold any UTF-8,
     /// separators and newlines included.
     pub fn write(&mut self, key: &str, record: &Record) -> io::Result<()> {
-        let frame = &mut self.frame;
-        frame.clear();
-        put_str(frame, key);
-        put_varint(frame, u64::from(record.id.0));
-        put_varint(frame, record.entity.map_or(0, |e| u64::from(e.0) + 1));
-        for f in Field::ALL {
-            put_str(frame, record.field(f));
-        }
-        frame.push(checksum(frame));
-        self.out
-            .write_all(varint(frame.len() as u64, &mut [0; 10]))?;
-        self.out.write_all(frame)?;
+        let mut body = std::mem::take(&mut self.body);
+        body.clear();
+        let sum = put_body(&mut body, record);
+        let written = self.write_body(key, &body, sum);
+        self.body = body;
+        written
+    }
+
+    /// Appends one frame from a key and a record body [`put_body`] encoded
+    /// earlier, with the byte sum it returned: run formation encodes each
+    /// record once and copies its body into every key's run.
+    pub(crate) fn write_body(&mut self, key: &str, body: &[u8], body_sum: u8) -> io::Result<()> {
+        let mut key_len = [0; 10];
+        let key_len = varint(key.len() as u64, &mut key_len);
+        let sum = checksum(key_len)
+            .wrapping_add(checksum(key.as_bytes()))
+            .wrapping_add(body_sum);
+        let len = key_len.len() + key.len() + body.len() + 1;
+        self.out.write_all(varint(len as u64, &mut [0; 10]))?;
+        self.out.write_all(key_len)?;
+        self.out.write_all(key.as_bytes())?;
+        self.out.write_all(body)?;
+        self.out.write_all(&[sum])?;
         self.written += 1;
         Ok(())
     }
@@ -83,6 +101,18 @@ impl RunWriter {
         self.out.flush()?;
         Ok(self.written)
     }
+}
+
+/// Appends a record's frame body after the key — its id, its entity and
+/// the ten fields — to `out`, returning those bytes' sum mod 256.
+pub(crate) fn put_body(out: &mut Vec<u8>, record: &Record) -> u8 {
+    let start = out.len();
+    put_varint(out, u64::from(record.id.0));
+    put_varint(out, record.entity.map_or(0, |e| u64::from(e.0) + 1));
+    for f in Field::ALL {
+        put_str(out, record.field(f));
+    }
+    checksum(&out[start..])
 }
 
 /// Streams `(key, record)` frames back from a run file.
@@ -110,15 +140,20 @@ impl RunReader {
         })
     }
 
-    /// Reads the next keyed record, or `None` after the trailer.
+    /// Decodes the next keyed record into `key` and `record`, reusing
+    /// their allocations, and returns `true`; returns `false` after the
+    /// trailer. The one decode entry point: a merge or a scan that hands
+    /// back the same buffers allocates nothing per frame once they have
+    /// grown to the longest field.
     ///
     /// # Errors
     ///
     /// `InvalidData` for any short, oversized or malformed frame, a bad
-    /// checksum, a missing or wrong trailer, or bytes after it.
-    pub fn next_entry(&mut self) -> io::Result<Option<(String, Record)>> {
+    /// checksum, a missing or wrong trailer, or bytes after it. The
+    /// buffers then hold no meaningful entry.
+    pub fn next_into(&mut self, key: &mut String, record: &mut Record) -> io::Result<bool> {
         if self.done {
-            return Ok(None);
+            return Ok(false);
         }
         let len = self.varint()?;
         if len == 0 {
@@ -126,7 +161,7 @@ impl RunReader {
                 return Err(corrupt("bad run-file trailer"));
             }
             self.done = true;
-            return Ok(None);
+            return Ok(false);
         }
         if len > self.remaining {
             return Err(corrupt("frame length exceeds the run file"));
@@ -140,9 +175,9 @@ impl RunReader {
             return Err(corrupt("frame checksum mismatch"));
         }
         let mut cur = Cursor(body);
-        let key = cur.string()?;
-        let id = u32::try_from(cur.varint()?).map_err(|_| corrupt("record id overflows u32"))?;
-        let mut record = Record::empty(RecordId(id));
+        cur.string_into(key)?;
+        record.id =
+            RecordId(u32::try_from(cur.varint()?).map_err(|_| corrupt("record id overflows u32"))?);
         record.entity = match cur.varint()? {
             0 => None,
             e => Some(EntityId(
@@ -150,13 +185,13 @@ impl RunReader {
             )),
         };
         for f in Field::ALL {
-            *record.field_mut(f) = cur.string()?;
+            cur.string_into(record.field_mut(f))?;
         }
         if !cur.0.is_empty() {
             return Err(corrupt("trailing bytes in frame"));
         }
         self.read += 1;
-        Ok(Some((key, record)))
+        Ok(true)
     }
 
     /// One varint from the file, bounded by what remains of it.
@@ -194,16 +229,18 @@ impl Cursor<'_> {
         Err(corrupt("truncated or overlong varint"))
     }
 
-    fn string(&mut self) -> io::Result<String> {
+    /// Decodes one string into `out`, replacing what it held.
+    fn string_into(&mut self, out: &mut String) -> io::Result<()> {
         let len = self.varint()?;
         if len > self.0.len() as u64 {
             return Err(corrupt("string length exceeds the frame"));
         }
         let (bytes, rest) = self.0.split_at(len as usize);
         self.0 = rest;
-        std::str::from_utf8(bytes)
-            .map(str::to_owned)
-            .map_err(|_| corrupt("invalid UTF-8 in frame"))
+        let s = std::str::from_utf8(bytes).map_err(|_| corrupt("invalid UTF-8 in frame"))?;
+        out.clear();
+        out.push_str(s);
+        Ok(())
     }
 }
 
@@ -248,10 +285,18 @@ mod tests {
         dir.join(name)
     }
 
+    /// The next entry decoded into buffers of its own.
+    fn fresh(reader: &mut RunReader) -> io::Result<Option<(String, Record)>> {
+        let (mut key, mut record) = (String::new(), Record::empty(RecordId(0)));
+        Ok(reader
+            .next_into(&mut key, &mut record)?
+            .then_some((key, record)))
+    }
+
     fn read_all(path: &Path) -> io::Result<Vec<(String, Record)>> {
         let mut reader = RunReader::open(path)?;
         let mut out = Vec::new();
-        while let Some(entry) = reader.next_entry()? {
+        while let Some(entry) = fresh(&mut reader)? {
             out.push(entry);
         }
         Ok(out)
@@ -271,13 +316,13 @@ mod tests {
         assert_eq!(w.finish().unwrap(), 2);
 
         let mut reader = RunReader::open(&path).unwrap();
-        let (k1, r1) = reader.next_entry().unwrap().unwrap();
+        let (k1, r1) = fresh(&mut reader).unwrap().unwrap();
         assert_eq!(k1, "HERNANDEZM123456");
         assert_eq!(r1, r);
-        let (k2, _) = reader.next_entry().unwrap().unwrap();
+        let (k2, _) = fresh(&mut reader).unwrap().unwrap();
         assert_eq!(k2, "ZKEY");
-        assert!(reader.next_entry().unwrap().is_none());
-        assert!(reader.next_entry().unwrap().is_none(), "None is sticky");
+        assert!(fresh(&mut reader).unwrap().is_none());
+        assert!(fresh(&mut reader).unwrap().is_none(), "the end is sticky");
         std::fs::remove_file(&path).unwrap();
     }
 
@@ -367,6 +412,51 @@ mod tests {
             let back = read_all(&path).unwrap();
             let want: Vec<(String, Record)> = keys.iter().map(|k| (k.clone(), r.clone())).collect();
             prop_assert_eq!(back, want);
+            std::fs::remove_file(&path).unwrap();
+        }
+
+        /// Decoding every frame into one reused key and record equals a
+        /// fresh decode of each: a long field followed by a short or empty
+        /// one leaves nothing of the long one behind, and an entity goes
+        /// from `Some` to `None`.
+        #[test]
+        fn decoding_into_one_reused_slot_equals_fresh_decodes(
+            picks in vec(vec(0usize..PALETTE.len(), 0..12), 11..12),
+            shrink in vec(0usize..12, 11..12),
+            id in 0u32..=u32::MAX,
+        ) {
+            let path = work_path(&format!("reuse-{id}.run"));
+            let mut long = Record::empty(RecordId(id));
+            long.entity = Some(EntityId(id / 2));
+            for (f, p) in Field::ALL.into_iter().zip(&picks[1..]) {
+                *long.field_mut(f) = text(p);
+            }
+            // The same record with every field (and the key) cut short.
+            let mut short = long.clone();
+            short.id = RecordId(id / 3);
+            short.entity = None;
+            for (f, &n) in Field::ALL.into_iter().zip(&shrink[1..]) {
+                let field = short.field_mut(f);
+                let cut = field.char_indices().nth(n).map_or(field.len(), |(at, _)| at);
+                field.truncate(cut);
+            }
+            let long_key = text(&picks[0]);
+            let short_key: String = long_key.chars().take(shrink[0]).collect();
+            let mut w = RunWriter::create(&path).unwrap();
+            for (k, r) in [(&long_key, &long), (&short_key, &short), (&long_key, &long), (&String::new(), &short)] {
+                w.write(k, r).unwrap();
+            }
+            w.finish().unwrap();
+
+            let want = read_all(&path).unwrap();
+            let mut reader = RunReader::open(&path).unwrap();
+            let (mut key, mut record) = (String::new(), Record::empty(RecordId(0)));
+            let mut got = Vec::new();
+            while reader.next_into(&mut key, &mut record).unwrap() {
+                got.push((key.clone(), record.clone()));
+            }
+            prop_assert_eq!(got.len(), 4);
+            prop_assert_eq!(got, want);
             std::fs::remove_file(&path).unwrap();
         }
     }

@@ -7,6 +7,7 @@ use merge_purge::window::WindowScan;
 use merge_purge::KeySpec;
 use mp_closure::PairSet;
 use mp_metrics::{span, span_labeled, Counter, NoopObserver, Phase, PipelineObserver};
+use mp_record::Record;
 use mp_rules::EquationalTheory;
 use std::io;
 use std::path::Path;
@@ -73,10 +74,11 @@ impl ExternalSnm {
         let _scan_span = span(observer, "window_scan");
         let mut reader = RunReader::open(&sorted.path)?;
         let mut pairs = PairSet::new();
-        let next = || {
-            let entry = reader.next_entry()?;
-            io_stats.records_read += u64::from(entry.is_some());
-            io::Result::Ok(entry.map(|(_, record)| record))
+        let mut key = String::new();
+        let next = |slot: &mut Record| {
+            let more = reader.next_into(&mut key, slot)?;
+            io_stats.records_read += u64::from(more);
+            io::Result::Ok(more)
         };
         let counts = WindowScan::new(self.window, theory, observer).stream(next, &mut pairs)?;
         drop(_scan_span);

@@ -8,21 +8,32 @@
 //! — merges to the exact order an in-memory stable sort would produce.
 //!
 //! Run formation (`form_runs`) sweeps the input once for any number of
-//! keys: each chunk is parsed (and conditioned) once, then keyed, sorted
-//! and spilled once per key. [`ExternalSorter`] is that sweep with one key
-//! followed by merge levels down to a single run; the bulk loader merges
-//! each key's runs down to `fan_in` and streams the last level through a
-//! [`MergeStream`] into its window scan.
+//! keys and touches each record once: it is parsed (and conditioned),
+//! its key appended to every key's arena, its frame body (id, entity,
+//! fields) encoded into the chunk's one body buffer — and, for a bulk
+//! load, its snapshot encoding appended to a [`RecordSpill`] — and then
+//! dropped. What a chunk holds is therefore its encoded bodies and its
+//! keys, never parsed records. When the chunk is full each key's arena is
+//! radix-sorted and its run written as key + body per sorted record, a
+//! copy out of one contiguous buffer. [`ExternalSorter`] is that sweep
+//! with one key followed by merge levels down to a single run; the bulk
+//! loader merges each key's runs down to `fan_in` and streams the last
+//! level through a [`MergeStream`] into its window scan. The merge
+//! decodes into buffers its caller hands back, so it allocates nothing
+//! per entry.
 
-use crate::runfile::{RunReader, RunWriter};
+use crate::runfile::{put_body, RunReader, RunWriter};
 use crate::{ExternalConfig, IoStats};
-use merge_purge::{band_ranges, chunked_str_cmp, fan_out, sorted_order_radix, KeyArena, KeySpec};
+use merge_purge::{band_ranges, chunked_str_cmp, fan_out, radix_order_by, KeyArena, KeySpec};
 use mp_metrics::{span, span_labeled, Counter, NoopObserver, Phase, PipelineObserver};
-use mp_record::{io as rio, NicknameTable, Record};
+use mp_record::{io as rio, NicknameTable, Record, RecordId};
+use mp_store::codec::{self, Crc32};
+use mp_store::EncodedRecords;
 use std::cmp::Ordering;
 use std::collections::binary_heap::{BinaryHeap, PeekMut};
 use std::fs::File;
-use std::io::{self, BufReader};
+use std::io::{self, BufReader, Write};
+use std::ops::Range;
 use std::path::{Path, PathBuf};
 use std::time::Instant;
 
@@ -58,6 +69,7 @@ impl SortedRun {
 
 /// A spill file this process owns, removed when dropped — so every exit
 /// path (success, `?` error, panic) cleans up after itself.
+#[derive(Debug)]
 pub(crate) struct TempFile(PathBuf);
 
 impl TempFile {
@@ -93,6 +105,144 @@ pub(crate) struct FormedRuns {
     pub(crate) records: usize,
     /// One sweep: every record read once, written once per key.
     pub(crate) io: IoStats,
+    /// The records in input order, when the sweep was asked to keep them.
+    pub(crate) spill: Option<RecordSpill>,
+}
+
+/// The records one run formation read, in input order and in the
+/// snapshot's record encoding (`mp_store::codec::put_record`), with the
+/// length and CRC-32 taken as they were written: what a bulk load commits
+/// as its snapshot's `RECS` without parsing its input a second time. The
+/// file goes when this is dropped.
+#[derive(Debug)]
+pub struct RecordSpill {
+    file: TempFile,
+    records: u64,
+    len: u64,
+    crc: u32,
+}
+
+impl RecordSpill {
+    /// Opens the spill as a snapshot record source, which checks the
+    /// length and CRC-32 recorded at formation as it copies.
+    ///
+    /// # Errors
+    ///
+    /// Opening the spill file failed.
+    pub fn source(&self) -> io::Result<EncodedRecords<File>> {
+        Ok(EncodedRecords::new(
+            File::open(self.file.path())?,
+            self.records,
+            self.len,
+            self.crc,
+        ))
+    }
+}
+
+/// Writes a [`RecordSpill`]: records encode into one buffer, which is
+/// checksummed and written out a block at a time.
+struct RecordSpillWriter {
+    file: TempFile,
+    out: File,
+    buf: Vec<u8>,
+    records: u64,
+    len: u64,
+    crc: Crc32,
+}
+
+/// Record-spill bytes buffered before they are checksummed and written.
+const SPILL_BLOCK: usize = 64 << 10;
+
+impl RecordSpillWriter {
+    fn create(work_dir: &Path) -> io::Result<Self> {
+        let file = TempFile(work_dir.join(format!("records-{}.tmp", std::process::id())));
+        let out = File::create(file.path())?;
+        Ok(RecordSpillWriter {
+            file,
+            out,
+            buf: Vec::with_capacity(SPILL_BLOCK + 4096),
+            records: 0,
+            len: 0,
+            crc: Crc32::new(),
+        })
+    }
+
+    fn push(&mut self, record: &Record) -> io::Result<()> {
+        codec::put_record(&mut self.buf, record);
+        self.records += 1;
+        if self.buf.len() >= SPILL_BLOCK {
+            self.flush()?;
+        }
+        Ok(())
+    }
+
+    fn flush(&mut self) -> io::Result<()> {
+        self.crc.update(&self.buf);
+        self.len += self.buf.len() as u64;
+        self.out.write_all(&self.buf)?;
+        self.buf.clear();
+        Ok(())
+    }
+
+    fn finish(mut self) -> io::Result<RecordSpill> {
+        self.flush()?;
+        Ok(RecordSpill {
+            file: self.file,
+            records: self.records,
+            len: self.len,
+            crc: self.crc.finalize(),
+        })
+    }
+}
+
+/// One memory-budget chunk as run formation holds it: per key, the
+/// chunk's keys in input order, and every record's run-frame body (id,
+/// entity, fields), encoded once, back to back. The parsed records
+/// themselves are gone by the time the chunk is full.
+struct Chunk {
+    keys: Vec<KeyArena>,
+    bodies: Vec<u8>,
+    /// Where each record's body ends in `bodies`, and its bytes' sum.
+    ends: Vec<(usize, u8)>,
+}
+
+impl Chunk {
+    fn new(keys: usize, records: usize) -> Self {
+        // Sized for the budget up to a point; a huge budget grows into it.
+        let records = records.min(1 << 16);
+        Chunk {
+            keys: (0..keys)
+                .map(|_| KeyArena::with_capacity(records, 20))
+                .collect(),
+            bodies: Vec::new(),
+            ends: Vec::with_capacity(records),
+        }
+    }
+
+    fn len(&self) -> usize {
+        self.ends.len()
+    }
+
+    fn push(&mut self, record: &Record, keys: &[KeySpec]) {
+        for (arena, key) in self.keys.iter_mut().zip(keys) {
+            arena.push_with(|buf| key.extract_into_append(record, buf));
+        }
+        let sum = put_body(&mut self.bodies, record);
+        self.ends.push((self.bodies.len(), sum));
+    }
+
+    /// Record `i`'s body and its bytes' sum.
+    fn body(&self, i: usize) -> (&[u8], u8) {
+        let start = i.checked_sub(1).map_or(0, |p| self.ends[p].0);
+        let (end, sum) = self.ends[i];
+        (&self.bodies[start..end], sum)
+    }
+
+    fn clear(&mut self) {
+        self.keys.iter_mut().for_each(KeyArena::clear);
+        self.bodies.clear();
+        self.ends.clear();
+    }
 }
 
 impl ExternalSorter {
@@ -136,6 +286,7 @@ impl ExternalSorter {
             input,
             work_dir,
             condition,
+            false,
             observer,
         )?;
         let mut io_stats = formed.io;
@@ -178,11 +329,16 @@ pub(crate) fn check_config(config: &ExternalConfig) {
     );
 }
 
-/// Run formation for every key in one sweep of `input`: stream
-/// `memory_records` records at a time, parse (and condition) each chunk
-/// once, then per key extract, radix-sort and spill it — as `threads`
+/// Run formation for every key in one sweep of `input`: each record is
+/// parsed (and conditioned) once, into one reused record, its key
+/// appended to every key's arena, its run-frame body encoded once into
+/// the chunk, and its snapshot encoding appended to the record spill when
+/// `spill_records` asks for one; then the next record is parsed over it.
+/// Every `memory_records` records, and at the end, each key's arena is
+/// radix-sorted and spilled as key + body per record — as `threads`
 /// contiguous sub-runs, so each key's run list is in input order. At no
-/// point do more than `memory_records` records live in memory.
+/// point are more than `memory_records` records' bodies and keys in
+/// memory, and never a parsed chunk.
 ///
 /// Reports [`Counter::SortRuns`], [`Counter::SpillRuns`] and the run bytes
 /// of [`Counter::BytesSpilled`] summed over keys, plus
@@ -193,6 +349,7 @@ pub(crate) fn form_runs(
     input: &Path,
     work_dir: &Path,
     condition: bool,
+    spill_records: bool,
     observer: &dyn PipelineObserver,
 ) -> io::Result<FormedRuns> {
     std::fs::create_dir_all(work_dir)?;
@@ -200,43 +357,55 @@ pub(crate) fn form_runs(
     let t_runs = Instant::now();
     let nicknames = condition.then(NicknameTable::standard);
     let mut stream = rio::RecordStream::new(BufReader::new(File::open(input)?));
+    let mut spill = if spill_records {
+        Some(RecordSpillWriter::create(work_dir)?)
+    } else {
+        None
+    };
     let mut io_stats = IoStats::default();
     io_stats.add_sweep();
 
     let mut runs: Vec<Vec<TempFile>> = keys.iter().map(|_| Vec::new()).collect();
     let mut key_bytes = vec![0usize; keys.len()];
     let (mut next_run, mut bytes_spilled, mut spill_runs) = (0usize, 0u64, 0u64);
-    let mut chunk: Vec<Record> = Vec::with_capacity(config.memory_records);
-    loop {
-        chunk.clear();
-        for record in stream.by_ref().take(config.memory_records) {
-            chunk.push(
-                record.map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e.to_string()))?,
-            );
-        }
-        if chunk.is_empty() {
-            break;
-        }
+    let mut chunk = Chunk::new(keys.len(), config.memory_records);
+    let mut scratch = String::new();
+    let mut emit = |chunk: &Chunk| -> io::Result<()> {
         io_stats.records_read += chunk.len() as u64;
         let budget_full = chunk.len() == config.memory_records;
-        let bands = form_chunk(
-            &mut chunk,
-            keys,
-            config.threads,
-            next_run,
-            work_dir,
-            nicknames.as_ref(),
-            observer,
-        )?;
+        let bands = spill_chunk(chunk, keys, config.threads, next_run, work_dir, observer)?;
         next_run += bands.len();
+        for (k, arena) in chunk.keys.iter().enumerate() {
+            key_bytes[k] += arena.bytes();
+        }
         for band in bands {
-            for (k, (run, bytes)) in band.into_iter().enumerate() {
-                key_bytes[k] += bytes;
+            for (k, run) in band.into_iter().enumerate() {
                 bytes_spilled += std::fs::metadata(run.path())?.len();
                 spill_runs += u64::from(budget_full);
                 runs[k].push(run);
             }
         }
+        Ok(())
+    };
+    let mut record = Record::empty(RecordId(0));
+    while stream
+        .next_into(&mut record)
+        .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e.to_string()))?
+    {
+        if let Some(table) = &nicknames {
+            mp_record::normalize::condition_with(&mut record, table, &mut scratch);
+        }
+        chunk.push(&record, keys);
+        if let Some(spill) = &mut spill {
+            spill.push(&record)?;
+        }
+        if chunk.len() == config.memory_records {
+            emit(&chunk)?;
+            chunk.clear();
+        }
+    }
+    if chunk.len() > 0 {
+        emit(&chunk)?;
     }
     let records = io_stats.records_read as usize;
     io_stats.records_written = (records * keys.len()) as u64;
@@ -252,36 +421,33 @@ pub(crate) fn form_runs(
         key_bytes,
         records,
         io: io_stats,
+        spill: spill.map(RecordSpillWriter::finish).transpose()?,
     })
 }
 
-/// Conditions, then per key extracts, sorts and spills one memory-budget
-/// chunk as `threads` contiguous sub-runs (one when `threads == 1`).
-/// Worker `b` owns `chunk[bands[b]]` and returns its run per key, with the
-/// run's key bytes; because
-/// record ids ascend in input order, each sub-run is (key, id)-sorted and
-/// the merge invariants make the final order independent of the split.
-fn form_chunk(
-    chunk: &mut [Record],
+/// Per key, sorts and spills one chunk as `threads` contiguous sub-runs
+/// (one when `threads == 1`), each frame the key plus the record's body
+/// copied out of the chunk. Worker `b` owns the `b`-th band of the chunk
+/// and returns its run per key; because record ids ascend in input order,
+/// each sub-run is (key, id)-sorted and the merge invariants make the
+/// final order independent of the split.
+fn spill_chunk(
+    chunk: &Chunk,
     keys: &[KeySpec],
     threads: usize,
     first_run: usize,
     work_dir: &Path,
-    nicknames: Option<&NicknameTable>,
     observer: &dyn PipelineObserver,
-) -> io::Result<Vec<Vec<(TempFile, usize)>>> {
-    let run_one = |slice: &mut [Record], run_idx: usize| -> io::Result<Vec<(TempFile, usize)>> {
-        if let Some(table) = nicknames {
-            mp_record::normalize::condition_all(slice, table);
-        }
-        let slice = &*slice;
+) -> io::Result<Vec<Vec<TempFile>>> {
+    let run_one = |band: Range<usize>, run_idx: usize| -> io::Result<Vec<TempFile>> {
         keys.iter()
+            .zip(&chunk.keys)
             .enumerate()
-            .map(|(k, key)| {
+            .map(|(k, (key, arena))| {
                 let label = || format!("run {run_idx} {}", key.name());
                 let gen_span = span_labeled(observer, "run_gen", label);
-                let arena = KeyArena::extract(key, slice);
-                let order = sorted_order_radix(&arena, observer);
+                let sorted = radix_order_by(band.len(), |i| arena.get(band.start + i));
+                observer.add(Counter::RadixPasses, sorted.passes as u64);
                 drop(gen_span);
 
                 let _spill_span = span_labeled(observer, "spill", label);
@@ -289,28 +455,29 @@ fn form_chunk(
                     work_dir.join(format!("run-{k}-{run_idx}-{}.tmp", std::process::id())),
                 );
                 let mut w = RunWriter::create(run.path())?;
-                for &i in &order {
-                    w.write(arena.get(i as usize), &slice[i as usize])?;
+                for &i in &sorted.order {
+                    let i = band.start + i as usize;
+                    let (body, sum) = chunk.body(i);
+                    w.write_body(arena.get(i), body, sum)?;
                 }
                 w.finish()?;
-                Ok((run, arena.bytes()))
+                Ok(run)
             })
             .collect()
     };
 
     let threads = threads.min(chunk.len()).max(1);
     // band_ranges splits 1-based scan positions into contiguous ranges;
-    // their lengths carve the chunk into disjoint mutable bands, each
-    // formed by a worker of its own (band 0 on this thread).
-    let mut slices: Vec<&mut [Record]> = Vec::with_capacity(threads);
-    let mut rest = chunk;
-    for (from, to) in band_ranges(rest.len() + 1, threads) {
-        let (band, tail) = rest.split_at_mut(to - from);
-        slices.push(band);
-        rest = tail;
+    // their lengths carve the chunk into disjoint bands, each spilled by
+    // a worker of its own (band 0 on this thread).
+    let mut bands = Vec::with_capacity(threads);
+    let mut start = 0;
+    for (from, to) in band_ranges(chunk.len() + 1, threads) {
+        bands.push(start..start + (to - from));
+        start += to - from;
     }
     fan_out(
-        slices,
+        bands,
         |b| format!("run-band-{b}"),
         |b, band| run_one(band, first_run + b),
     )
@@ -377,16 +544,18 @@ pub(crate) fn merge_levels(
 fn merge_group(group: &[TempFile], out: &Path) -> io::Result<(u64, u64)> {
     let mut merged = MergeStream::open(group)?;
     let mut w = RunWriter::create(out)?;
-    while let Some((key, record)) = merged.next_entry()? {
+    let (mut key, mut record) = (String::new(), Record::empty(RecordId(0)));
+    while merged.next_into(&mut key, &mut record)? {
         w.write(&key, &record)?;
     }
     Ok((merged.records_read(), w.finish()?))
 }
 
-/// Removes the run and merge files a dead process left in `work_dir` —
-/// names end in the owner's pid, and a SIGKILLed load cannot clean up
-/// after itself. Runs only where `/proc` can tell a live pid from a dead
-/// one; files of live processes (this one included) are left alone.
+/// Removes the run, merge and record-spill files a dead process left in
+/// `work_dir` — names end in the owner's pid, and a SIGKILLed load cannot
+/// clean up after itself. Runs only where `/proc` can tell a live pid
+/// from a dead one; files of live processes (this one included) are left
+/// alone.
 fn sweep_stale(work_dir: &Path) {
     if !Path::new("/proc/self").exists() {
         return;
@@ -399,7 +568,10 @@ fn sweep_stale(work_dir: &Path) {
         let Some(stem) = name.to_str().and_then(|n| n.strip_suffix(".tmp")) else {
             continue;
         };
-        if !(stem.starts_with("run-") || stem.starts_with("merge-")) {
+        if !["run-", "merge-", "records-"]
+            .iter()
+            .any(|prefix| stem.starts_with(prefix))
+        {
             continue;
         }
         let pid = stem.rsplit('-').next().and_then(|p| p.parse::<u32>().ok());
@@ -412,6 +584,11 @@ fn sweep_stale(work_dir: &Path) {
 /// An F-way merge over (key, id)-sorted run files, yielding every entry
 /// in (key, id) order: the one heap merge behind both the intermediate
 /// merge levels and the bulk loader's streamed final level.
+///
+/// Entries come out through the caller's buffers: the head's key and
+/// record are swapped into them, and its run decodes its next frame into
+/// the buffers the caller gave up. A caller that hands the same buffers
+/// back each time allocates nothing per entry.
 pub struct MergeStream {
     readers: Vec<RunReader>,
     heap: BinaryHeap<HeapEntry>,
@@ -427,12 +604,13 @@ impl MergeStream {
             .collect::<io::Result<_>>()?;
         let mut heap = BinaryHeap::with_capacity(readers.len());
         for (source, reader) in readers.iter_mut().enumerate() {
-            if let Some((key, record)) = reader.next_entry()? {
-                heap.push(HeapEntry {
-                    key,
-                    record,
-                    source,
-                });
+            let mut head = HeapEntry {
+                key: String::new(),
+                record: Record::empty(RecordId(0)),
+                source,
+            };
+            if reader.next_into(&mut head.key, &mut head.record)? {
+                heap.push(head);
             }
         }
         let read = heap.len() as u64;
@@ -443,30 +621,28 @@ impl MergeStream {
         })
     }
 
-    /// The smallest remaining `(key, record)` by (key, id), or `None` once
-    /// every run is drained.
-    pub fn next_entry(&mut self) -> io::Result<Option<(String, Record)>> {
+    /// Moves the smallest remaining entry by (key, id) into `key` and
+    /// `record` and returns `true`, or returns `false` once every run is
+    /// drained. What the buffers held before is reused for a later entry.
+    ///
+    /// # Errors
+    ///
+    /// A run that fails to decode; the stream is then unusable.
+    pub fn next_into(&mut self, key: &mut String, record: &mut Record) -> io::Result<bool> {
         let Some(mut top) = self.heap.peek_mut() else {
-            return Ok(None);
+            return Ok(false);
         };
-        // Replace the head with its run's next entry in place: one
-        // sift-down instead of a pop and a push.
-        let source = top.source;
-        let entry = match self.readers[source].next_entry()? {
-            Some((key, record)) => {
-                self.read += 1;
-                std::mem::replace(
-                    &mut *top,
-                    HeapEntry {
-                        key,
-                        record,
-                        source,
-                    },
-                )
-            }
-            None => PeekMut::pop(top),
-        };
-        Ok(Some((entry.key, entry.record)))
+        std::mem::swap(key, &mut top.key);
+        std::mem::swap(record, &mut top.record);
+        // Refill the head from its run in place: one sift-down (when the
+        // guard drops) instead of a pop and a push.
+        let head = &mut *top;
+        if self.readers[head.source].next_into(&mut head.key, &mut head.record)? {
+            self.read += 1;
+        } else {
+            PeekMut::pop(top);
+        }
+        Ok(true)
     }
 
     /// Entries read from the runs so far.
@@ -521,8 +697,9 @@ mod tests {
 
     fn read_ids(path: &Path) -> Vec<u32> {
         let mut reader = RunReader::open(path).unwrap();
+        let (mut key, mut r) = (String::new(), Record::empty(RecordId(0)));
         let mut got = Vec::new();
-        while let Some((_, r)) = reader.next_entry().unwrap() {
+        while reader.next_into(&mut key, &mut r).unwrap() {
             got.push(r.id.0);
         }
         got
@@ -679,7 +856,8 @@ mod tests {
         let sorted = sorter.sort(&input, &dir, false).unwrap();
         assert_eq!(sorted.records, 0);
         let mut reader = RunReader::open(&sorted.path).unwrap();
-        assert!(reader.next_entry().unwrap().is_none());
+        let (mut key, mut r) = (String::new(), Record::empty(RecordId(0)));
+        assert!(!reader.next_into(&mut key, &mut r).unwrap());
         sorted.cleanup();
         let _ = std::fs::remove_dir_all(&dir);
     }
@@ -741,6 +919,7 @@ mod tests {
         for name in [
             format!("run-0-3-{dead}.tmp"),
             format!("merge-1-0-2-{dead}.tmp"),
+            format!("records-{dead}.tmp"),
             format!("run-0-0-{live}.tmp.keep"),
             "notes.txt".to_string(),
         ] {
@@ -754,6 +933,7 @@ mod tests {
         if !Path::new("/proc/self").exists() {
             // No way to tell a dead pid: nothing is swept.
             want.push(format!("merge-1-0-2-{dead}.tmp"));
+            want.push(format!("records-{dead}.tmp"));
             want.push(format!("run-0-3-{dead}.tmp"));
             want.sort();
         }
@@ -779,9 +959,10 @@ mod tests {
             })
             .collect();
         let mut merged = MergeStream::open(&runs).unwrap();
+        let (mut key, mut record) = (String::new(), Record::empty(RecordId(0)));
         let mut got = Vec::new();
-        while let Some((key, record)) = merged.next_entry().unwrap() {
-            got.push((key, record.id.0));
+        while merged.next_into(&mut key, &mut record).unwrap() {
+            got.push((key.clone(), record.id.0));
         }
         let want: Vec<(String, u32)> = [("A", 9), ("B", 1), ("B", 2), ("B", 4)]
             .iter()
@@ -805,7 +986,8 @@ mod tests {
         let sorter = ExternalSorter::new(KeySpec::last_name_key(), ExternalConfig::default());
         let sorted = sorter.sort(&input, &dir, true).unwrap();
         let mut reader = RunReader::open(&sorted.path).unwrap();
-        let (_, rec) = reader.next_entry().unwrap().unwrap();
+        let (mut key, mut rec) = (String::new(), Record::empty(RecordId(0)));
+        assert!(reader.next_into(&mut key, &mut rec).unwrap());
         assert_eq!(rec.first_name, "ROBERT");
         assert_eq!(rec.last_name, "SMITH");
         sorted.cleanup();

@@ -7,7 +7,9 @@
 //!
 //! There is one parser, [`RecordStream`]: [`read_records`] collects it,
 //! and the bulk loader and the daemon's ingest stream it. It reads every
-//! line into one reused buffer and allocates each non-empty field once.
+//! line into one reused buffer and allocates each non-empty field once —
+//! or, through [`RecordStream::next_into`], parses into a record the
+//! caller reuses, allocating nothing once its fields have grown.
 
 use crate::record::{EntityId, Record, RecordId};
 use std::fmt;
@@ -131,22 +133,26 @@ impl<R: BufRead> RecordStream<R> {
             next_id: 0,
         }
     }
-}
 
-impl<R: BufRead> Iterator for RecordStream<R> {
-    type Item = Result<Record, ReadError>;
-
-    fn next(&mut self) -> Option<Self::Item> {
+    /// Parses the next record into `record`, reusing its field buffers,
+    /// and returns `true`; returns `false` at the end of the input. A
+    /// caller that hands the same record back each time, done with it,
+    /// allocates nothing per record once its fields have grown to the
+    /// longest seen. On an error `record` holds no meaningful record.
+    ///
+    /// # Errors
+    ///
+    /// As the iterator reports them: I/O and UTF-8 failures, a wrong
+    /// column count, a bad entity id.
+    pub fn next_into(&mut self, record: &mut Record) -> Result<bool, ReadError> {
         loop {
             self.line.clear();
             let read = self.reader.read_line(&mut self.line);
             if matches!(read, Ok(0)) {
-                return None;
+                return Ok(false);
             }
             self.line_no += 1;
-            if let Err(e) = read {
-                return Some(Err(ReadError::Io(e)));
-            }
+            read?;
             let line = match self.line.strip_suffix('\n') {
                 Some(l) => l.strip_suffix('\r').unwrap_or(l),
                 None => &self.line,
@@ -154,27 +160,37 @@ impl<R: BufRead> Iterator for RecordStream<R> {
             if line.is_empty() {
                 continue;
             }
-            let parsed = parse_line(line, self.line_no, self.next_id);
-            if parsed.is_ok() {
-                self.next_id += 1;
-            }
-            return Some(parsed);
+            parse_line(line, self.line_no, RecordId(self.next_id), record)?;
+            self.next_id += 1;
+            return Ok(true);
         }
     }
 }
 
-/// Parses one non-empty line in a single pass over its columns; the
-/// column count is checked before the entity, as errors are reported.
-fn parse_line(line: &str, line_no: usize, id: u32) -> Result<Record, ReadError> {
+impl<R: BufRead> Iterator for RecordStream<R> {
+    type Item = Result<Record, ReadError>;
+
+    fn next(&mut self) -> Option<Self::Item> {
+        let mut record = Record::empty(RecordId(0));
+        self.next_into(&mut record)
+            .map(|more| more.then_some(record))
+            .transpose()
+    }
+}
+
+/// Parses one non-empty line into `rec` in a single pass over its
+/// columns, replacing every field; the column count is checked before
+/// the entity, as errors are reported.
+fn parse_line(line: &str, line_no: usize, id: RecordId, rec: &mut Record) -> Result<(), ReadError> {
     let mut cols = line.split('|');
     let entity = cols.next().unwrap_or_default();
-    let mut rec = Record::empty(RecordId(id));
+    rec.id = id;
     let mut columns = 1;
     for (field, value) in crate::field::Field::ALL.into_iter().zip(cols.by_ref()) {
         columns += 1;
-        if !value.is_empty() {
-            *rec.field_mut(field) = value.to_owned();
-        }
+        let out = rec.field_mut(field);
+        out.clear();
+        out.push_str(value);
     }
     columns += cols.count();
     if columns != COLUMNS {
@@ -183,13 +199,15 @@ fn parse_line(line: &str, line_no: usize, id: u32) -> Result<Record, ReadError> 
             columns,
         });
     }
-    if !entity.is_empty() {
+    rec.entity = if entity.is_empty() {
+        None
+    } else {
         let e = entity
             .parse()
             .map_err(|_| ReadError::BadEntity { line: line_no })?;
-        rec.entity = Some(EntityId(e));
-    }
-    Ok(rec)
+        Some(EntityId(e))
+    };
+    Ok(())
 }
 
 #[cfg(test)]
@@ -265,6 +283,31 @@ mod tests {
             .collect::<Result<_, _>>()
             .unwrap();
         assert_eq!(streamed, records);
+    }
+
+    /// Parsing every line into one reused record gives what a fresh parse
+    /// of each gives: long fields then short or empty ones, an entity and
+    /// then none, blank lines in between.
+    #[test]
+    fn parsing_into_a_reused_record_equals_fresh_parses() {
+        let text = "7|111223333|JONATHAN|Q|HERNANDEZ-SMITH|12345|BROADWAY AVENUE|APT 9C|NEW YORK|NY|10027\n\
+                    \n\
+                    |1|AL||LI|||||NY|1\n\
+                    ||||||||||\n";
+        let fresh: Vec<Record> = RecordStream::new(text.as_bytes())
+            .collect::<Result<_, _>>()
+            .unwrap();
+        assert_eq!(fresh.len(), 3);
+        let mut stream = RecordStream::new(text.as_bytes());
+        let mut slot = Record::empty(RecordId(0));
+        let mut reused = Vec::new();
+        while stream.next_into(&mut slot).unwrap() {
+            reused.push(slot.clone());
+        }
+        assert_eq!(reused, fresh);
+        assert_eq!(reused[1].entity, None);
+        assert_eq!(reused[1].first_name, "AL");
+        assert_eq!(reused[2], Record::empty(RecordId(2)));
     }
 
     #[test]

@@ -337,6 +337,12 @@ impl KeyArena {
         self.buf.len()
     }
 
+    /// Removes every key, keeping the buffers' capacity for the next fill.
+    pub fn clear(&mut self) {
+        self.buf.clear();
+        self.spans.clear();
+    }
+
     /// Number of keys stored.
     pub fn len(&self) -> usize {
         self.spans.len()

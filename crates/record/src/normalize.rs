@@ -139,7 +139,9 @@ pub fn condition_all(records: &mut [Record], nicknames: &NicknameTable) {
 /// canonicalised into `scratch`, edited there, and copied back into the
 /// field's own allocation, which only grows when the result is longer
 /// (an expanded street type, an upper-case form wider than its source).
-fn condition_with(record: &mut Record, nicknames: &NicknameTable, scratch: &mut String) {
+/// A caller conditioning records one at a time as they stream past keeps
+/// one scratch buffer for all of them.
+pub fn condition_with(record: &mut Record, nicknames: &NicknameTable, scratch: &mut String) {
     record.ssn.retain(|c| c.is_ascii_digit());
 
     canonical_into(&record.first_name, scratch);

@@ -74,11 +74,13 @@ pub mod journal;
 pub mod snapshot;
 
 pub use journal::{Journal, JournalBatch, JournalRecovery, JOURNAL_VERSION};
-pub use snapshot::{borrowed, PassSnapshot, Snapshot, SnapshotView, SNAPSHOT_VERSION};
+pub use snapshot::{
+    borrowed, EncodedRecords, PassSnapshot, RecordBytes, RecordSource, Snapshot, SnapshotView,
+    SNAPSHOT_VERSION,
+};
 
 use mp_metrics::{span_labeled, PipelineObserver};
 use mp_record::Record;
-use std::borrow::Cow;
 use std::fmt;
 use std::fs::File;
 use std::io::{self, Read};
@@ -175,11 +177,11 @@ pub(crate) fn replace_file<T>(
 
 /// Atomically replaces `dir/snapshot.mps` with the state `view` borrows —
 /// the one snapshot writer: a checkpoint
-/// ([`MatchStore::commit_snapshot`]) and a bulk load's commit. The snapshot streams to disk through the one
-/// encoder with the records pulled one at a time from `records` —
-/// [`borrowed`] for resident state, a file stream for a bulk load — so
-/// nothing is copied or buffered whole. Returns the snapshot size in
-/// bytes.
+/// ([`MatchStore::commit_snapshot`]) and a bulk load's commit. The
+/// snapshot streams to disk through the one encoder with the records
+/// pulled from `records` — [`borrowed`] for resident state, a bulk load's
+/// record spill as [`EncodedRecords`] — so nothing is buffered whole.
+/// Returns the snapshot size in bytes.
 ///
 /// The rename is the commit point; the caller resets the journal the
 /// snapshot now covers afterwards. Until it does, its frames sit at or
@@ -187,13 +189,14 @@ pub(crate) fn replace_file<T>(
 ///
 /// # Errors
 ///
-/// I/O failures, a record-iterator error, or a record-count mismatch
-/// against [`SnapshotView::n_records`]; on every error path the old
-/// snapshot (if any) stays in place and no temporary file is left behind.
-pub fn replace_snapshot<'r>(
+/// I/O failures, a record-source error (encoded records that fail their
+/// length or CRC check included), or a record-count mismatch against
+/// [`SnapshotView::n_records`]; on every error path the old snapshot (if
+/// any) stays in place and no temporary file is left behind.
+pub fn replace_snapshot(
     dir: &Path,
     view: &SnapshotView<'_>,
-    records: impl Iterator<Item = io::Result<Cow<'r, Record>>>,
+    records: impl RecordSource,
 ) -> Result<u64, StoreError> {
     replace_file(&dir.join(SNAPSHOT_FILE), |file| {
         view.write_to(file, records)
@@ -400,10 +403,10 @@ impl MatchStore {
     /// snapshot (if any) and the journal stay in place and no temporary
     /// file is left behind. A failed journal reset poisons the store, as a
     /// failed append does.
-    pub fn commit_snapshot<'r>(
+    pub fn commit_snapshot(
         &mut self,
         view: &SnapshotView<'_>,
-        records: impl Iterator<Item = io::Result<Cow<'r, Record>>>,
+        records: impl RecordSource,
     ) -> Result<u64, StoreError> {
         let bytes = replace_snapshot(&self.dir, view, records)?;
         self.journal
@@ -515,6 +518,73 @@ mod tests {
         );
         assert_eq!(store.next_seq(), 3, "seq resumes above the watermark");
         std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// A commit fed encoded records — a bulk load's record spill — writes
+    /// the bytes a commit of the same records does; one whose bytes differ
+    /// from what was recorded when they were written, in length or in CRC,
+    /// fails and leaves the directory as it found it: no snapshot, no
+    /// temporary file.
+    #[test]
+    fn encoded_records_commit_only_when_their_length_and_crc_hold() {
+        let records = batch(1, 40);
+        let snap = snap_of(records.clone(), 1);
+        let mut encoded = Vec::new();
+        for r in &records {
+            codec::put_record(&mut encoded, r);
+        }
+        let (n, len, crc) = (40, encoded.len() as u64, codec::crc32(&encoded));
+
+        let dir = tmp_dir("encoded-good");
+        std::fs::create_dir_all(&dir).unwrap();
+        let source = EncodedRecords::new(encoded.as_slice(), n, len, crc);
+        replace_snapshot(&dir, &snap.view(), source).unwrap();
+        assert_eq!(
+            std::fs::read(dir.join(SNAPSHOT_FILE)).unwrap(),
+            snap.encode()
+        );
+        std::fs::remove_dir_all(&dir).unwrap();
+
+        let mut flipped = encoded.clone();
+        flipped[len as usize / 2] ^= 0x20;
+        let cases: [(&str, &[u8], u64, u32, &str); 4] = [
+            (
+                "recorded length too short",
+                &encoded,
+                len - 1,
+                crc,
+                "run past",
+            ),
+            (
+                "recorded length too long",
+                &encoded,
+                len + 1,
+                crc,
+                "end after",
+            ),
+            (
+                "source cut short",
+                &encoded[..len as usize - 3],
+                len,
+                crc,
+                "end after",
+            ),
+            ("a byte differs", &flipped, len, crc, "CRC-32"),
+        ];
+        for (what, bytes, len, crc, says) in cases {
+            let dir = tmp_dir("encoded-bad");
+            std::fs::create_dir_all(&dir).unwrap();
+            let source = EncodedRecords::new(bytes, n, len, crc);
+            let err = replace_snapshot(&dir, &snap.view(), source).unwrap_err();
+            assert!(matches!(err, StoreError::Corrupt(_)), "{what}: {err}");
+            assert!(err.to_string().contains(says), "{what}: {err}");
+            let names: Vec<String> = std::fs::read_dir(&dir)
+                .unwrap()
+                .map(|e| e.unwrap().file_name().to_string_lossy().into_owned())
+                .collect();
+            assert!(names.is_empty(), "{what}: {names:?}");
+            std::fs::remove_dir_all(&dir).unwrap();
+        }
     }
 
     #[test]

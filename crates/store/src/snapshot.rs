@@ -24,11 +24,11 @@
 //! merge survives checkpoints.
 //!
 //! There is one encoder, [`SnapshotView::encode`]'s streaming core: every
-//! producer (a checkpoint borrowing the live engine, a bulk load streaming
-//! records back off its input file, an owned [`Snapshot`]) hands it a
-//! borrowed [`SnapshotView`] plus a record iterator, and it emits the six
-//! sections in the order above through an incremental CRC — no section,
-//! let alone the file, is ever built in memory first.
+//! producer (a checkpoint borrowing the live engine, a bulk load copying
+//! the record spill its run formation wrote, an owned [`Snapshot`]) hands
+//! it a borrowed [`SnapshotView`] plus a [`RecordSource`], and it emits
+//! the six sections in the order above through an incremental CRC — no
+//! section, let alone the file, is ever built in memory first.
 //!
 //! Section CRCs are verified on load; any mismatch, unknown version, or
 //! structural inconsistency (e.g. a pass index referencing a record that
@@ -326,9 +326,10 @@ fn take_keys(r: &mut Reader<'_>) -> Result<KeyArena, String> {
 }
 
 /// Borrowed view of everything a snapshot stores *except* the records,
-/// which the encoder pulls from an iterator — a slice of resident
-/// records ([`borrowed`]) for a checkpoint, the input file streamed back
-/// for a bulk load that never materializes them.
+/// which the encoder pulls from a [`RecordSource`] — a slice of resident
+/// records ([`borrowed`]) for a checkpoint, the record spill run
+/// formation wrote ([`EncodedRecords`]) for a bulk load that never
+/// materializes them.
 ///
 /// Every producer of durable state (the incremental engine, the bulk
 /// loader, an owned [`Snapshot`]) hands the store one of these, so a
@@ -357,6 +358,111 @@ pub struct SnapshotView<'a> {
 /// borrowed, none cloned.
 pub fn borrowed(records: &[Record]) -> impl Iterator<Item = io::Result<Cow<'_, Record>>> {
     records.iter().map(|r| Ok(Cow::Borrowed(r)))
+}
+
+/// One piece of a `RECS` payload as a [`RecordSource`] hands it over.
+#[derive(Debug, Clone, Copy)]
+pub enum RecordBytes<'a> {
+    /// A record, encoded with [`codec::put_record`] on its way in.
+    Record(&'a Record),
+    /// Records already in that encoding, cut anywhere.
+    Encoded(&'a [u8]),
+}
+
+/// What fills a snapshot's `RECS` section, in id order: any iterator of
+/// records ([`borrowed`] for resident state), encoded as they pass, or
+/// bytes already in the record encoding ([`EncodedRecords`]).
+pub trait RecordSource {
+    /// Hands every record to `put`, in id order, and returns how many
+    /// there were.
+    ///
+    /// # Errors
+    ///
+    /// An error of the source or of `put`.
+    fn put_records(
+        self,
+        put: impl FnMut(RecordBytes<'_>) -> io::Result<()>,
+    ) -> Result<u64, StoreError>;
+}
+
+impl<'r, I: Iterator<Item = io::Result<Cow<'r, Record>>>> RecordSource for I {
+    fn put_records(
+        self,
+        mut put: impl FnMut(RecordBytes<'_>) -> io::Result<()>,
+    ) -> Result<u64, StoreError> {
+        let mut yielded = 0u64;
+        for record in self {
+            put(RecordBytes::Record(record?.as_ref()))?;
+            yielded += 1;
+        }
+        Ok(yielded)
+    }
+}
+
+/// Records already in the snapshot's record encoding — one
+/// [`codec::put_record`] after another, nothing else — read from
+/// `reader`, with the count, byte length and CRC-32 recorded when they
+/// were written. A bulk load spills its records this way as it forms its
+/// runs, so its commit copies bytes instead of parsing its input again.
+///
+/// The copy checks the length and the digest as it goes: a source that
+/// runs long, ends short or differs in any byte fails the commit, which
+/// then leaves no snapshot behind. The count is taken on trust; bytes
+/// that pass both checks are the bytes that were written.
+#[derive(Debug)]
+pub struct EncodedRecords<R> {
+    reader: R,
+    records: u64,
+    len: u64,
+    crc: u32,
+}
+
+impl<R: io::Read> EncodedRecords<R> {
+    /// `records` records in `len` bytes whose CRC-32 is `crc`, to be read
+    /// from `reader`.
+    pub fn new(reader: R, records: u64, len: u64, crc: u32) -> Self {
+        EncodedRecords {
+            reader,
+            records,
+            len,
+            crc,
+        }
+    }
+}
+
+impl<R: io::Read> RecordSource for EncodedRecords<R> {
+    fn put_records(
+        mut self,
+        mut put: impl FnMut(RecordBytes<'_>) -> io::Result<()>,
+    ) -> Result<u64, StoreError> {
+        let corrupt =
+            |what: String| StoreError::Corrupt(format!("snapshot: encoded records {what}"));
+        let mut block = vec![0u8; SECTION_CHUNK];
+        let (mut len, mut crc) = (0u64, Crc32::new());
+        loop {
+            let n = match self.reader.read(&mut block) {
+                Ok(0) => break,
+                Ok(n) => n,
+                Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
+                Err(e) => return Err(e.into()),
+            };
+            len += n as u64;
+            if len > self.len {
+                return Err(corrupt(format!("run past the {} bytes recorded", self.len)));
+            }
+            crc.update(&block[..n]);
+            put(RecordBytes::Encoded(&block[..n]))?;
+        }
+        if len != self.len {
+            return Err(corrupt(format!("end after {len} of {} bytes", self.len)));
+        }
+        if crc.finalize() != self.crc {
+            return Err(corrupt(
+                "fail the CRC-32 recorded when they were written".into(),
+            ));
+        }
+        Ok(self.records)
+    }
 }
 
 /// Payload bytes buffered before they are checksummed and written out.
@@ -427,19 +533,21 @@ impl SnapshotView<'_> {
     /// here.
     ///
     /// `records` must yield exactly [`SnapshotView::n_records`] records
-    /// with positional ids; each is encoded and dropped, so peak memory is
-    /// one chunk regardless of database size.
+    /// with positional ids; each is encoded (or copied, when it comes
+    /// encoded) and dropped, so peak memory is one chunk regardless of
+    /// database size.
     ///
     /// # Errors
     ///
-    /// Underlying I/O failure, an error from the record iterator, or
-    /// [`StoreError::Corrupt`] when the iterator yields a different number
+    /// Underlying I/O failure, an error from the record source, or
+    /// [`StoreError::Corrupt`] when the source yields a different number
     /// of records than declared (the snapshot would fail its own
-    /// validation on load, so it is never written silently).
-    pub(crate) fn write_to<'r, W: Write + Seek>(
+    /// validation on load, so it is never written silently) or encoded
+    /// records fail their length or CRC check.
+    pub(crate) fn write_to<W: Write + Seek>(
         &self,
         out: &mut W,
-        records: impl Iterator<Item = io::Result<Cow<'r, Record>>>,
+        records: impl RecordSource,
     ) -> Result<u64, StoreError> {
         out.write_all(SNAPSHOT_MAGIC)?;
         out.write_all(&SNAPSHOT_VERSION.to_le_bytes())?;
@@ -455,12 +563,13 @@ impl SnapshotView<'_> {
 
         write_section(out, b"RECS", |s| {
             codec::put_u32(&mut s.buf, self.n_records as u32);
-            let mut yielded = 0u64;
-            for record in records {
-                codec::put_record(&mut s.buf, record?.as_ref());
-                s.spill()?;
-                yielded += 1;
-            }
+            let yielded = records.put_records(|piece| {
+                match piece {
+                    RecordBytes::Record(r) => codec::put_record(&mut s.buf, r),
+                    RecordBytes::Encoded(bytes) => s.buf.extend_from_slice(bytes),
+                }
+                s.spill()
+            })?;
             if yielded != self.n_records {
                 return Err(StoreError::Corrupt(format!(
                     "snapshot: declared {} records but the source yielded {yielded}",
@@ -520,12 +629,9 @@ impl SnapshotView<'_> {
     ///
     /// # Errors
     ///
-    /// An error from the record iterator, or a record-count mismatch
+    /// An error from the record source, or a record-count mismatch
     /// against [`SnapshotView::n_records`].
-    pub fn encode<'r>(
-        &self,
-        records: impl Iterator<Item = io::Result<Cow<'r, Record>>>,
-    ) -> Result<Vec<u8>, StoreError> {
+    pub fn encode(&self, records: impl RecordSource) -> Result<Vec<u8>, StoreError> {
         let mut out = io::Cursor::new(Vec::new());
         self.write_to(&mut out, records)?;
         Ok(out.into_inner())

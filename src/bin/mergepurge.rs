@@ -148,9 +148,10 @@ slower). Compiled runs add the rules_compiled and subexpr_hits counters to
 load cold-loads a record file into an empty durable store through the
 external-sort bulk pipeline (mp-extsort): the full database is never
 materialized, so a 10M-record file loads under the --memory-budget
-record cap (default 100000 records in memory; spill runs go to
---work-dir, default STORE/bulk-tmp, which is removed again whether the
-load succeeds or fails). A non-empty store is left untouched (exit
+record cap (default 100000 records per run, resident as their encoded
+bytes and sort keys, each record parsed once; spill runs and the
+record copy the commit reads go to --work-dir, default STORE/bulk-tmp,
+which is removed again whether the load succeeds or fails). A non-empty store is left untouched (exit
 failure). --stats/--trace report the load like dedupe's (span tree
 bulk_load > run_formation, bulk_pass, snapshot_commit; see
 docs/TRACING.md). See docs/SCALING.md for the tuning model.

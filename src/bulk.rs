@@ -7,10 +7,13 @@
 //! outcome, as a borrowed [`SnapshotView`], goes through the store's one
 //! snapshot writer
 //! ([`replace_snapshot`]) — the call a daemon checkpoint makes — with the
-//! records iterated back off the input file instead of borrowed from
-//! memory. The full database is never materialized in this process; peak
-//! record residency is the sort's `memory_records` budget plus one scan
-//! window. The store's journal stays empty until the daemon ingests.
+//! records copied from the record spill run formation wrote (already in
+//! the snapshot's record encoding, checked against the length and CRC-32
+//! taken as it was written) instead of borrowed from memory. The input is
+//! parsed once. The full database is never materialized in this process;
+//! during run formation one `memory_records` chunk's keys and encoded
+//! bytes are resident, during the scans one window per pass. The store's
+//! journal stays empty until the daemon ingests.
 //!
 //! The committed snapshot carries `batches_applied = 1` — a restarted
 //! daemon sees a store that ingested the whole file as its first batch,
@@ -32,13 +35,9 @@
 use merge_purge::KeySpec;
 use mp_extsort::{BulkLoader, BulkOutcome, ExternalConfig, IoStats};
 use mp_metrics::{span, PipelineObserver};
-use mp_record::io as rio;
-use mp_record::Record;
 use mp_rules::EquationalTheory;
 use mp_store::{replace_snapshot, MatchStore, SnapshotView};
 use std::borrow::Cow;
-use std::fs::File;
-use std::io::{self, BufReader};
 use std::path::Path;
 
 /// What to load and how: the daemon's pass configuration plus the
@@ -70,22 +69,14 @@ pub struct BulkStoreReport {
     pub io: IoStats,
 }
 
-/// The store's record source for a load: the input file, streamed.
-fn record_stream(
-    input: &Path,
-) -> Result<impl Iterator<Item = io::Result<Cow<'static, Record>>>, String> {
-    let file = File::open(input).map_err(|e| format!("open {}: {e}", input.display()))?;
-    Ok(rio::RecordStream::new(BufReader::new(file))
-        .map(|r| r.map(Cow::Owned).map_err(io::Error::other)))
-}
-
 /// The load's spill directory: created on entry and removed on every
 /// exit path — success, error or panic — so no caller can leak a keyed
 /// copy of the input into the store directory. The extsort pipeline
 /// deletes its own spill files the same way (and sweeps a dead process's
-/// leftovers before it starts), so the directory is empty by the time
-/// this guard drops; a non-empty one (say a `--work-dir` the user shares
-/// with other files) is left in place.
+/// leftovers before it starts), and the record spill goes with the
+/// loader's outcome, which the caller drops first, so the directory is
+/// empty by the time this guard drops; a non-empty one (say a
+/// `--work-dir` the user shares with other files) is left in place.
 struct WorkDir<'a>(&'a Path);
 
 impl<'a> WorkDir<'a> {
@@ -103,8 +94,7 @@ impl Drop for WorkDir<'_> {
 }
 
 /// Runs the external-sort bulk pipeline over `input`, spilling under
-/// `work_dir`, which exists only for the duration of the call. Callers
-/// open the enclosing `bulk_load` span.
+/// `work_dir`. Callers open the enclosing `bulk_load` span.
 fn run_loader(
     input: &Path,
     work_dir: &Path,
@@ -112,7 +102,6 @@ fn run_loader(
     theory: &dyn EquationalTheory,
     observer: &dyn PipelineObserver,
 ) -> Result<BulkOutcome, String> {
-    let _work = WorkDir::create(work_dir)?;
     let mut loader = BulkLoader::new(cfg.external);
     for key in &cfg.keys {
         loader = loader.pass(key.clone(), cfg.window);
@@ -177,19 +166,24 @@ pub fn bulk_load_store(
         return Ok(None);
     }
 
+    // Declared before the outcome, so the outcome's record spill is
+    // removed before the guard removes the work dir it sits in.
+    let _work = WorkDir::create(work_dir)?;
     let outcome = run_loader(input, work_dir, cfg, theory, observer)?;
-    // Commit: stream the records back off the input file through the
-    // snapshot encoder — the one moment the whole database flows through
-    // this process, and it flows, never resides. The store's journal is
-    // empty, so there is nothing for the commit to reset.
+    // Commit: copy the records run formation spilled, already in the
+    // snapshot's record encoding, through the snapshot encoder — the one
+    // moment the whole database flows through this process, and it flows,
+    // never resides. The copy checks the spill's length and CRC-32 from
+    // formation. The store's journal is empty, so there is nothing for the
+    // commit to reset.
     let _commit_span = span(observer, "snapshot_commit");
     let provenance = mp_closure::ProvenanceLog::new();
-    let snapshot_bytes = replace_snapshot(
-        store_dir,
-        &outcome_view(&outcome, &provenance),
-        record_stream(input)?,
-    )
-    .map_err(|e| format!("commit snapshot: {e}"))?;
+    let records = outcome
+        .records_spill
+        .source()
+        .map_err(|e| format!("open the record spill: {e}"))?;
+    let snapshot_bytes = replace_snapshot(store_dir, &outcome_view(&outcome, &provenance), records)
+        .map_err(|e| format!("commit snapshot: {e}"))?;
 
     Ok(Some(BulkStoreReport {
         records: outcome.records,
@@ -208,4 +202,65 @@ fn holds_state(store_dir: &Path) -> Result<bool, String> {
     let (store, loaded) = MatchStore::open(store_dir)
         .map_err(|e| format!("open store {}: {e}", store_dir.display()))?;
     Ok(loaded.snapshot.is_some() || !loaded.replayable.is_empty() || store.next_seq() != 1)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use mp_datagen::{DatabaseGenerator, GeneratorConfig};
+    use mp_metrics::NoopObserver;
+    use mp_rules::NativeEmployeeTheory;
+    use std::path::PathBuf;
+
+    fn entries(dir: &Path) -> Vec<String> {
+        let mut names: Vec<String> = std::fs::read_dir(dir)
+            .unwrap()
+            .map(|e| e.unwrap().file_name().to_string_lossy().into_owned())
+            .collect();
+        names.sort();
+        names
+    }
+
+    /// The record spill lives in the work dir until the commit has copied
+    /// it, and goes before the work dir does: a load leaves no work dir of
+    /// its own behind, and a work dir shared with other files holds only
+    /// those files afterwards. Both commit the same snapshot.
+    #[test]
+    fn a_load_removes_its_record_spill_before_its_work_dir() {
+        let dir: PathBuf =
+            std::env::temp_dir().join(format!("mp-bulk-unit-{}-workdir", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        let db = DatabaseGenerator::new(GeneratorConfig::new(400).seed(39)).generate();
+        let input = dir.join("db.mp");
+        mp_record::io::write_records(std::fs::File::create(&input).unwrap(), &db.records).unwrap();
+        let cfg = BulkStoreConfig {
+            window: 6,
+            keys: vec![KeySpec::last_name_key(), KeySpec::first_name_key()],
+            external: ExternalConfig {
+                memory_records: 90,
+                ..ExternalConfig::default()
+            },
+        };
+        let theory = NativeEmployeeTheory::new();
+        let shared = dir.join("shared");
+        std::fs::create_dir_all(&shared).unwrap();
+        std::fs::write(shared.join("sentinel"), "keep").unwrap();
+
+        let mut snapshots = Vec::new();
+        for (store, work) in [
+            (dir.join("own"), dir.join("own").join("bulk-tmp")),
+            (dir.join("beside"), shared.clone()),
+        ] {
+            let report = bulk_load_store(&store, &input, &work, &cfg, &theory, &NoopObserver)
+                .unwrap()
+                .expect("an empty store takes the load");
+            assert_eq!(report.records, db.records.len());
+            assert_eq!(entries(&store), ["journal.mpj", "snapshot.mps"]);
+            snapshots.push(std::fs::read(store.join(mp_store::SNAPSHOT_FILE)).unwrap());
+        }
+        assert_eq!(entries(&shared), ["sentinel"]);
+        assert_eq!(snapshots[0], snapshots[1]);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
 }
