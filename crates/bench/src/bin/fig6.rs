@@ -7,13 +7,14 @@
 //! * Fig. 6(a): parallel sorted-neighborhood method, 1–8 processors.
 //! * Fig. 6(b): parallel clustering method (100 clusters/processor).
 //!
-//! Our "processors" are worker threads. On a multi-core host the measured
-//! wall-clock shows the paper's sublinear speedup directly; on fewer cores
-//! than P the threads time-share, so the binary additionally reports a
-//! *simulated shared-nothing makespan* computed from measured serial phase
-//! times and the per-worker work split the engines actually produced
-//! (replicated bands / LPT loads) — the quantity the paper's cluster
-//! measured, minus network costs. See DESIGN.md §5.
+//! Our "processors" are the bands of the product's window scan, each on a
+//! thread of its own. On a multi-core host the measured wall-clock shows
+//! the paper's sublinear speedup directly; on fewer cores than P the
+//! threads time-share, so the binary additionally reports a *simulated
+//! shared-nothing makespan* computed from measured serial phase times and
+//! the per-band comparison split the scan actually produced — the
+//! quantity the paper's cluster measured, minus network costs. See
+//! DESIGN.md §5.
 //!
 //! Usage: `cargo run --release -p mp-bench --bin fig6 [--records N] [--max-procs P]`
 
@@ -39,7 +40,7 @@ fn phases(r: &PassResult) -> SerialPhases {
     }
 }
 
-/// Worst-worker share of the window-scan work.
+/// Worst band's share of the window-scan comparisons.
 fn scan_skew(r: &PassResult) -> f64 {
     let total: u64 = r.worker_comparisons.iter().sum();
     let max = r.worker_comparisons.iter().copied().max().unwrap_or(0);
@@ -71,7 +72,7 @@ fn snm_sim(serial: SerialPhases, n: usize, p: usize, skew: f64) -> f64 {
 
 /// Simulated clustering makespan (§4.2): parallel key extraction, a serial
 /// coordinator pass distributing records to cluster sites, then fully
-/// parallel per-cluster sorts and scans at the observed LPT skew.
+/// parallel per-cluster sorts and scans at the observed band skew.
 fn cluster_sim(serial: SerialPhases, p: usize, skew: f64) -> f64 {
     if p == 1 {
         return serial.keys + serial.sort + serial.scan;

@@ -36,7 +36,7 @@ fn main() {
 
     println!(
         "# Figure 7 — scale-up, sizes {base_sizes:?} originals x duplication {{10%,30%,50%}}, \
-         3 concurrent runs x {procs} procs each, w = {w}"
+         3 concurrent runs x {procs} procs each, w = {w} (host cores: {hw})"
     );
 
     let mut extrapolation: Vec<(String, usize, f64)> = Vec::new();

@@ -5,13 +5,14 @@
 //! A pass's *position sequence* is its segments in order and each
 //! segment's positions in order — one sorted list for
 //! [`SortedNeighborhood`](crate::SortedNeighborhood), the clusters for
-//! [`ClusteringMethod`](crate::ClusteringMethod). [`scan_segments`] cuts
-//! it into one contiguous band per core ([`band_ranges`]; a cut may fall
-//! inside a segment or between two) and scans the bands side by side
-//! through [`fan_out`]. Band 0 runs on the calling thread through the
-//! real [`PrunedSink`]; every other band runs on a `scan-K` lane through
-//! a [`Speculation`], which prunes against its own copy of the pass-start
-//! closure. One core is one band: the serial scan, on the same path.
+//! [`ClusteringMethod`](crate::ClusteringMethod). [`scan_in_bands`] cuts
+//! it into contiguous bands ([`deal`]; a cut may fall inside a segment or
+//! between two) and scans the bands side by side through [`fan_out`] —
+//! one band per core ([`per_core`]) unless the caller names a count.
+//! Band 0 runs on the calling thread through the real [`PrunedSink`];
+//! every other band runs on a `scan-K` lane through a [`Speculation`],
+//! which prunes against its own copy of the pass-start closure. One band
+//! is the serial scan, on the same path.
 //!
 //! # Why a band may prune, evaluate or defer
 //!
@@ -52,7 +53,6 @@
 //! each band collects its matches and the fold inserts them in band order.
 
 use crate::fanout::fan_out;
-use crate::incremental::band_ranges;
 use crate::snm::Scanned;
 use crate::window::{Candidate, PrunedSink, ScanCounts, ScanSink, WindowScan};
 use mp_closure::{PairSet, UnionFind};
@@ -61,23 +61,37 @@ use mp_record::Record;
 use std::iter;
 use std::ops::Range;
 
-/// Scans `segments` (each an ordered run of record indices) under one
-/// `window_scan` span, in one band per core — pruned against `uf` when a
-/// union-find is given, into a plain [`PairSet`] otherwise. The result is
-/// the serial scan's on any core count.
-pub(crate) fn scan_segments<'s>(
-    scan: &WindowScan<'_>,
-    records: &[Record],
-    segments: impl IntoIterator<Item = &'s [u32]>,
-    uf: Option<&mut UnionFind>,
-    observer: &dyn PipelineObserver,
-) -> Scanned {
-    let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
-    let segments: Vec<&[u32]> = segments.into_iter().collect();
-    scan_in_bands(scan, records, &segments, uf, observer, cores)
+/// The band count a pass's scan runs in unless its caller names one: one
+/// band per core.
+pub(crate) fn per_core() -> usize {
+    std::thread::available_parallelism().map_or(1, |n| n.get())
 }
 
-/// [`scan_segments`] in `bands` bands (at most one per position).
+/// Shares positions `0..n` out in `bands` contiguous ranges of near-equal
+/// length, in order; earlier ranges take the remainder, and ranges are
+/// empty when `bands` exceeds `n`.
+///
+/// A scan band owns the window pairs whose *later* element falls inside
+/// it; [`WindowScan::band`]'s backward window reaches across the left
+/// boundary — the band-replication seam — so every boundary pair is still
+/// evaluated exactly once. The external sorter cuts a chunk of records
+/// with it to fan run formation out across worker threads.
+pub fn band_ranges(n: usize, bands: usize) -> Vec<Range<usize>> {
+    let mut end = 0;
+    (0..bands)
+        .map(|k| {
+            let start = end;
+            end += n / bands + usize::from(k < n % bands);
+            start..end
+        })
+        .collect()
+}
+
+/// Scans `segments` (each an ordered run of record indices) under one
+/// `window_scan` span in `bands` bands (at least one, at most one per
+/// position) — pruned against `uf` when a union-find is given, into a
+/// plain [`PairSet`] otherwise. The result is the serial scan's on any
+/// band count, with one entry per band in its `worker_comparisons`.
 pub(crate) fn scan_in_bands(
     scan: &WindowScan<'_>,
     records: &[Record],
@@ -87,7 +101,9 @@ pub(crate) fn scan_in_bands(
     bands: usize,
 ) -> Scanned {
     let _s = span(observer, "window_scan");
-    let bands = cut(segments, bands);
+    let lens: Vec<Range<usize>> = segments.iter().map(|s| 0..s.len()).collect();
+    let n: usize = segments.iter().map(|s| s.len()).sum();
+    let bands = deal(&lens, bands.clamp(1, n.max(1)));
     let pass = Pass {
         scan,
         records,
@@ -95,44 +111,57 @@ pub(crate) fn scan_in_bands(
         bands: &bands,
         observer,
     };
-    let mut out = Scanned::default();
-    out.counts = match uf {
-        Some(uf) => pass.pruned(uf, &mut out.pairs),
-        None => pass.plain(&mut out.pairs),
+    let mut pairs = PairSet::new();
+    let per_band = match uf {
+        Some(uf) => pass.pruned(uf, &mut pairs),
+        None => pass.plain(&mut pairs),
     };
-    out.worker_comparisons = vec![out.counts.comparisons];
-    out
+    let mut counts = ScanCounts::default();
+    for &band in &per_band {
+        counts += band;
+    }
+    Scanned {
+        pairs,
+        counts,
+        worker_comparisons: per_band.iter().map(|c| c.comparisons).collect(),
+    }
 }
 
-/// One band: a contiguous run of the pass's position sequence.
+/// One band: a contiguous run of the positions [`deal`] shares out.
 #[derive(Debug, Clone, PartialEq, Eq)]
-struct Band {
-    /// Position of the band's first position in the sequence.
-    start: usize,
-    /// The band's positions, as `(segment, positions within it)` in order.
-    pieces: Vec<(usize, Range<usize>)>,
+pub(crate) struct Band {
+    /// How many positions the bands before this one hold.
+    pub(crate) start: usize,
+    /// The band's positions in order, as `(i, piece)`: `piece` is a
+    /// nonempty part of the `i`-th dealt range.
+    pub(crate) pieces: Vec<(usize, Range<usize>)>,
 }
 
-/// Cuts the position sequence of `segments` into `bands` contiguous bands
-/// of near-equal length (at least one, at most one per position).
-fn cut(segments: &[&[u32]], bands: usize) -> Vec<Band> {
-    let n: usize = segments.iter().map(|s| s.len()).sum();
-    // `band_ranges` shares out positions 1..=n; one less is 0..n.
-    band_ranges(n + 1, bands.clamp(1, n.max(1)))
+/// Deals the positions of `ranges`, in order, out in `bands` contiguous
+/// bands of near-equal size ([`band_ranges`] over their count), so bands
+/// stay balanced however the positions are spread over the ranges. A band
+/// may end inside a range or between two.
+pub(crate) fn deal(ranges: &[Range<usize>], bands: usize) -> Vec<Band> {
+    let n = ranges.iter().map(Range::len).sum();
+    let mut rest = ranges.iter().cloned().enumerate();
+    let (mut i, mut current) = (0, 0..0);
+    band_ranges(n, bands)
         .into_iter()
-        .map(|(from, to)| {
-            let (from, to) = (from - 1, to - 1);
+        .map(|share| {
             let mut pieces = Vec::new();
-            let mut offset = 0;
-            for (s, seg) in segments.iter().enumerate() {
-                let (lo, hi) = (from.max(offset), to.min(offset + seg.len()));
-                if lo < hi {
-                    pieces.push((s, lo - offset..hi - offset));
+            let mut wanted = share.len();
+            while wanted > 0 {
+                if current.is_empty() {
+                    (i, current) = rest.next().expect("the bands add up to the positions");
+                    continue;
                 }
-                offset += seg.len();
+                let take = wanted.min(current.len());
+                pieces.push((i, current.start..current.start + take));
+                current.start += take;
+                wanted -= take;
             }
             Band {
-                start: from,
+                start: share.start,
                 pieces,
             }
         })
@@ -207,8 +236,8 @@ impl Pass<'_, '_> {
     }
 
     /// The unpruned scan: bands collect their matches, the fold inserts
-    /// them in band order.
-    fn plain(&self, pairs: &mut PairSet) -> ScanCounts {
+    /// them in band order. Returns each band's counts.
+    fn plain(&self, pairs: &mut PairSet) -> Vec<ScanCounts> {
         let lanes = iter::once(Lane::Caller(&mut *pairs))
             .chain(
                 self.bands[1..]
@@ -216,37 +245,40 @@ impl Pass<'_, '_> {
                     .map(|_| Lane::Worker(Collected::default())),
             )
             .collect();
-        let (mut counts, rest) = self.scan_lanes(lanes);
+        let (first, rest) = self.scan_lanes(lanes);
         let _f = span_labeled(self.observer, "scan_fold", || "deferred=0".to_string());
+        let mut per_band = vec![first];
         for (band_counts, collected) in rest {
-            counts += band_counts;
+            per_band.push(band_counts);
             for (a, b) in collected.0 {
                 pairs.insert(a, b);
             }
         }
-        counts
+        per_band
     }
 
     /// The pruned scan: band 0 against the real closure, every other band
-    /// speculating against the pass-start closure, then the fold.
-    fn pruned(&self, uf: &mut UnionFind, pairs: &mut PairSet) -> ScanCounts {
+    /// speculating against the pass-start closure, then the fold. Returns
+    /// each band's counts as the serial scan makes them.
+    fn pruned(&self, uf: &mut UnionFind, pairs: &mut PairSet) -> Vec<ScanCounts> {
         let ids: Vec<u32> = self.records.iter().map(|r| r.id.0).collect();
         let speculations = self.speculations(uf, &ids);
         let mut sink = PrunedSink::new(uf, pairs);
         let lanes = iter::once(Lane::Caller(&mut sink))
             .chain(speculations.into_iter().map(Lane::Worker))
             .collect();
-        let (mut counts, rest) = self.scan_lanes(lanes);
+        let (first, rest) = self.scan_lanes(lanes);
         let deferred: usize = rest.iter().map(|(_, s)| s.deferred()).sum();
         let _f = span_labeled(self.observer, "scan_fold", || {
             format!("deferred={deferred}")
         });
+        let mut per_band = vec![first];
         for ((band_counts, speculation), band) in rest.iter().zip(&self.bands[1..]) {
             let folded = self.fold(band, &speculation.events, &ids, &mut sink);
             debug_assert_eq!(folded.comparisons, band_counts.comparisons);
-            counts += folded;
+            per_band.push(folded);
         }
-        counts
+        per_band
     }
 
     /// One [`Speculation`] per band after the first, each starting from
@@ -577,7 +609,8 @@ mod tests {
         /// Every band count scans every pass — sorted (one segment) or
         /// clustered (several), pruned against a union-find carried across
         /// the passes or unpruned — exactly as the serial scan does: same
-        /// counts, pairs, closure (to the forest's bytes) and theory calls.
+        /// counts, pairs, closure (to the forest's bytes) and theory calls,
+        /// with each band's comparisons reported on their own.
         #[test]
         fn every_band_count_is_the_serial_scan(
             codes in proptest::collection::vec(0u32..27, 0..70),
@@ -624,6 +657,9 @@ mod tests {
                         let scanned = scan_in_bands(
                             &scan, &recs, &segments, prune.then_some(&mut uf), &NoopObserver, bands,
                         );
+                        let per_band = &scanned.worker_comparisons;
+                        proptest::prop_assert_eq!(per_band.len(), bands.min(n.max(1)));
+                        proptest::prop_assert_eq!(per_band.iter().sum::<u64>(), scanned.counts.comparisons);
                         let got = (scanned.counts, scanned.pairs.sorted(), theory.take_sorted());
                         proptest::prop_assert_eq!(&got, want, "bands={} w={} prune={}", bands, w, prune);
                     }
@@ -702,32 +738,58 @@ mod tests {
     }
 
     #[test]
+    fn band_ranges_cover_scan_positions_exactly_once() {
+        for n in [0usize, 1, 2, 3, 10, 97] {
+            for shards in 1..=8usize {
+                let ranges = band_ranges(n, shards);
+                assert_eq!(ranges.len(), shards);
+                let mut next = 0usize;
+                for range in &ranges {
+                    assert_eq!(range.start, next, "gap/overlap at n={n} shards={shards}");
+                    assert!(range.end >= range.start);
+                    next = range.end;
+                }
+                assert_eq!(next, n, "positions 0..{n} not covered");
+            }
+        }
+    }
+
+    #[test]
     fn bands_cut_the_position_sequence_across_segments() {
         let (a, b, c) = ([0u32, 1, 2], [3u32], [4u32, 5, 6, 7]);
         let segments: [&[u32]; 3] = [&a, &b, &c];
+        let lens = [0..3, 0..1, 0..4];
         let starts = |bands| {
-            cut(&segments, bands)
+            deal(&lens, bands)
                 .iter()
                 .map(|b| b.start)
                 .collect::<Vec<_>>()
         };
         assert_eq!(starts(1), vec![0]);
         assert_eq!(starts(3), vec![0, 3, 6]);
-        assert_eq!(
-            starts(20),
-            (0..8).collect::<Vec<_>>(),
-            "at most one band per position"
-        );
-        let three = cut(&segments, 3);
+        let three = deal(&lens, 3);
         assert_eq!(three[0].pieces, vec![(0, 0..3)]);
         assert_eq!(three[1].pieces, vec![(1, 0..1), (2, 0..2)]);
         assert_eq!(three[2].pieces, vec![(2, 2..4)]);
+        // An empty range holds no position, so no band holds a piece of it.
         assert_eq!(
-            cut(&[], 4),
-            vec![Band {
-                start: 0,
-                pieces: vec![]
-            }]
+            deal(&[0..2, 5..5, 7..9], 2)
+                .into_iter()
+                .map(|b| b.pieces)
+                .collect::<Vec<_>>(),
+            vec![vec![(0, 0..2)], vec![(2, 7..9)]]
         );
+
+        // A scan makes at most one band per position, and at least one.
+        let recs = records(&[0, 1, 2, 3, 4, 5, 6, 7], |i| i as u32);
+        let theory = Recording::default();
+        let scan = WindowScan::new(3, &theory, &NoopObserver);
+        let bands_of = |segments: &[&[u32]], bands| {
+            scan_in_bands(&scan, &recs, segments, None, &NoopObserver, bands)
+                .worker_comparisons
+                .len()
+        };
+        assert_eq!(bands_of(&segments, 20), 8, "at most one band per position");
+        assert_eq!(bands_of(&[], 4), 1);
     }
 }

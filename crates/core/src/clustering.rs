@@ -1,7 +1,7 @@
 //! The clustering method (§2.2.1): histogram-partition the key space, then
 //! run the sorted-neighborhood method inside each cluster.
 
-use crate::banded::scan_segments;
+use crate::banded::{per_core, scan_in_bands};
 use crate::key::{KeyArena, KeySpec};
 use crate::snm::{PassResult, PassRun};
 use mp_closure::UnionFind;
@@ -111,6 +111,19 @@ impl ClusteringMethod {
         uf: Option<&mut UnionFind>,
         observer: &dyn PipelineObserver,
     ) -> PassResult {
+        self.run_in_bands(records, theory, uf, observer, per_core())
+    }
+
+    /// [`run_pruned_observed`](Self::run_pruned_observed) with the cluster
+    /// scans in `bands` bands.
+    pub(crate) fn run_in_bands(
+        &self,
+        records: &[Record],
+        theory: &dyn EquationalTheory,
+        uf: Option<&mut UnionFind>,
+        observer: &dyn PipelineObserver,
+        bands: usize,
+    ) -> PassResult {
         let config = &self.config;
         let mut pass = PassRun::begin(observer, &self.key, config.window, " clustered");
         let (keys, mut clusters) = pass.keys(records.len(), || {
@@ -126,21 +139,16 @@ impl ClusteringMethod {
         // Clusters are scanned in cluster order, so pruning sees matches
         // from earlier clusters.
         pass.scan(theory, |scan| {
-            let segments = clusters.iter().map(Vec::as_slice);
-            scan_segments(scan, records, segments, uf, observer)
+            let segments: Vec<&[u32]> = clusters.iter().map(Vec::as_slice).collect();
+            scan_in_bands(scan, records, &segments, uf, observer, bands)
         })
     }
 }
 
 /// Histogram-partitions the (already truncated) `keys` into at most
 /// `clusters` balanced ranges — never more than the histogram has bins —
-/// and assigns every record index to its range, in input order. Shared
-/// with the parallel clustering engine.
-pub fn partition_clusters(
-    keys: &KeyArena,
-    histogram_prefix: usize,
-    clusters: usize,
-) -> Vec<Vec<u32>> {
+/// and assigns every record index to its range, in input order.
+fn partition_clusters(keys: &KeyArena, histogram_prefix: usize, clusters: usize) -> Vec<Vec<u32>> {
     let histogram = KeyHistogram::from_keys(keys.iter(), histogram_prefix);
     let partition = RangePartition::build(&histogram, clusters.min(histogram.bins()));
     let mut out: Vec<Vec<u32>> = vec![Vec::new(); partition.clusters()];

@@ -37,6 +37,7 @@
 //! kill/restart sequence reaches byte-identical pairs, comparisons, and
 //! closure classes as an uninterrupted run (tests enforce this too).
 
+use crate::banded::{deal, Band};
 use crate::fan_out;
 use crate::key::{KeyArena, KeySpec};
 use crate::radix::{chunked_str_cmp, insert_sorted};
@@ -377,11 +378,11 @@ impl IncrementalMergePurge {
             let pass = &state.snap;
             let window = WindowScan::new(pass.window as usize, theory, observer);
             let touched = touched_ranges(&landed, pass.window as usize, pass.order.len());
-            let scan = |k: usize, ranges: Vec<Range<usize>>| {
+            let scan = |k: usize, band: Band| {
                 let _scan = span_labeled(observer, "shard_scan", || format!("pass={p} shard={k}"));
                 let mut sink = FoundList::new(old_len, attribute);
                 let mut counts = ScanCounts::default();
-                for range in ranges {
+                for (_, range) in band.pieces {
                     let (before, len) = (counts.comparisons, range.len() as u64);
                     window.band(records, &pass.order, range, &mut sink, &mut counts);
                     debug_assert!(
@@ -608,28 +609,6 @@ fn merge_pass(pass: &mut PassState, records: &[Record], old_len: u32) -> Vec<usi
     })
 }
 
-/// Splits scan positions `1..n` into `shards` contiguous bands (earlier
-/// bands take the remainder). A band owns the window pairs whose *later*
-/// element falls inside it; [`WindowScan::band`]'s backward window reaches across
-/// the left boundary — the band-replication seam — so every boundary pair
-/// is still evaluated exactly once. Bands may be empty when `shards`
-/// exceeds the position count.
-///
-/// Public because the external sorter reuses the same contiguous
-/// partition (shifted to 0-based offsets) to fan run formation out across
-/// worker threads.
-pub fn band_ranges(n: usize, shards: usize) -> Vec<(usize, usize)> {
-    let positions = n.saturating_sub(1); // window scan covers 1..n
-    let mut out = Vec::with_capacity(shards);
-    let mut start = 1usize;
-    for k in 0..shards {
-        let len = positions / shards + usize::from(k < positions % shards);
-        out.push((start, start + len));
-        start += len;
-    }
-    out
-}
-
 /// The scan positions that can hold a window pair with a new member, given
 /// the ascending positions `landed` the new records took in an order of
 /// `n`: the `window` positions from each new record's own on, clipped to
@@ -646,32 +625,6 @@ fn touched_ranges(landed: &[usize], window: usize, n: usize) -> Vec<Range<usize>
         }
     }
     out
-}
-
-/// Deals the positions of the ascending disjoint `ranges` out in `shards`
-/// contiguous shares ([`band_ranges`] over the visited positions), so the
-/// bands stay balanced however the new records cluster in the order.
-fn deal(ranges: &[Range<usize>], shards: usize) -> Vec<Vec<Range<usize>>> {
-    let visited: usize = ranges.iter().map(Range::len).sum();
-    let mut rest = ranges.iter().cloned();
-    let mut current = 0..0;
-    band_ranges(visited + 1, shards)
-        .into_iter()
-        .map(|(from, to)| {
-            let mut share = Vec::new();
-            let mut wanted = to - from;
-            while wanted > 0 {
-                if current.is_empty() {
-                    current = rest.next().expect("shares add up to the visited positions");
-                }
-                let take = wanted.min(current.len());
-                share.push(current.start..current.start + take);
-                current.start += take;
-                wanted -= take;
-            }
-            share
-        })
-        .collect()
 }
 
 /// What [`DurableIncremental::open`] found on disk.
@@ -1051,23 +1004,6 @@ mod tests {
         }
     }
 
-    #[test]
-    fn band_ranges_cover_scan_positions_exactly_once() {
-        for n in [0usize, 1, 2, 3, 10, 97] {
-            for shards in 1..=8usize {
-                let ranges = band_ranges(n, shards);
-                assert_eq!(ranges.len(), shards);
-                let mut next = 1usize;
-                for &(from, to) in &ranges {
-                    assert_eq!(from, next, "gap/overlap at n={n} shards={shards}");
-                    assert!(to >= from);
-                    next = to;
-                }
-                assert_eq!(next, n.max(1), "positions 1..{n} not covered");
-            }
-        }
-    }
-
     proptest::proptest! {
         /// The sparse scan's shape: the touched ranges are exactly the
         /// positions of `1..n` with a new record at most `w − 1` before
@@ -1103,10 +1039,13 @@ mod tests {
             proptest::prop_assert_eq!(shares.len(), shards);
             let sizes: Vec<usize> = shares
                 .iter()
-                .map(|share| share.iter().map(Range::len).sum())
+                .map(|share| share.pieces.iter().map(|(_, r)| r.len()).sum())
                 .collect();
             proptest::prop_assert!(sizes.iter().max().unwrap() - sizes.iter().min().unwrap() <= 1);
-            let dealt: Vec<usize> = shares.into_iter().flatten().flatten().collect();
+            let dealt: Vec<usize> = shares
+                .into_iter()
+                .flat_map(|share| share.pieces.into_iter().flat_map(|(_, r)| r))
+                .collect();
             proptest::prop_assert_eq!(&dealt, &want);
         }
     }

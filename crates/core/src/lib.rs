@@ -54,11 +54,12 @@ pub mod radix;
 pub mod snm;
 pub mod window;
 
+pub use banded::band_ranges;
 pub use clustering::{ClusteringConfig, ClusteringMethod};
 pub use costmodel::CostModel;
 pub use eval::Evaluation;
 pub use fanout::fan_out;
-pub use incremental::{band_ranges, IncrementalMergePurge};
+pub use incremental::IncrementalMergePurge;
 pub use key::{KeyArena, KeyPart, KeySpec};
 pub use mergescan::MergeScanSnm;
 pub use multipass::{MultiPass, MultiPassResult, PassConfig};

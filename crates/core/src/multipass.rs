@@ -1,6 +1,7 @@
 //! The multi-pass approach (§2.4): independent runs with different keys and
 //! small windows, unioned by transitive closure.
 
+use crate::banded::per_core;
 use crate::clustering::{ClusteringConfig, ClusteringMethod};
 use crate::key::KeySpec;
 use crate::snm::{PassResult, SortedNeighborhood};
@@ -33,19 +34,26 @@ pub enum PassConfig {
 }
 
 impl PassConfig {
-    fn run(
+    /// Runs the pass, pruned against `uf` when one is given, with its
+    /// window scan cut into `bands` bands (at most one per position). The
+    /// result is the same on every band count; a multi-pass run scans in
+    /// one band per core. The parallel engines (§4) name their processor
+    /// count here.
+    #[doc(hidden)]
+    pub fn run_in_bands(
         &self,
         records: &[Record],
         theory: &dyn EquationalTheory,
         uf: Option<&mut UnionFind>,
         observer: &dyn PipelineObserver,
+        bands: usize,
     ) -> PassResult {
         match self {
             PassConfig::Sorted { key, window } => SortedNeighborhood::new(key.clone(), *window)
-                .run_pruned_observed(records, theory, uf, observer),
+                .run_in_bands(records, theory, uf, observer, bands),
             PassConfig::Clustered { key, config } => {
                 ClusteringMethod::new(key.clone(), config.clone())
-                    .run_pruned_observed(records, theory, uf, observer)
+                    .run_in_bands(records, theory, uf, observer, bands)
             }
         }
     }
@@ -189,7 +197,7 @@ impl MultiPass {
         let passes: Vec<PassResult> = self
             .passes
             .iter()
-            .map(|p| p.run(records, theory, uf.as_mut(), observer))
+            .map(|p| p.run_in_bands(records, theory, uf.as_mut(), observer, per_core()))
             .collect();
         let result = Self::close_observed(records.len(), passes, observer);
         observer.run_complete();

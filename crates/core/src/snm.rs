@@ -1,7 +1,7 @@
 //! The sorted-neighborhood method (§2.2): create keys → sort → window scan
 //! — and the pass scaffold ([`PassRun`]) every in-memory engine runs on.
 
-use crate::banded::scan_segments;
+use crate::banded::{per_core, scan_in_bands};
 use crate::key::{KeyArena, KeySpec};
 use crate::radix::sorted_order_radix;
 use crate::window::{ScanCounts, WindowScan};
@@ -53,9 +53,9 @@ pub struct PassResult {
     pub pairs: PairSet,
     /// Phase timings.
     pub stats: PassStats,
-    /// Pair comparisons per worker (one entry for serial passes). The
-    /// shared-nothing simulation uses the max/total ratio of this vector as
-    /// the parallel scan makespan.
+    /// Pair comparisons per band of the window scan (one entry when it ran
+    /// in one band). The shared-nothing simulation uses the max/total ratio
+    /// of this vector as the parallel scan makespan.
     pub worker_comparisons: Vec<u64>,
 }
 
@@ -64,9 +64,9 @@ pub struct PassResult {
 pub struct Scanned {
     /// Deduplicated matching pairs.
     pub pairs: PairSet,
-    /// The scan's work, summed over every segment and worker.
+    /// The scan's work, summed over every segment and band.
     pub counts: ScanCounts,
-    /// Comparisons per worker (one entry for serial engines).
+    /// Comparisons per band (one entry for a scan in one band).
     pub worker_comparisons: Vec<u64>,
 }
 
@@ -233,13 +233,26 @@ impl SortedNeighborhood {
         uf: Option<&mut UnionFind>,
         observer: &dyn PipelineObserver,
     ) -> PassResult {
+        self.run_in_bands(records, theory, uf, observer, per_core())
+    }
+
+    /// [`run_pruned_observed`](Self::run_pruned_observed) with the scan in
+    /// `bands` bands.
+    pub(crate) fn run_in_bands(
+        &self,
+        records: &[Record],
+        theory: &dyn EquationalTheory,
+        uf: Option<&mut UnionFind>,
+        observer: &dyn PipelineObserver,
+        bands: usize,
+    ) -> PassResult {
         let mut pass = PassRun::begin(observer, &self.key, self.window, "");
         let keys = pass.keys(records.len(), || KeyArena::extract(&self.key, records));
         // Indices by key; stable, so equal keys keep input order and runs
         // are deterministic.
         let order = pass.sort(|| sorted_order_radix(&keys, observer));
         pass.scan(theory, |scan| {
-            scan_segments(scan, records, [&order[..]], uf, observer)
+            scan_in_bands(scan, records, &[&order], uf, observer, bands)
         })
     }
 }

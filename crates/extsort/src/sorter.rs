@@ -467,17 +467,10 @@ fn spill_chunk(
     };
 
     let threads = threads.min(chunk.len()).max(1);
-    // band_ranges splits 1-based scan positions into contiguous ranges;
-    // their lengths carve the chunk into disjoint bands, each spilled by
-    // a worker of its own (band 0 on this thread).
-    let mut bands = Vec::with_capacity(threads);
-    let mut start = 0;
-    for (from, to) in band_ranges(chunk.len() + 1, threads) {
-        bands.push(start..start + (to - from));
-        start += to - from;
-    }
+    // Disjoint bands of the chunk, each spilled by a worker of its own
+    // (band 0 on this thread).
     fan_out(
-        bands,
+        band_ranges(chunk.len(), threads),
         |b| format!("run-band-{b}"),
         |b, band| run_one(band, first_run + b),
     )

@@ -59,8 +59,10 @@ pub use mp_trace::{
 
 /// Version of the `--stats` JSON report layout. Bumped to 2 when the span
 /// tree, attribution, rule-firing, and latency sections were added (the
-/// schema-1 `counters`/`phases_ns` sections are unchanged).
-pub const REPORT_SCHEMA: u32 = 2;
+/// schema-1 `counters`/`phases_ns` sections are unchanged), and to 3 when
+/// the parallel engines' `worker_fragments` and `band_overlap_comparisons`
+/// counters and `coordinator_merge` phase went.
+pub const REPORT_SCHEMA: u32 = 3;
 
 /// Monotonic event counters the engines report.
 ///
@@ -105,11 +107,6 @@ pub enum Counter {
     /// Total inputs across external merge steps (sum of each merge's
     /// fan-in; divide by the number of merges for the mean fan-in).
     MergeFanIn,
-    /// Worker fragments spawned by the parallel engines.
-    WorkerFragments,
-    /// Comparisons crossing a fragment boundary in the band-replicated
-    /// parallel window scan (the overlap work replication costs).
-    BandOverlapComparisons,
     /// Batches ingested by the incremental engine in this process (journal
     /// replay does not count — see [`Counter::JournalReplays`]).
     BatchesIngested,
@@ -135,7 +132,7 @@ pub enum Counter {
 
 impl Counter {
     /// Every counter, in stable report order.
-    pub const ALL: [Counter; 21] = [
+    pub const ALL: [Counter; 19] = [
         Counter::RecordsKeyed,
         Counter::Comparisons,
         Counter::RuleInvocations,
@@ -148,8 +145,6 @@ impl Counter {
         Counter::SpillRuns,
         Counter::BytesSpilled,
         Counter::MergeFanIn,
-        Counter::WorkerFragments,
-        Counter::BandOverlapComparisons,
         Counter::BatchesIngested,
         Counter::JournalReplays,
         Counter::SnapshotBytes,
@@ -174,8 +169,6 @@ impl Counter {
             Counter::SpillRuns => "spill_runs",
             Counter::BytesSpilled => "bytes_spilled",
             Counter::MergeFanIn => "merge_fan_in",
-            Counter::WorkerFragments => "worker_fragments",
-            Counter::BandOverlapComparisons => "band_overlap_comparisons",
             Counter::BatchesIngested => "batches_ingested",
             Counter::JournalReplays => "journal_replays",
             Counter::SnapshotBytes => "snapshot_bytes",
@@ -208,8 +201,6 @@ pub enum Phase {
     WindowScan,
     /// Transitive closure over pass pairs.
     Closure,
-    /// Coordinator-side merging of parallel workers' partial results.
-    CoordinatorMerge,
     /// External sort: forming sorted runs.
     RunFormation,
     /// External sort: merging runs.
@@ -218,13 +209,12 @@ pub enum Phase {
 
 impl Phase {
     /// Every phase, in stable report order.
-    pub const ALL: [Phase; 8] = [
+    pub const ALL: [Phase; 7] = [
         Phase::Condition,
         Phase::CreateKeys,
         Phase::Sort,
         Phase::WindowScan,
         Phase::Closure,
-        Phase::CoordinatorMerge,
         Phase::RunFormation,
         Phase::RunMerge,
     ];
@@ -237,7 +227,6 @@ impl Phase {
             Phase::Sort => "sort",
             Phase::WindowScan => "window_scan",
             Phase::Closure => "closure",
-            Phase::CoordinatorMerge => "coordinator_merge",
             Phase::RunFormation => "run_formation",
             Phase::RunMerge => "run_merge",
         }
@@ -1046,7 +1035,7 @@ mod tests {
         }
         m.rule_latency().unwrap().record(150);
         let json = m.report().to_json();
-        assert!(json.contains("\"schema\": 2"));
+        assert!(json.contains(&format!("\"schema\": {REPORT_SCHEMA}")));
         assert!(json.contains("\"latency\""));
         assert!(json.contains("\"p99_ns\""));
         assert!(json.contains("\"span_tree\""));

@@ -1,19 +1,15 @@
 //! The parallel clustering method (§4.2).
 
-use crate::{parallel_extract_keys, scan_fragments};
-use merge_purge::clustering::partition_clusters;
-use merge_purge::snm::PassRun;
-use merge_purge::window::{FoundList, ScanCounts};
-use merge_purge::{ClusteringConfig, KeySpec, PassResult};
-use mp_cluster::lpt_assign;
-use mp_metrics::{span, NoopObserver, PipelineObserver};
+use merge_purge::{ClusteringConfig, KeySpec, PassConfig, PassResult};
+use mp_metrics::{NoopObserver, PipelineObserver};
 use mp_record::Record;
 use mp_rules::EquationalTheory;
 
-/// Parallel clustering pass: the coordinator histograms the key space into
-/// `C·P` subranges, distributes records to clusters, LPT-balances clusters
-/// across `P` processors, and each processor sorts and window-scans its
-/// clusters locally.
+/// Parallel clustering pass: the key space is histogrammed into `C·P`
+/// clusters, each sorted, and the clusters in order are window-scanned in
+/// `P` bands. The paper hands whole clusters to processors; a band here
+/// may end inside a cluster (the next band's window reaches back across
+/// the cut), so the bands' loads stay within one position of each other.
 ///
 /// ```
 /// use mp_parallel::ParallelClustering;
@@ -32,84 +28,44 @@ use mp_rules::EquationalTheory;
 /// ```
 #[derive(Debug, Clone)]
 pub struct ParallelClustering {
-    key: KeySpec,
-    /// `config.clusters` is interpreted as clusters *per processor* (the
-    /// paper runs "100 clusters per processor").
-    config: ClusteringConfig,
+    pass: PassConfig,
     processors: usize,
 }
 
 impl ParallelClustering {
-    /// A parallel clustering pass.
+    /// A parallel clustering pass. `config.clusters` counts clusters *per
+    /// processor* (the paper runs "100 clusters per processor").
     ///
     /// # Panics
     ///
     /// Panics when `window < 2`, `clusters == 0`, or `processors == 0`.
     pub fn new(key: KeySpec, config: ClusteringConfig, processors: usize) -> Self {
         assert!(config.window >= 2, "window must hold at least two records");
-        assert!(
-            config.clusters >= 1,
-            "need at least one cluster per processor"
-        );
+        assert!(config.clusters >= 1, "need a cluster per processor");
         assert!(processors >= 1, "need at least one processor");
+        let clusters = config.clusters * processors;
+        let config = ClusteringConfig { clusters, ..config };
         ParallelClustering {
-            key,
-            config,
+            pass: PassConfig::Clustered { key, config },
             processors,
         }
     }
 
-    /// Runs the parallel clustering method.
+    /// Runs the parallel clustering method. The result is the serial
+    /// [`merge_purge::ClusteringMethod`]'s over `C·P` clusters.
     pub fn run(&self, records: &[Record], theory: &dyn EquationalTheory) -> PassResult {
         self.run_observed(records, theory, &NoopObserver)
     }
 
-    /// Like [`ParallelClustering::run`], reporting counters and phase
-    /// timings to `observer`: per-worker fragment counts, comparisons, and
-    /// the coordinator's partial-result merge time. Workers report in bulk
-    /// after joining, so observation adds no synchronization to the scan.
+    /// Like [`ParallelClustering::run`], reporting to `observer`.
     pub fn run_observed(
         &self,
         records: &[Record],
         theory: &dyn EquationalTheory,
         observer: &dyn PipelineObserver,
     ) -> PassResult {
-        let (p, config) = (self.processors, &self.config);
-        let variant = format!(" clustered P={p}");
-        let mut pass = PassRun::begin(observer, &self.key, config.window, &variant);
-        // Coordinator: keys, histogram, partition, cluster assignment, and
-        // static load balancing — LPT on cluster sizes (§4.2).
-        let (keys, clusters, assignment) = pass.keys(records.len(), || {
-            let mut keys = parallel_extract_keys(&self.key, records, p);
-            keys.truncate_keys(config.cluster_key_len);
-            // `C · P` clusters in all.
-            let clusters = partition_clusters(&keys, config.histogram_prefix, config.clusters * p);
-            let sizes: Vec<u64> = clusters.iter().map(|c| c.len() as u64).collect();
-            let assignment = lpt_assign(&sizes, p);
-            (keys, clusters, assignment)
-        });
-        // Workers: sort + scan their clusters.
-        pass.scan(theory, |window| {
-            let keys = &keys;
-            let workers = (0..p).map(|proc| {
-                let my_clusters: Vec<Vec<u32>> = assignment
-                    .jobs_of(proc)
-                    .into_iter()
-                    .map(|j| clusters[j].clone())
-                    .collect();
-                move || {
-                    let _scan_span = span(observer, "scan");
-                    let mut sink = FoundList::new(0, false);
-                    let mut counts = ScanCounts::default();
-                    for mut cluster in my_clusters {
-                        keys.sort_indices(&mut cluster);
-                        window.band(records, &cluster, 0..cluster.len(), &mut sink, &mut counts);
-                    }
-                    (counts, sink.found)
-                }
-            });
-            scan_fragments(records, workers.collect(), observer)
-        })
+        self.pass
+            .run_in_bands(records, theory, None, observer, self.processors)
     }
 }
 

@@ -1,12 +1,9 @@
-//! Concurrent multi-pass execution (§4.1's estimate, made real).
-//!
-//! The paper could not run its three independent passes concurrently for
-//! lack of processors and estimated the multi-pass time as "approximately
-//! the maximum time taken by any independent run plus the time to compute
-//! the closure". With threads we simply run the passes concurrently and
-//! measure.
+//! Concurrent multi-pass execution (§4.1's estimate, made real): the
+//! paper estimated it as "approximately the maximum time taken by any
+//! independent run plus the time to compute the closure"; threads run the
+//! passes concurrently and measure it.
 
-use merge_purge::{MultiPass, MultiPassResult, PassResult};
+use merge_purge::{fan_out, MultiPass, MultiPassResult};
 use mp_metrics::{span, NoopObserver, PipelineObserver};
 use mp_record::Record;
 use mp_rules::EquationalTheory;
@@ -20,26 +17,8 @@ pub enum ParallelPass {
     Clustering(crate::ParallelClustering),
 }
 
-impl ParallelPass {
-    fn run(
-        &self,
-        records: &[Record],
-        theory: &dyn EquationalTheory,
-        observer: &dyn PipelineObserver,
-    ) -> PassResult {
-        match self {
-            ParallelPass::Snm(p) => p.run_observed(records, theory, observer),
-            ParallelPass::Clustering(p) => p.run_observed(records, theory, observer),
-        }
-    }
-}
-
-/// Runs all passes concurrently (each internally parallel with its own
-/// processor budget), then computes the transitive closure.
-///
-/// # Panics
-///
-/// Panics when `passes` is empty.
+/// Runs all passes concurrently (each in its own processor count's
+/// bands), then computes the transitive closure. Panics on no passes.
 pub fn parallel_multipass(
     passes: &[ParallelPass],
     records: &[Record],
@@ -49,9 +28,9 @@ pub fn parallel_multipass(
 }
 
 /// Like [`parallel_multipass`], reporting counters and phase timings to
-/// `observer`. Passes run concurrently, so phase times accumulated across
-/// passes can exceed wall-clock time; counters (comparisons, matches,
-/// worker fragments) are exact sums across all passes.
+/// `observer`. Pass 0 runs on the calling thread and pass `P` on a
+/// `pass-P` lane, side by side, so phase times accumulated across passes
+/// can exceed wall-clock time; counters are exact sums across all passes.
 ///
 /// # Panics
 ///
@@ -64,17 +43,14 @@ pub fn parallel_multipass_observed(
 ) -> MultiPassResult {
     assert!(!passes.is_empty(), "need at least one pass");
     let _run_span = span(observer, "run");
-    let mut results: Vec<Option<PassResult>> = (0..passes.len()).map(|_| None).collect();
-    std::thread::scope(|s| {
-        let handles: Vec<_> = passes
-            .iter()
-            .map(|p| s.spawn(move || p.run(records, theory, observer)))
-            .collect();
-        for (slot, h) in results.iter_mut().zip(handles) {
-            *slot = Some(h.join().expect("pass thread panicked"));
-        }
-    });
-    let results: Vec<PassResult> = results.into_iter().map(|r| r.expect("filled")).collect();
+    let results = fan_out(
+        passes.iter().collect(),
+        |p| format!("pass-{p}"),
+        |_, pass| match pass {
+            ParallelPass::Snm(p) => p.run_observed(records, theory, observer),
+            ParallelPass::Clustering(p) => p.run_observed(records, theory, observer),
+        },
+    );
     let result = MultiPass::close_observed(records.len(), results, observer);
     observer.run_complete();
     result

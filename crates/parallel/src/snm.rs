@@ -1,21 +1,16 @@
 //! The parallel sorted-neighborhood method (§4.1).
 
-use crate::{parallel_extract_keys, psort::parallel_sorted_order, scan_fragments};
-use merge_purge::snm::PassRun;
-use merge_purge::window::{FoundList, ScanCounts};
-use merge_purge::{KeySpec, PassResult};
-use mp_metrics::{span, Counter, NoopObserver, PipelineObserver};
+use merge_purge::{KeySpec, PassConfig, PassResult};
+use mp_metrics::{NoopObserver, PipelineObserver};
 use mp_record::Record;
 use mp_rules::EquationalTheory;
 
-/// Parallel sorted-neighborhood pass over `P` worker threads.
+/// Parallel sorted-neighborhood pass over `P` processors.
 ///
-/// The sorted list is fragmented into `P` contiguous pieces; "the fragment
+/// The sorted list is cut into `P` contiguous bands; "the fragment
 /// assigned to processor i should replicate the last w−1 records from the
-/// fragment assigned to site i−1" so no cross-boundary pair is missed. Each
-/// worker window-scans its fragment into a private found-list; the
-/// coordinator folds the lists in fragment order. Fragments do not prune:
-/// a worker cannot see the matches of the fragments before it.
+/// fragment assigned to site i−1", as each band's backward window does.
+/// The bands do not prune: none sees the matches of the bands before it.
 ///
 /// ```
 /// use mp_parallel::ParallelSnm;
@@ -27,11 +22,11 @@ use mp_rules::EquationalTheory;
 /// let psnm = ParallelSnm::new(KeySpec::last_name_key(), 10, 4);
 /// let result = psnm.run(&db.records, &NativeEmployeeTheory::new());
 /// assert!(result.pairs.len() > 0);
+/// assert_eq!(result.worker_comparisons.len(), 4);
 /// ```
 #[derive(Debug, Clone)]
 pub struct ParallelSnm {
-    key: KeySpec,
-    window: usize,
+    pass: PassConfig,
     processors: usize,
 }
 
@@ -45,68 +40,28 @@ impl ParallelSnm {
         assert!(window >= 2, "window must hold at least two records");
         assert!(processors >= 1, "need at least one processor");
         ParallelSnm {
-            key,
-            window,
+            pass: PassConfig::Sorted { key, window },
             processors,
         }
     }
 
-    /// Runs create-keys, parallel sort, and band-replicated parallel window
-    /// scan. The result is bit-identical to the serial
+    /// Runs create-keys, sort, and the window scan in `P` bands. The
+    /// result is bit-identical to the serial
     /// [`merge_purge::SortedNeighborhood`] with the same key and window.
     pub fn run(&self, records: &[Record], theory: &dyn EquationalTheory) -> PassResult {
         self.run_observed(records, theory, &NoopObserver)
     }
 
-    /// Like [`ParallelSnm::run`], reporting counters and phase timings to
-    /// `observer`: per-worker fragment count, comparisons against records
-    /// replicated from the previous fragment's band, and the coordinator's
-    /// partial-result merge time. Workers report in bulk after joining, so
-    /// observation adds no synchronization to the scan.
+    /// Like [`ParallelSnm::run`], reporting counters, phase timings and
+    /// spans (a `window_scan` labelled `band=K` per band) to `observer`.
     pub fn run_observed(
         &self,
         records: &[Record],
         theory: &dyn EquationalTheory,
         observer: &dyn PipelineObserver,
     ) -> PassResult {
-        let (p, w) = (self.processors, self.window);
-        let mut pass = PassRun::begin(observer, &self.key, w, &format!(" P={p}"));
-        let keys = pass.keys(records.len(), || {
-            parallel_extract_keys(&self.key, records, p)
-        });
-        let order = pass.sort(|| parallel_sorted_order(&keys, p, observer));
-        let n = order.len();
-        let chunk = n.div_ceil(p).max(1);
-        // Comparisons against records replicated from the previous
-        // fragment's band: position `i` reaches `start - lo` entries left
-        // of its fragment's `start`.
-        let band_comparisons: usize = (0..n)
-            .map(|i| (i / chunk * chunk).saturating_sub(i.saturating_sub(w - 1)))
-            .sum();
-        observer.add(Counter::BandOverlapComparisons, band_comparisons as u64);
-        pass.scan(theory, |window| {
-            let order = &order;
-            let workers = (0..n).step_by(chunk).map(|start| {
-                move || {
-                    let end = (start + chunk).min(n);
-                    // The fragment head (first w-1 slots) is where
-                    // band-replicated records are consulted; it gets its
-                    // own child span. Fragment 0 has no band but keeps the
-                    // same span shape (truncated windows).
-                    let head_end = (start + w - 1).clamp(start.max(1), end);
-                    let mut sink = FoundList::new(0, false);
-                    let mut counts = ScanCounts::default();
-                    let mut scan = |name, band| {
-                        let _s = span(observer, name);
-                        window.band(records, order, band, &mut sink, &mut counts);
-                    };
-                    scan("band_overlap", start..head_end);
-                    scan("scan", head_end..end);
-                    (counts, sink.found)
-                }
-            });
-            scan_fragments(records, workers.collect(), observer)
-        })
+        self.pass
+            .run_in_bands(records, theory, None, observer, self.processors)
     }
 }
 

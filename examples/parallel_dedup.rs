@@ -27,8 +27,8 @@ fn main() {
     );
     let theory = NativeEmployeeTheory::new();
 
-    // Three concurrent passes: two band-replicated SNM passes and one
-    // histogram-clustered pass (100 clusters per processor, LPT balanced).
+    // Three concurrent passes, each scanned in `procs` bands: two SNM
+    // passes and one histogram-clustered pass (100 clusters per processor).
     let passes = vec![
         ParallelPass::Snm(ParallelSnm::new(KeySpec::last_name_key(), 10, procs)),
         ParallelPass::Snm(ParallelSnm::new(KeySpec::first_name_key(), 10, procs)),
@@ -81,7 +81,7 @@ fn main() {
         parallel_last.pairs.len()
     );
     println!(
-        "per-worker comparison split of the last-name pass: {:?}",
+        "per-band comparison split of the last-name pass: {:?}",
         parallel_last.worker_comparisons
     );
 }

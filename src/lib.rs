@@ -9,11 +9,9 @@ pub mod serve;
 
 pub use merge_purge as core;
 pub use mp_closure as closure;
-pub use mp_cluster as cluster;
 pub use mp_datagen as datagen;
 pub use mp_extsort as extsort;
 pub use mp_metrics as metrics;
-pub use mp_parallel as parallel;
 pub use mp_record as record;
 pub use mp_rules as rules;
 pub use mp_store as store;

@@ -148,9 +148,6 @@ fn sequential_and_parallel_match_counts_agree() {
         concurrent.get(Counter::ClosedPairs)
     );
     assert_eq!(serial.closed_pairs.sorted(), parallel.closed_pairs.sorted());
-    // Parallel-only counters actually fired: 3 passes x 4 fragments.
-    assert_eq!(concurrent.get(Counter::WorkerFragments), 12);
-    assert_eq!(sequential.get(Counter::WorkerFragments), 0);
 }
 
 #[test]

@@ -6,12 +6,12 @@
 //! `comparisons == rule_invocations + pairs_pruned`.
 
 use merge_purge::incremental::IncrementalMergePurge;
-use merge_purge::{KeySpec, MultiPass, SortedNeighborhood};
+use merge_purge::{ClusteringConfig, ClusteringMethod, KeySpec, MultiPass, SortedNeighborhood};
 use mp_closure::UnionFind;
 use mp_datagen::{DatabaseGenerator, GeneratorConfig};
 use mp_extsort::{BulkLoader, ExternalConfig, ExternalSnm};
 use mp_metrics::{Counter, MetricsRecorder};
-use mp_parallel::{parallel_multipass_observed, ParallelPass, ParallelSnm};
+use mp_parallel::{parallel_multipass_observed, ParallelClustering, ParallelPass, ParallelSnm};
 use mp_record::{NicknameTable, Record};
 use mp_rules::{EquationalTheory, NativeEmployeeTheory};
 use proptest::prelude::*;
@@ -211,8 +211,9 @@ fn observed_comparisons(recorder: &MetricsRecorder, what: &str) -> u64 {
 
 proptest! {
     /// In-memory passes: serial {pruned, unpruned}, and `ParallelSnm` on
-    /// 1..=8 processors — fragments are often shorter than the window
-    /// here — alone and under `parallel_multipass`.
+    /// 1..=8 processors — bands are often shorter than the window here —
+    /// alone and under `parallel_multipass`, and `ParallelClustering`
+    /// against the serial clustering method.
     #[test]
     fn in_memory_engines_agree_with_the_oracle(
         seed in 0u64..1_000,
@@ -264,17 +265,8 @@ proptest! {
                 .run_observed(&records, &theory, &recorder);
             prop_assert_eq!(observed_comparisons(&recorder, &what), single.comparisons, "{}", what);
             prop_assert_eq!(pass.pairs.sorted(), single.pairs.iter().copied().collect::<Vec<_>>(), "{}", what);
+            prop_assert_eq!(pass.worker_comparisons.len(), procs.min(n), "{}", what);
             prop_assert_eq!(pass.worker_comparisons.iter().sum::<u64>(), single.comparisons, "{}", what);
-            // Band replication: window pairs whose earlier record sits in
-            // a fragment before the later one's.
-            let chunk = n.div_ceil(procs);
-            let crossing: u64 = (0..n)
-                .map(|i| {
-                    let start = i / chunk * chunk;
-                    (start - i.saturating_sub(w - 1).min(start)) as u64
-                })
-                .sum();
-            prop_assert_eq!(recorder.get(Counter::BandOverlapComparisons), crossing, "{}", what);
 
             let recorder = MetricsRecorder::new();
             let passes: Vec<ParallelPass> = keys
@@ -284,6 +276,24 @@ proptest! {
             let got = parallel_multipass_observed(&passes, &records, &theory, &recorder);
             prop_assert_eq!(got.closed_pairs.sorted(), want_closed.clone(), "{}", what);
             prop_assert_eq!(observed_comparisons(&recorder, &what), want.comparisons, "{}", what);
+
+            // The clustering method in `procs` bands over `clusters × procs`
+            // clusters is the serial one over as many.
+            let what = format!("parallel clustering P={procs}");
+            let config = |clusters| ClusteringConfig {
+                clusters,
+                histogram_prefix: 2,
+                cluster_key_len: 6,
+                window: w,
+            };
+            let recorder = MetricsRecorder::new();
+            let pass = ParallelClustering::new(keys[1].clone(), config(3), procs)
+                .run_observed(&records, &theory, &recorder);
+            let serial = ClusteringMethod::new(keys[1].clone(), config(3 * procs)).run(&records, &theory);
+            prop_assert_eq!(pass.pairs.sorted(), serial.pairs.sorted(), "{}", what);
+            prop_assert_eq!(observed_comparisons(&recorder, &what), serial.stats.comparisons, "{}", what);
+            prop_assert_eq!(pass.worker_comparisons.len(), procs.min(n), "{}", what);
+            prop_assert_eq!(pass.worker_comparisons.iter().sum::<u64>(), serial.stats.comparisons, "{}", what);
         }
     }
 

@@ -252,18 +252,53 @@ fn parallel_run_records_one_track_per_thread_and_exports_chrome_trace() {
     let _ = parallel_multipass_observed(&passes, &db.records, &theory, &recorder);
     let tracks = recorder.drain_spans();
 
-    // Main thread + 3 pass threads + 3x3 fragment worker threads.
-    assert_eq!(tracks.len(), 1 + 3 + 3 * procs, "one track per thread");
+    // Pass 0 runs on the calling thread and passes 1 and 2 on lanes
+    // `pass-1` and `pass-2`; every pass scans band 0 on its own thread and
+    // band K on a `scan-K` thread of its own.
+    let lanes = 1 + (passes.len() - 1) + passes.len() * (procs - 1);
+    assert_eq!(tracks.len(), lanes, "one track per thread");
+    let spans = |t: &mp_metrics::TrackSpans| -> Vec<String> {
+        t.spans
+            .iter()
+            .map(|s| match &s.label {
+                Some(label) if s.name != "pass" => format!("{} {label}", s.name),
+                _ => s.name.to_string(),
+            })
+            .collect()
+    };
+    let pass = [
+        "pass",
+        "key_build",
+        "sort",
+        "window_scan",
+        "window_scan band=0",
+        "scan_fold deferred=0",
+    ]
+    .map(String::from);
+    let run = [
+        &["run".to_string()],
+        &pass[..],
+        &["closure_merge".to_string()],
+    ]
+    .concat();
+    assert_eq!(spans(&tracks[0]), run, "the run, pass 0 and the closure");
+    let mut got: Vec<(String, Vec<String>)> = tracks[1..]
+        .iter()
+        .map(|t| (t.thread_name.clone(), spans(t)))
+        .collect();
+    got.sort();
+    let mut want: Vec<(String, Vec<String>)> = (1..passes.len())
+        .map(|p| (format!("pass-{p}"), pass.to_vec()))
+        .chain((0..passes.len()).flat_map(|_| {
+            (1..procs).map(|k| (format!("scan-{k}"), vec![format!("window_scan band={k}")]))
+        }))
+        .collect();
+    want.sort();
+    assert_eq!(got, want, "a lane per pass after the first and per band");
     let all_names: Vec<&str> = tracks
         .iter()
         .flat_map(|t| t.spans.iter().map(|s| s.name))
         .collect();
-    assert_eq!(
-        all_names.iter().filter(|&&n| n == "fragment").count(),
-        3 * procs
-    );
-    assert!(all_names.contains(&"band_overlap"));
-    assert!(all_names.contains(&"coordinator_merge"));
 
     let json = chrome_trace_json(&tracks);
     // One thread_name metadata event per track, complete events for spans,
@@ -327,7 +362,7 @@ fn cli_stats_dash_prints_report_to_stdout_and_trace_loads() {
     let json = stdout.trim();
     assert!(json.starts_with('{') && json.ends_with('}'), "{stdout}");
     for section in [
-        "\"schema\": 2",
+        "\"schema\": 3",
         "\"counters\"",
         "\"attribution\"",
         "\"rules\"",
