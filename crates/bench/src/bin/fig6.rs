@@ -14,7 +14,9 @@
 //! shared-nothing makespan* computed from measured serial phase times and
 //! the per-band comparison split the scan actually produced — the
 //! quantity the paper's cluster measured, minus network costs. See
-//! DESIGN.md §5.
+//! DESIGN.md §5. Every timed quantity — the serial phases and closure
+//! behind the simulation, and each measured wall — is the median of three
+//! samples.
 //!
 //! Usage: `cargo run --release -p mp-bench --bin fig6 [--records N] [--max-procs P]`
 
@@ -24,6 +26,11 @@ use mp_parallel::{ParallelClustering, ParallelSnm};
 use mp_rules::NativeEmployeeTheory;
 use std::time::Instant;
 
+/// Timing samples per cell. Each cell reports their median: one sample
+/// lets two close cells (SNM and clustering at the same P) trade places
+/// between runs.
+const SAMPLES: usize = 3;
+
 /// Serial phase times of one pass, in seconds.
 #[derive(Clone, Copy)]
 struct SerialPhases {
@@ -32,11 +39,20 @@ struct SerialPhases {
     scan: f64,
 }
 
-fn phases(r: &PassResult) -> SerialPhases {
+fn median(mut samples: Vec<f64>) -> f64 {
+    samples.sort_by(f64::total_cmp);
+    samples[samples.len() / 2]
+}
+
+/// Each phase's median over `runs` of one pass.
+fn median_phases(runs: &[PassResult]) -> SerialPhases {
+    let phase = |d: fn(&PassResult) -> std::time::Duration| {
+        median(runs.iter().map(|r| secs(d(r))).collect())
+    };
     SerialPhases {
-        keys: secs(r.stats.create_keys),
-        sort: secs(r.stats.sort),
-        scan: secs(r.stats.window_scan),
+        keys: phase(|r| r.stats.create_keys),
+        sort: phase(|r| r.stats.sort),
+        scan: phase(|r| r.stats.window_scan),
     }
 }
 
@@ -97,34 +113,48 @@ fn main() {
     let theory = NativeEmployeeTheory::new();
     let keys = KeySpec::standard_three();
 
-    for (label, clustered) in [
+    let run = |clustered: bool, key: &KeySpec, p: usize| {
+        if clustered {
+            ParallelClustering::new(
+                key.clone(),
+                ClusteringConfig {
+                    clusters: 100,
+                    histogram_prefix: 3,
+                    cluster_key_len: 6,
+                    window: w,
+                },
+                p,
+            )
+            .run(&db.records, &theory)
+        } else {
+            ParallelSnm::new(key.clone(), w, p).run(&db.records, &theory)
+        }
+    };
+    let methods = [
         ("(a) sorted-neighborhood", false),
         ("(b) clustering, 100 clusters/proc", true),
-    ] {
+    ];
+    // Serial reference runs (P = 1) for phase times, per method and key.
+    // The two methods' samples alternate, so host drift over the run
+    // weighs on both alike.
+    let mut serial_samples: Vec<Vec<Vec<PassResult>>> = vec![vec![Vec::new(); keys.len()]; 2];
+    for _ in 0..SAMPLES {
+        for (samples, &(_, clustered)) in serial_samples.iter_mut().zip(&methods) {
+            for (key_samples, key) in samples.iter_mut().zip(&keys) {
+                key_samples.push(run(clustered, key, 1));
+            }
+        }
+    }
+
+    for ((label, clustered), samples) in methods.into_iter().zip(serial_samples) {
         println!("\n## {label}: simulated shared-nothing makespan (seconds)");
-        // Serial reference run per key (P = 1) for phase times.
-        let serial_runs: Vec<PassResult> = keys
-            .iter()
-            .map(|key| {
-                if clustered {
-                    ParallelClustering::new(
-                        key.clone(),
-                        ClusteringConfig {
-                            clusters: 100,
-                            histogram_prefix: 3,
-                            cluster_key_len: 6,
-                            window: w,
-                        },
-                        1,
-                    )
-                    .run(&db.records, &theory)
-                } else {
-                    ParallelSnm::new(key.clone(), w, 1).run(&db.records, &theory)
-                }
-            })
-            .collect();
-        let closure = MultiPass::close(n, serial_runs.clone());
-        let t_closure = secs(closure.closure_time);
+        let serial: Vec<SerialPhases> = samples.iter().map(|s| median_phases(s)).collect();
+        let serial_runs: Vec<PassResult> = samples.iter().map(|s| s[0].clone()).collect();
+        let t_closure = median(
+            (0..SAMPLES)
+                .map(|_| secs(MultiPass::close(n, serial_runs.clone()).closure_time))
+                .collect(),
+        );
 
         header(&[
             "processors",
@@ -138,29 +168,22 @@ fn main() {
             let mut cells = vec![p.to_string()];
             let mut sims = Vec::new();
             let mut wall = 0.0f64;
-            for (key, serial) in keys.iter().zip(&serial_runs) {
-                let t0 = Instant::now();
-                let run = if clustered {
-                    ParallelClustering::new(
-                        key.clone(),
-                        ClusteringConfig {
-                            clusters: 100,
-                            histogram_prefix: 3,
-                            cluster_key_len: 6,
-                            window: w,
-                        },
-                        p,
-                    )
-                    .run(&db.records, &theory)
-                } else {
-                    ParallelSnm::new(key.clone(), w, p).run(&db.records, &theory)
-                };
-                wall += secs(t0.elapsed());
-                let skew = scan_skew(&run);
+            for (key, &serial) in keys.iter().zip(&serial) {
+                let (walls, runs): (Vec<f64>, Vec<PassResult>) = (0..SAMPLES)
+                    .map(|_| {
+                        let t0 = Instant::now();
+                        let r = run(clustered, key, p);
+                        (secs(t0.elapsed()), r)
+                    })
+                    .unzip();
+                wall += median(walls);
+                // The band split is deterministic: every sample's skew is
+                // the same.
+                let skew = scan_skew(&runs[0]);
                 let sim = if clustered {
-                    cluster_sim(phases(serial), p, skew)
+                    cluster_sim(serial, p, skew)
                 } else {
-                    snm_sim(phases(serial), n, p, skew)
+                    snm_sim(serial, n, p, skew)
                 };
                 sims.push(sim);
                 cells.push(sec_cell(sim));

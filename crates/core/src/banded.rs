@@ -566,9 +566,9 @@ mod tests {
             .enumerate()
             .map(|(i, &c)| {
                 let mut r = Record::empty(RecordId(ids(i)));
-                r.last_name = letter(c);
-                r.first_name = letter(c / 3);
-                r.city = letter(c / 9);
+                r.last_name = letter(c).into();
+                r.first_name = letter(c / 3).into();
+                r.city = letter(c / 9).into();
                 r
             })
             .collect()

@@ -2,6 +2,7 @@
 //! run the sorted-neighborhood method inside each cluster.
 
 use crate::banded::{per_core, scan_in_bands};
+use crate::fanout::fan_out;
 use crate::key::{KeyArena, KeySpec};
 use crate::snm::{PassResult, PassRun};
 use mp_closure::UnionFind;
@@ -133,9 +134,17 @@ impl ClusteringMethod {
             (keys, clusters)
         });
         // The sorts are independent of the scans, so they run together
-        // under one span; records equal on the fixed-size key keep input
-        // order.
-        pass.sort(|| clusters.iter_mut().for_each(|c| keys.sort_indices(c)));
+        // under one span, contiguous groups of clusters on `bands`
+        // workers; records equal on the fixed-size key keep input order,
+        // so the split changes no cluster's order.
+        pass.sort(|| {
+            let per_worker = clusters.len().div_ceil(bands).max(1);
+            fan_out(
+                clusters.chunks_mut(per_worker).collect(),
+                |b| format!("cluster-sort-{b}"),
+                |_, group| group.iter_mut().for_each(|c| keys.sort_indices(c)),
+            );
+        });
         // Clusters are scanned in cluster order, so pruning sees matches
         // from earlier clusters.
         pass.scan(theory, |scan| {

@@ -202,8 +202,8 @@ mod tests {
             DatabaseGenerator::new(GeneratorConfig::new(50).duplicate_fraction(0.0).seed(62))
                 .generate();
         let mut a = db.records[0].clone();
-        a.first_name = format!("mr. {}", a.first_name.to_lowercase());
-        a.last_name = format!("{} jr", a.last_name.to_lowercase());
+        a.first_name = format!("mr. {}", a.first_name.to_lowercase()).into();
+        a.last_name = format!("{} jr", a.last_name.to_lowercase()).into();
         let id = db.records.len() as u32;
         a.id = mp_record::RecordId(id);
         db.records.push(a);

@@ -84,20 +84,16 @@ impl Purger {
         let mut out = Record::empty(class[0].id);
         out.entity = class[0].entity;
         for field in Field::ALL {
-            *out.field_mut(field) = self.survive(field, class);
+            out.field_mut(field).set(self.survive(field, class));
         }
         out
     }
 
-    fn survive(&self, field: Field, class: &[&Record]) -> String {
+    fn survive<'a>(&self, field: Field, class: &[&'a Record]) -> &'a str {
         let values = class.iter().map(|r| r.field(field));
         match self.strategy(field) {
-            Survivorship::First => class[0].field(field).to_string(),
-            Survivorship::FirstNonEmpty => values
-                .into_iter()
-                .find(|v| !v.is_empty())
-                .unwrap_or("")
-                .to_string(),
+            Survivorship::First => class[0].field(field),
+            Survivorship::FirstNonEmpty => values.into_iter().find(|v| !v.is_empty()).unwrap_or(""),
             Survivorship::Longest => {
                 // Manual scan: `max_by_key` keeps the *last* maximum, but
                 // ties must resolve to the earliest record.
@@ -110,7 +106,7 @@ impl Purger {
                         best_len = len;
                     }
                 }
-                best.to_string()
+                best
             }
             Survivorship::MostFrequent => {
                 let mut counts: HashMap<&str, (usize, usize)> = HashMap::new();
@@ -126,7 +122,7 @@ impl Purger {
                     .max_by(|(_, (ca, ia)), (_, (cb, ib))| {
                         ca.cmp(cb).then(ib.cmp(ia)) // higher count, then earlier
                     })
-                    .map(|(v, _)| v.to_string())
+                    .map(|(v, _)| v)
                     .unwrap_or_default()
             }
         }

@@ -27,10 +27,10 @@
 //! and the theory calls are the serial scan's on any core count (the
 //! proof sketch is on [`PrunedSink`]).
 
-use crate::prefetch::{prefetch, prefetch_lines};
+use crate::prefetch::prefetch_lines;
 use mp_closure::{PairSet, UnionFind};
 use mp_metrics::{Counter, NoopObserver, PipelineObserver, ScanHooks, LATENCY_SAMPLE_MASK};
-use mp_record::{Field, Record, RecordId};
+use mp_record::{Record, RecordId};
 use mp_rules::EquationalTheory;
 use std::collections::VecDeque;
 use std::ops::{AddAssign, Range};
@@ -265,25 +265,9 @@ impl ScanSink for FoundList {
 }
 
 /// How many positions ahead of the one entering the window
-/// [`WindowScan::band`] prefetches the record's own cache lines.
+/// [`WindowScan::band`] prefetches the record's cache lines, which hold its
+/// field bytes too (every field of at most 22 bytes is inline).
 const RECORD_AHEAD: usize = 4;
-
-/// How many positions ahead [`WindowScan::band`] prefetches the field bytes
-/// a record points at — after its record, so reading the field pointers
-/// finds the record already in cache.
-const FIELDS_AHEAD: usize = 2;
-
-/// Prefetches the bytes of every non-empty field of `r` (an empty field's
-/// pointer names no allocation worth fetching).
-#[inline(always)]
-fn prefetch_fields(r: &Record) {
-    for f in Field::ALL {
-        let value = r.field(f);
-        if !value.is_empty() {
-            prefetch(value.as_ptr());
-        }
-    }
-}
 
 /// What stays fixed across every segment of a pass: the window size, the
 /// theory, and the observer's per-comparison hooks (sampled rule latency,
@@ -405,13 +389,13 @@ impl<'a> WindowScan<'a> {
     /// on across them instead of restarting at each band's coldest pair.
     ///
     /// The key order scatters `records`, so every position entering the
-    /// window is a cache miss, and its field bytes a second, dependent
-    /// one. The driver knows the positions ahead, so it prefetches the
-    /// record four positions on and, once that has had time to land, the
-    /// field bytes it points at two positions on. A band's first window —
-    /// the `w−1` predecessors it reaches back to, and the first positions
-    /// of the lookahead — is primed the same way before the first
-    /// comparison. Nothing past `band.end` is prefetched or indexed.
+    /// window is a cache miss. A record's field bytes sit in its own 256
+    /// bytes (four or five cache lines), so that miss is the only one; the
+    /// driver knows the positions ahead and prefetches the record four
+    /// positions on. A band's first window — the `w−1` predecessors it
+    /// reaches back to, and the first positions of the lookahead — is
+    /// primed the same way before the first comparison. Nothing past
+    /// `band.end` is prefetched or indexed.
     pub fn band<S: ScanSink>(
         &self,
         records: &[Record],
@@ -429,15 +413,9 @@ impl<'a> WindowScan<'a> {
         order[first..order.len().min(start + RECORD_AHEAD)]
             .iter()
             .for_each(|p| prefetch_lines(record(p)));
-        order[first..order.len().min(start + FIELDS_AHEAD)]
-            .iter()
-            .for_each(|p| prefetch_fields(record(p)));
         for i in start..order.len() {
             if let Some(p) = order.get(i + RECORD_AHEAD) {
                 prefetch_lines(record(p));
-            }
-            if let Some(p) = order.get(i + FIELDS_AHEAD) {
-                prefetch_fields(record(p));
             }
             let lo = i.saturating_sub(self.window - 1);
             let from = sink.candidates_from(order[i]);
@@ -457,8 +435,9 @@ impl<'a> WindowScan<'a> {
     /// `next` fills the slot it is handed with the next record and returns
     /// `true`, or returns `false` at the end of the stream. Once the
     /// window is full, the slot is the record the window just evicted, so
-    /// a `next` that decodes into it in place (as the external engines'
-    /// run readers do) reuses its field buffers instead of allocating.
+    /// a `next` that decodes into it (as the external engines' run readers
+    /// do) writes the new record where the window keeps it, still in
+    /// cache, instead of building it elsewhere and moving it in.
     ///
     /// # Errors
     ///
@@ -565,7 +544,7 @@ mod tests {
             .enumerate()
             .map(|(i, l)| {
                 let mut r = Record::empty(RecordId(i as u32));
-                r.last_name = (*l).to_string();
+                r.last_name = (*l).to_string().into();
                 r
             })
             .collect()

@@ -26,7 +26,7 @@ fn records(n: usize) -> Vec<Record> {
             let mut r = Record::empty(RecordId(i as u32));
             // Distinct keys so the sort is forced to do real work; the scan
             // cost is key-independent.
-            r.last_name = format!("K{i:06}");
+            r.last_name = format!("K{i:06}").into();
             r
         })
         .collect()

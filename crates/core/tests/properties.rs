@@ -23,7 +23,7 @@ fn records_from(lasts: &[String]) -> Vec<Record> {
         .enumerate()
         .map(|(i, l)| {
             let mut r = Record::empty(RecordId(i as u32));
-            r.last_name = l.clone();
+            r.last_name = l.clone().into();
             r
         })
         .collect()
@@ -107,8 +107,8 @@ proptest! {
         n in 1usize..8,
     ) {
         let mut r = Record::empty(RecordId(0));
-        r.last_name = last;
-        r.first_name = first;
+        r.last_name = last.into();
+        r.first_name = first.into();
         let spec = KeySpec::new(
             "t",
             vec![

@@ -4,7 +4,7 @@ use crate::config::ErrorProfile;
 use crate::names::random_variant;
 use crate::typo::TypoModel;
 use crate::{geo, names};
-use mp_record::{Field, Record};
+use mp_record::{Field, FieldStr, Record};
 use rand::Rng;
 
 /// Salutations occasionally prepended to first names (§2.1: "salutations
@@ -33,16 +33,16 @@ pub fn corrupt<R: Rng>(
 
     // Name-level changes.
     if rng.gen_bool(profile.last_name_change_prob) {
-        record.last_name = surnames.sample(rng).to_string();
+        record.last_name.set(surnames.sample(rng));
     }
     if rng.gen_bool(profile.nickname_prob) {
         if let Some(variant) = random_variant(&record.first_name, rng) {
-            record.first_name = variant.to_string();
+            record.first_name.set(variant);
         }
     }
     if rng.gen_bool(profile.salutation_prob) {
         let sal = SALUTATIONS[rng.gen_range(0..SALUTATIONS.len())];
-        record.first_name = format!("{sal} {}", record.first_name);
+        record.first_name = format!("{sal} {}", record.first_name).into();
     }
     if rng.gen_bool(profile.name_swap_prob) && !record.middle_initial.is_empty() {
         std::mem::swap(&mut record.first_name, &mut record.middle_initial);
@@ -51,21 +51,21 @@ pub fn corrupt<R: Rng>(
     // The person moved: regenerate the whole address consistently.
     if rng.gen_bool(profile.address_change_prob) {
         let (num, street) = geo::random_street(rng);
-        record.street_number = num;
-        record.street_name = street;
-        record.apartment = geo::random_apartment(rng);
+        record.street_number = num.into();
+        record.street_name = street.into();
+        record.apartment = geo::random_apartment(rng).into();
         let city = geo::random_city(rng);
-        record.city = city.name.to_string();
-        record.state = city.state.to_string();
-        record.zip = geo::random_zip(city, rng);
+        record.city.set(city.name);
+        record.state.set(city.state);
+        record.zip = geo::random_zip(city, rng).into();
     }
 
     // Missing optional fields.
     if rng.gen_bool(profile.missing_field_prob) {
-        record.middle_initial.clear();
+        record.middle_initial.set("");
     }
     if rng.gen_bool(profile.missing_field_prob) {
-        record.apartment.clear();
+        record.apartment.set("");
     }
 
     // Per-character typographical noise over the text fields.
@@ -76,12 +76,14 @@ pub fn corrupt<R: Rng>(
         Field::City,
     ] {
         if rng.gen_bool(profile.field_typo_prob) {
-            typos.apply_noise(record.field_mut(field), profile.typos_per_field, rng);
+            let mut text = record.field(field).to_string();
+            typos.apply_noise(&mut text, profile.typos_per_field, rng);
+            record.field_mut(field).set(&text);
         }
     }
 }
 
-fn transpose_adjacent_digits<R: Rng>(s: &mut String, rng: &mut R) {
+fn transpose_adjacent_digits<R: Rng>(s: &mut FieldStr, rng: &mut R) {
     let mut bytes: Vec<u8> = s.bytes().collect();
     if bytes.len() < 2 {
         return;
@@ -95,10 +97,10 @@ fn transpose_adjacent_digits<R: Rng>(s: &mut String, rng: &mut R) {
     }
     let i = candidates[rng.gen_range(0..candidates.len())];
     bytes.swap(i, i + 1);
-    *s = String::from_utf8(bytes).expect("digits are ASCII");
+    s.set(std::str::from_utf8(&bytes).expect("digits are ASCII"));
 }
 
-fn replace_one_digit<R: Rng>(s: &mut String, rng: &mut R) {
+fn replace_one_digit<R: Rng>(s: &mut FieldStr, rng: &mut R) {
     let mut bytes: Vec<u8> = s.bytes().collect();
     if bytes.is_empty() {
         return;
@@ -109,7 +111,7 @@ fn replace_one_digit<R: Rng>(s: &mut String, rng: &mut R) {
         d = b'0' + rng.gen_range(0..10);
     }
     bytes[i] = d;
-    *s = String::from_utf8(bytes).expect("digits are ASCII");
+    s.set(std::str::from_utf8(&bytes).expect("digits are ASCII"));
 }
 
 #[cfg(test)]
@@ -177,7 +179,7 @@ mod tests {
     fn ssn_transposition_preserves_digit_multiset() {
         let mut rng = StdRng::seed_from_u64(13);
         for _ in 0..50 {
-            let mut s = String::from("193456782");
+            let mut s = FieldStr::from("193456782");
             transpose_adjacent_digits(&mut s, &mut rng);
             let mut a: Vec<u8> = s.bytes().collect();
             let mut b: Vec<u8> = "193456782".bytes().collect();
@@ -191,13 +193,13 @@ mod tests {
     #[test]
     fn transpose_handles_degenerate_inputs() {
         let mut rng = StdRng::seed_from_u64(14);
-        let mut empty = String::new();
+        let mut empty = FieldStr::new();
         transpose_adjacent_digits(&mut empty, &mut rng);
         assert!(empty.is_empty());
-        let mut one = String::from("7");
+        let mut one = FieldStr::from("7");
         transpose_adjacent_digits(&mut one, &mut rng);
         assert_eq!(one, "7");
-        let mut same = String::from("1111");
+        let mut same = FieldStr::from("1111");
         transpose_adjacent_digits(&mut same, &mut rng);
         assert_eq!(same, "1111");
     }
@@ -206,7 +208,7 @@ mod tests {
     fn digit_replacement_changes_exactly_one_position() {
         let mut rng = StdRng::seed_from_u64(15);
         for _ in 0..50 {
-            let mut s = String::from("123456789");
+            let mut s = FieldStr::from("123456789");
             replace_one_digit(&mut s, &mut rng);
             let diffs = s
                 .bytes()

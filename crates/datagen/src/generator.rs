@@ -117,22 +117,21 @@ impl DatabaseGenerator {
     fn fresh_record(&self, entity: u32, rng: &mut StdRng) -> Record {
         let mut r = Record::empty(RecordId(0)); // positional id assigned later
         r.entity = Some(EntityId(entity));
-        r.ssn = format!("{:09}", rng.gen_range(0..1_000_000_000u64));
-        r.first_name = self.first_names.sample_skewed(rng).to_string();
-        r.middle_initial = if rng.gen_bool(0.7) {
-            ((b'A' + rng.gen_range(0..26)) as char).to_string()
-        } else {
-            String::new()
-        };
-        r.last_name = self.surnames.sample_skewed(rng).to_string();
+        r.ssn = format!("{:09}", rng.gen_range(0..1_000_000_000u64)).into();
+        r.first_name.set(self.first_names.sample_skewed(rng));
+        if rng.gen_bool(0.7) {
+            let initial = char::from(b'A' + rng.gen_range(0..26));
+            r.middle_initial.set(initial.encode_utf8(&mut [0; 4]));
+        }
+        r.last_name.set(self.surnames.sample_skewed(rng));
         let (num, street) = geo::random_street(rng);
-        r.street_number = num;
-        r.street_name = street;
-        r.apartment = geo::random_apartment(rng);
+        r.street_number = num.into();
+        r.street_name = street.into();
+        r.apartment = geo::random_apartment(rng).into();
         let city = geo::random_city(rng);
-        r.city = city.name.to_string();
-        r.state = city.state.to_string();
-        r.zip = geo::random_zip(city, rng);
+        r.city.set(city.name);
+        r.state.set(city.state);
+        r.zip = geo::random_zip(city, rng).into();
         r
     }
 }

@@ -80,7 +80,8 @@
 //! never a chunk of parsed records; a record lives parsed only while it
 //! is keyed and encoded. During the scans each pass holds one window of
 //! records, the passes' windows side by side; the merge decodes into the
-//! records the window evicts, so a scan allocates nothing per record.
+//! record the window evicts, and a record's fields are held inline, so a
+//! scan allocates nothing per record.
 
 use crate::sorter::{check_config, form_runs, merge_levels, MergeStream, RecordSpill};
 use crate::{ExternalConfig, IoStats};

@@ -9,9 +9,10 @@
 //! Everything after the key — the body — is encoded once per record
 //! while run formation holds it (`put_body`); each key's run then writes
 //! its frames from the key and that one encoding, so a chunk is resident
-//! as encoded bytes and keys, not as parsed records. Reading back goes
-//! through one entry point, [`RunReader::next_into`], which decodes into
-//! the caller's key and record and reuses their allocations.
+//! as encoded bytes and keys, not as parsed records. Reading back,
+//! [`RunReader::next_into`] decodes into the caller's key and record;
+//! an intermediate merge level reads each checksummed frame only as far
+//! as its key and id and copies its bytes to the next run verbatim.
 //!
 //! # Frame layout
 //!
@@ -93,6 +94,15 @@ impl RunWriter {
         Ok(())
     }
 
+    /// Appends a frame read from another run, byte for byte.
+    pub(crate) fn write_frame(&mut self, frame: &Frame) -> io::Result<()> {
+        self.out
+            .write_all(varint(frame.bytes.len() as u64, &mut [0; 10]))?;
+        self.out.write_all(&frame.bytes)?;
+        self.written += 1;
+        Ok(())
+    }
+
     /// Writes the trailer, flushes, and returns how many records were
     /// written. A run file without its trailer does not read back.
     pub fn finish(mut self) -> io::Result<u64> {
@@ -140,11 +150,9 @@ impl RunReader {
         })
     }
 
-    /// Decodes the next keyed record into `key` and `record`, reusing
-    /// their allocations, and returns `true`; returns `false` after the
-    /// trailer. The one decode entry point: a merge or a scan that hands
-    /// back the same buffers allocates nothing per frame once they have
-    /// grown to the longest field.
+    /// Decodes the next keyed record into `key` and `record`, replacing
+    /// what they held, and returns `true`; returns `false` after the
+    /// trailer.
     ///
     /// # Errors
     ///
@@ -152,6 +160,33 @@ impl RunReader {
     /// checksum, a missing or wrong trailer, or bytes after it. The
     /// buffers then hold no meaningful entry.
     pub fn next_into(&mut self, key: &mut String, record: &mut Record) -> io::Result<bool> {
+        if !self.read_frame()? {
+            return Ok(false);
+        }
+        let mut cur = Cursor(frame_body(&self.frame));
+        record.id = cur.key_and_id(key)?;
+        cur.rest_into(record)?;
+        Ok(true)
+    }
+
+    /// Reads the next frame into `frame`, decoded as far as its key and
+    /// id, and returns `true`; returns `false` after the trailer. Errors
+    /// as [`RunReader::next_into`]'s, except that the fields are checked
+    /// only when the frame is decoded.
+    pub(crate) fn next_frame(&mut self, frame: &mut Frame) -> io::Result<bool> {
+        if !self.read_frame()? {
+            return Ok(false);
+        }
+        std::mem::swap(&mut self.frame, &mut frame.bytes);
+        let mut cur = Cursor(frame_body(&frame.bytes));
+        frame.id = cur.key_and_id(&mut frame.key)?;
+        frame.rest = frame.bytes.len() - 1 - cur.0.len();
+        Ok(true)
+    }
+
+    /// Reads the next frame's body and checksum byte into `self.frame`
+    /// and checks the sum, or checks the trailer and returns `false`.
+    fn read_frame(&mut self) -> io::Result<bool> {
         if self.done {
             return Ok(false);
         }
@@ -169,26 +204,8 @@ impl RunReader {
         self.frame.resize(len as usize, 0);
         self.input.read_exact(&mut self.frame)?;
         self.remaining -= len;
-
-        let (sum, body) = self.frame.split_last().expect("len >= 1");
-        if checksum(body) != *sum {
+        if checksum(frame_body(&self.frame)) != self.frame[self.frame.len() - 1] {
             return Err(corrupt("frame checksum mismatch"));
-        }
-        let mut cur = Cursor(body);
-        cur.string_into(key)?;
-        record.id =
-            RecordId(u32::try_from(cur.varint()?).map_err(|_| corrupt("record id overflows u32"))?);
-        record.entity = match cur.varint()? {
-            0 => None,
-            e => Some(EntityId(
-                u32::try_from(e - 1).map_err(|_| corrupt("entity id overflows u32"))?,
-            )),
-        };
-        for f in Field::ALL {
-            cur.string_into(record.field_mut(f))?;
-        }
-        if !cur.0.is_empty() {
-            return Err(corrupt("trailing bytes in frame"));
         }
         self.read += 1;
         Ok(true)
@@ -213,6 +230,43 @@ impl RunReader {
     }
 }
 
+/// A frame read back by [`RunReader::next_frame`]: its bytes after the
+/// length prefix, checksummed, and decoded as far as the key and record
+/// id a merge orders by.
+pub(crate) struct Frame {
+    /// The body and its checksum byte.
+    bytes: Vec<u8>,
+    pub(crate) key: String,
+    pub(crate) id: RecordId,
+    /// Offset in `bytes` of what follows the id.
+    rest: usize,
+}
+
+impl Default for Frame {
+    fn default() -> Self {
+        Frame {
+            bytes: Vec::new(),
+            key: String::new(),
+            id: RecordId(0),
+            rest: 0,
+        }
+    }
+}
+
+impl Frame {
+    /// Decodes the whole frame into `key` and `record`.
+    pub(crate) fn decode_into(&self, key: &mut String, record: &mut Record) -> io::Result<()> {
+        key.clone_from(&self.key);
+        record.id = self.id;
+        Cursor(&frame_body(&self.bytes)[self.rest..]).rest_into(record)
+    }
+}
+
+/// A frame's body: its bytes without the trailing checksum byte.
+fn frame_body(frame: &[u8]) -> &[u8] {
+    &frame[..frame.len() - 1]
+}
+
 /// Decoding position inside one checksummed frame body.
 struct Cursor<'a>(&'a [u8]);
 
@@ -229,17 +283,41 @@ impl Cursor<'_> {
         Err(corrupt("truncated or overlong varint"))
     }
 
-    /// Decodes one string into `out`, replacing what it held.
-    fn string_into(&mut self, out: &mut String) -> io::Result<()> {
+    /// Decodes one string.
+    fn str(&mut self) -> io::Result<&str> {
         let len = self.varint()?;
         if len > self.0.len() as u64 {
             return Err(corrupt("string length exceeds the frame"));
         }
         let (bytes, rest) = self.0.split_at(len as usize);
         self.0 = rest;
-        let s = std::str::from_utf8(bytes).map_err(|_| corrupt("invalid UTF-8 in frame"))?;
-        out.clear();
-        out.push_str(s);
+        std::str::from_utf8(bytes).map_err(|_| corrupt("invalid UTF-8 in frame"))
+    }
+
+    /// Decodes the key into `key`, replacing what it held, and the
+    /// record id after it.
+    fn key_and_id(&mut self, key: &mut String) -> io::Result<RecordId> {
+        key.clear();
+        key.push_str(self.str()?);
+        let id = u32::try_from(self.varint()?).map_err(|_| corrupt("record id overflows u32"))?;
+        Ok(RecordId(id))
+    }
+
+    /// Decodes what follows the id — the entity and the ten fields — into
+    /// `record`, and checks that nothing follows them.
+    fn rest_into(mut self, record: &mut Record) -> io::Result<()> {
+        record.entity = match self.varint()? {
+            0 => None,
+            e => Some(EntityId(
+                u32::try_from(e - 1).map_err(|_| corrupt("entity id overflows u32"))?,
+            )),
+        };
+        for f in Field::ALL {
+            record.field_mut(f).set(self.str()?);
+        }
+        if !self.0.is_empty() {
+            return Err(corrupt("trailing bytes in frame"));
+        }
         Ok(())
     }
 }
@@ -401,7 +479,7 @@ mod tests {
                 _ => Some(EntityId(u32::MAX)),
             };
             for (f, p) in Field::ALL.into_iter().zip(&picks[2..]) {
-                *r.field_mut(f) = text(p);
+                *r.field_mut(f) = text(p).into();
             }
             let keys = [text(&picks[0]), text(&picks[1]), String::new()];
             let mut w = RunWriter::create(&path).unwrap();
@@ -429,7 +507,7 @@ mod tests {
             let mut long = Record::empty(RecordId(id));
             long.entity = Some(EntityId(id / 2));
             for (f, p) in Field::ALL.into_iter().zip(&picks[1..]) {
-                *long.field_mut(f) = text(p);
+                *long.field_mut(f) = text(p).into();
             }
             // The same record with every field (and the key) cut short.
             let mut short = long.clone();
@@ -438,7 +516,8 @@ mod tests {
             for (f, &n) in Field::ALL.into_iter().zip(&shrink[1..]) {
                 let field = short.field_mut(f);
                 let cut = field.char_indices().nth(n).map_or(field.len(), |(at, _)| at);
-                field.truncate(cut);
+                let kept = field[..cut].to_string();
+                field.set(&kept);
             }
             let long_key = text(&picks[0]);
             let short_key: String = long_key.chars().take(shrink[0]).collect();

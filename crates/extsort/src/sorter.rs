@@ -18,15 +18,15 @@
 //! copy out of one contiguous buffer. [`ExternalSorter`] is that sweep
 //! with one key followed by merge levels down to a single run; the bulk
 //! loader merges each key's runs down to `fan_in` and streams the last
-//! level through a [`MergeStream`] into its window scan. The merge
-//! decodes into buffers its caller hands back, so it allocates nothing
-//! per entry.
+//! level through a [`MergeStream`] into its window scan. An intermediate
+//! level copies each frame to its output verbatim once it has read the
+//! key and id it orders by; only the last level decodes records.
 
-use crate::runfile::{put_body, RunReader, RunWriter};
+use crate::runfile::{put_body, Frame, RunReader, RunWriter};
 use crate::{ExternalConfig, IoStats};
 use merge_purge::{band_ranges, chunked_str_cmp, fan_out, radix_order_by, KeyArena, KeySpec};
 use mp_metrics::{span, span_labeled, Counter, NoopObserver, Phase, PipelineObserver};
-use mp_record::{io as rio, NicknameTable, Record, RecordId};
+use mp_record::{io as rio, NicknameTable, Record};
 use mp_store::codec::{self, Crc32};
 use mp_store::EncodedRecords;
 use std::cmp::Ordering;
@@ -330,10 +330,10 @@ pub(crate) fn check_config(config: &ExternalConfig) {
 }
 
 /// Run formation for every key in one sweep of `input`: each record is
-/// parsed (and conditioned) once, into one reused record, its key
-/// appended to every key's arena, its run-frame body encoded once into
-/// the chunk, and its snapshot encoding appended to the record spill when
-/// `spill_records` asks for one; then the next record is parsed over it.
+/// parsed (and conditioned) once, its key appended to every key's arena,
+/// its run-frame body encoded once into the chunk, and its snapshot
+/// encoding appended to the record spill when `spill_records` asks for
+/// one; then it is dropped.
 /// Every `memory_records` records, and at the end, each key's arena is
 /// radix-sorted and spilled as key + body per record — as `threads`
 /// contiguous sub-runs, so each key's run list is in input order. At no
@@ -356,7 +356,7 @@ pub(crate) fn form_runs(
     sweep_stale(work_dir);
     let t_runs = Instant::now();
     let nicknames = condition.then(NicknameTable::standard);
-    let mut stream = rio::RecordStream::new(BufReader::new(File::open(input)?));
+    let stream = rio::RecordStream::new(BufReader::new(File::open(input)?));
     let mut spill = if spill_records {
         Some(RecordSpillWriter::create(work_dir)?)
     } else {
@@ -387,11 +387,9 @@ pub(crate) fn form_runs(
         }
         Ok(())
     };
-    let mut record = Record::empty(RecordId(0));
-    while stream
-        .next_into(&mut record)
-        .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e.to_string()))?
-    {
+    for record in stream {
+        let mut record =
+            record.map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e.to_string()))?;
         if let Some(table) = &nicknames {
             mp_record::normalize::condition_with(&mut record, table, &mut scratch);
         }
@@ -533,13 +531,14 @@ pub(crate) fn merge_levels(
 }
 
 /// One merge step: a [`MergeStream`] over `group` drained into a run at
-/// `out`. Returns `(records read, records written)`.
+/// `out`, each frame copied as read. Returns `(records read, records
+/// written)`.
 fn merge_group(group: &[TempFile], out: &Path) -> io::Result<(u64, u64)> {
     let mut merged = MergeStream::open(group)?;
     let mut w = RunWriter::create(out)?;
-    let (mut key, mut record) = (String::new(), Record::empty(RecordId(0)));
-    while merged.next_into(&mut key, &mut record)? {
-        w.write(&key, &record)?;
+    let mut frame = Frame::default();
+    while merged.next_frame(&mut frame)? {
+        w.write_frame(&frame)?;
     }
     Ok((merged.records_read(), w.finish()?))
 }
@@ -578,10 +577,10 @@ fn sweep_stale(work_dir: &Path) {
 /// in (key, id) order: the one heap merge behind both the intermediate
 /// merge levels and the bulk loader's streamed final level.
 ///
-/// Entries come out through the caller's buffers: the head's key and
-/// record are swapped into them, and its run decodes its next frame into
-/// the buffers the caller gave up. A caller that hands the same buffers
-/// back each time allocates nothing per entry.
+/// The heap holds each run's head frame read only as far as its key and
+/// id. [`MergeStream::next_into`] decodes the smallest into the caller's
+/// key and record; an intermediate level takes the frame itself and
+/// copies it to its output run verbatim.
 pub struct MergeStream {
     readers: Vec<RunReader>,
     heap: BinaryHeap<HeapEntry>,
@@ -598,11 +597,10 @@ impl MergeStream {
         let mut heap = BinaryHeap::with_capacity(readers.len());
         for (source, reader) in readers.iter_mut().enumerate() {
             let mut head = HeapEntry {
-                key: String::new(),
-                record: Record::empty(RecordId(0)),
+                frame: Frame::default(),
                 source,
             };
-            if reader.next_into(&mut head.key, &mut head.record)? {
+            if reader.next_frame(&mut head.frame)? {
                 heap.push(head);
             }
         }
@@ -614,23 +612,36 @@ impl MergeStream {
         })
     }
 
-    /// Moves the smallest remaining entry by (key, id) into `key` and
+    /// Decodes the smallest remaining entry by (key, id) into `key` and
     /// `record` and returns `true`, or returns `false` once every run is
-    /// drained. What the buffers held before is reused for a later entry.
+    /// drained.
     ///
     /// # Errors
     ///
     /// A run that fails to decode; the stream is then unusable.
     pub fn next_into(&mut self, key: &mut String, record: &mut Record) -> io::Result<bool> {
+        self.advance(|head| head.decode_into(key, record))
+    }
+
+    /// Swaps the smallest remaining entry's frame into `frame` and returns
+    /// `true`, or returns `false` once every run is drained.
+    fn next_frame(&mut self, frame: &mut Frame) -> io::Result<bool> {
+        self.advance(|head| {
+            std::mem::swap(frame, head);
+            Ok(())
+        })
+    }
+
+    /// Hands the smallest head frame to `take`, then refills it from its
+    /// run in place: one sift-down (when the guard drops) instead of a
+    /// pop and a push.
+    fn advance(&mut self, take: impl FnOnce(&mut Frame) -> io::Result<()>) -> io::Result<bool> {
         let Some(mut top) = self.heap.peek_mut() else {
             return Ok(false);
         };
-        std::mem::swap(key, &mut top.key);
-        std::mem::swap(record, &mut top.record);
-        // Refill the head from its run in place: one sift-down (when the
-        // guard drops) instead of a pop and a push.
+        take(&mut top.frame)?;
         let head = &mut *top;
-        if self.readers[head.source].next_into(&mut head.key, &mut head.record)? {
+        if self.readers[head.source].next_frame(&mut head.frame)? {
             self.read += 1;
         } else {
             PeekMut::pop(top);
@@ -645,8 +656,7 @@ impl MergeStream {
 }
 
 struct HeapEntry {
-    key: String,
-    record: Record,
+    frame: Frame,
     source: usize,
 }
 
@@ -665,13 +675,15 @@ impl Ord for HeapEntry {
     fn cmp(&self, other: &Self) -> Ordering {
         // Max-heap: reverse. Ties by record id keep the order identical to
         // the in-memory stable sort (ids are positional in the input).
-        chunked_str_cmp(&other.key, &self.key).then_with(|| other.record.id.cmp(&self.record.id))
+        chunked_str_cmp(&other.frame.key, &self.frame.key)
+            .then_with(|| other.frame.id.cmp(&self.frame.id))
     }
 }
 #[cfg(test)]
 mod tests {
     use super::*;
     use mp_datagen::{DatabaseGenerator, GeneratorConfig};
+    use mp_record::RecordId;
 
     fn work_dir(tag: &str) -> PathBuf {
         let d = std::env::temp_dir().join(format!("mp-extsort-{tag}-{}", std::process::id()));
@@ -719,6 +731,39 @@ mod tests {
         expect.sort_by(|&a, &b| keys[a as usize].cmp(&keys[b as usize]));
 
         assert_eq!(read_ids(&sorted.path), expect);
+        sorted.cleanup();
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// Intermediate levels copy frames without decoding them: after five
+    /// levels the sorted run is byte for byte what encoding every record
+    /// afresh, in (key, id) order, writes.
+    #[test]
+    fn merge_levels_copy_frames_byte_for_byte() {
+        let dir = work_dir("verbatim");
+        let (input, db) = write_db(700, 5007, &dir);
+        let key = KeySpec::last_name_key();
+        let sorter = ExternalSorter::new(
+            key.clone(),
+            ExternalConfig {
+                memory_records: 48,
+                fan_in: 2,
+                ..ExternalConfig::default()
+            },
+        );
+        let sorted = sorter.sort(&input, &dir, false).unwrap();
+        assert!(sorted.io.data_passes() >= 3, "{:?}", sorted.io);
+
+        let keys: Vec<String> = db.records.iter().map(|r| key.extract(r)).collect();
+        let mut order: Vec<usize> = (0..db.records.len()).collect();
+        order.sort_by(|&a, &b| keys[a].cmp(&keys[b]));
+        let want = dir.join("want.run");
+        let mut w = RunWriter::create(&want).unwrap();
+        for i in order {
+            w.write(&keys[i], &db.records[i]).unwrap();
+        }
+        w.finish().unwrap();
+        assert!(std::fs::read(&sorted.path).unwrap() == std::fs::read(&want).unwrap());
         sorted.cleanup();
         let _ = std::fs::remove_dir_all(&dir);
     }

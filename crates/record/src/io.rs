@@ -7,9 +7,8 @@
 //!
 //! There is one parser, [`RecordStream`]: [`read_records`] collects it,
 //! and the bulk loader and the daemon's ingest stream it. It reads every
-//! line into one reused buffer and allocates each non-empty field once —
-//! or, through [`RecordStream::next_into`], parses into a record the
-//! caller reuses, allocating nothing once its fields have grown.
+//! line into one reused buffer and copies each field into the record
+//! itself, so a record of fields that fit inline allocates nothing.
 
 use crate::record::{EntityId, Record, RecordId};
 use std::fmt;
@@ -111,11 +110,11 @@ pub fn read_records<R: BufRead>(r: R) -> Result<Vec<Record>, ReadError> {
 /// ids — the one parser behind [`read_records`], and the memory-bounded
 /// reader the external-memory engines and the daemon's ingest use.
 ///
-/// Every line is read into one reused buffer and split in place; the only
-/// allocations per record are its non-empty fields, one each. Blank lines
-/// are skipped (they take no id but do count as lines), a trailing `\r`
-/// before the newline is dropped, and invalid UTF-8 is an
-/// [`ReadError::Io`] error.
+/// Every line is read into one reused buffer and split in place, and each
+/// field is copied into its [`FieldStr`](crate::FieldStr), so only a field
+/// longer than 22 bytes allocates. Blank lines are skipped (they take no
+/// id but do count as lines), a trailing `\r` before the newline is
+/// dropped, and invalid UTF-8 is an [`ReadError::Io`] error.
 pub struct RecordStream<R: BufRead> {
     reader: R,
     line: String,
@@ -133,26 +132,22 @@ impl<R: BufRead> RecordStream<R> {
             next_id: 0,
         }
     }
+}
 
-    /// Parses the next record into `record`, reusing its field buffers,
-    /// and returns `true`; returns `false` at the end of the input. A
-    /// caller that hands the same record back each time, done with it,
-    /// allocates nothing per record once its fields have grown to the
-    /// longest seen. On an error `record` holds no meaningful record.
-    ///
-    /// # Errors
-    ///
-    /// As the iterator reports them: I/O and UTF-8 failures, a wrong
-    /// column count, a bad entity id.
-    pub fn next_into(&mut self, record: &mut Record) -> Result<bool, ReadError> {
+impl<R: BufRead> Iterator for RecordStream<R> {
+    type Item = Result<Record, ReadError>;
+
+    fn next(&mut self) -> Option<Self::Item> {
         loop {
             self.line.clear();
             let read = self.reader.read_line(&mut self.line);
             if matches!(read, Ok(0)) {
-                return Ok(false);
+                return None;
             }
             self.line_no += 1;
-            read?;
+            if let Err(e) = read {
+                return Some(Err(e.into()));
+            }
             let line = match self.line.strip_suffix('\n') {
                 Some(l) => l.strip_suffix('\r').unwrap_or(l),
                 None => &self.line,
@@ -160,37 +155,23 @@ impl<R: BufRead> RecordStream<R> {
             if line.is_empty() {
                 continue;
             }
-            parse_line(line, self.line_no, RecordId(self.next_id), record)?;
-            self.next_id += 1;
-            return Ok(true);
+            let record = parse_line(line, self.line_no, RecordId(self.next_id));
+            self.next_id += u32::from(record.is_ok());
+            return Some(record);
         }
     }
 }
 
-impl<R: BufRead> Iterator for RecordStream<R> {
-    type Item = Result<Record, ReadError>;
-
-    fn next(&mut self) -> Option<Self::Item> {
-        let mut record = Record::empty(RecordId(0));
-        self.next_into(&mut record)
-            .map(|more| more.then_some(record))
-            .transpose()
-    }
-}
-
-/// Parses one non-empty line into `rec` in a single pass over its
-/// columns, replacing every field; the column count is checked before
-/// the entity, as errors are reported.
-fn parse_line(line: &str, line_no: usize, id: RecordId, rec: &mut Record) -> Result<(), ReadError> {
+/// Parses one non-empty line in a single pass over its columns; the
+/// column count is checked before the entity, as errors are reported.
+fn parse_line(line: &str, line_no: usize, id: RecordId) -> Result<Record, ReadError> {
     let mut cols = line.split('|');
     let entity = cols.next().unwrap_or_default();
-    rec.id = id;
+    let mut rec = Record::empty(id);
     let mut columns = 1;
     for (field, value) in crate::field::Field::ALL.into_iter().zip(cols.by_ref()) {
         columns += 1;
-        let out = rec.field_mut(field);
-        out.clear();
-        out.push_str(value);
+        rec.field_mut(field).set(value);
     }
     columns += cols.count();
     if columns != COLUMNS {
@@ -207,7 +188,7 @@ fn parse_line(line: &str, line_no: usize, id: RecordId, rec: &mut Record) -> Res
             .map_err(|_| ReadError::BadEntity { line: line_no })?;
         Some(EntityId(e))
     };
-    Ok(())
+    Ok(rec)
 }
 
 #[cfg(test)]
@@ -220,8 +201,8 @@ mod tests {
             .map(|i| {
                 let mut r = Record::empty(RecordId(i));
                 r.entity = (i % 2 == 0).then_some(EntityId(i * 10));
-                r.first_name = format!("FIRST{i}");
-                r.last_name = format!("LAST{i}");
+                r.first_name = format!("FIRST{i}").into();
+                r.last_name = format!("LAST{i}").into();
                 r.zip = "10027".into();
                 r
             })
@@ -285,31 +266,6 @@ mod tests {
         assert_eq!(streamed, records);
     }
 
-    /// Parsing every line into one reused record gives what a fresh parse
-    /// of each gives: long fields then short or empty ones, an entity and
-    /// then none, blank lines in between.
-    #[test]
-    fn parsing_into_a_reused_record_equals_fresh_parses() {
-        let text = "7|111223333|JONATHAN|Q|HERNANDEZ-SMITH|12345|BROADWAY AVENUE|APT 9C|NEW YORK|NY|10027\n\
-                    \n\
-                    |1|AL||LI|||||NY|1\n\
-                    ||||||||||\n";
-        let fresh: Vec<Record> = RecordStream::new(text.as_bytes())
-            .collect::<Result<_, _>>()
-            .unwrap();
-        assert_eq!(fresh.len(), 3);
-        let mut stream = RecordStream::new(text.as_bytes());
-        let mut slot = Record::empty(RecordId(0));
-        let mut reused = Vec::new();
-        while stream.next_into(&mut slot).unwrap() {
-            reused.push(slot.clone());
-        }
-        assert_eq!(reused, fresh);
-        assert_eq!(reused[1].entity, None);
-        assert_eq!(reused[1].first_name, "AL");
-        assert_eq!(reused[2], Record::empty(RecordId(2)));
-    }
-
     #[test]
     fn stream_reports_errors_with_line_numbers() {
         let text = "a|b|c\n";
@@ -328,7 +284,7 @@ mod tests {
         let mut records = Vec::new();
         for r in results {
             match r {
-                Ok(r) => records.push((r.id.0, r.entity.map(|e| e.0), r.first_name)),
+                Ok(r) => records.push((r.id.0, r.entity.map(|e| e.0), r.first_name.to_string())),
                 Err(ReadError::Io(e)) => return (records, Some(format!("io {:?}", e.kind()))),
                 Err(e) => return (records, Some(e.to_string())),
             }

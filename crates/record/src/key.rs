@@ -485,7 +485,7 @@ mod tests {
             .map(|i| {
                 let mut r = sample();
                 r.id = RecordId(i);
-                r.last_name = format!("NAME{i}");
+                r.last_name = format!("NAME{i}").into();
                 r
             })
             .collect();

@@ -11,15 +11,16 @@
 //! * [`normalize`] — canonical upper-case form, collapsed whitespace,
 //!   stripped salutations/suffixes, expanded street abbreviations, done
 //!   in place: each field is rewritten through one reused scratch buffer
-//!   into its own allocation;
+//!   back into the record;
 //! * [`nickname`] — a name-equivalence table assigning a common form to
 //!   known nicknames (Joseph/Giuseppe, Bob/Robert, ...);
 //! * [`spell`] — a corpus-based spelling corrector in the style of
 //!   Bickel (CACM 1987) applied to the city field;
 //! * [`io`] — a simple pipe-separated flat-file format for persisting
 //!   generated databases, read by one line reader ([`RecordStream`], one
-//!   reused line buffer, one allocation per non-empty field) and written
-//!   through a buffer;
+//!   reused line buffer) and written through a buffer;
+//! * [`text`] — [`FieldStr`], the field type, which holds up to 22 bytes
+//!   inline;
 //! * [`key`] — the §2.4 sort keys a pass builds from a record's fields,
 //!   and the [`KeyArena`] a pass keeps them in.
 //!
@@ -34,6 +35,7 @@ pub mod nickname;
 pub mod normalize;
 pub mod record;
 pub mod spell;
+pub mod text;
 
 pub use field::Field;
 pub use io::RecordStream;
@@ -41,3 +43,4 @@ pub use key::{KeyArena, KeyPart, KeySpec};
 pub use nickname::NicknameTable;
 pub use record::{EntityId, Record, RecordId};
 pub use spell::SpellCorrector;
+pub use text::FieldStr;

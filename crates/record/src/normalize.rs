@@ -4,9 +4,8 @@
 //!
 //! The pass works in place. Each field is canonicalised into one scratch
 //! buffer (shared across a whole [`condition_all`] slice), edited there,
-//! and copied back into the field's existing allocation, so a record
-//! costs no allocation unless a field grows (an expanded street type, an
-//! upper-case form longer than its source such as `ß` → `SS`).
+//! and copied back into the field, so a record whose conditioned fields
+//! fit inline ([`FieldStr`](crate::FieldStr)) costs no allocation.
 
 use crate::nickname::NicknameTable;
 use crate::record::Record;
@@ -136,31 +135,30 @@ pub fn condition_all(records: &mut [Record], nicknames: &NicknameTable) {
 }
 
 /// [`condition`] through a caller's scratch buffer. Each field is
-/// canonicalised into `scratch`, edited there, and copied back into the
-/// field's own allocation, which only grows when the result is longer
-/// (an expanded street type, an upper-case form wider than its source).
-/// A caller conditioning records one at a time as they stream past keeps
-/// one scratch buffer for all of them.
+/// canonicalised into `scratch`, edited there, and copied back with
+/// [`FieldStr::set`](crate::FieldStr::set). A caller conditioning records
+/// one at a time as they stream past keeps one scratch buffer for all of
+/// them.
 pub fn condition_with(record: &mut Record, nicknames: &NicknameTable, scratch: &mut String) {
-    record.ssn.retain(|c| c.is_ascii_digit());
+    digits_into(&record.ssn, scratch);
+    record.ssn.set(scratch);
 
     canonical_into(&record.first_name, scratch);
     let first = strip_salutation(scratch);
-    store(
-        &mut record.first_name,
-        nicknames.common_form(first).unwrap_or(first),
-    );
+    record
+        .first_name
+        .set(nicknames.common_form(first).unwrap_or(first));
 
     canonical_into(&record.middle_initial, scratch);
     let initial = scratch.chars().next().map_or(0, char::len_utf8);
-    store(&mut record.middle_initial, &scratch[..initial]);
+    record.middle_initial.set(&scratch[..initial]);
 
     canonical_into(&record.last_name, scratch);
-    store(&mut record.last_name, strip_suffix(scratch));
+    record.last_name.set(strip_suffix(scratch));
 
     canonical_into(&record.street_name, scratch);
     expand_street_in_place(scratch);
-    store(&mut record.street_name, scratch);
+    record.street_name.set(scratch);
 
     for field in [
         &mut record.street_number,
@@ -169,16 +167,17 @@ pub fn condition_with(record: &mut Record, nicknames: &NicknameTable, scratch: &
         &mut record.state,
     ] {
         canonical_into(field, scratch);
-        store(field, scratch);
+        field.set(scratch);
     }
 
-    record.zip.retain(|c| c.is_ascii_digit());
+    digits_into(&record.zip, scratch);
+    record.zip.set(scratch);
 }
 
-/// Overwrites `field` with `value`, reusing the field's allocation.
-fn store(field: &mut String, value: &str) {
-    field.clear();
-    field.push_str(value);
+/// The ASCII digits of `s`, written into `out` (cleared first).
+fn digits_into(s: &str, out: &mut String) {
+    out.clear();
+    out.extend(s.chars().filter(char::is_ascii_digit));
 }
 
 #[cfg(test)]
@@ -226,28 +225,35 @@ mod tests {
                 None => street.to_string(),
             }
         }
-        record.ssn = record.ssn.chars().filter(char::is_ascii_digit).collect();
-        record.first_name = canonical(&record.first_name);
-        record.first_name = strip_salutation(&record.first_name).to_string();
-        if let Some(common) = nicknames.common_form(&record.first_name) {
-            record.first_name = common.to_string();
-        }
-        record.middle_initial = canonical(&record.middle_initial);
-        record.middle_initial.truncate(
-            record
-                .middle_initial
+        record.ssn = record
+            .ssn
+            .chars()
+            .filter(char::is_ascii_digit)
+            .collect::<String>()
+            .into();
+        let first = canonical(&record.first_name);
+        let first = strip_salutation(&first);
+        record.first_name = nicknames.common_form(first).unwrap_or(first).into();
+        let mut initial = canonical(&record.middle_initial);
+        initial.truncate(
+            initial
                 .char_indices()
                 .nth(1)
-                .map_or(record.middle_initial.len(), |(i, _)| i),
+                .map_or(initial.len(), |(i, _)| i),
         );
-        record.last_name = canonical(&record.last_name);
-        record.last_name = strip_suffix(&record.last_name).to_string();
-        record.street_number = canonical(&record.street_number);
-        record.street_name = expand_street(&canonical(&record.street_name));
-        record.apartment = canonical(&record.apartment);
-        record.city = canonical(&record.city);
-        record.state = canonical(&record.state);
-        record.zip = record.zip.chars().filter(char::is_ascii_digit).collect();
+        record.middle_initial = initial.into();
+        record.last_name = strip_suffix(&canonical(&record.last_name)).into();
+        record.street_number = canonical(&record.street_number).into();
+        record.street_name = expand_street(&canonical(&record.street_name)).into();
+        record.apartment = canonical(&record.apartment).into();
+        record.city = canonical(&record.city).into();
+        record.state = canonical(&record.state).into();
+        record.zip = record
+            .zip
+            .chars()
+            .filter(char::is_ascii_digit)
+            .collect::<String>()
+            .into();
     }
 
     /// Field fragments: every salutation, suffix and street abbreviation,
@@ -270,7 +276,7 @@ mod tests {
     fn record_of(picks: &[Vec<usize>]) -> Record {
         let mut r = Record::empty(RecordId(0));
         for (f, p) in Field::ALL.into_iter().zip(picks) {
-            *r.field_mut(f) = text(p);
+            *r.field_mut(f) = text(p).into();
         }
         r
     }
@@ -284,7 +290,7 @@ mod tests {
             let nicks = NicknameTable::standard();
             let mut records = vec![record_of(&picks), Record::empty(RecordId(1))];
             for (f, v) in Field::ALL.into_iter().zip(&unicode) {
-                *records[1].field_mut(f) = v.clone();
+                records[1].field_mut(f).set(v);
             }
             for r in &records {
                 let mut want = r.clone();
@@ -321,7 +327,7 @@ mod tests {
             ] {
                 let mut r = Record::empty(RecordId(0));
                 for f in Field::ALL {
-                    *r.field_mut(f) = value.clone();
+                    r.field_mut(f).set(&value);
                 }
                 let mut want = r.clone();
                 condition_reference(&mut want, &nicks);

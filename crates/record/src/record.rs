@@ -1,6 +1,7 @@
 //! The core [`Record`] type and its identifiers.
 
 use crate::field::Field;
+use crate::text::FieldStr;
 use std::fmt;
 
 /// Position of a record in the concatenated input list — the "tuple id" the
@@ -36,7 +37,9 @@ pub struct EntityId(pub u32);
 /// All fields are free-text strings because that is precisely the problem:
 /// "the data supplied by various sources typically include identifiers or
 /// string data, that are either different among different datasets or simply
-/// erroneous" (§1). Any field may be empty.
+/// erroneous" (§1). Any field may be empty. Each is a [`FieldStr`], which
+/// holds up to 22 bytes in place, so a record of short fields is one
+/// 256-byte value with nothing on the heap.
 ///
 /// ```
 /// use mp_record::{Record, EntityId, RecordId};
@@ -63,26 +66,28 @@ pub struct Record {
     /// Ground-truth entity, if known (generated data only).
     pub entity: Option<EntityId>,
     /// Social security number, nine digits when clean.
-    pub ssn: String,
+    pub ssn: FieldStr,
     /// First (given) name.
-    pub first_name: String,
+    pub first_name: FieldStr,
     /// Middle initial, usually a single letter or empty.
-    pub middle_initial: String,
+    pub middle_initial: FieldStr,
     /// Last (family) name.
-    pub last_name: String,
+    pub last_name: FieldStr,
     /// House/building number of the street address.
-    pub street_number: String,
+    pub street_number: FieldStr,
     /// Street name portion of the address.
-    pub street_name: String,
+    pub street_name: FieldStr,
     /// Apartment/unit, often empty.
-    pub apartment: String,
+    pub apartment: FieldStr,
     /// City name.
-    pub city: String,
+    pub city: FieldStr,
     /// Two-letter state code when clean.
-    pub state: String,
+    pub state: FieldStr,
     /// Zip code, five digits when clean.
-    pub zip: String,
+    pub zip: FieldStr,
 }
+
+const _: () = assert!(std::mem::size_of::<Record>() <= 256);
 
 impl Record {
     /// A record with the given id and every field empty.
@@ -90,16 +95,16 @@ impl Record {
         Record {
             id,
             entity: None,
-            ssn: String::new(),
-            first_name: String::new(),
-            middle_initial: String::new(),
-            last_name: String::new(),
-            street_number: String::new(),
-            street_name: String::new(),
-            apartment: String::new(),
-            city: String::new(),
-            state: String::new(),
-            zip: String::new(),
+            ssn: FieldStr::new(),
+            first_name: FieldStr::new(),
+            middle_initial: FieldStr::new(),
+            last_name: FieldStr::new(),
+            street_number: FieldStr::new(),
+            street_name: FieldStr::new(),
+            apartment: FieldStr::new(),
+            city: FieldStr::new(),
+            state: FieldStr::new(),
+            zip: FieldStr::new(),
         }
     }
 
@@ -107,7 +112,7 @@ impl Record {
     /// address fields this way.
     #[inline]
     pub fn field(&self, f: Field) -> &str {
-        match f {
+        let field = match f {
             Field::Ssn => &self.ssn,
             Field::FirstName => &self.first_name,
             Field::MiddleInitial => &self.middle_initial,
@@ -118,13 +123,14 @@ impl Record {
             Field::City => &self.city,
             Field::State => &self.state,
             Field::Zip => &self.zip,
-        }
+        };
+        field.as_str()
     }
 
     /// Mutable access to a field by tag (used by the generator's corruptors
     /// and the conditioning passes).
     #[inline]
-    pub fn field_mut(&mut self, f: Field) -> &mut String {
+    pub fn field_mut(&mut self, f: Field) -> &mut FieldStr {
         match f {
             Field::Ssn => &mut self.ssn,
             Field::FirstName => &mut self.first_name,
@@ -184,7 +190,7 @@ mod tests {
     fn field_roundtrip_for_all_fields() {
         let mut r = Record::empty(RecordId(0));
         for (i, &f) in Field::ALL.iter().enumerate() {
-            *r.field_mut(f) = format!("V{i}");
+            *r.field_mut(f) = format!("V{i}").into();
         }
         for (i, &f) in Field::ALL.iter().enumerate() {
             assert_eq!(r.field(f), format!("V{i}"));
@@ -196,7 +202,7 @@ mod tests {
         let r = sample();
         assert_eq!(r.full_address(), "1214 AMSTERDAM AVE MC 0401");
         let mut no_num = r.clone();
-        no_num.street_number.clear();
+        no_num.street_number.set("");
         assert_eq!(no_num.full_address(), "AMSTERDAM AVE MC 0401");
         let empty = Record::empty(RecordId(1));
         assert_eq!(empty.full_address(), "");

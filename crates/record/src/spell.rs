@@ -7,6 +7,7 @@
 //! with a bounded edit-distance confirmation so corrections are conservative
 //! (a wrong "correction" is worse than none).
 
+use crate::text::FieldStr;
 use mp_strsim::levenshtein_bounded;
 use std::collections::{HashMap, HashSet};
 
@@ -105,10 +106,10 @@ impl SpellCorrector {
 
     /// Corrects `word` in place when a correction is found; reports whether
     /// a change was made.
-    pub fn correct_in_place(&self, word: &mut String) -> bool {
+    pub fn correct_in_place(&self, word: &mut FieldStr) -> bool {
         match self.correct(word) {
-            Some(fixed) if fixed != word => {
-                *word = fixed.to_string();
+            Some(fixed) if fixed != word.as_str() => {
+                word.set(fixed);
                 true
             }
             _ => false,
@@ -197,30 +198,31 @@ mod tests {
         // AUSTIN and BOSTON are both distance 2 from "AOSTON".
         let sc = SpellCorrector::new(["AUSTIN", "BOSTON"], 2);
         let fix = sc.correct("AOSTON").unwrap();
-        assert_eq!(fix, "AOSTON".to_string().pipe_fix(&sc));
+        assert_eq!("AOSTON".pipe_fix(&sc), fix);
         // Deterministic: repeated calls agree.
         assert_eq!(sc.correct("AOSTON").unwrap(), fix);
     }
 
     trait PipeFix {
-        fn pipe_fix(self, sc: &SpellCorrector) -> String;
+        fn pipe_fix(self, sc: &SpellCorrector) -> FieldStr;
     }
-    impl PipeFix for String {
-        fn pipe_fix(mut self, sc: &SpellCorrector) -> String {
-            sc.correct_in_place(&mut self);
-            self
+    impl PipeFix for &str {
+        fn pipe_fix(self, sc: &SpellCorrector) -> FieldStr {
+            let mut word = FieldStr::from(self);
+            sc.correct_in_place(&mut word);
+            word
         }
     }
 
     #[test]
     fn correct_in_place_reports_change() {
         let sc = cities();
-        let mut w = String::from("DENVR");
+        let mut w = FieldStr::from("DENVR");
         assert!(sc.correct_in_place(&mut w));
         assert_eq!(w, "DENVER");
-        let mut same = String::from("DENVER");
+        let mut same = FieldStr::from("DENVER");
         assert!(!sc.correct_in_place(&mut same));
-        let mut unknown = String::from("GOTHAM CITY");
+        let mut unknown = FieldStr::from("GOTHAM CITY");
         assert!(!sc.correct_in_place(&mut unknown));
         assert_eq!(unknown, "GOTHAM CITY");
     }

@@ -71,8 +71,8 @@ proptest! {
         let program = RuleProgram::compile(&src).expect("template compiles");
         let mut r1 = mp_record::Record::empty(mp_record::RecordId(0));
         let mut r2 = mp_record::Record::empty(mp_record::RecordId(1));
-        *r1.field_mut(field.parse().unwrap()) = a;
-        *r2.field_mut(field.parse().unwrap()) = b;
+        *r1.field_mut(field.parse().unwrap()) = a.into();
+        *r2.field_mut(field.parse().unwrap()) = b.into();
         // Must not panic, and must be symmetric for symmetric predicates.
         prop_assert_eq!(program.matches(&r1, &r2), program.matches(&r2, &r1));
     }

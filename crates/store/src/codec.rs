@@ -129,7 +129,7 @@ pub fn take_record(r: &mut Reader<'_>) -> Result<Record, String> {
     let mut rec = Record::empty(id);
     rec.entity = entity;
     for f in mp_record::Field::ALL {
-        *rec.field_mut(f) = r.str()?;
+        rec.field_mut(f).set(r.str_ref()?);
     }
     Ok(rec)
 }

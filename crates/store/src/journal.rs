@@ -317,7 +317,7 @@ mod tests {
         (0..n)
             .map(|i| {
                 let mut r = Record::empty(RecordId(i));
-                r.last_name = format!("L{tag}-{i}");
+                r.last_name = format!("L{tag}-{i}").into();
                 r
             })
             .collect()

@@ -439,7 +439,7 @@ mod tests {
         (0..n)
             .map(|i| {
                 let mut r = Record::empty(RecordId(i));
-                r.last_name = format!("B{tag}R{i}");
+                r.last_name = format!("B{tag}R{i}").into();
                 r
             })
             .collect()

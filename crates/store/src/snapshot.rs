@@ -667,8 +667,8 @@ mod tests {
         let records: Vec<Record> = (0..4)
             .map(|i| {
                 let mut r = Record::empty(RecordId(i));
-                r.last_name = format!("L{i}");
-                r.first_name = format!("F{}", i % 2);
+                r.last_name = format!("L{i}").into();
+                r.first_name = format!("F{}", i % 2).into();
                 r
             })
             .collect();
@@ -839,7 +839,7 @@ mod tests {
         snap.records = (0..3000)
             .map(|i| {
                 let mut r = Record::empty(RecordId(i));
-                r.last_name = format!("LASTNAME-{i:06}");
+                r.last_name = format!("LASTNAME-{i:06}").into();
                 r
             })
             .collect();

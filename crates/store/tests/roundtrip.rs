@@ -21,9 +21,9 @@ fn build_snapshot(n: usize, raw_pairs: &[(u32, u32)], fields: &[String]) -> Snap
     let records: Vec<Record> = (0..n)
         .map(|i| {
             let mut r = Record::empty(RecordId(i as u32));
-            r.last_name = fields[i % fields.len()].clone();
-            r.first_name = fields[(i * 7 + 1) % fields.len()].clone();
-            r.city = fields[(i * 3 + 2) % fields.len()].clone();
+            r.last_name = fields[i % fields.len()].as_str().into();
+            r.first_name = fields[(i * 7 + 1) % fields.len()].as_str().into();
+            r.city = fields[(i * 3 + 2) % fields.len()].as_str().into();
             r.entity = (i % 3 == 0).then_some(mp_record::EntityId(i as u32 / 3));
             r
         })

@@ -183,8 +183,8 @@ fn batch_sequence(
         match place {
             1 | 2 => {
                 let prefix = if place == 1 { "0" } else { "ZZZ" };
-                r.last_name.insert_str(0, prefix);
-                r.first_name.insert_str(0, prefix);
+                r.last_name = format!("{prefix}{}", r.last_name).into();
+                r.first_name = format!("{prefix}{}", r.first_name).into();
             }
             3 => *r = base[i * 7 % base.len()].clone(),
             _ => {}
