@@ -12,12 +12,9 @@
 //!
 //! Usage: `cargo run --release -p mp-bench --bin ablations [--records N]`
 
-use merge_purge::{
-    ClusteringConfig, ClusteringMethod, Evaluation, KeySpec, MergeScanSnm, MultiPass,
-    SortedNeighborhood,
-};
+use merge_purge::{Evaluation, KeySpec, MultiPass, SortedNeighborhood};
 use mp_bench::{fig2_database, header, pct, row, Args};
-use mp_cluster::lpt_assign;
+use mp_paper::{lpt_assign, ClusteringConfig, ClusteringMethod, MergeScanSnm};
 use mp_rules::NativeEmployeeTheory;
 
 fn main() {
@@ -114,8 +111,8 @@ fn main() {
         .iter()
         .map(|r| KeySpec::last_name_key().extract(r))
         .collect();
-    let hist = mp_cluster::KeyHistogram::from_keys(keys_v.iter().map(String::as_str), 3);
-    let part = mp_cluster::RangePartition::build(&hist, 100);
+    let hist = mp_paper::KeyHistogram::from_keys(keys_v.iter().map(String::as_str), 3);
+    let part = mp_paper::RangePartition::build(&hist, 100);
     let mut sizes = vec![0u64; part.clusters()];
     for k in &keys_v {
         sizes[part.cluster_of(k)] += 1;

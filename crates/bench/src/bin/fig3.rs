@@ -13,10 +13,9 @@
 //!
 //! Usage: `cargo run --release -p mp-bench --bin fig3 [--records N] [--seed S]`
 
-use merge_purge::{
-    ClusteringConfig, ClusteringMethod, Evaluation, KeySpec, MultiPass, SortedNeighborhood,
-};
+use merge_purge::{Evaluation, KeySpec, MultiPass, SortedNeighborhood};
 use mp_bench::{fig3_database, header, pct, row, sec_cell, secs, Args};
+use mp_paper::{ClusteringConfig, ClusteringMethod};
 use mp_rules::NativeEmployeeTheory;
 
 fn main() {

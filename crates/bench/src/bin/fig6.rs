@@ -20,9 +20,9 @@
 //!
 //! Usage: `cargo run --release -p mp-bench --bin fig6 [--records N] [--max-procs P]`
 
-use merge_purge::{ClusteringConfig, KeySpec, MultiPass, PassResult};
+use merge_purge::{KeySpec, MultiPass, PassResult};
 use mp_bench::{fig2_database, header, row, sec_cell, secs, Args};
-use mp_parallel::{ParallelClustering, ParallelSnm};
+use mp_paper::{ClusteringConfig, ParallelClustering, ParallelSnm};
 use mp_rules::NativeEmployeeTheory;
 use std::time::Instant;
 

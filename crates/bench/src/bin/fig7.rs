@@ -12,10 +12,12 @@
 //!
 //! Usage: `cargo run --release -p mp-bench --bin fig7 [--scale-div D] [--procs P]`
 
-use merge_purge::{ClusteringConfig, KeySpec};
+use merge_purge::KeySpec;
 use mp_bench::{header, row, sec_cell, secs, Args};
 use mp_datagen::{DatabaseGenerator, GeneratorConfig};
-use mp_parallel::{parallel_multipass, ParallelClustering, ParallelPass, ParallelSnm};
+use mp_paper::{
+    parallel_multipass, ClusteringConfig, ParallelClustering, ParallelPass, ParallelSnm,
+};
 use mp_rules::NativeEmployeeTheory;
 use std::time::Instant;
 

@@ -18,7 +18,8 @@
 use merge_purge::KeySpec;
 use mp_bench::{header, row, sec_cell, secs, Args};
 use mp_datagen::{DatabaseGenerator, GeneratorConfig};
-use mp_extsort::{ExternalClustering, ExternalConfig, ExternalSnm};
+use mp_extsort::ExternalConfig;
+use mp_paper::{ExternalClustering, ExternalSnm};
 use mp_rules::NativeEmployeeTheory;
 use std::time::Instant;
 

@@ -4,7 +4,7 @@
 //! Legs per size:
 //!
 //! * `serial`   — in-memory [`MultiPass`]
-//! * `parallel` — banded [`mp_parallel`] passes (all cores)
+//! * `parallel` — banded [`mp_paper`] passes (all cores)
 //! * `extsort`  — disk-spilling [`BulkLoader`] under a memory budget (the
 //!   `mergepurge load` pipeline)
 //!
@@ -32,7 +32,7 @@ use mp_bench::Args;
 use mp_closure::PairSet;
 use mp_datagen::{DatabaseGenerator, GeneratorConfig};
 use mp_extsort::{BulkLoader, ExternalConfig};
-use mp_parallel::{parallel_multipass, ParallelPass, ParallelSnm};
+use mp_paper::{parallel_multipass, ParallelPass, ParallelSnm};
 use mp_rules::NativeEmployeeTheory;
 use std::path::Path;
 use std::time::Instant;

@@ -5,7 +5,7 @@
 //! A pass's *position sequence* is its segments in order and each
 //! segment's positions in order — one sorted list for
 //! [`SortedNeighborhood`](crate::SortedNeighborhood), the clusters for
-//! [`ClusteringMethod`](crate::ClusteringMethod). [`scan_in_bands`] cuts
+//! `mp_paper::ClusteringMethod`. [`scan_in_bands`] cuts
 //! it into contiguous bands ([`deal`]; a cut may fall inside a segment or
 //! between two) and scans the bands side by side through [`fan_out`] —
 //! one band per core ([`per_core`]) unless the caller names a count.
@@ -63,7 +63,7 @@ use std::ops::Range;
 
 /// The band count a pass's scan runs in unless its caller names one: one
 /// band per core.
-pub(crate) fn per_core() -> usize {
+pub fn per_core() -> usize {
     std::thread::available_parallelism().map_or(1, |n| n.get())
 }
 
@@ -92,7 +92,7 @@ pub fn band_ranges(n: usize, bands: usize) -> Vec<Range<usize>> {
 /// position) — pruned against `uf` when a union-find is given, into a
 /// plain [`PairSet`] otherwise. The result is the serial scan's on any
 /// band count, with one entry per band in its `worker_comparisons`.
-pub(crate) fn scan_in_bands(
+pub fn scan_in_bands(
     scan: &WindowScan<'_>,
     records: &[Record],
     segments: &[&[u32]],

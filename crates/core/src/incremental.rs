@@ -320,7 +320,7 @@ impl IncrementalMergePurge {
     /// **Equivalence**: a window pair `(prev, i)` is owned by the band that
     /// contains the *later* position `i`; the scan's backward window
     /// reaches across the left band boundary (band replication, as in
-    /// `mp-parallel`), so boundary pairs are evaluated exactly once by
+    /// §4.1), so boundary pairs are evaluated exactly once by
     /// exactly one band. Because the incremental scan never mutates the
     /// merged order while scanning, a band's comparisons are independent of
     /// every other band and every other pass, and folding results in

@@ -1,20 +1,24 @@
 #![warn(missing_docs)]
 
-//! The merge/purge library: sorted-neighborhood, clustering, and multi-pass
-//! duplicate detection over large record lists.
+//! The merge/purge library: sorted-neighborhood and multi-pass duplicate
+//! detection over large record lists.
 //!
 //! This is a reproduction of Hernández & Stolfo, *The Merge/Purge Problem
-//! for Large Databases* (SIGMOD 1995). The three solution methods:
+//! for Large Databases* (SIGMOD 1995). The product's method:
 //!
 //! * [`SortedNeighborhood`] (§2.2) — create a key per record, sort on the
 //!   key, slide a `w`-record window applying an equational theory to every
 //!   pair inside it;
-//! * [`ClusteringMethod`] (§2.2.1) — histogram-partition the key space into
-//!   `C` balanced clusters, then run the sorted-neighborhood method inside
-//!   each cluster independently;
 //! * [`MultiPass`] (§2.4) — several independent passes with *different keys*
 //!   and *small windows*, unioned by transitive closure. The paper's
-//!   headline result: this dominates any single pass with a large window.
+//!   headline result: this dominates any single pass with a large window;
+//! * [`IncrementalMergePurge`] — the same passes kept current as batches
+//!   arrive.
+//!
+//! The paper's other engines — the clustering method (§2.2.1), the
+//! merge-fused scan, the external variants (§3.5) and the parallel engines
+//! (§4) — are comparisons the figures reproduce; they live in `mp-paper`
+//! and run on the scan this crate exposes.
 //!
 //! [`Evaluation`] scores results against generated ground truth the way the
 //! paper's figures do, and [`costmodel`] implements the §3.5 analytical
@@ -39,13 +43,11 @@
 //! ```
 
 mod banded;
-pub mod clustering;
 pub mod costmodel;
 pub mod eval;
 pub mod fanout;
 pub mod incremental;
 pub mod key;
-pub mod mergescan;
 pub mod multipass;
 pub mod pipeline;
 mod prefetch;
@@ -55,14 +57,15 @@ pub mod snm;
 pub mod window;
 
 pub use banded::band_ranges;
-pub use clustering::{ClusteringConfig, ClusteringMethod};
+// mp-paper's clustering pass scans its clusters on the same bands.
+#[doc(hidden)]
+pub use banded::{per_core, scan_in_bands};
 pub use costmodel::CostModel;
 pub use eval::Evaluation;
 pub use fanout::fan_out;
 pub use incremental::IncrementalMergePurge;
 pub use key::{KeyArena, KeyPart, KeySpec};
-pub use mergescan::MergeScanSnm;
-pub use multipass::{MultiPass, MultiPassResult, PassConfig};
+pub use multipass::{MultiPass, MultiPassResult};
 pub use pipeline::{MergePurge, MergePurgeResult};
 pub use purge::Purger;
 pub use radix::{chunked_str_cmp, radix_order_by, sorted_order_radix};

@@ -2,7 +2,6 @@
 //! small windows, unioned by transitive closure.
 
 use crate::banded::per_core;
-use crate::clustering::{ClusteringConfig, ClusteringMethod};
 use crate::key::KeySpec;
 use crate::snm::{PassResult, SortedNeighborhood};
 use mp_closure::{PairSet, UnionFind};
@@ -13,51 +12,6 @@ use mp_record::Record;
 use mp_rules::EquationalTheory;
 use std::collections::HashMap;
 use std::time::{Duration, Instant};
-
-/// How one pass of a multi-pass run executes.
-#[derive(Debug, Clone)]
-pub enum PassConfig {
-    /// A global-sort sorted-neighborhood pass.
-    Sorted {
-        /// Sort key.
-        key: KeySpec,
-        /// Window size.
-        window: usize,
-    },
-    /// A clustering-method pass.
-    Clustered {
-        /// Sort key.
-        key: KeySpec,
-        /// Clustering configuration (cluster count, prefix, window).
-        config: ClusteringConfig,
-    },
-}
-
-impl PassConfig {
-    /// Runs the pass, pruned against `uf` when one is given, with its
-    /// window scan cut into `bands` bands (at most one per position). The
-    /// result is the same on every band count; a multi-pass run scans in
-    /// one band per core. The parallel engines (§4) name their processor
-    /// count here.
-    #[doc(hidden)]
-    pub fn run_in_bands(
-        &self,
-        records: &[Record],
-        theory: &dyn EquationalTheory,
-        uf: Option<&mut UnionFind>,
-        observer: &dyn PipelineObserver,
-        bands: usize,
-    ) -> PassResult {
-        match self {
-            PassConfig::Sorted { key, window } => SortedNeighborhood::new(key.clone(), *window)
-                .run_in_bands(records, theory, uf, observer, bands),
-            PassConfig::Clustered { key, config } => {
-                ClusteringMethod::new(key.clone(), config.clone())
-                    .run_in_bands(records, theory, uf, observer, bands)
-            }
-        }
-    }
-}
 
 /// Result of a multi-pass run.
 #[derive(Debug, Clone)]
@@ -112,12 +66,12 @@ impl MultiPassResult {
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct MultiPass {
-    passes: Vec<PassConfig>,
+    passes: Vec<SortedNeighborhood>,
     prune: bool,
 }
 
 impl MultiPass {
-    /// An empty multi-pass run; add passes with [`MultiPass::add`].
+    /// An empty multi-pass run; add passes with [`MultiPass::sorted`].
     pub fn new() -> Self {
         Self::default()
     }
@@ -141,21 +95,14 @@ impl MultiPass {
         self
     }
 
-    /// Adds a pass.
-    #[allow(clippy::should_implement_trait)] // builder `add`, not ops::Add
-    pub fn add(mut self, pass: PassConfig) -> Self {
-        self.passes.push(pass);
-        self
-    }
-
     /// Adds a sorted-neighborhood pass.
-    pub fn sorted(self, key: KeySpec, window: usize) -> Self {
-        self.add(PassConfig::Sorted { key, window })
-    }
-
-    /// Adds a clustering pass.
-    pub fn clustered(self, key: KeySpec, config: ClusteringConfig) -> Self {
-        self.add(PassConfig::Clustered { key, config })
+    ///
+    /// # Panics
+    ///
+    /// Panics when `window < 2`.
+    pub fn sorted(mut self, key: KeySpec, window: usize) -> Self {
+        self.passes.push(SortedNeighborhood::new(key, window));
+        self
     }
 
     /// The paper's three standard passes (last name, first name, address)
@@ -342,18 +289,6 @@ mod tests {
     }
 
     #[test]
-    fn mixed_sorted_and_clustered_passes() {
-        let db = db(300, 53);
-        let theory = NativeEmployeeTheory::new();
-        let result = MultiPass::new()
-            .sorted(KeySpec::last_name_key(), 8)
-            .clustered(KeySpec::first_name_key(), ClusteringConfig::paper_serial(8))
-            .run(&db.records, &theory);
-        assert_eq!(result.passes.len(), 2);
-        assert!(!result.closed_pairs.is_empty());
-    }
-
-    #[test]
     fn single_pass_multipass_equals_that_pass_closed() {
         let db = db(200, 54);
         let theory = NativeEmployeeTheory::new();
@@ -448,21 +383,5 @@ mod tests {
             assert_eq!(p.pairs_found, p.pairs_first_found);
             assert_eq!(p.pairs_found, p.pairs_unique);
         }
-    }
-
-    #[test]
-    fn pruned_clustered_passes_also_agree() {
-        let db = db(400, 56);
-        let theory = NativeEmployeeTheory::new();
-        let build = || {
-            MultiPass::new()
-                .sorted(KeySpec::last_name_key(), 8)
-                .clustered(KeySpec::first_name_key(), ClusteringConfig::paper_serial(8))
-        };
-        let plain = build().run(&db.records, &theory);
-        let pruned = build().with_pruning().run(&db.records, &theory);
-        assert_eq!(plain.closed_pairs.sorted(), pruned.closed_pairs.sorted());
-        let skips: u64 = pruned.passes.iter().map(|p| p.stats.pairs_pruned).sum();
-        assert!(skips > 0);
     }
 }

@@ -1,9 +1,8 @@
 //! High-level merge/purge pipeline: condition → passes → closure.
 
-use crate::clustering::ClusteringConfig;
 use crate::fanout::fan_out;
 use crate::key::KeySpec;
-use crate::multipass::{MultiPass, MultiPassResult, PassConfig};
+use crate::multipass::{MultiPass, MultiPassResult};
 use mp_metrics::{span, NoopObserver, Phase, PipelineObserver};
 use mp_record::{normalize, NicknameTable, Record, SpellCorrector};
 use mp_rules::EquationalTheory;
@@ -56,18 +55,6 @@ impl<'t> MergePurge<'t> {
     /// Adds a sorted-neighborhood pass.
     pub fn pass(mut self, key: KeySpec, window: usize) -> Self {
         self.passes = self.passes.sorted(key, window);
-        self
-    }
-
-    /// Adds a clustering-method pass.
-    pub fn clustered_pass(mut self, key: KeySpec, config: ClusteringConfig) -> Self {
-        self.passes = self.passes.clustered(key, config);
-        self
-    }
-
-    /// Adds an arbitrary pass configuration.
-    pub fn pass_config(mut self, pass: PassConfig) -> Self {
-        self.passes = self.passes.add(pass);
         self
     }
 

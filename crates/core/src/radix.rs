@@ -64,31 +64,13 @@ pub fn chunked_str_cmp(a: &str, b: &str) -> Ordering {
     }
 }
 
-/// Stable two-way merge of index runs that are each sorted under `le`
-/// ("not after"): ties take from `a` first.
-pub(crate) fn merge_sorted(a: &[u32], b: &[u32], le: impl Fn(u32, u32) -> bool) -> Vec<u32> {
-    let mut out = Vec::with_capacity(a.len() + b.len());
-    let (mut i, mut j) = (0, 0);
-    while i < a.len() && j < b.len() {
-        if le(a[i], b[j]) {
-            out.push(a[i]);
-            i += 1;
-        } else {
-            out.push(b[j]);
-            j += 1;
-        }
-    }
-    out.extend_from_slice(&a[i..]);
-    out.extend_from_slice(&b[j..]);
-    out
-}
-
 /// Inserts the index run `batch` into `order` in place — both sorted under
 /// `le` ("not after") — and returns the positions the batch landed on,
-/// ascending. The result is the permutation [`merge_sorted`] gives (ties
-/// keep `order`'s entries first), reached without walking `order`: every
-/// batch entry bisects the whole of `order`, at most `⌈log2(N+1)⌉` calls of
-/// `le(old, new)` each, and the entries between slots move as blocks.
+/// ascending. The result is the permutation a stable two-way merge gives
+/// (ties keep `order`'s entries first), reached without walking `order`:
+/// every batch entry bisects the whole of `order`, at most `⌈log2(N+1)⌉`
+/// calls of `le(old, new)` each, and the entries between slots move as
+/// blocks.
 ///
 /// `keys` is what `le` reads: `keys.get(id)` for an `order` entry `id`. A
 /// probe is three dependent misses — the `order` slot, the key's span it
@@ -447,7 +429,9 @@ mod tests {
             let keys = arena_of(&keys);
             let key = |id: u32| keys.get(id as usize);
             let (order, batch) = sorted_runs(&keys, old);
-            let want = merge_sorted(&order, &batch, |a, b| key(a) <= key(b));
+            // The stable merge: a stable sort of `order` then `batch`.
+            let mut want = [order.as_slice(), batch.as_slice()].concat();
+            want.sort_by_key(|&id| key(id));
 
             let calls = std::cell::Cell::new(0);
             let mut got = order.clone();

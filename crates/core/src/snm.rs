@@ -237,8 +237,11 @@ impl SortedNeighborhood {
     }
 
     /// [`run_pruned_observed`](Self::run_pruned_observed) with the scan in
-    /// `bands` bands.
-    pub(crate) fn run_in_bands(
+    /// `bands` bands (at most one per position). The result is the same on
+    /// every band count; a multi-pass run scans in one band per core, and
+    /// the parallel engines (§4) name their processor count here.
+    #[doc(hidden)]
+    pub fn run_in_bands(
         &self,
         records: &[Record],
         theory: &dyn EquationalTheory,

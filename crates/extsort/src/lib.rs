@@ -1,28 +1,27 @@
 #![warn(missing_docs)]
 
-//! External-memory (disk-resident) merge/purge: spill-aware sorting, the
-//! streaming sorted-neighborhood scan, and the bulk-load path that feeds
-//! the durable store, with exact I/O pass accounting throughout.
+//! External-memory (disk-resident) merge/purge: spill-aware sorting and
+//! the bulk-load path that feeds the durable store, with exact I/O pass
+//! accounting throughout.
 //!
 //! # Why external
 //!
 //! §2.2 and §3.5 of the paper analyze the case where "the dominant cost
-//! will be disk I/O, i.e., the number of passes over the data set":
+//! will be disk I/O, i.e., the number of passes over the data set": the
+//! sorted-neighborhood method needs "at least three passes: one pass for
+//! conditioning the data and preparing keys, at least a second pass,
+//! likely more, for a high speed sort ..., and a final pass for window
+//! processing" — with an F-way external merge sort that is
+//! `2 + ceil(log_F(N/M))` data passes.
 //!
-//! * the **sorted-neighborhood method** needs "at least three passes: one
-//!   pass for conditioning the data and preparing keys, at least a second
-//!   pass, likely more, for a high speed sort ..., and a final pass for
-//!   window processing" — with an F-way external merge sort that is
-//!   `2 + ceil(log_F(N/M))` data passes;
-//! * the **clustering method** needs "approximately only 2 passes": one to
-//!   assign records to clusters, and one where each cluster is processed
-//!   in memory.
-//!
-//! This crate implements both over flat record files (the `mp-record` line
-//! format), with a hard in-memory budget of `M` records and exact
-//! [`IoStats`] so the pass-count analysis can be *measured* rather than
-//! asserted. Results are bit-identical to the in-memory engines (tested):
-//! the same pairs come out whether the data fits in RAM or not.
+//! This crate sorts flat record files (the `mp-record` line format) under
+//! a hard in-memory budget of `M` records, with exact [`IoStats`] so the
+//! pass-count analysis can be *measured* rather than asserted, and loads
+//! them into a store with the same pairs the in-memory engines find
+//! (tested), whether the data fits in RAM or not. The paper's external
+//! comparison engines — `mp_paper::ExternalSnm` over [`ExternalSorter`],
+//! and the clustering method's "approximately only 2 passes" — run on it
+//! from `mp-paper`.
 //!
 //! # Pipeline and spill format
 //!
@@ -68,7 +67,8 @@
 //! Priced in §3.5's unit, full sweeps over the data
 //! ([`IoStats::data_passes`]):
 //!
-//! * [`ExternalSnm`]: `1 + levels + 1`, with `levels = ceil(log_F(runs))`;
+//! * an [`ExternalSorter`] sort then a streaming window scan:
+//!   `1 + levels + 1`, with `levels = ceil(log_F(runs))`;
 //! * [`BulkLoader`] over `k` keys: `1 + Σ_key (extra + 1)`, where `extra`
 //!   counts the levels needed to bring a key's runs down to `F`. That is
 //!   `1 + k` whenever a key forms at most `F` runs.
@@ -88,9 +88,9 @@
 //!    F-way merge of runs that are themselves (key, id)-sorted.
 //!
 //! Any split of the input into contiguous runs therefore merges to the
-//! same total order an in-memory stable sort would produce, which is why
-//! [`ExternalSnm`] is bit-identical to the in-memory engines and why run
-//! formation can fan out across threads freely.
+//! same total order an in-memory stable sort would produce, which is why a
+//! window scan over the sorter's output is bit-identical to the in-memory
+//! engines and why run formation can fan out across threads freely.
 //!
 //! Each run's keys are ordered by the same stable LSD radix sort the
 //! in-memory engines use (`merge_purge::sorted_order_radix`; see "Key
@@ -138,17 +138,11 @@
 //! ```
 
 pub mod bulkload;
-pub mod clustering;
 pub mod runfile;
-pub mod snm;
 pub mod sorter;
 
 pub use bulkload::{BulkLoadStats, BulkLoader, BulkOutcome};
-pub use clustering::ExternalClustering;
-pub use snm::ExternalSnm;
 pub use sorter::{ExternalSorter, MergeStream, RecordSpill};
-
-use mp_closure::PairSet;
 
 /// Resource limits for external processing.
 ///
@@ -158,8 +152,7 @@ use mp_closure::PairSet;
 #[derive(Debug, Clone, Copy)]
 pub struct ExternalConfig {
     /// Maximum records held in memory at once (`M`). Run formation sorts
-    /// chunks of this size; the clustering method requires every cluster to
-    /// fit within it.
+    /// chunks of this size.
     pub memory_records: usize,
     /// Merge fan-in `F` (the paper's experiments "used merge sort ... which
     /// used a 16-way merge algorithm").
@@ -204,16 +197,4 @@ impl IoStats {
     fn add_sweep(&mut self) {
         self.sweeps += 1;
     }
-}
-
-/// Result of an external merge/purge pass.
-#[derive(Debug)]
-pub struct ExternalOutcome {
-    /// Deduplicated matching pairs (same semantics as the in-memory
-    /// engines).
-    pub pairs: PairSet,
-    /// Measured I/O accounting.
-    pub io: IoStats,
-    /// Number of records processed.
-    pub records: usize,
 }

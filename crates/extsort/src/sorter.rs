@@ -69,11 +69,18 @@ impl SortedRun {
 
 /// A spill file this process owns, removed when dropped — so every exit
 /// path (success, `?` error, panic) cleans up after itself.
+#[doc(hidden)]
 #[derive(Debug)]
-pub(crate) struct TempFile(PathBuf);
+pub struct TempFile(PathBuf);
 
 impl TempFile {
-    fn path(&self) -> &Path {
+    /// Takes ownership of the (not yet created) file at `path`.
+    pub fn new(path: PathBuf) -> Self {
+        TempFile(path)
+    }
+
+    /// Where the file is.
+    pub fn path(&self) -> &Path {
         &self.0
     }
 

@@ -4,9 +4,11 @@
 //!
 //! Run with: `cargo run --release --example parallel_dedup`
 
-use merge_purge::{ClusteringConfig, Evaluation, KeySpec, MultiPass};
+use merge_purge::{Evaluation, KeySpec, MultiPass};
 use mp_datagen::{DatabaseGenerator, GeneratorConfig};
-use mp_parallel::{parallel_multipass, ParallelClustering, ParallelPass, ParallelSnm};
+use mp_paper::{
+    parallel_multipass, ClusteringConfig, ParallelClustering, ParallelPass, ParallelSnm,
+};
 use mp_rules::NativeEmployeeTheory;
 use std::time::Instant;
 

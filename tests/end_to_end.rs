@@ -1,10 +1,9 @@
 //! End-to-end pipeline tests spanning the generator, conditioning, all
 //! three merge methods, the rule engines, the closure, and the evaluator.
 
-use merge_purge::{
-    ClusteringConfig, Evaluation, KeySpec, MergePurge, MultiPass, SortedNeighborhood,
-};
+use merge_purge::{Evaluation, KeySpec, MergePurge, MultiPass, SortedNeighborhood};
 use mp_datagen::{DatabaseGenerator, ErrorProfile, GeneratorConfig};
+use mp_paper::{ClusteringConfig, ClusteringMethod};
 use mp_rules::{employee_program, NativeEmployeeTheory};
 
 fn generate(n: usize, seed: u64) -> mp_datagen::GeneratedDatabase {
@@ -96,8 +95,7 @@ fn clustering_method_is_close_to_but_below_snm_accuracy() {
     let cl_passes: Vec<_> = KeySpec::standard_three()
         .into_iter()
         .map(|k| {
-            merge_purge::ClusteringMethod::new(k, ClusteringConfig::paper_serial(w))
-                .run(&db.records, &theory)
+            ClusteringMethod::new(k, ClusteringConfig::paper_serial(w)).run(&db.records, &theory)
         })
         .collect();
 

@@ -4,7 +4,7 @@
 use merge_purge::{KeySpec, MergePurge, MultiPass, SortedNeighborhood};
 use merge_purge_repro::metrics::{Counter, MetricsRecorder};
 use mp_datagen::{DatabaseGenerator, GeneratorConfig};
-use mp_parallel::{parallel_multipass_observed, ParallelPass, ParallelSnm};
+use mp_paper::{parallel_multipass_observed, ParallelPass, ParallelSnm};
 use mp_rules::NativeEmployeeTheory;
 use std::path::PathBuf;
 use std::process::Command;

@@ -3,6 +3,8 @@
 
 use merge_purge::{CostModel, Evaluation, KeySpec, MultiPass, SortedNeighborhood};
 use mp_datagen::{DatabaseGenerator, GeneratorConfig};
+use mp_extsort::ExternalConfig;
+use mp_paper::{ExternalClustering, ExternalSnm};
 use mp_rules::NativeEmployeeTheory;
 
 fn fig2_style_db(n: usize, seed: u64) -> mp_datagen::GeneratedDatabase {
@@ -153,4 +155,72 @@ fn transposed_ssn_recovered_by_name_pass_not_ssn_pass() {
         name_pass.pairs.contains(n, n + 1),
         "name-principal key should catch the transposed pair"
     );
+}
+
+/// §3.5: the sorted-neighborhood method pays "one pass ... to create keys,
+/// log N passes to globally sort ..., and one final pass for the window
+/// scanning phase", `2 + ceil(log_16(ceil(N/M)))` with a 16-way merge,
+/// while the clustering method, "with approximately only 2 passes", takes
+/// exactly 2 wherever its clusters fit in memory. A cluster that does not
+/// fit is an `InvalidData` error naming the cluster and the budget.
+#[test]
+fn external_snm_pays_merge_passes_clustering_stays_at_two() {
+    let db = DatabaseGenerator::new(
+        GeneratorConfig::new(1_500)
+            .duplicate_fraction(0.5)
+            .max_duplicates_per_record(5)
+            .seed(3005),
+    )
+    .generate();
+    let n = db.records.len();
+    assert!((2_500..3_500).contains(&n), "{n} records");
+    let dir = std::env::temp_dir().join(format!("mp-claims-io-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let input = dir.join("db.mp");
+    mp_record::io::write_records(std::fs::File::create(&input).unwrap(), &db.records).unwrap();
+    let theory = NativeEmployeeTheory::new();
+    let config = |m| ExternalConfig {
+        memory_records: m,
+        fan_in: 16,
+        ..ExternalConfig::default()
+    };
+
+    let mut snm_passes = Vec::new();
+    for m in [n + 1, n / 4, n / 70] {
+        let snm = ExternalSnm::new(KeySpec::last_name_key(), 10, config(m))
+            .run(&input, &dir, &theory)
+            .unwrap();
+        let (mut runs, mut levels) = (n.div_ceil(m), 0);
+        while runs > 1 {
+            runs = runs.div_ceil(16);
+            levels += 1;
+        }
+        assert_eq!(snm.io.data_passes(), 2 + levels, "M = {m}");
+        snm_passes.push(snm.io.data_passes());
+
+        let clusters = (n / m * 4).clamp(8, 512);
+        match ExternalClustering::new(KeySpec::last_name_key(), clusters, 10, config(m))
+            .run(&input, &dir, &theory)
+        {
+            Ok(cl) => assert_eq!(cl.io.data_passes(), 2, "M = {m}"),
+            Err(e) => {
+                assert!(m < n / 4, "M = {m} must fit its clusters: {e}");
+                assert_eq!(e.kind(), std::io::ErrorKind::InvalidData, "{e}");
+            }
+        }
+    }
+    assert_eq!(snm_passes, [2, 3, 4]);
+
+    let err = ExternalClustering::new(KeySpec::last_name_key(), 1, 10, config(n / 4))
+        .run(&input, &dir, &theory)
+        .unwrap_err();
+    assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
+    assert!(
+        err.to_string().starts_with(&format!(
+            "cluster 0 exceeds the memory budget of {} records",
+            n / 4
+        )),
+        "{err}"
+    );
+    let _ = std::fs::remove_dir_all(&dir);
 }

@@ -2,9 +2,9 @@
 //! engines' results exactly, for every processor count, at the full
 //! multi-pass level.
 
-use merge_purge::{ClusteringConfig, KeySpec};
+use merge_purge::KeySpec;
 use mp_datagen::{DatabaseGenerator, GeneratorConfig};
-use mp_parallel::{ParallelClustering, ParallelSnm};
+use mp_paper::{ClusteringConfig, ParallelClustering, ParallelSnm};
 use mp_rules::NativeEmployeeTheory;
 
 #[test]

@@ -6,12 +6,15 @@
 //! `comparisons == rule_invocations + pairs_pruned`.
 
 use merge_purge::incremental::IncrementalMergePurge;
-use merge_purge::{ClusteringConfig, ClusteringMethod, KeySpec, MultiPass, SortedNeighborhood};
+use merge_purge::{KeySpec, MultiPass, SortedNeighborhood};
 use mp_closure::UnionFind;
 use mp_datagen::{DatabaseGenerator, GeneratorConfig};
-use mp_extsort::{BulkLoader, ExternalConfig, ExternalSnm};
+use mp_extsort::{BulkLoader, ExternalConfig};
 use mp_metrics::{Counter, MetricsRecorder};
-use mp_parallel::{parallel_multipass_observed, ParallelClustering, ParallelPass, ParallelSnm};
+use mp_paper::{
+    parallel_multipass_observed, ClusteringConfig, ClusteringMethod, ExternalSnm,
+    ParallelClustering, ParallelPass, ParallelSnm,
+};
 use mp_record::{NicknameTable, Record};
 use mp_rules::{EquationalTheory, NativeEmployeeTheory};
 use proptest::prelude::*;

@@ -2,14 +2,16 @@
 //! engine configuration, serial/parallel attribution agreement, span-tree
 //! shape, Chrome-trace export, and the `--stats -` / `--trace` CLI paths.
 
-use merge_purge::{
-    ClusteringConfig, ClusteringMethod, KeySpec, MergeScanSnm, MultiPass, SortedNeighborhood,
-};
+use merge_purge::{KeySpec, MultiPass, SortedNeighborhood};
 use merge_purge_repro::metrics::MetricsRecorder;
+use mp_closure::UnionFind;
 use mp_datagen::{DatabaseGenerator, GeneratorConfig};
-use mp_extsort::{ExternalConfig, ExternalSnm};
+use mp_extsort::ExternalConfig;
 use mp_metrics::chrome_trace_json;
-use mp_parallel::{parallel_multipass_observed, ParallelPass, ParallelSnm};
+use mp_paper::{
+    parallel_multipass_observed, ClusteringConfig, ClusteringMethod, ExternalSnm, MergeScanSnm,
+    ParallelPass, ParallelSnm,
+};
 use mp_rules::NativeEmployeeTheory;
 use std::path::PathBuf;
 use std::process::Command;
@@ -69,13 +71,17 @@ fn counter_invariant_holds_for_every_engine_configuration() {
             }),
         ),
         (
-            "pruned clustered multi-pass",
+            "pruned clustered then sorted pass",
             Box::new(|r| {
-                MultiPass::new()
-                    .clustered(KeySpec::last_name_key(), ClusteringConfig::paper_serial(8))
-                    .sorted(KeySpec::first_name_key(), 8)
-                    .with_pruning()
-                    .run_observed(&db.records, &theory, r);
+                let mut uf = UnionFind::new(db.records.len());
+                ClusteringMethod::new(KeySpec::last_name_key(), ClusteringConfig::paper_serial(8))
+                    .run_pruned_observed(&db.records, &theory, Some(&mut uf), r);
+                SortedNeighborhood::new(KeySpec::first_name_key(), 8).run_pruned_observed(
+                    &db.records,
+                    &theory,
+                    Some(&mut uf),
+                    r,
+                );
             }),
         ),
         (
