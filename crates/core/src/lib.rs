@@ -50,7 +50,6 @@ pub mod incremental;
 pub mod key;
 pub mod multipass;
 pub mod pipeline;
-mod prefetch;
 pub mod purge;
 pub mod radix;
 pub mod snm;

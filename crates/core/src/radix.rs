@@ -27,8 +27,8 @@
 //! Executed scatter passes are reported as [`Counter::RadixPasses`].
 
 use crate::key::KeyArena;
-use crate::prefetch::prefetch;
 use mp_metrics::{Counter, PipelineObserver};
+use mp_record::prefetch::prefetch;
 use std::cmp::Ordering;
 
 /// Bytes of each key covered by radix passes; ties beyond this width fall

@@ -27,9 +27,9 @@
 //! and the theory calls are the serial scan's on any core count (the
 //! proof sketch is on [`PrunedSink`]).
 
-use crate::prefetch::prefetch_lines;
 use mp_closure::{PairSet, UnionFind};
 use mp_metrics::{Counter, NoopObserver, PipelineObserver, ScanHooks, LATENCY_SAMPLE_MASK};
+use mp_record::prefetch::prefetch_lines;
 use mp_record::{Record, RecordId};
 use mp_rules::EquationalTheory;
 use std::collections::VecDeque;

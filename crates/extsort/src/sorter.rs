@@ -117,7 +117,7 @@ pub(crate) struct FormedRuns {
 }
 
 /// The records one run formation read, in input order and in the
-/// snapshot's record encoding (`mp_store::codec::put_record`), with the
+/// snapshot's record encoding (`mp_store::codec::put_snapshot_record`), with the
 /// length and CRC-32 taken as they were written: what a bulk load commits
 /// as its snapshot's `RECS` without parsing its input a second time. The
 /// file goes when this is dropped.
@@ -175,7 +175,7 @@ impl RecordSpillWriter {
     }
 
     fn push(&mut self, record: &Record) -> io::Result<()> {
-        codec::put_record(&mut self.buf, record);
+        codec::put_snapshot_record(&mut self.buf, record);
         self.records += 1;
         if self.buf.len() >= SPILL_BLOCK {
             self.flush()?;

@@ -4,7 +4,9 @@
 use crate::histogram::KeyHistogram;
 use crate::partition::RangePartition;
 use merge_purge::snm::PassRun;
-use merge_purge::{fan_out, per_core, scan_in_bands, KeyArena, KeySpec, PassResult};
+use merge_purge::{
+    fan_out, per_core, radix_order_by, scan_in_bands, KeyArena, KeySpec, PassResult,
+};
 use mp_closure::UnionFind;
 use mp_metrics::{NoopObserver, PipelineObserver};
 use mp_record::Record;
@@ -142,7 +144,13 @@ impl ClusteringMethod {
             fan_out(
                 clusters.chunks_mut(per_worker).collect(),
                 |b| format!("cluster-sort-{b}"),
-                |_, group| group.iter_mut().for_each(|c| keys.sort_indices(c)),
+                |_, group| {
+                    for cluster in group.iter_mut() {
+                        let by_key =
+                            radix_order_by(cluster.len(), |i| keys.get(cluster[i] as usize));
+                        *cluster = by_key.order.iter().map(|&i| cluster[i as usize]).collect();
+                    }
+                },
             );
         });
         // Clusters are scanned in cluster order, so pruning sees matches

@@ -6,7 +6,7 @@ use crate::histogram::KeyHistogram;
 use crate::partition::RangePartition;
 use merge_purge::key::truncate_chars as truncate;
 use merge_purge::window::WindowScan;
-use merge_purge::{window_scan, KeySpec};
+use merge_purge::{radix_order_by, window_scan, KeySpec};
 use mp_closure::PairSet;
 use mp_extsort::runfile::{RunReader, RunWriter};
 use mp_extsort::sorter::TempFile;
@@ -232,8 +232,7 @@ impl ExternalClustering {
                     ));
                 }
             }
-            let mut order: Vec<u32> = (0..records.len() as u32).collect();
-            order.sort_by(|&a, &b| keys[a as usize].cmp(&keys[b as usize]));
+            let order = radix_order_by(keys.len(), |i| &keys[i]).order;
             window_scan(&records, &order, self.window, theory, &mut pairs);
         }
 

@@ -22,7 +22,9 @@
 //! * [`text`] — [`FieldStr`], the field type, which holds up to 22 bytes
 //!   inline;
 //! * [`key`] — the §2.4 sort keys a pass builds from a record's fields,
-//!   and the [`KeyArena`] a pass keeps them in.
+//!   and the [`KeyArena`] a pass keeps them in;
+//! * [`prefetch`] — the software prefetch hint the engine's pointer
+//!   chases use.
 //!
 //! [`Record`] is deliberately a plain owned struct: the sorted-neighborhood
 //! method sorts multi-hundred-megabyte lists of them, and flat ownership
@@ -33,6 +35,7 @@ pub mod io;
 pub mod key;
 pub mod nickname;
 pub mod normalize;
+pub mod prefetch;
 pub mod record;
 pub mod spell;
 pub mod text;

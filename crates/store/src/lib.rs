@@ -445,8 +445,13 @@ mod tests {
             .collect()
     }
 
-    fn snap_of(records: Vec<Record>, batches_applied: u64) -> Snapshot {
+    /// A snapshot of `records`, renumbered by position as a snapshot's
+    /// records are.
+    fn snap_of(mut records: Vec<Record>, batches_applied: u64) -> Snapshot {
         let n = records.len();
+        for (i, r) in records.iter_mut().enumerate() {
+            r.id = RecordId(i as u32);
+        }
         Snapshot {
             records,
             passes: vec![],
@@ -531,7 +536,7 @@ mod tests {
         let snap = snap_of(records.clone(), 1);
         let mut encoded = Vec::new();
         for r in &records {
-            codec::put_record(&mut encoded, r);
+            codec::put_snapshot_record(&mut encoded, r);
         }
         let (n, len, crc) = (40, encoded.len() as u64, codec::crc32(&encoded));
 
@@ -603,9 +608,10 @@ mod tests {
 
         let mut all = batch(1, 3);
         all.extend(batch(2, 2));
-        let next = snap_of(all.clone(), 2);
+        let next = snap_of(all, 2);
+        let all = &next.records;
         // A record source that dies half way, then one that comes up short.
-        let dying = borrowed(&all)
+        let dying = borrowed(all)
             .take(2)
             .chain(std::iter::once(Err(io::Error::other("input vanished"))));
         let err = store.commit_snapshot(&next.view(), dying).unwrap_err();
