@@ -265,7 +265,7 @@ impl SortedNeighborhood {
 #[cfg(test)]
 pub(crate) fn sorted_order(keys: &KeyArena) -> Vec<u32> {
     let mut order: Vec<u32> = (0..keys.len() as u32).collect();
-    keys.sort_indices(&mut order);
+    order.sort_by(|&a, &b| keys.get(a as usize).cmp(keys.get(b as usize)));
     order
 }
 

@@ -14,6 +14,18 @@
 //! coordinator folds later ([`FoundList`]). Everything is monomorphised
 //! over the sink; the theory is the only dynamic call in the loop.
 //!
+//! When the theory has a [`Projection`] — its guard cascade compiled into
+//! small per-record rows — a driver keeps the rows of the last `w`
+//! positions in a ring, projects each record once as it enters the
+//! window, and asks the rows before the theory: a pair they reject is
+//! one the theory would call a miss without running a rule, so it is
+//! counted as an evaluation and never reaches the records. The driver
+//! picks the row path once per band, and only when the band makes enough
+//! pairs per row for the rows to pay (`PAIRS_PER_ROW`); the rejections
+//! are reported to the theory once per band
+//! ([`EquationalTheory::projected_misses`]), so counting wrappers still
+//! count every evaluation.
+//!
 //! An in-memory pass (`SortedNeighborhood`, `ClusteringMethod`, and so
 //! `dedupe` and `purge`) calls [`WindowScan::band`] once per core: its
 //! position sequence is cut into contiguous bands, band 0 scans on the
@@ -31,7 +43,8 @@ use mp_closure::{PairSet, UnionFind};
 use mp_metrics::{Counter, NoopObserver, PipelineObserver, ScanHooks, LATENCY_SAMPLE_MASK};
 use mp_record::prefetch::prefetch_lines;
 use mp_record::{Record, RecordId};
-use mp_rules::EquationalTheory;
+use mp_rules::projection::Row;
+use mp_rules::{EquationalTheory, Projection};
 use std::collections::VecDeque;
 use std::ops::{AddAssign, Range};
 use std::time::Instant;
@@ -269,6 +282,12 @@ impl ScanSink for FoundList {
 /// field bytes too (every field of at most 22 bytes is inline).
 const RECORD_AHEAD: usize = 4;
 
+/// A projection row costs about what this many rejected pairs save (on
+/// the employee theory at w = 40: ≈ 150 ns to project a record, ≈ 65 ns
+/// saved per pair the rows reject), so a band scans on rows only when it
+/// makes at least this many pairs per row.
+const PAIRS_PER_ROW: usize = 3;
+
 /// What stays fixed across every segment of a pass: the window size, the
 /// theory, and the observer's per-comparison hooks (sampled rule latency,
 /// progress heartbeat). The two methods are the position drivers.
@@ -338,24 +357,31 @@ impl<'a> WindowScan<'a> {
         eval()
     }
 
-    /// The kernel: one record entering the window meets its predecessors,
-    /// farthest first. A predecessor arrives as its name and a way to reach
-    /// its record, so one named below `from` (the sink's
-    /// [`candidates_from`](ScanSink::candidates_from)) is passed over on
-    /// the name alone.
+    /// The kernel: one record entering the window at position `new_pos`
+    /// meets its predecessors, farthest first. A predecessor arrives as its
+    /// name, its position and a way to reach its record, so one named
+    /// below `from` (the sink's [`candidates_from`](ScanSink::candidates_from))
+    /// is passed over on the name alone, and a pair whose projection rows
+    /// prove it a miss is counted as an evaluation without either record
+    /// being read. A pair whose evaluation the latency sampler times is
+    /// always evaluated, so the histogram times the theory.
+    #[allow(clippy::too_many_arguments)]
     #[inline]
-    fn position<'r, S: ScanSink, R: FnOnce() -> &'r Record>(
+    fn position<'r, S: ScanSink, W: Rows, R: FnOnce() -> &'r Record>(
         &self,
         new_at: u32,
+        new_pos: usize,
         new: &Record,
         from: u32,
-        predecessors: impl Iterator<Item = (u32, R)>,
+        predecessors: impl Iterator<Item = (u32, usize, R)>,
         sink: &mut S,
         counts: &mut ScanCounts,
+        rows: &mut W,
     ) {
         let attribute = sink.attribute();
+        let sampling = self.hooks.latency.is_some();
         let before = counts.comparisons;
-        for (prev_at, old) in predecessors.filter(|&(prev_at, _)| prev_at >= from) {
+        for (prev_at, prev_pos, old) in predecessors.filter(|&(prev_at, ..)| prev_at >= from) {
             let (old, n) = (old(), counts.rule_evaluations);
             let pair = Candidate {
                 prev_at,
@@ -368,10 +394,13 @@ impl<'a> WindowScan<'a> {
                 counts.pairs_pruned += 1;
                 continue;
             }
+            counts.rule_evaluations += 1;
+            if !(sampling && n & LATENCY_SAMPLE_MASK == 0) && rows.rejects(prev_pos, new_pos) {
+                continue;
+            }
             if let Some(rule) = self.eval_pair(old, new, attribute, n) {
                 sink.matched(&pair, rule);
             }
-            counts.rule_evaluations += 1;
         }
         if let Some(p) = self.hooks.progress {
             p.tick(counts.comparisons - before);
@@ -404,6 +433,42 @@ impl<'a> WindowScan<'a> {
         sink: &mut S,
         counts: &mut ScanCounts,
     ) {
+        let positions = &order[band.start.max(1).min(band.end)..band.end];
+        match self.theory.projection().filter(|_| {
+            let dense = positions
+                .iter()
+                .filter(|&&p| sink.candidates_from(p) == 0)
+                .count();
+            self.rows_pay(dense, positions.len())
+        }) {
+            Some(projection) => {
+                let mut ring = Ring::new(projection, self.window);
+                self.band_with(records, order, band, sink, counts, &mut ring);
+                ring.report(self.theory);
+            }
+            None => self.band_with(records, order, band, sink, counts, &mut NoRows),
+        }
+    }
+
+    /// Whether a band of `positions` positions, `dense` of which meet
+    /// every predecessor in their window, makes enough pairs for its rows
+    /// to pay: at least [`PAIRS_PER_ROW`] per row it projects (one per
+    /// position and one per predecessor it reaches back to). A scan of a
+    /// whole pass does; a sparse ingest band, where each old position
+    /// meets only the new records in its window, does not.
+    fn rows_pay(&self, dense: usize, positions: usize) -> bool {
+        dense * (self.window - 1) >= PAIRS_PER_ROW * (positions + self.window - 1)
+    }
+
+    fn band_with<S: ScanSink, W: Rows>(
+        &self,
+        records: &[Record],
+        order: &[u32],
+        band: Range<usize>,
+        sink: &mut S,
+        counts: &mut ScanCounts,
+        rows: &mut W,
+    ) {
         let (start, order) = (band.start.max(1), &order[..band.end]);
         if start >= order.len() {
             return;
@@ -413,6 +478,9 @@ impl<'a> WindowScan<'a> {
         order[first..order.len().min(start + RECORD_AHEAD)]
             .iter()
             .for_each(|p| prefetch_lines(record(p)));
+        for (at, p) in order.iter().enumerate().take(start).skip(first) {
+            rows.enter(at, record(p));
+        }
         for i in start..order.len() {
             if let Some(p) = order.get(i + RECORD_AHEAD) {
                 prefetch_lines(record(p));
@@ -420,10 +488,12 @@ impl<'a> WindowScan<'a> {
             let lo = i.saturating_sub(self.window - 1);
             let from = sink.candidates_from(order[i]);
             let new = record(&order[i]);
+            rows.enter(i, new);
             let predecessors = order[lo..i]
                 .iter()
-                .map(|&p| (p, move || &records[p as usize]));
-            self.position(order[i], new, from, predecessors, sink, counts);
+                .zip(lo..)
+                .map(|(&p, at)| (p, at, move || &records[p as usize]));
+            self.position(order[i], i, new, from, predecessors, sink, counts, rows);
         }
     }
 
@@ -444,25 +514,139 @@ impl<'a> WindowScan<'a> {
     /// The first error `next` returns; matches found so far stay in `sink`.
     pub fn stream<S: ScanSink, E>(
         &self,
+        next: impl FnMut(&mut Record) -> Result<bool, E>,
+        sink: &mut S,
+    ) -> Result<ScanCounts, E> {
+        // A stream is one long band of positions that meet every
+        // predecessor: `w − 1` pairs a row.
+        match self
+            .theory
+            .projection()
+            .filter(|_| self.window > PAIRS_PER_ROW)
+        {
+            Some(projection) => {
+                let mut ring = Ring::new(projection, self.window);
+                let scanned = self.stream_with(next, sink, &mut ring);
+                ring.report(self.theory);
+                scanned
+            }
+            None => self.stream_with(next, sink, &mut NoRows),
+        }
+    }
+
+    fn stream_with<S: ScanSink, E, W: Rows>(
+        &self,
         mut next: impl FnMut(&mut Record) -> Result<bool, E>,
         sink: &mut S,
+        rows: &mut W,
     ) -> Result<ScanCounts, E> {
         let mut counts = ScanCounts::default();
         let mut held: VecDeque<Record> = VecDeque::with_capacity(self.window);
         let mut slot = Record::empty(RecordId(0));
+        let mut at = 0;
         while next(&mut slot)? {
             let new = &slot;
             let from = sink.candidates_from(new.id.0);
-            let predecessors = held.iter().map(|r| (r.id.0, move || r));
-            self.position(new.id.0, new, from, predecessors, sink, &mut counts);
+            rows.enter(at, new);
+            let predecessors = held
+                .iter()
+                .zip(at - held.len()..)
+                .map(|(r, pos)| (r.id.0, pos, move || r));
+            self.position(
+                new.id.0,
+                at,
+                new,
+                from,
+                predecessors,
+                sink,
+                &mut counts,
+                rows,
+            );
             let spare = if held.len() == self.window - 1 {
                 held.pop_front().expect("a full window")
             } else {
                 Record::empty(RecordId(0))
             };
             held.push_back(std::mem::replace(&mut slot, spare));
+            at += 1;
         }
         Ok(counts)
+    }
+}
+
+/// What a driver keeps about the records in its window besides the
+/// records: the rows of the theory's [`Projection`], or nothing. The
+/// driver picks one per band, so each kernel is monomorphised for it.
+trait Rows {
+    /// Takes in the record entering the window at position `at`.
+    fn enter(&mut self, at: usize, record: &Record);
+
+    /// Whether the rows of positions `old` and `new` prove the pair a
+    /// miss, so the theory need not see it.
+    fn rejects(&mut self, old: usize, new: usize) -> bool;
+}
+
+/// The theory has no projection: every pair goes to the theory.
+struct NoRows;
+
+impl Rows for NoRows {
+    #[inline]
+    fn enter(&mut self, _at: usize, _record: &Record) {}
+
+    #[inline]
+    fn rejects(&mut self, _old: usize, _new: usize) -> bool {
+        false
+    }
+}
+
+/// The projection rows of the last `w` positions, in a ring of a power of
+/// two at least `w` long, so a position's slot is its low bits. A row is
+/// made once, when its record enters the window (the record is in cache
+/// then: the driver prefetched it), and every pair it meets there reads
+/// rows before it reads records. Nothing outlives the band, so the
+/// memory is O(w).
+struct Ring<'p> {
+    projection: &'p Projection,
+    rows: Vec<Row>,
+    mask: usize,
+    /// Pairs the rows rejected: misses the theory never saw.
+    rejected: u64,
+}
+
+impl<'p> Ring<'p> {
+    fn new(projection: &'p Projection, window: usize) -> Self {
+        let len = window.next_power_of_two();
+        Ring {
+            projection,
+            rows: vec![Row::default(); len],
+            mask: len - 1,
+            rejected: 0,
+        }
+    }
+
+    /// Tells the theory how many evaluations the rows decided, once per
+    /// band, so a counting wrapper still counts every one.
+    fn report(&self, theory: &dyn EquationalTheory) {
+        if self.rejected > 0 {
+            theory.projected_misses(self.rejected);
+        }
+    }
+}
+
+impl Rows for Ring<'_> {
+    #[inline]
+    fn enter(&mut self, at: usize, record: &Record) {
+        self.projection
+            .project(record, &mut self.rows[at & self.mask]);
+    }
+
+    #[inline]
+    fn rejects(&mut self, old: usize, new: usize) -> bool {
+        let rejected = self
+            .projection
+            .rejects(&self.rows[old & self.mask], &self.rows[new & self.mask]);
+        self.rejected += u64::from(rejected);
+        rejected
     }
 }
 
@@ -524,8 +708,10 @@ pub fn window_scan_pruned(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use mp_datagen::{DatabaseGenerator, GeneratorConfig};
     use mp_metrics::MetricsRecorder;
     use mp_record::RecordId;
+    use mp_rules::{CompiledTheory, RuleFiringCounter, EMPLOYEE_RULES_SRC};
 
     /// Theory matching records with equal last names.
     struct SameLast;
@@ -731,6 +917,69 @@ mod tests {
         // (each band's first) where one pass times one in 32.
         let bands: Vec<Range<usize>> = (0..200).step_by(7).map(|s| s..(s + 7).min(200)).collect();
         assert_eq!(sampled(&bands), (evaluations, samples));
+    }
+
+    /// Forwards everything but the projection: the record path.
+    struct Unprojected<'a>(&'a dyn EquationalTheory);
+
+    impl EquationalTheory for Unprojected<'_> {
+        fn matches(&self, a: &Record, b: &Record) -> bool {
+            self.0.matches(a, b)
+        }
+        fn name(&self) -> &str {
+            self.0.name()
+        }
+        fn matching_rule_id(&self, a: &Record, b: &Record) -> Option<usize> {
+            self.0.matching_rule_id(a, b)
+        }
+        fn rule_names(&self) -> Vec<String> {
+            self.0.rule_names()
+        }
+    }
+
+    #[test]
+    fn scans_that_reject_on_rows_are_the_theory_scans() {
+        let mut records = DatabaseGenerator::new(
+            GeneratorConfig::new(400)
+                .duplicate_fraction(0.6)
+                .max_duplicates_per_record(3)
+                .seed(3),
+        )
+        .generate()
+        .records;
+        for (i, r) in records.iter_mut().enumerate() {
+            r.id = RecordId(i as u32);
+        }
+        let mut order: Vec<u32> = (0..records.len() as u32).collect();
+        order.sort_by(|&a, &b| {
+            let (a, b) = (&records[a as usize], &records[b as usize]);
+            (a.last_name.as_str(), a.id).cmp(&(b.last_name.as_str(), b.id))
+        });
+        let compiled = CompiledTheory::compile(EMPLOYEE_RULES_SRC).unwrap();
+        assert!(compiled.projection().is_some());
+        let n = order.len();
+        // Everything a scan leaves behind: per driver and band split, the
+        // counts and the found-list, then the rule counter's tallies.
+        let run = |theory: &dyn EquationalTheory| {
+            let counter = RuleFiringCounter::new(theory);
+            let scan = WindowScan::new(10, &counter, &NoopObserver);
+            let one = scan_bands(&scan, &records, &order, std::iter::once(0..n));
+            let split = scan_bands(&scan, &records, &order, [0..7, 7..150, 150..n]);
+            let mut sink = FoundList::new(0, true);
+            let mut next = order.iter().map(|&p| records[p as usize].clone());
+            let streamed = scan
+                .stream(
+                    |slot: &mut Record| Ok::<_, ()>(next.next().map(|r| *slot = r).is_some()),
+                    &mut sink,
+                )
+                .unwrap();
+            let tallies = (counter.evaluations(), counter.misses(), counter.fired());
+            (one, split, streamed, sink.found, tallies)
+        };
+        let projected = run(&compiled);
+        assert_eq!(projected, run(&Unprojected(&compiled)));
+        assert!(!projected.0 .1.is_empty(), "the scan finds matches");
+        assert_eq!(projected.4 .0, 3 * projected.0 .0.rule_evaluations);
     }
 
     #[test]

@@ -17,7 +17,7 @@
 //! equal window size — at the cost of extra comparisons per level.
 
 use merge_purge::snm::{PassRun, Scanned};
-use merge_purge::{KeyArena, KeySpec, PassResult};
+use merge_purge::{radix_order_by, KeyArena, KeySpec, PassResult};
 use mp_metrics::{span, NoopObserver, PipelineObserver};
 use mp_record::Record;
 use mp_rules::EquationalTheory;
@@ -100,8 +100,8 @@ impl MergeScanSnm {
                 .step_by(self.run_length)
                 .map(|start| {
                     let end = (start + self.run_length).min(n);
-                    let mut run: Vec<u32> = (start as u32..end as u32).collect();
-                    keys.sort_indices(&mut run);
+                    let by_key = radix_order_by(end - start, |i| keys.get(start + i));
+                    let run: Vec<u32> = by_key.order.iter().map(|&i| start as u32 + i).collect();
                     scan(&run);
                     run
                 })

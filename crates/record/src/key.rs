@@ -385,12 +385,6 @@ impl KeyArena {
         }
     }
 
-    /// Sorts record indices by their key (stable: equal keys keep their
-    /// relative order).
-    pub fn sort_indices(&self, indices: &mut [u32]) {
-        indices.sort_by(|&a, &b| self.get(a as usize).cmp(self.get(b as usize)));
-    }
-
     /// Bytes the buffer holds: the keys' total length, unless keys were
     /// cut or replaced since they went in.
     pub fn bytes(&self) -> usize {

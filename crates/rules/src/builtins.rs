@@ -90,8 +90,10 @@ fn initials_match(a: &str, b: &str) -> bool {
 /// §2.4 SSN error.
 ///
 /// Equivalently: the strings differ in exactly one pair of adjacent
-/// positions, and that pair is swapped. This runs on every window pair (it
-/// anchors the SSN-transposition rule), so it is written as a single
+/// positions, and that pair is swapped. It is a guard atom of the
+/// SSN-transposition rule, so the cascade may run it on any pair the
+/// cheaper atoms leave live (a window scan on projection rows first
+/// rejects pairs whose byte multisets differ); it is written as a single
 /// allocation-free scan rather than the sort-and-damerau definition.
 fn digits_transposed(a: &str, b: &str) -> bool {
     if a == b || a.len() != b.len() {

@@ -92,6 +92,7 @@ pub mod native;
 pub mod observe;
 pub mod parser;
 pub mod plan;
+pub mod projection;
 pub mod semantic;
 pub mod token;
 pub mod value;
@@ -107,10 +108,16 @@ pub use native::NativeEmployeeTheory;
 pub use observe::RuleFiringCounter;
 pub use parser::ParseError;
 pub use plan::{Plan, PlanStats};
+pub use projection::Projection;
 pub use semantic::TypeError;
 pub use vm::CompiledTheory;
 
 use mp_record::Record;
+
+// The shared test module (`tests/random`) names this crate `mp_rules` from
+// the unit tests too.
+#[cfg(test)]
+extern crate self as mp_rules;
 
 /// The equational theory interface: decides whether two records describe
 /// the same real-world entity.
@@ -139,6 +146,23 @@ pub trait EquationalTheory: Sync {
     fn rule_names(&self) -> Vec<String> {
         vec![self.name().to_string()]
     }
+
+    /// The theory's guard cascade projected onto per-record rows, when it
+    /// has one: a window scan that keeps a [`projection::Row`] per record
+    /// in its window rejects a pair on the rows alone when
+    /// [`Projection::rejects`] says so, and hands every other pair to the
+    /// theory. A rejected pair is one [`EquationalTheory::matches`] would
+    /// have answered `false` (see [`projection`] for why). The default is
+    /// `None`: the scan evaluates every pair.
+    fn projection(&self) -> Option<&Projection> {
+        None
+    }
+
+    /// Reports `pairs` evaluations that a scan decided as misses on the
+    /// [`EquationalTheory::projection`] rows instead of calling the theory.
+    /// A scan calls it once per band; an observing wrapper counts them as
+    /// evaluations where no rule fired. The default ignores them.
+    fn projected_misses(&self, _pairs: u64) {}
 }
 
 impl<T: EquationalTheory + ?Sized> EquationalTheory for &T {
@@ -156,6 +180,14 @@ impl<T: EquationalTheory + ?Sized> EquationalTheory for &T {
 
     fn rule_names(&self) -> Vec<String> {
         (**self).rule_names()
+    }
+
+    fn projection(&self) -> Option<&Projection> {
+        (**self).projection()
+    }
+
+    fn projected_misses(&self, pairs: u64) {
+        (**self).projected_misses(pairs)
     }
 }
 

@@ -9,7 +9,7 @@
 //! scanning side by side never contend for one line; reads sum the
 //! shards.
 
-use crate::EquationalTheory;
+use crate::{EquationalTheory, Projection};
 use mp_record::Record;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 
@@ -151,6 +151,15 @@ impl<T: EquationalTheory> EquationalTheory for RuleFiringCounter<T> {
 
     fn rule_names(&self) -> Vec<String> {
         self.inner.rule_names()
+    }
+
+    fn projection(&self) -> Option<&Projection> {
+        self.inner.projection()
+    }
+
+    fn projected_misses(&self, pairs: u64) {
+        self.tally(shard(), self.rules)
+            .fetch_add(pairs, Ordering::Relaxed);
     }
 }
 

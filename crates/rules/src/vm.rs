@@ -31,7 +31,7 @@ use crate::compile::{
 };
 use crate::eval::RuleProgram;
 use crate::plan::{GuardKind, Plan};
-use crate::{CompileError, EquationalTheory};
+use crate::{CompileError, EquationalTheory, Projection};
 use mp_record::{NicknameTable, Record};
 use mp_strsim::{self as ss, ScratchBuffers};
 use std::cell::RefCell;
@@ -85,6 +85,7 @@ pub struct CompiledTheory {
     name: String,
     planned: bool,
     subexpr_hits: AtomicU64,
+    projection: Option<Box<Projection>>,
 }
 
 impl CompiledTheory {
@@ -119,6 +120,7 @@ impl CompiledTheory {
         let prog = compile_program(&program, plan)
             .expect("RuleProgram::compile checked the program fits the bytecode format");
         let rule_names = program.rules.iter().map(|r| r.name.clone()).collect();
+        let projection = Projection::of(&prog).map(Box::new);
         CompiledTheory {
             prog,
             program,
@@ -129,6 +131,7 @@ impl CompiledTheory {
             name: "dsl-compiled".to_string(),
             planned: plan.is_some(),
             subexpr_hits: AtomicU64::new(0),
+            projection,
         }
     }
 
@@ -222,7 +225,7 @@ impl CompiledTheory {
             if live & (atom.need_true | atom.need_false) == 0 {
                 continue;
             }
-            live &= !if atom_holds(atom, &self.prog, a, b) {
+            live &= !if atom_holds(atom, &self.prog.str_consts, a, b) {
                 atom.need_false
             } else {
                 atom.need_true
@@ -291,14 +294,18 @@ impl EquationalTheory for CompiledTheory {
     fn rule_names(&self) -> Vec<String> {
         self.rule_names.clone()
     }
+
+    fn projection(&self) -> Option<&Projection> {
+        self.projection.as_deref()
+    }
 }
 
 /// Evaluates one guard atom. Its operands are raw fields or constants, so
 /// no temp strings (and no scratch of any kind) are involved.
 #[inline]
-fn atom_holds(atom: &Atom, prog: &CompiledProgram, r1: &Record, r2: &Record) -> bool {
-    let a = str_of(atom.a, r1, r2, &prog.str_consts, &[]);
-    let b = || str_of(atom.b, r1, r2, &prog.str_consts, &[]);
+pub(crate) fn atom_holds(atom: &Atom, consts: &[String], r1: &Record, r2: &Record) -> bool {
+    let a = str_of(atom.a, r1, r2, consts, &[]);
+    let b = || str_of(atom.b, r1, r2, consts, &[]);
     match atom.kind {
         GuardKind::StrEq => a == b(),
         GuardKind::IsEmpty => a.is_empty(),

@@ -6,12 +6,16 @@
 //! well-typed rule programs over random record pairs.
 
 use mp_datagen::{DatabaseGenerator, ErrorProfile, GeneratorConfig};
-use mp_record::{Record, RecordId};
+use mp_record::Record;
+use mp_rules::projection::Row;
 use mp_rules::{
     employee_program, CompiledTheory, EquationalTheory, NativeEmployeeTheory, Plan, PlanStats,
     RuleProgram, EMPLOYEE_RULES_SRC,
 };
 use proptest::TestRng;
+
+mod random;
+use random::{random_program, random_record, scan};
 
 fn noisy_db(n: usize, seed: u64, profile: ErrorProfile) -> Vec<Record> {
     DatabaseGenerator::new(
@@ -96,140 +100,6 @@ fn rule_name_tables_agree() {
 // ---------------------------------------------------------------------------
 // Random well-typed rule programs: interpreter == VM on random record pairs.
 // ---------------------------------------------------------------------------
-
-const FIELDS: [&str; 6] = [
-    "last_name",
-    "first_name",
-    "city",
-    "ssn",
-    "street_name",
-    "zip",
-];
-
-/// Literals the field-vs-literal conjuncts compare against; random records
-/// draw them now and then so those conjuncts hold sometimes.
-const LITERALS: [&str; 3] = ["", "A", "78701"];
-
-/// One random well-typed boolean conjunct over a random field pair. Shapes
-/// 0–5 and 15–18 are guard atoms when they land at the top level of a rule
-/// (every polarity, cross-field, field-vs-literal, the Cheap kernels);
-/// 19–20 nest the same atoms under `or`, where they must stay in the block;
-/// 21 compares temp strings, never an atom.
-fn random_conjunct(rng: &mut TestRng) -> String {
-    let f = FIELDS[rng.below(FIELDS.len() as u64) as usize];
-    let g = FIELDS[rng.below(FIELDS.len() as u64) as usize];
-    let lit = LITERALS[rng.below(LITERALS.len() as u64) as usize];
-    let t = format!("{:.4}", rng.unit_f64());
-    match rng.below(28) {
-        0 => format!("r1.{f} == r2.{f}"),
-        1 => format!("r1.{f} != r2.{g}"),
-        2 => format!("r1.{f} == r2.{g}"),
-        3 => format!("not (r1.{f} == r2.{f})"),
-        4 => format!("r{}.{f} == \"{lit}\"", 1 + rng.below(2)),
-        5 => format!("\"{lit}\" != r{}.{f}", 1 + rng.below(2)),
-        6 => format!("differ_slightly(r1.{f}, r2.{f}, {t})"),
-        7 => format!("edit_sim(r1.{f}, r2.{f}) >= {t}"),
-        8 => format!("jaro(r1.{f}, r2.{f}) > {t}"),
-        9 => format!("jaro_winkler(r1.{f}, r2.{f}) >= {t}"),
-        10 => format!("lcs_sim(r1.{f}, r2.{f}) >= {t}"),
-        11 => format!("trigram_sim(r1.{f}, r2.{f}) >= {t}"),
-        12 => format!("ngram_sim(r1.{f}, r2.{f}, {}) >= {t}", 1 + rng.below(3)),
-        13 => format!("edit_distance(r1.{f}, r2.{f}) <= {}", rng.below(4)),
-        14 => format!("damerau(r1.{f}, r2.{f}) <= {}", rng.below(4)),
-        15 => {
-            let not = ["", "not "][rng.below(2) as usize];
-            format!("{not}initials_match(r1.{f}, r2.{f})")
-        }
-        16 => {
-            let not = ["", "not "][rng.below(2) as usize];
-            format!("{not}digits_transposed(r1.ssn, r2.ssn)")
-        }
-        17 => format!("not is_empty(r1.{f})"),
-        18 => format!("is_empty(r{}.{f})", 1 + rng.below(2)),
-        19 => format!("(r1.{f} == r2.{f} or is_empty(r1.{g}) or r2.{g} == \"{lit}\")"),
-        20 => format!("not (initials_match(r1.{f}, r2.{f}) or r1.{g} != r2.{g})"),
-        21 => {
-            let n = 1 + rng.below(5);
-            let which = if rng.below(2) == 0 {
-                "prefix"
-            } else {
-                "suffix"
-            };
-            format!("{which}(r1.{f}, {n}) == {which}(r2.{f}, {n})")
-        }
-        22 => format!("is_empty(suffix(r1.{f}, {}))", rng.below(3)),
-        23 => format!("len(r1.{f}) >= {}", rng.below(8)),
-        24 => format!(
-            "keyboard_dist(r1.{f}, r2.{f}) < {:.3}",
-            rng.unit_f64() * 4.0
-        ),
-        25 => {
-            let p = ["soundex_eq", "nysiis_eq", "nickname_eq"][rng.below(3) as usize];
-            format!("{p}(r1.{f}, r2.{f})")
-        }
-        26 => format!("is_empty(r1.{f}) == is_empty(r2.{f})"),
-        _ => format!("(soundex_eq(r1.{f}, r2.{f}) or edit_sim(r1.{g}, r2.{g}) >= {t})"),
-    }
-}
-
-/// A random well-typed program of 1–6 rules with 1–5 conjuncts each. The
-/// conjunct mix makes rules of only guard atoms, rules with none, and the
-/// same atom wanted true by one rule and false by another all common.
-fn random_program(rng: &mut TestRng) -> String {
-    let rules = 1 + rng.below(6);
-    (0..rules)
-        .map(|r| {
-            let conjuncts: Vec<String> = (0..1 + rng.below(5))
-                .map(|_| random_conjunct(rng))
-                .collect();
-            // `g{r}`, not `r{r}`: `r1`/`r2` are reserved record refs.
-            format!(
-                "rule g{r} {{ when {} then match }}",
-                conjuncts.join(" and ")
-            )
-        })
-        .collect::<Vec<_>>()
-        .join("\n")
-}
-
-fn random_string(rng: &mut TestRng, max_len: u64) -> String {
-    const ALPHABET: &[u8] = b"ABCDEFGHMNSTZ0123456789 ";
-    if rng.below(6) == 0 {
-        return LITERALS[rng.below(LITERALS.len() as u64) as usize].to_string();
-    }
-    (0..rng.below(max_len + 1))
-        .map(|_| ALPHABET[rng.below(ALPHABET.len() as u64) as usize] as char)
-        .collect()
-}
-
-/// A random record, sometimes a noisy near-duplicate of `base` so rules
-/// actually fire (pure random pairs almost never match).
-fn random_record(rng: &mut TestRng, id: u32, base: Option<&Record>) -> Record {
-    let mut r = Record::empty(RecordId(id));
-    match base {
-        Some(base) if rng.below(2) == 0 => {
-            r = base.clone();
-            r.id = RecordId(id);
-            // Perturb one field: truncate, append, or replace.
-            let f = mp_record::Field::ALL[rng.below(10) as usize];
-            let mut v = r.field(f).to_string();
-            match rng.below(3) {
-                0 => {
-                    v.pop();
-                }
-                1 => v.push('X'),
-                _ => v = random_string(rng, 6),
-            }
-            r.field_mut(f).set(&v);
-        }
-        _ => {
-            for f in mp_record::Field::ALL {
-                *r.field_mut(f) = random_string(rng, 8).into();
-            }
-        }
-    }
-    r
-}
 
 /// Every lowering of `src` — the unplanned VM (no cascade: the reference),
 /// the statically planned VM, a VM calibrated on `pairs`, and one planned
@@ -320,6 +190,186 @@ fn seventy_rules_with_seventy_distinct_atoms_agree() {
         fired > 5,
         "suite too easy: {fired} pairs fired a rule past 64"
     );
+}
+
+// ---------------------------------------------------------------------------
+// The projection: rows reject only pairs the theory would call a miss.
+// ---------------------------------------------------------------------------
+
+/// A run of `n` random records in which each is now and then a noisy
+/// near-duplicate of the one before, so window pairs match sometimes.
+fn random_run(rng: &mut TestRng, n: u32) -> Vec<Record> {
+    let mut out: Vec<Record> = Vec::new();
+    for id in 0..n {
+        let r = random_record(rng, id, out.last());
+        out.push(r);
+    }
+    out
+}
+
+/// Every planned lowering of `src` — static, calibrated on `pairs`,
+/// rule order reversed — with its name.
+fn planned_lowerings(
+    src: &str,
+    pairs: &[(&Record, &Record)],
+) -> Vec<(&'static str, CompiledTheory)> {
+    let interp = RuleProgram::compile(src).expect("generated program is well-typed");
+    let reversed = PlanStats {
+        fired: (0..interp.rule_count() as u64).collect(),
+        misses: 0,
+    };
+    vec![
+        ("planned", CompiledTheory::compile(src).unwrap()),
+        (
+            "calibrated",
+            CompiledTheory::from_program(&interp, Some(&Plan::calibrated(&interp, pairs))),
+        ),
+        (
+            "reversed",
+            CompiledTheory::from_program(&interp, Some(&Plan::with_stats(interp.ast(), &reversed))),
+        ),
+    ]
+}
+
+/// Whether `theory`'s projection rejects `(a, b)`.
+fn rejects(theory: &CompiledTheory, a: &Record, b: &Record) -> Option<bool> {
+    let p = theory.projection()?;
+    let (mut ra, mut rb) = (Row::default(), Row::default());
+    p.project(a, &mut ra);
+    p.project(b, &mut rb);
+    Some(p.rejects(&ra, &rb))
+}
+
+/// A pair the projection rejects is a miss: `matches` is false and no
+/// rule is attributed. Random programs carry every atom shape — `!=`
+/// (wanted false), field against constant, cross-field, the Cheap
+/// kernels — in both polarities.
+#[test]
+fn a_pair_the_projection_rejects_is_a_miss() {
+    let (mut rejected, mut kept) = (0u32, 0u32);
+    proptest::run_cases("a_pair_the_projection_rejects_is_a_miss", |rng| {
+        let src = random_program(rng);
+        let records = random_run(rng, 16);
+        let pairs: Vec<(&Record, &Record)> = records.iter().zip(&records[1..]).collect();
+        for (name, theory) in planned_lowerings(&src, &pairs) {
+            for i in 0..records.len() {
+                for j in i.saturating_sub(3)..i {
+                    let (a, b) = (&records[j], &records[i]);
+                    match rejects(&theory, a, b) {
+                        Some(true) => {
+                            rejected += 1;
+                            assert!(!theory.matches(a, b), "{name}: {src}\n{a:?}\n{b:?}");
+                            assert_eq!(theory.matching_rule_id(a, b), None, "{name}: {src}");
+                        }
+                        _ => kept += 1,
+                    }
+                }
+            }
+        }
+    });
+    assert!(rejected > 0 && kept > 0, "{rejected} rejected, {kept} kept");
+}
+
+/// A scan that rejects on rows finds the same matches, attributes the
+/// same rules, and leaves the same rule counters and memo hits as one
+/// that evaluates every pair.
+#[test]
+fn projected_scans_find_and_count_what_unprojected_scans_do() {
+    proptest::run_cases(
+        "projected_scans_find_and_count_what_unprojected_scans_do",
+        |rng| {
+            let src = random_program(rng);
+            let records = random_run(rng, 24);
+            let w = 2 + rng.below(5) as usize;
+            let pairs: Vec<(&Record, &Record)> = records.iter().zip(&records[1..]).collect();
+            for (name, theory) in planned_lowerings(&src, &pairs) {
+                assert_eq!(
+                    scan(&theory, &records, w, true),
+                    scan(&theory, &records, w, false),
+                    "{name} w={w}: {src}"
+                );
+            }
+        },
+    );
+}
+
+/// `!=` atoms are wanted false, so equal columns (which prove nothing)
+/// must leave their blocks live; field-against-constant atoms and
+/// constant-only atoms are decided exactly in the rows.
+#[test]
+fn not_equal_and_constant_atoms_scan_exactly() {
+    let src = r#"
+        rule differ { when r1.ssn != r2.ssn and r1.last_name == r2.last_name then match }
+        rule austin { when r2.city == "AUSTIN" and r1.zip == r2.zip then match }
+        rule never { when "A" == "B" and r1.first_name == r2.first_name then match }
+        rule cross { when r1.first_name == r2.last_name and not is_empty(r2.last_name) then match }
+        rule initials { when initials_match(r1.first_name, r2.first_name)
+                         and not digits_transposed(r1.ssn, r2.ssn) then match }
+    "#;
+    let mut rng = TestRng::new("not_equal_and_constant_atoms_scan_exactly", 0);
+    let mut records = random_run(&mut rng, 200);
+    for (i, r) in records.iter_mut().enumerate() {
+        r.last_name = ["SMITH", "JONES"][i % 2].into();
+        r.city = ["AUSTIN", "DALLAS", ""][i % 3].into();
+        r.zip = ["78701", "75201"][i / 3 % 2].into();
+        r.first_name = ["J", "JONES", "JOSE", ""][i % 4].into();
+    }
+    let theory = CompiledTheory::compile(src).unwrap();
+    assert!(theory.projection().is_some());
+    let projected = scan(&theory, &records, 6, true);
+    assert_eq!(projected, scan(&theory, &records, 6, false));
+    for rule in 0..5 {
+        let fired = projected.3[rule];
+        assert_eq!(fired > 0, rule != 2, "rule {rule} fired {fired} times");
+    }
+}
+
+/// Past the 64-block mask there is no projection: the scan evaluates
+/// every pair, as before.
+#[test]
+fn seventy_rules_have_no_projection() {
+    let src: String = (0..70)
+        .map(|i| {
+            format!("rule g{i} {{ when r1.zip == \"{i}\" and r1.ssn == r2.ssn then match }}\n")
+        })
+        .collect();
+    let theory = CompiledTheory::compile(&src).unwrap();
+    assert!(theory.projection().is_none());
+    let mut rng = TestRng::new("seventy_rules_have_no_projection", 0);
+    let records = random_run(&mut rng, 40);
+    assert_eq!(
+        scan(&theory, &records, 5, true),
+        scan(&theory, &records, 5, false)
+    );
+}
+
+/// The employee theory over a noisy database: the rows reject almost
+/// every window pair, and the scan stays the unprojected one.
+#[test]
+fn employee_theory_scans_exactly_on_rows() {
+    let theory = CompiledTheory::compile(EMPLOYEE_RULES_SRC).unwrap();
+    let p = theory.projection().expect("the employee theory projects");
+    let mut records = noisy_db(400, 5, ErrorProfile::default());
+    records.sort_by(|a, b| a.last_name.as_str().cmp(b.last_name.as_str()));
+    let projected = scan(&theory, &records, 10, true);
+    assert_eq!(projected, scan(&theory, &records, 10, false));
+    assert!(!projected.0.is_empty());
+    let rows: Vec<Row> = records
+        .iter()
+        .map(|r| {
+            let mut row = Row::default();
+            p.project(r, &mut row);
+            row
+        })
+        .collect();
+    let (mut pairs, mut rejected) = (0u32, 0u32);
+    for i in 1..rows.len() {
+        for j in i.saturating_sub(9)..i {
+            pairs += 1;
+            rejected += u32::from(p.rejects(&rows[j], &rows[i]));
+        }
+    }
+    assert!(rejected * 10 > pairs * 9, "{rejected} of {pairs} rejected");
 }
 
 // ---------------------------------------------------------------------------
