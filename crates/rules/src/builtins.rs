@@ -304,8 +304,8 @@ pub fn lookup(name: &str) -> Option<&'static Builtin> {
     BUILTINS.iter().find(|b| b.name == name)
 }
 
-/// Shared predicate implementations reused verbatim by the native theory so
-/// interpreted and compiled semantics cannot drift.
+/// Shared predicate implementations reused verbatim by the bytecode VM and
+/// the projection so interpreted and compiled semantics cannot drift.
 pub mod shared {
     /// Mirrors the `initials_match` builtin.
     pub fn initials_match(a: &str, b: &str) -> bool {

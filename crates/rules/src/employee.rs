@@ -2,9 +2,10 @@
 //!
 //! The paper wrote "an OPS5 rule program consisting of 26 rules for this
 //! particular domain of employee records" (§2.3). This module carries our
-//! equivalent program in the rule DSL; [`crate::native`] holds the
-//! hand-recoded Rust version (the paper's OPS5 → C step). A cross-check
-//! test asserts the two agree pair-for-pair on generated data.
+//! equivalent program in the rule DSL; [`crate::NativeEmployeeTheory`]
+//! is its compiled form (the paper's OPS5 → C step, done by the rule
+//! compiler). The agreement suite holds the compiled form to the
+//! interpreter pair for pair on generated data.
 //!
 //! The rules are grouped by the error class they recover (see the
 //! generator's `mp_datagen::ErrorProfile` for the corresponding noise):

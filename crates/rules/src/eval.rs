@@ -11,8 +11,8 @@ use mp_record::{NicknameTable, Record};
 ///
 /// Calls are pre-resolved to builtin function pointers at compile time, so
 /// evaluation is a direct tree walk with no name lookups. This is still the
-/// "OPS5" path of the paper — flexible but slower than the hand-coded
-/// native theory; the `rule_engine` bench quantifies the gap.
+/// "OPS5" path of the paper — flexible but slower than the compiled
+/// [`crate::CompiledTheory`], which the agreement suite holds to it.
 pub struct RuleProgram {
     program: Program,
     resolved: Vec<CompiledRule>,

@@ -5,21 +5,22 @@
 //! §2.3: "a natural approach to specifying an equational theory and making
 //! it practical would be the use of a declarative rule language." The paper
 //! wrote its 26-rule employee theory in OPS5, then recoded it in C for
-//! speed. This crate provides the same split:
+//! speed. Here the compiler does the recoding:
 //!
 //! * a small rule DSL — lexer → parser → type checker → tree-walking
 //!   evaluator — for experimentation ([`RuleProgram`]);
 //! * a compiler from the same checked AST to a planned, register-based
 //!   bytecode VM ([`CompiledTheory`]): field names resolve to slots at
 //!   compile time, the rules' cheap field tests become a guard cascade
-//!   that rejects most pairs before any bytecode runs, the remaining
+//!   that rejects most pairs before any bytecode runs (and projects onto
+//!   per-record rows a window scan rejects pairs on), the remaining
 //!   predicates are reordered cheapest-and-most-selective first
 //!   ([`Plan`]), and shared kernel calls are memoized per record pair —
-//!   same decisions as the interpreter, most of the native theory's speed
-//!   (see `docs/RULE_COMPILER.md`);
-//! * a hand-coded native Rust implementation of the identical theory for
-//!   production throughput ([`native::NativeEmployeeTheory`]);
-//! * the [`EquationalTheory`] trait all three implement, which the
+//!   same decisions as the interpreter (see `docs/RULE_COMPILER.md`);
+//! * [`NativeEmployeeTheory`], the built-in employee theory the product
+//!   runs by default: the compiled, statically planned
+//!   [`EMPLOYEE_RULES_SRC`];
+//! * the [`EquationalTheory`] trait they all implement, which the
 //!   window-scan phase calls for every candidate pair.
 //!
 //! # The language

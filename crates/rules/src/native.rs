@@ -1,29 +1,16 @@
-//! Hand-coded native implementation of the employee theory.
+//! The employee theory the product runs by default.
 //!
 //! The paper recoded its OPS5 rules "directly in C to obtain speed-up over
-//! the OPS5 implementation" (§2.3, footnote 2). This module is that step:
-//! the same 26 rules as [`crate::employee::EMPLOYEE_RULES_SRC`], written as
-//! straight-line Rust with cheap equality tests first and expensive distance
-//! functions last. A test in this module asserts pair-for-pair agreement
-//! with the interpreted DSL program on generated noisy data, so the two can
-//! never drift apart silently.
+//! the OPS5 implementation" (§2.3, footnote 2). Here the rule compiler takes
+//! that step: [`NativeEmployeeTheory`] is [`EMPLOYEE_RULES_SRC`] compiled
+//! under the static plan ([`crate::Plan::of`]), with no calibration, so its
+//! decisions, rule names and guard-cascade projection are the compiled
+//! program's. Only its reported name differs: `native-employee`.
 
-use crate::builtins::shared::{digits_transposed, initials_match, nysiis_eq};
-use crate::EquationalTheory;
-use mp_record::{NicknameTable, Record};
-use mp_strsim::{keyboard_distance, soundex_eq, trigram_similarity, ScratchBuffers};
-use std::cell::RefCell;
+use crate::{CompiledTheory, EquationalTheory, Projection, EMPLOYEE_RULES_SRC};
+use mp_record::Record;
 
-thread_local! {
-    /// Per-thread distance-kernel scratch. [`EquationalTheory::matches`]
-    /// takes `&self`, so the buffers cannot live in the theory; a
-    /// thread-local gives every worker of the parallel engine (one OS
-    /// thread per pass) its own buffers with no locking and no per-call
-    /// allocation.
-    static SCRATCH: RefCell<ScratchBuffers> = RefCell::new(ScratchBuffers::new());
-}
-
-/// The natively compiled employee theory.
+/// The 26-rule employee theory, compiled and statically planned.
 ///
 /// ```
 /// use mp_rules::{EquationalTheory, NativeEmployeeTheory};
@@ -36,463 +23,47 @@ thread_local! {
 /// b.last_name = "SMYTH".into();
 /// assert!(theory.matches(&a, &b)); // exact_ssn_close_last
 /// ```
-#[derive(Debug, Default)]
-pub struct NativeEmployeeTheory {
-    nicknames: NicknameTable,
-}
+pub struct NativeEmployeeTheory(CompiledTheory);
 
 impl NativeEmployeeTheory {
-    /// Theory with the standard nickname table.
+    /// [`EMPLOYEE_RULES_SRC`] under the static plan, with the standard
+    /// nickname table.
     pub fn new() -> Self {
-        NativeEmployeeTheory {
-            nicknames: NicknameTable::standard(),
-        }
-    }
-
-    /// Theory with a custom nickname table (must mirror the table compiled
-    /// into the DSL program for the two to agree).
-    pub fn with_nicknames(nicknames: NicknameTable) -> Self {
-        NativeEmployeeTheory { nicknames }
+        NativeEmployeeTheory(
+            CompiledTheory::compile(EMPLOYEE_RULES_SRC)
+                .expect("the built-in employee theory compiles"),
+        )
     }
 }
 
-/// `edit_sim(a, b) >= threshold` exactly as the DSL computes it.
-#[inline]
-fn edit_sim_ge(s: &mut ScratchBuffers, a: &str, b: &str, threshold: f64) -> bool {
-    s.normalized_levenshtein(a, b) >= threshold
+impl Default for NativeEmployeeTheory {
+    fn default() -> Self {
+        Self::new()
+    }
 }
-
-#[inline]
-fn eq_nonempty(a: &str, b: &str) -> bool {
-    !a.is_empty() && a == b
-}
-
-/// The 26 rule names, in evaluation order — identical names and order to
-/// the DSL program in [`crate::employee::EMPLOYEE_RULES_SRC`] (a test
-/// enforces this), so rule indices mean the same thing for both theories.
-pub const RULE_NAMES: [&str; 26] = [
-    "exact_ssn_close_last",
-    "exact_ssn_close_first",
-    "exact_ssn_same_zip",
-    "ssn_transposed_close_names",
-    "ssn_one_digit_off_same_address",
-    "same_last_close_first_same_address",
-    "close_last_same_first_same_address",
-    "close_names_same_address_and_zip",
-    "nickname_same_last_same_zip",
-    "nickname_same_last_same_address",
-    "initials_same_last_same_address",
-    "soundex_last_same_first_same_address",
-    "nysiis_last_initials_same_zip_street",
-    "soundex_both_names_same_city_street",
-    "keyboard_last_same_first_same_city",
-    "jaro_names_same_address",
-    "trigram_street_same_names",
-    "moved_same_name_similar_ssn",
-    "moved_same_full_name_with_middle",
-    "city_typo_same_rest",
-    "zip_error_same_rest",
-    "same_full_name_same_city",
-    "empty_first_same_ssn_last",
-    "empty_street_same_ssn_city",
-    "apartment_anchor_close_names",
-    "swapped_first_and_middle",
-];
 
 impl EquationalTheory for NativeEmployeeTheory {
-    fn matches(&self, r1: &Record, r2: &Record) -> bool {
-        SCRATCH.with(|s| {
-            self.matching_rule_with(r1, r2, &mut s.borrow_mut())
-                .is_some()
-        })
+    fn matches(&self, a: &Record, b: &Record) -> bool {
+        self.0.matches(a, b)
     }
 
     fn name(&self) -> &str {
         "native-employee"
     }
 
-    fn matching_rule_id(&self, r1: &Record, r2: &Record) -> Option<usize> {
-        SCRATCH.with(|s| self.matching_rule_with(r1, r2, &mut s.borrow_mut()))
+    fn matching_rule_id(&self, a: &Record, b: &Record) -> Option<usize> {
+        self.0.matching_rule_id(a, b)
     }
 
     fn rule_names(&self) -> Vec<String> {
-        RULE_NAMES.iter().map(|s| s.to_string()).collect()
-    }
-}
-
-impl NativeEmployeeTheory {
-    #[allow(clippy::too_many_lines)] // one block per rule, mirroring the DSL
-    fn matching_rule_with(
-        &self,
-        r1: &Record,
-        r2: &Record,
-        s: &mut ScratchBuffers,
-    ) -> Option<usize> {
-        // Precompute the cheap equalities most rules consult.
-        let same_ssn = eq_nonempty(&r1.ssn, &r2.ssn);
-        let same_last = eq_nonempty(&r1.last_name, &r2.last_name);
-        let same_first = r1.first_name == r2.first_name;
-        let same_street_no = r1.street_number == r2.street_number;
-        let same_zip = eq_nonempty(&r1.zip, &r2.zip);
-
-        // -- Group A: SSN-anchored ------------------------------------------
-        // exact_ssn_close_last
-        if same_ssn && s.differ_slightly(&r1.last_name, &r2.last_name, 0.4) {
-            return Some(0);
-        }
-        // exact_ssn_close_first
-        if same_ssn && s.differ_slightly(&r1.first_name, &r2.first_name, 0.4) {
-            return Some(1);
-        }
-        // exact_ssn_same_zip
-        if same_ssn && same_zip {
-            return Some(2);
-        }
-        // ssn_transposed_close_names
-        if digits_transposed(&r1.ssn, &r2.ssn)
-            && s.differ_slightly(&r1.last_name, &r2.last_name, 0.3)
-            && (s.differ_slightly(&r1.first_name, &r2.first_name, 0.3)
-                || initials_match(&r1.first_name, &r2.first_name)
-                || self.nicknames.equivalent(&r1.first_name, &r2.first_name))
-        {
-            return Some(3);
-        }
-        // ssn_one_digit_off_same_address
-        if same_street_no
-            && !r1.street_number.is_empty()
-            && s.levenshtein(&r1.ssn, &r2.ssn) <= 1
-            && edit_sim_ge(s, &r1.street_name, &r2.street_name, 0.8)
-        {
-            return Some(4);
-        }
-
-        // -- Group B: name + address ----------------------------------------
-        // same_last_close_first_same_address (the paper's worked example)
-        if same_last
-            && same_street_no
-            && s.differ_slightly(&r1.first_name, &r2.first_name, 0.3)
-            && edit_sim_ge(s, &r1.street_name, &r2.street_name, 0.8)
-        {
-            return Some(5);
-        }
-        // close_last_same_first_same_address
-        if same_first
-            && !r1.first_name.is_empty()
-            && same_street_no
-            && s.differ_slightly(&r1.last_name, &r2.last_name, 0.25)
-            && edit_sim_ge(s, &r1.street_name, &r2.street_name, 0.8)
-        {
-            return Some(6);
-        }
-        // close_names_same_address_and_zip
-        if !r1.last_name.is_empty()
-            && !r1.zip.is_empty()
-            && same_street_no
-            && r1.zip == r2.zip
-            && s.differ_slightly(&r1.last_name, &r2.last_name, 0.25)
-            && s.differ_slightly(&r1.first_name, &r2.first_name, 0.25)
-            && edit_sim_ge(s, &r1.street_name, &r2.street_name, 0.7)
-        {
-            return Some(7);
-        }
-        // nickname_same_last_same_zip
-        if same_last && same_zip && self.nicknames.equivalent(&r1.first_name, &r2.first_name) {
-            return Some(8);
-        }
-        // nickname_same_last_same_address
-        if same_last
-            && same_street_no
-            && self.nicknames.equivalent(&r1.first_name, &r2.first_name)
-            && edit_sim_ge(s, &r1.street_name, &r2.street_name, 0.8)
-        {
-            return Some(9);
-        }
-        // initials_same_last_same_address
-        if same_last
-            && same_street_no
-            && initials_match(&r1.first_name, &r2.first_name)
-            && edit_sim_ge(s, &r1.street_name, &r2.street_name, 0.85)
-        {
-            return Some(10);
-        }
-
-        // -- Group C: phonetic ----------------------------------------------
-        // soundex_last_same_first_same_address
-        if same_first
-            && !r1.first_name.is_empty()
-            && same_street_no
-            && soundex_eq(&r1.last_name, &r2.last_name)
-            && edit_sim_ge(s, &r1.street_name, &r2.street_name, 0.8)
-        {
-            return Some(11);
-        }
-        // nysiis_last_initials_same_zip_street
-        if same_zip
-            && same_street_no
-            && initials_match(&r1.first_name, &r2.first_name)
-            && nysiis_eq(&r1.last_name, &r2.last_name)
-        {
-            return Some(12);
-        }
-        // soundex_both_names_same_city_street
-        if eq_nonempty(&r1.city, &r2.city)
-            && same_street_no
-            && soundex_eq(&r1.last_name, &r2.last_name)
-            && soundex_eq(&r1.first_name, &r2.first_name)
-            && edit_sim_ge(s, &r1.street_name, &r2.street_name, 0.75)
-        {
-            return Some(13);
-        }
-
-        // -- Group D: typewriter / jaro / q-gram -----------------------------
-        // keyboard_last_same_first_same_city
-        if same_first
-            && !r1.first_name.is_empty()
-            && r1.city == r2.city
-            && same_street_no
-            && keyboard_distance(&r1.last_name, &r2.last_name) <= 1.0
-        {
-            return Some(14);
-        }
-        // jaro_names_same_address
-        if same_street_no
-            && !r1.street_number.is_empty()
-            && s.jaro_winkler(&r1.last_name, &r2.last_name) >= 0.92
-            && s.jaro_winkler(&r1.first_name, &r2.first_name) >= 0.9
-            && edit_sim_ge(s, &r1.street_name, &r2.street_name, 0.7)
-        {
-            return Some(15);
-        }
-        // trigram_street_same_names
-        if same_last
-            && same_street_no
-            && (same_first || initials_match(&r1.first_name, &r2.first_name))
-            && trigram_similarity(&r1.street_name, &r2.street_name) >= 0.75
-        {
-            return Some(16);
-        }
-
-        // -- Group E: moved person -------------------------------------------
-        // moved_same_name_similar_ssn
-        if same_last
-            && same_first
-            && !r1.first_name.is_empty()
-            && s.levenshtein(&r1.ssn, &r2.ssn) <= 2
-        {
-            return Some(17);
-        }
-        // moved_same_full_name_with_middle
-        if same_last
-            && same_first
-            && !r1.first_name.is_empty()
-            && eq_nonempty(&r1.middle_initial, &r2.middle_initial)
-            && s.levenshtein(&r1.ssn, &r2.ssn) <= 3
-        {
-            return Some(18);
-        }
-
-        // -- Group F: city / zip / state errors --------------------------------
-        // city_typo_same_rest
-        if same_last
-            && same_first
-            && same_street_no
-            && edit_sim_ge(s, &r1.street_name, &r2.street_name, 0.8)
-            && s.differ_slightly(&r1.city, &r2.city, 0.35)
-        {
-            return Some(19);
-        }
-        // zip_error_same_rest
-        if same_last
-            && same_first
-            && same_street_no
-            && s.levenshtein(&r1.zip, &r2.zip) <= 2
-            && edit_sim_ge(s, &r1.street_name, &r2.street_name, 0.8)
-        {
-            return Some(20);
-        }
-        // same_full_name_same_city (the loosest rule; FP source, see DSL)
-        if same_last
-            && same_first
-            && !r1.first_name.is_empty()
-            && (r1.middle_initial == r2.middle_initial
-                || r1.middle_initial.is_empty()
-                || r2.middle_initial.is_empty())
-            && eq_nonempty(&r1.city, &r2.city)
-        {
-            return Some(21);
-        }
-
-        // -- Group G: missing fields / swapped names ---------------------------
-        // empty_first_same_ssn_last
-        if (r1.first_name.is_empty() || r2.first_name.is_empty()) && same_last && same_ssn {
-            return Some(22);
-        }
-        // empty_street_same_ssn_city
-        if (r1.street_name.is_empty() || r2.street_name.is_empty())
-            && same_ssn
-            && eq_nonempty(&r1.city, &r2.city)
-        {
-            return Some(23);
-        }
-        // apartment_anchor_close_names
-        if eq_nonempty(&r1.apartment, &r2.apartment)
-            && same_street_no
-            && s.differ_slightly(&r1.last_name, &r2.last_name, 0.3)
-            && (initials_match(&r1.first_name, &r2.first_name)
-                || s.differ_slightly(&r1.first_name, &r2.first_name, 0.3))
-        {
-            return Some(24);
-        }
-        // swapped_first_and_middle
-        if r1.first_name == r2.middle_initial
-            && r1.middle_initial == r2.first_name
-            && !r1.first_name.is_empty()
-            && !r1.middle_initial.is_empty()
-            && r1.last_name == r2.last_name
-            && (r1.ssn == r2.ssn || r1.zip == r2.zip)
-        {
-            return Some(25);
-        }
-
-        None
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::employee::employee_program;
-    use mp_datagen::{DatabaseGenerator, ErrorProfile, GeneratorConfig};
-    use mp_record::RecordId;
-
-    /// The load-bearing test: interpreted DSL and native Rust must agree on
-    /// every pair of a noisy generated database.
-    #[test]
-    fn native_agrees_with_dsl_on_generated_pairs() {
-        let dsl = employee_program();
-        let native = NativeEmployeeTheory::new();
-        for (seed, profile) in [
-            (101, ErrorProfile::light()),
-            (102, ErrorProfile::default()),
-            (103, ErrorProfile::heavy()),
-        ] {
-            let db = DatabaseGenerator::new(
-                GeneratorConfig::new(60)
-                    .duplicate_fraction(0.6)
-                    .max_duplicates_per_record(3)
-                    .errors(profile)
-                    .seed(seed),
-            )
-            .generate();
-            let records = &db.records;
-            for i in 0..records.len() {
-                // Dense window: all pairs within distance 8, plus same-entity
-                // pairs anywhere.
-                for j in i + 1..records.len().min(i + 9) {
-                    let (a, b) = (&records[i], &records[j]);
-                    assert_eq!(
-                        dsl.matches(a, b),
-                        native.matches(a, b),
-                        "disagreement (seed {seed}) on {:?} vs {:?}",
-                        a,
-                        b
-                    );
-                }
-            }
-        }
+        self.0.rule_names()
     }
 
-    /// Rule indices must mean the same thing for the native and DSL
-    /// theories, so attribution reports are comparable across engines.
-    #[test]
-    fn rule_names_match_dsl_program_in_order() {
-        let dsl = employee_program();
-        let native = NativeEmployeeTheory::new();
-        assert_eq!(native.rule_names(), dsl.rule_names());
-        assert_eq!(native.rule_names().len(), RULE_NAMES.len());
+    fn projection(&self) -> Option<&Projection> {
+        self.0.projection()
     }
 
-    /// First-match-wins rule attribution must agree pair-for-pair with the
-    /// DSL's `matching_rule`, not just the boolean verdict.
-    #[test]
-    fn native_rule_ids_agree_with_dsl_on_generated_pairs() {
-        let dsl = employee_program();
-        let native = NativeEmployeeTheory::new();
-        let db = DatabaseGenerator::new(
-            GeneratorConfig::new(60)
-                .duplicate_fraction(0.6)
-                .max_duplicates_per_record(3)
-                .errors(ErrorProfile::heavy())
-                .seed(105),
-        )
-        .generate();
-        let records = &db.records;
-        let mut fired = 0u32;
-        for i in 0..records.len() {
-            for j in i + 1..records.len().min(i + 9) {
-                let (a, b) = (&records[i], &records[j]);
-                assert_eq!(
-                    dsl.matching_rule_id(a, b),
-                    native.matching_rule_id(a, b),
-                    "rule-id disagreement on {a:?} vs {b:?}"
-                );
-                if native.matching_rule_id(a, b).is_some() {
-                    fired += 1;
-                }
-            }
-        }
-        assert!(fired > 0, "test data produced no matches at all");
-    }
-
-    #[test]
-    fn native_is_symmetric_on_generated_pairs() {
-        let native = NativeEmployeeTheory::new();
-        let db = DatabaseGenerator::new(
-            GeneratorConfig::new(80)
-                .duplicate_fraction(0.8)
-                .errors(ErrorProfile::heavy())
-                .seed(104),
-        )
-        .generate();
-        for w in db.records.windows(2) {
-            assert_eq!(native.matches(&w[0], &w[1]), native.matches(&w[1], &w[0]));
-        }
-    }
-
-    #[test]
-    fn spot_checks() {
-        let t = NativeEmployeeTheory::new();
-        let mut a = Record::empty(RecordId(0));
-        a.ssn = "123456789".into();
-        a.first_name = "WILLIAM".into();
-        a.last_name = "TURNER".into();
-        a.street_number = "9".into();
-        a.street_name = "ELM STREET".into();
-        a.zip = "10001".into();
-
-        // nickname + same last + same zip
-        let mut b = a.clone();
-        b.ssn = "000000000".into();
-        b.first_name = "BILL".into();
-        assert!(t.matches(&a, &b));
-
-        // swapped first/middle with same ssn
-        let mut c = a.clone();
-        c.middle_initial = "WILLIAM".into();
-        c.first_name = "Q".into();
-        let mut a2 = a.clone();
-        a2.middle_initial = "Q".into();
-        assert!(t.matches(&a2, &c));
-
-        // unrelated
-        let mut z = Record::empty(RecordId(1));
-        z.ssn = "555555555".into();
-        z.first_name = "AGATHA".into();
-        z.last_name = "VILLANUEVA".into();
-        z.street_number = "777".into();
-        z.street_name = "OCEAN PARKWAY".into();
-        z.zip = "90210".into();
-        assert!(!t.matches(&a, &z));
-        assert_eq!(t.name(), "native-employee");
+    fn projected_misses(&self, pairs: u64) {
+        self.0.projected_misses(pairs)
     }
 }

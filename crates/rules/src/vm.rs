@@ -58,9 +58,8 @@ thread_local! {
 /// A rule program lowered to planned bytecode, usable anywhere an
 /// [`EquationalTheory`] is (the engine, the daemon, the CLI).
 ///
-/// Same decisions as [`RuleProgram`] at about 1.3× the hand-written
-/// native theory's wall time on the standard three-pass run (the
-/// interpreter takes about 36×); `BENCH_rules.json` has the measurement.
+/// Same decisions as [`RuleProgram`], and the form the product runs:
+/// [`crate::NativeEmployeeTheory`] is the employee program compiled here.
 ///
 /// ```
 /// use mp_rules::{CompiledTheory, EquationalTheory};

@@ -1,12 +1,13 @@
 //! Decision-agreement suite for the rule compiler: the bytecode VM
-//! (planned, calibrated, and unplanned) must make bit-identical decisions —
-//! boolean verdicts *and* first-match rule attribution — with the
-//! tree-walking interpreter and the hand-coded native theory, on the full
-//! 26-rule employee theory over noisy generated databases and on random
+//! (planned, calibrated, and unplanned) and the native theory (the
+//! statically planned employee program under its own name) must make
+//! bit-identical decisions — boolean verdicts *and* first-match rule
+//! attribution — with the tree-walking interpreter, on the full 26-rule
+//! employee theory over noisy generated databases and on random
 //! well-typed rule programs over random record pairs.
 
 use mp_datagen::{DatabaseGenerator, ErrorProfile, GeneratorConfig};
-use mp_record::Record;
+use mp_record::{Record, RecordId};
 use mp_rules::projection::Row;
 use mp_rules::{
     employee_program, CompiledTheory, EquationalTheory, NativeEmployeeTheory, Plan, PlanStats,
@@ -29,14 +30,55 @@ fn noisy_db(n: usize, seed: u64, profile: ErrorProfile) -> Vec<Record> {
     .records
 }
 
-/// All five implementations of the employee theory agree — verdict and
-/// attribution — on every near-neighbor pair of three noisy databases.
+/// Hand-built employee pairs and whether the theory matches them: a
+/// nickname with the same last name and zip, first name and middle
+/// initial swapped, and two unrelated people.
+fn spot_check_pairs() -> Vec<(Record, Record, bool)> {
+    let mut a = Record::empty(RecordId(0));
+    a.ssn = "123456789".into();
+    a.first_name = "WILLIAM".into();
+    a.last_name = "TURNER".into();
+    a.street_number = "9".into();
+    a.street_name = "ELM STREET".into();
+    a.zip = "10001".into();
+
+    let mut nickname = a.clone();
+    nickname.ssn = "000000000".into();
+    nickname.first_name = "BILL".into();
+
+    let mut middle = a.clone();
+    middle.middle_initial = "Q".into();
+    let mut swapped = a.clone();
+    swapped.middle_initial = "WILLIAM".into();
+    swapped.first_name = "Q".into();
+
+    let mut z = Record::empty(RecordId(1));
+    z.ssn = "555555555".into();
+    z.first_name = "AGATHA".into();
+    z.last_name = "VILLANUEVA".into();
+    z.street_number = "777".into();
+    z.street_name = "OCEAN PARKWAY".into();
+    z.zip = "90210".into();
+
+    vec![
+        (a.clone(), nickname, true),
+        (middle, swapped, true),
+        (a, z, false),
+    ]
+}
+
+/// All five implementations of the employee theory — the interpreter, the
+/// planned, unplanned and calibrated VMs, and the native theory — agree
+/// on verdict and attribution on every near-neighbor pair of three noisy
+/// databases and on the spot-check pairs, and the native verdict is
+/// symmetric.
 #[test]
 fn employee_theory_agreement_on_generated_databases() {
     let interp = employee_program();
     let native = NativeEmployeeTheory::new();
     let planned = CompiledTheory::compile(EMPLOYEE_RULES_SRC).unwrap();
     let unplanned = CompiledTheory::compile_unplanned(EMPLOYEE_RULES_SRC).unwrap();
+    let spot_checks = spot_check_pairs();
 
     let mut fired = 0u32;
     for (seed, profile) in [
@@ -50,34 +92,41 @@ fn employee_theory_agreement_on_generated_databases() {
         let sample: Vec<(&Record, &Record)> = records.windows(2).map(|w| (&w[0], &w[1])).collect();
         let calibrated =
             CompiledTheory::from_program(&interp, Some(&Plan::calibrated(&interp, &sample)));
+        let theories: [(&str, &dyn EquationalTheory); 4] = [
+            ("native", &native),
+            ("planned", &planned),
+            ("unplanned", &unplanned),
+            ("calibrated", &calibrated),
+        ];
+        let check = |a: &Record, b: &Record| {
+            let want = interp.matching_rule_id(a, b);
+            for (name, theory) in theories {
+                assert_eq!(
+                    want,
+                    theory.matching_rule_id(a, b),
+                    "{name}: {a:?} vs {b:?}"
+                );
+                assert_eq!(
+                    want.is_some(),
+                    theory.matches(a, b),
+                    "{name}: {a:?} vs {b:?}"
+                );
+            }
+            assert_eq!(
+                want.is_some(),
+                native.matches(b, a),
+                "native is not symmetric on {a:?} vs {b:?}"
+            );
+            want
+        };
 
         for i in 0..records.len() {
             for j in i + 1..records.len().min(i + 9) {
-                let (a, b) = (&records[i], &records[j]);
-                let want = interp.matching_rule_id(a, b);
-                assert_eq!(
-                    want,
-                    native.matching_rule_id(a, b),
-                    "native: {a:?} vs {b:?}"
-                );
-                assert_eq!(
-                    want,
-                    planned.matching_rule_id(a, b),
-                    "planned: {a:?} vs {b:?}"
-                );
-                assert_eq!(
-                    want,
-                    unplanned.matching_rule_id(a, b),
-                    "unplanned: {a:?} vs {b:?}"
-                );
-                assert_eq!(
-                    want,
-                    calibrated.matching_rule_id(a, b),
-                    "calibrated: {a:?} vs {b:?}"
-                );
-                assert_eq!(want.is_some(), planned.matches(a, b));
-                fired += u32::from(want.is_some());
+                fired += u32::from(check(&records[i], &records[j]).is_some());
             }
+        }
+        for (a, b, matches) in &spot_checks {
+            assert_eq!(check(a, b).is_some(), *matches, "{a:?} vs {b:?}");
         }
     }
     assert!(fired > 20, "suite too easy: only {fired} matching pairs");
@@ -90,10 +139,9 @@ fn rule_name_tables_agree() {
     let interp = employee_program();
     let compiled = CompiledTheory::compile(EMPLOYEE_RULES_SRC).unwrap();
     assert_eq!(interp.rule_names(), compiled.rule_names());
-    assert_eq!(
-        NativeEmployeeTheory::new().rule_names(),
-        compiled.rule_names()
-    );
+    let native = NativeEmployeeTheory::new();
+    assert_eq!(native.rule_names(), compiled.rule_names());
+    assert_eq!(native.name(), "native-employee");
     assert_eq!(compiled.rules_compiled(), 26);
 }
 
@@ -343,33 +391,49 @@ fn seventy_rules_have_no_projection() {
     );
 }
 
-/// The employee theory over a noisy database: the rows reject almost
-/// every window pair, and the scan stays the unprojected one.
+/// The employee theory over a noisy database, compiled and as the native
+/// theory: the rows reject almost every window pair, the compiled scan
+/// stays the unprojected one, and the native scan on rows is the
+/// interpreter's scan.
 #[test]
 fn employee_theory_scans_exactly_on_rows() {
-    let theory = CompiledTheory::compile(EMPLOYEE_RULES_SRC).unwrap();
-    let p = theory.projection().expect("the employee theory projects");
+    let compiled = CompiledTheory::compile(EMPLOYEE_RULES_SRC).unwrap();
+    let native = NativeEmployeeTheory::new();
     let mut records = noisy_db(400, 5, ErrorProfile::default());
     records.sort_by(|a, b| a.last_name.as_str().cmp(b.last_name.as_str()));
-    let projected = scan(&theory, &records, 10, true);
-    assert_eq!(projected, scan(&theory, &records, 10, false));
+    let projected = scan(&compiled, &records, 10, true);
+    assert_eq!(projected, scan(&compiled, &records, 10, false));
     assert!(!projected.0.is_empty());
-    let rows: Vec<Row> = records
-        .iter()
-        .map(|r| {
-            let mut row = Row::default();
-            p.project(r, &mut row);
-            row
-        })
-        .collect();
-    let (mut pairs, mut rejected) = (0u32, 0u32);
-    for i in 1..rows.len() {
-        for j in i.saturating_sub(9)..i {
-            pairs += 1;
-            rejected += u32::from(p.rejects(&rows[j], &rows[i]));
+    assert_eq!(
+        scan(&native, &records, 10, true),
+        scan(&employee_program(), &records, 10, false)
+    );
+    let theories: [(&str, &dyn EquationalTheory); 2] =
+        [("compiled", &compiled), ("native", &native)];
+    for (name, theory) in theories {
+        let p = theory
+            .projection()
+            .unwrap_or_else(|| panic!("{name}: the employee theory projects"));
+        let rows: Vec<Row> = records
+            .iter()
+            .map(|r| {
+                let mut row = Row::default();
+                p.project(r, &mut row);
+                row
+            })
+            .collect();
+        let (mut pairs, mut rejected) = (0u32, 0u32);
+        for i in 1..rows.len() {
+            for j in i.saturating_sub(9)..i {
+                pairs += 1;
+                rejected += u32::from(p.rejects(&rows[j], &rows[i]));
+            }
         }
+        assert!(
+            rejected * 10 > pairs * 9,
+            "{name}: {rejected} of {pairs} rejected"
+        );
     }
-    assert!(rejected * 10 > pairs * 9, "{rejected} of {pairs} rejected");
 }
 
 // ---------------------------------------------------------------------------

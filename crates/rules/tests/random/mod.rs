@@ -7,7 +7,9 @@
 
 use mp_record::{Record, RecordId};
 use mp_rules::projection::Row;
-use mp_rules::{CompiledTheory, EquationalTheory, RuleFiringCounter};
+use mp_rules::{
+    CompiledTheory, EquationalTheory, NativeEmployeeTheory, RuleFiringCounter, RuleProgram,
+};
 use proptest::TestRng;
 
 const FIELDS: [&str; 6] = [
@@ -149,12 +151,30 @@ pub fn random_record(rng: &mut TestRng, id: u32, base: Option<&Record>) -> Recor
 /// and per-rule firings, then the theory's memo hits during the scan.
 pub type Scanned = (Vec<(usize, usize, usize)>, u64, u64, Vec<u64>, u64);
 
+/// A theory [`scan`] runs, with the memo hits it has counted so far
+/// (0 for a theory that does not report them).
+pub trait Scannable: EquationalTheory {
+    fn memo_hits(&self) -> u64 {
+        0
+    }
+}
+
+impl Scannable for CompiledTheory {
+    fn memo_hits(&self) -> u64 {
+        self.subexpr_hits()
+    }
+}
+
+impl Scannable for NativeEmployeeTheory {}
+
+impl Scannable for RuleProgram {}
+
 /// Every pair of `records` at most `w − 1` positions apart, evaluated
 /// through a [`RuleFiringCounter`] the way a window scan does it: with
 /// `project`, a pair the theory's projection rejects is counted as a miss
 /// in bulk and never evaluated; without, every pair is evaluated.
-pub fn scan(theory: &CompiledTheory, records: &[Record], w: usize, project: bool) -> Scanned {
-    let hits = theory.subexpr_hits();
+pub fn scan(theory: &impl Scannable, records: &[Record], w: usize, project: bool) -> Scanned {
+    let hits = theory.memo_hits();
     let counter = RuleFiringCounter::new(theory);
     let projection = counter.projection().filter(|_| project);
     let rows: Vec<Row> = match projection {
@@ -186,6 +206,6 @@ pub fn scan(theory: &CompiledTheory, records: &[Record], w: usize, project: bool
         counter.evaluations(),
         counter.misses(),
         counter.fired(),
-        theory.subexpr_hits() - hits,
+        theory.memo_hits() - hits,
     )
 }

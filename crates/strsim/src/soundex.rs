@@ -14,18 +14,33 @@
 /// assert_eq!(soundex("Tymczak"), "T522");
 /// ```
 pub fn soundex(name: &str) -> String {
-    let letters: Vec<u8> = name
+    code(name).iter().map(|&b| char::from(b)).collect()
+}
+
+/// `true` when both names have identical Soundex codes and at least one
+/// letter each. Codes on the stack: no allocation.
+pub fn soundex_eq(a: &str, b: &str) -> bool {
+    let ca = code(a);
+    ca != NO_LETTERS && ca == code(b)
+}
+
+/// The code of a name with no letters.
+const NO_LETTERS: [u8; 4] = *b"0000";
+
+/// The Soundex code of `name` as four ASCII bytes.
+fn code(name: &str) -> [u8; 4] {
+    let mut letters = name
         .bytes()
         .filter(u8::is_ascii_alphabetic)
-        .map(|b| b.to_ascii_uppercase())
-        .collect();
-    let Some((&first, rest)) = letters.split_first() else {
-        return "0000".to_string();
+        .map(|b| b.to_ascii_uppercase());
+    let Some(first) = letters.next() else {
+        return NO_LETTERS;
     };
-    let mut code = String::with_capacity(4);
-    code.push(first as char);
+    let mut code = NO_LETTERS;
+    code[0] = first;
+    let mut len = 1;
     let mut last_digit = digit(first);
-    for &c in rest {
+    for c in letters {
         let d = digit(c);
         if d == 0 {
             // H and W are transparent: they do not reset the run; vowels
@@ -34,24 +49,15 @@ pub fn soundex(name: &str) -> String {
                 last_digit = 0;
             }
         } else if d != last_digit {
-            code.push((b'0' + d) as char);
-            if code.len() == 4 {
-                return code;
+            code[len] = b'0' + d;
+            len += 1;
+            if len == code.len() {
+                break;
             }
             last_digit = d;
         }
     }
-    while code.len() < 4 {
-        code.push('0');
-    }
     code
-}
-
-/// `true` when both names have identical Soundex codes and at least one
-/// letter each.
-pub fn soundex_eq(a: &str, b: &str) -> bool {
-    let ca = soundex(a);
-    ca != "0000" && ca == soundex(b)
 }
 
 fn digit(c: u8) -> u8 {

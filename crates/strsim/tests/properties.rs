@@ -5,7 +5,7 @@
 use mp_strsim::{
     damerau_levenshtein, jaro, jaro_winkler, keyboard_distance, lcs_length, lcs_similarity,
     levenshtein, levenshtein_bounded, ngram_similarity, normalized_levenshtein, nysiis, soundex,
-    EditBuffer,
+    soundex_eq, EditBuffer,
 };
 use proptest::prelude::*;
 
@@ -107,6 +107,20 @@ proptest! {
         let first = bytes.next().unwrap();
         prop_assert!(first.is_ascii_uppercase() || first == b'0');
         prop_assert!(bytes.all(|b| b.is_ascii_digit()));
+    }
+
+    /// Names over few letters, in both cases, with digits and punctuation,
+    /// so that codes often collide and some names have no letters; each
+    /// name is also paired with its own lower case, whose code is equal.
+    #[test]
+    fn soundex_eq_is_equal_codes_with_letters(
+        a in "[SsMmTtHhWwYyAaDd0-9 '\\-]{0,10}",
+        b in "[SsMmTtHhWwYyAaDd0-9 '\\-]{0,10}",
+    ) {
+        for (x, y) in [(&a, &b), (&a, &a.to_lowercase()), (&b, &format!("{b}{a}"))] {
+            let (cx, cy) = (soundex(x), soundex(y));
+            prop_assert_eq!(soundex_eq(x, y), cx == cy && cx != "0000", "{:?} {:?}", x, y);
+        }
     }
 
     #[test]

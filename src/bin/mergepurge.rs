@@ -133,12 +133,12 @@ rules: a rule-DSL program file; without one the DSL theories fall back to
        the built-in 26-rule employee theory source.
 
 --theory T picks the equational-theory implementation:
-  native        hand-coded Rust employee theory (default without --rules;
-                rejects --rules)
+  native        the built-in 26-rule employee theory, compiled under the
+                static plan (default without --rules; rejects --rules)
   dsl           tree-walking rule interpreter
   dsl-compiled  the rule DSL lowered to a planned bytecode VM (default when
-                --rules is given) — same decisions as dsl, close to native
-                speed; see docs/RULE_COMPILER.md
+                --rules is given) — same decisions as dsl; see
+                docs/RULE_COMPILER.md
 dedupe/purge calibrate the dsl-compiled planner on a sample of input pairs;
 serve uses the static cost-model plan. --no-plan compiles without predicate
 reordering or common-subexpression memoization (bit-identical results,
@@ -420,8 +420,8 @@ fn write_report(
 /// Adjacent input pairs sampled to calibrate the rule planner.
 const CALIBRATION_PAIRS: usize = 2_048;
 
-/// The theory selected by `--theory`/`--rules`: the hand-coded native
-/// implementation, the DSL interpreter, or the planned bytecode VM.
+/// The theory selected by `--theory`/`--rules`: the built-in employee
+/// theory, the DSL interpreter, or the planned bytecode VM.
 enum Theory {
     Native(NativeEmployeeTheory),
     Program(RuleProgram),
@@ -820,11 +820,7 @@ fn serve_cmd(flags: &Flags) -> Result<(), String> {
     // The daemon sees records incrementally, so the compiled plan is the
     // static one (no calibration sample exists up front).
     let theory = Theory::load(flags, None)?;
-    let theory_dyn: &(dyn EquationalTheory + Sync) = match &theory {
-        Theory::Native(t) => t,
-        Theory::Program(p) => p,
-        Theory::Compiled(c) => c,
-    };
+    let theory_dyn = theory.as_dyn();
     // Tracing is always on for serve: the flight recorder is what the
     // live `trace` command and GET /trace answer from, and the per-batch
     // drain keeps the span buffers from accumulating.
@@ -1242,27 +1238,10 @@ fn explain(flags: &Flags) -> Result<(), String> {
     let (ra, rb) = (&records[a], &records[b]);
     println!("record {a}: {ra:?}");
     println!("record {b}: {rb:?}");
-    match &theory {
-        Theory::Program(p) => match p.matching_rule(ra, rb) {
-            Some(rule) => println!("MATCH via rule `{rule}`"),
-            None => println!("no rule fires for this pair"),
-        },
-        Theory::Compiled(c) => match c.matching_rule(ra, rb) {
-            Some(rule) => println!("MATCH via rule `{rule}`"),
-            None => println!("no rule fires for this pair"),
-        },
-        Theory::Native(t) => {
-            // The native theory has no per-rule trace; fall back to the DSL
-            // twin, which agrees pair-for-pair.
-            let dsl = mp_rules::employee_program();
-            match dsl.matching_rule(ra, rb) {
-                Some(rule) => println!("MATCH via rule `{rule}`"),
-                None => {
-                    debug_assert!(!t.matches(ra, rb));
-                    println!("no rule fires for this pair");
-                }
-            }
-        }
+    let theory = theory.as_dyn();
+    match theory.matching_rule_id(ra, rb) {
+        Some(id) => println!("MATCH via rule `{}`", theory.rule_names()[id]),
+        None => println!("no rule fires for this pair"),
     }
     Ok(())
 }
